@@ -35,7 +35,6 @@ from senqse.solver import (
     SubspaceEngine,
     build_subspace,
     fci_oracle,
-    ground_state,
     relax_orbitals,
     vo_optimize,
 )
@@ -140,15 +139,17 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         hq = jordan_wigner(ints)
         relaxation = {"e_min": e_relaxed, "t_norm": float(np.linalg.norm(rot.t))}
 
+    sampled = config.mode == "sampled"
     problem = build_subspace(
         basis,
         hq,
         ints.n_elec,
         mode=config.mode,
-        shots=config.shots if config.mode == "sampled" else None,
-        seed=config.seed if config.mode == "sampled" else None,
+        shots=config.shots if sampled else None,
+        seed=config.seed if sampled else None,
         taper=config.taper,
         constant_shift=config.constant_shift,
+        compute_sigma=config.taper and not sampled,
     )
     fci = fci_oracle(hq, ints.n_elec, 0.0)
 
@@ -169,21 +170,26 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         "basis_text": serialize_basis(basis),
     }
 
+    if sampled:
+        record["first_order_mse"] = float(problem.first_order_mse)
+        record["second_order_bias"] = float(problem.second_order_bias)
+
     # sampling-cost accounting (needs the tapered machinery)
     if config.taper:
-        exact = build_subspace(
-            basis,
-            hq,
-            ints.n_elec,
-            mode="exact",
-            taper=True,
-            constant_shift=config.constant_shift,
-            compute_sigma=True,
-        )
-        _, c0 = ground_state(exact.hmat)
+        exact = problem
+        if sampled:
+            exact = build_subspace(
+                basis,
+                hq,
+                ints.n_elec,
+                mode="exact",
+                taper=True,
+                constant_shift=config.constant_shift,
+                compute_sigma=True,
+            )
         report = allocate_and_score(
             exact.sigma,
-            np.asarray(c0, dtype=float),
+            np.asarray(exact.c0, dtype=float),
             exact.fragment_sigmas,
             system=label,
             bond=bond,

@@ -26,7 +26,7 @@ import numpy as np
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
 from senqse.pauli import PauliSum
 from senqse.simulator import StateVector, apply_pauli_sum
-from senqse.taper import SeniorityConfig, build_clifford, effective_hamiltonian
+from senqse.taper import SectorHamiltonian, SeniorityConfig
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -502,8 +502,9 @@ def default_selection_params(
 class CsfElementEngine:
     """Exact matrix elements between rotation-free CSF states.
 
-    Effective operators are cached per (bra config, ket config) pair and
-    tapered CSF states per specification, so the selection loops reuse both.
+    Effective operators come from one sector table of ``hq`` (conjugated
+    once, memoised per config pair) and tapered CSF states are cached per
+    specification, so the selection loops reuse both.
     """
 
     def __init__(self, hq: PauliSum, n_orb: int, n_elec: int):
@@ -512,8 +513,7 @@ class CsfElementEngine:
         self.hq = hq
         self.n_orb = n_orb
         self.n_elec = n_elec
-        self.uc = build_clifford(n_orb)
-        self._xops = {}
+        self.sectors = SectorHamiltonian(hq)
         self._states = {}
 
     def state(self, spec: CsfSpec) -> StateVector:
@@ -522,12 +522,7 @@ class CsfElementEngine:
         return self._states[spec]
 
     def xop(self, bra_bits: int, ket_bits: int) -> PauliSum:
-        key = (bra_bits, ket_bits)
-        if key not in self._xops:
-            bra = SeniorityConfig.from_bits(bra_bits, self.n_orb)
-            ket = SeniorityConfig.from_bits(ket_bits, self.n_orb)
-            self._xops[key] = effective_hamiltonian(self.hq, bra, ket, self.uc).op
-        return self._xops[key]
+        return self.sectors.op(bra_bits, ket_bits)
 
     def element(self, spec_a: CsfSpec, spec_b: CsfSpec) -> float:
         cfg_a = seniority_config(spec_a, self.n_orb).bits

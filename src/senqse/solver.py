@@ -49,12 +49,7 @@ from senqse.simulator import (
     prepare_swap_state,
     rng_for,
 )
-from senqse.taper import (
-    EffectiveHamiltonian,
-    SeniorityConfig,
-    build_clifford,
-    effective_hamiltonian,
-)
+from senqse.taper import EffectiveHamiltonian, SectorHamiltonian, SeniorityConfig
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +62,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubspaceProblem:
-    """Subspace matrix with its ground eigenpair and sampling metadata."""
+    """Subspace matrix with its ground eigenpair and sampling metadata.
+
+    In sampled mode ``first_order_mse`` and ``second_order_bias`` are the
+    error the shot table predicts for the ground energy (see MatrixSampler).
+    """
 
     hmat: np.ndarray
     basis: tuple
@@ -76,6 +75,8 @@ class SubspaceProblem:
     sigma: np.ndarray | None = None
     fragment_sigmas: dict | None = None
     shots: dict | None = None
+    first_order_mse: float | None = None
+    second_order_bias: float | None = None
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,10 @@ def ground_state(hmat: np.ndarray):
 class SubspaceEngine:
     """Shared machinery for exact and sampled subspace matrix construction.
 
-    Effective operators are cached per seniority-config pair, so replacing a
-    basis state's rotation amplitudes (which never change its config) only
-    invalidates that state's vector.
+    Effective operators come from one sector table of ``hq`` (conjugated
+    once, memoised per seniority-config pair), so replacing a basis state's
+    rotation amplitudes (which never change its config) only invalidates
+    that state's vector.
     """
 
     def __init__(
@@ -134,9 +136,8 @@ class SubspaceEngine:
         # dense effective-operator matrices trade memory for fast repeated
         # element evaluation (the amplitude optimizer's hot path)
         self.dense_elements = dense_elements and taper and self.n_orb <= 8
-        self.uc = build_clifford(self.n_orb) if taper else None
+        self.sectors = SectorHamiltonian(hq) if taper else None
         self._states = [None] * len(basis)
-        self._xops = {}
         self._xmats = {}
         self._csf_states = {}
         self._h_ket_cache = {}
@@ -190,12 +191,7 @@ class SubspaceEngine:
         self._h_ket_cache.pop(mu, None)
 
     def xop(self, mu: int, nu: int) -> PauliSum:
-        key = (self.config(mu).bits, self.config(nu).bits)
-        if key not in self._xops:
-            self._xops[key] = effective_hamiltonian(
-                self.hq, self.config(mu), self.config(nu), self.uc
-            ).op
-        return self._xops[key]
+        return self.sectors.op(self.config(mu).bits, self.config(nu).bits)
 
     def is_classical(self, mu: int, nu: int) -> bool:
         """Rotation-free bra and ket: the element never costs quantum shots."""
@@ -514,7 +510,8 @@ def build_subspace(
     engine = SubspaceEngine(
         basis, hq, n_elec, taper=taper, constant_shift=constant_shift
     )
-    sigma = fragment_sigmas = shot_table = None
+    sigma = fragment_sigmas = None
+    diagnostics = {}
     if mode == "exact":
         hmat = engine.exact_matrix()
         if compute_sigma:
@@ -527,7 +524,11 @@ def build_subspace(
         sampler = make_matrix_sampler(engine, shots)
         hmat = sampler.draw(seed)
         sigma, fragment_sigmas = engine.sigma_matrix(sampler.plan)
-        shot_table = sampler.shots
+        diagnostics = dict(
+            shots=sampler.shots,
+            first_order_mse=sampler.first_order_mse,
+            second_order_bias=sampler.second_order_bias,
+        )
     else:
         raise SolverError(f"unknown mode {mode!r}")
     e_min, c0 = ground_state(hmat)
@@ -538,7 +539,7 @@ def build_subspace(
         c0=np.asarray(c0),
         sigma=sigma,
         fragment_sigmas=fragment_sigmas,
-        shots=shot_table,
+        **diagnostics,
     )
 
 

@@ -114,6 +114,53 @@ def left_factor_element(x_left: int, z_left: int, bra_bits: int, ket_bits: int):
     return val
 
 
+class SectorHamiltonian:
+    """A 2*n_orb-qubit operator conjugated once and indexed by sector pair.
+
+    After tapering, a term reaches the (bra, ket) seniority pair only when
+    the X part of its seniority register equals bra XOR ket (the
+    symmetry-induced zero pattern).  Each term of ``hq`` is conjugated by
+    the tapering Clifford once and kept, in ``hq`` order, in the bucket of
+    that X part as (z_left, x_right, z_right, c * phase).  ``op`` reads one
+    bucket, weights each term by its closed-form bra-ket factor and
+    memoises the n_orb-qubit effective operator per pair.
+    """
+
+    def __init__(self, hq: PauliSum, uc: CliffordMap | None = None, tol: float = DROP_TOL):
+        if hq.n_qubits % 2:
+            raise TaperError(
+                f"operator on {hq.n_qubits} qubits is not a 2*n_orb register"
+            )
+        n_orb = hq.n_qubits // 2
+        if uc is None:
+            uc = build_clifford(n_orb)
+        self.n_orb = n_orb
+        self.tol = tol
+        mask = (1 << n_orb) - 1
+        self._buckets: dict[int, list] = {}
+        for (x, z), c in hq.items():
+            p = uc.conjugate(PauliProduct(2 * n_orb, x, z))
+            self._buckets.setdefault(p.x_bits & mask, []).append(
+                (p.z_bits & mask, p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase)
+            )
+        self._ops: dict[tuple[int, int], PauliSum] = {}
+
+    def op(self, bra_bits: int, ket_bits: int) -> PauliSum:
+        """Effective operator of the (bra, ket) config pair, given as bit masks."""
+        key = (bra_bits, ket_bits)
+        if key not in self._ops:
+            for bits in key:
+                if not 0 <= bits < 1 << self.n_orb:
+                    raise TaperError(f"config bits {bits} outside n_orb={self.n_orb}")
+            x_left = bra_bits ^ ket_bits
+            out = PauliSum(self.n_orb)
+            for z_left, x_right, z_right, coeff in self._buckets.get(x_left, ()):
+                factor = left_factor_element(x_left, z_left, bra_bits, ket_bits)
+                out.add_term(x_right, z_right, coeff * factor)
+            self._ops[key] = out.simplify(self.tol)
+        return self._ops[key]
+
+
 def effective_hamiltonian(
     hq: PauliSum,
     bra: SeniorityConfig,
@@ -121,30 +168,20 @@ def effective_hamiltonian(
     uc: CliffordMap,
     tol: float = DROP_TOL,
 ) -> EffectiveHamiltonian:
-    """Project a 2*n_orb-qubit operator onto a (bra, ket) seniority pair.
+    """Project a 2*n_orb-qubit operator onto one (bra, ket) seniority pair.
 
-    Every term is conjugated by the tapering Clifford, split across the
-    seniority / remainder registers, weighted by the closed-form bra-ket
-    factor of its left part, and accumulated on the right part.  Terms with
-    a vanishing left factor drop; right-part collisions merge.
+    A one-pair ``SectorHamiltonian``: terms are conjugated by the tapering
+    Clifford, weighted by the bra-ket factor of their left part and
+    accumulated on their right part; right-part collisions merge.
     """
     if bra.n_orb != ket.n_orb:
         raise TaperError("config length mismatch")
-    n_orb = bra.n_orb
-    if hq.n_qubits != 2 * n_orb:
+    if hq.n_qubits != 2 * bra.n_orb:
         raise TaperError(
-            f"operator on {hq.n_qubits} qubits does not match n_orb={n_orb}"
+            f"operator on {hq.n_qubits} qubits does not match n_orb={bra.n_orb}"
         )
-    mask = (1 << n_orb) - 1
-    vb, wb = bra.bits, ket.bits
-    out = PauliSum(n_orb)
-    for (x, z), c in hq.items():
-        p = uc.conjugate(PauliProduct(2 * n_orb, x, z))
-        factor = left_factor_element(p.x_bits & mask, p.z_bits & mask, vb, wb)
-        if factor == 0.0:
-            continue
-        out.add_term(p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase * factor)
-    return EffectiveHamiltonian(out.simplify(tol), bra, ket)
+    op = SectorHamiltonian(hq, uc, tol).op(bra.bits, ket.bits)
+    return EffectiveHamiltonian(op, bra, ket)
 
 
 def taper_check(full_state: StateVector, uc: CliffordMap):

@@ -2,9 +2,10 @@
 
 Everything here is built directly from 2x2 matrices with numpy.kron and
 never calls into the package's operator algebra, so it can serve as an
-independent reference for it.  Qubit q corresponds to bit q of the basis
-index (little endian), i.e. the kron chain runs from the highest qubit on
-the left down to qubit 0 on the right.
+independent reference for it; the one exception, ``term_by_term_effective_op``,
+is the direct per-pair projection that the sector table replaces.  Qubit q
+corresponds to bit q of the basis index (little endian), i.e. the kron
+chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
 
 import numpy as np
@@ -171,3 +172,24 @@ def random_pauli_sum_pairs(rng, n_qubits, n_terms, real=True):
             coeff = coeff + 1j * rng.normal()
         pairs.append((label, coeff))
     return pairs
+
+
+def term_by_term_effective_op(hq, bra_bits, ket_bits, uc, tol):
+    """Tapered operator of one (bra, ket) config pair, conjugating every term.
+
+    Each term of hq goes through the tapering Clifford, its seniority-register
+    part becomes a bra-ket factor and its remainder part is accumulated.
+    """
+    from senqse.pauli import PauliProduct, PauliSum
+    from senqse.taper import left_factor_element
+
+    n_orb = hq.n_qubits // 2
+    mask = (1 << n_orb) - 1
+    out = PauliSum(n_orb)
+    for (x, z), c in hq.items():
+        p = uc.conjugate(PauliProduct(2 * n_orb, x, z))
+        factor = left_factor_element(p.x_bits & mask, p.z_bits & mask, bra_bits, ket_bits)
+        if factor == 0.0:
+            continue
+        out.add_term(p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase * factor)
+    return out.simplify(tol)

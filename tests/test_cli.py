@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ from senqse.cli import (
     parse_config_file,
     run,
 )
+from senqse.csfbasis import parse_basis
+from senqse.fermion import jordan_wigner, load_fcidump
+from senqse.solver import SubspaceEngine, make_matrix_sampler
 
 FIXTURES = Path(__file__).parent / "fixtures"
 H2_PATHS = [str(FIXTURES / f"h2_{r}.fcidump") for r in ("0.7414", "1.0000", "1.5000")]
@@ -104,6 +108,32 @@ class TestRun:
         run(cfg)
         second = (out / "report.json").read_bytes()
         assert first == second
+
+    def test_sampled_report_carries_predicted_error(self, tmp_path):
+        # a strict trim leaves H2 one state with a rotation, so the diagonal
+        # element is sampled
+        out = tmp_path / "sampled"
+        cfg = RunConfig(
+            fcidump_paths=(H2_PATHS[2],),
+            method="vo",
+            mode="sampled",
+            shots=2000,
+            seed=5,
+            eps1=0.5,
+            out_dir=str(out),
+        )
+        run(cfg)
+        rec = json.loads((out / "report.json").read_text())["geometries"][0]
+        assert rec["n_rotations_max"] == 1
+        ints = load_fcidump(H2_PATHS[2])
+        basis = parse_basis((out / f"{rec['label']}.basis.txt").read_text())
+        engine = SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec)
+        sampler = make_matrix_sampler(engine, cfg.shots)
+        assert rec["first_order_mse"] == sampler.first_order_mse > 0.0
+        assert rec["second_order_bias"] == sampler.second_order_bias
+        exact = run(replace(cfg, mode="exact", out_dir=str(tmp_path / "exact")))
+        assert "first_order_mse" not in exact["geometries"][0]
+        assert "second_order_bias" not in exact["geometries"][0]
 
     def test_exact_mode_independent_of_seed(self, tmp_path):
         recs = []

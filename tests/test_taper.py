@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
-from senqse.pauli import PauliProduct, PauliSum
+from senqse.fermion import jordan_wigner, load_fcidump
+from senqse.pauli import DROP_TOL, PauliProduct, PauliSum
 from senqse.simulator import StateVector, apply_clifford
 from senqse.taper import (
+    SectorHamiltonian,
     SeniorityConfig,
     TaperError,
     build_clifford,
@@ -13,6 +17,8 @@ from senqse.taper import (
     taper_check,
     untaper_state,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def random_sector_state(rng, config, uc):
@@ -155,6 +161,105 @@ class TestEffectiveHamiltonian:
                 inner_a.amplitudes, oracles.sum_matrix(eff.op) @ inner_b.amplitudes
             )
             assert got == pytest.approx(ref, abs=1e-10)
+
+
+def fixture_hamiltonian(stem):
+    return jordan_wigner(load_fcidump(str(FIXTURES / f"{stem}.fcidump")))
+
+
+class CountingClifford:
+    """Wraps a CliffordMap and counts its conjugations."""
+
+    def __init__(self, uc):
+        self.uc = uc
+        self.conjugations = 0
+
+    def conjugate(self, p):
+        self.conjugations += 1
+        return self.uc.conjugate(p)
+
+
+def assert_same_operator(got, ref):
+    """Equal dicts, item order included (bit-for-bit coefficients)."""
+    assert got.n_qubits == ref.n_qubits
+    assert list(got.items()) == list(ref.items())
+
+
+class TestSectorHamiltonian:
+    def test_h2_all_pairs_match_term_by_term(self):
+        hq = fixture_hamiltonian("h2_0.7414")
+        uc = build_clifford(2)
+        table = SectorHamiltonian(hq)
+        for v in range(4):
+            for w in range(4):
+                ref = oracles.term_by_term_effective_op(hq, v, w, uc, DROP_TOL)
+                assert_same_operator(table.op(v, w), ref)
+
+    def test_h2o_sampled_pairs_match_term_by_term(self):
+        hq = fixture_hamiltonian("h2o_1.0000")
+        n_orb = hq.n_qubits // 2
+        uc = build_clifford(n_orb)
+        table = SectorHamiltonian(hq, uc)
+        rng = np.random.default_rng(2024)
+        pairs = rng.integers(0, 2**n_orb, size=(200, 2))
+        for v, w in pairs:
+            ref = oracles.term_by_term_effective_op(hq, int(v), int(w), uc, DROP_TOL)
+            assert_same_operator(table.op(int(v), int(w)), ref)
+
+    def test_effective_hamiltonian_is_one_pair_table(self):
+        hq = fixture_hamiltonian("h2_1.5000")
+        uc = build_clifford(2)
+        bra, ket = SeniorityConfig((1, 1)), SeniorityConfig((0, 0))
+        eff = effective_hamiltonian(hq, bra, ket, uc)
+        assert_same_operator(eff.op, SectorHamiltonian(hq, uc).op(bra.bits, ket.bits))
+        assert (eff.bra_config, eff.ket_config) == (bra, ket)
+
+    def test_zero_pattern(self):
+        """A pair is empty when no conjugated term has X part bra XOR ket."""
+        hq = fixture_hamiltonian("h2o_1.0000")
+        n_orb = hq.n_qubits // 2
+        uc = build_clifford(n_orb)
+        mask = (1 << n_orb) - 1
+        x_parts = {
+            uc.conjugate(PauliProduct(2 * n_orb, x, z)).x_bits & mask
+            for (x, z), _ in hq.items()
+        }
+        absent = [x for x in range(2**n_orb) if x not in x_parts]
+        assert absent and 0 in x_parts
+        table = SectorHamiltonian(hq, uc)
+        rng = np.random.default_rng(7)
+        for x in absent:
+            v = int(rng.integers(0, 2**n_orb))
+            assert table.op(v, v ^ x).n_terms == 0
+        assert table.op(0, 0).n_terms > 0
+
+    def test_conjugates_each_term_once(self):
+        hq = fixture_hamiltonian("h2o_1.0000")
+        n_orb = hq.n_qubits // 2
+        counter = CountingClifford(build_clifford(n_orb))
+        table = SectorHamiltonian(hq, counter)
+        assert counter.conjugations == hq.n_terms
+        rng = np.random.default_rng(11)
+        for v, w in rng.integers(0, 2**n_orb, size=(300, 2)):
+            table.op(int(v), int(w))
+        for v in range(2**n_orb):
+            table.op(v, v)
+        assert counter.conjugations == hq.n_terms
+
+    def test_memoised_per_pair(self):
+        table = SectorHamiltonian(fixture_hamiltonian("h2_0.7414"))
+        assert table.op(1, 2) is table.op(1, 2)
+        assert table.op(1, 2) is not table.op(2, 1)
+
+    def test_odd_register_rejected(self):
+        with pytest.raises(TaperError, match="2\\*n_orb"):
+            SectorHamiltonian(PauliSum.from_label("Z0 Z2", 1.0, 3))
+
+    @pytest.mark.parametrize("bra, ket", [(4, 0), (0, 4), (-1, 0), (0, 17)])
+    def test_config_bits_out_of_range(self, bra, ket):
+        table = SectorHamiltonian(fixture_hamiltonian("h2_0.7414"))
+        with pytest.raises(TaperError, match="outside n_orb=2"):
+            table.op(bra, ket)
 
 
 class TestTaperCheck:
