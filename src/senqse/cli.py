@@ -174,23 +174,14 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         record["first_order_mse"] = float(problem.first_order_mse)
         record["second_order_bias"] = float(problem.second_order_bias)
 
-    # sampling-cost accounting (needs the tapered machinery)
+    # sampling-cost accounting (needs the tapered machinery); the ground
+    # vector weighting it is the exact matrix's in both modes
     if config.taper:
-        exact = problem
-        if sampled:
-            exact = build_subspace(
-                basis,
-                hq,
-                ints.n_elec,
-                mode="exact",
-                taper=True,
-                constant_shift=config.constant_shift,
-                compute_sigma=True,
-            )
+        c0 = problem.exact_c0 if sampled else problem.c0
         report = allocate_and_score(
-            exact.sigma,
-            np.asarray(exact.c0, dtype=float),
-            exact.fragment_sigmas,
+            problem.sigma,
+            np.asarray(c0, dtype=float),
+            problem.fragment_sigmas,
             system=label,
             bond=bond,
             method=config.method,

@@ -395,6 +395,26 @@ def make_csf_tapered(spec: CsfSpec, n_orb: int, n_elec: int) -> StateVector:
     return StateVector(amps, n_orb)
 
 
+_ROTATION_INDEX_CACHE: dict = {}
+
+
+def _rotation_indices(n: int, r: int, s: int):
+    """Read-only (i, j) index arrays of the (r, s) pair-transfer block.
+
+    i runs over the indices with qubit r at 0 and qubit s at 1, and j is i
+    with both bits flipped.
+    """
+    pair = _ROTATION_INDEX_CACHE.get((n, r, s))
+    if pair is None:
+        idx = np.arange(2**n)
+        i_idx = idx[((idx >> r) & 1 == 0) & ((idx >> s) & 1 == 1)]
+        j_idx = i_idx ^ ((1 << r) | (1 << s))
+        i_idx.flags.writeable = False
+        j_idx.flags.writeable = False
+        pair = _ROTATION_INDEX_CACHE[(n, r, s)] = (i_idx, j_idx)
+    return pair
+
+
 def apply_pair_rotation(state: StateVector, r: int, s: int, theta: float) -> StateVector:
     """Exact two-qubit rotation exp(i theta (X_r Y_s - Y_r X_s)) on the register.
 
@@ -404,13 +424,10 @@ def apply_pair_rotation(state: StateVector, r: int, s: int, theta: float) -> Sta
     n = state.n_qubits
     if not (0 <= r < n and 0 <= s < n) or r == s:
         raise BasisError(f"bad rotation qubits ({r}, {s}) on {n} qubits")
-    idx = np.arange(2**n)
-    sel = ((idx >> r) & 1 == 0) & ((idx >> s) & 1 == 1)
-    i_idx = idx[sel]
-    j_idx = i_idx ^ ((1 << r) | (1 << s))
+    i_idx, j_idx = _rotation_indices(n, r, s)
     c, sn = math.cos(2.0 * theta), math.sin(2.0 * theta)
     amps = state.amplitudes.copy()
-    ai, aj = amps[i_idx].copy(), amps[j_idx].copy()
+    ai, aj = amps[i_idx], amps[j_idx]
     amps[i_idx] = c * ai - sn * aj
     amps[j_idx] = sn * ai + c * aj
     return StateVector(amps, n)

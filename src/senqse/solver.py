@@ -65,7 +65,9 @@ class SubspaceProblem:
     """Subspace matrix with its ground eigenpair and sampling metadata.
 
     In sampled mode ``first_order_mse`` and ``second_order_bias`` are the
-    error the shot table predicts for the ground energy (see MatrixSampler).
+    error the shot table predicts for the ground energy (see MatrixSampler),
+    and ``exact_c0`` is the ground vector of the exact matrix (``c0``
+    belongs to the drawn one).
     """
 
     hmat: np.ndarray
@@ -77,6 +79,7 @@ class SubspaceProblem:
     shots: dict | None = None
     first_order_mse: float | None = None
     second_order_bias: float | None = None
+    exact_c0: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,7 @@ class SubspaceEngine:
         self.dense_elements = dense_elements and taper and self.n_orb <= 8
         self.sectors = SectorHamiltonian(hq) if taper else None
         self._states = [None] * len(basis)
+        self._configs = [None] * len(basis)
         self._xmats = {}
         self._csf_states = {}
         self._h_ket_cache = {}
@@ -147,9 +151,7 @@ class SubspaceEngine:
         """Same-config states must be orthogonal for the identity overlap."""
         by_cfg: dict[int, list] = {}
         for mu in range(len(self.basis)):
-            by_cfg.setdefault(
-                seniority_config(self.basis[mu], self.n_orb).bits, []
-            ).append(mu)
+            by_cfg.setdefault(self.config(mu).bits, []).append(mu)
         for members in by_cfg.values():
             for idx, mu in enumerate(members):
                 for nu in members[:idx]:
@@ -165,7 +167,10 @@ class SubspaceEngine:
         return len(self.basis)
 
     def config(self, mu: int) -> SeniorityConfig:
-        return seniority_config(self.basis[mu], self.n_orb)
+        # fixed per index: replace_basis_state never changes the CSF
+        if self._configs[mu] is None:
+            self._configs[mu] = seniority_config(self.basis[mu], self.n_orb)
+        return self._configs[mu]
 
     def state(self, mu: int) -> StateVector:
         if self._states[mu] is None:
@@ -528,6 +533,7 @@ def build_subspace(
             shots=sampler.shots,
             first_order_mse=sampler.first_order_mse,
             second_order_bias=sampler.second_order_bias,
+            exact_c0=np.asarray(ground_state(sampler.exact)[1]),
         )
     else:
         raise SolverError(f"unknown mode {mode!r}")
@@ -549,6 +555,8 @@ def build_subspace(
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# sweep cap of the stage-2a branch-sum descent in vo_optimize
+_BRANCH_SWEEPS = 20
 
 
 def _golden_section(f, a: float, b: float, xtol: float):
@@ -590,6 +598,26 @@ def _periodic_line_search(f, th0: float, e0: float, xtol: float = 1e-10):
     return float(grid[k_best]), float(values[k_best])
 
 
+def _trig_interpolant(th0: float, samples):
+    """Closed form of a function of theta with frequencies 0, 2 and 4 only.
+
+    ``samples[j]`` is its value (a number or an array) at th0 + j pi/5,
+    j = 0..4.  In phi = 2 theta the function is a trigonometric polynomial
+    of degree 2 and the nodes are five equispaced points of its period, so
+    the Dirichlet-kernel interpolant (1 + 2 cos x + 2 cos 2x) / 5 reproduces
+    it exactly.
+    """
+    samples = np.asarray(samples)
+    nodes = th0 + np.arange(5) * np.pi / 5.0
+
+    def f(th):
+        x = 2.0 * (th - nodes)
+        w = (1.0 + 2.0 * np.cos(x) + 2.0 * np.cos(2.0 * x)) / 5.0
+        return np.tensordot(w, samples, axes=1)
+
+    return f
+
+
 def vo_optimize(
     basis,
     hq: PauliSum,
@@ -604,12 +632,19 @@ def vo_optimize(
     Amplitudes are shared across states with the same seniority config
     (selection builds them that way); keeping them synchronized preserves
     the basis orthogonality that the identity-overlap eigenproblem relies
-    on.  Coordinate descent with a periodic golden-section line search per
-    amplitude; a flat all-zero start is first nudged by a fixed
-    perturbation so symmetric stationary points cannot pin the search.
-    Returns (optimized basis, SubspaceProblem, energy history); the history
-    is non-increasing.  Falls back to a simplex polish when the sweep cap
-    is reached away from tolerance.
+    on.  Coordinate descent, one amplitude at a time: every basis state is
+    linear in (1, cos 2 theta, sin 2 theta) of each of its rotation angles,
+    so along one angle the subspace matrix is exactly A + B cos 2 theta +
+    C sin 2 theta + D cos 4 theta + E sin 4 theta.  Each step computes the
+    moved group's rows at five angles, and a periodic golden-section line
+    search minimises the objective of their closed-form interpolant (the
+    sequential-minimal / Rotosolve scheme: Nakanishi, Fujii and Todo, PRR 2,
+    043158 (2020); Ostaszewski, Grant and Benedetti, Quantum 5, 391 (2021)).
+    A flat all-zero start is first nudged by a fixed perturbation so
+    symmetric stationary points cannot pin the search.  Returns (optimized
+    basis, SubspaceProblem, energy history); the history is non-increasing.
+    Falls back to a simplex polish when the sweep cap is reached away from
+    tolerance.
     """
     engine = SubspaceEngine(basis, hq, n_elec, taper=True, dense_elements=True)
     groups: dict = {}
@@ -662,13 +697,14 @@ def vo_optimize(
             moved = 0.0
             for k in range(n_rot):
                 th0 = engine.basis[members[0]].rotations[k][2]
-
-                def f_diag(th):
-                    set_theta(bits, k, float(th))
-                    return sum(engine.element_exact(mu, mu) for mu in members)
-
-                e0 = f_diag(th0)
-                th_best, e_best = _periodic_line_search(f_diag, th0, e0, xtol=1e-8)
+                samples = []
+                for j in range(5):
+                    set_theta(bits, k, th0 + j * np.pi / 5.0)
+                    samples.append(sum(engine.element_exact(mu, mu) for mu in members))
+                e0 = samples[0]
+                th_best, e_best = _periodic_line_search(
+                    _trig_interpolant(th0, samples), th0, e0, xtol=1e-8
+                )
                 if e_best <= e0:
                     set_theta(bits, k, th_best)
                     moved = max(moved, abs(th_best - th0))
@@ -691,19 +727,22 @@ def vo_optimize(
             e_start = e_cur
             for bits, k in slots:
                 th0 = get_theta(bits, k)
-
-                def f(th):
-                    set_theta(bits, k, float(th))
+                samples = [h.copy()]
+                for j in range(1, 5):
+                    set_theta(bits, k, th0 + j * np.pi / 5.0)
                     refresh(bits)
-                    return value_fn(h)
-
-                th_best, e_best = _periodic_line_search(f, th0, e_cur)
+                    samples.append(h.copy())
+                h_of = _trig_interpolant(th0, samples)
+                th_best, e_best = _periodic_line_search(
+                    lambda th: value_fn(h_of(th)), th0, e_cur
+                )
                 if e_best <= e_cur:
                     set_theta(bits, k, th_best)
+                    refresh(bits)
                     e_cur = e_best
                 else:
                     set_theta(bits, k, th0)
-                refresh(bits)
+                    h[...] = samples[0]
             values.append(e_cur)
             if abs(e_start - e_cur) < tol_stage:
                 return values, True
@@ -716,7 +755,17 @@ def vo_optimize(
     k_track = int(np.sum(vals - vals[0] <= 0.15))
     k_track = min(max(k_track, 1), 4, len(vals))
     if k_track > 1:
-        descend(lambda m: float(np.sum(np.linalg.eigvalsh(m)[:k_track])), 10 * tol, 20)
+        branch_values, settled = descend(
+            lambda m: float(np.sum(np.linalg.eigvalsh(m)[:k_track])),
+            10 * tol,
+            _BRANCH_SWEEPS,
+        )
+        if not settled:
+            log.warning(
+                "branch-sum descent hit its %d-sweep cap at dE=%.3e",
+                _BRANCH_SWEEPS,
+                branch_values[-2] - branch_values[-1],
+            )
 
     # Stage 2b: the reported objective, the subspace ground energy.
     e_min_fn = lambda m: float(np.linalg.eigvalsh(m)[0])  # noqa: E731

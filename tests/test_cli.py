@@ -16,7 +16,8 @@ from senqse.cli import (
 )
 from senqse.csfbasis import parse_basis
 from senqse.fermion import jordan_wigner, load_fcidump
-from senqse.solver import SubspaceEngine, make_matrix_sampler
+from senqse.measure import allocate_and_score
+from senqse.solver import SubspaceEngine, build_subspace, make_matrix_sampler
 
 FIXTURES = Path(__file__).parent / "fixtures"
 H2_PATHS = [str(FIXTURES / f"h2_{r}.fcidump") for r in ("0.7414", "1.0000", "1.5000")]
@@ -134,6 +135,44 @@ class TestRun:
         exact = run(replace(cfg, mode="exact", out_dir=str(tmp_path / "exact")))
         assert "first_order_mse" not in exact["geometries"][0]
         assert "second_order_bias" not in exact["geometries"][0]
+
+    def test_sampled_cost_report_from_one_plan(self, tmp_path, monkeypatch):
+        # the cost report reuses the sampled build's plan and exact skeleton
+        plans = []
+        sampling_plan = SubspaceEngine.sampling_plan
+
+        def counted(self):
+            plans.append(self.size)
+            return sampling_plan(self)
+
+        monkeypatch.setattr(SubspaceEngine, "sampling_plan", counted)
+        out = tmp_path / "sampled"
+        cfg = RunConfig(
+            fcidump_paths=(H2_PATHS[2],),
+            method="vo",
+            mode="sampled",
+            shots=2000,
+            seed=5,
+            eps1=0.5,
+            out_dir=str(out),
+        )
+        rec = run(cfg)["geometries"][0]
+        assert plans == [1]
+        ints = load_fcidump(H2_PATHS[2])
+        basis = parse_basis((out / f"{rec['label']}.basis.txt").read_text())
+        exact = build_subspace(
+            basis, jordan_wigner(ints), ints.n_elec, mode="exact", compute_sigma=True
+        )
+        report = allocate_and_score(
+            exact.sigma,
+            np.asarray(exact.c0, dtype=float),
+            exact.fragment_sigmas,
+            system=rec["label"],
+            bond=rec["bond"],
+            method="vo",
+        )
+        assert rec["metric"] == report.metric
+        assert (out / f"{rec['label']}.cost.txt").read_text() == report.to_text()
 
     def test_exact_mode_independent_of_seed(self, tmp_path):
         recs = []

@@ -4,11 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from senqse import solver
 from senqse.csfbasis import (
     BasisState,
     CsfKind,
     CsfSpec,
     default_selection_params,
+    parse_basis,
+    rotation_group_key,
     select_basis_pt,
     select_basis_vo,
 )
@@ -27,6 +30,7 @@ from senqse.solver import (
     SolverError,
     SubspaceEngine,
     _integer_split,
+    _trig_interpolant,
     build_subspace,
     fci_oracle,
     ground_state,
@@ -57,6 +61,12 @@ def h2o():
 @pytest.fixture(scope="module")
 def h2o_hq(h2o):
     return jordan_wigner(h2o)
+
+
+@pytest.fixture(scope="module")
+def h2o_vo_selected():
+    """The H2O 1.0 A VO selection at the acceptance settings, amplitudes zero."""
+    return parse_basis((FIXTURES / "h2o_1.0000.vo-selected.basis.txt").read_text())
 
 
 class TestGroundState:
@@ -351,6 +361,79 @@ class TestVoOptimize:
         opt_basis, problem, history = vo_optimize(basis, h2_hq, 2)
         assert opt_basis == tuple(basis)
         assert problem.e_min == pytest.approx(hf_energy(h2), abs=1e-10)
+
+    @pytest.mark.parametrize("group_size, k", [(9, 3), (1, 1)])
+    def test_closed_form_matches_rebuild(
+        self, h2o, h2o_hq, h2o_vo_selected, group_size, k
+    ):
+        # one amplitude of the 9-state, 14-rotation group and one of a
+        # single-state group, around a random point of the other amplitudes
+        rng = np.random.default_rng(20)
+        engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec)
+        groups = {}
+        for mu, b in enumerate(engine.basis):
+            if b.rotations:
+                key = rotation_group_key(b.csf, engine.n_orb)
+                groups.setdefault(key, []).append(mu)
+        for members in groups.values():
+            n_rot = len(engine.basis[members[0]].rotations)
+            thetas = rng.uniform(-np.pi, np.pi, n_rot)
+            for mu in members:
+                engine.replace_basis_state(mu, engine.basis[mu].with_thetas(thetas))
+        members = next(m for m in groups.values() if len(m) == group_size)
+        thetas = [th for _, _, th in engine.basis[members[0]].rotations]
+
+        def rebuild(th):
+            thetas[k] = th
+            for mu in members:
+                engine.replace_basis_state(mu, engine.basis[mu].with_thetas(thetas))
+            return engine.exact_matrix()
+
+        th0 = thetas[k]
+        samples = [rebuild(th0 + j * np.pi / 5.0) for j in range(5)]
+        h_of = _trig_interpolant(th0, samples)
+        for th in rng.uniform(-np.pi, np.pi, 8):
+            assert np.max(np.abs(h_of(th) - rebuild(th))) < 1e-12
+
+    def test_line_search_costs_five_row_refreshes(
+        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
+    ):
+        # one rotation group only, so every line search moves all its rows
+        basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
+        calls, at_search = [0], []
+        element_exact = SubspaceEngine.element_exact
+        line_search = solver._periodic_line_search
+
+        def counted_element(self, mu, nu):
+            calls[0] += 1
+            return element_exact(self, mu, nu)
+
+        def counted_search(*args, **kwargs):
+            before = calls[0]
+            out = line_search(*args, **kwargs)
+            assert calls[0] == before  # the objective is closed form
+            at_search.append(before)
+            return out
+
+        monkeypatch.setattr(SubspaceEngine, "element_exact", counted_element)
+        monkeypatch.setattr(solver, "_periodic_line_search", counted_search)
+        _, _, history = vo_optimize(basis, h2o_hq, h2o.n_elec)
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        gaps = np.diff(at_search)
+        assert len(gaps) > 14
+        assert gaps.max() <= 5 * len(basis) * len(basis)
+
+    def test_branch_sweep_cap_logged(self, monkeypatch, caplog):
+        # stretched H2O starts with near-degenerate branches, so the
+        # branch-sum stage runs
+        ints = load_fcidump(FIXTURES / "h2o_3.0000.fcidump")
+        hq = jordan_wigner(ints)
+        params = default_selection_params(ints, eps1=1e-5, eps2=1e-6, n_active_occ=5)
+        basis = select_basis_vo(ints, hq, params)
+        monkeypatch.setattr(solver, "_BRANCH_SWEEPS", 1)
+        with caplog.at_level("WARNING", logger="senqse.solver"):
+            vo_optimize(basis, hq, ints.n_elec, max_sweeps=1, fallback_simplex=False)
+        assert "branch-sum descent hit its 1-sweep cap" in caplog.text
 
 
 class TestRelaxOrbitals:
