@@ -478,7 +478,6 @@ class SelectionParams:
     active_virt: frozenset
     eps1: float = 1e-4
     eps2: float = 1e-5
-    largest_de_first: bool = True  # largest |dE| applied first in the product
     root_window: float = 0.1
 
     def __post_init__(self):
@@ -506,14 +505,13 @@ def default_selection_params(
     eps2: float = 1e-5,
     n_active_occ: int = 3,
     n_active_virt: int = 3,
-    largest_de_first: bool = True,
     root_window: float = 0.1,
 ) -> SelectionParams:
     """Energy window around the Fermi level: highest occupied, lowest virtual."""
     n_occ = ints.n_occ
     occ = frozenset(range(max(0, n_occ - n_active_occ), n_occ))
     virt = frozenset(range(n_occ, min(ints.n_orb, n_occ + n_active_virt)))
-    return SelectionParams(occ, virt, eps1, eps2, largest_de_first, root_window)
+    return SelectionParams(occ, virt, eps1=eps1, eps2=eps2, root_window=root_window)
 
 
 class CsfElementEngine:
@@ -715,10 +713,9 @@ def merge_config_pairs(survivors, ext, n_orb: int) -> dict:
     }
 
 
-def _ordered_rotations(pairs, thetas, largest_de_first: bool):
-    ordered = pairs if largest_de_first else list(reversed(pairs))
-    th = thetas if largest_de_first else list(reversed(thetas))
-    return tuple((a, i, t) for ((a, i), _), t in zip(ordered, th))
+def _ordered_rotations(pairs, thetas):
+    """Rotation tuple in plan order: the largest |dE| is applied first."""
+    return tuple((a, i, t) for ((a, i), _), t in zip(pairs, thetas))
 
 
 def select_basis_vo(
@@ -733,7 +730,7 @@ def select_basis_vo(
     basis = []
     for mu, spec in enumerate(survivors):
         pairs = plans[rotation_group_key(spec, ints.n_orb)]
-        rots = _ordered_rotations(pairs, [0.0] * len(pairs), params.largest_de_first)
+        rots = _ordered_rotations(pairs, [0.0] * len(pairs))
         basis.append(BasisState(spec, rots, label=f"s{mu}"))
     return _deduplicate(basis, ints.n_orb, ints.n_elec)
 
@@ -768,7 +765,7 @@ def select_basis_pt(
     for mu, (spec, pairs) in enumerate(zip(survivors, ext)):
         external = plans[rotation_group_key(spec, ints.n_orb)]
         thetas = [mp2_pair_amplitude(ints, i, b) for (b, i), _ in external]
-        rots = _ordered_rotations(external, thetas, params.largest_de_first)
+        rots = _ordered_rotations(external, thetas)
         basis.append(BasisState(spec, rots, label=f"s{mu}"))
         for (a, i), _ in pairs:
             if is_internal((a, i)):

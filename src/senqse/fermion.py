@@ -26,10 +26,6 @@ class FcidumpError(ValueError):
     """Malformed FCIDUMP input."""
 
 
-class AmplitudeError(ValueError):
-    """Degenerate denominator in a perturbative amplitude."""
-
-
 @dataclass(frozen=True)
 class FermionIntegrals:
     """One- and two-electron integrals for a closed-shell system (Hartree)."""

@@ -195,18 +195,17 @@ class FragmentSampler:
     sampling of the same (state, fragment) pair is cheap.
     """
 
-    def __init__(self, state: StateVector, fragment: PauliSum, check: bool = True):
+    def __init__(self, state: StateVector, fragment: PauliSum):
         if fragment.n_qubits != state.n_qubits:
             raise SimulatorError("fragment qubit count mismatch")
-        if check:
-            prods = [p for p, _ in fragment]
-            for i in range(len(prods)):
-                for j in range(i):
-                    if not prods[i].commutes(prods[j]):
-                        raise SimulatorError(
-                            f"fragment terms {prods[j].label()} and "
-                            f"{prods[i].label()} do not commute"
-                        )
+        prods = [p for p, _ in fragment]
+        for i in range(len(prods)):
+            for j in range(i):
+                if not prods[i].commutes(prods[j]):
+                    raise SimulatorError(
+                        f"fragment terms {prods[j].label()} and "
+                        f"{prods[i].label()} do not commute"
+                    )
         if fragment.max_imag() > 1e-10:
             raise SimulatorError("fragment must be Hermitian (real coefficients)")
         mat = dense_matrix(fragment)

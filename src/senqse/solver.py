@@ -555,8 +555,12 @@ def build_subspace(
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-# sweep cap of the stage-2a branch-sum descent in vo_optimize
+# vo_optimize: stage-2b energy tolerance (Ha) and sweep cap, the stage-2a
+# sweep cap, and the nudge given to an all-zero start
+_TOL = 1e-7
+_MAX_SWEEPS = 60
 _BRANCH_SWEEPS = 20
+_INITIAL_PERTURBATION = 1e-2
 
 
 def _golden_section(f, a: float, b: float, xtol: float):
@@ -618,15 +622,7 @@ def _trig_interpolant(th0: float, samples):
     return f
 
 
-def vo_optimize(
-    basis,
-    hq: PauliSum,
-    n_elec: int,
-    tol: float = 1e-7,
-    max_sweeps: int = 60,
-    initial_perturbation: float = 1e-2,
-    fallback_simplex: bool = True,
-):
+def vo_optimize(basis, hq: PauliSum, n_elec: int):
     """Minimize the subspace ground energy over all rotation amplitudes.
 
     Amplitudes are shared across states with the same seniority config
@@ -643,8 +639,8 @@ def vo_optimize(
     A flat all-zero start is first nudged by a fixed perturbation so
     symmetric stationary points cannot pin the search.  Returns (optimized
     basis, SubspaceProblem, energy history); the history is non-increasing.
-    Falls back to a simplex polish when the sweep cap is reached away from
-    tolerance.
+    A stage that reaches its sweep cap away from tolerance logs a warning
+    and keeps the angles it has.
     """
     engine = SubspaceEngine(basis, hq, n_elec, taper=True, dense_elements=True)
     groups: dict = {}
@@ -679,11 +675,9 @@ def vo_optimize(
     def get_theta(bits, k):
         return engine.basis[groups[bits][0]].rotations[k][2]
 
-    if all(
-        th == 0.0 for b in engine.basis for _, _, th in b.rotations
-    ) and initial_perturbation:
+    if all(th == 0.0 for b in engine.basis for _, _, th in b.rotations):
         for bits, k in slots:
-            set_theta(bits, k, initial_perturbation)
+            set_theta(bits, k, _INITIAL_PERTURBATION)
 
     # Stage 1: settle each rotation group on its own diagonal energy.  The
     # joint objective (lowest eigenvalue) is blind to amplitudes of states
@@ -757,7 +751,7 @@ def vo_optimize(
     if k_track > 1:
         branch_values, settled = descend(
             lambda m: float(np.sum(np.linalg.eigvalsh(m)[:k_track])),
-            10 * tol,
+            10 * _TOL,
             _BRANCH_SWEEPS,
         )
         if not settled:
@@ -769,33 +763,12 @@ def vo_optimize(
 
     # Stage 2b: the reported objective, the subspace ground energy.
     e_min_fn = lambda m: float(np.linalg.eigvalsh(m)[0])  # noqa: E731
-    history, converged = descend(e_min_fn, tol, max_sweeps)
-    e_cur = history[-1]
+    history, converged = descend(e_min_fn, _TOL, _MAX_SWEEPS)
     if not converged:
         log.warning(
             "amplitude optimization hit the sweep cap at dE=%.3e",
-            history[-2] - history[-1] if len(history) > 1 else float("nan"),
+            history[-2] - history[-1],
         )
-        if fallback_simplex:
-            x0 = np.array([get_theta(bits, k) for bits, k in slots])
-
-            def fvec(x):
-                for (bits, k), th in zip(slots, x):
-                    set_theta(bits, k, float(th))
-                hh = engine.exact_matrix()
-                return float(np.linalg.eigvalsh(hh)[0])
-
-            res = scipy.optimize.minimize(
-                fvec, x0, method="Nelder-Mead", options={"maxfev": 200 * len(x0)}
-            )
-            if res.fun <= e_cur:
-                for (bits, k), th in zip(slots, res.x):
-                    set_theta(bits, k, float(th))
-                e_cur = float(res.fun)
-            else:
-                for (bits, k), th in zip(slots, x0):
-                    set_theta(bits, k, float(th))
-            history.append(e_cur)
 
     hmat = engine.exact_matrix()
     e_min, c0 = ground_state(hmat)
@@ -803,27 +776,16 @@ def vo_optimize(
     return tuple(engine.basis), problem, history
 
 
-def relax_orbitals(
-    basis,
-    ints: FermionIntegrals,
-    hq_builder=None,
-    full_parameterization: bool = False,
-    maxiter: int = 40,
-):
+def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
     """Minimize the subspace energy over a common orbital rotation.
 
     The outer loop transforms the integrals by exp(t), rebuilds the qubit
     Hamiltonian, and re-solves the subspace problem; amplitudes inside the
-    basis are held fixed.  Occupied-virtual rotations only by default.
-    Returns (t*, e_min, history of accepted energies).
+    basis are held fixed.  Occupied-virtual rotations only.  Returns (t*,
+    e_min, history of accepted energies).
     """
-    if hq_builder is None:
-        hq_builder = jordan_wigner
     n_occ, n_virt = ints.n_occ, ints.n_orb - ints.n_occ
-    if full_parameterization:
-        pairs = [(p, q) for p in range(ints.n_orb) for q in range(p + 1, ints.n_orb)]
-    else:
-        pairs = [(i, n_occ + a) for i in range(n_occ) for a in range(n_virt)]
+    pairs = [(i, n_occ + a) for i in range(n_occ) for a in range(n_virt)]
 
     def unpack(x):
         t = np.zeros((ints.n_orb, ints.n_orb))
@@ -837,7 +799,7 @@ def relax_orbitals(
 
     def objective(x):
         rot = unpack(x)
-        hq = hq_builder(rotate_orbitals(ints, rot))
+        hq = jordan_wigner(rotate_orbitals(ints, rot))
         problem = build_subspace(basis, hq, ints.n_elec, mode="exact")
         if problem.e_min < best["e"] - 1e-14:
             best["e"] = problem.e_min
@@ -862,6 +824,10 @@ def relax_orbitals(
 # ---------------------------------------------------------------------------
 
 
+# largest sector (determinants) that fci_oracle diagonalises densely
+_DENSE_CUTOFF = 2048
+
+
 def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
     ups = list(itertools.combinations(range(n_orb), n_up))
     dns = list(itertools.combinations(range(n_orb), n_dn))
@@ -873,14 +839,12 @@ def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
     return np.array(sorted(dets), dtype=np.uint64)
 
 
-def fci_oracle(
-    hq: PauliSum, n_elec: int, sz: float = 0.0, dense_cutoff: int = 2048
-) -> FciResult:
+def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
     """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector.
 
     The sector basis is enumerated directly from occupation bitstrings and
-    the matrix assembled term by term; sparse Lanczos takes over above the
-    dense cutoff.
+    the matrix assembled term by term; sparse Lanczos takes over above
+    _DENSE_CUTOFF determinants.
     """
     if hq.n_qubits % 2 or hq.n_qubits > 24:
         raise SolverError("oracle supports even registers up to 24 qubits")
@@ -925,11 +889,10 @@ def fci_oracle(
     asym = abs(mat - mat.T).max()
     if asym > 1e-9:
         raise SolverError(f"sector matrix asymmetry {asym:.2e}")
-    if dim <= dense_cutoff:
-        dense = mat.toarray()
-        w, v = np.linalg.eigh(dense)
-        energy, vec = float(w[0]), v[:, 0]
+    if dim <= _DENSE_CUTOFF:
+        w, v = np.linalg.eigh(mat.toarray())
     else:
         w, v = scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
-        energy, vec = float(w[0]), v[:, 0]
-    return FciResult(energy=energy, sector=(n_elec, sz), vector=vec, determinants=dets)
+    return FciResult(
+        energy=float(w[0]), sector=(n_elec, sz), vector=v[:, 0], determinants=dets
+    )

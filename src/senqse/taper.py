@@ -15,7 +15,7 @@ doubly occupied orbital shows as |1> on its tapered qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,14 +31,20 @@ class TaperError(ValueError):
 
 @dataclass(frozen=True)
 class SeniorityConfig:
-    """Orbital seniorities: v[i] = 1 iff orbital i holds an unpaired electron."""
+    """Orbital seniorities: v[i] = 1 iff orbital i holds an unpaired electron.
+
+    ``bits`` packs v into an integer (bit i is v[i]) once, on construction;
+    equality and hashing depend on v alone.
+    """
 
     v: tuple
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.v):
             raise TaperError(f"seniority entries must be 0/1, got {self.v}")
         object.__setattr__(self, "v", tuple(int(b) for b in self.v))
+        object.__setattr__(self, "bits", sum(b << i for i, b in enumerate(self.v)))
 
     @classmethod
     def from_bits(cls, bits: int, n_orb: int) -> "SeniorityConfig":
@@ -52,10 +58,6 @@ class SeniorityConfig:
     def omega(self) -> int:
         """Total seniority (number of unpaired electrons)."""
         return sum(self.v)
-
-    @property
-    def bits(self) -> int:
-        return sum(b << i for i, b in enumerate(self.v))
 
 
 @dataclass(frozen=True)

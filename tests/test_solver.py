@@ -103,6 +103,22 @@ class TestFciOracle:
         res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
         assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
 
+    def test_lanczos_branch_matches_dense(self, h2o_hq, h2o, monkeypatch):
+        dense = fci_oracle(h2o_hq, h2o.n_elec, 0.0).energy
+        eigsh = solver.scipy.sparse.linalg.eigsh
+        calls = []
+
+        def counted_eigsh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_DENSE_CUTOFF", 0)
+        monkeypatch.setattr(solver.scipy.sparse.linalg, "eigsh", counted_eigsh)
+        res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
+        assert calls == [(441, 441)]
+        assert res.energy == pytest.approx(dense, abs=1e-9)
+        assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
+
     def test_one_electron_sector_matches_one_body_block(self):
         rng = np.random.default_rng(149)
         n_orb = 3
@@ -431,9 +447,16 @@ class TestVoOptimize:
         params = default_selection_params(ints, eps1=1e-5, eps2=1e-6, n_active_occ=5)
         basis = select_basis_vo(ints, hq, params)
         monkeypatch.setattr(solver, "_BRANCH_SWEEPS", 1)
+        monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
         with caplog.at_level("WARNING", logger="senqse.solver"):
-            vo_optimize(basis, hq, ints.n_elec, max_sweeps=1, fallback_simplex=False)
+            opt_basis, problem, history = vo_optimize(basis, hq, ints.n_elec)
         assert "branch-sum descent hit its 1-sweep cap" in caplog.text
+        assert "amplitude optimization hit the sweep cap" in caplog.text
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        # the capped stage keeps its angles: nothing runs after its one sweep
+        assert len(history) == 2
+        rebuilt = build_subspace(opt_basis, hq, ints.n_elec)
+        assert problem.e_min == pytest.approx(rebuilt.e_min, abs=1e-10)
 
 
 class TestRelaxOrbitals:

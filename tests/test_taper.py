@@ -84,6 +84,20 @@ class TestBuildClifford:
         assert idx >> n_orb == 0b011  # doubly occupied orbitals 0 and 1
 
 
+class TestSeniorityConfig:
+    def test_bits_and_identity_follow_v(self):
+        cfg = SeniorityConfig((1, 0, 1, 1))
+        assert cfg.bits == 0b1101
+        assert SeniorityConfig.from_bits(0b1101, 4) == cfg
+        a, b = SeniorityConfig((0, 1)), SeniorityConfig((0, 1))
+        assert a == b and hash(a) == hash(b)
+        assert a != SeniorityConfig((1, 0))
+        # a longer register with the same unpaired orbitals is another config
+        longer = SeniorityConfig((0, 1, 0))
+        assert longer.bits == a.bits and longer != a
+        assert repr(a) == "SeniorityConfig(v=(0, 1))"
+
+
 class TestEffectiveHamiltonian:
     def test_identity_term_diagonal(self):
         n_orb = 2

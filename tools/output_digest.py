@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every output file of a fixed set of `cli.run` runs.
+
+A refactor that must not change any result can be checked by running this
+on two checkouts and comparing the printed lines.  Each run writes into a
+temporary directory; `report.json` is hashed with its `config.out_dir`
+removed, and the FCIDUMP paths it records are relative to the repository
+root, so the digests do not depend on where the checkout lives.  NumPy runs
+on one BLAS thread so that reductions sum in one order.
+
+Run from anywhere:  python3 tools/output_digest.py   (about a minute)
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from senqse import cli  # noqa: E402
+
+# the H2O selection settings of the acceptance suite
+TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
+
+
+def _fixtures(*stems):
+    return tuple(f"tests/fixtures/{s}.fcidump" for s in stems)
+
+
+H2O = _fixtures("h2o_1.0000", "h2o_2.1000", "h2o_3.0000")
+
+RUNS = {
+    "pt-h2o": dict(fcidump_paths=H2O, method="pt", **TUNED),
+    "pt-h2": dict(fcidump_paths=_fixtures("h2_0.7414"), method="pt"),
+    "vo-h2": dict(fcidump_paths=_fixtures("h2_0.7414", "h2_1.5000"), method="vo"),
+    "vo-h2o": dict(fcidump_paths=H2O, method="vo", **TUNED),
+    "vo-h2-sampled": dict(
+        fcidump_paths=_fixtures("h2_1.5000"), method="vo", mode="sampled", eps1=0.5, seed=5
+    ),
+}
+
+
+def digest_run(name: str) -> list:
+    """(sha256, "name/file") for every file the run writes."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        cli.run(cli.RunConfig(out_dir=out_dir, **RUNS[name]))
+        lines = []
+        for fname in sorted(os.listdir(out_dir)):
+            with open(os.path.join(out_dir, fname), "rb") as fh:
+                data = fh.read()
+            if fname == "report.json":
+                report = json.loads(data)
+                del report["config"]["out_dir"]
+                data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+            lines.append((hashlib.sha256(data).hexdigest(), f"{name}/{fname}"))
+        return lines
+
+
+def main() -> None:
+    os.chdir(ROOT)
+    for name in RUNS:
+        for digest, what in digest_run(name):
+            print(f"{digest}  {what}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
