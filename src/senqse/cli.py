@@ -173,6 +173,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
     if sampled:
         record["first_order_mse"] = float(problem.first_order_mse)
         record["second_order_bias"] = float(problem.second_order_bias)
+        record["elements_at_floor"] = problem.elements_at_floor
 
     # sampling-cost accounting (needs the tapered machinery); the ground
     # vector weighting it is the exact matrix's in both modes

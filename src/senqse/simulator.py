@@ -4,11 +4,13 @@ States are complex arrays of length 2**n with qubit q on bit q of the index
 (little endian).  All values are frozen after construction and every
 operation here is a pure function, so concurrent use needs no locking.
 
-Shot sampling of a commuting fragment draws from the exact eigenvalue
-distribution of the fragment treated as a single observable; this is
-statistically identical to jointly measuring its Pauli terms after a
-diagonalizing Clifford, and the sample mean is an unbiased estimator of the
-fragment expectation value.
+Shot sampling of a commuting fragment reads its independent generators,
+as a measurement after a diagonalizing Clifford would: every term is a
+signed product of generators, so one joint outcome of the generators fixes
+the value of every term and of their weighted sum.  The outcome
+distribution comes from projecting the state onto each generator's +-1
+eigenspaces in turn, with no dense matrix and no eigensolve, and the
+sample mean is an unbiased estimator of the fragment expectation value.
 """
 
 from __future__ import annotations
@@ -83,11 +85,14 @@ def _parities(bits: int, idx: np.ndarray) -> np.ndarray:
 
 
 def apply_product(amps: np.ndarray, n_qubits: int, x: int, z: int, phase: complex):
-    """Apply phase * sigma(x,z) to raw amplitudes: P|i> = i^|x&z| (-1)^|z&i| |i^x>."""
+    """Apply phase * sigma(x,z) to raw amplitudes: P|i> = i^|x&z| (-1)^|z&i| |i^x>.
+
+    ``amps`` may be a stack of states along its leading axes.
+    """
     idx = _indices(n_qubits)
     factor = phase * (1j) ** ((x & z).bit_count() % 4)
     out = np.empty_like(amps)
-    out[idx ^ np.uint64(x)] = factor * _parities(z, idx) * amps
+    out[..., idx ^ np.uint64(x)] = factor * _parities(z, idx) * amps
     return out
 
 
@@ -190,36 +195,73 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 class FragmentSampler:
     """Exact finite-shot sampler for one internally commuting fragment.
 
-    The fragment's eigendecomposition is computed once; each draw samples
-    outcome counts from the induced eigenvalue distribution, so repeated
-    sampling of the same (state, fragment) pair is cheap.
+    The fragment's terms are walked in order and each term independent of
+    those before it (by GF(2) elimination on its symplectic bits) becomes
+    a generator g_i; every term is then eta_j prod_{i in S_j} g_i with
+    eta_j = +-1.  Splitting the state on each generator in turn gives one
+    branch B_s per joint outcome s (bit i set when g_i reads -1), with
+    probability |B_s|^2 and fragment value sum_j c_j eta_j (-1)^|s & S_j|.
+    ``values`` and ``probs`` hold the outcomes of probability above 1e-15
+    in increasing s; each draw samples outcome counts from them, so
+    repeated sampling of the same (state, fragment) pair is cheap.
     """
 
     def __init__(self, state: StateVector, fragment: PauliSum):
         if fragment.n_qubits != state.n_qubits:
             raise SimulatorError("fragment qubit count mismatch")
-        prods = [p for p, _ in fragment]
-        for i in range(len(prods)):
-            for j in range(i):
-                if not prods[i].commutes(prods[j]):
-                    raise SimulatorError(
-                        f"fragment terms {prods[j].label()} and "
-                        f"{prods[i].label()} do not commute"
-                    )
         if fragment.max_imag() > 1e-10:
             raise SimulatorError("fragment must be Hermitian (real coefficients)")
-        mat = dense_matrix(fragment)
-        vals, vecs = np.linalg.eigh(mat)
-        weights = np.abs(vecs.conj().T @ state.amplitudes) ** 2
-        keep = weights > 1e-15
-        self.values = vals[keep]
-        probs = weights[keep]
+        n = fragment.n_qubits
+        gens: list[PauliProduct] = []
+        # echelon rows: (symplectic vector, its highest bit, generator mask)
+        rows: list[tuple[int, int, int]] = []
+        masks, coeffs = [], []
+        for (x, z), c in fragment.items():
+            vec, mask = x | (z << n), 0
+            for row, pivot, combo in rows:
+                if vec >> pivot & 1:
+                    vec ^= row
+                    mask ^= combo
+            if vec:
+                # every term is a signed product of generators, so the
+                # generators commuting pairwise is the whole commutation check
+                term = PauliProduct(n, x, z)
+                for g in gens:
+                    if not term.commutes(g):
+                        raise SimulatorError(
+                            f"fragment terms {g.label()} and "
+                            f"{term.label()} do not commute"
+                        )
+                rows.append((vec, vec.bit_length() - 1, mask | 1 << len(gens)))
+                mask, eta = 1 << len(gens), 1.0
+                gens.append(term)
+            else:
+                prod = PauliProduct.identity(n)
+                for i, g in enumerate(gens):
+                    if mask >> i & 1:
+                        prod = prod.mul(g)
+                eta = prod.phase.real
+            masks.append(mask)
+            coeffs.append(eta * c.real)
+        branches = state.amplitudes[None, :]
+        outcomes = np.zeros(1, dtype=np.int64)
+        probs = np.ones(1)
+        for i, g in enumerate(gens):
+            flipped = apply_product(branches, n, g.x_bits, g.z_bits, 1.0)
+            branches = 0.5 * np.concatenate([branches + flipped, branches - flipped])
+            outcomes = np.concatenate([outcomes, outcomes | 1 << i])
+            probs = np.einsum("ij,ij->i", branches.conj(), branches).real
+            # a branch at or below the cut has no descendant above it
+            live = probs > 1e-15
+            branches, outcomes, probs = branches[live], outcomes[live], probs[live]
+        signs = np.bitwise_count(outcomes[:, None] & np.array(masks, dtype=np.int64)) & 1
+        self.values = (1.0 - 2.0 * signs) @ np.array(coeffs)
         self.probs = probs / probs.sum()
         self.mean = float(self.values @ self.probs)
         self.variance = float(self.probs @ self.values**2 - self.mean**2)
 
     def sample(self, shots: int, rng: np.random.Generator) -> float:
-        """Sample mean of `shots` independent eigenvalue draws."""
+        """Sample mean of `shots` independent joint outcomes."""
         if shots < 1:
             raise SimulatorError("shots must be >= 1")
         counts = rng.multinomial(shots, self.probs)

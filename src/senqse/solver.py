@@ -66,8 +66,9 @@ class SubspaceProblem:
 
     In sampled mode ``first_order_mse`` and ``second_order_bias`` are the
     error the shot table predicts for the ground energy (see MatrixSampler),
-    and ``exact_c0`` is the ground vector of the exact matrix (``c0``
-    belongs to the drawn one).
+    ``elements_at_floor`` counts the sampled elements its error floor
+    binds, and ``exact_c0`` is the ground vector of the exact matrix
+    (``c0`` belongs to the drawn one).
     """
 
     hmat: np.ndarray
@@ -79,6 +80,7 @@ class SubspaceProblem:
     shots: dict | None = None
     first_order_mse: float | None = None
     second_order_bias: float | None = None
+    elements_at_floor: int | None = None
     exact_c0: np.ndarray | None = None
 
 
@@ -337,18 +339,31 @@ def _error_coefficients(exact: np.ndarray, keys):
     return gap, weight, beta
 
 
+def _error_floor(sig, gap: float) -> np.ndarray:
+    """Shots that hold sigma_e / sqrt(m_e) to FLOOR_KAPPA * gap."""
+    return np.ceil((np.asarray(sig) / (FLOOR_KAPPA * gap)) ** 2)
+
+
 @dataclass
 class MatrixSampler:
     """Reusable finite-shot estimator of the whole subspace matrix.
 
     Holds the exact classical elements, the per-element fragment samplers,
-    and an integer shot table; ``draw(seed)`` redraws every sampled element
-    with streams keyed by (seed, mu, nu, fragment).  On construction it
-    records the error its own table predicts for the ground energy, from
-    the per-element variances sum_alpha sigma_alpha^2 / m_alpha:
-    ``first_order_mse`` (the linear part, the quantity ``predicted_mse``
-    gives at the optimal fragment split) and ``second_order_bias`` (the
-    mean shift, never positive).
+    and an integer shot table.  On construction it lays the samplers out
+    as one padded table, a row per fragment (plan order, then fragment
+    index) holding that fragment's outcome probabilities and values, zero
+    beyond its own outcomes.  ``draw(seed)`` takes one stream,
+    ``rng_for(seed)``, draws every row's outcome counts from it in one
+    multinomial call, and sums each row's sample mean into its element;
+    a draw is a function of the seed and the table alone.  On
+    construction it also records the error its own table predicts for the
+    ground energy, from the per-element variances sum_alpha sigma_alpha^2
+    / m_alpha: ``first_order_mse`` (the linear part, the quantity
+    ``predicted_mse`` gives at the optimal fragment split) and
+    ``second_order_bias`` (the mean shift, never positive); and
+    ``elements_at_floor``, the number of sampled elements whose shots sit
+    at or below the error floor of ``make_matrix_sampler`` (the elements
+    whose shots the floor, not the error split, decides).
     """
 
     exact: np.ndarray
@@ -356,26 +371,44 @@ class MatrixSampler:
     shots: dict
     first_order_mse: float = field(init=False)
     second_order_bias: float = field(init=False)
+    elements_at_floor: int = field(init=False)
 
     def __post_init__(self):
-        _, weight, beta = _error_coefficients(self.exact, self.plan)
+        gap, weight, beta = _error_coefficients(self.exact, self.plan)
         mse = bias = 0.0
+        at_floor = 0
         for key, (_, sigs) in self.plan.items():
             var = sum(s * s / m for s, m in zip(sigs, self.shots[key]))
             mse += weight[key] * var
             bias -= beta[key] * var
+            if gap is not None and sum(sigs) > 0:
+                at_floor += sum(self.shots[key]) <= _error_floor(sum(sigs), gap)
         self.first_order_mse = mse
         self.second_order_bias = bias
+        self.elements_at_floor = int(at_floor)
+        rows = [
+            (e, sampler, m)
+            for e, (key, (samplers, _)) in enumerate(self.plan.items())
+            for sampler, m in zip(samplers, self.shots[key])
+        ]
+        width = max((len(s.probs) for _, s, _ in rows), default=1)
+        self._probs = np.zeros((len(rows), width))
+        self._values = np.zeros((len(rows), width))
+        for r, (_, sampler, _) in enumerate(rows):
+            self._probs[r, : len(sampler.probs)] = sampler.probs
+            self._values[r, : len(sampler.values)] = sampler.values
+        self._row_shots = np.array([m for _, _, m in rows], dtype=np.int64)
+        self._row_element = np.array([e for e, _, _ in rows], dtype=np.int64)
+        keys = np.array(list(self.plan), dtype=np.int64).reshape(-1, 2)
+        self._mu, self._nu = keys[:, 0], keys[:, 1]
 
     def draw(self, seed: int) -> np.ndarray:
         h = self.exact.copy()
-        for (mu, nu), (samplers, _) in self.plan.items():
-            per_frag = self.shots[(mu, nu)]
-            val = 0.0
-            for alpha, (sampler, m_frag) in enumerate(zip(samplers, per_frag)):
-                rng = rng_for(seed, mu, nu, alpha)
-                val += sampler.sample(m_frag, rng)
-            h[mu, nu] = h[nu, mu] = val
+        counts = rng_for(seed).multinomial(self._row_shots, self._probs)
+        means = np.einsum("rk,rk->r", counts, self._values) / self._row_shots
+        vals = np.bincount(self._row_element, weights=means, minlength=len(self._mu))
+        h[self._mu, self._nu] = vals
+        h[self._nu, self._mu] = vals
         return h
 
     @property
@@ -467,7 +500,7 @@ def make_matrix_sampler(
     b = np.array([beta[k] for k in keys]) * sig**2
     floor = n_frag
     if gap is not None:
-        floor = np.maximum(floor, np.ceil((sig / (FLOOR_KAPPA * gap)) ** 2))
+        floor = np.maximum(floor, _error_floor(sig, gap))
     if floor.sum() > total_shots:
         log.warning(
             "shot budget %d is below the %d shots the error floors need; "
@@ -533,6 +566,7 @@ def build_subspace(
             shots=sampler.shots,
             first_order_mse=sampler.first_order_mse,
             second_order_bias=sampler.second_order_bias,
+            elements_at_floor=sampler.elements_at_floor,
             exact_c0=np.asarray(ground_state(sampler.exact)[1]),
         )
     else:

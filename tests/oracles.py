@@ -193,3 +193,16 @@ def term_by_term_effective_op(hq, bra_bits, ket_bits, uc, tol):
             continue
         out.add_term(p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase * factor)
     return out.simplify(tol)
+
+
+def eigh_fragment_distribution(amplitudes, fragment):
+    """Outcome values and probabilities of a commuting fragment, by dense eigh.
+
+    The fragment's dense matrix is eigendecomposed and each eigenvalue is
+    weighted by the state's squared overlap with its eigenvector; weights
+    at or below 1e-15 are dropped and the rest normalised.
+    """
+    vals, vecs = np.linalg.eigh(sum_matrix(fragment))
+    weights = np.abs(vecs.conj().T @ amplitudes) ** 2
+    keep = weights > 1e-15
+    return vals[keep], weights[keep] / weights[keep].sum()

@@ -136,6 +136,28 @@ class TestRun:
         assert "first_order_mse" not in exact["geometries"][0]
         assert "second_order_bias" not in exact["geometries"][0]
 
+    def test_sampled_report_carries_floor_count(self, tmp_path):
+        out = tmp_path / "sampled"
+        cfg = RunConfig(
+            fcidump_paths=(H2_PATHS[2],),
+            method="vo",
+            mode="sampled",
+            shots=2000,
+            seed=5,
+            eps1=0.5,
+            out_dir=str(out),
+        )
+        run(cfg)
+        rec = json.loads((out / "report.json").read_text())["geometries"][0]
+        ints = load_fcidump(H2_PATHS[2])
+        basis = parse_basis((out / f"{rec['label']}.basis.txt").read_text())
+        engine = SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec)
+        sampler = make_matrix_sampler(engine, cfg.shots)
+        # one state: no gap, so no error floor
+        assert rec["elements_at_floor"] == sampler.elements_at_floor == 0
+        exact = run(replace(cfg, mode="exact", out_dir=str(tmp_path / "exact")))
+        assert "elements_at_floor" not in exact["geometries"][0]
+
     def test_sampled_cost_report_from_one_plan(self, tmp_path, monkeypatch):
         # the cost report reuses the sampled build's plan and exact skeleton
         plans = []

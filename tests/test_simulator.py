@@ -1,12 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
+from senqse.csfbasis import default_selection_params, parse_basis, select_basis_vo
+from senqse.fermion import jordan_wigner, load_fcidump
+from senqse.measure import fragment_variance
 from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
     FragmentSampler,
     SimulatorError,
     StateVector,
+    apply_pauli_sum,
     dense_matrix,
     expectation,
     matrix_element_exact,
@@ -14,6 +20,9 @@ from senqse.simulator import (
     rng_for,
     sample_fragment,
 )
+from senqse.solver import SubspaceEngine, vo_optimize
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def random_state(rng, n, real=False):
@@ -189,3 +198,136 @@ class TestSampling:
         rng = np.random.default_rng(53)
         op = random_sum(rng, 3, 6, real=False)
         assert np.allclose(dense_matrix(op), oracles.sum_matrix(op), atol=1e-12)
+
+
+def element_fragments(engine):
+    """(state, fragment) for every fragment of every sampled element."""
+    out = []
+    for mu in range(engine.size):
+        for nu in range(mu, engine.size):
+            if not engine.is_classical(mu, nu):
+                state, frags = engine.element_measurables(mu, nu)
+                out.extend((state, f) for f in frags)
+    return out
+
+
+@pytest.fixture(scope="module")
+def h2_vo_fragments():
+    out = []
+    for stem in ("h2_0.7414", "h2_1.0000", "h2_1.5000"):
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        # a strict trim keeps one state with a rotation, so its element is sampled
+        basis = select_basis_vo(ints, hq, default_selection_params(ints, eps1=0.5))
+        basis, _, _ = vo_optimize(basis, hq, ints.n_elec)
+        out += element_fragments(SubspaceEngine(basis, hq, ints.n_elec))
+    return out
+
+
+@pytest.fixture(scope="module")
+def h2o_fragments():
+    """Every fragment of the optimized H2O 1.0 A VO basis."""
+    ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
+    basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+    return element_fragments(SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec))
+
+
+def merged_difference(ours, theirs, tol=1e-8):
+    """Per-value probability differences, outcomes of values within tol merged.
+
+    An outcome absent from one side counts as probability zero there.
+    """
+    values = np.concatenate([ours[0], theirs[0]])
+    probs = np.concatenate([ours[1], -theirs[1]])
+    order = np.argsort(values, kind="stable")
+    groups = np.concatenate([[0], np.cumsum(np.diff(values[order]) > tol)])
+    return np.bincount(groups, weights=probs[order])
+
+
+def assert_matches_eigh(state, fragment):
+    sampler = FragmentSampler(state, fragment)
+    ref = oracles.eigh_fragment_distribution(state.amplitudes, fragment)
+    diff = merged_difference((sampler.values, sampler.probs), ref)
+    assert np.max(np.abs(diff)) < 1e-10
+    assert sampler.probs.sum() == pytest.approx(1.0, abs=1e-14)
+    return sampler
+
+
+def assert_moments_exact(state, fragment, sampler):
+    amps = state.amplitudes
+    mean = np.vdot(amps, apply_pauli_sum(amps, state.n_qubits, fragment)).real
+    assert sampler.mean == pytest.approx(mean, abs=1e-10)
+    var = fragment_variance(state, fragment)
+    assert sampler.variance == pytest.approx(var, abs=1e-10)
+
+
+class TestFragmentDistribution:
+    def test_h2_vo_fragments_match_eigh(self, h2_vo_fragments):
+        assert len(h2_vo_fragments) >= 3
+        for state, frag in h2_vo_fragments:
+            sampler = assert_matches_eigh(state, frag)
+            assert_moments_exact(state, frag, sampler)
+
+    def test_h2o_fragment_subset_matches_eigh(self, h2o_fragments):
+        assert len(h2o_fragments) == 1030
+        rng = np.random.default_rng(59)
+        for k in rng.choice(len(h2o_fragments), size=100, replace=False):
+            state, frag = h2o_fragments[k]
+            sampler = assert_matches_eigh(state, frag)
+            assert_moments_exact(state, frag, sampler)
+
+    def test_h2o_moments_match_fragment_variance(self, h2o_fragments):
+        for state, frag in h2o_fragments:
+            assert_moments_exact(state, frag, FragmentSampler(state, frag))
+
+    def test_identity_only_fragment(self):
+        state = random_state(np.random.default_rng(61), 2)
+        sampler = assert_matches_eigh(state, PauliSum(2, {(0, 0): -0.625}))
+        assert sampler.values.tolist() == [-0.625]
+        assert sampler.probs.tolist() == [1.0]
+
+    def test_dependent_terms(self):
+        # Z0 Z1 is the product of the first two terms: two generators
+        rng = np.random.default_rng(67)
+        state = random_state(rng, 2)
+        frag = (
+            PauliSum.from_label("Z0", 0.3, 2)
+            + PauliSum.from_label("Z1", -0.2, 2)
+            + PauliSum.from_label("Z0 Z1", 0.7, 2)
+        )
+        sampler = assert_matches_eigh(state, frag)
+        assert len(sampler.values) == 4
+        assert_moments_exact(state, frag, sampler)
+
+    def test_negative_product_sign(self):
+        # Y0 Y1 = -(X0 X1)(Z0 Z1); the Bell state reads +1, +1, -1 on them
+        frag = (
+            PauliSum.from_label("X0 X1", 0.5, 2)
+            + PauliSum.from_label("Z0 Z1", 0.25, 2)
+            + PauliSum.from_label("Y0 Y1", 0.125, 2)
+        )
+        bell = StateVector.from_amplitudes([1, 0, 0, 1], 2, normalize=True)
+        sampler = assert_matches_eigh(bell, frag)
+        assert sampler.values == pytest.approx([0.5 + 0.25 - 0.125], abs=1e-15)
+        rng = np.random.default_rng(71)
+        state = random_state(rng, 2)
+        assert_moments_exact(state, frag, assert_matches_eigh(state, frag))
+
+    def test_eigenstate_drops_zero_probability_outcomes(self):
+        # |1> (x) |+>: Z0 reads -1 and X1 reads +1 with certainty
+        frag = PauliSum.from_label("Z0", 0.75, 2) + PauliSum.from_label("X1", 0.5, 2)
+        state = StateVector.from_amplitudes([0, 1, 0, 1], 2, normalize=True)
+        sampler = assert_matches_eigh(state, frag)
+        assert sampler.values == pytest.approx([-0.75 + 0.5], abs=1e-15)
+        assert sampler.probs.tolist() == [1.0]
+        assert sampler.variance == pytest.approx(0.0, abs=1e-15)
+
+    def test_noncommuting_later_term_rejected(self):
+        # X0 X1 commutes with Z0 Z1 but not with Z0
+        frag = (
+            PauliSum.from_label("Z0 Z1", 1.0, 2)
+            + PauliSum.from_label("Z0", 0.5, 2)
+            + PauliSum.from_label("X0 X1", 0.25, 2)
+        )
+        with pytest.raises(SimulatorError, match="Z0 and X0 X1 do not commute"):
+            FragmentSampler(StateVector.computational(0, 2), frag)

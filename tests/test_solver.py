@@ -303,6 +303,7 @@ class TestShotTable:
         sigs = sampler.plan[(0, 0)][1]
         expected = sum(s * s / m for s, m in zip(sigs, sampler.shots[(0, 0)]))
         assert sampler.first_order_mse == pytest.approx(expected, rel=1e-12)
+        assert sampler.elements_at_floor == 0
         assert not caplog.records
 
     def test_floors_met_and_error_no_larger(self, h2_hq, h2_theta):
@@ -316,6 +317,10 @@ class TestShotTable:
         # the first-order split starves the excited state's diagonal
         reference = first_order_table(engine, plan, 20_000)
         assert max(standard_errors(reference).values()) > bound
+        # the floor lifts the starved element; the first-order table leaves
+        # it below, with the small off-diagonal element
+        assert sampler.elements_at_floor == 1
+        assert reference.elements_at_floor == 2
         ours = sampler.first_order_mse + sampler.second_order_bias**2
         theirs = reference.first_order_mse + reference.second_order_bias**2
         assert ours <= theirs
@@ -328,6 +333,7 @@ class TestShotTable:
         reference = first_order_table(engine, plan, 20_000)
         bound = FLOOR_KAPPA * floor_gap(sampler)
         assert all(se <= bound for se in standard_errors(reference).values())
+        assert sampler.elements_at_floor == reference.elements_at_floor == 0
         ours = sampler.first_order_mse + sampler.second_order_bias**2
         theirs = reference.first_order_mse + reference.second_order_bias**2
         assert ours <= theirs * (1.0 + 1e-9)  # integer rounding of equal splits
@@ -361,6 +367,76 @@ class TestShotTable:
         assert any("floors scaled" in r.getMessage() for r in caplog.records)
         assert sampler.total_shots == 10
         assert all(m >= 1 for v in sampler.shots.values() for m in v)
+        assert sampler.elements_at_floor == len(standard_errors(sampler)) == 3
+
+
+@pytest.fixture(scope="module")
+def h2o_sampler(h2o, h2o_hq):
+    """The 200 000-shot sampler of the optimized H2O 1.0 A VO basis."""
+    basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+    return make_matrix_sampler(SubspaceEngine(basis, h2o_hq, h2o.n_elec), 200_000)
+
+
+class TestMatrixDraws:
+    def test_one_stream_per_draw(self, h2o_sampler, monkeypatch):
+        streams, drawn = [], []
+        rng_for = solver.rng_for
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def multinomial(self, n, pvals):
+                counts = self.rng.multinomial(n, pvals)
+                drawn.append(counts)
+                return counts
+
+        def counted(*key):
+            streams.append(key)
+            return Recorder(rng_for(*key))
+
+        monkeypatch.setattr(solver, "rng_for", counted)
+        h = h2o_sampler.draw(17)
+        assert streams == [(17,)]
+        assert np.array_equal(h2o_sampler.draw(17), h)
+        assert not np.array_equal(h2o_sampler.draw(18), h)
+        assert len(streams) == 3
+
+        # one row per fragment, in plan order and then fragment order
+        counts = drawn[0]
+        rows = [
+            (key, s, m)
+            for key, (samplers, _) in h2o_sampler.plan.items()
+            for s, m in zip(samplers, h2o_sampler.shots[key])
+        ]
+        assert counts.shape[0] == len(rows) == 1030
+        assert counts.shape[1] == max(len(s.values) for _, s, _ in rows)
+        expected = {}
+        for row, (key, s, m) in zip(counts, rows):
+            width = len(s.values)
+            assert row.sum() == m
+            assert not row[width:].any()
+            expected[key] = expected.get(key, 0.0) + row[:width] @ s.values / m
+        assert any(len(s.values) < counts.shape[1] for _, s, _ in rows)
+        for (mu, nu), value in expected.items():
+            assert h[mu, nu] == h[nu, mu] == pytest.approx(value, abs=1e-12)
+        sampled = np.zeros(h.shape, dtype=bool)
+        for mu, nu in expected:
+            sampled[mu, nu] = sampled[nu, mu] = True
+        assert np.array_equal(h[~sampled], h2o_sampler.exact[~sampled])
+
+    def test_error_matches_prediction(self, h2o_sampler):
+        # first-order MSE plus squared bias, and the bias itself, within 4 SE
+        e0 = ground_state(h2o_sampler.exact)[0]
+        errs = np.array(
+            [ground_state(h2o_sampler.draw(seed))[0] - e0 for seed in range(2000)]
+        )
+        root_n = np.sqrt(len(errs))
+        pred_mse = h2o_sampler.first_order_mse + h2o_sampler.second_order_bias**2
+        sq = errs**2
+        assert abs(sq.mean() - pred_mse) < 4 * sq.std(ddof=1) / root_n
+        bias = h2o_sampler.second_order_bias
+        assert abs(errs.mean() - bias) < 4 * errs.std(ddof=1) / root_n
 
 
 class TestVoOptimize:

@@ -8,7 +8,7 @@ removed, and the FCIDUMP paths it records are relative to the repository
 root, so the digests do not depend on where the checkout lives.  NumPy runs
 on one BLAS thread so that reductions sum in one order.
 
-Run from anywhere:  python3 tools/output_digest.py   (about a minute)
+Run from anywhere:  python3 tools/output_digest.py   (about 30 s)
 """
 
 import hashlib
