@@ -235,15 +235,17 @@ def jordan_wigner(ints: FermionIntegrals, tol: float = DROP_TOL) -> PauliSum:
     nq = 2 * n
     total = PauliSum(nq, {(0, 0): complex(ints.e_core)})
 
-    for p, q in zip(*np.nonzero(np.abs(ints.h) > 0)):
+    # Python ints keep the bit algebra of every product off NumPy scalars
+    for p, q in zip(*(i.tolist() for i in np.nonzero(np.abs(ints.h) > 0))):
         hv = ints.h[p, q]
         for s in (0, 1):
             term = jw_operator(
                 [(spin_orbital(p, s), True), (spin_orbital(q, s), False)], nq, hv
             )
-            total = total + term
+            for (x, z), c in term.items():
+                total.add_term(x, z, c)
 
-    for p, q, r, s in zip(*np.nonzero(np.abs(ints.g) > 0)):
+    for p, q, r, s in zip(*(i.tolist() for i in np.nonzero(np.abs(ints.g) > 0))):
         gv = 0.5 * ints.g[p, q, r, s]
         for sig in (0, 1):
             for tau in (0, 1):
@@ -259,7 +261,8 @@ def jordan_wigner(ints: FermionIntegrals, tol: float = DROP_TOL) -> PauliSum:
                     nq,
                     gv,
                 )
-                total = total + term
+                for (x, z), c in term.items():
+                    total.add_term(x, z, c)
 
     out = total.simplify(tol).chop_imag(tol)
     resid = out.max_imag()

@@ -315,6 +315,16 @@ class PauliSum:
             total -= abs(self._terms.get((0, 0), 0.0))
         return float(total)
 
+    def _check_bits(self) -> None:
+        """PauliError unless every term fits in n_qubits qubits."""
+        if self.n_qubits < 0:
+            raise PauliError(f"negative qubit count {self.n_qubits}")
+        used = 0
+        for x, z in self._terms:
+            used |= x | z
+        if used >> self.n_qubits:
+            raise PauliError("bitstring exceeds qubit count")
+
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
@@ -337,13 +347,23 @@ class PauliSum:
         if isinstance(other, PauliSum):
             if self.n_qubits != other.n_qubits:
                 raise PauliError("qubit count mismatch in product")
-            out = PauliSum(self.n_qubits)
+            self._check_bits()
+            other._check_bits()
+            out: dict[tuple[int, int], complex] = {}
             for (x1, z1), c1 in self._terms.items():
-                p1 = PauliProduct(self.n_qubits, x1, z1)
+                y1 = (x1 & z1).bit_count()
                 for (x2, z2), c2 in other._terms.items():
-                    p3 = p1.mul(PauliProduct(self.n_qubits, x2, z2))
-                    out.add_term(p3.x_bits, p3.z_bits, c1 * c2 * p3.phase)
-            return out
+                    x3, z3 = x1 ^ x2, z1 ^ z2
+                    # the phase exponent of PauliProduct.mul
+                    g = (
+                        y1
+                        + (x2 & z2).bit_count()
+                        - (x3 & z3).bit_count()
+                        + 2 * (z1 & x2).bit_count()
+                    )
+                    key = (x3, z3)
+                    out[key] = out.get(key, 0.0) + c1 * c2 * _PHASES[g % 4]
+            return PauliSum(self.n_qubits, out)
         if isinstance(other, PauliProduct):
             return self * PauliSum.from_products([(other, 1.0)], self.n_qubits)
         return self.scaled(other)

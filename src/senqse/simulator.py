@@ -4,6 +4,11 @@ States are complex arrays of length 2**n with qubit q on bit q of the index
 (little endian).  All values are frozen after construction and every
 operation here is a pure function, so concurrent use needs no locking.
 
+A Pauli sum acts on a state as one gather-reduce: the state is gathered
+through every term's source indices j ^ x into a (terms x 2**n) block of
+signed amplitudes, which is summed in term order over its leading axis, so
+the result is bit-for-bit that of a term-by-term loop.
+
 Shot sampling of a commuting fragment reads its independent generators,
 as a measurement after a diagonalizing Clifford would: every term is a
 signed product of generators, so one joint outcome of the generators fixes
@@ -77,33 +82,54 @@ def _indices(n_qubits: int) -> np.ndarray:
     return arr
 
 
-def _parities(bits: int, idx: np.ndarray) -> np.ndarray:
-    """(-1)**popcount(bits & i) for every index i."""
-    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(bits)) & np.uint64(1)).astype(
-        float
+# amplitudes gathered per block of apply_pauli_sum; bounds its scratch memory
+BLOCK_AMPLITUDES = 2**16
+
+
+def _term_table(items, n_qubits: int):
+    """Gather indices and coefficients of the terms ((x, z), c) of `items`.
+
+    Row t holds, for every output index j, the source index j ^ x_t and the
+    coefficient c_t i^|x_t & z_t| (-1)^|z_t & (j ^ x_t)|, so that
+    (c_t P_t psi)[j] = coef[t, j] * psi[src[t, j]], with
+    P|i> = i^|x&z| (-1)^|z&i| |i^x>.
+    """
+    keys = np.array([key for key, _ in items], dtype=np.uint64).reshape(-1, 2)
+    src = _indices(n_qubits) ^ keys[:, :1]
+    signs = np.bitwise_count(src & keys[:, 1:]) & np.uint64(1)
+    factors = np.array(
+        [c * (1j) ** ((x & z).bit_count() % 4) for (x, z), c in items], dtype=complex
     )
+    return src, factors[:, None] * (1.0 - 2.0 * signs.astype(float))
 
 
 def apply_product(amps: np.ndarray, n_qubits: int, x: int, z: int, phase: complex):
-    """Apply phase * sigma(x,z) to raw amplitudes: P|i> = i^|x&z| (-1)^|z&i| |i^x>.
+    """Apply phase * sigma(x,z) to raw amplitudes.
 
     ``amps`` may be a stack of states along its leading axes.
     """
-    idx = _indices(n_qubits)
-    factor = phase * (1j) ** ((x & z).bit_count() % 4)
-    out = np.empty_like(amps)
-    out[..., idx ^ np.uint64(x)] = factor * _parities(z, idx) * amps
-    return out
+    src, coef = _term_table([((x, z), phase)], n_qubits)
+    return coef[0] * amps[..., src[0]]
 
 
 def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliSum) -> np.ndarray:
+    """op |amps>, as one gather and one in-order sum per block of terms.
+
+    Each block stacks the running sum on top of its terms' gathered rows and
+    reduces over that leading axis, which adds the rows in order, so every
+    output amplitude is summed from zero in ``op.items()`` order.
+    """
     if 2**n_qubits != len(amps):
         raise SimulatorError("amplitude length mismatch")
-    idx = _indices(n_qubits)
-    out = np.zeros_like(amps)
-    for (x, z), c in op.items():
-        factor = c * (1j) ** ((x & z).bit_count() % 4)
-        out[idx ^ np.uint64(x)] += factor * _parities(z, idx) * amps
+    items = list(op.items())
+    out = np.zeros(len(amps), dtype=complex)
+    step = max(1, BLOCK_AMPLITUDES // len(amps))
+    for start in range(0, len(items), step):
+        src, coef = _term_table(items[start : start + step], n_qubits)
+        block = np.empty((len(src) + 1, len(amps)), dtype=complex)
+        block[0] = out
+        np.multiply(coef, amps[src], out=block[1:])
+        out = np.add.reduce(block, axis=0)
     return out
 
 
@@ -156,15 +182,13 @@ def apply_clifford(state: StateVector, cmap: CliffordMap) -> StateVector:
 
 
 def dense_matrix(op: PauliSum) -> np.ndarray:
-    """Dense matrix of a PauliSum, assembled column-block wise per term."""
-    n = op.n_qubits
-    dim = 2**n
-    idx = _indices(n)
+    """Dense matrix of a PauliSum, accumulated term by term in item order."""
+    dim = 2**op.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
-    cols = idx.astype(np.int64)
-    for (x, z), c in op.items():
-        rows = (idx ^ np.uint64(x)).astype(np.int64)
-        out[rows, cols] += c * (1j) ** ((x & z).bit_count() % 4) * _parities(z, idx)
+    rows = np.arange(dim)
+    src, coef = _term_table(list(op.items()), op.n_qubits)
+    for cols, values in zip(src, coef):
+        out[rows, cols] += values
     return out
 
 

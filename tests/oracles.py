@@ -2,8 +2,12 @@
 
 Everything here is built directly from 2x2 matrices with numpy.kron and
 never calls into the package's operator algebra, so it can serve as an
-independent reference for it; the one exception, ``term_by_term_effective_op``,
-is the direct per-pair projection that the sector table replaces.  Qubit q
+independent reference for it.  The exceptions are the direct term-by-term
+loops that the package's fast paths replace, kept as references that must
+agree with them exactly: ``term_by_term_effective_op`` (the sector table),
+``term_by_term_apply`` (``simulator.apply_pauli_sum``),
+``product_by_product_mul`` (``PauliSum.__mul__``) and
+``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``).  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
@@ -193,6 +197,74 @@ def term_by_term_effective_op(hq, bra_bits, ket_bits, uc, tol):
             continue
         out.add_term(p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase * factor)
     return out.simplify(tol)
+
+
+def term_by_term_apply(amps, n_qubits, op):
+    """op|amps> accumulated one term at a time in item order.
+
+    Term c P(x, z) sends amplitude i to index i ^ x with weight
+    c i^|x & z| (-1)^|z & i|.
+    """
+    idx = np.arange(2**n_qubits, dtype=np.uint64)
+    out = np.zeros_like(amps)
+    for (x, z), c in op.items():
+        factor = c * (1j) ** ((x & z).bit_count() % 4)
+        parity = 1.0 - 2.0 * (
+            np.bitwise_count(idx & np.uint64(z)) & np.uint64(1)
+        ).astype(float)
+        out[idx ^ np.uint64(x)] += factor * parity * amps
+    return out
+
+
+def product_by_product_mul(a, b):
+    """PauliSum product a * b, one PauliProduct.mul per pair of terms."""
+    from senqse.pauli import PauliProduct, PauliSum
+
+    out = PauliSum(a.n_qubits)
+    for (x1, z1), c1 in a.items():
+        p1 = PauliProduct(a.n_qubits, x1, z1)
+        for (x2, z2), c2 in b.items():
+            p3 = p1.mul(PauliProduct(a.n_qubits, x2, z2))
+            out.add_term(p3.x_bits, p3.z_bits, c1 * c2 * p3.phase)
+    return out
+
+
+def product_by_product_jordan_wigner(ints, tol):
+    """Qubit Hamiltonian summed term by term from ladder-operator products.
+
+    The same integral order and coefficient arithmetic as
+    ``fermion.jordan_wigner``, with every product taken by
+    ``product_by_product_mul`` and every term added by ``PauliSum.__add__``.
+    """
+    from senqse.fermion import jw_ladder
+    from senqse.pauli import PauliSum
+
+    nq = 2 * ints.n_orb
+
+    def operator(ops, coeff):
+        out = PauliSum(nq, {(0, 0): coeff})
+        for mode, dagger in ops:
+            out = product_by_product_mul(out, jw_ladder(mode, dagger, nq))
+        return out
+
+    total = PauliSum(nq, {(0, 0): complex(ints.e_core)})
+    for p, q in zip(*np.nonzero(np.abs(ints.h) > 0)):
+        for s in (0, 1):
+            total = total + operator([(2 * p + s, True), (2 * q + s, False)], ints.h[p, q])
+    for p, q, r, s in zip(*np.nonzero(np.abs(ints.g) > 0)):
+        gv = 0.5 * ints.g[p, q, r, s]
+        for sig in (0, 1):
+            for tau in (0, 1):
+                if sig == tau and (p == r or q == s):
+                    continue
+                ops = [
+                    (2 * p + sig, True),
+                    (2 * r + tau, True),
+                    (2 * s + tau, False),
+                    (2 * q + sig, False),
+                ]
+                total = total + operator(ops, gv)
+    return total.simplify(tol).chop_imag(tol)
 
 
 def eigh_fragment_distribution(amplitudes, fragment):

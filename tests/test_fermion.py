@@ -24,7 +24,7 @@ from senqse.fermion import (
     sz_operator,
     write_fcidump,
 )
-from senqse.pauli import PauliProduct, PauliSum
+from senqse.pauli import DROP_TOL, PauliProduct, PauliSum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REFERENCE = json.loads((FIXTURES / "reference.json").read_text())
@@ -138,6 +138,12 @@ class TestJordanWigner:
         assert diagonal_expectation(hq, occ_bits) == pytest.approx(
             hf_energy(h2o), abs=1e-9
         )
+
+    def test_matches_product_by_product_oracle(self, h2, h2o):
+        for ints in (h2, h2o):
+            got = jordan_wigner(ints)
+            ref = oracles.product_by_product_jordan_wigner(ints, DROP_TOL)
+            assert list(got.items()) == list(ref.items())
 
     def test_spin_squared_annihilates_hf(self, h2):
         s2 = spin_squared_operator(h2.n_orb)

@@ -206,6 +206,30 @@ class TestPauliSum:
             ref = oracles.sum_matrix(a) @ oracles.sum_matrix(b)
             assert np.allclose(got, ref, atol=1e-10)
 
+    def test_product_matches_product_by_product_oracle(self):
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            n = int(rng.integers(1, 7))
+            a, b = PauliSum(n), PauliSum(n)
+            for s in (a, b):
+                k = int(rng.integers(0, min(4**n, 12) + 1))
+                for label, c in oracles.random_pauli_sum_pairs(rng, n, k, real=trial % 2 == 0):
+                    s.add_product(P(label, n), c)
+            got, ref = a * b, oracles.product_by_product_mul(a, b)
+            assert got.n_qubits == n
+            assert list(got.items()) == list(ref.items())
+
+    def test_product_rejects_out_of_range_bits(self):
+        good = PauliSum.from_label("Z0", 1.0, 2)
+        for key in ((4, 0), (0, 4), (-1, 0)):
+            bad = PauliSum(2, {key: 1.0})
+            with pytest.raises(PauliError):
+                good * bad
+            with pytest.raises(PauliError):
+                bad * good
+        with pytest.raises(PauliError):
+            PauliSum(-1, {(0, 0): 1.0}) * PauliSum(-1, {(0, 0): 1.0})
+
     def test_text_roundtrip(self):
         rng = np.random.default_rng(37)
         s = PauliSum(4)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 import oracles
-from senqse.csfbasis import default_selection_params, parse_basis, select_basis_vo
+from senqse.csfbasis import (
+    default_selection_params,
+    parse_basis,
+    select_basis_pt,
+    select_basis_vo,
+)
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse.measure import fragment_variance
 from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
+    BLOCK_AMPLITUDES,
     FragmentSampler,
     SimulatorError,
     StateVector,
@@ -21,6 +27,7 @@ from senqse.simulator import (
     sample_fragment,
 )
 from senqse.solver import SubspaceEngine, vo_optimize
+from senqse.taper import SectorHamiltonian, build_clifford
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -198,6 +205,81 @@ class TestSampling:
         rng = np.random.default_rng(53)
         op = random_sum(rng, 3, 6, real=False)
         assert np.allclose(dense_matrix(op), oracles.sum_matrix(op), atol=1e-12)
+
+
+def assert_applies_like_oracle(amps, n_qubits, op):
+    """apply_pauli_sum equals the term-by-term loop bit for bit."""
+    got = apply_pauli_sum(amps, n_qubits, op)
+    assert np.array_equal(got, oracles.term_by_term_apply(amps, n_qubits, op))
+
+
+class TestApplyPauliSum:
+    @pytest.mark.parametrize("stem", ["h2_0.7414", "h2_1.0000", "h2_1.5000"])
+    def test_h2_effective_operators(self, stem):
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        rng = np.random.default_rng(83)
+        table = SectorHamiltonian(hq)
+        for v in range(4):
+            for w in range(4):
+                amps = random_state(rng, 2).amplitudes
+                assert_applies_like_oracle(amps, 2, table.op(v, w))
+        params = default_selection_params(ints)
+        for basis in (select_basis_vo(ints, hq, params), select_basis_pt(ints, hq, params)):
+            engine = SubspaceEngine(basis, hq, ints.n_elec)
+            for mu in range(engine.size):
+                for nu in range(engine.size):
+                    ket = engine.state(nu).amplitudes
+                    assert_applies_like_oracle(ket, 2, engine.xop(mu, nu))
+
+    def test_h2o_sampled_config_pairs(self):
+        hq = jordan_wigner(load_fcidump(FIXTURES / "h2o_1.0000.fcidump"))
+        n_orb = hq.n_qubits // 2
+        table = SectorHamiltonian(hq, build_clifford(n_orb))
+        rng = np.random.default_rng(89)
+        for v, w in rng.integers(0, 2**n_orb, size=(200, 2)):
+            amps = random_state(rng, n_orb).amplitudes
+            assert_applies_like_oracle(amps, n_orb, table.op(int(v), int(w)))
+
+    def test_h2o_swap_operators(self, h2o_fragments):
+        swaps = [(s, f) for s, f in h2o_fragments if s.n_qubits == 8]
+        assert swaps
+        whole = {}
+        for state, frag in swaps:
+            assert_applies_like_oracle(state.amplitudes, 8, frag)
+            key = id(state)
+            whole[key] = (state, whole[key][1] + frag if key in whole else frag)
+        for state, op in whole.values():
+            assert_applies_like_oracle(state.amplitudes, 8, op)
+
+    def test_full_register_crosses_blocks(self):
+        hq = jordan_wigner(load_fcidump(FIXTURES / "h2o_1.0000.fcidump"))
+        n = hq.n_qubits
+        step = BLOCK_AMPLITUDES // 2**n
+        assert 1 <= step < hq.n_terms and hq.n_terms % step != 0
+        amps = random_state(np.random.default_rng(97), n).amplitudes
+        assert_applies_like_oracle(amps, n, hq)
+
+    def test_empty_and_identity_only(self):
+        amps = random_state(np.random.default_rng(101), 3).amplitudes
+        assert_applies_like_oracle(amps, 3, PauliSum(3))
+        assert not apply_pauli_sum(amps, 3, PauliSum(3)).any()
+        ident = PauliSum(3, {(0, 0): -0.625 + 0.25j})
+        assert_applies_like_oracle(amps, 3, ident)
+        assert np.array_equal(apply_pauli_sum(amps, 3, ident), (-0.625 + 0.25j) * amps)
+
+    def test_length_mismatch(self):
+        with pytest.raises(SimulatorError):
+            apply_pauli_sum(np.ones(4, dtype=complex), 3, PauliSum(3))
+
+    def test_dense_matrix_columns_are_applied_basis_states(self):
+        rng = np.random.default_rng(103)
+        op = random_sum(rng, 4, 40, real=False)
+        mat = dense_matrix(op)
+        for j in range(16):
+            ket = np.zeros(16, dtype=complex)
+            ket[j] = 1.0
+            assert np.array_equal(mat[:, j], apply_pauli_sum(ket, 4, op))
 
 
 def element_fragments(engine):
