@@ -415,29 +415,59 @@ def _rotation_indices(n: int, r: int, s: int):
     return pair
 
 
+def rotate_pair_inplace(amps: np.ndarray, r: int, s: int, theta: float) -> None:
+    """The pair rotation of ``apply_pair_rotation``, in place on raw amplitudes.
+
+    ``amps`` holds 2^n amplitudes on its last axis; leading axes are a
+    stack of states, each rotated alike.  No state is built or validated,
+    so a chain of rotations wraps its result in one ``StateVector``.
+    """
+    n = amps.shape[-1].bit_length() - 1
+    if not (0 <= r < n and 0 <= s < n) or r == s:
+        raise BasisError(f"bad rotation qubits ({r}, {s}) on {n} qubits")
+    i_idx, j_idx = _rotation_indices(n, r, s)
+    c, sn = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    ai, aj = amps[..., i_idx], amps[..., j_idx]
+    amps[..., i_idx] = c * ai - sn * aj
+    amps[..., j_idx] = sn * ai + c * aj
+
+
+def pair_rotation_terms(amps: np.ndarray, r: int, s: int) -> np.ndarray:
+    """(u, v, w) with the pair rotation of amps by theta = u + cos 2theta v + sin 2theta w.
+
+    Stacked on a new axis before the amplitude axis: u is amps with the
+    (r, s) block zeroed, v the block alone and w the block swapped with the
+    sign ``rotate_pair_inplace`` gives it.
+    """
+    n = amps.shape[-1].bit_length() - 1
+    i_idx, j_idx = _rotation_indices(n, r, s)
+    out = np.zeros(amps.shape[:-1] + (3, amps.shape[-1]), dtype=complex)
+    out[..., 0, :] = amps
+    out[..., 0, i_idx] = out[..., 0, j_idx] = 0.0
+    out[..., 1, i_idx], out[..., 1, j_idx] = amps[..., i_idx], amps[..., j_idx]
+    out[..., 2, i_idx], out[..., 2, j_idx] = -amps[..., j_idx], amps[..., i_idx]
+    return out
+
+
+def rotate_chain(state: StateVector, rotations) -> StateVector:
+    """``state`` after each (r, s, theta) of ``rotations`` in turn."""
+    amps = state.amplitudes.copy()
+    for r, s, theta in rotations:
+        rotate_pair_inplace(amps, r, s, theta)
+    return StateVector(amps, state.n_qubits)
+
+
 def apply_pair_rotation(state: StateVector, r: int, s: int, theta: float) -> StateVector:
     """Exact two-qubit rotation exp(i theta (X_r Y_s - Y_r X_s)) on the register.
 
     The pair-transfer block rotates by angle 2*theta: a pair at s acquires
     amplitude sin(2 theta) at r.
     """
-    n = state.n_qubits
-    if not (0 <= r < n and 0 <= s < n) or r == s:
-        raise BasisError(f"bad rotation qubits ({r}, {s}) on {n} qubits")
-    i_idx, j_idx = _rotation_indices(n, r, s)
-    c, sn = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    amps = state.amplitudes.copy()
-    ai, aj = amps[i_idx], amps[j_idx]
-    amps[i_idx] = c * ai - sn * aj
-    amps[j_idx] = sn * ai + c * aj
-    return StateVector(amps, n)
+    return rotate_chain(state, [(r, s, theta)])
 
 
 def tapered_state(b: BasisState, n_orb: int, n_elec: int) -> StateVector:
-    state = make_csf_tapered(b.csf, n_orb, n_elec)
-    for r, s, theta in b.rotations:
-        state = apply_pair_rotation(state, r, s, theta)
-    return state
+    return rotate_chain(make_csf_tapered(b.csf, n_orb, n_elec), b.rotations)
 
 
 def paired_occupied(spec: CsfSpec, n_orb: int, n_elec: int) -> set:
@@ -543,6 +573,8 @@ class CsfElementEngine:
         cfg_a = seniority_config(spec_a, self.n_orb).bits
         cfg_b = seniority_config(spec_b, self.n_orb).bits
         xop = self.xop(cfg_a, cfg_b)
+        if not xop:
+            return 0.0  # no term links the two configs
         sa, sb = self.state(spec_a), self.state(spec_b)
         val = np.vdot(sa.amplitudes, apply_pauli_sum(sb.amplitudes, self.n_orb, xop))
         return float(val.real)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,11 @@ import scipy.sparse.linalg
 
 from senqse.csfbasis import (
     BasisState,
-    apply_pair_rotation,
     full_state,
     make_csf_tapered,
+    pair_rotation_terms,
+    rotate_chain,
+    rotate_pair_inplace,
     rotation_group_key,
     seniority_config,
 )
@@ -174,18 +177,19 @@ class SubspaceEngine:
             self._configs[mu] = seniority_config(self.basis[mu], self.n_orb)
         return self._configs[mu]
 
+    def csf_state(self, mu: int) -> StateVector:
+        """Tapered CSF of basis state mu, before its rotations."""
+        csf = self.basis[mu].csf
+        if csf not in self._csf_states:
+            self._csf_states[csf] = make_csf_tapered(csf, self.n_orb, self.n_elec)
+        return self._csf_states[csf]
+
     def state(self, mu: int) -> StateVector:
         if self._states[mu] is None:
-            b = self.basis[mu]
             if self.taper:
-                if b.csf not in self._csf_states:
-                    self._csf_states[b.csf] = make_csf_tapered(
-                        b.csf, self.n_orb, self.n_elec
-                    )
-                st = self._csf_states[b.csf]
-                for r, s, theta in b.rotations:
-                    st = apply_pair_rotation(st, r, s, theta)
-                self._states[mu] = st
+                self._states[mu] = rotate_chain(
+                    self.csf_state(mu), self.basis[mu].rotations
+                )
             else:
                 self._states[mu] = full_state(self.basis[mu], self.n_orb, self.n_elec)
         return self._states[mu]
@@ -204,18 +208,32 @@ class SubspaceEngine:
         """Rotation-free bra and ket: the element never costs quantum shots."""
         return not self.basis[mu].rotations and not self.basis[nu].rotations
 
+    def xmat(self, bra_bits: int, ket_bits: int) -> np.ndarray:
+        """Dense effective operator of a config pair, memoised."""
+        key = (bra_bits, ket_bits)
+        if key not in self._xmats:
+            self._xmats[key] = dense_matrix(self.sectors.op(bra_bits, ket_bits))
+        return self._xmats[key]
+
+    def apply_xop(self, bra_bits: int, ket_bits: int, vecs: np.ndarray) -> np.ndarray:
+        """The config pair's effective operator applied to each row of vecs."""
+        op = self.sectors.op(bra_bits, ket_bits)
+        if not op:
+            return np.zeros_like(vecs)
+        if self.dense_elements:
+            return vecs @ self.xmat(bra_bits, ket_bits).T
+        return np.array([apply_pauli_sum(v, self.n_orb, op) for v in vecs])
+
     def element_exact(self, mu: int, nu: int) -> float:
         if self.taper:
+            op = self.xop(mu, nu)
+            if not op:
+                return 0.0  # no term links the two configs
             ket = self.state(nu)
             if self.dense_elements:
-                key = (self.config(mu).bits, self.config(nu).bits)
-                if key not in self._xmats:
-                    self._xmats[key] = dense_matrix(self.xop(mu, nu))
-                val = np.vdot(
-                    self.state(mu).amplitudes, self._xmats[key] @ ket.amplitudes
-                )
+                xmat = self.xmat(self.config(mu).bits, self.config(nu).bits)
+                val = np.vdot(self.state(mu).amplitudes, xmat @ ket.amplitudes)
             else:
-                op = self.xop(mu, nu)
                 val = np.vdot(
                     self.state(mu).amplitudes,
                     apply_pauli_sum(ket.amplitudes, self.n_orb, op),
@@ -636,24 +654,72 @@ def _periodic_line_search(f, th0: float, e0: float, xtol: float = 1e-10):
     return float(grid[k_best]), float(values[k_best])
 
 
-def _trig_interpolant(th0: float, samples):
-    """Closed form of a function of theta with frequencies 0, 2 and 4 only.
+def _angle_basis(th: float) -> np.ndarray:
+    return np.array([1.0, math.cos(2.0 * th), math.sin(2.0 * th)])
 
-    ``samples[j]`` is its value (a number or an array) at th0 + j pi/5,
-    j = 0..4.  In phi = 2 theta the function is a trigonometric polynomial
-    of degree 2 and the nodes are five equispaced points of its period, so
-    the Dirichlet-kernel interpolant (1 + 2 cos x + 2 cos 2x) / 5 reproduces
-    it exactly.
+
+class _SlotModel:
+    """A rotation group's rows of the subspace matrix along one of its angles.
+
+    Each member is linear in f(theta) = (1, cos 2 theta, sin 2 theta) of the
+    group's angle k: psi_i(theta) = sum_a f_a U[i, a].  ``prefix`` holds the
+    members after rotations[:k]; rotation k's block splits it into the three
+    vectors, which then go through rotations[k+1:] as one stack.  Within the
+    group element (i, j) is f^T G[i, :, j, :] f, with G[i, a, j, b] =
+    <U[i, a]| X_cc |U[j, b]>, so no state is rebuilt along the line.
     """
-    samples = np.asarray(samples)
-    nodes = th0 + np.arange(5) * np.pi / 5.0
 
-    def f(th):
-        x = 2.0 * (th - nodes)
-        w = (1.0 + 2.0 * np.cos(x) + 2.0 * np.cos(2.0 * x)) / 5.0
-        return np.tensordot(w, samples, axes=1)
+    def __init__(self, engine: SubspaceEngine, members, k: int, prefix: np.ndarray):
+        self.engine = engine
+        self.members = list(members)
+        rotations = engine.basis[self.members[0]].rotations
+        u = pair_rotation_terms(prefix, *rotations[k][:2])
+        for r, s, th in rotations[k + 1 :]:
+            rotate_pair_inplace(u, r, s, th)
+        self._u = u.reshape(-1, u.shape[-1])
+        self._bits = engine.config(self.members[0]).bits
+        m = len(self.members)
+        g = self._u.conj() @ engine.apply_xop(self._bits, self._bits, self._u).T
+        self._g = g.reshape(m, 3, m, 3)
+        self._diag = np.einsum("iaib->ab", self._g).real
 
-    return f
+    def diagonal_sum(self, th: float) -> float:
+        """Sum of the members' diagonal elements at angle th."""
+        f = _angle_basis(th)
+        return float(f @ self._diag @ f)
+
+    def matrix_fn(self, h: np.ndarray):
+        """theta -> h with the members' rows and columns at that angle.
+
+        Against a state nu outside the group element (i, nu) is f . R[i, :,
+        nu], with R[i, a, nu] = <U[i, a]| X_c,c_nu |psi_nu>: one product per
+        other config.  The rest of h does not move with the angle.
+        """
+        engine, members = self.engine, self.members
+        inside = set(members)
+        others = [nu for nu in range(engine.size) if nu not in inside]
+        by_cfg: dict = {}
+        for col, nu in enumerate(others):
+            by_cfg.setdefault(engine.config(nu).bits, []).append(col)
+        r = np.zeros((len(self._u), len(others)), dtype=complex)
+        for bits, cols in by_cfg.items():
+            psi = np.array([engine.state(others[c]).amplitudes for c in cols])
+            r[:, cols] = self._u.conj() @ engine.apply_xop(self._bits, bits, psi).T
+        r = r.reshape(len(members), 3, len(others))
+        block = np.ix_(members, members)
+        cross, cross_t = np.ix_(members, others), np.ix_(others, members)
+        h = h.copy()
+
+        def h_of(th):
+            f = _angle_basis(th)
+            inner = np.einsum("a,iajb,b->ij", f, self._g, f).real
+            outer = np.einsum("a,ian->in", f, r).real
+            h[block] = 0.5 * (inner + inner.T)
+            h[cross] = outer
+            h[cross_t] = outer.T
+            return h.copy()
+
+        return h_of
 
 
 def vo_optimize(basis, hq: PauliSum, n_elec: int):
@@ -665,16 +731,18 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
     on.  Coordinate descent, one amplitude at a time: every basis state is
     linear in (1, cos 2 theta, sin 2 theta) of each of its rotation angles,
     so along one angle the subspace matrix is exactly A + B cos 2 theta +
-    C sin 2 theta + D cos 4 theta + E sin 4 theta.  Each step computes the
-    moved group's rows at five angles, and a periodic golden-section line
-    search minimises the objective of their closed-form interpolant (the
-    sequential-minimal / Rotosolve scheme: Nakanishi, Fujii and Todo, PRR 2,
-    043158 (2020); Ostaszewski, Grant and Benedetti, Quantum 5, 391 (2021)).
-    A flat all-zero start is first nudged by a fixed perturbation so
-    symmetric stationary points cannot pin the search.  Returns (optimized
-    basis, SubspaceProblem, energy history); the history is non-increasing.
-    A stage that reaches its sweep cap away from tolerance logs a warning
-    and keeps the angles it has.
+    C sin 2 theta + D cos 4 theta + E sin 4 theta.  Each step builds the
+    moved group's three vectors per member once and from them the closed
+    form of its rows (``_SlotModel``); a periodic golden-section line search
+    minimises the objective of that closed form, and an accepted step
+    recomputes the group's rows exactly (the sequential-minimal / Rotosolve
+    scheme: Nakanishi, Fujii and Todo, PRR 2, 043158 (2020); Ostaszewski,
+    Grant and Benedetti, Quantum 5, 391 (2021)).  A flat all-zero start is
+    first nudged by a fixed perturbation so symmetric stationary points
+    cannot pin the search.  Returns (optimized basis, SubspaceProblem,
+    energy history); the history is non-increasing.  A stage that reaches
+    its sweep cap away from tolerance logs a warning and keeps the angles
+    it has.
     """
     engine = SubspaceEngine(basis, hq, n_elec, taper=True, dense_elements=True)
     groups: dict = {}
@@ -713,6 +781,22 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
         for bits, k in slots:
             set_theta(bits, k, _INITIAL_PERTURBATION)
 
+    # each group's members after its rotations[:k]: slots advance k by one,
+    # so a step extends the previous step's prefix by one rotation
+    prefixes: dict = {}
+
+    def slot_model(bits, k):
+        members = groups[bits]
+        want = engine.basis[members[0]].rotations[:k]
+        done, amps = prefixes.get(bits, ((), None))
+        if amps is None or want[: len(done)] != done:
+            done = ()
+            amps = np.array([engine.csf_state(mu).amplitudes for mu in members])
+        for r, s, th in want[len(done) :]:
+            rotate_pair_inplace(amps, r, s, th)
+        prefixes[bits] = (want, amps)
+        return _SlotModel(engine, members, k, amps)
+
     # Stage 1: settle each rotation group on its own diagonal energy.  The
     # joint objective (lowest eigenvalue) is blind to amplitudes of states
     # that are not yet part of the lowest branch, so every state is first
@@ -724,28 +808,17 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
         for _ in range(3):
             moved = 0.0
             for k in range(n_rot):
-                th0 = engine.basis[members[0]].rotations[k][2]
-                samples = []
-                for j in range(5):
-                    set_theta(bits, k, th0 + j * np.pi / 5.0)
-                    samples.append(sum(engine.element_exact(mu, mu) for mu in members))
-                e0 = samples[0]
-                th_best, e_best = _periodic_line_search(
-                    _trig_interpolant(th0, samples), th0, e0, xtol=1e-8
-                )
+                th0 = get_theta(bits, k)
+                diagonal_sum = slot_model(bits, k).diagonal_sum
+                e0 = diagonal_sum(th0)
+                th_best, e_best = _periodic_line_search(diagonal_sum, th0, e0, xtol=1e-8)
                 if e_best <= e0:
                     set_theta(bits, k, th_best)
                     moved = max(moved, abs(th_best - th0))
-                else:
-                    set_theta(bits, k, th0)
             if moved < 1e-6:
                 break
 
     h = engine.exact_matrix()
-
-    def refresh(bits):
-        for mu in groups[bits]:
-            engine.recompute_row(h, mu)
 
     def descend(value_fn, tol_stage, cap):
         """Coordinate-descent sweeps on value_fn(h); returns (values, hit_tol)."""
@@ -755,22 +828,15 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
             e_start = e_cur
             for bits, k in slots:
                 th0 = get_theta(bits, k)
-                samples = [h.copy()]
-                for j in range(1, 5):
-                    set_theta(bits, k, th0 + j * np.pi / 5.0)
-                    refresh(bits)
-                    samples.append(h.copy())
-                h_of = _trig_interpolant(th0, samples)
+                h_of = slot_model(bits, k).matrix_fn(h)
                 th_best, e_best = _periodic_line_search(
                     lambda th: value_fn(h_of(th)), th0, e_cur
                 )
                 if e_best <= e_cur:
                     set_theta(bits, k, th_best)
-                    refresh(bits)
+                    for mu in groups[bits]:
+                        engine.recompute_row(h, mu)
                     e_cur = e_best
-                else:
-                    set_theta(bits, k, th0)
-                    h[...] = samples[0]
             values.append(e_cur)
             if abs(e_start - e_cur) < tol_stage:
                 return values, True

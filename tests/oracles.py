@@ -6,11 +6,14 @@ independent reference for it.  The exceptions are the direct term-by-term
 loops that the package's fast paths replace, kept as references that must
 agree with them exactly: ``term_by_term_effective_op`` (the sector table),
 ``term_by_term_apply`` (``simulator.apply_pauli_sum``),
-``product_by_product_mul`` (``PauliSum.__mul__``) and
-``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``).  Qubit q
+``product_by_product_mul`` (``PauliSum.__mul__``),
+``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``) and
+``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``).  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
+
+import math
 
 import numpy as np
 
@@ -214,6 +217,25 @@ def term_by_term_apply(amps, n_qubits, op):
         ).astype(float)
         out[idx ^ np.uint64(x)] += factor * parity * amps
     return out
+
+
+def copy_per_rotation(amps, rotations):
+    """amps after each (r, s, theta) in turn, on a fresh copy per rotation.
+
+    Amplitude i with qubit r at 0 and qubit s at 1 and its partner j (both
+    bits flipped) become cos 2theta a_i - sin 2theta a_j and sin 2theta a_i
+    + cos 2theta a_j.
+    """
+    idx = np.arange(len(amps))
+    for r, s, theta in rotations:
+        i_idx = idx[((idx >> r) & 1 == 0) & ((idx >> s) & 1 == 1)]
+        j_idx = i_idx ^ ((1 << r) | (1 << s))
+        c, sn = math.cos(2.0 * theta), math.sin(2.0 * theta)
+        amps = amps.copy()
+        ai, aj = amps[i_idx], amps[j_idx]
+        amps[i_idx] = c * ai - sn * aj
+        amps[j_idx] = sn * ai + c * aj
+    return amps
 
 
 def product_by_product_mul(a, b):

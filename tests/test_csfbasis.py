@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,9 @@ from senqse.csfbasis import (
     SelectionParams,
     apply_pair_rotation,
     create_csfs,
+    pair_rotation_terms,
+    rotate_pair_inplace,
+    rotation_group_key,
     csf_determinants,
     default_selection_params,
     extension_pairs,
@@ -36,10 +40,25 @@ from senqse.fermion import (
     spin_squared_operator,
     total_seniority_operator,
 )
-from senqse.simulator import StateVector, expectation
+from senqse.simulator import StateVector, apply_pauli_sum, expectation
+from senqse.solver import SubspaceEngine
 from senqse.taper import build_clifford, taper_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def h2o_vo_basis_at_random_angles(seed):
+    """The frozen H2O 1.0 A VO selection, each group's angles drawn at random."""
+    basis = parse_basis((FIXTURES / "h2o_1.0000.vo-selected.basis.txt").read_text())
+    rng = np.random.default_rng(seed)
+    angles = {}
+    out = []
+    for b in basis:
+        key = rotation_group_key(b.csf, 7)
+        if key not in angles:
+            angles[key] = rng.uniform(-np.pi, np.pi, len(b.rotations))
+        out.append(b.with_thetas(angles[key]))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +242,52 @@ class TestPairRotation:
         b = tapered_state(BasisState(CsfSpec(CsfKind.HF), (r2, r1), "b"), n_orb, n_elec)
         assert not np.allclose(a.amplitudes, b.amplitudes, atol=1e-8)
 
+    def test_inplace_kernel_matches_chained_rotations(self, h2o, h2o_hq):
+        # every state of the frozen H2O selection, at random angles: one
+        # state at a time, one rotation group as a stack, and the engine's
+        # states all give the chained apply_pair_rotation bits exactly
+        basis = h2o_vo_basis_at_random_angles(7)
+        engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
+        groups = {}
+        for mu, b in enumerate(basis):
+            csf = make_csf_tapered(b.csf, h2o.n_orb, h2o.n_elec)
+            chained = csf
+            for r, s, theta in b.rotations:
+                chained = apply_pair_rotation(chained, r, s, theta)
+            ref = oracles.copy_per_rotation(csf.amplitudes, b.rotations)
+            assert np.array_equal(chained.amplitudes, ref)
+            assert np.array_equal(tapered_state(b, h2o.n_orb, h2o.n_elec).amplitudes, ref)
+            assert np.array_equal(engine.state(mu).amplitudes, ref)
+            groups.setdefault(rotation_group_key(b.csf, h2o.n_orb), []).append(mu)
+        assert any(len(m) > 1 and basis[m[0]].rotations for m in groups.values())
+        for members in groups.values():
+            stack = np.array([engine.csf_state(mu).amplitudes for mu in members])
+            for r, s, theta in basis[members[0]].rotations:
+                rotate_pair_inplace(stack, r, s, theta)
+            for row, mu in zip(stack, members):
+                assert np.array_equal(row, engine.state(mu).amplitudes)
+
+    def test_inplace_kernel_rejects_bad_qubits(self):
+        amps = np.zeros(8, dtype=complex)
+        for r, s in [(1, 1), (3, 0), (0, -1)]:
+            with pytest.raises(BasisError, match="bad rotation qubits"):
+                rotate_pair_inplace(amps, r, s, 0.1)
+
+    def test_rotation_terms_rebuild_the_rotation(self):
+        # (u, v, w) split of one rotation: u + cos 2t v + sin 2t w is the
+        # rotated state, bit for bit, at any angle
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        for r, s in [(0, 3), (2, 1)]:
+            terms = pair_rotation_terms(amps, r, s)
+            assert terms.shape == (2, 3, 16)
+            for theta in rng.uniform(-np.pi, np.pi, 5):
+                rotated = amps.copy()
+                rotate_pair_inplace(rotated, r, s, theta)
+                c, sn = math.cos(2.0 * theta), math.sin(2.0 * theta)
+                combined = terms[:, 0] + c * terms[:, 1] + sn * terms[:, 2]
+                assert np.array_equal(combined, rotated)
+
     def test_rotation_touching_open_shell_rejected(self):
         with pytest.raises(BasisError, match="singly occupied"):
             BasisState(CsfSpec(CsfKind.SINGLE_SINGLET, (0, 1)), ((1, 2, 0.1),), "x")
@@ -284,6 +349,43 @@ class TestOrthonormality:
                 for i in range(len(group)):
                     for j in range(i):
                         assert abs(group[i].overlap(group[j])) < 1e-10
+
+
+class TestElementEngine:
+    def test_empty_sector_operator_is_an_early_zero(self, h2o, h2o_hq, monkeypatch):
+        # config pairs that no term links: 0.0 with no state built and no
+        # apply_pauli_sum call, equal (sign included) to the full evaluation
+        specs = create_csfs(default_selection_params(h2o), h2o.n_orb, h2o.n_elec)
+        reference = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        bits = [seniority_config(sp, h2o.n_orb).bits for sp in specs]
+        pairs = [
+            (a, b)
+            for a in range(len(specs))
+            for b in range(a + 1)
+            if not reference.xop(bits[a], bits[b])
+        ]
+        assert len(pairs) > 100
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return apply_pauli_sum(*args)
+
+        engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        monkeypatch.setattr("senqse.csfbasis.apply_pauli_sum", counted)
+        for a, b in pairs[:200]:
+            got = engine.element(specs[a], specs[b])
+            old = np.vdot(
+                reference.state(specs[a]).amplitudes,
+                apply_pauli_sum(
+                    reference.state(specs[b]).amplitudes,
+                    h2o.n_orb,
+                    reference.xop(bits[a], bits[b]),
+                ),
+            ).real
+            assert got == old and math.copysign(1.0, got) == math.copysign(1.0, old)
+        assert calls[0] == 0
+        assert not engine._states
 
 
 class TestSelection:

@@ -1,19 +1,22 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from senqse import solver
+from senqse import csfbasis, solver
 from senqse.csfbasis import (
     BasisState,
     CsfKind,
     CsfSpec,
+    create_csfs,
     default_selection_params,
     parse_basis,
     rotation_group_key,
     select_basis_pt,
     select_basis_vo,
+    seniority_config,
 )
 from senqse.fermion import (
     hf_energy,
@@ -29,8 +32,8 @@ from senqse.solver import (
     MatrixSampler,
     SolverError,
     SubspaceEngine,
+    _SlotModel,
     _integer_split,
-    _trig_interpolant,
     build_subspace,
     fci_oracle,
     ground_state,
@@ -157,6 +160,55 @@ class TestBuildSubspace:
         problem = build_subspace(basis, h2_hq, h2.n_elec)
         assert problem.hmat.shape == (1, 1)
         assert problem.e_min == pytest.approx(hf_energy(h2), abs=1e-10)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_empty_sector_operator_is_an_early_zero(
+        self, h2o, h2o_hq, h2o_vo_selected, dense, monkeypatch
+    ):
+        # config pairs that no term links: 0.0 with no state built, no
+        # operator applied, equal (sign included) to the full evaluation;
+        # the basis is the VO selection plus one rotation-free CSF of each
+        # config it lacks
+        rng = np.random.default_rng(4)
+        seen = {seniority_config(b, h2o.n_orb).bits for b in h2o_vo_selected}
+        basis = list(h2o_vo_selected)
+        params = default_selection_params(h2o)
+        for spec in create_csfs(params, h2o.n_orb, h2o.n_elec):
+            bits = seniority_config(spec, h2o.n_orb).bits
+            if bits not in seen:
+                seen.add(bits)
+                basis.append(BasisState(spec, (), f"extra{len(basis)}"))
+        reference = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
+        engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec, dense_elements=dense)
+        for mu, b in enumerate(basis):
+            b = b.with_thetas(rng.uniform(-np.pi, np.pi, len(b.rotations)))
+            reference.replace_basis_state(mu, b)
+            engine.replace_basis_state(mu, b)
+        pairs = [
+            (mu, nu)
+            for mu in range(engine.size)
+            for nu in range(engine.size)
+            if not reference.xop(mu, nu)
+        ]
+        assert len(pairs) > 100
+        old = {}
+        for mu, nu in pairs:
+            bra, ket = reference.state(mu).amplitudes, reference.state(nu).amplitudes
+            op = reference.xop(mu, nu)
+            if dense:
+                old[mu, nu] = np.vdot(bra, solver.dense_matrix(op) @ ket).real
+            else:
+                old[mu, nu] = np.vdot(bra, solver.apply_pauli_sum(ket, h2o.n_orb, op)).real
+
+        def refuse(*args):
+            raise AssertionError("an empty operator was applied")
+
+        monkeypatch.setattr(solver, "apply_pauli_sum", refuse)
+        monkeypatch.setattr(solver, "dense_matrix", refuse)
+        for (mu, nu), want in old.items():
+            got = engine.element_exact(mu, nu)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert all(st is None for st in engine._states)
 
     def test_variational_bound_and_nesting(self, h2_hq, h2):
         fci = fci_oracle(h2_hq, 2, 0.0).energy
@@ -439,6 +491,14 @@ class TestMatrixDraws:
         assert abs(errs.mean() - bias) < 4 * errs.std(ddof=1) / root_n
 
 
+def fresh_prefix(engine, members, k):
+    """The members after their rotations[:k], rebuilt from their CSFs."""
+    amps = np.array([engine.csf_state(mu).amplitudes for mu in members])
+    for r, s, th in engine.basis[members[0]].rotations[:k]:
+        csfbasis.rotate_pair_inplace(amps, r, s, th)
+    return amps
+
+
 class TestVoOptimize:
     def test_escapes_symmetric_start(self, h2, h2_hq):
         basis = select_basis_vo(h2, h2_hq, default_selection_params(h2, eps1=0.5))
@@ -459,33 +519,98 @@ class TestVoOptimize:
         self, h2o, h2o_hq, h2o_vo_selected, group_size, k
     ):
         # one amplitude of the 9-state, 14-rotation group and one of a
-        # single-state group, around a random point of the other amplitudes
+        # single-state group, around a random point of the other amplitudes:
+        # the slot model's rows and its stage-1 diagonal sum against exact
+        # rebuilds, with the effective operators applied as Pauli sums and
+        # as dense matrices
         rng = np.random.default_rng(20)
-        engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec)
+        engines = [
+            SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec, dense_elements=dense)
+            for dense in (False, True)
+        ]
         groups = {}
-        for mu, b in enumerate(engine.basis):
+        for mu, b in enumerate(engines[0].basis):
             if b.rotations:
-                key = rotation_group_key(b.csf, engine.n_orb)
+                key = rotation_group_key(b.csf, engines[0].n_orb)
                 groups.setdefault(key, []).append(mu)
         for members in groups.values():
-            n_rot = len(engine.basis[members[0]].rotations)
+            n_rot = len(engines[0].basis[members[0]].rotations)
             thetas = rng.uniform(-np.pi, np.pi, n_rot)
-            for mu in members:
-                engine.replace_basis_state(mu, engine.basis[mu].with_thetas(thetas))
+            for engine in engines:
+                for mu in members:
+                    engine.replace_basis_state(mu, engine.basis[mu].with_thetas(thetas))
         members = next(m for m in groups.values() if len(m) == group_size)
-        thetas = [th for _, _, th in engine.basis[members[0]].rotations]
+        thetas = [th for _, _, th in engines[0].basis[members[0]].rotations]
 
-        def rebuild(th):
+        def rebuild(engine, th):
             thetas[k] = th
             for mu in members:
                 engine.replace_basis_state(mu, engine.basis[mu].with_thetas(thetas))
             return engine.exact_matrix()
 
         th0 = thetas[k]
-        samples = [rebuild(th0 + j * np.pi / 5.0) for j in range(5)]
-        h_of = _trig_interpolant(th0, samples)
+        models = []
+        for engine in engines:
+            model = _SlotModel(engine, members, k, fresh_prefix(engine, members, k))
+            models.append((engine, model, model.matrix_fn(rebuild(engine, th0))))
         for th in rng.uniform(-np.pi, np.pi, 8):
-            assert np.max(np.abs(h_of(th) - rebuild(th))) < 1e-12
+            for engine, model, h_of in models:
+                exact = rebuild(engine, th)
+                assert np.max(np.abs(h_of(th) - exact)) < 1e-12
+                diagonal = sum(exact[mu, mu] for mu in members)
+                assert abs(model.diagonal_sum(th) - diagonal) < 1e-12
+
+    def test_line_search_is_closed_form(self, h2o, h2o_hq, h2o_vo_selected, monkeypatch):
+        # no element evaluation and no rotation inside any line search, and
+        # at most one row refresh of the moved group between two searches
+        basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
+        calls, rotations, at_search = [0], [0], []
+        element_exact = SubspaceEngine.element_exact
+        kernel = csfbasis.rotate_pair_inplace
+        line_search = solver._periodic_line_search
+
+        def counted_element(self, mu, nu):
+            calls[0] += 1
+            return element_exact(self, mu, nu)
+
+        def counted_kernel(*args):
+            rotations[0] += 1
+            return kernel(*args)
+
+        def counted_search(*args, **kwargs):
+            before = calls[0], rotations[0]
+            out = line_search(*args, **kwargs)
+            assert (calls[0], rotations[0]) == before
+            at_search.append(before[0])
+            return out
+
+        monkeypatch.setattr(SubspaceEngine, "element_exact", counted_element)
+        monkeypatch.setattr(csfbasis, "rotate_pair_inplace", counted_kernel)
+        monkeypatch.setattr(solver, "rotate_pair_inplace", counted_kernel)
+        monkeypatch.setattr(solver, "_periodic_line_search", counted_search)
+        _, _, history = vo_optimize(basis, h2o_hq, h2o.n_elec)
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        assert rotations[0] > 0
+        gaps = np.diff(at_search)
+        assert len(gaps) > 14
+        assert gaps.max() <= len(basis) * len(basis)
+
+    def test_cached_prefixes_match_fresh_chains(
+        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
+    ):
+        # every step's members after rotations[:k], advanced one rotation
+        # per slot, are the bits of a chain rebuilt from the CSFs
+        steps = []
+
+        class Checked(_SlotModel):
+            def __init__(self, engine, members, k, prefix):
+                assert np.array_equal(prefix, fresh_prefix(engine, members, k))
+                steps.append(k)
+                super().__init__(engine, members, k, prefix)
+
+        monkeypatch.setattr(solver, "_SlotModel", Checked)
+        vo_optimize(h2o_vo_selected, h2o_hq, h2o.n_elec)
+        assert max(steps) == 13 and len(steps) > 100
 
     def test_line_search_costs_five_row_refreshes(
         self, h2o, h2o_hq, h2o_vo_selected, monkeypatch

@@ -2,7 +2,10 @@
 """Print the sha256 of every output file of a fixed set of `cli.run` runs.
 
 A refactor that must not change any result can be checked by running this
-on two checkouts and comparing the printed lines.  Each run writes into a
+on two checkouts and comparing the printed lines.  After each run's digests
+come its per-geometry ground energies, ``e_min  name/label  repr(e_min)``,
+so a change that may move the bytes of a run (the amplitude optimiser's,
+say) can be held to an energy gate by diffing the same two outputs.  Each run writes into a
 temporary directory; `report.json` is hashed with its `config.out_dir`
 removed, and the FCIDUMP paths it records are relative to the repository
 root, so the digests do not depend on where the checkout lives.  NumPy runs
@@ -45,10 +48,10 @@ RUNS = {
 }
 
 
-def digest_run(name: str) -> list:
-    """(sha256, "name/file") for every file the run writes."""
+def digest_run(name: str) -> tuple:
+    """(sha256, "name/file") for every file the run writes, and the run's report."""
     with tempfile.TemporaryDirectory() as out_dir:
-        cli.run(cli.RunConfig(out_dir=out_dir, **RUNS[name]))
+        summary = cli.run(cli.RunConfig(out_dir=out_dir, **RUNS[name]))
         lines = []
         for fname in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, fname), "rb") as fh:
@@ -58,14 +61,17 @@ def digest_run(name: str) -> list:
                 del report["config"]["out_dir"]
                 data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
             lines.append((hashlib.sha256(data).hexdigest(), f"{name}/{fname}"))
-        return lines
+        return lines, summary
 
 
 def main() -> None:
     os.chdir(ROOT)
     for name in RUNS:
-        for digest, what in digest_run(name):
+        lines, summary = digest_run(name)
+        for digest, what in lines:
             print(f"{digest}  {what}", flush=True)
+        for rec in summary["geometries"]:
+            print(f"e_min  {name}/{rec['label']}  {rec['e_min']!r}", flush=True)
 
 
 if __name__ == "__main__":
