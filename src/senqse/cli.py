@@ -82,6 +82,25 @@ class RunConfig:
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+class ConfigError(ValueError):
+    """Malformed config file; the message starts with ``path:line``."""
+
+
+def _parse_bool(val: str) -> bool:
+    try:
+        return _BOOL[val.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOL)}") from None
+
+
+_VALUE_PARSERS = {
+    **dict.fromkeys(("shots", "seed", "n_active_occ", "n_active_virt", "workers"), int),
+    **dict.fromkeys(("eps1", "eps2", "root_window"), float),
+    **dict.fromkeys(("relax_orbitals", "constant_shift", "taper"), _parse_bool),
+    **dict.fromkeys(("method", "mode", "out_dir"), str),
+}
+
+
 def parse_config_file(path: str) -> dict:
     """Flat KEY=VALUE text; lists are comma separated, # starts a comment."""
     values: dict = {}
@@ -91,21 +110,20 @@ def parse_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected KEY=VALUE, got {line!r}")
+                raise ConfigError(f"{path}:{ln}: expected KEY=VALUE, got {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.lower()
             if key in ("fcidump_paths", "labels"):
                 values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-            elif key in ("shots", "seed", "n_active_occ", "n_active_virt", "workers"):
-                values[key] = int(val)
-            elif key in ("eps1", "eps2", "root_window"):
-                values[key] = float(val)
-            elif key in ("relax_orbitals", "constant_shift", "taper"):
-                values[key] = _BOOL[val.lower()]
-            elif key in ("method", "mode", "out_dir"):
-                values[key] = val
+            elif key in _VALUE_PARSERS:
+                try:
+                    values[key] = _VALUE_PARSERS[key](val)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}:{ln}: bad value {val!r} for {key}: {exc}"
+                    ) from None
             else:
-                raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+                raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
     return values
 
 

@@ -841,25 +841,35 @@ _STATE_RE = re.compile(
     r"moves=\[(?P<moves>[^\]]*)\] rot=(?P<rot>.*)"
 )
 _ROT_RE = re.compile(r"\(([^,]+),([^,]+),([^)]+)\)")
+_ROTS_RE = re.compile(f"(?:{_ROT_RE.pattern})*")
 
 
 def parse_basis(text: str) -> list:
+    """Basis states from ``serialize_basis`` records, one per line.
+
+    Any record that does not parse in full, or names an invalid state,
+    raises BasisError quoting the record.
+    """
     basis = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         m = _STATE_RE.fullmatch(line)
-        if m is None:
+        if m is None or not _ROTS_RE.fullmatch(m.group("rot")):
             raise BasisError(f"bad basis record {line!r}")
-        indices = tuple(int(v) for v in m.group("idx").split(",") if v)
-        moves = tuple(
-            (int(a), int(b))
-            for a, b in (mv.split("->") for mv in m.group("moves").split(";") if mv)
-        )
-        rots = tuple(
-            (int(r), int(s), float(th)) for r, s, th in _ROT_RE.findall(m.group("rot"))
-        )
-        spec = CsfSpec(CsfKind(m.group("kind")), indices, moves)
-        basis.append(BasisState(spec, rots, m.group("label")))
+        try:
+            indices = tuple(int(v) for v in m.group("idx").split(",") if v)
+            moves = tuple(
+                (int(a), int(b))
+                for a, b in (mv.split("->") for mv in m.group("moves").split(";") if mv)
+            )
+            rots = tuple(
+                (int(r), int(s), float(th))
+                for r, s, th in _ROT_RE.findall(m.group("rot"))
+            )
+            spec = CsfSpec(CsfKind(m.group("kind")), indices, moves)
+            basis.append(BasisState(spec, rots, m.group("label")))
+        except ValueError as exc:
+            raise BasisError(f"bad basis record {line!r}: {exc}") from None
     return basis

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from senqse.pauli import DROP_TOL, PauliProduct, PauliSum
 
@@ -72,6 +71,8 @@ class OrbitalRotation:
 
     def matrix(self) -> np.ndarray:
         """Orthogonal matrix exp(t); orthogonality enforced to 1e-12."""
+        import scipy.linalg
+
         u = scipy.linalg.expm(self.t)
         err = np.max(np.abs(u.T @ u - np.eye(len(u))))
         if err > 1e-12:

@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.linalg
 
 from senqse.csfbasis import (
     BasisState,
@@ -907,6 +904,8 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
             history.append(problem.e_min)
         return problem.e_min
 
+    import scipy.optimize
+
     x0 = np.zeros(len(pairs))
     e0 = objective(x0)
     res = scipy.optimize.minimize(
@@ -939,29 +938,13 @@ def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
     return np.array(sorted(dets), dtype=np.uint64)
 
 
-def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
-    """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector.
+def _sector_entries(hq: PauliSum, dets: np.ndarray) -> tuple:
+    """(rows, cols, values) of hq on the sorted determinants, term by term.
 
-    The sector basis is enumerated directly from occupation bitstrings and
-    the matrix assembled term by term; sparse Lanczos takes over above
-    _DENSE_CUTOFF determinants.
+    An entry that several terms reach appears once per term, unsummed.
     """
-    if hq.n_qubits % 2 or hq.n_qubits > 24:
-        raise SolverError("oracle supports even registers up to 24 qubits")
-    n_orb = hq.n_qubits // 2
-    n_up = n_elec / 2 + sz
-    n_dn = n_elec / 2 - sz
-    if n_up != int(n_up) or n_dn != int(n_dn):
-        raise SolverError(f"no ({n_elec}, {sz}) sector exists")
-    n_up, n_dn = int(n_up), int(n_dn)
-    if not (0 <= n_up <= n_orb and 0 <= n_dn <= n_orb):
-        raise SolverError(f"sector ({n_elec}, {sz}) is empty")
-    dets = _sector_determinants(n_orb, n_up, n_dn)
-    dim = len(dets)
-    if dim == 0:
-        raise SolverError(f"sector ({n_elec}, {sz}) is empty")
-
     rows, cols, vals = [], [], []
+    dim = len(dets)
     col_idx = np.arange(dim)
     one = np.uint64(1)
     for (x, z), c in hq.items():
@@ -978,21 +961,64 @@ def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
         rows.append(pos[ok])
         cols.append(col_idx[ok])
         vals.append(coeff * signs)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     if np.max(np.abs(vals.imag), initial=0.0) > 1e-9:
         raise SolverError("sector matrix has imaginary entries")
-    mat = scipy.sparse.coo_matrix(
-        (vals.real, (rows, cols)), shape=(dim, dim)
-    ).tocsr()
-    asym = abs(mat - mat.T).max()
+    return np.concatenate(rows), np.concatenate(cols), vals.real
+
+
+def _check_symmetric(asym: float) -> None:
     if asym > 1e-9:
         raise SolverError(f"sector matrix asymmetry {asym:.2e}")
-    if dim <= _DENSE_CUTOFF:
-        w, v = np.linalg.eigh(mat.toarray())
+
+
+def _dense_sector_matrix(hq: PauliSum, dets: np.ndarray) -> np.ndarray:
+    """hq on the sector as a dense array, duplicates summed in term order."""
+    rows, cols, vals = _sector_entries(hq, dets)
+    mat = np.zeros((len(dets), len(dets)))
+    np.add.at(mat, (rows, cols), vals)
+    _check_symmetric(np.max(np.abs(mat - mat.T), initial=0.0))
+    return mat
+
+
+def _lanczos_ground_state(hq: PauliSum, dets: np.ndarray) -> tuple:
+    """Lowest eigenpair of hq on the sector by SciPy's sparse Lanczos."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    rows, cols, vals = _sector_entries(hq, dets)
+    mat = scipy.sparse.coo_matrix(
+        (vals, (rows, cols)), shape=(len(dets), len(dets))
+    ).tocsr()
+    _check_symmetric(abs(mat - mat.T).max())
+    return scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
+
+
+def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
+    """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector.
+
+    The sector basis is enumerated directly from occupation bitstrings and
+    the matrix assembled term by term, densely with NumPy alone up to
+    _DENSE_CUTOFF determinants; above it a sparse matrix goes to SciPy's
+    Lanczos, which is imported only there.
+    """
+    if hq.n_qubits % 2 or hq.n_qubits > 24:
+        raise SolverError("oracle supports even registers up to 24 qubits")
+    n_orb = hq.n_qubits // 2
+    n_up = n_elec / 2 + sz
+    n_dn = n_elec / 2 - sz
+    if n_up != int(n_up) or n_dn != int(n_dn):
+        raise SolverError(f"no ({n_elec}, {sz}) sector exists")
+    n_up, n_dn = int(n_up), int(n_dn)
+    if not (0 <= n_up <= n_orb and 0 <= n_dn <= n_orb):
+        raise SolverError(f"sector ({n_elec}, {sz}) is empty")
+    dets = _sector_determinants(n_orb, n_up, n_dn)
+    if len(dets) == 0:
+        raise SolverError(f"sector ({n_elec}, {sz}) is empty")
+    if len(dets) <= _DENSE_CUTOFF:
+        w, v = np.linalg.eigh(_dense_sector_matrix(hq, dets))
     else:
-        w, v = scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
+        w, v = _lanczos_ground_state(hq, dets)
     return FciResult(
         energy=float(w[0]), sector=(n_elec, sz), vector=v[:, 0], determinants=dets
     )

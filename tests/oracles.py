@@ -7,8 +7,9 @@ loops that the package's fast paths replace, kept as references that must
 agree with them exactly: ``term_by_term_effective_op`` (the sector table),
 ``term_by_term_apply`` (``simulator.apply_pauli_sum``),
 ``product_by_product_mul`` (``PauliSum.__mul__``),
-``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``) and
-``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``).  Qubit q
+``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
+``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``) and
+``coo_csr_sector_matrix`` (``solver``'s dense sector assembly).  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
@@ -236,6 +237,33 @@ def copy_per_rotation(amps, rotations):
         amps[i_idx] = c * ai - sn * aj
         amps[j_idx] = sn * ai + c * aj
     return amps
+
+
+def coo_csr_sector_matrix(hq, dets):
+    """hq on the sorted determinants as a SciPy CSR matrix, via COO.
+
+    Every term's hits become (row, col, value) triples, and duplicates are
+    summed by SciPy's COO to CSR conversion.
+    """
+    import scipy.sparse
+
+    dim = len(dets)
+    rows, cols, vals = [], [], []
+    for (x, z), c in hq.items():
+        targets = dets ^ np.uint64(x)
+        pos = np.searchsorted(dets, targets)
+        ok = pos < dim
+        ok[ok] &= dets[pos[ok]] == targets[ok]
+        signs = 1.0 - 2.0 * (
+            np.bitwise_count(dets[ok] & np.uint64(z)) & np.uint64(1)
+        ).astype(float)
+        rows.append(pos[ok])
+        cols.append(np.flatnonzero(ok))
+        vals.append(c * (1j) ** ((x & z).bit_count() % 4) * signs)
+    vals = np.concatenate(vals)
+    return scipy.sparse.coo_matrix(
+        (vals.real, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    ).tocsr()
 
 
 def product_by_product_mul(a, b):

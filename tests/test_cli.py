@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from senqse.cli import (
+    ConfigError,
     RunConfig,
     bond_parameter,
     build_parser,
@@ -51,8 +53,35 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(str(path))
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("taper = maybe", "taper"),
+            ("shots = ten", "shots"),
+            ("eps1 = abc", "eps1"),
+            ("Workers = 1.5", "workers"),
+        ],
+    )
+    def test_bad_value_names_file_line_and_key(self, tmp_path, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"method = pt\n# comment\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: bad value .* for {key}: "):
+            parse_config_file(str(path))
+
+    def test_malformed_line_is_a_config_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("method pt\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: expected KEY=VALUE"):
+            parse_config_file(str(path))
+
+    def test_main_reports_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"fcidump_paths = {H2_PATHS[0]}\nshots = ten\n")
+        assert main(["--config", str(path)]) == 2
+        assert f"{path}:2: bad value 'ten' for shots" in capsys.readouterr().err
 
     def test_cli_overrides_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -530,3 +530,35 @@ class TestSerialization:
         )
         back = parse_basis(serialize_basis([b]))[0]
         assert back.rotations[0][2] == b.rotations[0][2]
+
+    GOOD = "state s1 kind=SINGLE_SINGLET idx=[2,6] moves=[0->5] rot=(5,4,-0.5)(5,3,0.1)"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("kind=SINGLE_SINGLET", "kind=BOGUS"),
+            ("idx=[2,6]", "idx=[a]"),
+            ("moves=[0->5]", "moves=[1-2]"),
+            ("(5,3,0.1)", "(5,2,x)"),
+            ("rot=(5,4,-0.5)(5,3,0.1)", "rot=garbage"),
+            ("(5,3,0.1)", "(5,3,0.1)x"),
+            ("idx=[2,6]", "idx=[2,2]"),
+        ],
+    )
+    def test_bad_record_is_a_basis_error(self, old, new):
+        record = self.GOOD.replace(old, new)
+        assert record != self.GOOD
+        with pytest.raises(BasisError, match="bad basis record") as info:
+            parse_basis(f"{self.GOOD}\n{record}\n")
+        assert record in str(info.value)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parents[1] / "perfbench" / "data").glob("*.basis.txt")),
+        ids=lambda p: p.name,
+    )
+    def test_frozen_bases_round_trip(self, path):
+        text = path.read_text()
+        basis = parse_basis(text)
+        assert basis
+        assert serialize_basis(basis) == text

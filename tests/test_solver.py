@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from senqse import csfbasis, solver
 from senqse.csfbasis import (
     BasisState,
@@ -107,8 +108,10 @@ class TestFciOracle:
         assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
 
     def test_lanczos_branch_matches_dense(self, h2o_hq, h2o, monkeypatch):
+        import scipy.sparse.linalg
+
         dense = fci_oracle(h2o_hq, h2o.n_elec, 0.0).energy
-        eigsh = solver.scipy.sparse.linalg.eigsh
+        eigsh = scipy.sparse.linalg.eigsh
         calls = []
 
         def counted_eigsh(*args, **kwargs):
@@ -116,11 +119,32 @@ class TestFciOracle:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_DENSE_CUTOFF", 0)
-        monkeypatch.setattr(solver.scipy.sparse.linalg, "eigsh", counted_eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
         res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
         assert calls == [(441, 441)]
         assert res.energy == pytest.approx(dense, abs=1e-9)
         assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
+
+    @pytest.mark.parametrize("stem", ["h2_0.7414", "h2o_1.0000"])
+    def test_dense_assembly_matches_coo_csr(self, stem):
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        n = ints.n_elec // 2
+        dets = solver._sector_determinants(ints.n_orb, n, n)
+        dense = solver._dense_sector_matrix(hq, dets)
+        ref = oracles.coo_csr_sector_matrix(hq, dets).toarray()
+        assert dense.shape == ref.shape == (len(dets), len(dets))
+        assert np.max(np.abs(dense - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [solver._DENSE_CUTOFF, 0])
+    def test_asymmetric_sector_rejected(self, cutoff, monkeypatch):
+        # a_0^+ a_2 - a_2^+ a_0 on the up spin: real, antisymmetric in the sector
+        hop = jw_operator([(0, True), (2, False)], 4) - jw_operator(
+            [(2, True), (0, False)], 4
+        )
+        monkeypatch.setattr(solver, "_DENSE_CUTOFF", cutoff)
+        with pytest.raises(SolverError, match="asymmetry"):
+            fci_oracle(number_operator(2) + hop.simplify(), 2, 0.0)
 
     def test_one_electron_sector_matches_one_body_block(self):
         rng = np.random.default_rng(149)

@@ -3,9 +3,10 @@
 
 A refactor that must not change any result can be checked by running this
 on two checkouts and comparing the printed lines.  After each run's digests
-come its per-geometry ground energies, ``e_min  name/label  repr(e_min)``,
-so a change that may move the bytes of a run (the amplitude optimiser's,
-say) can be held to an energy gate by diffing the same two outputs.  Each run writes into a
+come its per-geometry energies, ``e_min  name/label  repr(e_min)  e_fci
+repr(e_fci)``, so a change that may move the bytes of a run (the amplitude
+optimiser's or the FCI oracle's, say) can be held to an energy gate by
+diffing the same two outputs.  Each run writes into a
 temporary directory; `report.json` is hashed with its `config.out_dir`
 removed, and the FCIDUMP paths it records are relative to the repository
 root, so the digests do not depend on where the checkout lives.  NumPy runs
@@ -71,7 +72,11 @@ def main() -> None:
         for digest, what in lines:
             print(f"{digest}  {what}", flush=True)
         for rec in summary["geometries"]:
-            print(f"e_min  {name}/{rec['label']}  {rec['e_min']!r}", flush=True)
+            print(
+                f"e_min  {name}/{rec['label']}  {rec['e_min']!r}  "
+                f"e_fci  {rec['e_fci']!r}",
+                flush=True,
+            )
 
 
 if __name__ == "__main__":
