@@ -41,6 +41,16 @@ from senqse.solver import (
 
 log = logging.getLogger(__name__)
 
+_CHOICES = {"method": ("vo", "pt"), "mode": ("exact", "sampled")}
+
+
+def _check_value(key: str, val) -> None:
+    """Range checks shared by RunConfig and config files."""
+    if key in _CHOICES and val not in _CHOICES[key]:
+        raise ValueError(f"unknown {key} {val!r}, expected one of {_CHOICES[key]}")
+    if key == "workers" and val < 1:
+        raise ValueError(f"workers must be >= 1, got {val}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -64,10 +74,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.fcidump_paths:
             raise ValueError("at least one FCIDUMP path is required")
-        if self.method not in ("vo", "pt"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        for key in (*_CHOICES, "workers"):
+            _check_value(key, getattr(self, key))
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
         object.__setattr__(self, "fcidump_paths", tuple(self.fcidump_paths))
@@ -76,6 +84,9 @@ class RunConfig:
         )
         if len(labels) != len(self.fcidump_paths):
             raise ValueError("labels must match fcidump_paths one to one")
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"duplicate geometry label {label!r}")
         object.__setattr__(self, "labels", labels)
 
 
@@ -118,6 +129,7 @@ def parse_config_file(path: str) -> dict:
             elif key in _VALUE_PARSERS:
                 try:
                     values[key] = _VALUE_PARSERS[key](val)
+                    _check_value(key, values[key])
                 except ValueError as exc:
                     raise ConfigError(
                         f"{path}:{ln}: bad value {val!r} for {key}: {exc}"
@@ -348,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("fcidump", nargs="*", help="FCIDUMP files, one per geometry")
     parser.add_argument("--config", help="flat KEY=VALUE config file")
-    parser.add_argument("--method", choices=("vo", "pt"))
-    parser.add_argument("--mode", choices=("exact", "sampled"))
+    parser.add_argument("--method", choices=_CHOICES["method"])
+    parser.add_argument("--mode", choices=_CHOICES["mode"])
     parser.add_argument("--shots", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="out_dir")

@@ -113,7 +113,9 @@ class SubspaceEngine:
     Effective operators come from one sector table of ``hq`` (conjugated
     once, memoised per seniority-config pair), so replacing a basis state's
     rotation amplitudes (which never change its config) only invalidates
-    that state's vector.
+    that state's vector.  Elements apply the operator as a Pauli sum;
+    ``apply_xop`` uses a memoised dense matrix instead when the register
+    has at most ``_DENSE_XOP_ORBITALS`` orbitals.
     """
 
     def __init__(
@@ -123,7 +125,6 @@ class SubspaceEngine:
         n_elec: int,
         taper: bool = True,
         constant_shift: bool = True,
-        dense_elements: bool = False,
     ):
         if not basis:
             raise SolverError("basis must be nonempty")
@@ -138,9 +139,6 @@ class SubspaceEngine:
         self.n_elec = n_elec
         self.taper = taper
         self.constant_shift = constant_shift
-        # dense effective-operator matrices trade memory for fast repeated
-        # element evaluation (the amplitude optimizer's hot path)
-        self.dense_elements = dense_elements and taper and self.n_orb <= 8
         self.sectors = SectorHamiltonian(hq) if taper else None
         self._states = [None] * len(basis)
         self._configs = [None] * len(basis)
@@ -205,20 +203,15 @@ class SubspaceEngine:
         """Rotation-free bra and ket: the element never costs quantum shots."""
         return not self.basis[mu].rotations and not self.basis[nu].rotations
 
-    def xmat(self, bra_bits: int, ket_bits: int) -> np.ndarray:
-        """Dense effective operator of a config pair, memoised."""
-        key = (bra_bits, ket_bits)
-        if key not in self._xmats:
-            self._xmats[key] = dense_matrix(self.sectors.op(bra_bits, ket_bits))
-        return self._xmats[key]
-
     def apply_xop(self, bra_bits: int, ket_bits: int, vecs: np.ndarray) -> np.ndarray:
         """The config pair's effective operator applied to each row of vecs."""
         op = self.sectors.op(bra_bits, ket_bits)
         if not op:
             return np.zeros_like(vecs)
-        if self.dense_elements:
-            return vecs @ self.xmat(bra_bits, ket_bits).T
+        if self.n_orb <= _DENSE_XOP_ORBITALS:
+            if (bra_bits, ket_bits) not in self._xmats:
+                self._xmats[bra_bits, ket_bits] = dense_matrix(op)
+            return vecs @ self._xmats[bra_bits, ket_bits].T
         return np.array([apply_pauli_sum(v, self.n_orb, op) for v in vecs])
 
     def element_exact(self, mu: int, nu: int) -> float:
@@ -227,14 +220,10 @@ class SubspaceEngine:
             if not op:
                 return 0.0  # no term links the two configs
             ket = self.state(nu)
-            if self.dense_elements:
-                xmat = self.xmat(self.config(mu).bits, self.config(nu).bits)
-                val = np.vdot(self.state(mu).amplitudes, xmat @ ket.amplitudes)
-            else:
-                val = np.vdot(
-                    self.state(mu).amplitudes,
-                    apply_pauli_sum(ket.amplitudes, self.n_orb, op),
-                )
+            val = np.vdot(
+                self.state(mu).amplitudes,
+                apply_pauli_sum(ket.amplitudes, self.n_orb, op),
+            )
         else:
             if nu not in self._h_ket_cache:
                 ket = self.state(nu)
@@ -254,11 +243,6 @@ class SubspaceEngine:
                 v = self.element_exact(mu, nu)
                 h[mu, nu] = h[nu, mu] = v
         return h
-
-    def recompute_row(self, h: np.ndarray, mu: int) -> None:
-        for nu in range(self.size):
-            v = self.element_exact(mu, nu)
-            h[mu, nu] = h[nu, mu] = v
 
     # -- sampling ----------------------------------------------------------
 
@@ -731,17 +715,18 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
     C sin 2 theta + D cos 4 theta + E sin 4 theta.  Each step builds the
     moved group's three vectors per member once and from them the closed
     form of its rows (``_SlotModel``); a periodic golden-section line search
-    minimises the objective of that closed form, and an accepted step
-    recomputes the group's rows exactly (the sequential-minimal / Rotosolve
+    minimises the objective of that closed form, and an accepted step keeps
+    the model's rows at the new angle (the sequential-minimal / Rotosolve
     scheme: Nakanishi, Fujii and Todo, PRR 2, 043158 (2020); Ostaszewski,
     Grant and Benedetti, Quantum 5, 391 (2021)).  A flat all-zero start is
     first nudged by a fixed perturbation so symmetric stationary points
     cannot pin the search.  Returns (optimized basis, SubspaceProblem,
-    energy history); the history is non-increasing.  A stage that reaches
+    energy history); the history is non-increasing, and the returned
+    problem is an exact rebuild of the final basis.  A stage that reaches
     its sweep cap away from tolerance logs a warning and keeps the angles
     it has.
     """
-    engine = SubspaceEngine(basis, hq, n_elec, taper=True, dense_elements=True)
+    engine = SubspaceEngine(basis, hq, n_elec, taper=True)
     groups: dict = {}
     for mu in range(engine.size):
         key = rotation_group_key(engine.basis[mu].csf, engine.n_orb)
@@ -831,8 +816,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
                 )
                 if e_best <= e_cur:
                     set_theta(bits, k, th_best)
-                    for mu in groups[bits]:
-                        engine.recompute_row(h, mu)
+                    h[:] = h_of(th_best)
                     e_cur = e_best
             values.append(e_cur)
             if abs(e_start - e_cur) < tol_stage:
@@ -925,6 +909,9 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
 
 # largest sector (determinants) that fci_oracle diagonalises densely
 _DENSE_CUTOFF = 2048
+# largest register (orbitals) on which SubspaceEngine.apply_xop applies
+# memoised dense effective operators; above it only Pauli sums fit
+_DENSE_XOP_ORBITALS = 8
 
 
 def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,6 +64,10 @@ class TestConfig:
             ("shots = ten", "shots"),
             ("eps1 = abc", "eps1"),
             ("Workers = 1.5", "workers"),
+            ("workers = 0", "workers"),
+            ("workers = -3", "workers"),
+            ("method = bogus", "method"),
+            ("mode = fast", "mode"),
         ],
     )
     def test_bad_value_names_file_line_and_key(self, tmp_path, line, key):
@@ -82,6 +87,27 @@ class TestConfig:
         path.write_text(f"fcidump_paths = {H2_PATHS[0]}\nshots = ten\n")
         assert main(["--config", str(path)]) == 2
         assert f"{path}:2: bad value 'ten' for shots" in capsys.readouterr().err
+
+    def test_main_rejects_zero_workers(self, tmp_path, capsys):
+        argv = [H2_PATHS[0], "--workers", "0", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_labels_rejected(self, tmp_path, capsys):
+        # two geometries whose files share a basename would write one set of
+        # output files and, with workers, one report record
+        other = tmp_path / "h2_0.7414.fcidump"
+        shutil.copy(H2_PATHS[2], other)
+        paths = (H2_PATHS[0], str(other))
+        with pytest.raises(ValueError, match="duplicate geometry label 'h2_0.7414'"):
+            RunConfig(fcidump_paths=paths)
+        with pytest.raises(ValueError, match="duplicate geometry label 'a'"):
+            RunConfig(fcidump_paths=tuple(H2_PATHS[:2]), labels=("a", "a"))
+        out = tmp_path / "out"
+        assert main([*paths, "--workers", "2", "--out", str(out)]) == 2
+        assert "duplicate geometry label 'h2_0.7414'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_overrides_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -185,9 +185,8 @@ class TestBuildSubspace:
         assert problem.hmat.shape == (1, 1)
         assert problem.e_min == pytest.approx(hf_energy(h2), abs=1e-10)
 
-    @pytest.mark.parametrize("dense", [False, True])
     def test_empty_sector_operator_is_an_early_zero(
-        self, h2o, h2o_hq, h2o_vo_selected, dense, monkeypatch
+        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
     ):
         # config pairs that no term links: 0.0 with no state built, no
         # operator applied, equal (sign included) to the full evaluation;
@@ -203,7 +202,7 @@ class TestBuildSubspace:
                 seen.add(bits)
                 basis.append(BasisState(spec, (), f"extra{len(basis)}"))
         reference = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
-        engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec, dense_elements=dense)
+        engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
         for mu, b in enumerate(basis):
             b = b.with_thetas(rng.uniform(-np.pi, np.pi, len(b.rotations)))
             reference.replace_basis_state(mu, b)
@@ -219,10 +218,7 @@ class TestBuildSubspace:
         for mu, nu in pairs:
             bra, ket = reference.state(mu).amplitudes, reference.state(nu).amplitudes
             op = reference.xop(mu, nu)
-            if dense:
-                old[mu, nu] = np.vdot(bra, solver.dense_matrix(op) @ ket).real
-            else:
-                old[mu, nu] = np.vdot(bra, solver.apply_pauli_sum(ket, h2o.n_orb, op)).real
+            old[mu, nu] = np.vdot(bra, solver.apply_pauli_sum(ket, h2o.n_orb, op)).real
 
         def refuse(*args):
             raise AssertionError("an empty operator was applied")
@@ -233,6 +229,30 @@ class TestBuildSubspace:
             got = engine.element_exact(mu, nu)
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
         assert all(st is None for st in engine._states)
+
+    def test_constant_shift_ablation(self, h2o, h2o_hq):
+        # the shift by the exact diagonal elements only lowers the swap-test
+        # variances of same-config pairs; the matrix itself does not move
+        basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+        on, off = (
+            build_subspace(
+                basis, h2o_hq, h2o.n_elec, compute_sigma=True, constant_shift=shift
+            )
+            for shift in (True, False)
+        )
+        assert np.array_equal(on.hmat, off.hmat) and on.e_min == off.e_min
+        configs = [seniority_config(b, h2o.n_orb) for b in basis]
+        same = np.array([[a == b for b in configs] for a in configs])
+        np.fill_diagonal(same, False)
+        assert np.count_nonzero(np.triu(same)) == 39
+        assert np.array_equal(on.sigma[~same], off.sigma[~same])
+        assert np.all(off.sigma[same] >= on.sigma[same])
+        metrics = [
+            allocate_and_score(p.sigma, p.c0.astype(float), p.fragment_sigmas).metric
+            for p in (on, off)
+        ]
+        assert metrics[0] == pytest.approx(12.83, rel=1e-3)
+        assert metrics[1] == pytest.approx(23681, rel=1e-4)
 
     def test_variational_bound_and_nesting(self, h2_hq, h2):
         fci = fci_oracle(h2_hq, 2, 0.0).energy
@@ -540,18 +560,16 @@ class TestVoOptimize:
 
     @pytest.mark.parametrize("group_size, k", [(9, 3), (1, 1)])
     def test_closed_form_matches_rebuild(
-        self, h2o, h2o_hq, h2o_vo_selected, group_size, k
+        self, h2o, h2o_hq, h2o_vo_selected, group_size, k, monkeypatch
     ):
         # one amplitude of the 9-state, 14-rotation group and one of a
         # single-state group, around a random point of the other amplitudes:
         # the slot model's rows and its stage-1 diagonal sum against exact
-        # rebuilds, with the effective operators applied as Pauli sums and
-        # as dense matrices
+        # rebuilds, with the effective operators applied as Pauli sums
+        # (register-size limit 0) and as dense matrices (the default limit)
         rng = np.random.default_rng(20)
-        engines = [
-            SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec, dense_elements=dense)
-            for dense in (False, True)
-        ]
+        limits = (0, solver._DENSE_XOP_ORBITALS)
+        engines = [SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec) for _ in limits]
         groups = {}
         for mu, b in enumerate(engines[0].basis):
             if b.rotations:
@@ -574,9 +592,12 @@ class TestVoOptimize:
 
         th0 = thetas[k]
         models = []
-        for engine in engines:
+        for engine, limit in zip(engines, limits):
+            # apply_xop runs only while the model and its rows are built
+            monkeypatch.setattr(solver, "_DENSE_XOP_ORBITALS", limit)
             model = _SlotModel(engine, members, k, fresh_prefix(engine, members, k))
             models.append((engine, model, model.matrix_fn(rebuild(engine, th0))))
+            assert bool(engine._xmats) == (engine.n_orb <= limit)
         for th in rng.uniform(-np.pi, np.pi, 8):
             for engine, model, h_of in models:
                 exact = rebuild(engine, th)
@@ -585,9 +606,12 @@ class TestVoOptimize:
                 assert abs(model.diagonal_sum(th) - diagonal) < 1e-12
 
     def test_line_search_is_closed_form(self, h2o, h2o_hq, h2o_vo_selected, monkeypatch):
-        # no element evaluation and no rotation inside any line search, and
-        # at most one row refresh of the moved group between two searches
+        # one rotation group only, so every line search moves all its rows:
+        # no element evaluation and no rotation inside any line search, no
+        # element evaluation between two searches but the stage-2 starting
+        # build, and in all two full builds (that one and the returned one)
         basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
+        n_pairs = len(basis) * (len(basis) + 1) // 2
         calls, rotations, at_search = [0], [0], []
         element_exact = SubspaceEngine.element_exact
         kernel = csfbasis.rotate_pair_inplace
@@ -617,14 +641,18 @@ class TestVoOptimize:
         assert rotations[0] > 0
         gaps = np.diff(at_search)
         assert len(gaps) > 14
-        assert gaps.max() <= len(basis) * len(basis)
+        assert sorted(gaps[gaps != 0]) == [n_pairs]
+        assert calls[0] == 2 * n_pairs
 
     def test_cached_prefixes_match_fresh_chains(
         self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
     ):
         # every step's members after rotations[:k], advanced one rotation
-        # per slot, are the bits of a chain rebuilt from the CSFs
-        steps = []
+        # per slot, are the bits of a chain rebuilt from the CSFs; and every
+        # line search starts at the energy the last step left, so the rows
+        # an accepted step keeps match the states it moved to
+        steps, start_gaps = [], []
+        line_search = solver._periodic_line_search
 
         class Checked(_SlotModel):
             def __init__(self, engine, members, k, prefix):
@@ -632,37 +660,17 @@ class TestVoOptimize:
                 steps.append(k)
                 super().__init__(engine, members, k, prefix)
 
+        def checked_search(f, th0, e0, **kwargs):
+            start_gaps.append(abs(f(th0) - e0))
+            return line_search(f, th0, e0, **kwargs)
+
         monkeypatch.setattr(solver, "_SlotModel", Checked)
-        vo_optimize(h2o_vo_selected, h2o_hq, h2o.n_elec)
+        monkeypatch.setattr(solver, "_periodic_line_search", checked_search)
+        _, problem, history = vo_optimize(h2o_vo_selected, h2o_hq, h2o.n_elec)
         assert max(steps) == 13 and len(steps) > 100
-
-    def test_line_search_costs_five_row_refreshes(
-        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
-    ):
-        # one rotation group only, so every line search moves all its rows
-        basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
-        calls, at_search = [0], []
-        element_exact = SubspaceEngine.element_exact
-        line_search = solver._periodic_line_search
-
-        def counted_element(self, mu, nu):
-            calls[0] += 1
-            return element_exact(self, mu, nu)
-
-        def counted_search(*args, **kwargs):
-            before = calls[0]
-            out = line_search(*args, **kwargs)
-            assert calls[0] == before  # the objective is closed form
-            at_search.append(before)
-            return out
-
-        monkeypatch.setattr(SubspaceEngine, "element_exact", counted_element)
-        monkeypatch.setattr(solver, "_periodic_line_search", counted_search)
-        _, _, history = vo_optimize(basis, h2o_hq, h2o.n_elec)
-        assert all(b <= a for a, b in zip(history, history[1:]))
-        gaps = np.diff(at_search)
-        assert len(gaps) > 14
-        assert gaps.max() <= 5 * len(basis) * len(basis)
+        assert len(start_gaps) == len(steps) and max(start_gaps) < 1e-10
+        # the rows the model kept have not drifted from the exact rebuild
+        assert history[-1] == pytest.approx(problem.e_min, abs=1e-10)
 
     def test_branch_sweep_cap_logged(self, monkeypatch, caplog):
         # stretched H2O starts with near-degenerate branches, so the
@@ -682,6 +690,7 @@ class TestVoOptimize:
         assert len(history) == 2
         rebuilt = build_subspace(opt_basis, hq, ints.n_elec)
         assert problem.e_min == pytest.approx(rebuilt.e_min, abs=1e-10)
+        assert history[-1] == pytest.approx(problem.e_min, abs=1e-10)
 
 
 class TestRelaxOrbitals:
