@@ -672,6 +672,34 @@ class TestVoOptimize:
         # the rows the model kept have not drifted from the exact rebuild
         assert history[-1] == pytest.approx(problem.e_min, abs=1e-10)
 
+    def test_line_search_costs_five_row_refreshes(
+        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
+    ):
+        # one rotation group only, so every line search moves all its rows
+        basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
+        calls, at_search = [0], []
+        element_exact = SubspaceEngine.element_exact
+        line_search = solver._periodic_line_search
+
+        def counted_element(self, mu, nu):
+            calls[0] += 1
+            return element_exact(self, mu, nu)
+
+        def counted_search(*args, **kwargs):
+            before = calls[0]
+            out = line_search(*args, **kwargs)
+            assert calls[0] == before  # the objective is closed form
+            at_search.append(before)
+            return out
+
+        monkeypatch.setattr(SubspaceEngine, "element_exact", counted_element)
+        monkeypatch.setattr(solver, "_periodic_line_search", counted_search)
+        _, _, history = vo_optimize(basis, h2o_hq, h2o.n_elec)
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        gaps = np.diff(at_search)
+        assert len(gaps) > 14
+        assert gaps.max() <= 5 * len(basis) * len(basis)
+
     def test_branch_sweep_cap_logged(self, monkeypatch, caplog):
         # stretched H2O starts with near-degenerate branches, so the
         # branch-sum stage runs
