@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, PauliProduct, PauliSum
+from senqse.pauli import DROP_TOL, PauliError, PauliProduct, PauliSum
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,11 @@ class FermionIntegrals:
             raise FcidumpError("one-electron integral shape mismatch")
         if self.g.shape != (self.n_orb,) * 4:
             raise FcidumpError("two-electron integral shape mismatch")
+        # a nan or inf would pass the tolerance checks below, whose
+        # comparisons with nan are False
+        for name in ("e_core", "h", "g"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise FcidumpError(f"non-finite {name} integrals")
         if np.max(np.abs(self.h - self.h.T), initial=0.0) > SYMMETRY_TOL:
             raise FcidumpError("one-electron integrals not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
@@ -138,6 +143,8 @@ def parse_fcidump(text: str) -> FermionIntegrals:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError as exc:
             raise FcidumpError(f"line {ln + 1}: {exc}") from None
+        if not np.isfinite(val):
+            raise FcidumpError(f"line {ln + 1}: non-finite value {parts[0]!r}")
         for idx in (i, j, k, l):
             if idx < 0 or idx > n_orb:
                 raise FcidumpError(f"line {ln + 1}: orbital index {idx} out of range")
@@ -226,46 +233,118 @@ def spin_orbital(p: int, spin: int) -> int:
     return 2 * p + spin
 
 
+# integrals per block of jordan_wigner, each up to four spin-orbital
+# products; bounds its scratch memory
+BLOCK_INTEGRALS = 32
+
+# the 64-bit words that hold jordan_wigner's bit strings
+MAX_JW_QUBITS = 64
+
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+# spins of a+_ps a_qs for s = 0, 1, and of a+_ps a+_rt a_st a_qs for
+# (s, t) = (0, 0), (0, 1), (1, 0), (1, 1)
+_ONE_BODY_SPINS = np.array([[0, 0], [1, 1]])
+_TWO_BODY_SPINS = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
+
+
+def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray):
+    """JW strings of coeffs[b] * prod_k ladder(modes[b, k], daggers[k]) per row b.
+
+    Takes the ladder-by-ladder product of ``jw_operator`` on a whole block
+    at once: row b holds its strings in the order that product emits them,
+    lexicographic in the X/Y choice of each ladder with the first ladder
+    most significant.  A mode may appear twice, as a creator and as an
+    annihilator; two choices that then land on one string are merged into
+    the earlier one at the ladder where they meet, so every sum is taken
+    in the order the product takes it.
+    Returns the x bits per row, and the z bits, coefficients and live mask
+    per row and string; merged-away strings are dead.
+    """
+    one = np.uint64(1)
+    rows = len(coeffs)
+    x = np.zeros(rows, dtype=np.uint64)
+    z = np.zeros((rows, 1), dtype=np.uint64)
+    c = coeffs.astype(complex)[:, None]
+    alive = np.ones((rows, 1), dtype=bool)
+    for k, dagger in enumerate(daggers):
+        bit = one << modes[:, k].astype(np.uint64)
+        # jw_ladder's two strings, 0.5 X and -0.5i Y (a+) or +0.5i Y (a),
+        # each times the Z string below the mode
+        z2 = np.stack([bit - one, (bit - one) | bit], axis=1)[:, None, :]
+        x3 = x ^ bit
+        z3 = z[:, :, None] ^ z2
+        # the phase exponent of PauliProduct.mul; uint8 wrap-around keeps it mod 4
+        g = (
+            np.bitwise_count(x[:, None] & z)[:, :, None]
+            + np.array([0, 1], dtype=np.uint8)
+            - np.bitwise_count(x3[:, None, None] & z3)
+            + 2 * np.bitwise_count(z & bit[:, None])[:, :, None]
+        )
+        ladder = np.array([0.5, 0.5 * (-1j if dagger else 1j)])
+        c = (c[:, :, None] * ladder * _QUARTER_TURNS[g % 4]).reshape(rows, -1)
+        x, z = x3, z3.reshape(rows, -1)
+        alive = np.repeat(alive, 2, axis=1)
+        pos = np.arange(z.shape[1])
+        for j in range(k):
+            same = (modes[:, j] == modes[:, k])[:, None]
+            if not same.any():
+                continue
+            # choices of ladders j and k flipped together give the same string
+            target = pos[((pos >> (k - j)) & 1) == 0]
+            partner = target ^ ((1 << (k - j)) | 1)
+            c[:, target] = np.where(same, c[:, target] + c[:, partner], c[:, target])
+            alive[:, partner] &= ~same
+    return x, z, c, alive
+
+
+def _add_ladder_products(terms: dict, modes, daggers, coeffs) -> None:
+    """Add each product of `_ladder_products` to the map `terms`, in row order."""
+    x, z, c, alive = _ladder_products(modes, daggers, coeffs)
+    xs = np.broadcast_to(x[:, None], z.shape)[alive].tolist()
+    # Python ints and complexes keep the keys and the sums off NumPy scalars
+    for key, cb in zip(zip(xs, z[alive].tolist()), c[alive].tolist()):
+        terms[key] = terms.get(key, 0.0) + cb
+
+
+def _blocks(index):
+    """The index arrays of np.nonzero, `BLOCK_INTEGRALS` entries at a time."""
+    for start in range(0, len(index[0]), BLOCK_INTEGRALS):
+        yield tuple(i[start : start + BLOCK_INTEGRALS] for i in index)
+
+
 def jordan_wigner(ints: FermionIntegrals, tol: float = DROP_TOL) -> PauliSum:
     """Qubit image of the electronic Hamiltonian on 2*n_orb qubits.
 
     H = e_core + sum_pq h_pq a+_ps a_qs
         + 1/2 sum_pqrs (pq|rs) a+_ps a+_rt a_st a_qs
+
+    Every spin-orbital term is written out in closed form, for a block of
+    `BLOCK_INTEGRALS` integrals at a time, and the terms are summed in
+    integral order, so the result equals the product of `jw_operator`
+    chains term for term and bit for bit.  Bit strings are 64-bit words:
+    registers wider than `MAX_JW_QUBITS` qubits raise `PauliError`.
     """
     n = ints.n_orb
     nq = 2 * n
-    total = PauliSum(nq, {(0, 0): complex(ints.e_core)})
+    if nq > MAX_JW_QUBITS:
+        raise PauliError(
+            f"{nq} qubits exceed the {MAX_JW_QUBITS}-bit words of jordan_wigner"
+        )
+    terms = {(0, 0): complex(ints.e_core)}
+    for p, q in _blocks(np.nonzero(ints.h)):
+        modes = 2 * np.stack([p, q], axis=-1)[:, None, :] + _ONE_BODY_SPINS
+        _add_ladder_products(
+            terms, modes.reshape(-1, 2), (True, False), np.repeat(ints.h[p, q], 2)
+        )
+    for p, q, r, s in _blocks(np.nonzero(ints.g)):
+        modes = 2 * np.stack([p, r, s, q], axis=-1)[:, None, :] + _TWO_BODY_SPINS
+        # a+a+ or aa on the same spin-orbital vanishes
+        same_spin = _TWO_BODY_SPINS[:, 0] == _TWO_BODY_SPINS[:, 1]
+        keep = ~same_spin | ((p != r) & (q != s))[:, None]
+        gv = np.repeat(0.5 * ints.g[p, q, r, s], 4).reshape(keep.shape)
+        _add_ladder_products(terms, modes[keep], (True, True, False, False), gv[keep])
 
-    # Python ints keep the bit algebra of every product off NumPy scalars
-    for p, q in zip(*(i.tolist() for i in np.nonzero(np.abs(ints.h) > 0))):
-        hv = ints.h[p, q]
-        for s in (0, 1):
-            term = jw_operator(
-                [(spin_orbital(p, s), True), (spin_orbital(q, s), False)], nq, hv
-            )
-            for (x, z), c in term.items():
-                total.add_term(x, z, c)
-
-    for p, q, r, s in zip(*(i.tolist() for i in np.nonzero(np.abs(ints.g) > 0))):
-        gv = 0.5 * ints.g[p, q, r, s]
-        for sig in (0, 1):
-            for tau in (0, 1):
-                if sig == tau and (p == r or q == s):
-                    continue  # a+a+ or aa on the same spin-orbital vanishes
-                term = jw_operator(
-                    [
-                        (spin_orbital(p, sig), True),
-                        (spin_orbital(r, tau), True),
-                        (spin_orbital(s, tau), False),
-                        (spin_orbital(q, sig), False),
-                    ],
-                    nq,
-                    gv,
-                )
-                for (x, z), c in term.items():
-                    total.add_term(x, z, c)
-
-    out = total.simplify(tol).chop_imag(tol)
+    out = PauliSum(nq, terms).simplify(tol).chop_imag(tol)
     resid = out.max_imag()
     if resid > 1e-9:
         raise ValueError(f"qubit Hamiltonian has imaginary residue {resid:.2e}")

@@ -298,10 +298,11 @@ def product_by_product_jordan_wigner(ints, tol):
         return out
 
     total = PauliSum(nq, {(0, 0): complex(ints.e_core)})
-    for p, q in zip(*np.nonzero(np.abs(ints.h) > 0)):
+    # Python ints: a NumPy mode index would wrap 1 << 63 on a 64-qubit register
+    for p, q in zip(*(i.tolist() for i in np.nonzero(np.abs(ints.h) > 0))):
         for s in (0, 1):
             total = total + operator([(2 * p + s, True), (2 * q + s, False)], ints.h[p, q])
-    for p, q, r, s in zip(*np.nonzero(np.abs(ints.g) > 0)):
+    for p, q, r, s in zip(*(i.tolist() for i in np.nonzero(np.abs(ints.g) > 0))):
         gv = 0.5 * ints.g[p, q, r, s]
         for sig in (0, 1):
             for tau in (0, 1):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from senqse import fermion
 from senqse.fermion import (
     FcidumpError,
     FermionIntegrals,
@@ -24,9 +25,17 @@ from senqse.fermion import (
     sz_operator,
     write_fcidump,
 )
-from senqse.pauli import DROP_TOL, PauliProduct, PauliSum
+from senqse.pauli import DROP_TOL, PauliError, PauliProduct, PauliSum
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_STEMS = (
+    "h2_0.7414",
+    "h2_1.0000",
+    "h2_1.5000",
+    "h2o_1.0000",
+    "h2o_2.1000",
+    "h2o_3.0000",
+)
 REFERENCE = json.loads((FIXTURES / "reference.json").read_text())
 
 MINIMAL_H2 = """\
@@ -61,6 +70,44 @@ def diagonal_expectation(hq, occ_bits):
     return val
 
 
+def coincident_records(a, b, c, d):
+    """(pq|rs) index sets on a, b, c, d with p = q, r = s, p = r, q = s, p = s,
+    the pairings of these, and all four equal."""
+    return [
+        (a, b, c, d),
+        (a, a, c, d),
+        (a, b, c, c),
+        (a, b, a, d),
+        (a, b, c, b),
+        (a, b, c, a),
+        (a, a, c, c),
+        (a, b, a, b),
+        (a, b, b, a),
+        (a, a, a, a),
+    ]
+
+
+def sparse_integrals(n_orb, records, rng):
+    """Random values on the 8-fold images of `records` (p, q, r, s), and on
+    the symmetric images of the (p, q) and (r, s) of each record in h."""
+    h = np.zeros((n_orb, n_orb))
+    g = np.zeros((n_orb,) * 4)
+    for p, q, r, s in records:
+        v = rng.normal()
+        for a, b in ((p, q), (q, p)):
+            for c, d in ((r, s), (s, r)):
+                g[a, b, c, d] = g[c, d, a, b] = v
+        for a, b in ((p, q), (r, s)):
+            h[a, b] = h[b, a] = rng.normal()
+    return FermionIntegrals(n_orb=n_orb, n_elec=2, e_core=rng.normal(), h=h, g=g)
+
+
+def assert_matches_oracle(ints):
+    got = jordan_wigner(ints)
+    ref = oracles.product_by_product_jordan_wigner(ints, DROP_TOL)
+    assert list(got.items()) == list(ref.items())
+
+
 class TestParse:
     def test_minimal_file(self):
         ints = parse_fcidump(MINIMAL_H2)
@@ -86,6 +133,26 @@ class TestParse:
         bad = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n1.0 3 1 0 0\n"
         with pytest.raises(FcidumpError, match="line 3"):
             parse_fcidump(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, value):
+        # a nan on the (11|11) record used to be dropped from the Hamiltonian
+        text = (FIXTURES / "h2_0.7414.fcidump").read_text()
+        bad = text.replace("6.7448877653607964e-01", value)
+        assert bad != text
+        with pytest.raises(FcidumpError, match="line 5: non-finite"):
+            parse_fcidump(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["e_core", "h", "g"])
+    def test_constructor_rejects_non_finite(self, h2, name, value):
+        fields = dict(e_core=h2.e_core, h=h2.h.copy(), g=h2.g.copy())
+        if name == "e_core":
+            fields["e_core"] = value
+        else:
+            fields[name].flat[0] = value  # a diagonal entry keeps the symmetry
+        with pytest.raises(FcidumpError, match=f"non-finite {name}"):
+            FermionIntegrals(n_orb=2, n_elec=2, **fields)
 
     def test_missing_header(self):
         with pytest.raises(FcidumpError):
@@ -139,11 +206,43 @@ class TestJordanWigner:
             hf_energy(h2o), abs=1e-9
         )
 
-    def test_matches_product_by_product_oracle(self, h2, h2o):
-        for ints in (h2, h2o):
-            got = jordan_wigner(ints)
-            ref = oracles.product_by_product_jordan_wigner(ints, DROP_TOL)
-            assert list(got.items()) == list(ref.items())
+    @pytest.mark.parametrize("stem", FIXTURE_STEMS)
+    def test_matches_product_by_product_oracle(self, stem):
+        assert_matches_oracle(load_fcidump(FIXTURES / f"{stem}.fcidump"))
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 12])
+    def test_sparse_integrals_match_oracle(self, n_orb):
+        # coincident indices put several strings of one product on one key;
+        # 12 orbitals is the 24-qubit register of the FCI oracle
+        rng = np.random.default_rng(n_orb)
+        records = []
+        for base in rng.integers(0, n_orb, size=(4, 4)):
+            records += coincident_records(*base.tolist())
+        records += [tuple(r) for r in rng.integers(0, n_orb, size=(20, 4)).tolist()]
+        assert_matches_oracle(sparse_integrals(n_orb, records, rng))
+
+    def test_block_size_does_not_change_output(self, monkeypatch):
+        fixtures = [load_fcidump(FIXTURES / f"{stem}.fcidump") for stem in FIXTURE_STEMS]
+        blocked = [list(jordan_wigner(ints).items()) for ints in fixtures]
+        monkeypatch.setattr(fermion, "BLOCK_INTEGRALS", 1)
+        assert [list(jordan_wigner(ints).items()) for ints in fixtures] == blocked
+
+    def test_register_width_boundary(self):
+        # the top spin-orbital of the widest register sets bit 63 of the words
+        n_orb = fermion.MAX_JW_QUBITS // 2
+        top = n_orb - 1
+        rng = np.random.default_rng(64)
+        ints = sparse_integrals(n_orb, coincident_records(top, 0, top - 1, top), rng)
+        assert_matches_oracle(ints)
+        wider = FermionIntegrals(
+            n_orb=n_orb + 1,
+            n_elec=2,
+            e_core=0.0,
+            h=np.eye(n_orb + 1),
+            g=np.zeros((n_orb + 1,) * 4),
+        )
+        with pytest.raises(PauliError, match=f"{2 * n_orb + 2} qubits"):
+            jordan_wigner(wider)
 
     def test_spin_squared_annihilates_hf(self, h2):
         s2 = spin_squared_operator(h2.n_orb)

@@ -46,6 +46,10 @@ RUNS = {
     "vo-h2-sampled": dict(
         fcidump_paths=_fixtures("h2_1.5000"), method="vo", mode="sampled", eps1=0.5, seed=5
     ),
+    # the one run that feeds jordan_wigner dense, rotated integrals
+    "vo-h2-relaxed": dict(
+        fcidump_paths=_fixtures("h2_0.7414"), method="vo", relax_orbitals=True
+    ),
 }
 
 
