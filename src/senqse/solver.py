@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -587,56 +586,145 @@ def build_subspace(
 # ---------------------------------------------------------------------------
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # vo_optimize: stage-2b energy tolerance (Ha) and sweep cap, the stage-2a
 # sweep cap, and the nudge given to an all-zero start
 _TOL = 1e-7
 _MAX_SWEEPS = 60
 _BRANCH_SWEEPS = 20
 _INITIAL_PERTURBATION = 1e-2
+# _periodic_line_search: the step (rad) that ends a search, the cap on its
+# Newton/bisection steps, the relative energy change that counts as rounding
+# (below it the objective is flat, and a grid point that improves on the
+# current one by less is a tie), and its grids as (spacing, steps from the
+# current best point): one period at pi/8, then the +-pi/8 bracket of the
+# best point at pi/32
+_XTOL = 1e-10
+_MAX_STEPS = 64
+_FLAT = 1e-15
+_GRIDS = (
+    (np.pi / 8.0, np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0])),
+    (np.pi / 32.0, np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])),
+)
+
+# A member is linear in f(theta) = (1, cos 2 theta, sin 2 theta), so an
+# element is a product f_a f_b of two of them; _PRODUCTS[a, b] writes that
+# product in the Fourier basis b(theta) = (1, cos 2 theta, sin 2 theta,
+# cos 4 theta, sin 4 theta).
+_PRODUCTS = np.zeros((3, 3, 5))
+_PRODUCTS[0, 0, 0] = 1.0
+_PRODUCTS[0, 1, 1] = _PRODUCTS[1, 0, 1] = 1.0
+_PRODUCTS[0, 2, 2] = _PRODUCTS[2, 0, 2] = 1.0
+_PRODUCTS[1, 1, [0, 3]] = 0.5, 0.5  # cos^2 2t = (1 + cos 4t) / 2
+_PRODUCTS[2, 2, [0, 3]] = 0.5, -0.5  # sin^2 2t = (1 - cos 4t) / 2
+_PRODUCTS[1, 2, 4] = _PRODUCTS[2, 1, 4] = 0.5  # cos 2t sin 2t = sin 4t / 2
 
 
-def _golden_section(f, a: float, b: float, xtol: float):
-    """Golden-section minimum of f on [a, b]; returns the best point seen."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    best = (c, fc) if fc <= fd else (d, fd)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if fc < best[1]:
-                best = (c, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            if fd < best[1]:
-                best = (d, fd)
-    return best
+def _fourier_basis(th, order: int = 0) -> np.ndarray:
+    """b(th) and its derivatives up to order: shape (order + 1, *np.shape(th), 5)."""
+    th = np.asarray(th, dtype=float)
+    out = np.zeros((order + 1,) + th.shape + (5,))
+    out[0, ..., 0] = 1.0
+    for col, w in ((1, 2.0), (3, 4.0)):
+        c, s = np.cos(w * th), np.sin(w * th)
+        for d in range(order + 1):
+            out[d, ..., col], out[d, ..., col + 1] = c, s
+            c, s = -w * s, w * c
+    return out
 
 
-def _periodic_line_search(f, th0: float, e0: float, xtol: float = 1e-10):
-    """Minimize a pi-periodic smooth function around th0.
+class _TrigFamily:
+    """theta -> sum_q b_q(theta) X[q], for coefficients X of shape (5, ...).
 
-    Coarse grid over one period, then a golden-section refinement in the
-    bracketing interval of the best grid point.
+    Called with one angle it returns x(theta), with an array of angles the
+    stack of them; ``derivatives(th)`` stacks x, x' and x'' at one angle.  A
+    scalar family is itself a line-search objective.
     """
-    grid = [th0 + k * np.pi / 8.0 for k in range(-4, 4)]
-    values = [f(t) if abs(t - th0) > 1e-15 else e0 for t in grid]
-    k_best = int(np.argmin(values))
-    th, e = _golden_section(
-        f, grid[k_best] - np.pi / 8.0, grid[k_best] + np.pi / 8.0, xtol
-    )
-    if e <= values[k_best]:
-        return float(th), float(e)
-    return float(grid[k_best]), float(values[k_best])
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+
+    def __call__(self, th):
+        # [()] makes a scalar family's value at one angle a NumPy scalar
+        return np.tensordot(_fourier_basis(th)[0], self.coeffs, axes=1)[()]
+
+    def derivatives(self, th) -> np.ndarray:
+        return np.tensordot(_fourier_basis(th, 2), self.coeffs, axes=1)
 
 
-def _angle_basis(th: float) -> np.ndarray:
-    return np.array([1.0, math.cos(2.0 * th), math.sin(2.0 * th)])
+class _BranchSum:
+    """theta -> sum of the k lowest eigenvalues of a symmetric matrix family.
+
+    ``derivatives(th)`` returns (E, E', E'') from one ``eigh``: the slope is
+    sum_{i<k} c_i^T H' c_i (Hellmann-Feynman) and the curvature sum_{i<k}
+    c_i^T H'' c_i + 2 sum_{i<k<=j} (c_j^T H' c_i)^2 / (lam_i - lam_j).
+    Pairs inside the tracked branches cancel; a degenerate pair across the
+    cut makes the curvature -inf or nan, which the line search treats as
+    unsupported.
+    """
+
+    def __init__(self, family: _TrigFamily, k: int):
+        self.family, self.k = family, k
+
+    def __call__(self, th):
+        return np.linalg.eigvalsh(self.family(th))[..., : self.k].sum(axis=-1)
+
+    def derivatives(self, th):
+        h, dh, d2h = self.family.derivatives(th)
+        lam, vecs = np.linalg.eigh(h)
+        k = self.k
+        p = vecs.T @ dh @ vecs[:, :k]
+        curv = np.sum(vecs[:, :k] * (d2h @ vecs[:, :k]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv += 2.0 * np.sum(p[k:] ** 2 / (lam[:k] - lam[k:, None]))
+        return lam[:k].sum(), np.trace(p[:k]), curv
+
+
+def _periodic_line_search(f, th0: float, e0: float):
+    """Minimize a pi-periodic smooth objective around th0.
+
+    f(th) is the objective, at one angle or at an array of them, and
+    f.derivatives(th) its (value, slope, curvature) at one angle.  A grid
+    of 8 points over one period (th0 itself valued e0) picks the best
+    point, and a grid at a quarter of that spacing across its bracket picks
+    again; a grid point replaces the current one only when it is lower by
+    more than rounding (``_FLAT``), so a minimum that recurs a quarter
+    period away does not pull the angle there.  Safeguarded Newton steps
+    then run inside the +-pi/32 bracket of the pick, which each step's slope
+    sign narrows; a step that leaves the bracket, or whose curvature is not
+    positive, is a bisection.  The search ends at a step below ``_XTOL``
+    (or after ``_MAX_STEPS``), or where slope and curvature leave no
+    point of the bracket more than the energy's rounding (``_FLAT``) away,
+    as along an angle the tracked levels do not feel.  It returns the best
+    point seen, so the result is never worse than e0.
+    """
+    th, e_th = th0, e0
+    for spacing, steps in _GRIDS:
+        grid = th + spacing * steps
+        values = f(grid)
+        j = int(np.argmin(values))
+        if values[j] < e_th - _FLAT * max(1.0, abs(e_th)):
+            th, e_th = grid[j], values[j]
+    lo, hi = th - spacing, th + spacing
+    best = (th, e_th)
+    for _ in range(_MAX_STEPS):
+        e, slope, curv = f.derivatives(th)
+        if e < best[1]:
+            best = (th, e)
+        if slope > 0.0:
+            hi = th
+        else:
+            lo = th
+        if curv > 0.0 and abs(slope) < curv * _XTOL:
+            break  # the Newton step, too, is below _XTOL
+        width = hi - lo
+        if abs(slope) * width + abs(curv) * width * width < _FLAT * max(1.0, abs(e)):
+            break  # no point of the bracket can be told apart from this one
+        newton = curv > 0.0 and lo < th - slope / curv < hi
+        nxt = th - slope / curv if newton else 0.5 * (lo + hi)
+        if abs(nxt - th) < _XTOL:
+            break
+        th = nxt
+    return float(best[0]), float(best[1])
 
 
 class _SlotModel:
@@ -648,6 +736,10 @@ class _SlotModel:
     vectors, which then go through rotations[k+1:] as one stack.  Within the
     group element (i, j) is f^T G[i, :, j, :] f, with G[i, a, j, b] =
     <U[i, a]| X_cc |U[j, b]>, so no state is rebuilt along the line.
+    ``_PRODUCTS`` turns G into Fourier coefficients in b(theta), which give
+    the sum of the members' diagonal elements (``diagonal_sum``, a scalar
+    ``_TrigFamily``) and the group's rows (``matrix_fn``) with their
+    derivatives in closed form.
     """
 
     def __init__(self, engine: SubspaceEngine, members, k: int, prefix: np.ndarray):
@@ -661,16 +753,11 @@ class _SlotModel:
         self._bits = engine.config(self.members[0]).bits
         m = len(self.members)
         g = self._u.conj() @ engine.apply_xop(self._bits, self._bits, self._u).T
-        self._g = g.reshape(m, 3, m, 3)
-        self._diag = np.einsum("iaib->ab", self._g).real
+        self._block = np.einsum("abq,iajb->qij", _PRODUCTS, g.reshape(m, 3, m, 3).real)
+        self.diagonal_sum = _TrigFamily(np.einsum("qii->q", self._block))
 
-    def diagonal_sum(self, th: float) -> float:
-        """Sum of the members' diagonal elements at angle th."""
-        f = _angle_basis(th)
-        return float(f @ self._diag @ f)
-
-    def matrix_fn(self, h: np.ndarray):
-        """theta -> h with the members' rows and columns at that angle.
+    def matrix_fn(self, h: np.ndarray) -> _TrigFamily:
+        """The family theta -> h with the members' rows and columns at theta.
 
         Against a state nu outside the group element (i, nu) is f . R[i, :,
         nu], with R[i, a, nu] = <U[i, a]| X_c,c_nu |psi_nu>: one product per
@@ -686,21 +773,15 @@ class _SlotModel:
         for bits, cols in by_cfg.items():
             psi = np.array([engine.state(others[c]).amplitudes for c in cols])
             r[:, cols] = self._u.conj() @ engine.apply_xop(self._bits, bits, psi).T
-        r = r.reshape(len(members), 3, len(others))
-        block = np.ix_(members, members)
-        cross, cross_t = np.ix_(members, others), np.ix_(others, members)
-        h = h.copy()
-
-        def h_of(th):
-            f = _angle_basis(th)
-            inner = np.einsum("a,iajb,b->ij", f, self._g, f).real
-            outer = np.einsum("a,ian->in", f, r).real
-            h[block] = 0.5 * (inner + inner.T)
-            h[cross] = outer
-            h[cross_t] = outer.T
-            return h.copy()
-
-        return h_of
+        r = r.reshape(len(members), 3, len(others)).real
+        coeffs = np.zeros((5,) + h.shape)
+        coeffs[0] = h
+        coeffs[np.ix_(range(5), members, members)] = 0.5 * (
+            self._block + self._block.transpose(0, 2, 1)
+        )
+        coeffs[np.ix_(range(3), members, others)] = r.transpose(1, 0, 2)
+        coeffs[np.ix_(range(3), others, members)] = r.transpose(1, 2, 0)
+        return _TrigFamily(coeffs)
 
 
 def vo_optimize(basis, hq: PauliSum, n_elec: int):
@@ -714,9 +795,12 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
     so along one angle the subspace matrix is exactly A + B cos 2 theta +
     C sin 2 theta + D cos 4 theta + E sin 4 theta.  Each step builds the
     moved group's three vectors per member once and from them the closed
-    form of its rows (``_SlotModel``); a periodic golden-section line search
-    minimises the objective of that closed form, and an accepted step keeps
-    the model's rows at the new angle (the sequential-minimal / Rotosolve
+    form of its rows (``_SlotModel``).  A periodic line search minimises the
+    objective of that closed form: grids locate the best bracket, then
+    Newton steps on the closed-form derivatives converge in it, with a
+    bisection wherever the curvature is not positive or the step leaves the
+    bracket (``_periodic_line_search``).  An accepted step keeps the model's
+    rows at the new angle (the sequential-minimal / Rotosolve
     scheme: Nakanishi, Fujii and Todo, PRR 2, 043158 (2020); Ostaszewski,
     Grant and Benedetti, Quantum 5, 391 (2021)).  A flat all-zero start is
     first nudged by a fixed perturbation so symmetric stationary points
@@ -793,7 +877,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
                 th0 = get_theta(bits, k)
                 diagonal_sum = slot_model(bits, k).diagonal_sum
                 e0 = diagonal_sum(th0)
-                th_best, e_best = _periodic_line_search(diagonal_sum, th0, e0, xtol=1e-8)
+                th_best, e_best = _periodic_line_search(diagonal_sum, th0, e0)
                 if e_best <= e0:
                     set_theta(bits, k, th_best)
                     moved = max(moved, abs(th_best - th0))
@@ -802,9 +886,10 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
 
     h = engine.exact_matrix()
 
-    def descend(value_fn, tol_stage, cap):
-        """Coordinate-descent sweeps on value_fn(h); returns (values, hit_tol)."""
-        e_cur = value_fn(h)
+    def descend(n_track, tol_stage, cap):
+        """Coordinate-descent sweeps on the sum of h's n_track lowest
+        eigenvalues; returns (values, hit_tol)."""
+        e_cur = float(np.sum(np.linalg.eigvalsh(h)[:n_track]))
         values = [e_cur]
         for _ in range(cap):
             e_start = e_cur
@@ -812,7 +897,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
                 th0 = get_theta(bits, k)
                 h_of = slot_model(bits, k).matrix_fn(h)
                 th_best, e_best = _periodic_line_search(
-                    lambda th: value_fn(h_of(th)), th0, e_cur
+                    _BranchSum(h_of, n_track), th0, e_cur
                 )
                 if e_best <= e_cur:
                     set_theta(bits, k, th_best)
@@ -830,11 +915,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
     k_track = int(np.sum(vals - vals[0] <= 0.15))
     k_track = min(max(k_track, 1), 4, len(vals))
     if k_track > 1:
-        branch_values, settled = descend(
-            lambda m: float(np.sum(np.linalg.eigvalsh(m)[:k_track])),
-            10 * _TOL,
-            _BRANCH_SWEEPS,
-        )
+        branch_values, settled = descend(k_track, 10 * _TOL, _BRANCH_SWEEPS)
         if not settled:
             log.warning(
                 "branch-sum descent hit its %d-sweep cap at dE=%.3e",
@@ -843,8 +924,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
             )
 
     # Stage 2b: the reported objective, the subspace ground energy.
-    e_min_fn = lambda m: float(np.linalg.eigvalsh(m)[0])  # noqa: E731
-    history, converged = descend(e_min_fn, _TOL, _MAX_SWEEPS)
+    history, converged = descend(1, _TOL, _MAX_SWEEPS)
     if not converged:
         log.warning(
             "amplitude optimization hit the sweep cap at dE=%.3e",

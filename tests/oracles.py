@@ -8,8 +8,10 @@ agree with them exactly: ``term_by_term_effective_op`` (the sector table),
 ``term_by_term_apply`` (``simulator.apply_pauli_sum``),
 ``product_by_product_mul`` (``PauliSum.__mul__``),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
-``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``) and
-``coo_csr_sector_matrix`` (``solver``'s dense sector assembly).  Qubit q
+``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
+``coo_csr_sector_matrix`` (``solver``'s dense sector assembly) and
+``golden_section_line_search`` (``solver._periodic_line_search``, which
+need only match or beat it).  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
@@ -329,3 +331,37 @@ def eigh_fragment_distribution(amplitudes, fragment):
     weights = np.abs(vecs.conj().T @ amplitudes) ** 2
     keep = weights > 1e-15
     return vals[keep], weights[keep] / weights[keep].sum()
+
+
+def golden_section_line_search(f, th0, e0, xtol=1e-10):
+    """Minimum of a pi-periodic f near th0 from function values alone.
+
+    An 8-point grid over one period (th0 itself valued e0), then a golden
+    section to xtol in the +-pi/8 bracket of the best grid point; returns
+    the best point seen, so never worse than e0.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    grid = [th0 + k * np.pi / 8.0 for k in range(-4, 4)]
+    values = [f(t) if abs(t - th0) > 1e-15 else e0 for t in grid]
+    k_best = int(np.argmin(values))
+    a, b = grid[k_best] - np.pi / 8.0, grid[k_best] + np.pi / 8.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    best = (c, fc) if fc <= fd else (d, fd)
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+            if fc < best[1]:
+                best = (c, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+            if fd < best[1]:
+                best = (d, fd)
+    if best[1] <= values[k_best]:
+        return float(best[0]), float(best[1])
+    return float(grid[k_best]), float(values[k_best])

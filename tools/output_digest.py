@@ -12,9 +12,21 @@ removed, and the FCIDUMP paths it records are relative to the repository
 root, so the digests do not depend on where the checkout lives.  NumPy runs
 on one BLAS thread so that reductions sum in one order.
 
-Run from anywhere:  python3 tools/output_digest.py   (about 30 s)
+With ``--against FILE`` the run is also checked against FILE, this
+script's saved output from another checkout (the parent of a change, say),
+and the script exits with status 1 if a check fails:
+
+- every run with ``method=pt`` must print the same digests for the same
+  files;
+- every ``method=vo`` geometry's ``e_min`` may be higher than FILE's by at
+  most ``VO_TOLERANCE`` (1e-9 Ha); lower is always allowed, since the
+  optimiser may find a lower minimum.
+
+Run from anywhere:  python3 tools/output_digest.py [--against FILE]
+(about 10 s)
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -28,6 +40,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from senqse import cli  # noqa: E402
 
+# how much higher (Ha) a VO e_min may read than the saved output's
+VO_TOLERANCE = 1e-9
 # the H2O selection settings of the acceptance suite
 TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
 
@@ -69,8 +83,51 @@ def digest_run(name: str) -> tuple:
         return lines, summary
 
 
+def read_output(path: str) -> tuple:
+    """({"name/file": sha256}, {"name/label": e_min}) from a saved output."""
+    digests, energies = {}, {}
+    with open(path) as fh:
+        for line in fh:
+            fields = line.split()
+            if len(fields) == 2:
+                digests[fields[1]] = fields[0]
+            elif fields and fields[0] == "e_min":
+                energies[fields[1]] = float(fields[2])
+    return digests, energies
+
+
+def compare(name: str, lines: list, summary: dict, saved: tuple) -> list:
+    """The failed checks of one run against a saved output."""
+    digests, energies = saved
+    failures = []
+    if RUNS[name]["method"] == "pt":
+        ours = {what: digest for digest, what in lines}
+        theirs = {w: d for w, d in digests.items() if w.split("/")[0] == name}
+        for what in sorted(set(ours) | set(theirs)):
+            if ours.get(what) != theirs.get(what):
+                failures.append(f"{what}: digest differs")
+    else:
+        for rec in summary["geometries"]:
+            key = f"{name}/{rec['label']}"
+            if key not in energies:
+                failures.append(f"{key}: no saved e_min")
+            elif rec["e_min"] > energies[key] + VO_TOLERANCE:
+                failures.append(
+                    f"{key}: e_min {rec['e_min']!r} is "
+                    f"{rec['e_min'] - energies[key]:.3e} Ha above {energies[key]!r}"
+                )
+    return failures
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--against", metavar="FILE", help="saved output of another checkout"
+    )
+    args = parser.parse_args()
+    saved = read_output(os.path.abspath(args.against)) if args.against else None
     os.chdir(ROOT)
+    failures = []
     for name in RUNS:
         lines, summary = digest_run(name)
         for digest, what in lines:
@@ -81,6 +138,15 @@ def main() -> None:
                 f"e_fci  {rec['e_fci']!r}",
                 flush=True,
             )
+        if saved is not None:
+            failures += compare(name, lines, summary, saved)
+    if saved is not None:
+        for failure in failures:
+            print(f"FAIL  {failure}", file=sys.stderr)
+        print(
+            f"against {args.against}: {len(failures)} failed check(s)", file=sys.stderr
+        )
+        sys.exit(1 if failures else 0)
 
 
 if __name__ == "__main__":
