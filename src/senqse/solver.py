@@ -300,9 +300,13 @@ class SubspaceEngine:
 # A sampled element keeps its standard error sigma_e / sqrt(m_e) within this
 # fraction of the subspace gap E_1 - E_0.
 FLOOR_KAPPA = 0.1
+# The second-order bias of the sampled ground energy is held within this
+# fraction of its first-order standard error, so the first-order model
+# predicts the table's mean-square error to within BIAS_KAPPA**2.
+BIAS_KAPPA = 0.25
 # Levels within this distance of E_0 (Ha) count as ground levels.
 DEGENERACY_TOL = 1e-8
-_FIXED_POINT_STEPS = 200
+_BISECTION_STEPS = 200
 
 
 def _error_coefficients(exact: np.ndarray, keys):
@@ -448,6 +452,53 @@ def _water_fill(floor: np.ndarray, w: np.ndarray, budget: float) -> np.ndarray:
     return floor
 
 
+def _bisect(too_low, lo: float, hi: float) -> float:
+    """The crossing of a predicate that holds at lo and fails at hi."""
+    for _ in range(_BISECTION_STEPS):
+        if hi - lo <= 1e-12 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if too_low(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _bias_weighted_table(floor, a, b, budget: float) -> np.ndarray:
+    """Minimum of F + B^2 over m >= floor, subject to B^2 <= BIAS_KAPPA^2 F.
+
+    F = sum_e a_e / m_e and |B| = sum_e b_e / m_e.  Above their floors the
+    optimal tables hold shots in proportion to sqrt(a_e + t b_e) for one
+    scalar t (the water-fill m(t)): t = 2 |B(m(t))| minimises F + B^2, and
+    where that table's bias exceeds BIAS_KAPPA sqrt(F) the bound binds and
+    t grows until B^2 = BIAS_KAPPA^2 F, which moves shots to the elements
+    that shift E_0 at second order.  Both are roots in t, found by
+    bisection.
+    """
+
+    def table(t):
+        return _water_fill(floor, np.sqrt(a + t * b), budget)
+
+    def bias(m):
+        return np.sum(b / m)
+
+    t = _bisect(lambda t: t < 2.0 * bias(table(t)), 0.0, 2.0 * bias(table(0.0)))
+
+    def too_biased(t):
+        m = table(t)
+        return bias(m) ** 2 > BIAS_KAPPA**2 * np.sum(a / m)
+
+    if too_biased(t):
+        hi = 2.0 * t
+        for _ in range(_BISECTION_STEPS):
+            if not too_biased(hi):
+                break
+            hi *= 2.0
+        t = _bisect(too_biased, t, hi)
+    return table(t)
+
+
 def make_matrix_sampler(
     engine: SubspaceEngine, total_shots: int, plan=None
 ) -> MatrixSampler:
@@ -463,13 +514,14 @@ def make_matrix_sampler(
        alone leaves elements with little ground-state weight a shot or
        two, and one draw of such an element can push an excited
        combination below E_0, an error the first-order model omits.
-    2. Split the rest.  The table minimises the first-order MSE sum_e a_e /
-       m_e plus the square of the second-order bias B = -sum_e b_e / m_e
-       over the tables that meet the floors, with a_e = weight_e sigma_e^2
-       and b_e = beta_e sigma_e^2 from ``_error_coefficients``.  Elements
-       above their floor then hold shots in proportion to sqrt(a_e + 2 |B|
-       b_e); B depends on the table, so it is found as a damped fixed
-       point.
+    2. Split the rest.  The table minimises the first-order MSE F = sum_e
+       a_e / m_e plus the square of the second-order bias B = -sum_e b_e /
+       m_e over the tables that meet the floors and hold |B| within
+       BIAS_KAPPA sqrt(F), with a_e = weight_e sigma_e^2 and b_e = beta_e
+       sigma_e^2 from ``_error_coefficients`` (``_bias_weighted_table``).
+       The bound keeps the first-order model, which ``predicted_mse`` and
+       the cost report use, within BIAS_KAPPA^2 of the table's MSE; without
+       it the minimum of F + B^2 on H2O 1.0 A has B^2 = 0.13 F.
 
     The table spends the budget unless no element's error can use it.
     Fragments inside an element share its shots in proportion to their
@@ -510,14 +562,7 @@ def make_matrix_sampler(
         spare = max(total_shots - n_frag.sum(), 0.0)
         m = n_frag + (excess * spare / excess.sum() if spare > 0 else 0.0)
     else:
-        m, w = None, np.sqrt(a)
-        for _ in range(_FIXED_POINT_STEPS):
-            target = _water_fill(floor, w, total_shots)
-            m = target if m is None else 0.5 * (m + target)
-            w_next = np.sqrt(a + 2.0 * np.sum(b / m) * b)
-            if np.allclose(w_next, w, rtol=1e-10, atol=0.0):
-                break
-            w = w_next
+        m = _bias_weighted_table(floor, a, b, total_shots)
     elem = np.floor(m + 1e-9).astype(int)  # m sits on integer floors up to rounding
     short = int(round(m.sum())) - int(elem.sum())
     for i in np.argsort(elem - m, kind="stable")[: max(short, 0)]:

@@ -29,6 +29,7 @@ from senqse.fermion import (
 from senqse.measure import allocate_and_score, predicted_mse
 from senqse.pauli import PauliSum
 from senqse.solver import (
+    BIAS_KAPPA,
     FLOOR_KAPPA,
     MatrixSampler,
     SolverError,
@@ -456,6 +457,28 @@ class TestShotTable:
         table = {key: sum(v) for key, v in sampler.shots.items()}
         assert max(table, key=table.get) == (0, 0)
 
+    def test_bias_weighted_table(self, monkeypatch):
+        # one element with first-order weight only, one with bias only: the
+        # minimum of F + B^2 holds m_2 / m_1 = sqrt(2 |B|) and has B^2 =
+        # 0.15 F at 100 shots, so the bound moves shots until B^2 = kappa^2 F
+        floor, a, b = np.ones(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        monkeypatch.setattr(solver, "BIAS_KAPPA", np.inf)
+        m = solver._bias_weighted_table(floor, a, b, 100.0)
+        f, bias = 1.0 / m[0], 1.0 / m[1]
+        assert m.sum() == pytest.approx(100.0, rel=1e-12)
+        assert m[1] / m[0] == pytest.approx(np.sqrt(2.0 * bias), rel=1e-9)
+        assert bias**2 > BIAS_KAPPA**2 * f
+        monkeypatch.setattr(solver, "BIAS_KAPPA", BIAS_KAPPA)
+        bound = solver._bias_weighted_table(floor, a, b, 100.0)
+        assert bound.sum() == pytest.approx(100.0, rel=1e-12)
+        assert bound[1] > m[1]
+        assert (1.0 / bound[1]) ** 2 == pytest.approx(
+            BIAS_KAPPA**2 / bound[0], rel=1e-9
+        )
+        # no bias term: the first-order split, untouched by the bound
+        plain = solver._bias_weighted_table(floor, np.array([1.0, 4.0]), np.zeros(2), 90.0)
+        assert plain == pytest.approx([30.0, 60.0], rel=1e-12)
+
     def test_budget_below_floors(self, h2_hq, h2_theta, caplog):
         engine = SubspaceEngine(rotated_h2_basis(h2_theta), h2_hq, 2)
         with caplog.at_level("WARNING", logger="senqse.solver"):
@@ -533,6 +556,22 @@ class TestMatrixDraws:
         assert abs(sq.mean() - pred_mse) < 4 * sq.std(ddof=1) / root_n
         bias = h2o_sampler.second_order_bias
         assert abs(errs.mean() - bias) < 4 * errs.std(ddof=1) / root_n
+
+
+    def test_bias_held_to_first_order_error(self, h2o, h2o_hq, h2o_sampler, monkeypatch):
+        # the minimum of F + B^2 alone has |B| = 0.36 sqrt(F) on this basis;
+        # the table holds |B| at BIAS_KAPPA sqrt(F) (to integer rounding) at
+        # a larger F and F + B^2
+        f, bias = h2o_sampler.first_order_mse, h2o_sampler.second_order_bias
+        assert abs(bias) == pytest.approx(BIAS_KAPPA * np.sqrt(f), rel=1e-2)
+        basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+        engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
+        monkeypatch.setattr(solver, "BIAS_KAPPA", np.inf)
+        free = make_matrix_sampler(engine, 200_000, h2o_sampler.plan)
+        assert free.total_shots == h2o_sampler.total_shots
+        assert abs(free.second_order_bias) > 0.35 * np.sqrt(free.first_order_mse)
+        assert free.first_order_mse < f
+        assert free.first_order_mse + free.second_order_bias**2 < f + bias**2
 
 
 def fresh_prefix(engine, members, k):
