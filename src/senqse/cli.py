@@ -23,7 +23,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from senqse.csfbasis import (
+    CsfElementEngine,
     default_selection_params,
+    element_kernel,
     select_basis_pt,
     select_basis_vo,
     serialize_basis,
@@ -32,7 +34,6 @@ from senqse.fermion import jordan_wigner, load_fcidump, rotate_orbitals
 from senqse.measure import allocate_and_score
 from senqse.resources import estimate_pair
 from senqse.solver import (
-    SubspaceEngine,
     build_subspace,
     fci_oracle,
     relax_orbitals,
@@ -146,8 +147,16 @@ def bond_parameter(label: str, index: int) -> float:
 
 
 def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
+    """One geometry's record.
+
+    Selection, amplitude optimisation, the subspace build and the tapering
+    statistics share one element kernel (``CsfElementEngine``) of the
+    geometry's qubit Hamiltonian; relaxing the orbitals makes a new
+    Hamiltonian and so a new kernel.
+    """
     ints = load_fcidump(path)
     hq = jordan_wigner(ints)
+    kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
     params = default_selection_params(
         ints,
         eps1=config.eps1,
@@ -157,16 +166,17 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         root_window=config.root_window,
     )
     if config.method == "vo":
-        basis = select_basis_vo(ints, hq, params)
-        basis, _, _ = vo_optimize(basis, hq, ints.n_elec)
+        basis = select_basis_vo(ints, hq, params, kernel=kernel)
+        basis, _, _ = vo_optimize(basis, hq, ints.n_elec, kernel=kernel)
     else:
-        basis = select_basis_pt(ints, hq, params)
+        basis = select_basis_pt(ints, hq, params, kernel=kernel)
 
     relaxation = None
     if config.relax_orbitals:
         rot, e_relaxed, _ = relax_orbitals(basis, ints)
         ints = rotate_orbitals(ints, rot)
         hq = jordan_wigner(ints)
+        kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
         relaxation = {"e_min": e_relaxed, "t_norm": float(np.linalg.norm(rot.t))}
 
     sampled = config.mode == "sampled"
@@ -180,7 +190,13 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         taper=config.taper,
         constant_shift=config.constant_shift,
         compute_sigma=config.taper and not sampled,
+        kernel=kernel,
     )
+    if config.taper:
+        term_stats = tapering_stats(basis, hq, ints.n_elec, kernel=kernel)
+    # the oracle's sector matrix is the geometry's largest allocation, so
+    # the kernel and its memos go first
+    del kernel
     fci = fci_oracle(hq, ints.n_elec, 0.0)
 
     record = {
@@ -219,7 +235,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         )
         record["metric"] = report.metric
         record["cost_text"] = report.to_text()
-        record["term_stats"] = tapering_stats(basis, hq, ints.n_elec)
+        record["term_stats"] = term_stats
     else:
         record["metric"] = None
         record["term_stats"] = {
@@ -246,19 +262,21 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
     return record
 
 
-def tapering_stats(basis, hq, n_elec) -> dict:
+def tapering_stats(basis, hq, n_elec, kernel=None) -> dict:
     """Per-element tapered/original term-count and 1-norm ratios.
 
     Identity terms are excluded on both sides: they shift values without
-    costing measurements.
+    costing measurements.  The operators come from ``kernel``, the
+    geometry's element kernel of ``hq`` (a new one when None).
     """
-    engine = SubspaceEngine(basis, hq, n_elec, taper=True)
+    kernel = element_kernel(kernel, hq, hq.n_qubits // 2, n_elec)
+    bits = [kernel.bits(b.csf) for b in basis]
     n_full = sum(1 for (x, z), _ in hq.items() if (x, z) != (0, 0))
     norm_full = hq.one_norm(include_identity=False)
     term_ratios, norm_ratios = [], []
-    for mu in range(engine.size):
-        for nu in range(mu, engine.size):
-            op = engine.xop(mu, nu)
+    for mu in range(len(basis)):
+        for nu in range(mu, len(basis)):
+            op = kernel.xop(bits[mu], bits[nu])
             n_terms = sum(1 for (x, z), _ in op.items() if (x, z) != (0, 0))
             term_ratios.append(n_terms / n_full)
             norm_ratios.append(op.one_norm(include_identity=False) / norm_full)

@@ -544,12 +544,30 @@ def default_selection_params(
     return SelectionParams(occ, virt, eps1=eps1, eps2=eps2, root_window=root_window)
 
 
-class CsfElementEngine:
-    """Exact matrix elements between rotation-free CSF states.
+# largest imaginary part (Ha) a matrix element may carry
+IMAG_TOL = 1e-9
 
-    Effective operators come from one sector table of ``hq`` (conjugated
-    once, memoised per config pair) and tapered CSF states are cached per
-    specification, so the selection loops reuse both.
+
+def real_element(bra: np.ndarray, h_ket: np.ndarray) -> float:
+    """<bra|h_ket> for amplitudes of a real Hamiltonian's bra and H|ket>."""
+    val = np.vdot(bra, h_ket)
+    if abs(val.imag) > IMAG_TOL:
+        raise BasisError(f"matrix element has imaginary part {val.imag}")
+    return float(val.real)
+
+
+class CsfElementEngine:
+    """The exact element kernel of one geometry's qubit Hamiltonian ``hq``.
+
+    It holds the geometry's one sector table (``hq`` conjugated once,
+    effective operators memoised per config pair), the tapered states and
+    config bits of rotation-free CSFs, and a memo of the products
+    H_eff(bra config, config of b)|b>, keyed by (bra config, b).  An
+    element against a CSF ket is the vdot of the bra with its product, so
+    selection, ``vo_optimize``, ``build_subspace`` and ``tapering_stats``
+    share every operator and every product.  A product is one 2^n_orb
+    vector per distinct linked pair; a pair that no term links is recorded
+    as None, a zero, with no state built.
     """
 
     def __init__(self, hq: PauliSum, n_orb: int, n_elec: int):
@@ -560,24 +578,39 @@ class CsfElementEngine:
         self.n_elec = n_elec
         self.sectors = SectorHamiltonian(hq)
         self._states = {}
+        self._bits = {}
+        self._products = {}
 
     def state(self, spec: CsfSpec) -> StateVector:
         if spec not in self._states:
             self._states[spec] = make_csf_tapered(spec, self.n_orb, self.n_elec)
         return self._states[spec]
 
+    def bits(self, spec: CsfSpec) -> int:
+        """Seniority config of the CSF as a bit mask."""
+        if spec not in self._bits:
+            self._bits[spec] = seniority_config(spec, self.n_orb).bits
+        return self._bits[spec]
+
     def xop(self, bra_bits: int, ket_bits: int) -> PauliSum:
         return self.sectors.op(bra_bits, ket_bits)
 
+    def product(self, bra_bits: int, spec: CsfSpec) -> np.ndarray | None:
+        """H_eff(bra_bits, config of spec)|spec>; None when no term links them."""
+        key = (bra_bits, spec)
+        if key not in self._products:
+            op = self.sectors.op(bra_bits, self.bits(spec))
+            h_ket = None
+            if op:
+                h_ket = apply_pauli_sum(self.state(spec).amplitudes, self.n_orb, op)
+            self._products[key] = h_ket
+        return self._products[key]
+
     def element(self, spec_a: CsfSpec, spec_b: CsfSpec) -> float:
-        cfg_a = seniority_config(spec_a, self.n_orb).bits
-        cfg_b = seniority_config(spec_b, self.n_orb).bits
-        xop = self.xop(cfg_a, cfg_b)
-        if not xop:
+        h_ket = self.product(self.bits(spec_a), spec_b)
+        if h_ket is None:
             return 0.0  # no term links the two configs
-        sa, sb = self.state(spec_a), self.state(spec_b)
-        val = np.vdot(sa.amplitudes, apply_pauli_sum(sb.amplitudes, self.n_orb, xop))
-        return float(val.real)
+        return real_element(self.state(spec_a).amplitudes, h_ket)
 
     def matrix(self, specs) -> np.ndarray:
         n = len(specs)
@@ -586,6 +619,15 @@ class CsfElementEngine:
             for j in range(i + 1):
                 h[i, j] = h[j, i] = self.element(specs[i], specs[j])
         return h
+
+
+def element_kernel(kernel, hq: PauliSum, n_orb: int, n_elec: int) -> CsfElementEngine:
+    """``kernel`` when it was built for this ``hq`` and n_elec; a new one for None."""
+    if kernel is None:
+        return CsfElementEngine(hq, n_orb, n_elec)
+    if kernel.hq is not hq or kernel.n_elec != n_elec:
+        raise BasisError("element kernel was built for another Hamiltonian")
+    return kernel
 
 
 def create_csfs(params: SelectionParams, n_orb: int, n_elec: int) -> list:
@@ -751,10 +793,14 @@ def _ordered_rotations(pairs, thetas):
 
 
 def select_basis_vo(
-    ints: FermionIntegrals, hq: PauliSum, params: SelectionParams
+    ints: FermionIntegrals, hq: PauliSum, params: SelectionParams, kernel=None
 ) -> list:
-    """VO basis: trimmed CSFs with zero-initialized rotation slots."""
-    engine = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+    """VO basis: trimmed CSFs with zero-initialized rotation slots.
+
+    ``kernel`` is the geometry's element kernel (a ``CsfElementEngine`` of
+    ``hq``); without one the selection builds its own.
+    """
+    engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
     specs = create_csfs(params, ints.n_orb, ints.n_elec)
     survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, params.root_window)
     ext = extension_pairs(engine, survivors, h_surv, params.eps2, params.root_window)
@@ -768,10 +814,14 @@ def select_basis_vo(
 
 
 def select_basis_pt(
-    ints: FermionIntegrals, hq: PauliSum, params: SelectionParams
+    ints: FermionIntegrals, hq: PauliSum, params: SelectionParams, kernel=None
 ) -> list:
-    """PT basis: internal pairs become new CSFs, external pairs carry MP2 angles."""
-    engine = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+    """PT basis: internal pairs become new CSFs, external pairs carry MP2 angles.
+
+    ``kernel`` is the geometry's element kernel (a ``CsfElementEngine`` of
+    ``hq``); without one the selection builds its own.
+    """
+    engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
     specs = create_csfs(params, ints.n_orb, ints.n_elec)
     survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, params.root_window)
     ext = extension_pairs(engine, survivors, h_surv, params.eps2, params.root_window)

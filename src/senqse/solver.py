@@ -19,9 +19,10 @@ import numpy as np
 
 from senqse.csfbasis import (
     BasisState,
+    element_kernel,
     full_state,
-    make_csf_tapered,
     pair_rotation_terms,
+    real_element,
     rotate_chain,
     rotate_pair_inplace,
     rotation_group_key,
@@ -48,7 +49,7 @@ from senqse.simulator import (
     prepare_swap_state,
     rng_for,
 )
-from senqse.taper import EffectiveHamiltonian, SectorHamiltonian, SeniorityConfig
+from senqse.taper import EffectiveHamiltonian, SeniorityConfig
 
 log = logging.getLogger(__name__)
 
@@ -109,12 +110,18 @@ def ground_state(hmat: np.ndarray):
 class SubspaceEngine:
     """Shared machinery for exact and sampled subspace matrix construction.
 
-    Effective operators come from one sector table of ``hq`` (conjugated
-    once, memoised per seniority-config pair), so replacing a basis state's
-    rotation amplitudes (which never change its config) only invalidates
-    that state's vector.  Elements apply the operator as a Pauli sum;
-    ``apply_xop`` uses a memoised dense matrix instead when the register
-    has at most ``_DENSE_XOP_ORBITALS`` orbitals.
+    On the tapered register the engine works through ``kernel``, the
+    geometry's element kernel (``csfbasis.CsfElementEngine`` of ``hq``,
+    built here when none is given): its sector table gives the effective
+    operator of each seniority-config pair, its CSF states start every
+    basis state, and an element against a rotation-free ket is the
+    kernel's memoised product H_eff|ket> taken against the bra.  An
+    element against a rotated ket applies the operator to that ket as a
+    Pauli sum; replacing a state's rotation amplitudes (which never change
+    its config) only invalidates that state's vector.  ``apply_xop`` uses
+    a memoised dense matrix instead when the register has at most
+    ``_DENSE_XOP_ORBITALS`` orbitals.  Without tapering there is no kernel:
+    elements apply ``hq`` to the full-register states.
     """
 
     def __init__(
@@ -124,6 +131,7 @@ class SubspaceEngine:
         n_elec: int,
         taper: bool = True,
         constant_shift: bool = True,
+        kernel=None,
     ):
         if not basis:
             raise SolverError("basis must be nonempty")
@@ -138,11 +146,12 @@ class SubspaceEngine:
         self.n_elec = n_elec
         self.taper = taper
         self.constant_shift = constant_shift
-        self.sectors = SectorHamiltonian(hq) if taper else None
+        self.kernel = (
+            element_kernel(kernel, hq, self.n_orb, n_elec) if taper else None
+        )
         self._states = [None] * len(basis)
         self._configs = [None] * len(basis)
         self._xmats = {}
-        self._csf_states = {}
         self._h_ket_cache = {}
         self._check_orthonormality()
 
@@ -173,10 +182,7 @@ class SubspaceEngine:
 
     def csf_state(self, mu: int) -> StateVector:
         """Tapered CSF of basis state mu, before its rotations."""
-        csf = self.basis[mu].csf
-        if csf not in self._csf_states:
-            self._csf_states[csf] = make_csf_tapered(csf, self.n_orb, self.n_elec)
-        return self._csf_states[csf]
+        return self.kernel.state(self.basis[mu].csf)
 
     def state(self, mu: int) -> StateVector:
         if self._states[mu] is None:
@@ -196,15 +202,20 @@ class SubspaceEngine:
         self._h_ket_cache.pop(mu, None)
 
     def xop(self, mu: int, nu: int) -> PauliSum:
-        return self.sectors.op(self.config(mu).bits, self.config(nu).bits)
+        return self.kernel.xop(self.config(mu).bits, self.config(nu).bits)
 
     def is_classical(self, mu: int, nu: int) -> bool:
-        """Rotation-free bra and ket: the element never costs quantum shots."""
-        return not self.basis[mu].rotations and not self.basis[nu].rotations
+        """The element never costs quantum shots.
+
+        Either bra and ket are rotation-free, or no term links their
+        configs, so the element is exactly zero.
+        """
+        rotation_free = not self.basis[mu].rotations and not self.basis[nu].rotations
+        return rotation_free or not self.xop(mu, nu)
 
     def apply_xop(self, bra_bits: int, ket_bits: int, vecs: np.ndarray) -> np.ndarray:
         """The config pair's effective operator applied to each row of vecs."""
-        op = self.sectors.op(bra_bits, ket_bits)
+        op = self.kernel.xop(bra_bits, ket_bits)
         if not op:
             return np.zeros_like(vecs)
         if self.n_orb <= _DENSE_XOP_ORBITALS:
@@ -214,25 +225,23 @@ class SubspaceEngine:
         return np.array([apply_pauli_sum(v, self.n_orb, op) for v in vecs])
 
     def element_exact(self, mu: int, nu: int) -> float:
-        if self.taper:
-            op = self.xop(mu, nu)
-            if not op:
-                return 0.0  # no term links the two configs
-            ket = self.state(nu)
-            val = np.vdot(
-                self.state(mu).amplitudes,
-                apply_pauli_sum(ket.amplitudes, self.n_orb, op),
-            )
-        else:
+        if not self.taper:
             if nu not in self._h_ket_cache:
                 ket = self.state(nu)
                 self._h_ket_cache[nu] = apply_pauli_sum(
                     ket.amplitudes, 2 * self.n_orb, self.hq
                 )
-            val = np.vdot(self.state(mu).amplitudes, self._h_ket_cache[nu])
-        if abs(val.imag) > 1e-9:
-            raise SolverError(f"matrix element ({mu},{nu}) has imaginary part {val.imag}")
-        return float(val.real)
+            h_ket = self._h_ket_cache[nu]
+        elif not self.basis[nu].rotations:
+            h_ket = self.kernel.product(self.config(mu).bits, self.basis[nu].csf)
+        else:
+            op = self.xop(mu, nu)
+            h_ket = None
+            if op:
+                h_ket = apply_pauli_sum(self.state(nu).amplitudes, self.n_orb, op)
+        if h_ket is None:
+            return 0.0  # no term links the two configs
+        return real_element(self.state(mu).amplitudes, h_ket)
 
     def exact_matrix(self) -> np.ndarray:
         n = self.size
@@ -271,27 +280,41 @@ class SubspaceEngine:
         phi = prepare_swap_state(self.state(mu), self.state(nu))
         return phi, sorted_insertion(swap.op)
 
-    def sampling_plan(self):
-        """Samplers and exact variances for every non-classical element."""
-        plan = {}
+    def _measured_elements(self):
+        """(key, state, fragments, sigmas) for every non-classical element.
+
+        The sigmas are the fragments' exact standard deviations on the state.
+        """
+        if not self.taper:
+            raise SolverError("sampling requires the tapered representation")
         for mu in range(self.size):
             for nu in range(mu, self.size):
-                if self.is_classical(mu, nu):
-                    continue
-                state, frags = self.element_measurables(mu, nu)
-                samplers = [FragmentSampler(state, f) for f in frags]
-                sigmas = [np.sqrt(fragment_variance(state, f)) for f in frags]
-                plan[(mu, nu)] = (samplers, sigmas)
-        return plan
+                if not self.is_classical(mu, nu):
+                    state, frags = self.element_measurables(mu, nu)
+                    sigmas = [np.sqrt(fragment_variance(state, f)) for f in frags]
+                    yield (mu, nu), state, frags, sigmas
+
+    def sampling_plan(self):
+        """Samplers and exact deviations for every non-classical element."""
+        return {
+            key: ([FragmentSampler(state, f) for f in frags], sigmas)
+            for key, state, frags, sigmas in self._measured_elements()
+        }
 
     def sigma_matrix(self, plan=None):
-        """Per-element optimal-allocation deviations and fragment splits."""
+        """Per-element optimal-allocation deviations and fragment splits.
+
+        They are read from ``plan`` when given; otherwise they come from
+        the fragments' exact variances, and no sampler is built.
+        """
         if plan is None:
-            plan = self.sampling_plan()
+            sigmas = {key: sigs for key, _, _, sigs in self._measured_elements()}
+        else:
+            sigmas = {key: sigs for key, (_, sigs) in plan.items()}
         n = self.size
         sigma = np.zeros((n, n))
         fragment_sigmas = {}
-        for (mu, nu), (_, sigs) in plan.items():
+        for (mu, nu), sigs in sigmas.items():
             sigma[mu, nu] = sigma[nu, mu] = sum(sigs)
             fragment_sigmas[(mu, nu)] = list(sigs)
         return sigma, fragment_sigmas
@@ -581,15 +604,17 @@ def build_subspace(
     taper: bool = True,
     constant_shift: bool = True,
     compute_sigma: bool = False,
+    kernel=None,
 ) -> SubspaceProblem:
     """Assemble the subspace matrix and solve for its ground eigenpair.
 
     ``mode="exact"`` evaluates every element exactly;
     ``mode="sampled"`` draws finite-shot estimates for the elements that
     involve rotations, with the total budget `shots` split optimally.
+    ``kernel`` is the geometry's element kernel (see ``SubspaceEngine``).
     """
     engine = SubspaceEngine(
-        basis, hq, n_elec, taper=taper, constant_shift=constant_shift
+        basis, hq, n_elec, taper=taper, constant_shift=constant_shift, kernel=kernel
     )
     sigma = fragment_sigmas = None
     diagnostics = {}
@@ -829,7 +854,7 @@ class _SlotModel:
         return _TrigFamily(coeffs)
 
 
-def vo_optimize(basis, hq: PauliSum, n_elec: int):
+def vo_optimize(basis, hq: PauliSum, n_elec: int, kernel=None):
     """Minimize the subspace ground energy over all rotation amplitudes.
 
     Amplitudes are shared across states with the same seniority config
@@ -853,9 +878,10 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int):
     energy history); the history is non-increasing, and the returned
     problem is an exact rebuild of the final basis.  A stage that reaches
     its sweep cap away from tolerance logs a warning and keeps the angles
-    it has.
+    it has.  ``kernel`` is the geometry's element kernel (see
+    ``SubspaceEngine``).
     """
-    engine = SubspaceEngine(basis, hq, n_elec, taper=True)
+    engine = SubspaceEngine(basis, hq, n_elec, taper=True, kernel=kernel)
     groups: dict = {}
     for mu in range(engine.size):
         key = rotation_group_key(engine.basis[mu].csf, engine.n_orb)

@@ -271,6 +271,31 @@ def test_criterion_6_first_order_cost_model(h2o_systems, h2o_vo):
     )
 
 
+def test_sampling_plan_leaves_unlinked_elements_exact(h2o_systems, h2o_vo):
+    # on the stretched VO basis many rotated pairs sit in configs that no
+    # term links: the plan treats them as exact zeros, so every planned
+    # element has a fragment and the first-order model runs on the table
+    ints, hq, _ = h2o_systems["2.1000"]
+    basis, _ = h2o_vo["2.1000"]
+    engine = SubspaceEngine(basis, hq, ints.n_elec)
+    sampler = make_matrix_sampler(engine, 200_000)
+    assert all(len(samplers) >= 1 for samplers, _ in sampler.plan.values())
+    unlinked = [
+        (mu, nu)
+        for mu in range(engine.size)
+        for nu in range(mu, engine.size)
+        if not engine.xop(mu, nu) and basis[mu].rotations and basis[nu].rotations
+    ]
+    assert unlinked and not set(unlinked) & set(sampler.plan)
+    draw = sampler.draw(0)
+    for mu, nu in unlinked:
+        assert sampler.exact[mu, nu] == 0.0 and draw[mu, nu] == 0.0
+    sigma, _ = engine.sigma_matrix(sampler.plan)
+    c0 = ground_state(sampler.exact)[1]
+    shots = {key: sum(v) for key, v in sampler.shots.items()}
+    assert predicted_mse(sigma, c0, shots) > 0.0
+
+
 def test_criterion_7_grouping_correctness(h2o_systems, h2o_vo):
     ints, hq, _ = h2o_systems["1.0000"]
     basis, _ = h2o_vo["1.0000"]

@@ -17,13 +17,16 @@ from senqse.cli import (
     parse_config_file,
     run,
 )
-from senqse.csfbasis import parse_basis
+from senqse import cli, csfbasis, measure, simulator, solver, taper
+from senqse.csfbasis import CsfElementEngine, parse_basis
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse.measure import allocate_and_score
 from senqse.solver import SubspaceEngine, build_subspace, make_matrix_sampler
 
 FIXTURES = Path(__file__).parent / "fixtures"
 H2_PATHS = [str(FIXTURES / f"h2_{r}.fcidump") for r in ("0.7414", "1.0000", "1.5000")]
+H2O_PATH = str(FIXTURES / "h2o_1.0000.fcidump")
+TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
 
 
 class TestConfig:
@@ -308,3 +311,130 @@ class TestRun:
         )
         for a, b in zip(serial["geometries"], parallel["geometries"]):
             assert a["e_min"] == b["e_min"]
+
+
+def run_one_geometry(path, tmp_path, **options):
+    cfg = RunConfig(fcidump_paths=(path,), out_dir=str(tmp_path), **options)
+    return cli.run_geometry(path, cfg.labels[0], 1.0, cfg)
+
+
+def record_tables(monkeypatch) -> list:
+    """The Hamiltonian of every SectorHamiltonian built from here on."""
+    built = []
+    init = taper.SectorHamiltonian.__init__
+
+    def recording(self, hq, *args, **kwargs):
+        built.append(hq)
+        init(self, hq, *args, **kwargs)
+
+    monkeypatch.setattr(taper.SectorHamiltonian, "__init__", recording)
+    return built
+
+
+class TestElementKernel:
+    def test_pt_geometry_applies_each_product_once(self, tmp_path, monkeypatch):
+        # H2O 1.0 A PT: 318 distinct (bra config, ket CSF) products in
+        # selection and 63 more in the build, all from one sector table
+        calls = [0]
+        apply_pauli_sum = simulator.apply_pauli_sum
+
+        def counted(*args):
+            calls[0] += 1
+            return apply_pauli_sum(*args)
+
+        for module in (csfbasis, solver, measure):
+            monkeypatch.setattr(module, "apply_pauli_sum", counted)
+        tables = record_tables(monkeypatch)
+        run_one_geometry(H2O_PATH, tmp_path, method="pt", **TUNED)
+        assert 0 < calls[0] <= 381
+        assert len(tables) == 1
+
+    def test_vo_geometry_builds_one_table(self, tmp_path, monkeypatch):
+        tables = record_tables(monkeypatch)
+        run_one_geometry(H2O_PATH, tmp_path, method="vo", **TUNED)
+        assert len(tables) == 1
+
+    def test_relaxed_geometry_builds_one_table_per_hamiltonian(
+        self, tmp_path, monkeypatch
+    ):
+        # the run's own two Hamiltonians (before and after relaxation) get
+        # one table each; every Hamiltonian the relaxation tries gets one
+        tables = record_tables(monkeypatch)
+        inside = []
+        relax = cli.relax_orbitals
+
+        def marked(*args, **kwargs):
+            start = len(tables)
+            out = relax(*args, **kwargs)
+            inside.extend(tables[start:])
+            return out
+
+        monkeypatch.setattr(cli, "relax_orbitals", marked)
+        run_one_geometry(H2_PATHS[0], tmp_path, method="vo", relax_orbitals=True)
+        assert len(tables) - len(inside) == 2 and inside
+        assert len({id(hq) for hq in tables}) == len(tables)
+
+    def test_relaxed_run_reads_only_the_relaxed_kernel(self, tmp_path, monkeypatch):
+        # after relaxation every operator and product comes from the kernel
+        # of the relaxed Hamiltonian, a distinct object even where the
+        # relaxation leaves the orbitals in place
+        hqs, phase, reads = [], ["before"], []
+        jordan_wigner_ = cli.jordan_wigner
+        relax = cli.relax_orbitals
+
+        def recorded_jw(ints):
+            hqs.append(jordan_wigner_(ints))
+            return hqs[-1]
+
+        def marked(*args, **kwargs):
+            phase[0] = "during"
+            out = relax(*args, **kwargs)
+            phase[0] = "after"
+            return out
+
+        def reading(method):
+            def wrapper(self, *args):
+                reads.append((phase[0], self.hq))
+                return method(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "jordan_wigner", recorded_jw)
+        monkeypatch.setattr(cli, "relax_orbitals", marked)
+        for name in ("product", "xop"):
+            method = getattr(CsfElementEngine, name)
+            monkeypatch.setattr(CsfElementEngine, name, reading(method))
+        rec = run_one_geometry(H2_PATHS[0], tmp_path, method="vo", relax_orbitals=True)
+        assert len(hqs) == 2 and hqs[0] is not hqs[1]
+        after = [hq for when, hq in reads if when == "after"]
+        assert after and all(hq is hqs[1] for hq in after)
+        assert rec["e_min"] == rec["relaxation"]["e_min"]
+
+    def test_exact_mode_builds_no_samplers(self, tmp_path, monkeypatch):
+        # the exact cost report's sigmas come from the fragment variances
+        # alone, equal to the ones a sampling plan carries
+        built, results = [0], []
+        init = simulator.FragmentSampler.__init__
+        sigma_matrix = SubspaceEngine.sigma_matrix
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        def kept(self, plan=None):
+            out = sigma_matrix(self, plan)
+            results.append((self, plan, out))
+            return out
+
+        monkeypatch.setattr(simulator.FragmentSampler, "__init__", counted)
+        monkeypatch.setattr(SubspaceEngine, "sigma_matrix", kept)
+        cfg = RunConfig(
+            fcidump_paths=(H2_PATHS[2],), method="vo", eps1=0.5, out_dir=str(tmp_path)
+        )
+        rec = run(cfg)["geometries"][0]
+        assert built[0] == 0 and rec["metric"] > 0.0
+        [(engine, plan, (sigma, fragment_sigmas))] = results
+        assert plan is None
+        plan_sigma, plan_fragments = sigma_matrix(engine, engine.sampling_plan())
+        assert built[0] > 0
+        assert np.array_equal(sigma, plan_sigma) and fragment_sigmas == plan_fragments

@@ -387,6 +387,42 @@ class TestElementEngine:
         assert calls[0] == 0
         assert not engine._states
 
+    @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2_0.7414"])
+    def test_memoised_elements_equal_direct_evaluation(self, stem):
+        # every ordered pair of created CSFs, in an order that reads many
+        # products back from the memo: the same bits as the vdot of the bra
+        # with the operator applied to the ket, zero for an empty operator
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        specs = create_csfs(default_selection_params(ints), ints.n_orb, ints.n_elec)
+        engine = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+        reference = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+        reads = 0
+        for a in specs:
+            for b in specs:
+                op = reference.xop(reference.bits(a), reference.bits(b))
+                want = 0.0
+                if op:
+                    ket = reference.state(b).amplitudes
+                    bra = reference.state(a).amplitudes
+                    want = float(np.vdot(bra, apply_pauli_sum(ket, ints.n_orb, op)).real)
+                reads += (engine.bits(a), b) in engine._products
+                got = engine.element(a, b)
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert reads > 0
+        linked = [v for v in engine._products.values() if v is not None]
+        assert 0 < len(linked) < len(engine._products)
+
+    def test_kernel_of_another_hamiltonian_is_refused(self, h2o, h2o_hq):
+        kernel = CsfElementEngine(jordan_wigner(h2o), h2o.n_orb, h2o.n_elec)
+        params = default_selection_params(h2o)
+        with pytest.raises(BasisError, match="another Hamiltonian"):
+            select_basis_pt(h2o, h2o_hq, params, kernel=kernel)
+        with pytest.raises(BasisError, match="another Hamiltonian"):
+            SubspaceEngine(
+                [BasisState(CsfSpec(CsfKind.HF))], h2o_hq, h2o.n_elec, kernel=kernel
+            )
+
 
 class TestSelection:
     def test_h2_creation_csfs(self, h2):

@@ -2,6 +2,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from senqse import solver
+
 SCRIPT = Path(__file__).parent.parent / "tools" / "output_digest.py"
 
 
@@ -48,3 +52,56 @@ def test_against_checks(tmp_path, monkeypatch):
     assert vo(-2.0 + 5e-10, -3.5) == []
     failures = vo(-2.0 + 2e-9, -3.0)
     assert len(failures) == 1 and failures[0].startswith("vo-h2/a: e_min")
+
+
+def test_run_missing_from_saved_output_is_skipped(tmp_path, monkeypatch, capsys):
+    # a run that an older saved output lacks is reported and not checked;
+    # the runs it has are still checked
+    digest = load_script(monkeypatch)
+    saved = tmp_path / "parent.txt"
+    saved.write_text("aa  pt-h2/report.json\n")
+    parent = digest.read_output(str(saved))
+    summary = {"geometries": [{"label": "h2", "e_min": -1.0, "e_fci": -1.1}]}
+    assert digest.compare("vo-h2-rotation", [], summary, parent) is None
+    assert digest.compare("pt-h2", [("aa", "pt-h2/report.json")], {}, parent) == []
+
+    outputs = {
+        "pt-h2": ([("aa", "pt-h2/report.json")], {"geometries": []}),
+        "vo-h2-rotation": ([("bb", "vo-h2-rotation/report.json")], summary),
+    }
+    monkeypatch.setattr(digest, "RUNS", {name: digest.RUNS[name] for name in outputs})
+    monkeypatch.setattr(digest, "digest_run", outputs.get)
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", "--against", str(saved)])
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        digest.main()
+    err = capsys.readouterr().err
+    assert stop.value.code == 0
+    assert "SKIP  vo-h2-rotation" in err and "0 failed check(s)" in err
+
+    outputs["pt-h2"] = ([("cc", "pt-h2/report.json")], {"geometries": []})
+    with pytest.raises(SystemExit) as stop:
+        digest.main()
+    assert stop.value.code == 1
+
+
+def test_vo_rotation_run_exercises_the_optimiser(tmp_path, monkeypatch):
+    # the one VO run whose basis carries a rotation, so its energy gate
+    # checks line searches and not only an eigensolve
+    digest = load_script(monkeypatch)
+    options = digest.RUNS["vo-h2-rotation"]
+    assert options["method"] == "vo" and options.get("mode", "exact") == "exact"
+    searches = [0]
+    line_search = solver._periodic_line_search
+
+    def counted(*args, **kwargs):
+        searches[0] += 1
+        return line_search(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_periodic_line_search", counted)
+    monkeypatch.chdir(digest.ROOT)
+    lines, summary = digest.digest_run("vo-h2-rotation")
+    assert searches[0] > 0
+    [rec] = summary["geometries"]
+    assert rec["n_rotations_max"] == 1
+    assert abs(rec["e_min"] - rec["e_fci"]) < 1e-8
