@@ -6,24 +6,33 @@ or finite-shot), compare against the exact-diagonalization reference, and
 account sampling cost and circuit resources.  Outputs a curve CSV, a full
 JSON report (deterministic for a fixed config and seed), and per-geometry
 basis and cost files.
+
+Each setting is one ``RunConfig`` field: config-file key, flag and range
+check follow from it, and a bad setting is refused before any output is
+written.  One loop runs the geometries, in-process or on ``workers``
+processes, and lists records and failures in input order.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import functools
 import itertools
 import json
 import logging
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from senqse.csfbasis import (
+    SETTING_RANGES,
     CsfElementEngine,
+    check_setting,
     default_selection_params,
     element_kernel,
     select_basis_pt,
@@ -42,41 +51,49 @@ from senqse.solver import (
 
 log = logging.getLogger(__name__)
 
-_CHOICES = {"method": ("vo", "pt"), "mode": ("exact", "sampled")}
 
-
-def _check_value(key: str, val) -> None:
-    """Range checks shared by RunConfig and config files."""
-    if key in _CHOICES and val not in _CHOICES[key]:
-        raise ValueError(f"unknown {key} {val!r}, expected one of {_CHOICES[key]}")
-    if key == "workers" and val < 1:
-        raise ValueError(f"workers must be >= 1, got {val}")
+def _check_value(f, val) -> None:
+    """Field ``f``'s metadata ``choices`` and ``min``, or selection range."""
+    choices = f.metadata.get("choices")
+    if choices and val not in choices:
+        raise ValueError(f"unknown {f.name} {val!r}, expected one of {choices}")
+    if "min" in f.metadata and val < f.metadata["min"]:
+        raise ValueError(f"{f.name} must be >= {f.metadata['min']}, got {val}")
+    if f.name in SETTING_RANGES:
+        check_setting(f.name, val)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; each field is a config-file key.
+
+    Every field but the two lists is also a flag, in field order: the name
+    with dashes or the metadata ``flag``; a boolean's flag sets the
+    opposite of its default (``--no-taper``).
+    """
+
     fcidump_paths: tuple
     labels: tuple = ()
-    method: str = "vo"  # vo | pt
-    mode: str = "exact"  # exact | sampled
+    method: str = field(default="vo", metadata={"choices": ("vo", "pt")})
+    mode: str = field(default="exact", metadata={"choices": ("exact", "sampled")})
     shots: int = 100_000
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
+    out_dir: str = field(default="runs", metadata={"flag": "--out"})
     eps1: float = 1e-4
     eps2: float = 1e-5
-    n_active_occ: int = 3
-    n_active_virt: int = 3
     root_window: float = 0.1
-    relax_orbitals: bool = False
-    constant_shift: bool = True
+    n_active_occ: int = field(default=3, metadata={"flag": "--active-occ"})
+    n_active_virt: int = field(default=3, metadata={"flag": "--active-virt"})
+    workers: int = field(default=1, metadata={"min": 1})
     taper: bool = True
-    workers: int = 1
-    out_dir: str = "runs"
+    constant_shift: bool = True
+    relax_orbitals: bool = False
 
     def __post_init__(self):
         if not self.fcidump_paths:
             raise ValueError("at least one FCIDUMP path is required")
-        for key in (*_CHOICES, "workers"):
-            _check_value(key, getattr(self, key))
+        for f in fields(self):
+            _check_value(f, getattr(self, f.name))
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
         object.__setattr__(self, "fcidump_paths", tuple(self.fcidump_paths))
@@ -91,6 +108,7 @@ class RunConfig:
         object.__setattr__(self, "labels", labels)
 
 
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -105,11 +123,12 @@ def _parse_bool(val: str) -> bool:
         raise ValueError(f"expected one of {', '.join(_BOOL)}") from None
 
 
-_VALUE_PARSERS = {
-    **dict.fromkeys(("shots", "seed", "n_active_occ", "n_active_virt", "workers"), int),
-    **dict.fromkeys(("eps1", "eps2", "root_window"), float),
-    **dict.fromkeys(("relax_orbitals", "constant_shift", "taper"), _parse_bool),
-    **dict.fromkeys(("method", "mode", "out_dir"), str),
+# value parsers by field annotation; a str field takes its text as it is
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple": lambda val: tuple(v.strip() for v in val.split(",") if v.strip()),
 }
 
 
@@ -125,18 +144,16 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{ln}: expected KEY=VALUE, got {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.lower()
-            if key in ("fcidump_paths", "labels"):
-                values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-            elif key in _VALUE_PARSERS:
-                try:
-                    values[key] = _VALUE_PARSERS[key](val)
-                    _check_value(key, values[key])
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}:{ln}: bad value {val!r} for {key}: {exc}"
-                    ) from None
-            else:
+            if key not in _FIELDS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            f = _FIELDS[key]
+            try:
+                values[key] = _PARSERS.get(f.type, str)(val)
+                _check_value(f, values[key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}:{ln}: bad value {val!r} for {key}: {exc}"
+                ) from None
     return values
 
 
@@ -322,25 +339,18 @@ def run(config: RunConfig) -> dict:
         for idx, (path, label) in enumerate(zip(config.fcidump_paths, config.labels))
     ]
     records, failures = [], []
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            futures = {
-                pool.submit(run_geometry, path, label, bond, config): label
-                for path, label, bond in jobs
-            }
-            results = {}
-            for fut in concurrent.futures.as_completed(futures):
-                label = futures[fut]
-                try:
-                    results[label] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - per-geometry isolation
-                    log.error("geometry %s failed: %s", label, exc)
-                    failures.append({"label": label, "error": str(exc)})
-            records = [results[label] for _, label, _ in jobs if label in results]
-    else:
-        for path, label, bond in jobs:
+    with contextlib.ExitStack() as stack:
+        # each job's record as a call, in job order, so both ways fail alike
+        if config.workers > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(config.workers)
+            )
+            calls = [pool.submit(run_geometry, *job, config).result for job in jobs]
+        else:
+            calls = [functools.partial(run_geometry, *job, config) for job in jobs]
+        for (_, label, _), call in zip(jobs, calls):
             try:
-                records.append(run_geometry(path, label, bond, config))
+                records.append(call())
             except Exception as exc:  # noqa: BLE001 - per-geometry isolation
                 log.error("geometry %s failed: %s", label, exc)
                 failures.append({"label": label, "error": str(exc)})
@@ -378,29 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("fcidump", nargs="*", help="FCIDUMP files, one per geometry")
     parser.add_argument("--config", help="flat KEY=VALUE config file")
-    parser.add_argument("--method", choices=_CHOICES["method"])
-    parser.add_argument("--mode", choices=_CHOICES["mode"])
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument("--eps1", type=float)
-    parser.add_argument("--eps2", type=float)
-    parser.add_argument("--root-window", dest="root_window", type=float)
-    parser.add_argument("--active-occ", dest="n_active_occ", type=int)
-    parser.add_argument("--active-virt", dest="n_active_virt", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument(
-        "--no-taper", dest="taper", action="store_false", default=None
-    )
-    parser.add_argument(
-        "--no-constant-shift",
-        dest="constant_shift",
-        action="store_false",
-        default=None,
-    )
-    parser.add_argument(
-        "--relax-orbitals", dest="relax_orbitals", action="store_true", default=None
-    )
+    for f in _FIELDS.values():
+        name = f.name.replace("_", "-")
+        if f.type == "bool":
+            # the flag sets the opposite of the default
+            flag, action = (
+                (f"--no-{name}", "store_false") if f.default else (f"--{name}", "store_true")
+            )
+            parser.add_argument(flag, dest=f.name, action=action, default=None)
+        elif f.type != "tuple":
+            parser.add_argument(
+                f.metadata.get("flag", f"--{name}"),
+                dest=f.name,
+                type=_PARSERS.get(f.type),
+                choices=f.metadata.get("choices"),
+            )
     return parser
 
 
@@ -410,22 +412,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         values.update(parse_config_file(args.config))
     if args.fcidump:
         values["fcidump_paths"] = tuple(args.fcidump)
-    for key in (
-        "method",
-        "mode",
-        "shots",
-        "seed",
-        "out_dir",
-        "eps1",
-        "eps2",
-        "root_window",
-        "n_active_occ",
-        "n_active_virt",
-        "workers",
-        "taper",
-        "constant_shift",
-        "relax_orbitals",
-    ):
+    for key in _FIELDS:
         val = getattr(args, key, None)
         if val is not None:
             values[key] = val

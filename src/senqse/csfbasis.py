@@ -493,6 +493,23 @@ def empty_orbitals(spec: CsfSpec, n_orb: int, n_elec: int) -> set:
 # ---------------------------------------------------------------------------
 
 
+# the accepted range of each selection setting: (test, the rule it states)
+SETTING_RANGES = {
+    "eps1": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "eps2": (lambda v: v > 0.0, "must be positive"),
+    "root_window": (lambda v: v >= 0.0, "must be nonnegative"),
+    "n_active_occ": (lambda v: v >= 1, "must be >= 1"),
+    "n_active_virt": (lambda v: v >= 1, "must be >= 1"),
+}
+
+
+def check_setting(name: str, value) -> None:
+    """Raise BasisError when selection setting ``name`` is out of its range."""
+    test, rule = SETTING_RANGES[name]
+    if not test(value):
+        raise BasisError(f"{name} {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SelectionParams:
     """Active window and thresholds steering basis selection.
@@ -517,12 +534,8 @@ class SelectionParams:
             raise BasisError("active occupied/virtual sets overlap")
         if not self.active_occ or not self.active_virt:
             raise BasisError("active sets must be nonempty")
-        if not 0.0 < self.eps1 <= 1.0:
-            raise BasisError("eps1 must lie in (0, 1]")
-        if self.eps2 <= 0.0:
-            raise BasisError("eps2 must be positive")
-        if self.root_window < 0.0:
-            raise BasisError("root_window must be nonnegative")
+        for name in ("eps1", "eps2", "root_window"):
+            check_setting(name, getattr(self, name))
 
     @property
     def active(self) -> frozenset:
@@ -538,6 +551,8 @@ def default_selection_params(
     root_window: float = 0.1,
 ) -> SelectionParams:
     """Energy window around the Fermi level: highest occupied, lowest virtual."""
+    check_setting("n_active_occ", n_active_occ)
+    check_setting("n_active_virt", n_active_virt)
     n_occ = ints.n_occ
     occ = frozenset(range(max(0, n_occ - n_active_occ), n_occ))
     virt = frozenset(range(n_occ, min(ints.n_orb, n_occ + n_active_virt)))

@@ -49,7 +49,6 @@ class FragmentSet:
     """Commuting fragments that reconstruct the source operator exactly."""
 
     fragments: tuple
-    source_terms: int
 
     def __len__(self):
         return len(self.fragments)
@@ -131,7 +130,7 @@ def sorted_insertion(op: PauliSum) -> FragmentSet:
             fragments.append([((xb, zb), c)])
             members.append([p])
     sums = tuple(PauliSum(n, dict(entries)) for entries in fragments)
-    return FragmentSet(fragments=sums, source_terms=op.n_terms)
+    return FragmentSet(fragments=sums)
 
 
 def fragment_variance(state: StateVector, fragment: PauliSum) -> float:

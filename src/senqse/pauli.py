@@ -155,14 +155,6 @@ class PauliProduct:
         return f"PauliProduct({pre}{self.label()} on {self.n_qubits})"
 
 
-def mul(a: PauliProduct, b: PauliProduct) -> PauliProduct:
-    return a.mul(b)
-
-
-def commutes(a: PauliProduct, b: PauliProduct) -> bool:
-    return a.commutes(b)
-
-
 @dataclass(frozen=True)
 class CliffordMap:
     """A Clifford unitary built from CNOTs and qubit permutations.
@@ -235,10 +227,6 @@ def _permute_bits(bits: int, perm) -> int:
         bits >>= 1
         q += 1
     return out
-
-
-def conjugate(p: PauliProduct, c: CliffordMap) -> PauliProduct:
-    return c.conjugate(p)
 
 
 class PauliSum:
@@ -443,11 +431,3 @@ def parse_pauli_sum(text: str, n_qubits: int | None = None) -> PauliSum:
     for coeff, label in entries:
         out.add_product(PauliProduct.from_label(label, n_qubits), coeff)
     return out
-
-
-def one_norm(s: PauliSum, include_identity: bool = False) -> float:
-    return s.one_norm(include_identity)
-
-
-def simplify(s: PauliSum, tol: float = DROP_TOL) -> PauliSum:
-    return s.simplify(tol)

@@ -30,8 +30,8 @@ from senqse.csfbasis import (
 )
 from senqse.fermion import (
     FermionIntegrals,
-    OrbitalRotation,
     jordan_wigner,
+    occ_virt_rotation,
     rotate_orbitals,
 )
 from senqse.measure import (
@@ -1016,22 +1016,12 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
     basis are held fixed.  Occupied-virtual rotations only.  Returns (t*,
     e_min, history of accepted energies).
     """
-    n_occ, n_virt = ints.n_occ, ints.n_orb - ints.n_occ
-    pairs = [(i, n_occ + a) for i in range(n_occ) for a in range(n_virt)]
-
-    def unpack(x):
-        t = np.zeros((ints.n_orb, ints.n_orb))
-        for (p, q), v in zip(pairs, x):
-            t[p, q] = v
-            t[q, p] = -v
-        return OrbitalRotation(t)
-
-    best = {"e": np.inf, "x": np.zeros(len(pairs))}
+    n_amplitudes = ints.n_occ * (ints.n_orb - ints.n_occ)
+    best = {"e": np.inf, "x": np.zeros(n_amplitudes)}
     history = []
 
     def objective(x):
-        rot = unpack(x)
-        hq = jordan_wigner(rotate_orbitals(ints, rot))
+        hq = jordan_wigner(rotate_orbitals(ints, occ_virt_rotation(ints, x)))
         problem = build_subspace(basis, hq, ints.n_elec, mode="exact")
         if problem.e_min < best["e"] - 1e-14:
             best["e"] = problem.e_min
@@ -1041,7 +1031,7 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
 
     import scipy.optimize
 
-    x0 = np.zeros(len(pairs))
+    x0 = np.zeros(n_amplitudes)
     e0 = objective(x0)
     res = scipy.optimize.minimize(
         objective, x0, method="Powell", options={"maxiter": maxiter, "xtol": 1e-6}
@@ -1050,7 +1040,7 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
         log.warning("orbital relaxation stopped early: %s", res.message)
     if best["e"] > e0 + 1e-12:
         best["e"], best["x"] = e0, x0
-    return unpack(best["x"]), float(best["e"]), history
+    return occ_virt_rotation(ints, best["x"]), float(best["e"]), history
 
 
 # ---------------------------------------------------------------------------
@@ -1076,12 +1066,12 @@ def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
     return np.array(sorted(dets), dtype=np.uint64)
 
 
-def _sector_entries(hq: PauliSum, dets: np.ndarray) -> tuple:
-    """(rows, cols, values) of hq on the sorted determinants, term by term.
+def _sector_entries(hq: PauliSum, dets: np.ndarray):
+    """(rows, cols, values) of each term of hq on the sorted determinants.
 
-    An entry that several terms reach appears once per term, unsummed.
+    Terms come in ``hq.items()`` order; an entry that several terms reach
+    is summed by the reader.
     """
-    rows, cols, vals = [], [], []
     dim = len(dets)
     col_idx = np.arange(dim)
     one = np.uint64(1)
@@ -1095,14 +1085,10 @@ def _sector_entries(hq: PauliSum, dets: np.ndarray) -> tuple:
         signs = 1.0 - 2.0 * (
             (np.bitwise_count(dets[ok] & np.uint64(z)) & one).astype(float)
         )
-        coeff = c * (1j) ** ((x & z).bit_count() % 4)
-        rows.append(pos[ok])
-        cols.append(col_idx[ok])
-        vals.append(coeff * signs)
-    vals = np.concatenate(vals)
-    if np.max(np.abs(vals.imag), initial=0.0) > 1e-9:
-        raise SolverError("sector matrix has imaginary entries")
-    return np.concatenate(rows), np.concatenate(cols), vals.real
+        vals = c * (1j) ** ((x & z).bit_count() % 4) * signs
+        if np.max(np.abs(vals.imag)) > 1e-9:
+            raise SolverError("sector matrix has imaginary entries")
+        yield pos[ok], col_idx[ok], vals.real
 
 
 def _check_symmetric(asym: float) -> None:
@@ -1111,11 +1097,16 @@ def _check_symmetric(asym: float) -> None:
 
 
 def _dense_sector_matrix(hq: PauliSum, dets: np.ndarray) -> np.ndarray:
-    """hq on the sector as a dense array, duplicates summed in term order."""
-    rows, cols, vals = _sector_entries(hq, dets)
+    """hq on the sector as a dense array, added term by term in term order.
+
+    One term reaches an entry at most once, so each in-place add is exact
+    and duplicates across terms are summed in term order.
+    """
     mat = np.zeros((len(dets), len(dets)))
-    np.add.at(mat, (rows, cols), vals)
-    _check_symmetric(np.max(np.abs(mat - mat.T), initial=0.0))
+    for rows, cols, vals in _sector_entries(hq, dets):
+        mat[rows, cols] += vals
+    asym = mat - mat.T
+    _check_symmetric(np.max(np.abs(asym, out=asym), initial=0.0))
     return mat
 
 
@@ -1124,7 +1115,7 @@ def _lanczos_ground_state(hq: PauliSum, dets: np.ndarray) -> tuple:
     import scipy.sparse
     import scipy.sparse.linalg
 
-    rows, cols, vals = _sector_entries(hq, dets)
+    rows, cols, vals = map(np.concatenate, zip(*_sector_entries(hq, dets)))
     mat = scipy.sparse.coo_matrix(
         (vals, (rows, cols)), shape=(len(dets), len(dets))
     ).tocsr()

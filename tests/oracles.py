@@ -241,14 +241,9 @@ def copy_per_rotation(amps, rotations):
     return amps
 
 
-def coo_csr_sector_matrix(hq, dets):
-    """hq on the sorted determinants as a SciPy CSR matrix, via COO.
-
-    Every term's hits become (row, col, value) triples, and duplicates are
-    summed by SciPy's COO to CSR conversion.
-    """
-    import scipy.sparse
-
+def sector_triples(hq, dets):
+    """(rows, cols, values) of hq on the sorted determinants, every term's
+    hits concatenated in term order, duplicates unsummed."""
     dim = len(dets)
     rows, cols, vals = [], [], []
     for (x, z), c in hq.items():
@@ -262,10 +257,28 @@ def coo_csr_sector_matrix(hq, dets):
         rows.append(pos[ok])
         cols.append(np.flatnonzero(ok))
         vals.append(c * (1j) ** ((x & z).bit_count() % 4) * signs)
-    vals = np.concatenate(vals)
-    return scipy.sparse.coo_matrix(
-        (vals.real, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    ).tocsr()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals).real
+
+
+def coo_csr_sector_matrix(hq, dets):
+    """hq on the sorted determinants as a SciPy CSR matrix, via COO.
+
+    Duplicates are summed by SciPy's COO to CSR conversion.
+    """
+    import scipy.sparse
+
+    rows, cols, vals = sector_triples(hq, dets)
+    dim = len(dets)
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def one_add_at_sector_matrix(hq, dets):
+    """hq on the sorted determinants as a dense array, from one ``np.add.at``
+    over every term's entries, concatenated in term order."""
+    mat = np.zeros((len(dets), len(dets)))
+    rows, cols, vals = sector_triples(hq, dets)
+    np.add.at(mat, (rows, cols), vals)
+    return mat
 
 
 def product_by_product_mul(a, b):

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,48 @@ FIXTURES = Path(__file__).parent / "fixtures"
 H2_PATHS = [str(FIXTURES / f"h2_{r}.fcidump") for r in ("0.7414", "1.0000", "1.5000")]
 H2O_PATH = str(FIXTURES / "h2o_1.0000.fcidump")
 TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
+
+# the command-line surface, pinned action by action: (option strings,
+# dest, type, choices, default, action class)
+PARSER_SURFACE = [
+    (["-h", "--help"], "help", None, None, "==SUPPRESS==", "_HelpAction"),
+    ([], "fcidump", None, None, None, "_StoreAction"),
+    (["--config"], "config", None, None, None, "_StoreAction"),
+    (["--method"], "method", None, ("vo", "pt"), None, "_StoreAction"),
+    (["--mode"], "mode", None, ("exact", "sampled"), None, "_StoreAction"),
+    (["--shots"], "shots", int, None, None, "_StoreAction"),
+    (["--seed"], "seed", int, None, None, "_StoreAction"),
+    (["--out"], "out_dir", None, None, None, "_StoreAction"),
+    (["--eps1"], "eps1", float, None, None, "_StoreAction"),
+    (["--eps2"], "eps2", float, None, None, "_StoreAction"),
+    (["--root-window"], "root_window", float, None, None, "_StoreAction"),
+    (["--active-occ"], "n_active_occ", int, None, None, "_StoreAction"),
+    (["--active-virt"], "n_active_virt", int, None, None, "_StoreAction"),
+    (["--workers"], "workers", int, None, None, "_StoreAction"),
+    (["--no-taper"], "taper", None, None, None, "_StoreFalseAction"),
+    (["--no-constant-shift"], "constant_shift", None, None, None, "_StoreFalseAction"),
+    (["--relax-orbitals"], "relax_orbitals", None, None, None, "_StoreTrueAction"),
+]
+
+# one config-file line per key and the value it parses to
+CONFIG_LINES = [
+    ("fcidump_paths = a.fcidump, b.fcidump,", "fcidump_paths", ("a.fcidump", "b.fcidump")),
+    ("labels = x , y", "labels", ("x", "y")),
+    ("method = pt", "method", "pt"),
+    ("mode = sampled", "mode", "sampled"),
+    ("shots = 250", "shots", 250),
+    ("seed = 7", "seed", 7),
+    ("Out_Dir = some/dir", "out_dir", "some/dir"),
+    ("eps1 = 1e-3", "eps1", 1e-3),
+    ("eps2 = 2", "eps2", 2.0),
+    ("root_window = 0", "root_window", 0.0),
+    ("n_active_occ = 4", "n_active_occ", 4),
+    ("n_active_virt = 2", "n_active_virt", 2),
+    ("workers = 3", "workers", 3),
+    ("taper = No", "taper", False),
+    ("constant_shift = TRUE", "constant_shift", True),
+    ("relax_orbitals = 1", "relax_orbitals", True),
+]
 
 
 class TestConfig:
@@ -111,6 +154,51 @@ class TestConfig:
         assert main([*paths, "--workers", "2", "--out", str(out)]) == 2
         assert "duplicate geometry label 'h2_0.7414'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, flag, value",
+        [
+            ("eps1", "--eps1", 0.0),
+            ("eps1", "--eps1", 2.0),
+            ("eps2", "--eps2", 0.0),
+            ("eps2", "--eps2", -0.5),
+            ("root_window", "--root-window", -0.1),
+            ("n_active_occ", "--active-occ", 0),
+            ("n_active_virt", "--active-virt", 0),
+            ("seed", "--seed", -1),
+        ],
+    )
+    def test_out_of_range_setting_refused_up_front(
+        self, tmp_path, capsys, key, flag, value
+    ):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            RunConfig(fcidump_paths=(H2_PATHS[0],), **{key: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"fcidump_paths = {H2_PATHS[0]}\n{key} = {value}\n")
+        where = f"^{re.escape(str(path))}:2: bad value '{value}' for {key}: {key} must"
+        with pytest.raises(ConfigError, match=where):
+            parse_config_file(str(path))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert f"{path}:2: bad value '{value}' for {key}" in capsys.readouterr().err
+        assert main([H2_PATHS[0], flag, str(value), "--out", str(out)]) == 2
+        assert f"error: {key} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parser_surface_is_pinned(self):
+        actions = [
+            (a.option_strings, a.dest, a.type, a.choices, a.default, type(a).__name__)
+            for a in build_parser()._actions
+        ]
+        assert actions == PARSER_SURFACE
+
+    @pytest.mark.parametrize("line, key, expected", CONFIG_LINES)
+    def test_each_config_key_parses(self, tmp_path, line, key, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        values = parse_config_file(str(path))
+        assert values == {key: expected}
+        assert type(values[key]) is type(expected)
 
     def test_cli_overrides_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -296,21 +384,43 @@ class TestRun:
         assert main([str(tmp_path / "none.fcidump"), "--out", str(tmp_path / "bad")]) == 1
 
     def test_workers_parallel_matches_serial(self, tmp_path):
-        serial = run(
-            RunConfig(
-                fcidump_paths=tuple(H2_PATHS[:2]),
-                out_dir=str(tmp_path / "serial"),
+        # records and output files are equal but for config.workers
+        out = tmp_path / "out"
+        runs = []
+        for workers in (1, 2):
+            report = run(
+                RunConfig(
+                    fcidump_paths=tuple(H2_PATHS[:2]), workers=workers, out_dir=str(out)
+                )
             )
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            saved = json.loads(files.pop("report.json"))
+            for summary in (report, saved):
+                assert summary["config"].pop("workers") == workers
+            runs.append((report, saved, files))
+            shutil.rmtree(out)
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]["geometries"]) == 2 and not runs[0][0]["failures"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_listed_in_job_order(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(cli, "run_geometry", fail_first_job_last)
+        cfg = RunConfig(
+            fcidump_paths=tuple(H2_PATHS[:2]),
+            labels=("a", "b"),
+            workers=workers,
+            out_dir=str(tmp_path / "out"),
         )
-        parallel = run(
-            RunConfig(
-                fcidump_paths=tuple(H2_PATHS[:2]),
-                workers=2,
-                out_dir=str(tmp_path / "parallel"),
-            )
-        )
-        for a, b in zip(serial["geometries"], parallel["geometries"]):
-            assert a["e_min"] == b["e_min"]
+        report = run(cfg)
+        assert [f["label"] for f in report["failures"]] == ["a", "b"]
+        assert report["failures"][0]["error"] == "a failed"
+        assert report["geometries"] == []
+
+
+def fail_first_job_last(path, label, bond, config):
+    """A geometry run that fails, job 'a' well after job 'b'."""
+    time.sleep(0.5 if label == "a" else 0.0)
+    raise RuntimeError(f"{label} failed")
 
 
 def run_one_geometry(path, tmp_path, **options):
