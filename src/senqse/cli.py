@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from senqse.csfbasis import (
+    SETTING_DEFAULTS,
     SETTING_RANGES,
     CsfElementEngine,
     check_setting,
@@ -79,11 +80,15 @@ class RunConfig:
     shots: int = 100_000
     seed: int = field(default=0, metadata={"min": 0})
     out_dir: str = field(default="runs", metadata={"flag": "--out"})
-    eps1: float = 1e-4
-    eps2: float = 1e-5
-    root_window: float = 0.1
-    n_active_occ: int = field(default=3, metadata={"flag": "--active-occ"})
-    n_active_virt: int = field(default=3, metadata={"flag": "--active-virt"})
+    eps1: float = SETTING_DEFAULTS["eps1"]
+    eps2: float = SETTING_DEFAULTS["eps2"]
+    root_window: float = SETTING_DEFAULTS["root_window"]
+    n_active_occ: int = field(
+        default=SETTING_DEFAULTS["n_active_occ"], metadata={"flag": "--active-occ"}
+    )
+    n_active_virt: int = field(
+        default=SETTING_DEFAULTS["n_active_virt"], metadata={"flag": "--active-virt"}
+    )
     workers: int = field(default=1, metadata={"min": 1})
     taper: bool = True
     constant_shift: bool = True
@@ -210,7 +215,29 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         kernel=kernel,
     )
     if config.taper:
+        # sampling-cost accounting; the ground vector weighting it is the
+        # exact matrix's in both modes
+        c0 = problem.exact_c0 if sampled else problem.c0
+        report = allocate_and_score(
+            problem.sigma,
+            np.asarray(c0, dtype=float),
+            problem.fragment_sigmas,
+            system=label,
+            bond=bond,
+            method=config.method,
+        )
+        metric, cost_text = report.metric, report.to_text()
         term_stats = tapering_stats(basis, hq, ints.n_elec, kernel=kernel)
+    else:
+        # the ablation has no sampling cost, and every operator is whole
+        metric = cost_text = None
+        term_stats = {
+            "avg_term_ratio": 1.0,
+            "max_term_ratio": 1.0,
+            "avg_norm_ratio": 1.0,
+            "max_norm_ratio": 1.0,
+            "original_terms": hq.n_terms,
+        }
     # the oracle's sector matrix is the geometry's largest allocation, so
     # the kernel and its memos go first
     del kernel
@@ -231,6 +258,9 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         "error": problem.e_min - fci.energy,
         "hamiltonian_terms": hq.n_terms,
         "basis_text": serialize_basis(basis),
+        "cost_text": cost_text,
+        "metric": metric,
+        "term_stats": term_stats,
     }
 
     if sampled:
@@ -238,30 +268,6 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         record["second_order_bias"] = float(problem.second_order_bias)
         record["elements_at_floor"] = problem.elements_at_floor
 
-    # sampling-cost accounting (needs the tapered machinery); the ground
-    # vector weighting it is the exact matrix's in both modes
-    if config.taper:
-        c0 = problem.exact_c0 if sampled else problem.c0
-        report = allocate_and_score(
-            problem.sigma,
-            np.asarray(c0, dtype=float),
-            problem.fragment_sigmas,
-            system=label,
-            bond=bond,
-            method=config.method,
-        )
-        record["metric"] = report.metric
-        record["cost_text"] = report.to_text()
-        record["term_stats"] = term_stats
-    else:
-        record["metric"] = None
-        record["term_stats"] = {
-            "avg_term_ratio": 1.0,
-            "max_term_ratio": 1.0,
-            "avg_norm_ratio": 1.0,
-            "max_norm_ratio": 1.0,
-            "original_terms": hq.n_terms,
-        }
     if relaxation:
         record["relaxation"] = relaxation
     if problem.shots is not None:
@@ -365,7 +371,7 @@ def run(config: RunConfig) -> dict:
         stem = os.path.join(config.out_dir, rec["label"])
         with open(f"{stem}.basis.txt", "w") as fh:
             fh.write(rec.pop("basis_text"))
-        cost_text = rec.pop("cost_text", None)
+        cost_text = rec.pop("cost_text")
         if cost_text is not None:
             with open(f"{stem}.cost.txt", "w") as fh:
                 fh.write(cost_text)

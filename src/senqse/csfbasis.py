@@ -501,6 +501,14 @@ SETTING_RANGES = {
     "n_active_occ": (lambda v: v >= 1, "must be >= 1"),
     "n_active_virt": (lambda v: v >= 1, "must be >= 1"),
 }
+# the default of each selection setting
+SETTING_DEFAULTS = {
+    "eps1": 1e-4,
+    "eps2": 1e-5,
+    "root_window": 0.1,
+    "n_active_occ": 3,
+    "n_active_virt": 3,
+}
 
 
 def check_setting(name: str, value) -> None:
@@ -523,9 +531,9 @@ class SelectionParams:
 
     active_occ: frozenset
     active_virt: frozenset
-    eps1: float = 1e-4
-    eps2: float = 1e-5
-    root_window: float = 0.1
+    eps1: float = SETTING_DEFAULTS["eps1"]
+    eps2: float = SETTING_DEFAULTS["eps2"]
+    root_window: float = SETTING_DEFAULTS["root_window"]
 
     def __post_init__(self):
         object.__setattr__(self, "active_occ", frozenset(self.active_occ))
@@ -544,11 +552,11 @@ class SelectionParams:
 
 def default_selection_params(
     ints: FermionIntegrals,
-    eps1: float = 1e-4,
-    eps2: float = 1e-5,
-    n_active_occ: int = 3,
-    n_active_virt: int = 3,
-    root_window: float = 0.1,
+    eps1: float = SETTING_DEFAULTS["eps1"],
+    eps2: float = SETTING_DEFAULTS["eps2"],
+    n_active_occ: int = SETTING_DEFAULTS["n_active_occ"],
+    n_active_virt: int = SETTING_DEFAULTS["n_active_virt"],
+    root_window: float = SETTING_DEFAULTS["root_window"],
 ) -> SelectionParams:
     """Energy window around the Fermi level: highest occupied, lowest virtual."""
     check_setting("n_active_occ", n_active_occ)
@@ -680,7 +688,7 @@ def create_csfs(params: SelectionParams, n_orb: int, n_elec: int) -> list:
     return specs
 
 
-def trim_csfs(engine: CsfElementEngine, specs: list, eps1: float, root_window: float = 0.0):
+def trim_csfs(engine: CsfElementEngine, specs: list, eps1: float, root_window: float):
     """Keep CSFs whose weight in a low-lying root exceeds eps1.
 
     With root_window = 0 only the subspace ground state counts (the
@@ -743,7 +751,7 @@ def extension_pairs(
     survivors: list,
     h_surv: np.ndarray,
     eps2: float,
-    root_window: float = 0.0,
+    root_window: float,
 ):
     """Rank-one subspace enlargements: pairs whose energy shift exceeds eps2.
 

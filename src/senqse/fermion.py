@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, PauliError, PauliProduct, PauliSum
+from senqse.pauli import PauliError, PauliProduct, PauliSum
 
 log = logging.getLogger(__name__)
 
 SYMMETRY_TOL = 1e-10
+# write_fcidump omits integrals of smaller magnitude
+WRITE_TOL = 1e-14
 
 
 class FcidumpError(ValueError):
@@ -173,7 +175,7 @@ def load_fcidump(path) -> FermionIntegrals:
         return parse_fcidump(fh.read())
 
 
-def write_fcidump(ints: FermionIntegrals, path, tol: float = 1e-14) -> None:
+def write_fcidump(ints: FermionIntegrals, path) -> None:
     """Write integrals back out in the same convention (unique records only)."""
     n = ints.n_orb
     with open(path, "w") as fh:
@@ -187,11 +189,11 @@ def write_fcidump(ints: FermionIntegrals, path, tol: float = 1e-14) -> None:
                     s_max = q if r == p else r
                     for s in range(s_max + 1):
                         v = ints.g[p, q, r, s]
-                        if abs(v) > tol:
+                        if abs(v) > WRITE_TOL:
                             fh.write(f"{v:23.16e} {p+1:3d} {q+1:3d} {r+1:3d} {s+1:3d}\n")
         for p in range(n):
             for q in range(p + 1):
-                if abs(ints.h[p, q]) > tol:
+                if abs(ints.h[p, q]) > WRITE_TOL:
                     fh.write(f"{ints.h[p, q]:23.16e} {p+1:3d} {q+1:3d}   0   0\n")
         fh.write(f"{ints.e_core:23.16e}   0   0   0   0\n")
 
@@ -312,7 +314,7 @@ def _blocks(index):
         yield tuple(i[start : start + BLOCK_INTEGRALS] for i in index)
 
 
-def jordan_wigner(ints: FermionIntegrals, tol: float = DROP_TOL) -> PauliSum:
+def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
     """Qubit image of the electronic Hamiltonian on 2*n_orb qubits.
 
     H = e_core + sum_pq h_pq a+_ps a_qs
@@ -344,7 +346,7 @@ def jordan_wigner(ints: FermionIntegrals, tol: float = DROP_TOL) -> PauliSum:
         gv = np.repeat(0.5 * ints.g[p, q, r, s], 4).reshape(keep.shape)
         _add_ladder_products(terms, modes[keep], (True, True, False, False), gv[keep])
 
-    out = PauliSum(nq, terms).simplify(tol).chop_imag(tol)
+    out = PauliSum(nq, terms).simplify().chop_imag()
     resid = out.max_imag()
     if resid > 1e-9:
         raise ValueError(f"qubit Hamiltonian has imaginary residue {resid:.2e}")

@@ -97,9 +97,6 @@ class PauliProduct:
     def y_count(self) -> int:
         return (self.x_bits & self.z_bits).bit_count()
 
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
-
     # -- algebra -----------------------------------------------------------
 
     def mul(self, other: "PauliProduct") -> "PauliProduct":
@@ -331,35 +328,28 @@ class PauliSum:
             self.n_qubits, {k: factor * c for k, c in self._terms.items()}
         )
 
-    def __mul__(self, other):
-        if isinstance(other, PauliSum):
-            if self.n_qubits != other.n_qubits:
-                raise PauliError("qubit count mismatch in product")
-            self._check_bits()
-            other._check_bits()
-            out: dict[tuple[int, int], complex] = {}
-            for (x1, z1), c1 in self._terms.items():
-                y1 = (x1 & z1).bit_count()
-                for (x2, z2), c2 in other._terms.items():
-                    x3, z3 = x1 ^ x2, z1 ^ z2
-                    # the phase exponent of PauliProduct.mul
-                    g = (
-                        y1
-                        + (x2 & z2).bit_count()
-                        - (x3 & z3).bit_count()
-                        + 2 * (z1 & x2).bit_count()
-                    )
-                    key = (x3, z3)
-                    out[key] = out.get(key, 0.0) + c1 * c2 * _PHASES[g % 4]
-            return PauliSum(self.n_qubits, out)
-        if isinstance(other, PauliProduct):
-            return self * PauliSum.from_products([(other, 1.0)], self.n_qubits)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
+    def __mul__(self, other: "PauliSum") -> "PauliSum":
+        if not isinstance(other, PauliSum):
+            return NotImplemented
+        if self.n_qubits != other.n_qubits:
+            raise PauliError("qubit count mismatch in product")
+        self._check_bits()
+        other._check_bits()
+        out: dict[tuple[int, int], complex] = {}
+        for (x1, z1), c1 in self._terms.items():
+            y1 = (x1 & z1).bit_count()
+            for (x2, z2), c2 in other._terms.items():
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                # the phase exponent of PauliProduct.mul
+                g = (
+                    y1
+                    + (x2 & z2).bit_count()
+                    - (x3 & z3).bit_count()
+                    + 2 * (z1 & x2).bit_count()
+                )
+                key = (x3, z3)
+                out[key] = out.get(key, 0.0) + c1 * c2 * _PHASES[g % 4]
+        return PauliSum(self.n_qubits, out)
 
     def simplify(self, tol: float = DROP_TOL) -> "PauliSum":
         """Drop terms with |coefficient| < tol (duplicates are always merged)."""
@@ -376,13 +366,6 @@ class PauliSum:
         for k, c in self._terms.items():
             out[k] = complex(c.real, 0.0) if abs(c.imag) < tol else c
         return PauliSum(self.n_qubits, out)
-
-    def conjugated(self, cmap: CliffordMap) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        for (x, z), c in self._terms.items():
-            p = cmap.conjugate(PauliProduct(self.n_qubits, x, z))
-            out.add_term(p.x_bits, p.z_bits, c * p.phase)
-        return out
 
     def commutes_with(self, other: "PauliSum", tol: float = DROP_TOL) -> bool:
         """Exact algebraic check that [self, other] vanishes."""

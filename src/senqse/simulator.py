@@ -20,7 +20,7 @@ sample mean is an unbiased estimator of the fragment expectation value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,18 +197,6 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    estimate: float
-    shots: int
-    fragment_id: int
-    seed: tuple
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise SimulatorError("shots must be >= 1")
-
-
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator with a stream derived from (seed, *key)."""
     return np.random.Generator(
@@ -291,19 +279,3 @@ class FragmentSampler:
         counts = rng.multinomial(shots, self.probs)
         return float(counts @ self.values) / shots
 
-
-def sample_fragment(
-    state: StateVector,
-    fragment: PauliSum,
-    shots: int,
-    seed: int,
-    fragment_id: int = 0,
-    stream: tuple = (),
-) -> ShotResult:
-    """Draw `shots` outcomes of a joint fragment measurement; seeded, unbiased."""
-    sampler = FragmentSampler(state, fragment)
-    rng = rng_for(seed, *stream, fragment_id)
-    est = sampler.sample(shots, rng)
-    return ShotResult(
-        estimate=est, shots=shots, fragment_id=fragment_id, seed=(seed, *stream)
-    )

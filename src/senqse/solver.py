@@ -120,8 +120,8 @@ class SubspaceEngine:
     Pauli sum; replacing a state's rotation amplitudes (which never change
     its config) only invalidates that state's vector.  ``apply_xop`` uses
     a memoised dense matrix instead when the register has at most
-    ``_DENSE_XOP_ORBITALS`` orbitals.  Without tapering there is no kernel:
-    elements apply ``hq`` to the full-register states.
+    ``_DENSE_XOP_ORBITALS`` orbitals.  The untapered ablation is
+    ``_full_register_matrix``, outside the engine.
     """
 
     def __init__(
@@ -129,7 +129,6 @@ class SubspaceEngine:
         basis,
         hq: PauliSum,
         n_elec: int,
-        taper: bool = True,
         constant_shift: bool = True,
         kernel=None,
     ):
@@ -144,15 +143,11 @@ class SubspaceEngine:
         self.hq = hq
         self.n_orb = hq.n_qubits // 2
         self.n_elec = n_elec
-        self.taper = taper
         self.constant_shift = constant_shift
-        self.kernel = (
-            element_kernel(kernel, hq, self.n_orb, n_elec) if taper else None
-        )
+        self.kernel = element_kernel(kernel, hq, self.n_orb, n_elec)
         self._states = [None] * len(basis)
         self._configs = [None] * len(basis)
         self._xmats = {}
-        self._h_ket_cache = {}
         self._check_orthonormality()
 
     def _check_orthonormality(self):
@@ -186,12 +181,7 @@ class SubspaceEngine:
 
     def state(self, mu: int) -> StateVector:
         if self._states[mu] is None:
-            if self.taper:
-                self._states[mu] = rotate_chain(
-                    self.csf_state(mu), self.basis[mu].rotations
-                )
-            else:
-                self._states[mu] = full_state(self.basis[mu], self.n_orb, self.n_elec)
+            self._states[mu] = rotate_chain(self.csf_state(mu), self.basis[mu].rotations)
         return self._states[mu]
 
     def replace_basis_state(self, mu: int, b: BasisState) -> None:
@@ -199,7 +189,6 @@ class SubspaceEngine:
             raise SolverError("replacement must keep the CSF (only amplitudes move)")
         self.basis[mu] = b
         self._states[mu] = None
-        self._h_ket_cache.pop(mu, None)
 
     def xop(self, mu: int, nu: int) -> PauliSum:
         return self.kernel.xop(self.config(mu).bits, self.config(nu).bits)
@@ -225,14 +214,7 @@ class SubspaceEngine:
         return np.array([apply_pauli_sum(v, self.n_orb, op) for v in vecs])
 
     def element_exact(self, mu: int, nu: int) -> float:
-        if not self.taper:
-            if nu not in self._h_ket_cache:
-                ket = self.state(nu)
-                self._h_ket_cache[nu] = apply_pauli_sum(
-                    ket.amplitudes, 2 * self.n_orb, self.hq
-                )
-            h_ket = self._h_ket_cache[nu]
-        elif not self.basis[nu].rotations:
+        if not self.basis[nu].rotations:
             h_ket = self.kernel.product(self.config(mu).bits, self.basis[nu].csf)
         else:
             op = self.xop(mu, nu)
@@ -262,8 +244,6 @@ class SubspaceEngine:
         the two-state superposition, with the constant shifted by the exact
         diagonal elements when both states share a seniority config.
         """
-        if not self.taper:
-            raise SolverError("sampling requires the tapered representation")
         if mu == nu:
             op = self.xop(mu, mu)
             return self.state(mu), sorted_insertion(op)
@@ -285,8 +265,6 @@ class SubspaceEngine:
 
         The sigmas are the fragments' exact standard deviations on the state.
         """
-        if not self.taper:
-            raise SolverError("sampling requires the tapered representation")
         for mu in range(self.size):
             for nu in range(mu, self.size):
                 if not self.is_classical(mu, nu):
@@ -522,9 +500,7 @@ def _bias_weighted_table(floor, a, b, budget: float) -> np.ndarray:
     return table(t)
 
 
-def make_matrix_sampler(
-    engine: SubspaceEngine, total_shots: int, plan=None
-) -> MatrixSampler:
+def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampler:
     """Allocate a shot budget and wrap it with the exact skeleton.
 
     The table comes from the exact eigendecomposition of the subspace
@@ -560,8 +536,7 @@ def make_matrix_sampler(
     """
     if total_shots < 1:
         raise SolverError("sampled mode needs shots >= 1")
-    if plan is None:
-        plan = engine.sampling_plan()
+    plan = engine.sampling_plan()
     exact = engine.exact_matrix()
     # sigma_e = 0: every draw is exact, one shot per fragment
     shots = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
@@ -594,6 +569,25 @@ def make_matrix_sampler(
     return MatrixSampler(exact=exact, plan=plan, shots=shots)
 
 
+def _full_register_matrix(engine: SubspaceEngine) -> np.ndarray:
+    """The engine's subspace matrix built on the full 2*n_orb-qubit register.
+
+    The reference for the tapered build (the ``--no-taper`` ablation): each
+    basis state is its dense Jordan-Wigner image, ``hq`` is applied once
+    per ket, and each element (mu <= nu) is that product against the bra.
+    """
+    n_qubits = 2 * engine.n_orb
+    states = [
+        full_state(b, engine.n_orb, engine.n_elec).amplitudes for b in engine.basis
+    ]
+    h = np.zeros((engine.size, engine.size))
+    for nu, ket in enumerate(states):
+        h_ket = apply_pauli_sum(ket, n_qubits, engine.hq)
+        for mu in range(nu + 1):
+            h[mu, nu] = h[nu, mu] = real_element(states[mu], h_ket)
+    return h
+
+
 def build_subspace(
     basis,
     hq: PauliSum,
@@ -612,17 +606,22 @@ def build_subspace(
     ``mode="sampled"`` draws finite-shot estimates for the elements that
     involve rotations, with the total budget `shots` split optimally.
     ``kernel`` is the geometry's element kernel (see ``SubspaceEngine``).
+    ``taper=False`` is the ablation: the exact matrix is built on the full
+    register by ``_full_register_matrix``, with no sampling and no sigma.
     """
     engine = SubspaceEngine(
-        basis, hq, n_elec, taper=taper, constant_shift=constant_shift, kernel=kernel
+        basis, hq, n_elec, constant_shift=constant_shift, kernel=kernel
     )
+    if not taper:
+        if mode == "sampled":
+            raise SolverError("sampling requires the tapered representation")
+        if compute_sigma:
+            raise SolverError("sigma accounting requires the tapered path")
     sigma = fragment_sigmas = None
     diagnostics = {}
     if mode == "exact":
-        hmat = engine.exact_matrix()
+        hmat = engine.exact_matrix() if taper else _full_register_matrix(engine)
         if compute_sigma:
-            if not taper:
-                raise SolverError("sigma accounting requires the tapered path")
             sigma, fragment_sigmas = engine.sigma_matrix()
     elif mode == "sampled":
         if shots is None or seed is None:
@@ -881,7 +880,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int, kernel=None):
     it has.  ``kernel`` is the geometry's element kernel (see
     ``SubspaceEngine``).
     """
-    engine = SubspaceEngine(basis, hq, n_elec, taper=True, kernel=kernel)
+    engine = SubspaceEngine(basis, hq, n_elec, kernel=kernel)
     groups: dict = {}
     for mu in range(engine.size):
         key = rotation_group_key(engine.basis[mu].csf, engine.n_orb)
@@ -1148,6 +1147,10 @@ def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
         w, v = np.linalg.eigh(_dense_sector_matrix(hq, dets))
     else:
         w, v = _lanczos_ground_state(hq, dets)
+    # a copy, so the result does not keep eigh's whole eigenvector matrix alive
     return FciResult(
-        energy=float(w[0]), sector=(n_elec, sz), vector=v[:, 0], determinants=dets
+        energy=float(w[0]),
+        sector=(n_elec, sz),
+        vector=v[:, 0].copy(),
+        determinants=dets,
     )

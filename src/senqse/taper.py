@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from senqse.pauli import CliffordMap, DROP_TOL, PauliProduct, PauliSum
+from senqse.pauli import CliffordMap, PauliProduct, PauliSum
 from senqse.simulator import StateVector, apply_clifford
 
 PRODUCT_TOL = 1e-10
@@ -53,11 +53,6 @@ class SeniorityConfig:
     @property
     def n_orb(self) -> int:
         return len(self.v)
-
-    @property
-    def omega(self) -> int:
-        """Total seniority (number of unpaired electrons)."""
-        return sum(self.v)
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ class SectorHamiltonian:
     memoises the n_orb-qubit effective operator per pair.
     """
 
-    def __init__(self, hq: PauliSum, uc: CliffordMap | None = None, tol: float = DROP_TOL):
+    def __init__(self, hq: PauliSum, uc: CliffordMap | None = None):
         if hq.n_qubits % 2:
             raise TaperError(
                 f"operator on {hq.n_qubits} qubits is not a 2*n_orb register"
@@ -137,7 +132,6 @@ class SectorHamiltonian:
         if uc is None:
             uc = build_clifford(n_orb)
         self.n_orb = n_orb
-        self.tol = tol
         mask = (1 << n_orb) - 1
         self._buckets: dict[int, list] = {}
         for (x, z), c in hq.items():
@@ -159,7 +153,7 @@ class SectorHamiltonian:
             for z_left, x_right, z_right, coeff in self._buckets.get(x_left, ()):
                 factor = left_factor_element(x_left, z_left, bra_bits, ket_bits)
                 out.add_term(x_right, z_right, coeff * factor)
-            self._ops[key] = out.simplify(self.tol)
+            self._ops[key] = out.simplify()
         return self._ops[key]
 
 
@@ -168,7 +162,6 @@ def effective_hamiltonian(
     bra: SeniorityConfig,
     ket: SeniorityConfig,
     uc: CliffordMap,
-    tol: float = DROP_TOL,
 ) -> EffectiveHamiltonian:
     """Project a 2*n_orb-qubit operator onto one (bra, ket) seniority pair.
 
@@ -182,7 +175,7 @@ def effective_hamiltonian(
         raise TaperError(
             f"operator on {hq.n_qubits} qubits does not match n_orb={bra.n_orb}"
         )
-    op = SectorHamiltonian(hq, uc, tol).op(bra.bits, ket.bits)
+    op = SectorHamiltonian(hq, uc).op(bra.bits, ket.bits)
     return EffectiveHamiltonian(op, bra, ket)
 
 

@@ -20,10 +20,12 @@ from senqse.csfbasis import (
     rotation_group_key,
     csf_determinants,
     default_selection_params,
+    empty_orbitals,
     extension_pairs,
     full_state,
     make_csf_tapered,
     merge_config_pairs,
+    paired_occupied,
     parse_basis,
     select_basis_pt,
     select_basis_vo,
@@ -173,6 +175,22 @@ class TestCsfConstruction:
             assert abs(expectation(st, s2)) < 1e-10
             assert expectation(st, nop).real == pytest.approx(n_elec)
             assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "idx, paired, empty",
+        [((0, 0, 2, 3), {1}, {0, 4}), ((0, 1, 2, 2), {2}, {3, 4})],
+    )
+    def test_degenerate_double_pairs_and_holes(self, idx, paired, empty):
+        # (i, i, a, b) empties occupied orbital i; (i, j, a, a) fills virtual a
+        n_orb, n_elec = 5, 4
+        spec = CsfSpec(CsfKind.DOUBLE_SINGLET, idx)
+        assert paired_occupied(spec, n_orb, n_elec) == paired
+        assert empty_orbitals(spec, n_orb, n_elec) == empty
+        # every determinant of the CSF agrees: mode 2p + s is orbital p, spin s
+        for occ in csf_determinants(spec, n_orb, n_elec):
+            for p in range(n_orb):
+                n_p = (occ >> 2 * p & 1) + (occ >> 2 * p + 1 & 1)
+                assert n_p == (2 if p in paired else 0 if p in empty else 1)
 
     def test_occ_virt_split_enforced(self):
         with pytest.raises(BasisError, match="split"):
@@ -440,7 +458,7 @@ class TestSelection:
         engine = CsfElementEngine(hq, 2, 2)
         params = default_selection_params(h2, eps1=1.0)
         specs = create_csfs(params, 2, 2)
-        survivors, _, _ = trim_csfs(engine, specs, params.eps1)
+        survivors, _, _ = trim_csfs(engine, specs, params.eps1, 0.0)
         assert len(survivors) == 1
         assert survivors[0].kind is CsfKind.HF
 
@@ -475,8 +493,8 @@ class TestSelection:
         params = default_selection_params(h2o)
         engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
         specs = create_csfs(params, h2o.n_orb, h2o.n_elec)
-        survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1)
-        ext = extension_pairs(engine, survivors, h_surv, params.eps2)
+        survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, 0.0)
+        ext = extension_pairs(engine, survivors, h_surv, params.eps2, 0.0)
         assert any(pairs for pairs in ext)
         for pairs in ext:
             mags = [abs(de) for _, de in pairs]
@@ -489,8 +507,8 @@ class TestSelection:
         basis = select_basis_vo(h2o, h2o_hq, params)
         engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
         specs = create_csfs(params, h2o.n_orb, h2o.n_elec)
-        survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1)
-        ext = extension_pairs(engine, survivors, h_surv, params.eps2)
+        survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, 0.0)
+        ext = extension_pairs(engine, survivors, h_surv, params.eps2, 0.0)
         plans = merge_config_pairs(survivors, ext, h2o.n_orb)
         from senqse.csfbasis import rotation_group_key
 

@@ -121,6 +121,13 @@ class TestParse:
         ints = parse_fcidump(MINIMAL_H2)
         assert ints.e_core == pytest.approx(0.7137)
 
+    def test_orbital_energy_records_skipped(self):
+        # 'value i 0 0 0' records carry orbital energies, which are unused
+        ints = parse_fcidump(MINIMAL_H2 + " -0.5785 1 0 0 0\n  0.6711 2 0 0 0\n")
+        ref = parse_fcidump(MINIMAL_H2)
+        assert np.array_equal(ints.h, ref.h) and np.array_equal(ints.g, ref.g)
+        assert ints.e_core == ref.e_core
+
     def test_hf_energy_from_fixture(self, h2):
         assert hf_energy(h2) == pytest.approx(REFERENCE["h2_0.7414"]["e_hf"], abs=1e-8)
         assert hf_energy(h2) == pytest.approx(-1.1167, abs=2e-4)

@@ -24,7 +24,6 @@ from senqse.simulator import (
     matrix_element_exact,
     prepare_swap_state,
     rng_for,
-    sample_fragment,
 )
 from senqse.solver import SubspaceEngine, vo_optimize
 from senqse.taper import SectorHamiltonian, build_clifford
@@ -141,21 +140,21 @@ class TestSampling:
     def test_identity_fragment_exact(self):
         st = StateVector.computational(0, 2)
         frag = PauliSum(2, {(0, 0): 0.375})
-        res = sample_fragment(st, frag, shots=7, seed=1)
-        assert res.estimate == pytest.approx(0.375)
+        est = FragmentSampler(st, frag).sample(7, rng_for(1, 0))
+        assert est == pytest.approx(0.375)
 
     def test_eigenstate_deterministic(self):
         st = StateVector.computational(0, 1)
         frag = PauliSum.from_label("Z0", 1.0, 1)
-        res = sample_fragment(st, frag, shots=50, seed=3)
-        assert res.estimate == pytest.approx(1.0)
         sampler = FragmentSampler(st, frag)
+        assert sampler.sample(50, rng_for(3, 0)) == pytest.approx(1.0)
         assert sampler.variance == pytest.approx(0.0, abs=1e-14)
 
     def test_binomial_bound(self):
         st = StateVector.from_amplitudes([1, 1], 1, normalize=True)
-        res = sample_fragment(st, PauliSum.from_label("Z0", 1.0, 1), 10**4, seed=5)
-        assert abs(res.estimate) < 4.0 / np.sqrt(10**4)
+        frag = PauliSum.from_label("Z0", 1.0, 1)
+        est = FragmentSampler(st, frag).sample(10**4, rng_for(5, 0))
+        assert abs(est) < 4.0 / np.sqrt(10**4)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(41)
@@ -163,17 +162,18 @@ class TestSampling:
         frag = PauliSum.from_label("Z0 Z2", 0.4, 3) + PauliSum.from_label(
             "Z1", -0.3, 3
         )
-        r1 = sample_fragment(st, frag, 100, seed=11, stream=(2, 5))
-        r2 = sample_fragment(st, frag, 100, seed=11, stream=(2, 5))
-        r3 = sample_fragment(st, frag, 100, seed=11, stream=(2, 6))
-        assert r1.estimate == r2.estimate
-        assert r1.estimate != r3.estimate
+        sampler = FragmentSampler(st, frag)
+        r1 = sampler.sample(100, rng_for(11, 2, 5, 0))
+        r2 = sampler.sample(100, rng_for(11, 2, 5, 0))
+        r3 = sampler.sample(100, rng_for(11, 2, 6, 0))
+        assert r1 == r2
+        assert r1 != r3
 
     def test_noncommuting_fragment_rejected(self):
         st = StateVector.computational(0, 1)
         frag = PauliSum.from_label("Z0", 1.0, 1) + PauliSum.from_label("X0", 1.0, 1)
         with pytest.raises(SimulatorError, match="commute"):
-            sample_fragment(st, frag, 10, seed=1)
+            FragmentSampler(st, frag).sample(10, rng_for(1, 0))
 
     def test_unbiasedness_many_seeds(self):
         rng = np.random.default_rng(43)

@@ -107,6 +107,8 @@ class TestFciOracle:
     def test_h2o_against_independent_determinant_fci(self, h2o_hq, h2o):
         res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
         assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
+        # an own array, not a view keeping eigh's 441 x 441 eigenvectors alive
+        assert res.vector.shape == (441,) and res.vector.base is None
 
     def test_lanczos_branch_matches_dense(self, h2o_hq, h2o, monkeypatch):
         import scipy.sparse.linalg
@@ -123,6 +125,7 @@ class TestFciOracle:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
         res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
         assert calls == [(441, 441)]
+        assert res.vector.shape == (441,) and res.vector.base is None
         assert res.energy == pytest.approx(dense, abs=1e-9)
         assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
 
@@ -308,6 +311,20 @@ class TestBuildSubspace:
         ablated = build_subspace(basis, h2o_hq, 10, taper=False)
         assert np.allclose(tapered.hmat, ablated.hmat, atol=1e-9)
 
+    def test_no_taper_rotated_states(self, h2_hq):
+        basis = rotated_h2_basis(0.3, open_shell=True)
+        tapered = build_subspace(basis, h2_hq, 2, taper=True)
+        ablated = build_subspace(basis, h2_hq, 2, taper=False)
+        assert np.allclose(tapered.hmat, ablated.hmat, atol=1e-10)
+        assert abs(ablated.hmat[0, 1]) > 1e-3  # the rotation couples the pair
+
+    def test_no_taper_refuses_sampling_and_sigma(self, h2, h2_hq):
+        basis = select_basis_pt(h2, h2_hq, default_selection_params(h2))
+        with pytest.raises(SolverError, match="^sampling requires the tapered"):
+            build_subspace(basis, h2_hq, 2, "sampled", 100, 0, taper=False)
+        with pytest.raises(SolverError, match="^sigma accounting requires the tapered"):
+            build_subspace(basis, h2_hq, 2, taper=False, compute_sigma=True)
+
     def test_duplicate_basis_rejected(self, h2_hq):
         b = BasisState(CsfSpec(CsfKind.HF), (), "hf")
         with pytest.raises(SolverError, match="duplicate"):
@@ -430,8 +447,8 @@ class TestShotTable:
 
     def test_floors_met_and_error_no_larger(self, h2_hq, h2_theta):
         engine = SubspaceEngine(rotated_h2_basis(h2_theta, open_shell=True), h2_hq, 2)
-        plan = engine.sampling_plan()
-        sampler = make_matrix_sampler(engine, 20_000, plan)
+        sampler = make_matrix_sampler(engine, 20_000)
+        plan = sampler.plan
         assert sampler.total_shots == 20_000
         bound = FLOOR_KAPPA * floor_gap(sampler)
         assert all(se <= bound for se in standard_errors(sampler).values())
@@ -450,8 +467,8 @@ class TestShotTable:
     def test_matches_first_order_split_when_floors_hold(self, h2_hq):
         # away from the optimal angle every element has first-order weight
         engine = SubspaceEngine(rotated_h2_basis(1.0), h2_hq, 2)
-        plan = engine.sampling_plan()
-        sampler = make_matrix_sampler(engine, 20_000, plan)
+        sampler = make_matrix_sampler(engine, 20_000)
+        plan = sampler.plan
         reference = first_order_table(engine, plan, 20_000)
         bound = FLOOR_KAPPA * floor_gap(sampler)
         assert all(se <= bound for se in standard_errors(reference).values())
@@ -592,7 +609,7 @@ class TestMatrixDraws:
         basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
         engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
         monkeypatch.setattr(solver, "BIAS_KAPPA", np.inf)
-        free = make_matrix_sampler(engine, 200_000, h2o_sampler.plan)
+        free = make_matrix_sampler(engine, 200_000)
         assert free.total_shots == h2o_sampler.total_shots
         assert abs(free.second_order_bias) > 0.35 * np.sqrt(free.first_order_mse)
         assert free.first_order_mse < f

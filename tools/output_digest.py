@@ -10,7 +10,11 @@ diffing the same two outputs.  Each run writes into a
 temporary directory; `report.json` is hashed with its `config.out_dir`
 removed, and the FCIDUMP paths it records are relative to the repository
 root, so the digests do not depend on where the checkout lives.  NumPy runs
-on one BLAS thread so that reductions sum in one order.
+on one BLAS thread so that reductions sum in one order.  The runs cover
+both selection methods, exact and sampled builds, orbital relaxation and
+the ``taper=False`` and ``constant_shift=False`` ablations; the untapered
+runs use H2, since the full-register build on H2O is about 25 times
+slower than the tapered one.
 
 With ``--against FILE`` the run is also checked against FILE, this
 script's saved output from another checkout (the parent of a change, say),
@@ -26,7 +30,7 @@ A run of which FILE holds no line (FILE is older than the run, say) is
 reported on stderr as skipped and is not checked.
 
 Run from anywhere:  python3 tools/output_digest.py [--against FILE]
-(about 10 s)
+(about 5 s on a 2-core host)
 """
 
 import argparse
@@ -69,6 +73,23 @@ RUNS = {
     # the one run that feeds jordan_wigner dense, rotated integrals
     "vo-h2-relaxed": dict(
         fcidump_paths=_fixtures("h2_0.7414"), method="vo", relax_orbitals=True
+    ),
+    # the --no-taper ablation builds on the full register; on H2O at TUNED
+    # settings it is too slow here, so H2 stands in
+    "pt-h2-no-taper": dict(
+        fcidump_paths=_fixtures("h2_0.7414", "h2_1.5000"), method="pt", taper=False
+    ),
+    # one rotated state, so full_state runs its pair rotation
+    "vo-h2-rotation-no-taper": dict(
+        fcidump_paths=_fixtures("h2_1.5000"), method="vo", eps1=0.5, taper=False
+    ),
+    "vo-h2-sampled-no-shift": dict(
+        fcidump_paths=_fixtures("h2_1.5000"),
+        method="vo",
+        mode="sampled",
+        eps1=0.5,
+        seed=5,
+        constant_shift=False,
     ),
 }
 
