@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, PauliProduct, PauliSum
+from senqse.pauli import DROP_TOL, PauliSum
 from senqse.simulator import StateVector, apply_pauli_sum
 from senqse.taper import EffectiveHamiltonian
 
 MIXED_COEFF_TOL = 1e-10
+_WORD = (1 << 64) - 1
 
 
 class MeasureError(ValueError):
@@ -106,29 +107,51 @@ def shift_constant(s: SwapTestOperator, h_mm: float, h_nn: float) -> SwapTestOpe
     return SwapTestOperator(op=op.simplify(DROP_TOL), c_x=new_cx, shifted=True)
 
 
+def _anticommutation(keys: list, n_qubits: int) -> np.ndarray:
+    """T x T boolean matrix: entry (i, j) set when terms i and j anticommute.
+
+    The symplectic form <x_i, z_j> + <z_i, x_j> mod 2 of the (x, z) keys,
+    as popcount parities over 64-bit words of the bit strings.
+    """
+    words = max(1, -(-n_qubits // 64))
+    bits = np.array(
+        [[(b >> (64 * w)) & _WORD for w in range(words)] for key in keys for b in key],
+        dtype=np.uint64,
+    ).reshape(len(keys), 2, words)
+    x, z = bits[:, 0], bits[:, 1]
+    parity = np.zeros((len(keys), len(keys)), dtype=np.uint8)
+    for w in range(words):
+        parity ^= np.bitwise_count(x[:, None, w] & z[None, :, w])
+        parity ^= np.bitwise_count(z[:, None, w] & x[None, :, w])
+    return (parity & 1).astype(bool)
+
+
 def sorted_insertion(op: PauliSum) -> FragmentSet:
     """Greedy fully-commuting grouping in decreasing coefficient magnitude.
 
     Each term joins the first existing fragment it commutes with term-wise;
     otherwise it opens a new fragment.  Ties in magnitude break on the
-    symplectic key so the grouping is deterministic everywhere.
+    symplectic key so the grouping is deterministic everywhere.  Each
+    fragment keeps a conflict mask, bit t set when term t anticommutes with
+    one of its members, so a term joins the first fragment whose mask has
+    its bit clear.
     """
     n = op.n_qubits
     ordered = sorted(op.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+    anti = _anticommutation([key for key, _ in ordered], n)
+    rows = np.packbits(anti, axis=1, bitorder="little")
     fragments: list[list] = []
-    members: list[list] = []
-    for (xb, zb), c in ordered:
-        p = PauliProduct(n, xb, zb)
-        placed = False
-        for frag, mem in zip(fragments, members):
-            if all(p.commutes(q) for q in mem):
-                frag.append(((xb, zb), c))
-                mem.append(p)
-                placed = True
+    conflicts: list[int] = []
+    for t, entry in enumerate(ordered):
+        row = int.from_bytes(rows[t].tobytes(), "little")
+        for f, mask in enumerate(conflicts):
+            if not mask >> t & 1:
+                fragments[f].append(entry)
+                conflicts[f] = mask | row
                 break
-        if not placed:
-            fragments.append([((xb, zb), c)])
-            members.append([p])
+        else:
+            fragments.append([entry])
+            conflicts.append(row)
     sums = tuple(PauliSum(n, dict(entries)) for entries in fragments)
     return FragmentSet(fragments=sums)
 

@@ -16,6 +16,9 @@ the value of every term and of their weighted sum.  The outcome
 distribution comes from projecting the state onto each generator's +-1
 eigenspaces in turn, with no dense matrix and no eigensolve, and the
 sample mean is an unbiased estimator of the fragment expectation value.
+The branches are kept only on the orbit of the state's support under the
+generators' X flips, where all their nonzero amplitudes lie, so the
+distribution is bit-for-bit that of full-register branches.
 """
 
 from __future__ import annotations
@@ -86,30 +89,21 @@ def _indices(n_qubits: int) -> np.ndarray:
 BLOCK_AMPLITUDES = 2**16
 
 
-def _term_table(items, n_qubits: int):
+def _term_table(items, index: np.ndarray):
     """Gather indices and coefficients of the terms ((x, z), c) of `items`.
 
-    Row t holds, for every output index j, the source index j ^ x_t and the
-    coefficient c_t i^|x_t & z_t| (-1)^|z_t & (j ^ x_t)|, so that
-    (c_t P_t psi)[j] = coef[t, j] * psi[src[t, j]], with
+    Row t holds, for every output index j of `index`, the source index
+    j ^ x_t and the coefficient c_t i^|x_t & z_t| (-1)^|z_t & (j ^ x_t)|, so
+    that (c_t P_t psi)[j] = coef[t, j] * psi[src[t, j]], with
     P|i> = i^|x&z| (-1)^|z&i| |i^x>.
     """
     keys = np.array([key for key, _ in items], dtype=np.uint64).reshape(-1, 2)
-    src = _indices(n_qubits) ^ keys[:, :1]
+    src = index ^ keys[:, :1]
     signs = np.bitwise_count(src & keys[:, 1:]) & np.uint64(1)
     factors = np.array(
         [c * (1j) ** ((x & z).bit_count() % 4) for (x, z), c in items], dtype=complex
     )
     return src, factors[:, None] * (1.0 - 2.0 * signs.astype(float))
-
-
-def apply_product(amps: np.ndarray, n_qubits: int, x: int, z: int, phase: complex):
-    """Apply phase * sigma(x,z) to raw amplitudes.
-
-    ``amps`` may be a stack of states along its leading axes.
-    """
-    src, coef = _term_table([((x, z), phase)], n_qubits)
-    return coef[0] * amps[..., src[0]]
 
 
 def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliSum) -> np.ndarray:
@@ -125,7 +119,7 @@ def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliSum) -> np.ndarray
     out = np.zeros(len(amps), dtype=complex)
     step = max(1, BLOCK_AMPLITUDES // len(amps))
     for start in range(0, len(items), step):
-        src, coef = _term_table(items[start : start + step], n_qubits)
+        src, coef = _term_table(items[start : start + step], _indices(n_qubits))
         block = np.empty((len(src) + 1, len(amps)), dtype=complex)
         block[0] = out
         np.multiply(coef, amps[src], out=block[1:])
@@ -186,7 +180,7 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
     dim = 2**op.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
-    src, coef = _term_table(list(op.items()), op.n_qubits)
+    src, coef = _term_table(list(op.items()), _indices(op.n_qubits))
     for cols, values in zip(src, coef):
         out[rows, cols] += values
     return out
@@ -204,6 +198,26 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def _product_sign(gens: list, mask: int) -> float:
+    """eta = +-1 of prod_{i in mask} g_i, the generators (x, z) taken in order.
+
+    Each product adds the quarter turns of the binary-symplectic phase rule
+    (as ``PauliProduct.mul``); commuting Hermitian generators leave 0 or 2.
+    """
+    x = z = quarter = 0
+    for i, (gx, gz) in enumerate(gens):
+        if mask >> i & 1:
+            x3, z3 = x ^ gx, z ^ gz
+            quarter += (
+                (x & z).bit_count()
+                + (gx & gz).bit_count()
+                - (x3 & z3).bit_count()
+                + 2 * (z & gx).bit_count()
+            )
+            x, z = x3, z3
+    return -1.0 if quarter % 4 else 1.0
+
+
 class FragmentSampler:
     """Exact finite-shot sampler for one internally commuting fragment.
 
@@ -216,6 +230,14 @@ class FragmentSampler:
     ``values`` and ``probs`` hold the outcomes of probability above 1e-15
     in increasing s; each draw samples outcome counts from them, so
     repeated sampling of the same (state, fragment) pair is cheap.
+
+    The branches live on the orbit of the state's support under XOR with
+    the generators' X bit-words, the only indices a generator can move
+    amplitude to; a seniority-sector state reaches a small part of the
+    register.  Every branch amplitude outside the orbit is exactly zero, the
+    kept ones go through the same operations in the same order as on the
+    full register, and each probability is summed along its row in index
+    order, so leaving out the exact zeros changes no bit of the result.
     """
 
     def __init__(self, state: StateVector, fragment: PauliSum):
@@ -224,7 +246,7 @@ class FragmentSampler:
         if fragment.max_imag() > 1e-10:
             raise SimulatorError("fragment must be Hermitian (real coefficients)")
         n = fragment.n_qubits
-        gens: list[PauliProduct] = []
+        gens: list[tuple[int, int]] = []
         # echelon rows: (symplectic vector, its highest bit, generator mask)
         rows: list[tuple[int, int, int]] = []
         masks, coeffs = [], []
@@ -237,29 +259,33 @@ class FragmentSampler:
             if vec:
                 # every term is a signed product of generators, so the
                 # generators commuting pairwise is the whole commutation check
-                term = PauliProduct(n, x, z)
-                for g in gens:
-                    if not term.commutes(g):
+                for gx, gz in gens:
+                    if ((x & gz).bit_count() + (z & gx).bit_count()) & 1:
                         raise SimulatorError(
-                            f"fragment terms {g.label()} and "
-                            f"{term.label()} do not commute"
+                            f"fragment terms {PauliProduct(n, gx, gz).label()} and "
+                            f"{PauliProduct(n, x, z).label()} do not commute"
                         )
                 rows.append((vec, vec.bit_length() - 1, mask | 1 << len(gens)))
                 mask, eta = 1 << len(gens), 1.0
-                gens.append(term)
+                gens.append((x, z))
             else:
-                prod = PauliProduct.identity(n)
-                for i, g in enumerate(gens):
-                    if mask >> i & 1:
-                        prod = prod.mul(g)
-                eta = prod.phase.real
+                eta = _product_sign(gens, mask)
             masks.append(mask)
             coeffs.append(eta * c.real)
-        branches = state.amplitudes[None, :]
+        index = _indices(n)
+        inside = state.amplitudes != 0
+        for x, _ in gens:
+            inside |= inside[index ^ np.uint64(x)]
+        orbit = index[inside]
+        pos = np.zeros(len(index), dtype=np.intp)
+        pos[orbit] = np.arange(len(orbit))
+        src, coef = _term_table([(g, 1.0) for g in gens], orbit)
+        cols = pos[src]
+        branches = state.amplitudes[orbit][None, :]
         outcomes = np.zeros(1, dtype=np.int64)
         probs = np.ones(1)
-        for i, g in enumerate(gens):
-            flipped = apply_product(branches, n, g.x_bits, g.z_bits, 1.0)
+        for i in range(len(gens)):
+            flipped = coef[i] * branches[:, cols[i]]
             branches = 0.5 * np.concatenate([branches + flipped, branches - flipped])
             outcomes = np.concatenate([outcomes, outcomes | 1 << i])
             probs = np.einsum("ij,ij->i", branches.conj(), branches).real

@@ -531,8 +531,9 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     the ground level (one state, say) has no floor and no bias term, so
     the split is the first-order optimum.  A budget below the sum of the
     floors scales each floor's part above one shot per fragment to fit,
-    with a warning.  The table's predicted error is recorded on the
-    returned sampler.
+    with a warning that gives the |B| / sqrt(F) of the scaled table, as the
+    bias bound is not enforced there.  The table's predicted error is
+    recorded on the returned sampler.
     """
     if total_shots < 1:
         raise SolverError("sampled mode needs shots >= 1")
@@ -549,13 +550,8 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     floor = n_frag
     if gap is not None:
         floor = np.maximum(floor, _error_floor(sig, gap))
-    if floor.sum() > total_shots:
-        log.warning(
-            "shot budget %d is below the %d shots the error floors need; "
-            "floors scaled to fit",
-            total_shots,
-            int(floor.sum()),
-        )
+    scaled = floor.sum() > total_shots
+    if scaled:
         excess = floor - n_frag
         spare = max(total_shots - n_frag.sum(), 0.0)
         m = n_frag + (excess * spare / excess.sum() if spare > 0 else 0.0)
@@ -566,7 +562,18 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     for i in np.argsort(elem - m, kind="stable")[: max(short, 0)]:
         elem[i] += 1
     shots.update({k: _integer_split(int(e), plan[k][1]) for k, e in zip(keys, elem)})
-    return MatrixSampler(exact=exact, plan=plan, shots=shots)
+    sampler = MatrixSampler(exact=exact, plan=plan, shots=shots)
+    if scaled:
+        log.warning(
+            "shot budget %d is below the %d shots the error floors need; "
+            "floors scaled to fit, so the bias bound is not enforced: "
+            "|B|/sqrt(F) = %.3f against BIAS_KAPPA = %g",
+            total_shots,
+            int(floor.sum()),
+            abs(sampler.second_order_bias) / np.sqrt(sampler.first_order_mse),
+            BIAS_KAPPA,
+        )
+    return sampler
 
 
 def _full_register_matrix(engine: SubspaceEngine) -> np.ndarray:

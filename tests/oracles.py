@@ -9,7 +9,9 @@ agree with them exactly: ``term_by_term_effective_op`` (the sector table),
 ``product_by_product_mul`` (``PauliSum.__mul__``),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
-``coo_csr_sector_matrix`` (``solver``'s dense sector assembly) and
+``coo_csr_sector_matrix`` (``solver``'s dense sector assembly),
+``dense_branch_sampler`` (``simulator.FragmentSampler``),
+``reference_sorted_insertion`` (``measure.sorted_insertion``) and
 ``golden_section_line_search`` (``solver._periodic_line_search``, which
 need only match or beat it).  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
@@ -344,6 +346,99 @@ def eigh_fragment_distribution(amplitudes, fragment):
     weights = np.abs(vecs.conj().T @ amplitudes) ** 2
     keep = weights > 1e-15
     return vals[keep], weights[keep] / weights[keep].sum()
+
+
+def dense_branch_sampler(state, fragment):
+    """A fragment's outcome distribution from full-register branch vectors.
+
+    The fragment's terms are walked in order; each term that GF(2)
+    elimination on x | z << n finds independent of those before it becomes
+    a generator, and every other term is eta times the product of the
+    generators its elimination used, eta read from the phase of a
+    ``PauliProduct.mul`` chain.  The state is split on each generator g in
+    turn into (B + gB)/2 and (B - gB)/2 over all 2**n amplitudes, and
+    branches of probability at or below 1e-15 are dropped.  Returns values,
+    probs, mean and variance as ``FragmentSampler`` defines them.
+    """
+    from types import SimpleNamespace
+
+    from senqse.pauli import PauliProduct
+
+    n = fragment.n_qubits
+    gens, rows, masks, coeffs = [], [], [], []
+    for (x, z), c in fragment.items():
+        vec, mask = x | (z << n), 0
+        for row, pivot, combo in rows:
+            if vec >> pivot & 1:
+                vec ^= row
+                mask ^= combo
+        if vec:
+            term = PauliProduct(n, x, z)
+            for g in gens:
+                if not term.commutes(g):
+                    raise ValueError(f"{g.label()} and {term.label()} do not commute")
+            rows.append((vec, vec.bit_length() - 1, mask | 1 << len(gens)))
+            mask, eta = 1 << len(gens), 1.0
+            gens.append(term)
+        else:
+            prod = PauliProduct.identity(n)
+            for i, g in enumerate(gens):
+                if mask >> i & 1:
+                    prod = prod.mul(g)
+            eta = prod.phase.real
+        masks.append(mask)
+        coeffs.append(eta * c.real)
+    idx = np.arange(2**n, dtype=np.uint64)
+    branches = state.amplitudes[None, :]
+    outcomes = np.zeros(1, dtype=np.int64)
+    probs = np.ones(1)
+    for i, g in enumerate(gens):
+        src = idx ^ np.uint64(g.x_bits)
+        signs = np.bitwise_count(src & np.uint64(g.z_bits)) & np.uint64(1)
+        factor = np.array([1.0 * (1j) ** ((g.x_bits & g.z_bits).bit_count() % 4)])
+        flipped = (factor[:, None] * (1.0 - 2.0 * signs.astype(float)))[0] * branches[
+            :, src
+        ]
+        branches = 0.5 * np.concatenate([branches + flipped, branches - flipped])
+        outcomes = np.concatenate([outcomes, outcomes | 1 << i])
+        probs = np.einsum("ij,ij->i", branches.conj(), branches).real
+        live = probs > 1e-15
+        branches, outcomes, probs = branches[live], outcomes[live], probs[live]
+    signs = np.bitwise_count(outcomes[:, None] & np.array(masks, dtype=np.int64)) & 1
+    values = (1.0 - 2.0 * signs) @ np.array(coeffs)
+    probs = probs / probs.sum()
+    mean = float(values @ probs)
+    return SimpleNamespace(
+        values=values,
+        probs=probs,
+        mean=mean,
+        variance=float(probs @ values**2 - mean**2),
+    )
+
+
+def reference_sorted_insertion(op):
+    """Sorted-insertion grouping by pairwise ``PauliProduct.commutes`` checks.
+
+    Terms in decreasing coefficient magnitude, ties on the symplectic key;
+    each joins the first fragment all of whose members it commutes with, or
+    opens a new one.  Returns the fragments as lists of ((x, z), c).
+    """
+    from senqse.pauli import PauliProduct
+
+    n = op.n_qubits
+    ordered = sorted(op.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+    fragments, members = [], []
+    for (xb, zb), c in ordered:
+        p = PauliProduct(n, xb, zb)
+        for frag, mem in zip(fragments, members):
+            if all(p.commutes(q) for q in mem):
+                frag.append(((xb, zb), c))
+                mem.append(p)
+                break
+        else:
+            fragments.append([((xb, zb), c)])
+            members.append([p])
+    return fragments
 
 
 def golden_section_line_search(f, th0, e0, xtol=1e-10):

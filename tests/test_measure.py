@@ -231,6 +231,26 @@ class TestSortedInsertion:
         ref = [sorted(g) for g in groups]
         assert got == ref
 
+    @pytest.mark.parametrize("n_qubits", [4, 63, 64, 65, 130])
+    def test_matches_reference_across_word_widths(self, n_qubits):
+        # three-qubit strings, so fragments grow past one member
+        rng = np.random.default_rng(109 + n_qubits)
+        for _ in range(5):
+            op = PauliSum(n_qubits)
+            for _ in range(30):
+                qubits = rng.choice(n_qubits, size=3, replace=False)
+                label = " ".join(f"{rng.choice(list('XYZ'))}{q}" for q in qubits)
+                op.add_product(PauliProduct.from_label(label, n_qubits), rng.normal())
+            got = [list(f.items()) for f in sorted_insertion(op)]
+            assert got == oracles.reference_sorted_insertion(op)
+            assert max(len(f) for f in got) > 1
+
+    def test_h2o_hamiltonian_matches_reference(self):
+        hq = jordan_wigner(load_fcidump(FIXTURES / "h2o_1.0000.fcidump"))
+        got = [list(f.items()) for f in sorted_insertion(hq)]
+        assert got == oracles.reference_sorted_insertion(hq)
+        assert sorted_insertion(PauliSum(3)).fragments == ()
+
 
 class TestFragmentVariance:
     def test_eigenstate_zero(self):

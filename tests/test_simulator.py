@@ -11,7 +11,7 @@ from senqse.csfbasis import (
     select_basis_vo,
 )
 from senqse.fermion import jordan_wigner, load_fcidump
-from senqse.measure import fragment_variance
+from senqse.measure import fragment_variance, sorted_insertion
 from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
     BLOCK_AMPLITUDES,
@@ -413,3 +413,52 @@ class TestFragmentDistribution:
         )
         with pytest.raises(SimulatorError, match="Z0 and X0 X1 do not commute"):
             FragmentSampler(StateVector.computational(0, 2), frag)
+
+
+def assert_same_as_dense_branches(state, fragment):
+    """The support-orbit sampler equals the full-register branch loop bit for bit."""
+    sampler = FragmentSampler(state, fragment)
+    ref = oracles.dense_branch_sampler(state, fragment)
+    assert np.array_equal(sampler.probs, ref.probs)
+    assert np.array_equal(sampler.values, ref.values)
+    assert sampler.mean == ref.mean
+    assert sampler.variance == ref.variance
+
+
+def element_operators(pairs):
+    """(state, fragments) per element: consecutive pairs sharing a state."""
+    out = []
+    for state, frag in pairs:
+        if out and out[-1][0] is state:
+            out[-1][1].append(frag)
+        else:
+            out.append((state, [frag]))
+    return out
+
+
+class TestSupportOrbit:
+    def test_h2o_fragments_match_dense_branches(self, h2o_fragments):
+        assert len(h2o_fragments) == 1030
+        for state, frag in h2o_fragments:
+            assert_same_as_dense_branches(state, frag)
+
+    def test_h2_vo_fragments_match_dense_branches(self, h2_vo_fragments):
+        for state, frag in h2_vo_fragments:
+            assert_same_as_dense_branches(state, frag)
+
+    def test_dense_states_match_dense_branches(self, h2o_fragments):
+        # a state with no zero amplitude: the orbit is the whole register
+        rng = np.random.default_rng(107)
+        for state, frag in h2o_fragments:
+            assert_same_as_dense_branches(random_state(rng, state.n_qubits), frag)
+
+    def test_element_groupings_match_reference(self, h2o_fragments, h2_vo_fragments):
+        elements = element_operators(h2o_fragments) + element_operators(h2_vo_fragments)
+        assert len(element_operators(h2o_fragments)) == 143
+        for _, frags in elements:
+            op = frags[0]
+            for frag in frags[1:]:
+                op = op + frag
+            got = [list(f.items()) for f in sorted_insertion(op)]
+            assert got == [list(f.items()) for f in frags]
+            assert got == oracles.reference_sorted_insertion(op)

@@ -530,6 +530,20 @@ class TestShotTable:
         assert all(m >= 1 for v in sampler.shots.values() for m in v)
         assert sampler.elements_at_floor == len(standard_errors(sampler)) == 3
 
+    def test_scaled_floors_report_the_bias_ratio(self, h2o, h2o_hq, caplog):
+        # the H2O 1.0 A floors need 24 875 shots; scaled into 20 000 the
+        # table's bias breaks the bound, and the warning says by how much
+        basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+        engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
+        with caplog.at_level("WARNING", logger="senqse.solver"):
+            sampler = make_matrix_sampler(engine, 20_000)
+        ratio = abs(sampler.second_order_bias) / np.sqrt(sampler.first_order_mse)
+        assert ratio > BIAS_KAPPA
+        (record,) = [r for r in caplog.records if "floors scaled" in r.getMessage()]
+        message = record.getMessage()
+        assert "below the 24875 shots" in message
+        assert f"|B|/sqrt(F) = {ratio:.3f} against BIAS_KAPPA = {BIAS_KAPPA:g}" in message
+
 
 @pytest.fixture(scope="module")
 def h2o_sampler(h2o, h2o_hq):

@@ -11,7 +11,8 @@ temporary directory; `report.json` is hashed with its `config.out_dir`
 removed, and the FCIDUMP paths it records are relative to the repository
 root, so the digests do not depend on where the checkout lives.  NumPy runs
 on one BLAS thread so that reductions sum in one order.  The runs cover
-both selection methods, exact and sampled builds, orbital relaxation and
+both selection methods, exact and sampled builds (the sampled ones on H2
+and on H2O 1.0 A, whose sampler has 1030 fragments), orbital relaxation and
 the ``taper=False`` and ``constant_shift=False`` ablations; the untapered
 runs use H2, since the full-register build on H2O is about 25 times
 slower than the tapered one.
@@ -30,7 +31,7 @@ A run of which FILE holds no line (FILE is older than the run, say) is
 reported on stderr as skipped and is not checked.
 
 Run from anywhere:  python3 tools/output_digest.py [--against FILE]
-(about 5 s on a 2-core host)
+(about 6 s on a 2-core host)
 """
 
 import argparse
@@ -69,6 +70,10 @@ RUNS = {
     "vo-h2o": dict(fcidump_paths=H2O, method="vo", **TUNED),
     "vo-h2-sampled": dict(
         fcidump_paths=_fixtures("h2_1.5000"), method="vo", mode="sampled", eps1=0.5, seed=5
+    ),
+    # the 1030-fragment sampler of the acceptance suite's sampled criteria
+    "vo-h2o-sampled": dict(
+        fcidump_paths=_fixtures("h2o_1.0000"), method="vo", mode="sampled", **TUNED, seed=5
     ),
     # the one run that feeds jordan_wigner dense, rotated integrals
     "vo-h2-relaxed": dict(
