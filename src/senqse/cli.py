@@ -236,7 +236,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
             "max_term_ratio": 1.0,
             "avg_norm_ratio": 1.0,
             "max_norm_ratio": 1.0,
-            "original_terms": hq.n_terms,
+            "original_terms": _non_identity_terms(hq),
         }
     # the oracle's sector matrix is the geometry's largest allocation, so
     # the kernel and its memos go first
@@ -285,6 +285,11 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
     return record
 
 
+def _non_identity_terms(op) -> int:
+    """Terms of op other than the identity, the ones that cost measurements."""
+    return sum(1 for key, _ in op.items() if key != (0, 0))
+
+
 def tapering_stats(basis, hq, n_elec, kernel=None) -> dict:
     """Per-element tapered/original term-count and 1-norm ratios.
 
@@ -294,14 +299,13 @@ def tapering_stats(basis, hq, n_elec, kernel=None) -> dict:
     """
     kernel = element_kernel(kernel, hq, hq.n_qubits // 2, n_elec)
     bits = [kernel.bits(b.csf) for b in basis]
-    n_full = sum(1 for (x, z), _ in hq.items() if (x, z) != (0, 0))
+    n_full = _non_identity_terms(hq)
     norm_full = hq.one_norm(include_identity=False)
     term_ratios, norm_ratios = [], []
     for mu in range(len(basis)):
         for nu in range(mu, len(basis)):
             op = kernel.xop(bits[mu], bits[nu])
-            n_terms = sum(1 for (x, z), _ in op.items() if (x, z) != (0, 0))
-            term_ratios.append(n_terms / n_full)
+            term_ratios.append(_non_identity_terms(op) / n_full)
             norm_ratios.append(op.one_norm(include_identity=False) / norm_full)
     return {
         "avg_term_ratio": float(np.mean(term_ratios)),

@@ -59,10 +59,6 @@ class FermionIntegrals:
     def n_occ(self) -> int:
         return self.n_elec // 2
 
-    @property
-    def n_qubits(self) -> int:
-        return 2 * self.n_orb
-
 
 @dataclass(frozen=True)
 class OrbitalRotation:

@@ -296,7 +296,6 @@ class FragmentSampler:
         self.values = (1.0 - 2.0 * signs) @ np.array(coeffs)
         self.probs = probs / probs.sum()
         self.mean = float(self.values @ self.probs)
-        self.variance = float(self.probs @ self.values**2 - self.mean**2)
 
     def sample(self, shots: int, rng: np.random.Generator) -> float:
         """Sample mean of `shots` independent joint outcomes."""

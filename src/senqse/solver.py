@@ -1072,47 +1072,48 @@ def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
     return np.array(sorted(dets), dtype=np.uint64)
 
 
-def _sector_entries(hq: PauliSum, dets: np.ndarray):
-    """(rows, cols, values) of each term of hq on the sorted determinants.
+def _sector_blocks(hq: PauliSum, dets: np.ndarray):
+    """(rows, cols, values) of hq on the sorted determinants, one X string each.
 
-    Terms come in ``hq.items()`` order; an entry that several terms reach
-    is summed by the reader.
+    Entry (row, col) is reached only by terms with x = row ^ col, so each
+    block's entries are distinct from every other block's, and each entry
+    sums its terms in ``hq.items()`` order.  x is its own inverse, so a
+    block also holds the transpose of each of its entries, and is checked
+    against that mirror before it is yielded.
     """
-    dim = len(dets)
-    col_idx = np.arange(dim)
-    one = np.uint64(1)
+    groups = {}
     for (x, z), c in hq.items():
+        groups.setdefault(x, []).append((z, c))
+    dim = len(dets)
+    one = np.uint64(1)
+    for x, terms in groups.items():
         targets = dets ^ np.uint64(x)
         pos = np.searchsorted(dets, targets)
         ok = pos < dim
         ok[ok] &= dets[pos[ok]] == targets[ok]
         if not np.any(ok):
             continue
-        signs = 1.0 - 2.0 * (
-            (np.bitwise_count(dets[ok] & np.uint64(z)) & one).astype(float)
-        )
-        vals = c * (1j) ** ((x & z).bit_count() % 4) * signs
-        if np.max(np.abs(vals.imag)) > 1e-9:
-            raise SolverError("sector matrix has imaginary entries")
-        yield pos[ok], col_idx[ok], vals.real
-
-
-def _check_symmetric(asym: float) -> None:
-    if asym > 1e-9:
-        raise SolverError(f"sector matrix asymmetry {asym:.2e}")
+        rows, cols, kets = pos[ok], np.flatnonzero(ok), dets[ok]
+        vals = np.zeros(len(cols))
+        for z, c in terms:
+            signs = 1.0 - 2.0 * (
+                (np.bitwise_count(kets & np.uint64(z)) & one).astype(float)
+            )
+            term = c * (1j) ** ((x & z).bit_count() % 4) * signs
+            if np.max(np.abs(term.imag)) > 1e-9:
+                raise SolverError("sector matrix has imaginary entries")
+            vals += term.real
+        asym = np.max(np.abs(vals - vals[np.searchsorted(cols, rows)]))
+        if asym > 1e-9:
+            raise SolverError(f"sector matrix asymmetry {asym:.2e}")
+        yield rows, cols, vals
 
 
 def _dense_sector_matrix(hq: PauliSum, dets: np.ndarray) -> np.ndarray:
-    """hq on the sector as a dense array, added term by term in term order.
-
-    One term reaches an entry at most once, so each in-place add is exact
-    and duplicates across terms are summed in term order.
-    """
+    """hq on the sector as a dense array, assigned one X-string block at a time."""
     mat = np.zeros((len(dets), len(dets)))
-    for rows, cols, vals in _sector_entries(hq, dets):
-        mat[rows, cols] += vals
-    asym = mat - mat.T
-    _check_symmetric(np.max(np.abs(asym, out=asym), initial=0.0))
+    for rows, cols, vals in _sector_blocks(hq, dets):
+        mat[rows, cols] = vals
     return mat
 
 
@@ -1121,11 +1122,8 @@ def _lanczos_ground_state(hq: PauliSum, dets: np.ndarray) -> tuple:
     import scipy.sparse
     import scipy.sparse.linalg
 
-    rows, cols, vals = map(np.concatenate, zip(*_sector_entries(hq, dets)))
-    mat = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(len(dets), len(dets))
-    ).tocsr()
-    _check_symmetric(abs(mat - mat.T).max())
+    rows, cols, vals = map(np.concatenate, zip(*_sector_blocks(hq, dets)))
+    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(dets), len(dets)))
     return scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
 
 
@@ -1133,7 +1131,7 @@ def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
     """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector.
 
     The sector basis is enumerated directly from occupation bitstrings and
-    the matrix assembled term by term, densely with NumPy alone up to
+    the matrix assembled one X string at a time, densely with NumPy alone up to
     _DENSE_CUTOFF determinants; above it a sparse matrix goes to SciPy's
     Lanczos, which is imported only there.
     """

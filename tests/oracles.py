@@ -358,7 +358,8 @@ def dense_branch_sampler(state, fragment):
     ``PauliProduct.mul`` chain.  The state is split on each generator g in
     turn into (B + gB)/2 and (B - gB)/2 over all 2**n amplitudes, and
     branches of probability at or below 1e-15 are dropped.  Returns values,
-    probs, mean and variance as ``FragmentSampler`` defines them.
+    probs and mean as ``FragmentSampler`` defines them, and the variance of
+    one draw.
     """
     from types import SimpleNamespace
 

@@ -370,6 +370,21 @@ class TestRun:
         assert rec_off["term_stats"]["avg_term_ratio"] == 1.0
         assert rec_on["term_stats"]["avg_term_ratio"] < 1.0
 
+    def test_no_taper_counts_original_terms_like_tapered(self, tmp_path):
+        # both count the Hamiltonian's non-identity terms: 14 of H2's 15
+        counts = [
+            run(
+                RunConfig(
+                    fcidump_paths=(H2_PATHS[0],),
+                    method="pt",
+                    taper=flag,
+                    out_dir=str(tmp_path / f"out_{flag}"),
+                )
+            )["geometries"][0]["term_stats"]["original_terms"]
+            for flag in (True, False)
+        ]
+        assert counts == [14, 14]
+
     def test_failures_logged_and_skipped(self, tmp_path):
         cfg = RunConfig(
             fcidump_paths=(H2_PATHS[0], str(tmp_path / "missing.fcidump")),

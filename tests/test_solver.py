@@ -110,10 +110,13 @@ class TestFciOracle:
         # an own array, not a view keeping eigh's 441 x 441 eigenvectors alive
         assert res.vector.shape == (441,) and res.vector.base is None
 
-    def test_lanczos_branch_matches_dense(self, h2o_hq, h2o, monkeypatch):
+    @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2o_3.0000"])
+    def test_lanczos_branch_matches_dense(self, stem, monkeypatch):
         import scipy.sparse.linalg
 
-        dense = fci_oracle(h2o_hq, h2o.n_elec, 0.0).energy
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        dense = fci_oracle(hq, ints.n_elec, 0.0).energy
         eigsh = scipy.sparse.linalg.eigsh
         calls = []
 
@@ -123,11 +126,11 @@ class TestFciOracle:
 
         monkeypatch.setattr(solver, "_DENSE_CUTOFF", 0)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
-        res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
+        res = fci_oracle(hq, ints.n_elec, 0.0)
         assert calls == [(441, 441)]
         assert res.vector.shape == (441,) and res.vector.base is None
         assert res.energy == pytest.approx(dense, abs=1e-9)
-        assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
+        assert res.energy == pytest.approx(REFERENCE[stem]["e_fci"], abs=1e-7)
 
     @pytest.mark.parametrize("stem", ["h2_0.7414", "h2o_1.0000"])
     def test_dense_assembly_matches_coo_csr(self, stem):
@@ -140,10 +143,14 @@ class TestFciOracle:
         assert dense.shape == ref.shape == (len(dets), len(dets))
         assert np.max(np.abs(dense - ref)) <= 1e-12
 
-    @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2o_3.0000"])
+    @pytest.mark.parametrize(
+        "stem",
+        ["h2_0.7414", "h2_1.0000", "h2_1.5000", "h2o_1.0000", "h2o_2.1000", "h2o_3.0000"],
+    )
     def test_term_by_term_assembly_matches_one_add_at(self, stem):
-        # adding term by term in term order sums each entry in the order one
-        # np.add.at over the concatenated entries does
+        # only terms with x = row ^ col reach an entry, so summing each X
+        # string's terms in term order sums each entry in the order one
+        # np.add.at over every term's concatenated entries does
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         n = ints.n_elec // 2
@@ -151,9 +158,51 @@ class TestFciOracle:
         dense = solver._dense_sector_matrix(hq, dets)
         assert np.array_equal(dense, oracles.one_add_at_sector_matrix(hq, dets))
 
+    def test_blocks_hold_each_entry_once(self, monkeypatch):
+        # the blocks' (row, col) pairs are distinct and are exactly the
+        # positions the terms reach, so the Lanczos CSR holds no duplicate
+        import scipy.sparse.linalg
+
+        ints = load_fcidump(FIXTURES / "h2o_3.0000.fcidump")
+        hq = jordan_wigner(ints)
+        dets = solver._sector_determinants(ints.n_orb, 5, 5)
+        blocks = list(solver._sector_blocks(hq, dets))
+        rows = np.concatenate([r for r, _, _ in blocks])
+        cols = np.concatenate([c for _, c, _ in blocks])
+        pairs = rows * len(dets) + cols
+        assert len(np.unique(pairs)) == len(pairs)
+        ref_rows, ref_cols, _ = oracles.sector_triples(hq, dets)
+        assert np.array_equal(np.unique(pairs), np.unique(ref_rows * len(dets) + ref_cols))
+
+        eigsh = scipy.sparse.linalg.eigsh
+        nnz = []
+
+        def counted_eigsh(*args, **kwargs):
+            nnz.append(args[0].nnz)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_DENSE_CUTOFF", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
+        fci_oracle(hq, ints.n_elec, 0.0)
+        assert nnz == [len(pairs)]
+
+    def test_dense_assembly_peak_near_one_matrix(self, h2o_hq, h2o):
+        # blocks are assigned into the matrix, with no dim x dim temporary
+        import tracemalloc
+
+        dets = solver._sector_determinants(h2o.n_orb, 5, 5)
+        solver._dense_sector_matrix(h2o_hq, dets)
+        tracemalloc.start()
+        try:
+            solver._dense_sector_matrix(h2o_hq, dets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * len(dets) ** 2 * 8
+
     def test_traced_peak_near_the_dense_matrix(self, h2o_hq, h2o):
-        # the sector matrix is assembled term by term, not from every
-        # term's entries held at once (10.7 MB on this sector)
+        # the sector matrix is assembled one X-string block at a time, not
+        # from every term's entries held at once (10.7 MB on this sector)
         import tracemalloc
 
         fci_oracle(h2o_hq, h2o.n_elec, 0.0)
@@ -174,6 +223,14 @@ class TestFciOracle:
         monkeypatch.setattr(solver, "_DENSE_CUTOFF", cutoff)
         with pytest.raises(SolverError, match="asymmetry"):
             fci_oracle(number_operator(2) + hop.simplify(), 2, 0.0)
+
+    @pytest.mark.parametrize("cutoff", [solver._DENSE_CUTOFF, 0])
+    def test_imaginary_sector_rejected(self, cutoff, monkeypatch):
+        # X0 Y2 moves the up electron between orbitals 0 and 1 with phase i
+        hq = number_operator(2) + PauliSum.from_label("X0 Y2", 0.5, 4)
+        monkeypatch.setattr(solver, "_DENSE_CUTOFF", cutoff)
+        with pytest.raises(SolverError, match="imaginary"):
+            fci_oracle(hq, 2, 0.0)
 
     def test_one_electron_sector_matches_one_body_block(self):
         rng = np.random.default_rng(149)

@@ -25,7 +25,10 @@ and the script exits with status 1 if a check fails:
   files;
 - every ``method=vo`` geometry's ``e_min`` may be higher than FILE's by at
   most ``VO_TOLERANCE`` (1e-9 Ha); lower is always allowed, since the
-  optimiser may find a lower minimum.
+  optimiser may find a lower minimum;
+- every geometry's ``e_fci`` must equal FILE's, except in runs with
+  ``relax_orbitals``, whose oracle sees the optimiser's rotated integrals
+  and may differ by at most ``VO_TOLERANCE``.
 
 A run of which FILE holds no line (FILE is older than the run, say) is
 reported on stderr as skipped and is not checked.
@@ -48,7 +51,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from senqse import cli  # noqa: E402
 
-# how much higher (Ha) a VO e_min may read than the saved output's
+# how much higher (Ha) a VO e_min may read than the saved output's, and how
+# far a relaxed run's e_fci may move
 VO_TOLERANCE = 1e-9
 # the H2O selection settings of the acceptance suite
 TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
@@ -116,7 +120,7 @@ def digest_run(name: str) -> tuple:
 
 
 def read_output(path: str) -> tuple:
-    """({"name/file": sha256}, {"name/label": e_min}) from a saved output."""
+    """({"name/file": sha256}, {"name/label": (e_min, e_fci)}) from a saved output."""
     digests, energies = {}, {}
     with open(path) as fh:
         for line in fh:
@@ -124,7 +128,7 @@ def read_output(path: str) -> tuple:
             if len(fields) == 2:
                 digests[fields[1]] = fields[0]
             elif fields and fields[0] == "e_min":
-                energies[fields[1]] = float(fields[2])
+                energies[fields[1]] = (float(fields[2]), float(fields[4]))
     return digests, energies
 
 
@@ -143,16 +147,20 @@ def compare(name: str, lines: list, summary: dict, saved: tuple) -> list | None:
         for what in sorted(set(ours) | set(theirs)):
             if ours.get(what) != theirs.get(what):
                 failures.append(f"{what}: digest differs")
-    else:
-        for rec in summary["geometries"]:
-            key = f"{name}/{rec['label']}"
-            if key not in energies:
-                failures.append(f"{key}: no saved e_min")
-            elif rec["e_min"] > energies[key] + VO_TOLERANCE:
-                failures.append(
-                    f"{key}: e_min {rec['e_min']!r} is "
-                    f"{rec['e_min'] - energies[key]:.3e} Ha above {energies[key]!r}"
-                )
+    fci_tolerance = VO_TOLERANCE if RUNS[name].get("relax_orbitals") else 0.0
+    for rec in summary["geometries"]:
+        key = f"{name}/{rec['label']}"
+        if key not in energies:
+            failures.append(f"{key}: no saved energies")
+            continue
+        e_min, e_fci = energies[key]
+        if RUNS[name]["method"] == "vo" and rec["e_min"] > e_min + VO_TOLERANCE:
+            failures.append(
+                f"{key}: e_min {rec['e_min']!r} is "
+                f"{rec['e_min'] - e_min:.3e} Ha above {e_min!r}"
+            )
+        if abs(rec["e_fci"] - e_fci) > fci_tolerance:
+            failures.append(f"{key}: e_fci {rec['e_fci']!r} differs from {e_fci!r}")
     return failures
 
 
