@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from senqse.pauli import DROP_TOL, PauliSum
-from senqse.simulator import StateVector, apply_pauli_sum
+from senqse.simulator import FragmentSampler, StateVector, apply_pauli_sum, stack_chunks
 from senqse.taper import EffectiveHamiltonian
 
 MIXED_COEFF_TOL = 1e-10
@@ -156,19 +156,69 @@ def sorted_insertion(op: PauliSum) -> FragmentSet:
     return FragmentSet(fragments=sums)
 
 
-def fragment_variance(state: StateVector, fragment: PauliSum) -> float:
-    """Exact <F^2> - <F>^2 by operator application; clamped at zero."""
+def fragment_variances(states, fragment: PauliSum) -> list:
+    """Exact <F^2> - <F>^2 of the fragment on each state; clamped at zero.
+
+    F is applied to each chunk of states (``stack_chunks``) by one
+    ``apply_pauli_sum``, whose in-order term sums give each state the bits
+    of its own call; the moments are then one ``vdot`` per state.
+    """
     if fragment.max_imag() > MIXED_COEFF_TOL:
         raise MeasureError("fragment must be Hermitian (real coefficients)")
-    f_psi = apply_pauli_sum(state.amplitudes, state.n_qubits, fragment)
-    mean = np.vdot(state.amplitudes, f_psi)
-    if abs(mean.imag) > 1e-9:
-        raise MeasureError(f"non-real fragment mean {mean}")
-    second = np.vdot(f_psi, f_psi).real
-    var = second - mean.real**2
-    if var < -1e-12:
-        raise MeasureError(f"variance underflow {var}")
-    return max(var, 0.0)
+    out = []
+    for chunk in stack_chunks(states, 2**fragment.n_qubits):
+        stack = np.array([state.amplitudes for state in chunk])
+        f_psis = apply_pauli_sum(stack, fragment.n_qubits, fragment)
+        for state, f_psi in zip(chunk, f_psis):
+            mean = np.vdot(state.amplitudes, f_psi)
+            if abs(mean.imag) > 1e-9:
+                raise MeasureError(f"non-real fragment mean {mean}")
+            second = np.vdot(f_psi, f_psi).real
+            var = second - mean.real**2
+            if var < -1e-12:
+                raise MeasureError(f"variance underflow {var}")
+            out.append(max(var, 0.0))
+    return out
+
+
+def fragment_variance(state: StateVector, fragment: PauliSum) -> float:
+    """Exact <F^2> - <F>^2 by operator application; clamped at zero."""
+    return fragment_variances([state], fragment)[0]
+
+
+def measure_by_fragment(elements, build_samplers: bool):
+    """Fragment deviations, and samplers if asked, grouped by distinct fragment.
+
+    ``elements`` yields (element, prepare, fragments), ``prepare()`` giving
+    the element's state.  Each distinct fragment (its terms in order) gets
+    stacked passes over the states that measure it, ``fragment_variances``
+    and ``FragmentSampler.stack``, each state getting the bits of its own
+    pass.  The states are prepared per chunk of ``stack_chunks`` and
+    dropped after it, so the pass holds one chunk of states at a time,
+    never the states of every element.  Returns ({element: sigmas},
+    {element: samplers} or None), in the order of ``elements`` and of
+    their fragments.
+    """
+    sigmas, samplers, groups = {}, {}, {}
+    for element, prepare, frags in elements:
+        sigmas[element] = [None] * len(frags)
+        samplers[element] = [None] * len(frags)
+        for f, frag in enumerate(frags):
+            terms = (frag.n_qubits, tuple(frag.items()))
+            groups.setdefault(terms, (frag, []))[1].append((element, f, prepare))
+    for terms in list(groups):
+        # each group is dropped when done, so the plan grows as they drain
+        frag, slots = groups.pop(terms)
+        for chunk in stack_chunks(slots, 2**frag.n_qubits):
+            states = [prepare() for _, _, prepare in chunk]
+            variances = fragment_variances(states, frag)
+            built = [None] * len(chunk)
+            if build_samplers:
+                built = FragmentSampler.stack(states, frag)
+            for (element, f, _), var, sampler in zip(chunk, variances, built):
+                sigmas[element][f] = np.sqrt(var)
+                samplers[element][f] = sampler
+    return sigmas, samplers if build_samplers else None
 
 
 @dataclass(frozen=True)

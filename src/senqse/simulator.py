@@ -6,8 +6,9 @@ operation here is a pure function, so concurrent use needs no locking.
 
 A Pauli sum acts on a state as one gather-reduce: the state is gathered
 through every term's source indices j ^ x into a (terms x 2**n) block of
-signed amplitudes, which is summed in term order over its leading axis, so
-the result is bit-for-bit that of a term-by-term loop.
+signed amplitudes, which is summed in term order over its term axis, so
+the result is bit-for-bit that of a term-by-term loop.  A stack of states
+shares the gather indices and each state's sum keeps that order.
 
 Shot sampling of a commuting fragment reads its independent generators,
 as a measurement after a diagonalizing Clifford would: every term is a
@@ -18,7 +19,12 @@ eigenspaces in turn, with no dense matrix and no eigensolve, and the
 sample mean is an unbiased estimator of the fragment expectation value.
 The branches are kept only on the orbit of the state's support under the
 generators' X flips, where all their nonzero amplitudes lie, so the
-distribution is bit-for-bit that of full-register branches.
+distribution is bit-for-bit that of full-register branches.  The states
+that measure one fragment are branched as one stack on the orbit of their
+joint support: the elimination and the generator table are built once,
+each state's rows hold exact zeros off its own orbit, and each state's
+values and mean are taken from its own rows alone, so every state gets
+the bits it would get by itself.
 """
 
 from __future__ import annotations
@@ -85,8 +91,17 @@ def _indices(n_qubits: int) -> np.ndarray:
     return arr
 
 
-# amplitudes gathered per block of apply_pauli_sum; bounds its scratch memory
+# amplitudes gathered per block of apply_pauli_sum, and per chunk of a
+# stacked pass; bounds their scratch memory
 BLOCK_AMPLITUDES = 2**16
+
+
+def stack_chunks(items, amplitudes_each: int) -> list:
+    """``items`` cut in order into chunks of at most
+    BLOCK_AMPLITUDES // amplitudes_each items (at least one), one chunk per
+    stacked pass, so that a pass holds about BLOCK_AMPLITUDES amplitudes."""
+    step = max(1, BLOCK_AMPLITUDES // amplitudes_each)
+    return [items[start : start + step] for start in range(0, len(items), step)]
 
 
 def _term_table(items, index: np.ndarray):
@@ -109,21 +124,24 @@ def _term_table(items, index: np.ndarray):
 def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliSum) -> np.ndarray:
     """op |amps>, as one gather and one in-order sum per block of terms.
 
-    Each block stacks the running sum on top of its terms' gathered rows and
-    reduces over that leading axis, which adds the rows in order, so every
-    output amplitude is summed from zero in ``op.items()`` order.
+    ``amps`` is one state or a stack of states along its leading axis.
+    Each block gathers its terms' signed rows, adds the running sum into
+    the first and reduces over the term axis, which adds the rows in order,
+    so every output amplitude is summed from zero in ``op.items()`` order,
+    whatever the block and stack sizes.
     """
-    if 2**n_qubits != len(amps):
+    if 2**n_qubits != amps.shape[-1]:
         raise SimulatorError("amplitude length mismatch")
     items = list(op.items())
-    out = np.zeros(len(amps), dtype=complex)
-    step = max(1, BLOCK_AMPLITUDES // len(amps))
+    out = np.zeros(amps.shape, dtype=complex)
+    step = max(1, BLOCK_AMPLITUDES // amps.size)
     for start in range(0, len(items), step):
         src, coef = _term_table(items[start : start + step], _indices(n_qubits))
-        block = np.empty((len(src) + 1, len(amps)), dtype=complex)
-        block[0] = out
-        np.multiply(coef, amps[src], out=block[1:])
-        out = np.add.reduce(block, axis=0)
+        # C order, terms before amplitudes, so the reduce runs row by row
+        rows = np.take(amps, src, axis=-1)
+        np.multiply(coef, rows, out=rows)
+        np.add(out, rows[..., 0, :], out=rows[..., 0, :])
+        out = np.add.reduce(rows, axis=-2)
     return out
 
 
@@ -218,6 +236,100 @@ def _product_sign(gens: list, mask: int) -> float:
     return -1.0 if quarter % 4 else 1.0
 
 
+def _generators(fragment: PauliSum):
+    """GF(2) elimination of a commuting fragment's terms, walked in order.
+
+    Returns (gens, masks, coeffs): each term independent of those before it
+    (by elimination on its symplectic bits) becomes a generator (x, z);
+    every term is eta_j prod_{i in S_j} g_i, with mask S_j and coefficient
+    eta_j c_j.
+    """
+    n = fragment.n_qubits
+    gens: list[tuple[int, int]] = []
+    # echelon rows: (symplectic vector, its highest bit, generator mask)
+    rows: list[tuple[int, int, int]] = []
+    masks, coeffs = [], []
+    for (x, z), c in fragment.items():
+        vec, mask = x | (z << n), 0
+        for row, pivot, combo in rows:
+            if vec >> pivot & 1:
+                vec ^= row
+                mask ^= combo
+        if vec:
+            # every term is a signed product of generators, so the
+            # generators commuting pairwise is the whole commutation check
+            for gx, gz in gens:
+                if ((x & gz).bit_count() + (z & gx).bit_count()) & 1:
+                    raise SimulatorError(
+                        f"fragment terms {PauliProduct(n, gx, gz).label()} and "
+                        f"{PauliProduct(n, x, z).label()} do not commute"
+                    )
+            rows.append((vec, vec.bit_length() - 1, mask | 1 << len(gens)))
+            mask, eta = 1 << len(gens), 1.0
+            gens.append((x, z))
+        else:
+            eta = _product_sign(gens, mask)
+        masks.append(mask)
+        coeffs.append(eta * c.real)
+    return gens, np.array(masks, dtype=np.int64), np.array(coeffs)
+
+
+def _branch_stack(states, gens, masks, coeffs) -> list:
+    """(probs, values, mean) of each state, from one branching pass.
+
+    The branches of every state live on the orbit of the union of their
+    supports, each row tagged with the state it came from, and are split
+    on each generator together; one stable sort by (state, outcome) then
+    hands each state its own rows in increasing outcome.
+    """
+    index = _indices(states[0].n_qubits)
+    inside = np.zeros(len(index), dtype=bool)
+    for state in states:
+        inside |= state.amplitudes != 0
+    for x, _ in gens:
+        inside |= inside[index ^ np.uint64(x)]
+    orbit = index[inside]
+    pos = np.zeros(len(index), dtype=np.intp)
+    pos[orbit] = np.arange(len(orbit))
+    src, coef = _term_table([(g, 1.0) for g in gens], orbit)
+    cols = pos[src]
+    branches = np.array([state.amplitudes[orbit] for state in states])
+    owner = np.arange(len(states))
+    outcomes = np.zeros(len(states), dtype=np.int64)
+    probs = np.ones(len(states))
+    for i in range(len(gens)):
+        # (B + gB) / 2 over (B - gB) / 2, with gB built in the lower half
+        # so that the split holds no other scratch array
+        rows = len(branches)
+        split = np.empty((2 * rows, len(orbit)), dtype=complex)
+        np.multiply(coef[i], branches[:, cols[i]], out=split[rows:])
+        np.add(branches, split[rows:], out=split[:rows])
+        np.subtract(branches, split[rows:], out=split[rows:])
+        branches = np.multiply(0.5, split, out=split)
+        outcomes = np.concatenate([outcomes, outcomes | 1 << i])
+        owner = np.concatenate([owner, owner])
+        probs = np.einsum("ij,ij->i", branches.conj(), branches).real
+        # a branch at or below the cut has no descendant above it
+        live = probs > 1e-15
+        branches, outcomes, owner, probs = (
+            branches[live],
+            outcomes[live],
+            owner[live],
+            probs[live],
+        )
+    order = np.lexsort((outcomes, owner))
+    outcomes, owner, probs = outcomes[order], owner[order], probs[order]
+    bounds = np.searchsorted(owner, np.arange(len(states) + 1))
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # one product per state: BLAS rounding depends on the operand shape
+        signs = np.bitwise_count(outcomes[lo:hi, None] & masks) & 1
+        values = (1.0 - 2.0 * signs) @ coeffs
+        state_probs = probs[lo:hi] / probs[lo:hi].sum()
+        out.append((state_probs, values, float(values @ state_probs)))
+    return out
+
+
 class FragmentSampler:
     """Exact finite-shot sampler for one internally commuting fragment.
 
@@ -238,64 +350,38 @@ class FragmentSampler:
     kept ones go through the same operations in the same order as on the
     full register, and each probability is summed along its row in index
     order, so leaving out the exact zeros changes no bit of the result.
+
+    ``stack`` builds the samplers of one fragment on many states with one
+    elimination, and per chunk of states one orbit (of the union of their
+    supports), one generator table and one branching pass over all their
+    rows.  A state's rows hold exact zeros off its own orbit, so each of
+    them gets the bits it would get alone; its values and mean are then
+    taken from its own rows only, as on one state, because a matrix
+    product's rounding depends on the operand shape.  ``stack_chunks`` cuts
+    the states so that a chunk holds at most
+    BLOCK_AMPLITUDES // (2**generators * 2**n) of them, at least one, which
+    bounds the branch memory.
     """
 
     def __init__(self, state: StateVector, fragment: PauliSum):
-        if fragment.n_qubits != state.n_qubits:
+        [sampler] = self.stack([state], fragment)
+        self.probs, self.values, self.mean = sampler.probs, sampler.values, sampler.mean
+
+    @classmethod
+    def stack(cls, states, fragment: PauliSum) -> list:
+        """One sampler of `fragment` per state, in order, from stacked passes."""
+        if any(state.n_qubits != fragment.n_qubits for state in states):
             raise SimulatorError("fragment qubit count mismatch")
         if fragment.max_imag() > 1e-10:
             raise SimulatorError("fragment must be Hermitian (real coefficients)")
-        n = fragment.n_qubits
-        gens: list[tuple[int, int]] = []
-        # echelon rows: (symplectic vector, its highest bit, generator mask)
-        rows: list[tuple[int, int, int]] = []
-        masks, coeffs = [], []
-        for (x, z), c in fragment.items():
-            vec, mask = x | (z << n), 0
-            for row, pivot, combo in rows:
-                if vec >> pivot & 1:
-                    vec ^= row
-                    mask ^= combo
-            if vec:
-                # every term is a signed product of generators, so the
-                # generators commuting pairwise is the whole commutation check
-                for gx, gz in gens:
-                    if ((x & gz).bit_count() + (z & gx).bit_count()) & 1:
-                        raise SimulatorError(
-                            f"fragment terms {PauliProduct(n, gx, gz).label()} and "
-                            f"{PauliProduct(n, x, z).label()} do not commute"
-                        )
-                rows.append((vec, vec.bit_length() - 1, mask | 1 << len(gens)))
-                mask, eta = 1 << len(gens), 1.0
-                gens.append((x, z))
-            else:
-                eta = _product_sign(gens, mask)
-            masks.append(mask)
-            coeffs.append(eta * c.real)
-        index = _indices(n)
-        inside = state.amplitudes != 0
-        for x, _ in gens:
-            inside |= inside[index ^ np.uint64(x)]
-        orbit = index[inside]
-        pos = np.zeros(len(index), dtype=np.intp)
-        pos[orbit] = np.arange(len(orbit))
-        src, coef = _term_table([(g, 1.0) for g in gens], orbit)
-        cols = pos[src]
-        branches = state.amplitudes[orbit][None, :]
-        outcomes = np.zeros(1, dtype=np.int64)
-        probs = np.ones(1)
-        for i in range(len(gens)):
-            flipped = coef[i] * branches[:, cols[i]]
-            branches = 0.5 * np.concatenate([branches + flipped, branches - flipped])
-            outcomes = np.concatenate([outcomes, outcomes | 1 << i])
-            probs = np.einsum("ij,ij->i", branches.conj(), branches).real
-            # a branch at or below the cut has no descendant above it
-            live = probs > 1e-15
-            branches, outcomes, probs = branches[live], outcomes[live], probs[live]
-        signs = np.bitwise_count(outcomes[:, None] & np.array(masks, dtype=np.int64)) & 1
-        self.values = (1.0 - 2.0 * signs) @ np.array(coeffs)
-        self.probs = probs / probs.sum()
-        self.mean = float(self.values @ self.probs)
+        gens, masks, coeffs = _generators(fragment)
+        samplers = []
+        for chunk in stack_chunks(states, 2 ** (len(gens) + fragment.n_qubits)):
+            for probs, values, mean in _branch_stack(chunk, gens, masks, coeffs):
+                sampler = cls.__new__(cls)
+                sampler.probs, sampler.values, sampler.mean = probs, values, mean
+                samplers.append(sampler)
+        return samplers
 
     def sample(self, shots: int, rng: np.random.Generator) -> float:
         """Sample mean of `shots` independent joint outcomes."""

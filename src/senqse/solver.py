@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,13 +37,12 @@ from senqse.fermion import (
 )
 from senqse.measure import (
     build_swap_operator,
-    fragment_variance,
+    measure_by_fragment,
     shift_constant,
     sorted_insertion,
 )
 from senqse.pauli import PauliSum
 from senqse.simulator import (
-    FragmentSampler,
     StateVector,
     apply_pauli_sum,
     dense_matrix,
@@ -244,40 +244,51 @@ class SubspaceEngine:
         the two-state superposition, with the constant shifted by the exact
         diagonal elements when both states share a seniority config.
         """
-        if mu == nu:
-            op = self.xop(mu, mu)
-            return self.state(mu), sorted_insertion(op)
-        eff = EffectiveHamiltonian(
-            op=self.xop(mu, nu),
-            bra_config=self.config(mu),
-            ket_config=self.config(nu),
-        )
-        swap = build_swap_operator(eff)
-        if self.constant_shift and self.config(mu) == self.config(nu):
-            swap = shift_constant(
-                swap, self.element_exact(mu, mu), self.element_exact(nu, nu)
-            )
-        phi = prepare_swap_state(self.state(mu), self.state(nu))
-        return phi, sorted_insertion(swap.op)
+        [(_, prepare, frags)] = self._measurables([(mu, nu)])
+        return prepare(), frags
 
-    def _measured_elements(self):
-        """(key, state, fragments, sigmas) for every non-classical element.
+    def _measurables(self, elements):
+        """(element, prepare, fragments) of each element, ``prepare()``
+        giving the state of ``element_measurables``.
 
-        The sigmas are the fragments' exact standard deviations on the state.
+        The swap-test operator is built once per config pair, each exact
+        diagonal element the shift reads is taken once, and each distinct
+        operator is sorted once (a diagonal element's operator is fixed by
+        its config, a swap-test one by its config pair and constant), so
+        the elements that share an operator share its fragments.  A
+        swap-test state is prepared on each call, so that the elements'
+        states are not all held at once.
         """
-        for mu in range(self.size):
-            for nu in range(mu, self.size):
-                if not self.is_classical(mu, nu):
-                    state, frags = self.element_measurables(mu, nu)
-                    sigmas = [np.sqrt(fragment_variance(state, f)) for f in frags]
-                    yield (mu, nu), state, frags, sigmas
+        swaps, diagonal, fragment_sets = {}, {}, {}
+        for mu, nu in elements:
+            bra, ket = self.config(mu), self.config(nu)
+            prepare, op, key = partial(self.state, mu), self.xop(mu, nu), bra.bits
+            if mu != nu:
+                if (bra.bits, ket.bits) not in swaps:
+                    eff = EffectiveHamiltonian(op, bra, ket)
+                    swaps[bra.bits, ket.bits] = build_swap_operator(eff)
+                swap = swaps[bra.bits, ket.bits]
+                if self.constant_shift and bra == ket:
+                    for k in (mu, nu):
+                        if k not in diagonal:
+                            diagonal[k] = self.element_exact(k, k)
+                    swap = shift_constant(swap, diagonal[mu], diagonal[nu])
+                prepare = partial(prepare_swap_state, self.state(mu), self.state(nu))
+                op, key = swap.op, (bra.bits, ket.bits, swap.c_x)
+            if key not in fragment_sets:
+                fragment_sets[key] = sorted_insertion(op)
+            yield (mu, nu), prepare, fragment_sets[key]
+
+    def _measure(self, build_samplers: bool):
+        """``measure.measure_by_fragment`` of every non-classical element."""
+        pairs = itertools.combinations_with_replacement(range(self.size), 2)
+        elements = [key for key in pairs if not self.is_classical(*key)]
+        return measure_by_fragment(self._measurables(elements), build_samplers)
 
     def sampling_plan(self):
         """Samplers and exact deviations for every non-classical element."""
-        return {
-            key: ([FragmentSampler(state, f) for f in frags], sigmas)
-            for key, state, frags, sigmas in self._measured_elements()
-        }
+        sigmas, samplers = self._measure(build_samplers=True)
+        return {key: (samplers[key], sigs) for key, sigs in sigmas.items()}
 
     def sigma_matrix(self, plan=None):
         """Per-element optimal-allocation deviations and fragment splits.
@@ -286,16 +297,13 @@ class SubspaceEngine:
         the fragments' exact variances, and no sampler is built.
         """
         if plan is None:
-            sigmas = {key: sigs for key, _, _, sigs in self._measured_elements()}
+            sigmas, _ = self._measure(build_samplers=False)
         else:
             sigmas = {key: sigs for key, (_, sigs) in plan.items()}
-        n = self.size
-        sigma = np.zeros((n, n))
-        fragment_sigmas = {}
+        sigma = np.zeros((self.size, self.size))
         for (mu, nu), sigs in sigmas.items():
             sigma[mu, nu] = sigma[nu, mu] = sum(sigs)
-            fragment_sigmas[(mu, nu)] = list(sigs)
-        return sigma, fragment_sigmas
+        return sigma, {key: list(sigs) for key, sigs in sigmas.items()}
 
 
 # A sampled element keeps its standard error sigma_e / sqrt(m_e) within this
@@ -310,7 +318,7 @@ DEGENERACY_TOL = 1e-8
 _BISECTION_STEPS = 200
 
 
-def _error_coefficients(exact: np.ndarray, keys):
+def _error_coefficients(spectrum, keys):
     """Sensitivities of the ground energy to noise on each sampled element.
 
     With g_kl,e the derivative of <c_k|H|c_l> by element e (c_k,mu c_l,mu
@@ -322,11 +330,12 @@ def _error_coefficients(exact: np.ndarray, keys):
     ground level D: weight_e then sums g_ij,e^2 over i, j in D (the mean
     square of the noise projected on D, which bounds the first-order error
     of E_0) and beta_e averages over i in D and sums over k outside it, so
-    neither depends on which ground vectors the eigensolver returns.  Returns (gap, weight,
-    beta), gap being the distance from E_0 to the first level outside D,
-    or None when there is none.
+    neither depends on which ground vectors the eigensolver returns.
+    ``spectrum`` is the (values, vectors) pair of ``np.linalg.eigh`` of the
+    exact matrix.  Returns (gap, weight, beta), gap being the distance from
+    E_0 to the first level outside D, or None when there is none.
     """
-    vals, vecs = np.linalg.eigh(exact)
+    vals, vecs = spectrum
     ground = vals - vals[0] <= DEGENERACY_TOL
     excitation = vals[~ground] - vals[0]
     gap = float(excitation[0]) if len(excitation) else None
@@ -366,18 +375,20 @@ class MatrixSampler:
     ``second_order_bias`` (the mean shift, never positive); and
     ``elements_at_floor``, the number of sampled elements whose shots sit
     at or below the error floor of ``make_matrix_sampler`` (the elements
-    whose shots the floor, not the error split, decides).
+    whose shots the floor, not the error split, decides).  ``spectrum``
+    is the exact matrix's ``np.linalg.eigh``.
     """
 
     exact: np.ndarray
     plan: dict
     shots: dict
+    spectrum: tuple = field(repr=False, compare=False)
     first_order_mse: float = field(init=False)
     second_order_bias: float = field(init=False)
     elements_at_floor: int = field(init=False)
 
     def __post_init__(self):
-        gap, weight, beta = _error_coefficients(self.exact, self.plan)
+        gap, weight, beta = _error_coefficients(self.spectrum, self.plan)
         mse = bias = 0.0
         at_floor = 0
         for key, (_, sigs) in self.plan.items():
@@ -542,7 +553,8 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     # sigma_e = 0: every draw is exact, one shot per fragment
     shots = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
     keys = [key for key, (_, sigs) in plan.items() if sum(sigs) > 0]
-    gap, weight, beta = _error_coefficients(exact, keys)
+    spectrum = np.linalg.eigh(exact)
+    gap, weight, beta = _error_coefficients(spectrum, keys)
     sig = np.array([sum(plan[k][1]) for k in keys])
     n_frag = np.array([len(plan[k][1]) for k in keys], dtype=float)
     a = np.array([weight[k] for k in keys]) * sig**2
@@ -562,7 +574,7 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     for i in np.argsort(elem - m, kind="stable")[: max(short, 0)]:
         elem[i] += 1
     shots.update({k: _integer_split(int(e), plan[k][1]) for k, e in zip(keys, elem)})
-    sampler = MatrixSampler(exact=exact, plan=plan, shots=shots)
+    sampler = MatrixSampler(exact=exact, plan=plan, shots=shots, spectrum=spectrum)
     if scaled:
         log.warning(
             "shot budget %d is below the %d shots the error floors need; "

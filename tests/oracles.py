@@ -11,6 +11,8 @@ agree with them exactly: ``term_by_term_effective_op`` (the sector table),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
 ``coo_csr_sector_matrix`` (``solver``'s dense sector assembly),
 ``dense_branch_sampler`` (``simulator.FragmentSampler``),
+``per_element_plan`` (``SubspaceEngine.sampling_plan``, with its
+``per_state_sampler`` and ``per_state_variance``),
 ``reference_sorted_insertion`` (``measure.sorted_insertion``) and
 ``golden_section_line_search`` (``solver._periodic_line_search``, which
 need only match or beat it).  Qubit q
@@ -415,6 +417,116 @@ def dense_branch_sampler(state, fragment):
         mean=mean,
         variance=float(probs @ values**2 - mean**2),
     )
+
+
+def per_state_sampler(state, fragment):
+    """A fragment's outcome distribution on one state, branched on its orbit.
+
+    The single-state pass that ``FragmentSampler.stack`` runs on many
+    states at once: elimination and eta phases as ``dense_branch_sampler``,
+    branches kept on the orbit of this state's support under the
+    generators' X flips.  Returns values, probs and mean, and the outcomes
+    (bit i set when generator i reads -1) with the eliminated masks and
+    coefficients that give the values.
+    """
+    from types import SimpleNamespace
+
+    from senqse.simulator import _indices, _product_sign, _term_table
+
+    n = fragment.n_qubits
+    gens, rows, masks, coeffs = [], [], [], []
+    for (x, z), c in fragment.items():
+        vec, mask = x | (z << n), 0
+        for row, pivot, combo in rows:
+            if vec >> pivot & 1:
+                vec ^= row
+                mask ^= combo
+        if vec:
+            rows.append((vec, vec.bit_length() - 1, mask | 1 << len(gens)))
+            mask, eta = 1 << len(gens), 1.0
+            gens.append((x, z))
+        else:
+            eta = _product_sign(gens, mask)
+        masks.append(mask)
+        coeffs.append(eta * c.real)
+    index = _indices(n)
+    inside = state.amplitudes != 0
+    for x, _ in gens:
+        inside |= inside[index ^ np.uint64(x)]
+    orbit = index[inside]
+    pos = np.zeros(len(index), dtype=np.intp)
+    pos[orbit] = np.arange(len(orbit))
+    src, coef = _term_table([(g, 1.0) for g in gens], orbit)
+    cols = pos[src]
+    branches = state.amplitudes[orbit][None, :]
+    outcomes = np.zeros(1, dtype=np.int64)
+    probs = np.ones(1)
+    for i in range(len(gens)):
+        flipped = coef[i] * branches[:, cols[i]]
+        branches = 0.5 * np.concatenate([branches + flipped, branches - flipped])
+        outcomes = np.concatenate([outcomes, outcomes | 1 << i])
+        probs = np.einsum("ij,ij->i", branches.conj(), branches).real
+        live = probs > 1e-15
+        branches, outcomes, probs = branches[live], outcomes[live], probs[live]
+    masks, coeffs = np.array(masks, dtype=np.int64), np.array(coeffs)
+    signs = np.bitwise_count(outcomes[:, None] & masks) & 1
+    values = (1.0 - 2.0 * signs) @ coeffs
+    probs = probs / probs.sum()
+    return SimpleNamespace(
+        values=values,
+        probs=probs,
+        mean=float(values @ probs),
+        outcomes=outcomes,
+        masks=masks,
+        coeffs=coeffs,
+    )
+
+
+def per_state_variance(state, fragment):
+    """<F^2> - <F>^2 on one state, F applied by ``term_by_term_apply``."""
+    f_psi = term_by_term_apply(state.amplitudes, state.n_qubits, fragment)
+    mean = np.vdot(state.amplitudes, f_psi)
+    var = np.vdot(f_psi, f_psi).real - mean.real**2
+    return max(var, 0.0)
+
+
+def per_element_plan(engine):
+    """The sampling plan built one element and one fragment at a time.
+
+    Each non-classical element (mu <= nu, in order) builds its own
+    operator, swap-test or diagonal, with a same-config constant shift
+    reading ``element_exact`` afresh, sorts it into fragments, and measures
+    each fragment with one ``per_state_sampler`` and one
+    ``per_state_variance``.  Returns {element: (samplers, sigmas)}, the
+    layout of ``SubspaceEngine.sampling_plan``.
+    """
+    from senqse.measure import build_swap_operator, shift_constant, sorted_insertion
+    from senqse.simulator import prepare_swap_state
+    from senqse.taper import EffectiveHamiltonian
+
+    plan = {}
+    for mu in range(engine.size):
+        for nu in range(mu, engine.size):
+            if engine.is_classical(mu, nu):
+                continue
+            if mu == nu:
+                state, op = engine.state(mu), engine.xop(mu, mu)
+            else:
+                bra, ket = engine.config(mu), engine.config(nu)
+                eff = EffectiveHamiltonian(engine.xop(mu, nu), bra, ket)
+                swap = build_swap_operator(eff)
+                if engine.constant_shift and bra == ket:
+                    swap = shift_constant(
+                        swap, engine.element_exact(mu, mu), engine.element_exact(nu, nu)
+                    )
+                state = prepare_swap_state(engine.state(mu), engine.state(nu))
+                op = swap.op
+            frags = sorted_insertion(op)
+            plan[mu, nu] = (
+                [per_state_sampler(state, f) for f in frags],
+                [np.sqrt(per_state_variance(state, f)) for f in frags],
+            )
+    return plan
 
 
 def reference_sorted_insertion(op):

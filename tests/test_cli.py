@@ -540,11 +540,16 @@ class TestElementKernel:
         # alone, equal to the ones a sampling plan carries
         built, results = [0], []
         init = simulator.FragmentSampler.__init__
+        stack = simulator.FragmentSampler.stack
         sigma_matrix = SubspaceEngine.sigma_matrix
 
         def counted(self, *args):
             built[0] += 1
             init(self, *args)
+
+        def counted_stack(*args):
+            built[0] += 1
+            return stack(*args)
 
         def kept(self, plan=None):
             out = sigma_matrix(self, plan)
@@ -552,6 +557,7 @@ class TestElementKernel:
             return out
 
         monkeypatch.setattr(simulator.FragmentSampler, "__init__", counted)
+        monkeypatch.setattr(simulator.FragmentSampler, "stack", staticmethod(counted_stack))
         monkeypatch.setattr(SubspaceEngine, "sigma_matrix", kept)
         cfg = RunConfig(
             fcidump_paths=(H2_PATHS[2],), method="vo", eps1=0.5, out_dir=str(tmp_path)

@@ -1,9 +1,11 @@
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from senqse import measure, simulator, solver
 from senqse.csfbasis import (
     default_selection_params,
     parse_basis,
@@ -11,7 +13,7 @@ from senqse.csfbasis import (
     select_basis_vo,
 )
 from senqse.fermion import jordan_wigner, load_fcidump
-from senqse.measure import fragment_variance, sorted_insertion
+from senqse.measure import fragment_variance, fragment_variances, sorted_insertion
 from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
     BLOCK_AMPLITUDES,
@@ -300,7 +302,7 @@ def element_fragments(engine):
 
 
 @pytest.fixture(scope="module")
-def h2_vo_fragments():
+def h2_vo_engines():
     out = []
     for stem in ("h2_0.7414", "h2_1.0000", "h2_1.5000"):
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
@@ -308,16 +310,27 @@ def h2_vo_fragments():
         # a strict trim keeps one state with a rotation, so its element is sampled
         basis = select_basis_vo(ints, hq, default_selection_params(ints, eps1=0.5))
         basis, _, _ = vo_optimize(basis, hq, ints.n_elec)
-        out += element_fragments(SubspaceEngine(basis, hq, ints.n_elec))
+        out.append(SubspaceEngine(basis, hq, ints.n_elec))
     return out
 
 
 @pytest.fixture(scope="module")
-def h2o_fragments():
-    """Every fragment of the optimized H2O 1.0 A VO basis."""
+def h2_vo_fragments(h2_vo_engines):
+    return [pair for engine in h2_vo_engines for pair in element_fragments(engine)]
+
+
+@pytest.fixture(scope="module")
+def h2o_engine():
+    """The engine of the optimized H2O 1.0 A VO basis."""
     ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
     basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
-    return element_fragments(SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec))
+    return SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec)
+
+
+@pytest.fixture(scope="module")
+def h2o_fragments(h2o_engine):
+    """Every fragment of the optimized H2O 1.0 A VO basis."""
+    return element_fragments(h2o_engine)
 
 
 def merged_difference(ours, theirs, tol=1e-8):
@@ -468,3 +481,181 @@ class TestSupportOrbit:
             got = [list(f.items()) for f in sorted_insertion(op)]
             assert got == [list(f.items()) for f in frags]
             assert got == oracles.reference_sorted_insertion(op)
+
+
+def assert_same_plan(plan, reference):
+    """Same elements, fragments, outcome tables, means and sigmas, bit for bit."""
+    assert list(plan) == list(reference)
+    for key, (samplers, sigmas) in plan.items():
+        ref_samplers, ref_sigmas = reference[key]
+        assert len(samplers) == len(ref_samplers)
+        for got, want in zip(samplers, ref_samplers):
+            assert np.array_equal(got.probs, want.probs)
+            assert np.array_equal(got.values, want.values)
+            assert got.mean == want.mean
+        assert np.array_equal(sigmas, ref_sigmas)
+
+
+def shifted_elements(engine):
+    """Sampled off-diagonal elements whose states share a seniority config."""
+    return [
+        (mu, nu)
+        for mu in range(engine.size)
+        for nu in range(mu + 1, engine.size)
+        if engine.config(mu) == engine.config(nu) and not engine.is_classical(mu, nu)
+    ]
+
+
+def distinct_fragments(pairs):
+    """{fragment terms: (fragment, [states])} in first-use order."""
+    groups = {}
+    for state, frag in pairs:
+        key = (frag.n_qubits, tuple(frag.items()))
+        groups.setdefault(key, (frag, []))[1].append(state)
+    return groups
+
+
+@pytest.fixture(scope="module")
+def h2o_reference(h2o_engine):
+    return oracles.per_element_plan(h2o_engine)
+
+
+class TestGroupedPlan:
+    """The plan grouped by distinct fragment equals the per-element path."""
+
+    def test_h2o_plan_matches_per_element_reference(self, h2o_engine, h2o_reference):
+        # constant-shifted same-config elements included
+        assert len(shifted_elements(h2o_engine)) > 0
+        assert len(h2o_reference) == 143
+        assert_same_plan(h2o_engine.sampling_plan(), h2o_reference)
+
+    def test_h2_plans_match_per_element_reference(self, h2_vo_engines):
+        for engine in h2_vo_engines:
+            assert_same_plan(engine.sampling_plan(), oracles.per_element_plan(engine))
+
+    def test_sigma_only_path_matches_reference(
+        self, h2o_engine, h2o_reference, h2_vo_engines
+    ):
+        cases = [(h2o_engine, h2o_reference)]
+        cases += [(e, oracles.per_element_plan(e)) for e in h2_vo_engines]
+        for engine, reference in cases:
+            sigma, fragment_sigmas = engine.sigma_matrix()
+            want_sigma, want_fragments = engine.sigma_matrix(reference)
+            assert np.array_equal(sigma, want_sigma)
+            assert fragment_sigmas == want_fragments
+
+    def test_shift_reads_each_diagonal_once(self, h2o_engine, monkeypatch):
+        calls = []
+        element_exact = SubspaceEngine.element_exact
+
+        def counted(self, mu, nu):
+            calls.append((mu, nu))
+            return element_exact(self, mu, nu)
+
+        monkeypatch.setattr(SubspaceEngine, "element_exact", counted)
+        h2o_engine.sampling_plan()
+        shifted = {k for key in shifted_elements(h2o_engine) for k in key}
+        assert sorted(calls) == sorted((k, k) for k in shifted)
+
+    def test_fragments_shared_across_elements(self, h2o_fragments):
+        groups = distinct_fragments(h2o_fragments)
+        assert len(h2o_fragments) == 1030 and len(groups) < len(h2o_fragments)
+        assert max(len(states) for _, states in groups.values()) > 1
+
+    def test_one_state_chunks(self, h2o_engine, monkeypatch):
+        # every stack cut to one state per chunk, every apply to one term
+        plan = h2o_engine.sampling_plan()
+        monkeypatch.setattr(simulator, "BLOCK_AMPLITUDES", 1)
+        assert_same_plan(h2o_engine.sampling_plan(), plan)
+
+    def test_swap_states_held_one_chunk_at_a_time(self, h2o_engine, monkeypatch):
+        # each chunk's swap states are prepared when it runs and dropped
+        # after it, so the pass never holds the states of all elements
+        chunk = 4
+        monkeypatch.setattr(
+            simulator, "BLOCK_AMPLITUDES", chunk * 2 ** (h2o_engine.n_orb + 1)
+        )
+        prepared, alive = [], []
+        prepare, variances = solver.prepare_swap_state, measure.fragment_variances
+
+        def tracked_prepare(a, b):
+            state = prepare(a, b)
+            prepared.append(weakref.ref(state))
+            return state
+
+        def tracked_variances(states, frag):
+            alive.append(sum(ref() is not None for ref in prepared))
+            return variances(states, frag)
+
+        monkeypatch.setattr(solver, "prepare_swap_state", tracked_prepare)
+        monkeypatch.setattr(measure, "fragment_variances", tracked_variances)
+        h2o_engine.sigma_matrix()
+        assert len(prepared) > chunk
+        assert max(alive) == chunk
+
+
+class TestFragmentStack:
+    def test_stack_matches_single_states(self, h2o_fragments):
+        for frag, states in distinct_fragments(h2o_fragments).values():
+            for state, got in zip(states, FragmentSampler.stack(states, frag)):
+                want = oracles.per_state_sampler(state, frag)
+                assert np.array_equal(got.probs, want.probs)
+                assert np.array_equal(got.values, want.values)
+                assert got.mean == want.mean
+            variances = fragment_variances(states, frag)
+            assert variances == [oracles.per_state_variance(s, frag) for s in states]
+
+    def test_disjoint_supports_keep_their_own_bits(self):
+        # orbits {0001, 0010}, {1100, 1111} and {0100, 0111}: each index of
+        # the union orbit holds amplitude of one state only
+        frag = (
+            PauliSum.from_label("Z0 Z1", 0.5, 4)
+            + PauliSum.from_label("X0 X1", -0.25, 4)
+            + PauliSum.from_label("Z2", 0.75, 4)
+        )
+        amps = np.zeros(16)
+        amps[[0b0100, 0b0111]] = 0.6, 0.8
+        states = [
+            StateVector.computational(0b0001, 4),
+            StateVector.computational(0b1100, 4),
+            StateVector(amps, 4),
+        ]
+        stacked = FragmentSampler.stack(states, frag)
+        for state, got in zip(states, stacked):
+            want = oracles.per_state_sampler(state, frag)
+            assert np.array_equal(got.probs, want.probs)
+            assert np.array_equal(got.values, want.values)
+            assert got.mean == want.mean
+        # outcome bits (Z0 Z1, X0 X1, Z2) set where each reads -1
+        assert stacked[0].values.tolist() == [-0.5 - 0.25 + 0.75, -0.5 + 0.25 + 0.75]
+        assert stacked[1].values.tolist() == [0.5 - 0.25 - 0.75, 0.5 + 0.25 - 0.75]
+        assert stacked[2].probs == pytest.approx([0.98, 0.02], abs=1e-14)
+
+    def test_identity_only_fragment_on_a_stack(self):
+        rng = np.random.default_rng(113)
+        states = [random_state(rng, 3) for _ in range(4)]
+        frag = PauliSum(3, {(0, 0): 0.375})
+        for sampler in FragmentSampler.stack(states, frag):
+            assert sampler.probs.tolist() == [1.0]
+            assert sampler.values.tolist() == [0.375]
+            assert sampler.mean == 0.375
+
+    def test_values_taken_per_state(self, h2o_fragments):
+        # one matrix product over every state's rows rounds differently
+        # from the product of each state's rows alone (BLAS blocking
+        # depends on the shape, so whether any fragment shows it depends on
+        # the BLAS build); the stack must keep the per-state bits
+        trapped = 0
+        for frag, states in distinct_fragments(h2o_fragments).values():
+            refs = [oracles.per_state_sampler(s, frag) for s in states]
+            outcomes = np.concatenate([ref.outcomes for ref in refs])
+            signs = np.bitwise_count(outcomes[:, None] & refs[0].masks) & 1
+            joint = (1.0 - 2.0 * signs) @ refs[0].coeffs
+            alone = np.concatenate([ref.values for ref in refs])
+            if np.array_equal(joint, alone):
+                continue
+            trapped += 1
+            for got, want in zip(FragmentSampler.stack(states, frag), refs):
+                assert np.array_equal(got.values, want.values)
+        if not trapped:
+            pytest.skip("this BLAS rounds the joint product as the per-state ones")

@@ -474,7 +474,9 @@ def first_order_table(engine, plan, total_shots):
     table = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
     for key, m in zip(live, _integer_split(total_shots, [shares[k] for k in live])):
         table[key] = _integer_split(max(m, len(plan[key][1])), plan[key][1])
-    return MatrixSampler(exact=exact, plan=plan, shots=table)
+    return MatrixSampler(
+        exact=exact, plan=plan, shots=table, spectrum=np.linalg.eigh(exact)
+    )
 
 
 def floor_gap(sampler):
@@ -656,6 +658,31 @@ class TestMatrixDraws:
         for mu, nu in expected:
             sampled[mu, nu] = sampled[nu, mu] = True
         assert np.array_equal(h[~sampled], h2o_sampler.exact[~sampled])
+
+    def test_one_eigensolve_per_sampler(self, h2o, h2o_hq, h2o_sampler, monkeypatch):
+        # the table and the sampler's predicted error share one eigh of the
+        # exact matrix, with the bits of a sampler given a fresh one
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+        engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
+        monkeypatch.setattr(solver.np.linalg, "eigh", counted)
+        sampler = make_matrix_sampler(engine, 200_000)
+        assert calls == [(engine.size, engine.size)]
+        monkeypatch.undo()
+        alone = MatrixSampler(
+            exact=sampler.exact,
+            plan=sampler.plan,
+            shots=sampler.shots,
+            spectrum=np.linalg.eigh(sampler.exact),
+        )
+        for name in ("first_order_mse", "second_order_bias", "elements_at_floor"):
+            assert getattr(alone, name) == getattr(sampler, name) == getattr(h2o_sampler, name)
 
     def test_error_matches_prediction(self, h2o_sampler):
         # first-order MSE plus squared bias, and the bias itself, within 4 SE
