@@ -180,12 +180,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
     hq = jordan_wigner(ints)
     kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
     params = default_selection_params(
-        ints,
-        eps1=config.eps1,
-        eps2=config.eps2,
-        n_active_occ=config.n_active_occ,
-        n_active_virt=config.n_active_virt,
-        root_window=config.root_window,
+        ints, **{name: getattr(config, name) for name in SETTING_DEFAULTS}
     )
     if config.method == "vo":
         basis = select_basis_vo(ints, hq, params, kernel=kernel)

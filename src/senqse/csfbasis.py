@@ -584,13 +584,14 @@ class CsfElementEngine:
 
     It holds the geometry's one sector table (``hq`` conjugated once,
     effective operators memoised per config pair), the tapered states and
-    config bits of rotation-free CSFs, and a memo of the products
+    seniority configs of rotation-free CSFs, and a memo of the products
     H_eff(bra config, config of b)|b>, keyed by (bra config, b).  An
     element against a CSF ket is the vdot of the bra with its product, so
     selection, ``vo_optimize``, ``build_subspace`` and ``tapering_stats``
     share every operator and every product.  A product is one 2^n_orb
     vector per distinct linked pair; a pair that no term links is recorded
-    as None, a zero, with no state built.
+    as None, a zero, with no state built.  ``apply`` is the unmemoised
+    product of any amplitudes, such as a rotated state's.
     """
 
     def __init__(self, hq: PauliSum, n_orb: int, n_elec: int):
@@ -601,7 +602,7 @@ class CsfElementEngine:
         self.n_elec = n_elec
         self.sectors = SectorHamiltonian(hq)
         self._states = {}
-        self._bits = {}
+        self._configs = {}
         self._products = {}
 
     def state(self, spec: CsfSpec) -> StateVector:
@@ -609,24 +610,32 @@ class CsfElementEngine:
             self._states[spec] = make_csf_tapered(spec, self.n_orb, self.n_elec)
         return self._states[spec]
 
+    def config(self, spec: CsfSpec) -> SeniorityConfig:
+        if spec not in self._configs:
+            self._configs[spec] = seniority_config(spec, self.n_orb)
+        return self._configs[spec]
+
     def bits(self, spec: CsfSpec) -> int:
         """Seniority config of the CSF as a bit mask."""
-        if spec not in self._bits:
-            self._bits[spec] = seniority_config(spec, self.n_orb).bits
-        return self._bits[spec]
+        return self.config(spec).bits
 
     def xop(self, bra_bits: int, ket_bits: int) -> PauliSum:
         return self.sectors.op(bra_bits, ket_bits)
 
+    def apply(self, bra_bits: int, ket_bits: int, prepare) -> np.ndarray | None:
+        """H_eff(bra_bits, ket_bits) applied to the amplitudes ``prepare()``
+        returns; None, with ``prepare`` never called, when no term links
+        the two configs."""
+        op = self.sectors.op(bra_bits, ket_bits)
+        return apply_pauli_sum(prepare(), self.n_orb, op) if op else None
+
     def product(self, bra_bits: int, spec: CsfSpec) -> np.ndarray | None:
-        """H_eff(bra_bits, config of spec)|spec>; None when no term links them."""
+        """``apply`` to the CSF ``spec``, memoised per (bra_bits, spec)."""
         key = (bra_bits, spec)
         if key not in self._products:
-            op = self.sectors.op(bra_bits, self.bits(spec))
-            h_ket = None
-            if op:
-                h_ket = apply_pauli_sum(self.state(spec).amplitudes, self.n_orb, op)
-            self._products[key] = h_ket
+            self._products[key] = self.apply(
+                bra_bits, self.bits(spec), lambda: self.state(spec).amplitudes
+            )
         return self._products[key]
 
     def element(self, spec_a: CsfSpec, spec_b: CsfSpec) -> float:
@@ -693,7 +702,8 @@ def trim_csfs(engine: CsfElementEngine, specs: list, eps1: float, root_window: f
 
     With root_window = 0 only the subspace ground state counts (the
     dominant CSF always stays).  A positive window also retains the
-    contributors of every root within that energy of the lowest.
+    contributors of every root within that energy of the lowest.  Returns
+    the survivors and their block of the CSF matrix.
     """
     h = engine.matrix(specs)
     vals, vecs = np.linalg.eigh(h)
@@ -708,8 +718,7 @@ def trim_csfs(engine: CsfElementEngine, specs: list, eps1: float, root_window: f
     keep = sorted(keep)
     if not keep:
         raise SelectionError("trimming removed every CSF; lower eps1")
-    survivors = [specs[k] for k in keep]
-    return survivors, h[np.ix_(keep, keep)], float(vals[0])
+    return [specs[k] for k in keep], h[np.ix_(keep, keep)]
 
 
 def structure_class(spec: CsfSpec):
@@ -825,7 +834,7 @@ def select_basis_vo(
     """
     engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
     specs = create_csfs(params, ints.n_orb, ints.n_elec)
-    survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, params.root_window)
+    survivors, h_surv = trim_csfs(engine, specs, params.eps1, params.root_window)
     ext = extension_pairs(engine, survivors, h_surv, params.eps2, params.root_window)
     plans = merge_config_pairs(survivors, ext, ints.n_orb)
     basis = []
@@ -846,7 +855,7 @@ def select_basis_pt(
     """
     engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
     specs = create_csfs(params, ints.n_orb, ints.n_elec)
-    survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, params.root_window)
+    survivors, h_surv = trim_csfs(engine, specs, params.eps1, params.root_window)
     ext = extension_pairs(engine, survivors, h_surv, params.eps2, params.root_window)
     active = params.active
 

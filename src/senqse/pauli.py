@@ -30,6 +30,28 @@ class PauliError(ValueError):
     """Invalid Pauli operand (dimension mismatch, bad index, bad text)."""
 
 
+def product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Quarter turns g, in 0..3, of the product sigma(x1, z1) sigma(x2, z2).
+
+    sigma(x1, z1) sigma(x2, z2) = i**g sigma(x1 ^ x2, z1 ^ z2), from
+    composing sigma(x, z) = i**|x & z| X^x Z^z factors and commuting Z^z1
+    past X^x2 (Aaronson and Gottesman 2004, PRA 70, 052328).
+    """
+    g = (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+        + 2 * (z1 & x2).bit_count()
+    )
+    return g % 4
+
+
+def anticommute(x1: int, z1: int, x2: int, z2: int) -> bool:
+    """True iff sigma(x1, z1) and sigma(x2, z2) anticommute: the symplectic
+    form |x1 & z2| + |z1 & x2| is odd."""
+    return bool(((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1)
+
+
 @dataclass(frozen=True)
 class PauliProduct:
     """A single Pauli string with an exact quarter-turn phase."""
@@ -105,18 +127,12 @@ class PauliProduct:
             raise PauliError(
                 f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}"
             )
-        x3 = self.x_bits ^ other.x_bits
-        z3 = self.z_bits ^ other.z_bits
-        # i**g from composing sigma(x,z) = i**(x&z) X^x Z^z factors and
-        # commuting Z^z1 past X^x2.
-        g = (
-            (self.x_bits & self.z_bits).bit_count()
-            + (other.x_bits & other.z_bits).bit_count()
-            - (x3 & z3).bit_count()
-            + 2 * (self.z_bits & other.x_bits).bit_count()
-        )
+        g = product_phase(self.x_bits, self.z_bits, other.x_bits, other.z_bits)
         return PauliProduct(
-            self.n_qubits, x3, z3, (self.phase_exp + other.phase_exp + g) % 4
+            self.n_qubits,
+            self.x_bits ^ other.x_bits,
+            self.z_bits ^ other.z_bits,
+            self.phase_exp + other.phase_exp + g,
         )
 
     __mul__ = mul
@@ -127,10 +143,7 @@ class PauliProduct:
             raise PauliError(
                 f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}"
             )
-        s = (self.x_bits & other.z_bits).bit_count() + (
-            self.z_bits & other.x_bits
-        ).bit_count()
-        return s % 2 == 0
+        return not anticommute(self.x_bits, self.z_bits, other.x_bits, other.z_bits)
 
     def label(self) -> str:
         if self.is_identity():
@@ -337,18 +350,10 @@ class PauliSum:
         other._check_bits()
         out: dict[tuple[int, int], complex] = {}
         for (x1, z1), c1 in self._terms.items():
-            y1 = (x1 & z1).bit_count()
             for (x2, z2), c2 in other._terms.items():
-                x3, z3 = x1 ^ x2, z1 ^ z2
-                # the phase exponent of PauliProduct.mul
-                g = (
-                    y1
-                    + (x2 & z2).bit_count()
-                    - (x3 & z3).bit_count()
-                    + 2 * (z1 & x2).bit_count()
-                )
-                key = (x3, z3)
-                out[key] = out.get(key, 0.0) + c1 * c2 * _PHASES[g % 4]
+                key = (x1 ^ x2, z1 ^ z2)
+                phase = _PHASES[product_phase(x1, z1, x2, z2)]
+                out[key] = out.get(key, 0.0) + c1 * c2 * phase
         return PauliSum(self.n_qubits, out)
 
     def simplify(self, tol: float = DROP_TOL) -> "PauliSum":

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import CliffordMap, PauliProduct, PauliSum
+from senqse.pauli import CliffordMap, PauliProduct, PauliSum, anticommute, product_phase
 
 NORM_TOL = 1e-10
 
@@ -219,20 +219,14 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 def _product_sign(gens: list, mask: int) -> float:
     """eta = +-1 of prod_{i in mask} g_i, the generators (x, z) taken in order.
 
-    Each product adds the quarter turns of the binary-symplectic phase rule
-    (as ``PauliProduct.mul``); commuting Hermitian generators leave 0 or 2.
+    Each product adds the quarter turns of ``product_phase``; commuting
+    Hermitian generators leave 0 or 2.
     """
     x = z = quarter = 0
     for i, (gx, gz) in enumerate(gens):
         if mask >> i & 1:
-            x3, z3 = x ^ gx, z ^ gz
-            quarter += (
-                (x & z).bit_count()
-                + (gx & gz).bit_count()
-                - (x3 & z3).bit_count()
-                + 2 * (z & gx).bit_count()
-            )
-            x, z = x3, z3
+            quarter += product_phase(x, z, gx, gz)
+            x, z = x ^ gx, z ^ gz
     return -1.0 if quarter % 4 else 1.0
 
 
@@ -259,7 +253,7 @@ def _generators(fragment: PauliSum):
             # every term is a signed product of generators, so the
             # generators commuting pairwise is the whole commutation check
             for gx, gz in gens:
-                if ((x & gz).bit_count() + (z & gx).bit_count()) & 1:
+                if anticommute(x, z, gx, gz):
                     raise SimulatorError(
                         f"fragment terms {PauliProduct(n, gx, gz).label()} and "
                         f"{PauliProduct(n, x, z).label()} do not commute"

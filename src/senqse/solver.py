@@ -27,7 +27,6 @@ from senqse.csfbasis import (
     rotate_chain,
     rotate_pair_inplace,
     rotation_group_key,
-    seniority_config,
 )
 from senqse.fermion import (
     FermionIntegrals,
@@ -44,6 +43,7 @@ from senqse.measure import (
 from senqse.pauli import PauliSum
 from senqse.simulator import (
     StateVector,
+    _term_table,
     apply_pauli_sum,
     dense_matrix,
     prepare_swap_state,
@@ -116,12 +116,12 @@ class SubspaceEngine:
     operator of each seniority-config pair, its CSF states start every
     basis state, and an element against a rotation-free ket is the
     kernel's memoised product H_eff|ket> taken against the bra.  An
-    element against a rotated ket applies the operator to that ket as a
-    Pauli sum; replacing a state's rotation amplitudes (which never change
-    its config) only invalidates that state's vector.  ``apply_xop`` uses
-    a memoised dense matrix instead when the register has at most
-    ``_DENSE_XOP_ORBITALS`` orbitals.  The untapered ablation is
-    ``_full_register_matrix``, outside the engine.
+    element against a rotated ket is the kernel's ``apply`` of the
+    operator to that ket; replacing a state's rotation amplitudes (which
+    never change its config, read from the kernel) only invalidates that
+    state's vector.  ``apply_xop`` uses a memoised dense matrix instead
+    when the register has at most ``_DENSE_XOP_ORBITALS`` orbitals.  The
+    untapered ablation is ``_full_register_matrix``, outside the engine.
     """
 
     def __init__(
@@ -146,7 +146,6 @@ class SubspaceEngine:
         self.constant_shift = constant_shift
         self.kernel = element_kernel(kernel, hq, self.n_orb, n_elec)
         self._states = [None] * len(basis)
-        self._configs = [None] * len(basis)
         self._xmats = {}
         self._check_orthonormality()
 
@@ -170,10 +169,7 @@ class SubspaceEngine:
         return len(self.basis)
 
     def config(self, mu: int) -> SeniorityConfig:
-        # fixed per index: replace_basis_state never changes the CSF
-        if self._configs[mu] is None:
-            self._configs[mu] = seniority_config(self.basis[mu], self.n_orb)
-        return self._configs[mu]
+        return self.kernel.config(self.basis[mu].csf)
 
     def csf_state(self, mu: int) -> StateVector:
         """Tapered CSF of basis state mu, before its rotations."""
@@ -211,16 +207,16 @@ class SubspaceEngine:
             if (bra_bits, ket_bits) not in self._xmats:
                 self._xmats[bra_bits, ket_bits] = dense_matrix(op)
             return vecs @ self._xmats[bra_bits, ket_bits].T
-        return np.array([apply_pauli_sum(v, self.n_orb, op) for v in vecs])
+        return apply_pauli_sum(vecs, self.n_orb, op)
 
     def element_exact(self, mu: int, nu: int) -> float:
+        bra_bits = self.config(mu).bits
         if not self.basis[nu].rotations:
-            h_ket = self.kernel.product(self.config(mu).bits, self.basis[nu].csf)
+            h_ket = self.kernel.product(bra_bits, self.basis[nu].csf)
         else:
-            op = self.xop(mu, nu)
-            h_ket = None
-            if op:
-                h_ket = apply_pauli_sum(self.state(nu).amplitudes, self.n_orb, op)
+            h_ket = self.kernel.apply(
+                bra_bits, self.config(nu).bits, lambda: self.state(nu).amplitudes
+            )
         if h_ket is None:
             return 0.0  # no term links the two configs
         return real_element(self.state(mu).amplitudes, h_ket)
@@ -433,11 +429,10 @@ class MatrixSampler:
 def _integer_split(total: int, weights) -> list:
     """Largest-remainder split of `total` into len(weights) parts, each >= 1.
 
-    The weights must have a positive sum.
+    The weights must have a positive sum, and `total` must be at least
+    len(weights): every element's shots cover one per fragment.
     """
     n = len(weights)
-    if total < n:
-        total = n
     wsum = sum(weights)
     raw = [1 + (total - n) * w / wsum for w in weights]
     out = [int(v) for v in raw]
@@ -1095,9 +1090,8 @@ def _sector_blocks(hq: PauliSum, dets: np.ndarray):
     """
     groups = {}
     for (x, z), c in hq.items():
-        groups.setdefault(x, []).append((z, c))
+        groups.setdefault(x, []).append(((x, z), c))
     dim = len(dets)
-    one = np.uint64(1)
     for x, terms in groups.items():
         targets = dets ^ np.uint64(x)
         pos = np.searchsorted(dets, targets)
@@ -1105,16 +1099,17 @@ def _sector_blocks(hq: PauliSum, dets: np.ndarray):
         ok[ok] &= dets[pos[ok]] == targets[ok]
         if not np.any(ok):
             continue
-        rows, cols, kets = pos[ok], np.flatnonzero(ok), dets[ok]
+        rows, cols, bras = pos[ok], np.flatnonzero(ok), targets[ok]
         vals = np.zeros(len(cols))
-        for z, c in terms:
-            signs = 1.0 - 2.0 * (
-                (np.bitwise_count(kets & np.uint64(z)) & one).astype(float)
-            )
-            term = c * (1j) ** ((x & z).bit_count() % 4) * signs
-            if np.max(np.abs(term.imag)) > 1e-9:
+        # chunks of terms with at most dim entries (one term at least): the
+        # scratch is no larger than one term's row can be; rows add in order
+        step = max(1, dim // len(cols))
+        for start in range(0, len(terms), step):
+            _, coef = _term_table(terms[start : start + step], bras)
+            if np.max(np.abs(coef.imag)) > 1e-9:
                 raise SolverError("sector matrix has imaginary entries")
-            vals += term.real
+            for term in coef.real:
+                vals += term
         asym = np.max(np.abs(vals - vals[np.searchsorted(cols, rows)]))
         if asym > 1e-9:
             raise SolverError(f"sector matrix asymmetry {asym:.2e}")

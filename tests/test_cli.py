@@ -134,6 +134,21 @@ class TestConfig:
         assert main(["--config", str(path)]) == 2
         assert f"{path}:2: bad value 'ten' for shots" in capsys.readouterr().err
 
+    def test_main_rejects_sampled_run_without_shots(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [H2_PATHS[0], "--mode", "sampled", "--shots", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert "sampled mode needs shots >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_main_rejects_labels_that_do_not_match_paths(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"fcidump_paths = {', '.join(H2_PATHS[:2])}\nlabels = only\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "labels must match fcidump_paths" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_main_rejects_zero_workers(self, tmp_path, capsys):
         argv = [H2_PATHS[0], "--workers", "0", "--out", str(tmp_path / "out")]
         assert main(argv) == 2

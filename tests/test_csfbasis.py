@@ -458,7 +458,7 @@ class TestSelection:
         engine = CsfElementEngine(hq, 2, 2)
         params = default_selection_params(h2, eps1=1.0)
         specs = create_csfs(params, 2, 2)
-        survivors, _, _ = trim_csfs(engine, specs, params.eps1, 0.0)
+        survivors, _ = trim_csfs(engine, specs, params.eps1, 0.0)
         assert len(survivors) == 1
         assert survivors[0].kind is CsfKind.HF
 
@@ -493,7 +493,7 @@ class TestSelection:
         params = default_selection_params(h2o)
         engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
         specs = create_csfs(params, h2o.n_orb, h2o.n_elec)
-        survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, 0.0)
+        survivors, h_surv = trim_csfs(engine, specs, params.eps1, 0.0)
         ext = extension_pairs(engine, survivors, h_surv, params.eps2, 0.0)
         assert any(pairs for pairs in ext)
         for pairs in ext:
@@ -507,7 +507,7 @@ class TestSelection:
         basis = select_basis_vo(h2o, h2o_hq, params)
         engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
         specs = create_csfs(params, h2o.n_orb, h2o.n_elec)
-        survivors, h_surv, _ = trim_csfs(engine, specs, params.eps1, 0.0)
+        survivors, h_surv = trim_csfs(engine, specs, params.eps1, 0.0)
         ext = extension_pairs(engine, survivors, h_surv, params.eps2, 0.0)
         plans = merge_config_pairs(survivors, ext, h2o.n_orb)
         from senqse.csfbasis import rotation_group_key

@@ -165,6 +165,38 @@ class TestParse:
         with pytest.raises(FcidumpError):
             parse_fcidump("1.0 1 1 0 0\n")
 
+    @pytest.mark.parametrize(
+        "header, record, match",
+        [
+            ("NORB=2,NELEC=2,MS2=0,", "", "missing &FCI"),
+            ("&FCI NORB=2,NELEC=2,", "", "missing MS2 in FCIDUMP header"),
+            ("&FCI NORB=0,NELEC=0,MS2=0,", "", "bad NORB 0"),
+            ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0 1 1 0", "line 3: expected 'value i j k l'"),
+            ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0q 1 1 0 0", "line 3: could not convert"),
+            ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0 1 one 0 0", "line 3: invalid literal"),
+            ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0 0 1 0 0", "line 3: bad one-electron"),
+            ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0 1 0 1 1", "line 3: bad two-electron"),
+        ],
+    )
+    def test_malformed_input_names_the_fault(self, header, record, match):
+        with pytest.raises(FcidumpError, match=match):
+            parse_fcidump(f"{header}\n&END\n{record}\n")
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (dict(n_elec=3), "odd electron count 3"),
+            (dict(h=np.zeros((2, 3))), "one-electron integral shape"),
+            (dict(g=np.zeros((2, 2, 2, 3))), "two-electron integral shape"),
+            (dict(h=np.array([[1.0, 0.5], [0.4, 1.0]])), "not symmetric"),
+            (dict(g=np.arange(16.0).reshape((2,) * 4)), "8-fold symmetry"),
+        ],
+    )
+    def test_constructor_rejects_inconsistent_integrals(self, h2, change, match):
+        fields = dict(n_orb=2, n_elec=2, e_core=h2.e_core, h=h2.h, g=h2.g)
+        with pytest.raises(FcidumpError, match=match):
+            FermionIntegrals(**{**fields, **change})
+
     def test_write_roundtrip(self, tmp_path, h2):
         path = tmp_path / "h2.fcidump"
         write_fcidump(h2, path)

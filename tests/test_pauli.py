@@ -6,7 +6,9 @@ from senqse.pauli import (
     PauliError,
     PauliProduct,
     PauliSum,
+    anticommute,
     parse_pauli_sum,
+    product_phase,
 )
 
 import oracles
@@ -93,6 +95,38 @@ class TestCommutes:
             b = PauliProduct(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
             am, bm = oracles.product_matrix(a), oracles.product_matrix(b)
             assert a.commutes(b) == np.allclose(am @ bm, bm @ am)
+
+
+class TestSymplecticRules:
+    def test_wide_words_against_per_qubit_matrices(self):
+        # 130-qubit words, past one machine word: the quarter turns and the
+        # anticommutation parity are sums of single-qubit ones, each read
+        # from the 2x2 matrices; PauliProduct must agree with both rules
+        mats = {
+            (x, z): oracles.product_matrix(PauliProduct(1, x, z))
+            for x in (0, 1)
+            for z in (0, 1)
+        }
+        turns, odd = {}, {}
+        for (x1, z1), a in mats.items():
+            for (x2, z2), b in mats.items():
+                ab = a @ b
+                c = mats[x1 ^ x2, z1 ^ z2]
+                [g] = [g for g in range(4) if np.allclose(ab, 1j**g * c)]
+                turns[x1, z1, x2, z2] = g
+                odd[x1, z1, x2, z2] = not np.allclose(ab, b @ a)
+        rng = np.random.default_rng(19)
+        n = 130
+        for _ in range(100):
+            x1, z1, x2, z2 = (int.from_bytes(rng.bytes(17)) >> 6 for _ in range(4))
+            qubits = [tuple(w >> q & 1 for w in (x1, z1, x2, z2)) for q in range(n)]
+            want_turns = sum(turns[q] for q in qubits) % 4
+            want_odd = sum(odd[q] for q in qubits) % 2 == 1
+            assert product_phase(x1, z1, x2, z2) == want_turns
+            assert anticommute(x1, z1, x2, z2) is want_odd
+            a, b = PauliProduct(n, x1, z1, 1), PauliProduct(n, x2, z2, 2)
+            assert (a * b).phase_exp == (3 + want_turns) % 4
+            assert a.commutes(b) is not want_odd
 
 
 class TestClifford:

@@ -271,6 +271,13 @@ class TestBuildSubspace:
         assert problem.hmat.shape == (1, 1)
         assert problem.e_min == pytest.approx(hf_energy(h2), abs=1e-10)
 
+    def test_configs_are_the_kernels(self, h2o, h2o_hq, h2o_vo_selected):
+        kernel = csfbasis.CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec, kernel=kernel)
+        for mu, b in enumerate(engine.basis):
+            assert engine.config(mu) is kernel.config(b.csf)
+            assert engine.config(mu) == seniority_config(b, h2o.n_orb)
+
     def test_empty_sector_operator_is_an_early_zero(
         self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
     ):
@@ -310,6 +317,7 @@ class TestBuildSubspace:
             raise AssertionError("an empty operator was applied")
 
         monkeypatch.setattr(solver, "apply_pauli_sum", refuse)
+        monkeypatch.setattr(csfbasis, "apply_pauli_sum", refuse)
         monkeypatch.setattr(solver, "dense_matrix", refuse)
         for (mu, nu), want in old.items():
             got = engine.element_exact(mu, nu)
@@ -827,6 +835,31 @@ class TestVoOptimize:
                 _, s1, s2 = model.diagonal_sum.derivatives(th)
                 assert abs(s1 - sum(first[mu, mu] for mu in model.members)) < 1e-5
                 assert abs(s2 - sum(second[mu, mu] for mu in model.members)) < 1e-4
+
+    def test_stacked_operator_application_matches_rows(
+        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
+    ):
+        # with Pauli-sum operators (limit 0) apply_xop applies each config
+        # pair's operator to the whole stack in one call; every row holds
+        # the bits of that operator applied to the row alone
+        _, [(model, _, _), _] = slot_models(
+            h2o, h2o_hq, h2o_vo_selected, 9, 3, monkeypatch
+        )
+        engine = model.engine
+        monkeypatch.setattr(solver, "_DENSE_XOP_ORBITALS", 0)
+        linked = 0
+        for bits in sorted({engine.config(nu).bits for nu in range(engine.size)}):
+            op = engine.kernel.xop(model._bits, bits)
+            got = engine.apply_xop(model._bits, bits, model._u)
+            assert got.shape == model._u.shape
+            if op:
+                linked += 1
+                rows = [solver.apply_pauli_sum(v, engine.n_orb, op) for v in model._u]
+                assert got.tobytes() == np.array(rows).tobytes()
+            else:
+                assert not got.any()
+        assert linked > 1
+        assert not engine._xmats
 
     def test_line_search_is_closed_form(self, h2o, h2o_hq, h2o_vo_selected, monkeypatch):
         # one rotation group only, so every line search moves all its rows:
