@@ -4,11 +4,10 @@ States are complex arrays of length 2**n with qubit q on bit q of the index
 (little endian).  All values are frozen after construction and every
 operation here is a pure function, so concurrent use needs no locking.
 
-A Pauli sum acts on a state as one gather-reduce: the state is gathered
-through every term's source indices j ^ x into a (terms x 2**n) block of
-signed amplitudes, which is summed in term order over its term axis, so
-the result is bit-for-bit that of a term-by-term loop.  A stack of states
-shares the gather indices and each state's sum keeps that order.
+A Pauli sum acts on a state, or a stack of states, from the indices where
+some state is nonzero: each term's contributions there are added into
+k ^ x in term order, so every output amplitude has the bits of a
+term-by-term loop over the whole register.
 
 Shot sampling of a commuting fragment reads its independent generators,
 as a measurement after a diagonalizing Clifford would: every term is a
@@ -29,6 +28,7 @@ the bits it would get by itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,21 +78,8 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-_INDEX_CACHE: dict = {}
-
-
-def _indices(n_qubits: int) -> np.ndarray:
-    # read-only cached index arrays; rebuilt arange dominates small registers
-    arr = _INDEX_CACHE.get(n_qubits)
-    if arr is None:
-        arr = np.arange(2**n_qubits, dtype=np.uint64)
-        arr.flags.writeable = False
-        _INDEX_CACHE[n_qubits] = arr
-    return arr
-
-
-# amplitudes gathered per block of apply_pauli_sum, and per chunk of a
-# stacked pass; bounds their scratch memory
+# term contributions formed per block of apply_pauli_sum, and amplitudes
+# per chunk of a stacked pass; bounds their scratch memory
 BLOCK_AMPLITUDES = 2**16
 
 
@@ -104,56 +91,65 @@ def stack_chunks(items, amplitudes_each: int) -> list:
     return [items[start : start + step] for start in range(0, len(items), step)]
 
 
-def _term_table(items, index: np.ndarray):
-    """Gather indices and coefficients of the terms ((x, z), c) of `items`.
-
-    Row t holds, for every output index j of `index`, the source index
-    j ^ x_t and the coefficient c_t i^|x_t & z_t| (-1)^|z_t & (j ^ x_t)|, so
-    that (c_t P_t psi)[j] = coef[t, j] * psi[src[t, j]], with
-    P|i> = i^|x&z| (-1)^|z&i| |i^x>.
-    """
-    keys = np.array([key for key, _ in items], dtype=np.uint64).reshape(-1, 2)
-    src = index ^ keys[:, :1]
-    signs = np.bitwise_count(src & keys[:, 1:]) & np.uint64(1)
+def _term_arrays(items):
+    """The (x, z) keys of the terms ((x, z), c) of `items` as a (terms, 2)
+    uint64 array, and their factors c i^|x & z|."""
+    pairs = itertools.chain.from_iterable(key for key, _ in items)
+    keys = np.fromiter(pairs, dtype=np.uint64, count=2 * len(items)).reshape(-1, 2)
     factors = np.array(
         [c * (1j) ** ((x & z).bit_count() % 4) for (x, z), c in items], dtype=complex
     )
-    return src, factors[:, None] * (1.0 - 2.0 * signs.astype(float))
+    return keys, factors
+
+
+def _coefficients(keys, factors, sources: np.ndarray) -> np.ndarray:
+    """Row t: c_t i^|x_t & z_t| (-1)^|z_t & k| at each source k, the weight
+    with which c_t P_t sends psi[k] to k ^ x_t (P|k> = i^|x&z| (-1)^|z&k| |k^x>)."""
+    signs = np.bitwise_count(sources & keys[:, 1:]) & np.uint64(1)
+    return factors[:, None] * (1.0 - 2.0 * signs.astype(float))
+
+
+def _term_table(items, index: np.ndarray):
+    """Gather indices src[t, j] = j ^ x_t of each output index j of `index`
+    and coefficients with (c_t P_t psi)[j] = coef[t, j] * psi[src[t, j]]."""
+    keys, factors = _term_arrays(items)
+    src = index ^ keys[:, :1]
+    return src, _coefficients(keys, factors, src)
 
 
 def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliSum) -> np.ndarray:
-    """op |amps>, as one gather and one in-order sum per block of terms.
+    """op |amps>, formed from the nonzero amplitudes only.
 
-    ``amps`` is one state or a stack of states along its leading axis.
-    Each block gathers its terms' signed rows, adds the running sum into
-    the first and reduces over the term axis, which adds the rows in order,
-    so every output amplitude is summed from zero in ``op.items()`` order,
-    whatever the block and stack sizes.
+    ``amps`` is one state or a stack of states along its leading axis.  At
+    each index k where some state is nonzero, every block of terms forms
+    coef * amp and adds it into k ^ x with ``np.add.at``, which applies
+    repeated indices in order, so every output amplitude is summed from +0
+    in ``op.items()`` order.  A left-out term would add a signed zero to a
+    sum that is never -0, so the bits are those of the same sum over the
+    whole register.  A block holds at most BLOCK_AMPLITUDES contributions
+    (one term at least).
     """
-    if 2**n_qubits != amps.shape[-1]:
+    dim = 2**n_qubits
+    if dim != amps.shape[-1]:
         raise SimulatorError("amplitude length mismatch")
-    items = list(op.items())
+    stack = amps.reshape(-1, dim)
+    support = np.flatnonzero(stack.any(axis=0)).astype(np.uint64)
+    values = stack[:, support][:, None, :]
+    row_starts = (np.arange(len(stack), dtype=np.uint64) * np.uint64(dim))[:, None, None]
+    keys, factors = _term_arrays(op.items())
     out = np.zeros(amps.shape, dtype=complex)
-    step = max(1, BLOCK_AMPLITUDES // amps.size)
-    for start in range(0, len(items), step):
-        src, coef = _term_table(items[start : start + step], _indices(n_qubits))
-        # C order, terms before amplitudes, so the reduce runs row by row
-        rows = np.take(amps, src, axis=-1)
-        np.multiply(coef, rows, out=rows)
-        np.add(out, rows[..., 0, :], out=rows[..., 0, :])
-        out = np.add.reduce(rows, axis=-2)
+    step = max(1, BLOCK_AMPLITUDES // max(1, values.size))
+    for start in range(0, len(keys), step):
+        block = keys[start : start + step]
+        coef = _coefficients(block, factors[start : start + step], support)
+        targets = row_starts + (support ^ block[:, :1])
+        np.add.at(out.reshape(-1), targets.ravel(), (coef * values).ravel())
     return out
 
 
 def expectation(state: StateVector, op: PauliSum) -> complex:
     """Exact <psi|op|psi>; real to 1e-12 when op is Hermitian."""
-    if op.n_qubits != state.n_qubits:
-        raise SimulatorError(
-            f"operator on {op.n_qubits} qubits, state on {state.n_qubits}"
-        )
-    return complex(
-        np.vdot(state.amplitudes, apply_pauli_sum(state.amplitudes, state.n_qubits, op))
-    )
+    return matrix_element_exact(state, op, state)
 
 
 def matrix_element_exact(bra: StateVector, op: PauliSum, ket: StateVector) -> complex:
@@ -176,7 +172,7 @@ def apply_clifford(state: StateVector, cmap: CliffordMap) -> StateVector:
     """Apply a CNOT/permutation Clifford to a statevector (no phases arise)."""
     if cmap.n_qubits != state.n_qubits:
         raise SimulatorError("Clifford qubit count mismatch")
-    idx = _indices(state.n_qubits)
+    idx = np.arange(2**state.n_qubits, dtype=np.uint64)
     amps = state.amplitudes
     for g in cmap.gates:
         if g[0] == "cnot":
@@ -198,7 +194,7 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
     dim = 2**op.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
-    src, coef = _term_table(list(op.items()), _indices(op.n_qubits))
+    src, coef = _term_table(list(op.items()), np.arange(dim, dtype=np.uint64))
     for cols, values in zip(src, coef):
         out[rows, cols] += values
     return out
@@ -276,7 +272,7 @@ def _branch_stack(states, gens, masks, coeffs) -> list:
     on each generator together; one stable sort by (state, outcome) then
     hands each state its own rows in increasing outcome.
     """
-    index = _indices(states[0].n_qubits)
+    index = np.arange(2 ** states[0].n_qubits, dtype=np.uint64)
     inside = np.zeros(len(index), dtype=bool)
     for state in states:
         inside |= state.amplitudes != 0

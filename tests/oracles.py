@@ -5,7 +5,8 @@ never calls into the package's operator algebra, so it can serve as an
 independent reference for it.  The exceptions are the direct term-by-term
 loops that the package's fast paths replace, kept as references that must
 agree with them exactly: ``term_by_term_effective_op`` (the sector table),
-``term_by_term_apply`` (``simulator.apply_pauli_sum``),
+``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
+pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_mul`` (``PauliSum.__mul__``),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
@@ -226,6 +227,38 @@ def term_by_term_apply(amps, n_qubits, op):
     return out
 
 
+def dense_gather_apply(amps, n_qubits, op, block_amplitudes=2**16):
+    """op|amps> as one gather and one in-order sum per block of terms.
+
+    ``amps`` is one state or a stack of states along its leading axis.
+    Each block gathers its terms' signed source rows j ^ x over the whole
+    register into a (terms x 2**n) block per state, adds the running sum
+    into the first row and reduces over the term axis, which adds the rows
+    in order, so every output amplitude is summed from zero in
+    ``op.items()`` order.
+    """
+    items = list(op.items())
+    index = np.arange(2**n_qubits, dtype=np.uint64)
+    out = np.zeros(amps.shape, dtype=complex)
+    step = max(1, block_amplitudes // amps.size)
+    for start in range(0, len(items), step):
+        block = items[start : start + step]
+        keys = np.array([key for key, _ in block], dtype=np.uint64).reshape(-1, 2)
+        src = index ^ keys[:, :1]
+        signs = np.bitwise_count(src & keys[:, 1:]) & np.uint64(1)
+        factors = np.array(
+            [c * (1j) ** ((x & z).bit_count() % 4) for (x, z), c in block],
+            dtype=complex,
+        )
+        coef = factors[:, None] * (1.0 - 2.0 * signs.astype(float))
+        # C order, terms before amplitudes, so the reduce runs row by row
+        rows = np.take(amps, src, axis=-1)
+        np.multiply(coef, rows, out=rows)
+        np.add(out, rows[..., 0, :], out=rows[..., 0, :])
+        out = np.add.reduce(rows, axis=-2)
+    return out
+
+
 def copy_per_rotation(amps, rotations):
     """amps after each (r, s, theta) in turn, on a fresh copy per rotation.
 
@@ -431,7 +464,7 @@ def per_state_sampler(state, fragment):
     """
     from types import SimpleNamespace
 
-    from senqse.simulator import _indices, _product_sign, _term_table
+    from senqse.simulator import _product_sign, _term_table
 
     n = fragment.n_qubits
     gens, rows, masks, coeffs = [], [], [], []
@@ -449,7 +482,7 @@ def per_state_sampler(state, fragment):
             eta = _product_sign(gens, mask)
         masks.append(mask)
         coeffs.append(eta * c.real)
-    index = _indices(n)
+    index = np.arange(2**n, dtype=np.uint64)
     inside = state.amplitudes != 0
     for x, _ in gens:
         inside |= inside[index ^ np.uint64(x)]

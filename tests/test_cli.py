@@ -97,6 +97,11 @@ class TestConfig:
         assert values["eps1"] == 1e-5
         assert values["taper"] is False
 
+    def test_config_file_blank_and_comment_lines_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\n# a comment line\nmethod = pt\n   \n\nshots = 7\n")
+        assert parse_config_file(str(path)) == {"method": "pt", "shots": 7}
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")

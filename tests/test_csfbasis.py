@@ -578,6 +578,11 @@ class TestSerialization:
         back = parse_basis(text)
         assert back == basis
 
+    def test_blank_lines_skipped(self, h2o, h2o_hq):
+        basis = select_basis_pt(h2o, h2o_hq, default_selection_params(h2o))[:3]
+        records = serialize_basis(basis).splitlines()
+        assert parse_basis("\n" + "\n  \n".join(records) + "\n\n") == basis
+
     def test_roundtrip_preserves_theta_exactly(self):
         b = BasisState(
             CsfSpec(CsfKind.HF).moved(0, 1), ((1, 0, 0.12345678901234567),), "z"

@@ -117,6 +117,13 @@ class TestParse:
         assert ints.g[0, 0, 1, 1] == pytest.approx(0.6975)
         assert ints.g[0, 1, 0, 1] == pytest.approx(0.1813)
 
+    def test_blank_record_lines_skipped(self):
+        header, _, records = MINIMAL_H2.partition("&END")
+        ints = parse_fcidump(header + "&END\n\n" + records.replace("\n", "\n   \n"))
+        ref = parse_fcidump(MINIMAL_H2)
+        assert np.array_equal(ints.h, ref.h) and np.array_equal(ints.g, ref.g)
+        assert ints.e_core == ref.e_core
+
     def test_core_energy_record(self):
         ints = parse_fcidump(MINIMAL_H2)
         assert ints.e_core == pytest.approx(0.7137)

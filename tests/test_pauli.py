@@ -274,6 +274,18 @@ class TestPauliSum:
         diff = s - back
         assert all(c == 0 for _, c in diff.items())
 
+    def test_text_blank_lines_skipped(self):
+        back = parse_pauli_sum("\n0.25 * X0\n   \n-0.5 * Z1\n\n")
+        assert list(back.items()) == [((1, 0), 0.25), ((0, 2), -0.5)]
+
+    def test_product_by_non_sum_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            PauliSum.from_label("X0", 1.0, 1) * 2
+
+    def test_product_repr(self):
+        assert repr(P("X0 Z2", 3)) == "PauliProduct(X0 Z2 on 3)"
+        assert repr(PauliProduct(2, 2, 2, 3)) == "PauliProduct(-i*Y1 on 2)"
+
     def test_text_format_example(self):
         s = PauliSum.from_label("X0 Z3 Y5", -0.5, 6)
         assert s.to_text() == "-0.5 * X0 Z3 Y5"

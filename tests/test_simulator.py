@@ -1,3 +1,4 @@
+import types
 import weakref
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 import oracles
 from senqse import measure, simulator, solver
 from senqse.csfbasis import (
+    CsfElementEngine,
     default_selection_params,
+    full_state,
     parse_basis,
     select_basis_pt,
     select_basis_vo,
@@ -215,10 +218,21 @@ class TestSampling:
         assert np.allclose(dense_matrix(op), oracles.sum_matrix(op), atol=1e-12)
 
 
+def bits(amps):
+    """The IEEE bit patterns of complex amplitudes, which tell -0.0 from 0.0."""
+    return np.ascontiguousarray(amps).view(np.uint64)
+
+
 def assert_applies_like_oracle(amps, n_qubits, op):
-    """apply_pauli_sum equals the term-by-term loop bit for bit."""
+    """apply_pauli_sum equals bit for bit, signed zeros included, the dense
+    gather pass it replaced on the whole of ``amps`` (one state or a stack)
+    and the term-by-term loop on each state."""
     got = apply_pauli_sum(amps, n_qubits, op)
-    assert np.array_equal(got, oracles.term_by_term_apply(amps, n_qubits, op))
+    assert got.shape == amps.shape
+    assert np.array_equal(bits(got), bits(oracles.dense_gather_apply(amps, n_qubits, op)))
+    dim = 2**n_qubits
+    for row, state in zip(got.reshape(-1, dim), amps.reshape(-1, dim)):
+        assert np.array_equal(bits(row), bits(oracles.term_by_term_apply(state, n_qubits, op)))
 
 
 class TestApplyPauliSum:
@@ -288,6 +302,128 @@ class TestApplyPauliSum:
             ket = np.zeros(16, dtype=complex)
             ket[j] = 1.0
             assert np.array_equal(mat[:, j], apply_pauli_sum(ket, 4, op))
+
+
+@pytest.fixture(scope="module")
+def h2o_pt_kernel():
+    """The element kernel of the H2O 1.0 A PT selection at the acceptance
+    settings, holding every product the selection made."""
+    ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
+    hq = jordan_wigner(ints)
+    kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+    params = default_selection_params(ints, eps1=1e-5, eps2=1e-6, n_active_occ=5)
+    basis = select_basis_pt(ints, hq, params, kernel=kernel)
+    return kernel, basis
+
+
+class TestSupportPass:
+    """apply_pauli_sum from the nonzero amplitudes only, bit for bit."""
+
+    def test_every_pt_kernel_product(self, h2o_pt_kernel):
+        kernel, _ = h2o_pt_kernel
+        products = [(key, p) for key, p in kernel._products.items() if p is not None]
+        assert len(products) > 200
+        for (bra_bits, spec), product in products:
+            amps = kernel.state(spec).amplitudes
+            assert np.count_nonzero(amps) < len(amps)
+            op = kernel.xop(bra_bits, kernel.bits(spec))
+            assert_applies_like_oracle(amps, kernel.n_orb, op)
+            assert np.array_equal(bits(product), bits(apply_pauli_sum(amps, kernel.n_orb, op)))
+
+    def test_rotated_vo_kets(self, h2o_engine):
+        rotated = [nu for nu in range(h2o_engine.size) if h2o_engine.basis[nu].rotations]
+        assert rotated
+        for nu in rotated:
+            ket = h2o_engine.state(nu).amplitudes
+            for mu in range(h2o_engine.size):
+                op = h2o_engine.xop(mu, nu)
+                if op:
+                    assert_applies_like_oracle(ket, h2o_engine.n_orb, op)
+
+    def test_stack_of_disjoint_supports(self, h2o_pt_kernel):
+        kernel, basis = h2o_pt_kernel
+        taken = np.zeros(2**kernel.n_orb, dtype=bool)
+        specs = []
+        for b in basis:
+            support = kernel.state(b.csf).amplitudes != 0
+            if not np.any(taken & support):
+                taken |= support
+                specs.append(b.csf)
+        assert len(specs) > 2
+        stack = np.array([kernel.state(spec).amplitudes for spec in specs])
+        configs = {kernel.bits(b.csf) for b in basis}
+        for spec in specs:
+            for bra_bits in configs:
+                op = kernel.xop(bra_bits, kernel.bits(spec))
+                if op:
+                    assert_applies_like_oracle(stack, kernel.n_orb, op)
+
+    def test_signed_zero_and_all_zero_states(self):
+        rng = np.random.default_rng(107)
+        op = random_sum(rng, 5, 30, real=False)
+        amps = np.zeros(32, dtype=complex)
+        assert_applies_like_oracle(amps, 5, op)
+        assert not np.any(bits(apply_pauli_sum(amps, 5, op)))  # every entry +0
+        amps[[1, 6, 9, 20]] = [complex(-0.0, 0.0), complex(0.0, -0.0), -0.0, 0.5]
+        amps[[3, 11]] = [complex(-0.0, 0.75), complex(-0.25, -0.0)]
+        assert_applies_like_oracle(amps, 5, op)
+        assert_applies_like_oracle(np.array([amps, np.zeros(32, dtype=complex)]), 5, op)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 8])
+    def test_dense_random_states(self, n):
+        rng = np.random.default_rng(109 + n)
+        for real in (True, False):
+            op = random_sum(rng, n, 4 * n, real=real)
+            assert_applies_like_oracle(random_state(rng, n).amplitudes, n, op)
+            stack = np.array([random_state(rng, n).amplitudes for _ in range(3)])
+            assert_applies_like_oracle(stack, n, op)
+
+    def test_full_register_images_cross_term_blocks(self, h2o_engine):
+        n = 2 * h2o_engine.n_orb
+        images = np.array(
+            [
+                full_state(b, h2o_engine.n_orb, h2o_engine.n_elec).amplitudes
+                for b in h2o_engine.basis[:3]
+            ]
+        )
+        support = np.count_nonzero(images.any(axis=0))
+        step = BLOCK_AMPLITUDES // (support * len(images))
+        hq = h2o_engine.hq
+        assert 1 <= step < hq.n_terms and hq.n_terms % step != 0
+        assert_applies_like_oracle(images[0], n, hq)
+        assert_applies_like_oracle(images, n, hq)
+
+    def test_scatter_blocks_hold_at_most_block_amplitudes(self, h2o_engine, monkeypatch):
+        sizes = []
+
+        class CountingNumpy:
+            """numpy with add.at recording how many entries it scatters."""
+
+            @staticmethod
+            def _add_at(out, index, values):
+                sizes.append(len(index))
+                np.add.at(out, index, values)
+
+            add = types.SimpleNamespace(at=_add_at)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(simulator, "np", CountingNumpy())
+        n = 2 * h2o_engine.n_orb
+        images = np.array(
+            [
+                full_state(b, h2o_engine.n_orb, h2o_engine.n_elec).amplitudes
+                for b in h2o_engine.basis
+            ]
+        )
+        apply_pauli_sum(images, n, h2o_engine.hq)
+        assert len(sizes) > 1 and max(sizes) <= BLOCK_AMPLITUDES
+        # a block holds one term at least, whatever the bound
+        sizes.clear()
+        monkeypatch.setattr(simulator, "BLOCK_AMPLITUDES", 1)
+        apply_pauli_sum(images[0], n, h2o_engine.hq)
+        assert sizes == [np.count_nonzero(images[0])] * h2o_engine.hq.n_terms
 
 
 def element_fragments(engine):

@@ -376,6 +376,16 @@ class TestBuildSubspace:
         ablated = build_subspace(basis, h2o_hq, 10, taper=False)
         assert np.allclose(tapered.hmat, ablated.hmat, atol=1e-9)
 
+    def test_no_taper_whole_tuned_h2o_pt_basis(self, h2o, h2o_hq):
+        # the acceptance settings' PT basis in full, on the 14-qubit register
+        params = default_selection_params(h2o, eps1=1e-5, eps2=1e-6, n_active_occ=5)
+        basis = select_basis_pt(h2o, h2o_hq, params)
+        assert len(basis) == 30
+        tapered = build_subspace(basis, h2o_hq, 10, taper=True)
+        ablated = build_subspace(basis, h2o_hq, 10, taper=False)
+        assert np.allclose(tapered.hmat, ablated.hmat, atol=1e-9, rtol=0.0)
+        assert tapered.e_min == pytest.approx(ablated.e_min, abs=1e-10)
+
     def test_no_taper_rotated_states(self, h2_hq):
         basis = rotated_h2_basis(0.3, open_shell=True)
         tapered = build_subspace(basis, h2_hq, 2, taper=True)

@@ -13,9 +13,8 @@ root, so the digests do not depend on where the checkout lives.  NumPy runs
 on one BLAS thread so that reductions sum in one order.  The runs cover
 both selection methods, exact and sampled builds (the sampled ones on H2
 and on H2O 1.0 A, whose sampler has 1030 fragments), orbital relaxation and
-the ``taper=False`` and ``constant_shift=False`` ablations; the untapered
-runs use H2, since the full-register build on H2O is about 25 times
-slower than the tapered one.
+the ``taper=False`` and ``constant_shift=False`` ablations (untapered PT
+on H2 and on H2O 1.0 A, untapered VO with a rotated state on H2).
 
 With ``--against FILE`` the run is also checked against FILE, this
 script's saved output from another checkout (the parent of a change, say),
@@ -83,10 +82,12 @@ RUNS = {
     "vo-h2-relaxed": dict(
         fcidump_paths=_fixtures("h2_0.7414"), method="vo", relax_orbitals=True
     ),
-    # the --no-taper ablation builds on the full register; on H2O at TUNED
-    # settings it is too slow here, so H2 stands in
+    # the --no-taper ablation builds on the full register
     "pt-h2-no-taper": dict(
         fcidump_paths=_fixtures("h2_0.7414", "h2_1.5000"), method="pt", taper=False
+    ),
+    "pt-h2o-no-taper": dict(
+        fcidump_paths=_fixtures("h2o_1.0000"), method="pt", **TUNED, taper=False
     ),
     # one rotated state, so full_state runs its pair rotation
     "vo-h2-rotation-no-taper": dict(
