@@ -26,7 +26,7 @@ import numpy as np
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
 from senqse.pauli import PauliSum
 from senqse.simulator import StateVector, apply_pauli_sum
-from senqse.taper import SectorHamiltonian, SeniorityConfig
+from senqse.taper import SectorHamiltonian
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -194,13 +194,17 @@ class BasisState:
         )
 
 
-def seniority_config(state, n_orb: int) -> SeniorityConfig:
-    """1s exactly at the singly occupied orbitals; rotations never change it."""
-    spec = state.csf if isinstance(state, BasisState) else state
-    v = [0] * n_orb
+def config_bits(spec: CsfSpec, n_orb: int) -> int:
+    """Seniority config of the CSF as a bit mask: bit q set iff orbital q is
+    singly occupied.  Rotations never change it."""
+    bits = 0
     for q in spec.singly_occupied:
-        v[q] = 1
-    return SeniorityConfig(tuple(v))
+        if not 0 <= q < n_orb:
+            raise BasisError(
+                f"open-shell orbital {q} out of range for {n_orb} orbitals"
+            )
+        bits |= 1 << q
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +393,7 @@ def make_csf_tapered(spec: CsfSpec, n_orb: int, n_elec: int) -> StateVector:
     """Tapered n_orb-qubit image of the CSF (doubly occupied orbitals at |1>)."""
     dets = csf_determinants(spec, n_orb, n_elec)
     v_bits, amps = _taper_determinants(dets, n_orb)
-    expected = seniority_config(spec, n_orb).bits
-    if v_bits != expected:
+    if v_bits != config_bits(spec, n_orb):
         raise BasisError("tapered config disagrees with the CSF specification")
     return StateVector(amps, n_orb)
 
@@ -584,7 +587,7 @@ class CsfElementEngine:
 
     It holds the geometry's one sector table (``hq`` conjugated once,
     effective operators memoised per config pair), the tapered states and
-    seniority configs of rotation-free CSFs, and a memo of the products
+    config bit masks of rotation-free CSFs, and a memo of the products
     H_eff(bra config, config of b)|b>, keyed by (bra config, b).  An
     element against a CSF ket is the vdot of the bra with its product, so
     selection, ``vo_optimize``, ``build_subspace`` and ``tapering_stats``
@@ -602,7 +605,7 @@ class CsfElementEngine:
         self.n_elec = n_elec
         self.sectors = SectorHamiltonian(hq)
         self._states = {}
-        self._configs = {}
+        self._bits = {}
         self._products = {}
 
     def state(self, spec: CsfSpec) -> StateVector:
@@ -610,14 +613,11 @@ class CsfElementEngine:
             self._states[spec] = make_csf_tapered(spec, self.n_orb, self.n_elec)
         return self._states[spec]
 
-    def config(self, spec: CsfSpec) -> SeniorityConfig:
-        if spec not in self._configs:
-            self._configs[spec] = seniority_config(spec, self.n_orb)
-        return self._configs[spec]
-
     def bits(self, spec: CsfSpec) -> int:
-        """Seniority config of the CSF as a bit mask."""
-        return self.config(spec).bits
+        """``config_bits`` of the CSF, memoised per CSF."""
+        if spec not in self._bits:
+            self._bits[spec] = config_bits(spec, self.n_orb)
+        return self._bits[spec]
 
     def xop(self, bra_bits: int, ket_bits: int) -> PauliSum:
         return self.sectors.op(bra_bits, ket_bits)
@@ -752,7 +752,7 @@ def rotation_group_key(spec: CsfSpec, n_orb: int):
     must match.  Different coupling classes stay orthogonal through the
     open-shell factor, which rotations never touch.
     """
-    return (seniority_config(spec, n_orb).bits, structure_class(spec))
+    return (config_bits(spec, n_orb), structure_class(spec))
 
 
 def extension_pairs(

@@ -18,7 +18,6 @@ import numpy as np
 
 from senqse.pauli import DROP_TOL, PauliSum
 from senqse.simulator import FragmentSampler, StateVector, apply_pauli_sum, stack_chunks
-from senqse.taper import EffectiveHamiltonian
 
 MIXED_COEFF_TOL = 1e-10
 _WORD = (1 << 64) - 1
@@ -45,39 +44,18 @@ class SwapTestOperator:
         return self.op.n_qubits - 1
 
 
-@dataclass(frozen=True)
-class FragmentSet:
-    """Commuting fragments that reconstruct the source operator exactly."""
-
-    fragments: tuple
-
-    def __len__(self):
-        return len(self.fragments)
-
-    def __iter__(self):
-        return iter(self.fragments)
-
-    def reconstruct(self) -> PauliSum:
-        if not self.fragments:
-            raise MeasureError("empty fragment set")
-        total = PauliSum(self.fragments[0].n_qubits)
-        for frag in self.fragments:
-            total = total + frag
-        return total
-
-
-def build_swap_operator(x: EffectiveHamiltonian) -> SwapTestOperator:
-    """Dress each term of the effective operator with its ancilla Pauli.
+def build_swap_operator(op: PauliSum) -> SwapTestOperator:
+    """Dress each term of the effective operator ``op`` with its ancilla Pauli.
 
     Even-Y terms keep their real coefficient on x (x) P; odd-Y terms carry
     minus their imaginary coefficient on y (x) P, the sign that makes the
     swap-state expectation reproduce the bra-ket element.
     """
-    n = x.op.n_qubits
+    n = op.n_qubits
     anc = 1 << n
     out = PauliSum(n + 1)
     c_x = 0.0
-    for (xb, zb), c in x.op.items():
+    for (xb, zb), c in op.items():
         scale = max(1.0, abs(c))
         if abs(c.imag) <= MIXED_COEFF_TOL * scale:
             out.add_term(xb | anc, zb, c.real)  # x (x) P
@@ -126,7 +104,7 @@ def _anticommutation(keys: list, n_qubits: int) -> np.ndarray:
     return (parity & 1).astype(bool)
 
 
-def sorted_insertion(op: PauliSum) -> FragmentSet:
+def sorted_insertion(op: PauliSum) -> tuple:
     """Greedy fully-commuting grouping in decreasing coefficient magnitude.
 
     Each term joins the first existing fragment it commutes with term-wise;
@@ -134,7 +112,8 @@ def sorted_insertion(op: PauliSum) -> FragmentSet:
     symplectic key so the grouping is deterministic everywhere.  Each
     fragment keeps a conflict mask, bit t set when term t anticommutes with
     one of its members, so a term joins the first fragment whose mask has
-    its bit clear.
+    its bit clear.  Returns the fragments as a tuple of ``PauliSum``s; each
+    term of ``op`` lies in exactly one of them.
     """
     n = op.n_qubits
     ordered = sorted(op.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
@@ -152,8 +131,7 @@ def sorted_insertion(op: PauliSum) -> FragmentSet:
         else:
             fragments.append([entry])
             conflicts.append(row)
-    sums = tuple(PauliSum(n, dict(entries)) for entries in fragments)
-    return FragmentSet(fragments=sums)
+    return tuple(PauliSum(n, dict(entries)) for entries in fragments)
 
 
 def fragment_variances(states, fragment: PauliSum) -> list:

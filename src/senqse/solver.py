@@ -49,7 +49,6 @@ from senqse.simulator import (
     prepare_swap_state,
     rng_for,
 )
-from senqse.taper import EffectiveHamiltonian, SeniorityConfig
 
 log = logging.getLogger(__name__)
 
@@ -117,11 +116,12 @@ class SubspaceEngine:
     basis state, and an element against a rotation-free ket is the
     kernel's memoised product H_eff|ket> taken against the bra.  An
     element against a rotated ket is the kernel's ``apply`` of the
-    operator to that ket; replacing a state's rotation amplitudes (which
-    never change its config, read from the kernel) only invalidates that
-    state's vector.  ``apply_xop`` uses a memoised dense matrix instead
-    when the register has at most ``_DENSE_XOP_ORBITALS`` orbitals.  The
-    untapered ablation is ``_full_register_matrix``, outside the engine.
+    operator to that ket.  Each state's config, a bit mask, is read from
+    the kernel once: replacing a state's rotation amplitudes never changes
+    it, and only invalidates that state's vector.  ``apply_xop`` uses a
+    memoised dense matrix instead when the register has at most
+    ``_DENSE_XOP_ORBITALS`` orbitals.  The untapered ablation is
+    ``_full_register_matrix``, outside the engine.
     """
 
     def __init__(
@@ -145,6 +145,7 @@ class SubspaceEngine:
         self.n_elec = n_elec
         self.constant_shift = constant_shift
         self.kernel = element_kernel(kernel, hq, self.n_orb, n_elec)
+        self._configs = [self.kernel.bits(b.csf) for b in self.basis]
         self._states = [None] * len(basis)
         self._xmats = {}
         self._check_orthonormality()
@@ -152,8 +153,8 @@ class SubspaceEngine:
     def _check_orthonormality(self):
         """Same-config states must be orthogonal for the identity overlap."""
         by_cfg: dict[int, list] = {}
-        for mu in range(len(self.basis)):
-            by_cfg.setdefault(self.config(mu).bits, []).append(mu)
+        for mu, bits in enumerate(self._configs):
+            by_cfg.setdefault(bits, []).append(mu)
         for members in by_cfg.values():
             for idx, mu in enumerate(members):
                 for nu in members[:idx]:
@@ -168,8 +169,9 @@ class SubspaceEngine:
     def size(self):
         return len(self.basis)
 
-    def config(self, mu: int) -> SeniorityConfig:
-        return self.kernel.config(self.basis[mu].csf)
+    def config(self, mu: int) -> int:
+        """Seniority config of basis state mu as a bit mask."""
+        return self._configs[mu]
 
     def csf_state(self, mu: int) -> StateVector:
         """Tapered CSF of basis state mu, before its rotations."""
@@ -187,7 +189,7 @@ class SubspaceEngine:
         self._states[mu] = None
 
     def xop(self, mu: int, nu: int) -> PauliSum:
-        return self.kernel.xop(self.config(mu).bits, self.config(nu).bits)
+        return self.kernel.xop(self._configs[mu], self._configs[nu])
 
     def is_classical(self, mu: int, nu: int) -> bool:
         """The element never costs quantum shots.
@@ -210,12 +212,12 @@ class SubspaceEngine:
         return apply_pauli_sum(vecs, self.n_orb, op)
 
     def element_exact(self, mu: int, nu: int) -> float:
-        bra_bits = self.config(mu).bits
+        bra_bits = self._configs[mu]
         if not self.basis[nu].rotations:
             h_ket = self.kernel.product(bra_bits, self.basis[nu].csf)
         else:
             h_ket = self.kernel.apply(
-                bra_bits, self.config(nu).bits, lambda: self.state(nu).amplitudes
+                bra_bits, self._configs[nu], lambda: self.state(nu).amplitudes
             )
         if h_ket is None:
             return 0.0  # no term links the two configs
@@ -257,20 +259,19 @@ class SubspaceEngine:
         """
         swaps, diagonal, fragment_sets = {}, {}, {}
         for mu, nu in elements:
-            bra, ket = self.config(mu), self.config(nu)
-            prepare, op, key = partial(self.state, mu), self.xop(mu, nu), bra.bits
+            bra, ket = self._configs[mu], self._configs[nu]
+            prepare, op, key = partial(self.state, mu), self.xop(mu, nu), bra
             if mu != nu:
-                if (bra.bits, ket.bits) not in swaps:
-                    eff = EffectiveHamiltonian(op, bra, ket)
-                    swaps[bra.bits, ket.bits] = build_swap_operator(eff)
-                swap = swaps[bra.bits, ket.bits]
+                if (bra, ket) not in swaps:
+                    swaps[bra, ket] = build_swap_operator(op)
+                swap = swaps[bra, ket]
                 if self.constant_shift and bra == ket:
                     for k in (mu, nu):
                         if k not in diagonal:
                             diagonal[k] = self.element_exact(k, k)
                     swap = shift_constant(swap, diagonal[mu], diagonal[nu])
                 prepare = partial(prepare_swap_state, self.state(mu), self.state(nu))
-                op, key = swap.op, (bra.bits, ket.bits, swap.c_x)
+                op, key = swap.op, (bra, ket, swap.c_x)
             if key not in fragment_sets:
                 fragment_sets[key] = sorted_insertion(op)
             yield (mu, nu), prepare, fragment_sets[key]
@@ -833,7 +834,7 @@ class _SlotModel:
         for r, s, th in rotations[k + 1 :]:
             rotate_pair_inplace(u, r, s, th)
         self._u = u.reshape(-1, u.shape[-1])
-        self._bits = engine.config(self.members[0]).bits
+        self._bits = engine.config(self.members[0])
         m = len(self.members)
         g = self._u.conj() @ engine.apply_xop(self._bits, self._bits, self._u).T
         self._block = np.einsum("abq,iajb->qij", _PRODUCTS, g.reshape(m, 3, m, 3).real)
@@ -851,7 +852,7 @@ class _SlotModel:
         others = [nu for nu in range(engine.size) if nu not in inside]
         by_cfg: dict = {}
         for col, nu in enumerate(others):
-            by_cfg.setdefault(engine.config(nu).bits, []).append(col)
+            by_cfg.setdefault(engine.config(nu), []).append(col)
         r = np.zeros((len(self._u), len(others)), dtype=complex)
         for bits, cols in by_cfg.items():
             psi = np.array([engine.state(others[c]).amplitudes for c in cols])
@@ -1045,14 +1046,12 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
     import scipy.optimize
 
     x0 = np.zeros(n_amplitudes)
-    e0 = objective(x0)
+    objective(x0)  # the start is the first best point; the best only falls
     res = scipy.optimize.minimize(
         objective, x0, method="Powell", options={"maxiter": maxiter, "xtol": 1e-6}
     )
     if not res.success:
         log.warning("orbital relaxation stopped early: %s", res.message)
-    if best["e"] > e0 + 1e-12:
-        best["e"], best["x"] = e0, x0
     return occ_virt_rotation(ints, best["x"]), float(best["e"]), history
 
 

@@ -33,8 +33,11 @@ class TaperError(ValueError):
 class SeniorityConfig:
     """Orbital seniorities: v[i] = 1 iff orbital i holds an unpaired electron.
 
-    ``bits`` packs v into an integer (bit i is v[i]) once, on construction;
-    equality and hashing depend on v alone.
+    The state-level checks (``taper_check``, ``untaper_state``) use this
+    type; the element path carries a config as its bit mask alone
+    (``csfbasis.config_bits``, ``SectorHamiltonian.op``).  ``bits`` packs
+    v into an integer (bit i is v[i]) once, on construction; equality and
+    hashing depend on v alone.
     """
 
     v: tuple
@@ -53,21 +56,6 @@ class SeniorityConfig:
     @property
     def n_orb(self) -> int:
         return len(self.v)
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """Tapered n_orb-qubit operator for one (bra, ket) seniority pair."""
-
-    op: PauliSum
-    bra_config: SeniorityConfig
-    ket_config: SeniorityConfig
-
-    def __post_init__(self):
-        if self.bra_config.n_orb != self.ket_config.n_orb:
-            raise TaperError("bra/ket config length mismatch")
-        if self.op.n_qubits != self.bra_config.n_orb:
-            raise TaperError("operator must act on n_orb qubits")
 
 
 def seniority_symmetries(n_orb: int) -> list[PauliProduct]:
@@ -162,12 +150,13 @@ def effective_hamiltonian(
     bra: SeniorityConfig,
     ket: SeniorityConfig,
     uc: CliffordMap,
-) -> EffectiveHamiltonian:
+) -> PauliSum:
     """Project a 2*n_orb-qubit operator onto one (bra, ket) seniority pair.
 
     A one-pair ``SectorHamiltonian``: terms are conjugated by the tapering
     Clifford, weighted by the bra-ket factor of their left part and
-    accumulated on their right part; right-part collisions merge.
+    accumulated on their right part; right-part collisions merge.  Returns
+    the n_orb-qubit effective operator.
     """
     if bra.n_orb != ket.n_orb:
         raise TaperError("config length mismatch")
@@ -175,8 +164,7 @@ def effective_hamiltonian(
         raise TaperError(
             f"operator on {hq.n_qubits} qubits does not match n_orb={bra.n_orb}"
         )
-    op = SectorHamiltonian(hq, uc).op(bra.bits, ket.bits)
-    return EffectiveHamiltonian(op, bra, ket)
+    return SectorHamiltonian(hq, uc).op(bra.bits, ket.bits)
 
 
 def taper_check(full_state: StateVector, uc: CliffordMap):

@@ -14,7 +14,8 @@ pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``dense_branch_sampler`` (``simulator.FragmentSampler``),
 ``per_element_plan`` (``SubspaceEngine.sampling_plan``, with its
 ``per_state_sampler`` and ``per_state_variance``),
-``reference_sorted_insertion`` (``measure.sorted_insertion``) and
+``reference_sorted_insertion`` (``measure.sorted_insertion``, whose
+fragments ``reconstruct`` sums back to the source operator) and
 ``golden_section_line_search`` (``solver._periodic_line_search``, which
 need only match or beat it).  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
@@ -535,7 +536,6 @@ def per_element_plan(engine):
     """
     from senqse.measure import build_swap_operator, shift_constant, sorted_insertion
     from senqse.simulator import prepare_swap_state
-    from senqse.taper import EffectiveHamiltonian
 
     plan = {}
     for mu in range(engine.size):
@@ -545,10 +545,8 @@ def per_element_plan(engine):
             if mu == nu:
                 state, op = engine.state(mu), engine.xop(mu, mu)
             else:
-                bra, ket = engine.config(mu), engine.config(nu)
-                eff = EffectiveHamiltonian(engine.xop(mu, nu), bra, ket)
-                swap = build_swap_operator(eff)
-                if engine.constant_shift and bra == ket:
+                swap = build_swap_operator(engine.xop(mu, nu))
+                if engine.constant_shift and engine.config(mu) == engine.config(nu):
                     swap = shift_constant(
                         swap, engine.element_exact(mu, mu), engine.element_exact(nu, nu)
                     )
@@ -560,6 +558,16 @@ def per_element_plan(engine):
                 [np.sqrt(per_state_variance(state, f)) for f in frags],
             )
     return plan
+
+
+def reconstruct(fragments):
+    """The sum of a nonempty fragment tuple, added fragment by fragment."""
+    from senqse.pauli import PauliSum
+
+    total = PauliSum(fragments[0].n_qubits)
+    for frag in fragments:
+        total = total + frag
+    return total
 
 
 def reference_sorted_insertion(op):

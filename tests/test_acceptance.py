@@ -158,7 +158,7 @@ def test_criterion_4_matrix_element_preservation():
             ref = np.vdot(full_a.amplitudes, oracles.sum_matrix(hq) @ full_b.amplitudes)
             eff = effective_hamiltonian(hq, bra_cfg, ket_cfg, uc)
             got = np.vdot(
-                inner[0].amplitudes, oracles.sum_matrix(eff.op) @ inner[1].amplitudes
+                inner[0].amplitudes, oracles.sum_matrix(eff) @ inner[1].amplitudes
             )
             worst = max(worst, abs(got - ref))
             assert abs(got - ref) < 1e-10
@@ -213,12 +213,7 @@ def test_criterion_5_estimator_statistics(h2o_systems):
 
     # constant shift: grouped deviation strictly decreases, and the shifted
     # constant minimizes the whole-operator variance under a +-delta scan
-    from senqse.taper import EffectiveHamiltonian
-
-    eff = EffectiveHamiltonian(
-        op=engine.xop(mu, nu), bra_config=engine.config(mu), ket_config=engine.config(nu)
-    )
-    raw = build_swap_operator(eff)
+    raw = build_swap_operator(engine.xop(mu, nu))
     h_mm = engine.element_exact(mu, mu)
     h_nn = engine.element_exact(nu, nu)
     shifted = shift_constant(raw, h_mm, h_nn)
@@ -306,7 +301,7 @@ def test_criterion_7_grouping_correctness(h2o_systems, h2o_vo):
             if engine.is_classical(mu, nu):
                 continue
             _, frags = engine.element_measurables(mu, nu)
-            source = frags.reconstruct()
+            source = oracles.reconstruct(frags)
             # reconstruction must be a coefficient-level identity
             original = dict(source.items())
             for frag in frags:
@@ -326,7 +321,7 @@ def test_criterion_7_grouping_correctness(h2o_systems, h2o_vo):
                 for key, c in frag.items():
                     assert key not in total, "term split across fragments"
                     total[key] = c
-            state_op = frags.reconstruct()
+            state_op = oracles.reconstruct(frags)
             assert total == dict(state_op.items())
     assert checked > 0
     announce(7, f"{checked} pipeline operators regrouped exactly, all fragments commute")

@@ -29,7 +29,7 @@ from senqse.csfbasis import (
     parse_basis,
     select_basis_pt,
     select_basis_vo,
-    seniority_config,
+    config_bits,
     serialize_basis,
     tapered_state,
     trim_csfs,
@@ -240,7 +240,7 @@ class TestPairRotation:
         )
         uc = build_clifford(n_orb)
         cfg, _ = taper_check(full_state(b, n_orb, n_elec), uc)
-        assert cfg == seniority_config(b, n_orb)
+        assert cfg.bits == config_bits(b.csf, n_orb)
 
     def test_full_and_tapered_agree(self):
         # the dictionary-level rotation must match the tapered-register one
@@ -361,7 +361,7 @@ class TestOrthonormality:
             ]
             by_cfg = {}
             for b in basis:
-                cfg = seniority_config(b, n_orb).bits
+                cfg = config_bits(b.csf, n_orb)
                 by_cfg.setdefault(cfg, []).append(tapered_state(b, n_orb, n_elec))
             for group in by_cfg.values():
                 for i in range(len(group)):
@@ -375,7 +375,7 @@ class TestElementEngine:
         # apply_pauli_sum call, equal (sign included) to the full evaluation
         specs = create_csfs(default_selection_params(h2o), h2o.n_orb, h2o.n_elec)
         reference = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
-        bits = [seniority_config(sp, h2o.n_orb).bits for sp in specs]
+        bits = [config_bits(sp, h2o.n_orb) for sp in specs]
         pairs = [
             (a, b)
             for a in range(len(specs))
@@ -559,16 +559,16 @@ class TestSelection:
 
 class TestSeniorityConfigOp:
     def test_hf_all_zero(self):
-        assert seniority_config(CsfSpec(CsfKind.HF), 4).v == (0, 0, 0, 0)
+        assert config_bits(CsfSpec(CsfKind.HF), 4) == 0b0000
 
     def test_single_pattern(self):
         spec = CsfSpec(CsfKind.SINGLE_SINGLET, (1, 3))
-        assert seniority_config(spec, 4).v == (0, 1, 0, 1)
+        assert config_bits(spec, 4) == 0b1010
 
     def test_invariant_under_rotations_and_moves(self):
         spec = CsfSpec(CsfKind.SINGLE_SINGLET, (1, 3)).moved(0, 2)
         b = BasisState(spec, ((2, 0, 0.7),), "x")
-        assert seniority_config(b, 4).v == (0, 1, 0, 1)
+        assert config_bits(b.csf, 4) == 0b1010
 
 
 class TestSerialization:
@@ -608,6 +608,22 @@ class TestSerialization:
         record = self.GOOD.replace(old, new)
         assert record != self.GOOD
         with pytest.raises(BasisError, match="bad basis record") as info:
+            parse_basis(f"{self.GOOD}\n{record}\n")
+        assert record in str(info.value)
+
+    @pytest.mark.parametrize(
+        "old, new, reason",
+        [
+            ("moves=[0->5]", "moves=[0->5;0->4]", "revisit an orbital"),
+            ("idx=[2,6]", "idx=[2]", "SINGLE_SINGLET needs 2 indices"),
+            ("moves=[0->5]", "moves=[0->6]", "touches a singly occupied orbital"),
+            ("(5,3,0.1)", "(3,3,0.1)", "needs two distinct orbitals"),
+        ],
+    )
+    def test_invalid_state_is_a_named_basis_error(self, old, new, reason):
+        record = self.GOOD.replace(old, new)
+        assert record != self.GOOD
+        with pytest.raises(BasisError, match=reason) as info:
             parse_basis(f"{self.GOOD}\n{record}\n")
         assert record in str(info.value)
 

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from senqse import csfbasis, solver
 from senqse.csfbasis import (
+    BasisError,
     BasisState,
     CsfKind,
     CsfSpec,
@@ -17,7 +18,7 @@ from senqse.csfbasis import (
     rotation_group_key,
     select_basis_pt,
     select_basis_vo,
-    seniority_config,
+    config_bits,
 )
 from senqse.fermion import (
     hf_energy,
@@ -275,8 +276,8 @@ class TestBuildSubspace:
         kernel = csfbasis.CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
         engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec, kernel=kernel)
         for mu, b in enumerate(engine.basis):
-            assert engine.config(mu) is kernel.config(b.csf)
-            assert engine.config(mu) == seniority_config(b, h2o.n_orb)
+            assert engine.config(mu) == kernel.bits(b.csf)
+            assert engine.config(mu) == config_bits(b.csf, h2o.n_orb)
 
     def test_empty_sector_operator_is_an_early_zero(
         self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
@@ -286,11 +287,11 @@ class TestBuildSubspace:
         # the basis is the VO selection plus one rotation-free CSF of each
         # config it lacks
         rng = np.random.default_rng(4)
-        seen = {seniority_config(b, h2o.n_orb).bits for b in h2o_vo_selected}
+        seen = {config_bits(b.csf, h2o.n_orb) for b in h2o_vo_selected}
         basis = list(h2o_vo_selected)
         params = default_selection_params(h2o)
         for spec in create_csfs(params, h2o.n_orb, h2o.n_elec):
-            bits = seniority_config(spec, h2o.n_orb).bits
+            bits = config_bits(spec, h2o.n_orb)
             if bits not in seen:
                 seen.add(bits)
                 basis.append(BasisState(spec, (), f"extra{len(basis)}"))
@@ -324,6 +325,20 @@ class TestBuildSubspace:
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
         assert all(st is None for st in engine._states)
 
+    @pytest.mark.parametrize("orbital", [2, -1])
+    @pytest.mark.parametrize("build", [build_subspace, vo_optimize])
+    def test_open_shell_outside_the_register_is_a_basis_error(
+        self, h2, h2_hq, build, orbital
+    ):
+        # H2 has orbitals 0 and 1: an open shell at n_orb or at -1 names no
+        # orbital of the register, and no bit of the config mask
+        basis = parse_basis(
+            "state hf kind=HF idx=[] moves=[] rot=\n"
+            f"state s0 kind=SINGLE_SINGLET idx=[0,{orbital}] moves=[] rot=\n"
+        )
+        with pytest.raises(BasisError, match=f"open-shell orbital {orbital} out of range"):
+            build(basis, h2_hq, h2.n_elec)
+
     def test_constant_shift_ablation(self, h2o, h2o_hq):
         # the shift by the exact diagonal elements only lowers the swap-test
         # variances of same-config pairs; the matrix itself does not move
@@ -335,7 +350,7 @@ class TestBuildSubspace:
             for shift in (True, False)
         )
         assert np.array_equal(on.hmat, off.hmat) and on.e_min == off.e_min
-        configs = [seniority_config(b, h2o.n_orb) for b in basis]
+        configs = [config_bits(b.csf, h2o.n_orb) for b in basis]
         same = np.array([[a == b for b in configs] for a in configs])
         np.fill_diagonal(same, False)
         assert np.count_nonzero(np.triu(same)) == 39
@@ -858,7 +873,7 @@ class TestVoOptimize:
         engine = model.engine
         monkeypatch.setattr(solver, "_DENSE_XOP_ORBITALS", 0)
         linked = 0
-        for bits in sorted({engine.config(nu).bits for nu in range(engine.size)}):
+        for bits in sorted({engine.config(nu) for nu in range(engine.size)}):
             op = engine.kernel.xop(model._bits, bits)
             got = engine.apply_xop(model._bits, bits, model._u)
             assert got.shape == model._u.shape
@@ -1146,6 +1161,26 @@ class TestPeriodicLineSearch:
         th, e = solver._periodic_line_search(f, 0.4, f(0.4))
         assert len(f.angles) == 1
         assert e == pytest.approx(-75.0, abs=1e-12)
+
+    def test_kink_bisects_down_to_the_step_tolerance(self):
+        # |theta - a|, as at a level crossing: slope +-1 and curvature 0, so
+        # no Newton step is taken and no bracket is flat; bisection runs
+        # until its step falls below _XTOL
+        a = 0.3 + 0.123456789
+
+        class Kink:
+            def __call__(self, th):
+                return np.abs(th - a)
+
+            def derivatives(self, th):
+                return abs(th - a), float(np.sign(th - a)), 0.0
+
+        f = Recorded(Kink())
+        th, e = solver._periodic_line_search(f, 0.3, abs(0.3 - a))
+        assert len(f.angles) < solver._MAX_STEPS
+        steps = np.abs(np.diff(f.angles))
+        assert steps[-1] < 4 * solver._XTOL and np.all(steps >= solver._XTOL)
+        assert abs(th - a) < 1e-10 and e == abs(th - a)
 
     def test_rounding_tie_keeps_the_angle(self):
         # cos 4t has the same minimum a quarter period on, and e0 carries a
