@@ -290,18 +290,27 @@ def tapering_stats(basis, hq, n_elec, kernel=None) -> dict:
 
     Identity terms are excluded on both sides: they shift values without
     costing measurements.  The operators come from ``kernel``, the
-    geometry's element kernel of ``hq`` (a new one when None).
+    geometry's element kernel of ``hq`` (a new one when None), and the
+    ratios are taken once per distinct config pair.  A 1-norm is summed
+    as ``PauliSum.one_norm`` sums it: Python's ``sum`` of the magnitudes
+    in term order, minus that of the identity.
     """
     kernel = element_kernel(kernel, hq, hq.n_qubits // 2, n_elec)
     bits = [kernel.bits(b.csf) for b in basis]
     n_full = _non_identity_terms(hq)
     norm_full = hq.one_norm(include_identity=False)
-    term_ratios, norm_ratios = [], []
-    for mu in range(len(basis)):
-        for nu in range(mu, len(basis)):
-            op = kernel.xop(bits[mu], bits[nu])
-            term_ratios.append(_non_identity_terms(op) / n_full)
-            norm_ratios.append(op.one_norm(include_identity=False) / norm_full)
+    ratios, term_ratios, norm_ratios = {}, [], []
+    for mu, nu in itertools.combinations_with_replacement(range(len(basis)), 2):
+        pair = (bits[mu], bits[nu])
+        if pair not in ratios:
+            op = kernel.xop(*pair)
+            identity = ~op.keys.any(axis=1)
+            mags = np.hypot(op.coeffs.real, op.coeffs.imag)  # Python's abs, bit for bit
+            norm = sum(mags.tolist()) - sum(mags[identity].tolist(), 0.0)
+            n_terms = len(op) - int(identity.sum())
+            ratios[pair] = (n_terms / n_full, norm / norm_full)
+        term_ratios.append(ratios[pair][0])
+        norm_ratios.append(ratios[pair][1])
     return {
         "avg_term_ratio": float(np.mean(term_ratios)),
         "max_term_ratio": float(np.max(term_ratios)),

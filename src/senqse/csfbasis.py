@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
-from senqse.pauli import PauliSum
+from senqse.pauli import PauliArrays, PauliSum
 from senqse.simulator import StateVector, apply_pauli_sum
 from senqse.taper import SectorHamiltonian
 
@@ -90,6 +90,9 @@ class CsfSpec:
     kind: CsfKind
     indices: tuple = ()
     pair_moves: tuple = ()
+    # the fields' hash, taken once; a pickled spec is rebuilt, so it
+    # carries the hash of the process that loads it
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(q) for q in self.indices))
@@ -112,6 +115,13 @@ class CsfSpec:
         for src, dst in self.pair_moves:
             if src in touched or dst in touched:
                 raise BasisError("pair move touches a singly occupied orbital")
+        object.__setattr__(self, "_hash", hash((self.kind, self.indices, self.pair_moves)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CsfSpec, (self.kind, self.indices, self.pair_moves)
 
     @property
     def singly_occupied(self) -> tuple:
@@ -619,7 +629,7 @@ class CsfElementEngine:
             self._bits[spec] = config_bits(spec, self.n_orb)
         return self._bits[spec]
 
-    def xop(self, bra_bits: int, ket_bits: int) -> PauliSum:
+    def xop(self, bra_bits: int, ket_bits: int) -> PauliArrays:
         return self.sectors.op(bra_bits, ket_bits)
 
     def apply(self, bra_bits: int, ket_bits: int, prepare) -> np.ndarray | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, PauliSum
+from senqse.pauli import DROP_TOL, PauliArrays, PauliSum
 from senqse.simulator import FragmentSampler, StateVector, apply_pauli_sum, stack_chunks
 
 MIXED_COEFF_TOL = 1e-10
@@ -44,7 +44,7 @@ class SwapTestOperator:
         return self.op.n_qubits - 1
 
 
-def build_swap_operator(op: PauliSum) -> SwapTestOperator:
+def build_swap_operator(op: PauliArrays | PauliSum) -> SwapTestOperator:
     """Dress each term of the effective operator ``op`` with its ancilla Pauli.
 
     Even-Y terms keep their real coefficient on x (x) P; odd-Y terms carry
@@ -104,7 +104,7 @@ def _anticommutation(keys: list, n_qubits: int) -> np.ndarray:
     return (parity & 1).astype(bool)
 
 
-def sorted_insertion(op: PauliSum) -> tuple:
+def sorted_insertion(op: PauliArrays | PauliSum) -> tuple:
     """Greedy fully-commuting grouping in decreasing coefficient magnitude.
 
     Each term joins the first existing fragment it commutes with term-wise;

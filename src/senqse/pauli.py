@@ -171,7 +171,8 @@ class CliffordMap:
 
     ``gates`` entries are ``("cnot", control, target)`` or
     ``("perm", p)`` where ``p[q]`` is the new position of qubit q.  Gates
-    act on states in list order; ``conjugate`` returns U P U^dagger.
+    act on states in list order; ``conjugate`` returns U P U^dagger, and
+    ``conjugate_words`` does so for whole arrays of (x, z) words.
     """
 
     n_qubits: int
@@ -190,29 +191,35 @@ class CliffordMap:
             else:
                 raise PauliError(f"unknown gate kind {g[0]!r}")
 
+    def conjugate_words(self, x, z):
+        """U sigma(x, z) U^dagger = (-1)^s sigma(x', z'), as (x', z', s).
+
+        ``x`` and ``z`` are Python ints or arrays of integer words (such as
+        uint64), one phase-free product per word; s is 0 or 1 per word.  A
+        CNOT(c -> t) copies the X bit of c onto t and the Z bit of t onto
+        c, and flips the sign where x_c z_t (x_t XOR z_c XOR 1) is set; a
+        permutation moves bit q to bit p[q] (Dehaene and De Moor 2003, PRA
+        68, 042318; Aaronson and Gottesman 2004, PRA 70, 052328).
+        """
+        sign = x & 0  # a zero of the words' type
+        for g in self.gates:
+            if g[0] == "cnot":
+                _, c, t = g
+                xc, zt = (x >> c) & 1, (z >> t) & 1
+                sign = sign ^ (xc & zt & ((x >> t) ^ (z >> c) ^ 1))
+                x, z = x ^ (xc << t), z ^ (zt << c)
+            else:
+                x, z = _permute_words(x, g[1]), _permute_words(z, g[1])
+        return x, z, sign
+
     def conjugate(self, p: PauliProduct) -> PauliProduct:
-        """Return U p U^dagger via per-gate tableau updates."""
+        """Return U p U^dagger (``conjugate_words`` on p's words)."""
         if p.n_qubits != self.n_qubits:
             raise PauliError(
                 f"qubit count mismatch: {p.n_qubits} vs {self.n_qubits}"
             )
-        x, z, ph = p.x_bits, p.z_bits, p.phase_exp
-        for g in self.gates:
-            if g[0] == "cnot":
-                _, c, t = g
-                xc = (x >> c) & 1
-                zt = (z >> t) & 1
-                if xc & zt & (((x >> t) ^ (z >> c) ^ 1) & 1):
-                    ph += 2
-                if xc:
-                    x ^= 1 << t
-                if zt:
-                    z ^= 1 << c
-            else:
-                perm = g[1]
-                x = _permute_bits(x, perm)
-                z = _permute_bits(z, perm)
-        return PauliProduct(self.n_qubits, x, z, ph % 4)
+        x, z, sign = self.conjugate_words(p.x_bits, p.z_bits)
+        return PauliProduct(self.n_qubits, x, z, p.phase_exp + 2 * sign)
 
     def inverse(self) -> "CliffordMap":
         inv = []
@@ -228,14 +235,11 @@ class CliffordMap:
         return CliffordMap(self.n_qubits, tuple(inv))
 
 
-def _permute_bits(bits: int, perm) -> int:
-    out = 0
-    q = 0
-    while bits:
-        if bits & 1:
-            out |= 1 << perm[q]
-        bits >>= 1
-        q += 1
+def _permute_words(words, perm):
+    """Bit q of each word moved to bit perm[q]."""
+    out = words & 0
+    for q, new_q in enumerate(perm):
+        out = out | ((words >> q) & 1) << new_q
     return out
 
 
@@ -394,6 +398,28 @@ class PauliSum:
 
     def __repr__(self):
         return f"PauliSum({self.n_terms} terms on {self.n_qubits} qubits)"
+
+
+class PauliArrays:
+    """A Pauli sum held as arrays, the form of an effective operator.
+
+    ``keys`` is a (terms, 2) uint64 array of distinct (x, z) words and
+    ``coeffs`` a complex array, in term order.  It reads like a
+    ``PauliSum`` where code only reads one: ``n_qubits``, ``len`` (the
+    term count, so an empty sum is falsy) and ``items``.
+    """
+
+    __slots__ = ("n_qubits", "keys", "coeffs")
+
+    def __init__(self, n_qubits: int, keys, coeffs):
+        self.n_qubits, self.keys, self.coeffs = n_qubits, keys, coeffs
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def items(self) -> list:
+        """((x_bits, z_bits), coefficient) pairs as Python ints and complex."""
+        return list(zip(map(tuple, self.keys.tolist()), self.coeffs.tolist()))
 
 
 def parse_pauli_sum(text: str, n_qubits: int | None = None) -> PauliSum:

@@ -33,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import CliffordMap, PauliProduct, PauliSum, anticommute, product_phase
+from senqse.pauli import (
+    CliffordMap,
+    PauliArrays,
+    PauliProduct,
+    PauliSum,
+    anticommute,
+    product_phase,
+)
 
 NORM_TOL = 1e-10
 
@@ -91,15 +98,40 @@ def stack_chunks(items, amplitudes_each: int) -> list:
     return [items[start : start + step] for start in range(0, len(items), step)]
 
 
+# i^k for k = 0..3: P = i^|x & z| X^x Z^z
+_QUARTER_TURNS = np.array([(1j) ** k for k in range(4)])
+
+
 def _term_arrays(items):
     """The (x, z) keys of the terms ((x, z), c) of `items` as a (terms, 2)
-    uint64 array, and their factors c i^|x & z|."""
+    uint64 array, and their coefficients c as a complex array."""
     pairs = itertools.chain.from_iterable(key for key, _ in items)
     keys = np.fromiter(pairs, dtype=np.uint64, count=2 * len(items)).reshape(-1, 2)
-    factors = np.array(
-        [c * (1j) ** ((x & z).bit_count() % 4) for (x, z), c in items], dtype=complex
-    )
-    return keys, factors
+    coeffs = np.fromiter((c for _, c in items), dtype=complex, count=len(items))
+    return keys, coeffs
+
+
+def _operator_arrays(op):
+    """(keys, coefficients) of a ``PauliSum`` or ``PauliArrays``, in term order."""
+    if isinstance(op, PauliArrays):
+        return op.keys, op.coeffs
+    return _term_arrays(op.items())
+
+
+def _x_groups(op) -> dict:
+    """{x: (keys, coefficients)} of the terms of ``op`` with X string x, each
+    group in term order and the X strings in order of first appearance."""
+    keys, coeffs = _operator_arrays(op)
+    groups = {}
+    for t, x in enumerate(keys[:, 0].tolist()):
+        groups.setdefault(x, []).append(t)
+    return {x: (keys[rows], coeffs[rows]) for x, rows in groups.items()}
+
+
+def _factors(keys, coeffs) -> np.ndarray:
+    """c_t i^|x_t & z_t| of each term; a product by a unit, so every bit is
+    that of Python's ``c * (1j) ** k``."""
+    return coeffs * _QUARTER_TURNS[np.bitwise_count(keys[:, 0] & keys[:, 1]) & np.uint64(3)]
 
 
 def _coefficients(keys, factors, sources: np.ndarray) -> np.ndarray:
@@ -109,22 +141,22 @@ def _coefficients(keys, factors, sources: np.ndarray) -> np.ndarray:
     return factors[:, None] * (1.0 - 2.0 * signs.astype(float))
 
 
-def _term_table(items, index: np.ndarray):
+def _term_table(keys, coeffs, index: np.ndarray):
     """Gather indices src[t, j] = j ^ x_t of each output index j of `index`
     and coefficients with (c_t P_t psi)[j] = coef[t, j] * psi[src[t, j]]."""
-    keys, factors = _term_arrays(items)
     src = index ^ keys[:, :1]
-    return src, _coefficients(keys, factors, src)
+    return src, _coefficients(keys, _factors(keys, coeffs), src)
 
 
-def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliSum) -> np.ndarray:
+def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op) -> np.ndarray:
     """op |amps>, formed from the nonzero amplitudes only.
 
-    ``amps`` is one state or a stack of states along its leading axis.  At
-    each index k where some state is nonzero, every block of terms forms
-    coef * amp and adds it into k ^ x with ``np.add.at``, which applies
-    repeated indices in order, so every output amplitude is summed from +0
-    in ``op.items()`` order.  A left-out term would add a signed zero to a
+    ``op`` is a ``PauliSum`` or ``PauliArrays``, whose arrays are read as
+    they are.  ``amps`` is one state or a stack of states along its leading
+    axis.  At each index k where some state is nonzero, every block of
+    terms forms coef * amp and adds it into k ^ x with ``np.add.at``, which
+    applies repeated indices in order, so every output amplitude is summed
+    from +0 in term order.  A left-out term would add a signed zero to a
     sum that is never -0, so the bits are those of the same sum over the
     whole register.  A block holds at most BLOCK_AMPLITUDES contributions
     (one term at least).
@@ -136,7 +168,8 @@ def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliSum) -> np.ndarray
     support = np.flatnonzero(stack.any(axis=0)).astype(np.uint64)
     values = stack[:, support][:, None, :]
     row_starts = (np.arange(len(stack), dtype=np.uint64) * np.uint64(dim))[:, None, None]
-    keys, factors = _term_arrays(op.items())
+    keys, coeffs = _operator_arrays(op)
+    factors = _factors(keys, coeffs)
     out = np.zeros(amps.shape, dtype=complex)
     step = max(1, BLOCK_AMPLITUDES // max(1, values.size))
     for start in range(0, len(keys), step):
@@ -169,32 +202,27 @@ def prepare_swap_state(a: StateVector, b: StateVector) -> StateVector:
 
 
 def apply_clifford(state: StateVector, cmap: CliffordMap) -> StateVector:
-    """Apply a CNOT/permutation Clifford to a statevector (no phases arise)."""
+    """Apply a CNOT/permutation Clifford to a statevector (no phases arise).
+
+    Such a Clifford sends |k> to |f(k)>, where f acts on the index bits as
+    conjugation acts on X words, so ``conjugate_words`` gives every f(k).
+    """
     if cmap.n_qubits != state.n_qubits:
         raise SimulatorError("Clifford qubit count mismatch")
     idx = np.arange(2**state.n_qubits, dtype=np.uint64)
-    amps = state.amplitudes
-    for g in cmap.gates:
-        if g[0] == "cnot":
-            _, c, t = g
-            tgt = idx ^ (((idx >> np.uint64(c)) & np.uint64(1)) << np.uint64(t))
-        else:
-            perm = g[1]
-            tgt = np.zeros_like(idx)
-            for q, new_q in enumerate(perm):
-                tgt |= ((idx >> np.uint64(q)) & np.uint64(1)) << np.uint64(new_q)
-        out = np.empty_like(amps)
-        out[tgt] = amps
-        amps = out
+    targets, _, _ = cmap.conjugate_words(idx, np.zeros_like(idx))
+    amps = np.empty_like(state.amplitudes)
+    amps[targets] = state.amplitudes
     return StateVector(amps, state.n_qubits)
 
 
-def dense_matrix(op: PauliSum) -> np.ndarray:
-    """Dense matrix of a PauliSum, accumulated term by term in item order."""
+def dense_matrix(op) -> np.ndarray:
+    """Dense matrix of a PauliSum or PauliArrays, accumulated term by term
+    in order."""
     dim = 2**op.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
-    src, coef = _term_table(list(op.items()), np.arange(dim, dtype=np.uint64))
+    src, coef = _term_table(*_operator_arrays(op), np.arange(dim, dtype=np.uint64))
     for cols, values in zip(src, coef):
         out[rows, cols] += values
     return out
@@ -281,7 +309,7 @@ def _branch_stack(states, gens, masks, coeffs) -> list:
     orbit = index[inside]
     pos = np.zeros(len(index), dtype=np.intp)
     pos[orbit] = np.arange(len(orbit))
-    src, coef = _term_table([(g, 1.0) for g in gens], orbit)
+    src, coef = _term_table(*_term_arrays([(g, 1.0) for g in gens]), orbit)
     cols = pos[src]
     branches = np.array([state.amplitudes[orbit] for state in states])
     owner = np.arange(len(states))

@@ -40,10 +40,11 @@ from senqse.measure import (
     shift_constant,
     sorted_insertion,
 )
-from senqse.pauli import PauliSum
+from senqse.pauli import PauliArrays, PauliSum
 from senqse.simulator import (
     StateVector,
     _term_table,
+    _x_groups,
     apply_pauli_sum,
     dense_matrix,
     prepare_swap_state,
@@ -188,7 +189,7 @@ class SubspaceEngine:
         self.basis[mu] = b
         self._states[mu] = None
 
-    def xop(self, mu: int, nu: int) -> PauliSum:
+    def xop(self, mu: int, nu: int) -> PauliArrays:
         return self.kernel.xop(self._configs[mu], self._configs[nu])
 
     def is_classical(self, mu: int, nu: int) -> bool:
@@ -1087,11 +1088,8 @@ def _sector_blocks(hq: PauliSum, dets: np.ndarray):
     block also holds the transpose of each of its entries, and is checked
     against that mirror before it is yielded.
     """
-    groups = {}
-    for (x, z), c in hq.items():
-        groups.setdefault(x, []).append(((x, z), c))
     dim = len(dets)
-    for x, terms in groups.items():
+    for x, (keys, coeffs) in _x_groups(hq).items():
         targets = dets ^ np.uint64(x)
         pos = np.searchsorted(dets, targets)
         ok = pos < dim
@@ -1103,8 +1101,10 @@ def _sector_blocks(hq: PauliSum, dets: np.ndarray):
         # chunks of terms with at most dim entries (one term at least): the
         # scratch is no larger than one term's row can be; rows add in order
         step = max(1, dim // len(cols))
-        for start in range(0, len(terms), step):
-            _, coef = _term_table(terms[start : start + step], bras)
+        for start in range(0, len(keys), step):
+            _, coef = _term_table(
+                keys[start : start + step], coeffs[start : start + step], bras
+            )
             if np.max(np.abs(coef.imag)) > 1e-9:
                 raise SolverError("sector matrix has imaginary entries")
             for term in coef.real:

@@ -15,12 +15,14 @@ doubly occupied orbital shows as |1> on its tapered qubit.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from senqse.pauli import CliffordMap, PauliProduct, PauliSum
-from senqse.simulator import StateVector, apply_clifford
+from senqse.pauli import DROP_TOL, CliffordMap, PauliArrays, PauliProduct, PauliSum
+from senqse.simulator import StateVector, _term_arrays, apply_clifford
 
 PRODUCT_TOL = 1e-10
 
@@ -85,63 +87,78 @@ def build_clifford(n_orb: int) -> CliffordMap:
     return CliffordMap(2 * n_orb, tuple(gates))
 
 
-def left_factor_element(x_left: int, z_left: int, bra_bits: int, ket_bits: int):
-    """<v| P |w> for a phase-free product on the seniority register.
-
-    Nonzero iff x equals v XOR w; the value i^{y_count} (-1)^{popcount(z&w)}
-    is one of {+-1, +-i}.
-    """
-    if x_left != bra_bits ^ ket_bits:
-        return 0.0
-    val = (1j) ** ((x_left & z_left).bit_count() % 4)
-    if (z_left & ket_bits).bit_count() % 2:
-        val = -val
-    return val
+# <v| sigma(x, z) |w> for x = v XOR w is i^|x & z| (-1)^|z & w|, entry
+# [|z & w| mod 2, |x & z| mod 4]: Python's (1j) ** k and its negation
+_LEFT_FACTORS = np.array([[(1j) ** k for k in range(4)], [-((1j) ** k) for k in range(4)]])
 
 
 class SectorHamiltonian:
     """A 2*n_orb-qubit operator conjugated once and indexed by sector pair.
 
     After tapering, a term reaches the (bra, ket) seniority pair only when
-    the X part of its seniority register equals bra XOR ket (the
-    symmetry-induced zero pattern).  Each term of ``hq`` is conjugated by
-    the tapering Clifford once and kept, in ``hq`` order, in the bucket of
-    that X part as (z_left, x_right, z_right, c * phase).  ``op`` reads one
-    bucket, weights each term by its closed-form bra-ket factor and
-    memoises the n_orb-qubit effective operator per pair.
+    the X part x_left of its seniority register equals bra XOR ket (the
+    symmetry-induced zero pattern).  The words of ``hq`` are conjugated in
+    one ``conjugate_words`` call and sorted stably by x_left, so a bucket
+    is a slice, in ``hq`` order, of whole-table arrays: z_left, c times the
+    conjugation sign, |x_left & z_left| mod 4, and the index of the term's
+    remainder key (x_right, z_right) among its bucket's distinct keys, kept
+    in order of first appearance.  ``op`` weights a bucket's terms by
+    i^|x_left & z_left| (-1)^|z_left & ket| from an eight-entry table, sums
+    each key's terms from +0 in bucket order (``np.add.at``), drops sums
+    below DROP_TOL (``hypot`` is Python's complex ``abs``) and memoises the
+    ``PauliArrays`` per pair: bit for bit the terms of adding each
+    conjugated, weighted term into a ``PauliSum`` and simplifying it.
     """
 
     def __init__(self, hq: PauliSum, uc: CliffordMap | None = None):
-        if hq.n_qubits % 2:
+        if hq.n_qubits % 2 or hq.n_qubits > 64:
             raise TaperError(
-                f"operator on {hq.n_qubits} qubits is not a 2*n_orb register"
+                f"operator on {hq.n_qubits} qubits is not a 2*n_orb register "
+                "of at most 64 qubits"
             )
         n_orb = hq.n_qubits // 2
         if uc is None:
             uc = build_clifford(n_orb)
         self.n_orb = n_orb
         mask = (1 << n_orb) - 1
-        self._buckets: dict[int, list] = {}
-        for (x, z), c in hq.items():
-            p = uc.conjugate(PauliProduct(2 * n_orb, x, z))
-            self._buckets.setdefault(p.x_bits & mask, []).append(
-                (p.z_bits & mask, p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase)
-            )
-        self._ops: dict[tuple[int, int], PauliSum] = {}
+        keys, coeffs = _term_arrays(hq.items())
+        x, z, sign = uc.conjugate_words(keys[:, 0], keys[:, 1])
+        # a stable sort in Python: NumPy's stable argsort of uint64 would
+        # fault in about 128 KB of library code that nothing else runs
+        order = sorted(range(len(x)), key=(x & mask).tolist().__getitem__)
+        x, z = x[order], z[order]
+        self._z_left = z & mask
+        self._coeffs = (coeffs * np.where(sign, -1 + 0j, 1 + 0j))[order]
+        self._quarter = np.bitwise_count(x & self._z_left) & np.uint64(3)
+        self._buckets: dict[int, tuple] = {}
+        key_index, distinct = [], []
+        rights = zip((x >> n_orb).tolist(), (z >> n_orb).tolist())
+        terms = zip((x & mask).tolist(), rights)
+        for x_left, run in itertools.groupby(terms, key=operator.itemgetter(0)):
+            start, first = len(key_index), {}
+            for _, key in run:
+                key_index.append(first.setdefault(key, len(first)))
+            distinct.extend(first)
+            bucket = (start, len(key_index), len(distinct) - len(first), len(distinct))
+            self._buckets[x_left] = bucket
+        self._key_index = np.array(key_index, dtype=np.intp)
+        self._keys = np.array(distinct, dtype=np.uint64).reshape(-1, 2)
+        self._ops: dict[tuple[int, int], PauliArrays] = {}
 
-    def op(self, bra_bits: int, ket_bits: int) -> PauliSum:
+    def op(self, bra_bits: int, ket_bits: int) -> PauliArrays:
         """Effective operator of the (bra, ket) config pair, given as bit masks."""
         key = (bra_bits, ket_bits)
         if key not in self._ops:
             for bits in key:
                 if not 0 <= bits < 1 << self.n_orb:
                     raise TaperError(f"config bits {bits} outside n_orb={self.n_orb}")
-            x_left = bra_bits ^ ket_bits
-            out = PauliSum(self.n_orb)
-            for z_left, x_right, z_right, coeff in self._buckets.get(x_left, ()):
-                factor = left_factor_element(x_left, z_left, bra_bits, ket_bits)
-                out.add_term(x_right, z_right, coeff * factor)
-            self._ops[key] = out.simplify()
+            lo, hi, first, last = self._buckets.get(bra_bits ^ ket_bits, (0, 0, 0, 0))
+            odd = np.bitwise_count(self._z_left[lo:hi] & np.uint64(ket_bits)) & np.uint64(1)
+            terms = self._coeffs[lo:hi] * _LEFT_FACTORS[odd, self._quarter[lo:hi]]
+            sums = np.zeros(last - first, dtype=complex)
+            np.add.at(sums, self._key_index[lo:hi], terms)
+            kept = np.hypot(sums.real, sums.imag) >= DROP_TOL
+            self._ops[key] = PauliArrays(self.n_orb, self._keys[first:last][kept], sums[kept])
         return self._ops[key]
 
 
@@ -164,7 +181,7 @@ def effective_hamiltonian(
         raise TaperError(
             f"operator on {hq.n_qubits} qubits does not match n_orb={bra.n_orb}"
         )
-    return SectorHamiltonian(hq, uc).op(bra.bits, ket.bits)
+    return PauliSum(bra.n_orb, SectorHamiltonian(hq, uc).op(bra.bits, ket.bits).items())
 
 
 def taper_check(full_state: StateVector, uc: CliffordMap):

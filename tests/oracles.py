@@ -4,7 +4,9 @@ Everything here is built directly from 2x2 matrices with numpy.kron and
 never calls into the package's operator algebra, so it can serve as an
 independent reference for it.  The exceptions are the direct term-by-term
 loops that the package's fast paths replace, kept as references that must
-agree with them exactly: ``term_by_term_effective_op`` (the sector table),
+agree with them exactly: ``DictSectorTable`` (``taper.SectorHamiltonian``,
+with ``per_gate_conjugate`` for ``CliffordMap.conjugate_words`` and
+``left_factor_element`` for its table of bra-ket factors),
 ``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
 pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_mul`` (``PauliSum.__mul__``),
@@ -190,25 +192,77 @@ def random_pauli_sum_pairs(rng, n_qubits, n_terms, real=True):
     return pairs
 
 
-def term_by_term_effective_op(hq, bra_bits, ket_bits, uc, tol):
-    """Tapered operator of one (bra, ket) config pair, conjugating every term.
+def per_gate_conjugate(cmap, p):
+    """U p U^dagger by per-gate updates of one product's bits (the scalar
+    rule that ``CliffordMap.conjugate_words`` applies to arrays of words)."""
+    from senqse.pauli import PauliProduct
 
-    Each term of hq goes through the tapering Clifford, its seniority-register
-    part becomes a bra-ket factor and its remainder part is accumulated.
+    x, z, ph = p.x_bits, p.z_bits, p.phase_exp
+    for g in cmap.gates:
+        if g[0] == "cnot":
+            _, c, t = g
+            xc = (x >> c) & 1
+            zt = (z >> t) & 1
+            if xc & zt & (((x >> t) ^ (z >> c) ^ 1) & 1):
+                ph += 2
+            if xc:
+                x ^= 1 << t
+            if zt:
+                z ^= 1 << c
+        else:
+            perm = g[1]
+            x = sum(1 << perm[q] for q in range(cmap.n_qubits) if x >> q & 1)
+            z = sum(1 << perm[q] for q in range(cmap.n_qubits) if z >> q & 1)
+    return PauliProduct(cmap.n_qubits, x, z, ph % 4)
+
+
+def left_factor_element(x_left, z_left, bra_bits, ket_bits):
+    """<v| P |w> for a phase-free product on the seniority register.
+
+    Nonzero iff x equals v XOR w; the value i^{y_count} (-1)^{popcount(z&w)}
+    is one of {+-1, +-i}.
     """
-    from senqse.pauli import PauliProduct, PauliSum
-    from senqse.taper import left_factor_element
+    if x_left != bra_bits ^ ket_bits:
+        return 0.0
+    val = (1j) ** ((x_left & z_left).bit_count() % 4)
+    if (z_left & ket_bits).bit_count() % 2:
+        val = -val
+    return val
 
-    n_orb = hq.n_qubits // 2
-    mask = (1 << n_orb) - 1
-    out = PauliSum(n_orb)
-    for (x, z), c in hq.items():
-        p = uc.conjugate(PauliProduct(2 * n_orb, x, z))
-        factor = left_factor_element(p.x_bits & mask, p.z_bits & mask, bra_bits, ket_bits)
-        if factor == 0.0:
-            continue
-        out.add_term(p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase * factor)
-    return out.simplify(tol)
+
+class DictSectorTable:
+    """The sector table built in dicts (``taper.SectorHamiltonian``'s
+    reference): each term of hq conjugated on its own and kept, in hq
+    order, in the bucket of its seniority-register X part; ``op`` adds
+    each term of one bucket, weighted by ``left_factor_element``, into a
+    ``PauliSum`` and simplifies it, memoised per pair."""
+
+    def __init__(self, hq, uc):
+        from senqse.pauli import PauliProduct
+
+        n_orb = hq.n_qubits // 2
+        mask = (1 << n_orb) - 1
+        self.n_orb = n_orb
+        self._buckets = {}
+        for (x, z), c in hq.items():
+            p = per_gate_conjugate(uc, PauliProduct(2 * n_orb, x, z))
+            self._buckets.setdefault(p.x_bits & mask, []).append(
+                (p.z_bits & mask, p.x_bits >> n_orb, p.z_bits >> n_orb, c * p.phase)
+            )
+        self._ops = {}
+
+    def op(self, bra_bits, ket_bits):
+        from senqse.pauli import DROP_TOL, PauliSum
+
+        key = (bra_bits, ket_bits)
+        if key not in self._ops:
+            x_left = bra_bits ^ ket_bits
+            out = PauliSum(self.n_orb)
+            for z_left, x_right, z_right, coeff in self._buckets.get(x_left, ()):
+                factor = left_factor_element(x_left, z_left, bra_bits, ket_bits)
+                out.add_term(x_right, z_right, coeff * factor)
+            self._ops[key] = out.simplify(DROP_TOL)
+        return self._ops[key]
 
 
 def term_by_term_apply(amps, n_qubits, op):
@@ -465,7 +519,7 @@ def per_state_sampler(state, fragment):
     """
     from types import SimpleNamespace
 
-    from senqse.simulator import _product_sign, _term_table
+    from senqse.simulator import _product_sign, _term_arrays, _term_table
 
     n = fragment.n_qubits
     gens, rows, masks, coeffs = [], [], [], []
@@ -490,7 +544,7 @@ def per_state_sampler(state, fragment):
     orbit = index[inside]
     pos = np.zeros(len(index), dtype=np.intp)
     pos[orbit] = np.arange(len(orbit))
-    src, coef = _term_table([(g, 1.0) for g in gens], orbit)
+    src, coef = _term_table(*_term_arrays([(g, 1.0) for g in gens]), orbit)
     cols = pos[src]
     branches = state.amplitudes[orbit][None, :]
     outcomes = np.zeros(1, dtype=np.int64)

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,16 @@ class TestSeniorityConfigOp:
 
 
 class TestSerialization:
+    def test_spec_hash_is_the_fields_hash(self):
+        # taken once on construction; a pickled spec is rebuilt, so it gets
+        # the hash the loading process gives its fields
+        spec = CsfSpec(CsfKind.DOUBLE_SINGLET, (1, 2, 5, 6), ((0, 4),))
+        assert hash(spec) == hash((spec.kind, spec.indices, spec.pair_moves))
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec) and back is not spec
+        assert repr(back) == repr(spec) and "_hash" not in repr(spec)
+        assert spec != CsfSpec(CsfKind.DOUBLE_SINGLET, (1, 2, 5, 6))
+
     def test_roundtrip(self, h2o, h2o_hq):
         basis = select_basis_pt(h2o, h2o_hq, default_selection_params(h2o))
         text = serialize_basis(basis)

@@ -189,6 +189,37 @@ class TestClifford:
             b = PauliProduct(3, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
             assert a.commutes(b) == cmap.conjugate(a).commutes(cmap.conjugate(b))
 
+    def test_words_match_per_gate_conjugation(self):
+        # random gate lists on up to 64 qubits, every product's words and
+        # sign against the per-gate rule applied to one product at a time
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 14, 64):
+            gates = []
+            for _ in range(12):
+                if rng.random() < 0.6:
+                    c, t = rng.choice(n, size=2, replace=False)
+                    gates.append(("cnot", int(c), int(t)))
+                else:
+                    gates.append(("perm", tuple(int(v) for v in rng.permutation(n))))
+            cmap = CliffordMap(n, tuple(gates))
+            mask = np.uint64((1 << n) - 1)
+            x = rng.integers(0, 2**64, size=300, dtype=np.uint64) & mask
+            z = rng.integers(0, 2**64, size=300, dtype=np.uint64) & mask
+            got_x, got_z, sign = cmap.conjugate_words(x, z)
+            assert got_x.dtype == got_z.dtype == np.uint64
+            for words in zip(x.tolist(), z.tolist(), got_x.tolist(), got_z.tolist(), sign):
+                xi, zi, want_x, want_z, s = words
+                ref = oracles.per_gate_conjugate(cmap, PauliProduct(n, xi, zi))
+                assert (want_x, want_z, 2 * int(s)) == (ref.x_bits, ref.z_bits, ref.phase_exp)
+                p = PauliProduct(n, xi, zi, 3)
+                assert cmap.conjugate(p) == oracles.per_gate_conjugate(cmap, p)
+
+    def test_scalar_conjugation_beyond_64_qubits(self):
+        cmap = CliffordMap(130, (("cnot", 129, 3), ("perm", tuple(reversed(range(130))))))
+        p = PauliProduct.from_label("Z3 X129 X70", 130)
+        out = cmap.conjugate(p)
+        assert out == oracles.per_gate_conjugate(cmap, p) and out.phase_exp == 2
+
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(29)
         cmap = CliffordMap(4, (("cnot", 3, 1), ("perm", (1, 3, 0, 2)), ("cnot", 0, 2)))

@@ -330,6 +330,18 @@ class TestSupportPass:
             assert_applies_like_oracle(amps, kernel.n_orb, op)
             assert np.array_equal(bits(product), bits(apply_pauli_sum(amps, kernel.n_orb, op)))
 
+    def test_kernel_operators_match_dict_table(self, h2o_pt_kernel, h2o_engine):
+        # every effective operator the PT selection and the VO basis memoise
+        h2o_engine.exact_matrix()
+        for kernel in (h2o_pt_kernel[0], h2o_engine.kernel):
+            ref = oracles.DictSectorTable(kernel.hq, build_clifford(kernel.n_orb))
+            assert len(kernel.sectors._ops) > 20
+            for (v, w), op in kernel.sectors._ops.items():
+                want = ref.op(v, w)
+                assert op.keys.tolist() == [list(key) for key, _ in want.items()]
+                want_coeffs = np.array([c for _, c in want.items()], dtype=complex)
+                assert np.array_equal(bits(op.coeffs), bits(want_coeffs))
+
     def test_rotated_vo_kets(self, h2o_engine):
         rotated = [nu for nu in range(h2o_engine.size) if h2o_engine.basis[nu].rotations]
         assert rotated

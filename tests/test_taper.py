@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from senqse.fermion import jordan_wigner, load_fcidump
-from senqse.pauli import DROP_TOL, PauliProduct, PauliSum
+from senqse import taper
+from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import StateVector, apply_clifford
 from senqse.taper import (
     SectorHamiltonian,
@@ -182,50 +183,77 @@ def fixture_hamiltonian(stem):
 
 
 class CountingClifford:
-    """Wraps a CliffordMap and counts its conjugations."""
+    """Wraps a CliffordMap and counts the terms it conjugates."""
 
     def __init__(self, uc):
         self.uc = uc
         self.conjugations = 0
 
-    def conjugate(self, p):
-        self.conjugations += 1
-        return self.uc.conjugate(p)
+    def conjugate_words(self, x, z):
+        self.conjugations += len(x)
+        return self.uc.conjugate_words(x, z)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def assert_same_operator(got, ref):
-    """Equal dicts, item order included (bit-for-bit coefficients)."""
+    """The PauliArrays hold the reference PauliSum's terms in its item
+    order, keys and coefficients equal as uint64 views."""
     assert got.n_qubits == ref.n_qubits
-    assert list(got.items()) == list(ref.items())
+    assert got.keys.dtype == np.uint64 and got.keys.shape == (len(ref), 2)
+    assert got.coeffs.dtype == complex
+    assert got.keys.tolist() == [list(key) for key, _ in ref.items()]
+    want = np.array([c for _, c in ref.items()], dtype=complex)
+    assert np.array_equal(bits(got.coeffs), bits(want))
+
+
+def assert_matches_dict_table(table, ref, pairs):
+    for v, w in pairs:
+        assert_same_operator(table.op(v, w), ref.op(v, w))
+
+
+def assert_matches_every_pair(hq):
+    """Every (bra, ket) config pair of hq's table against the dict table."""
+    n_orb = hq.n_qubits // 2
+    uc = build_clifford(n_orb)
+    pairs = [(v, w) for v in range(2**n_orb) for w in range(2**n_orb)]
+    ref = oracles.DictSectorTable(hq, uc)
+    assert_matches_dict_table(SectorHamiltonian(hq, uc), ref, pairs)
 
 
 class TestSectorHamiltonian:
     def test_h2_all_pairs_match_term_by_term(self):
-        hq = fixture_hamiltonian("h2_0.7414")
-        uc = build_clifford(2)
-        table = SectorHamiltonian(hq)
-        for v in range(4):
-            for w in range(4):
-                ref = oracles.term_by_term_effective_op(hq, v, w, uc, DROP_TOL)
-                assert_same_operator(table.op(v, w), ref)
+        for stem in ("h2_0.7414", "h2_1.5000"):
+            assert_matches_every_pair(fixture_hamiltonian(stem))
 
-    def test_h2o_sampled_pairs_match_term_by_term(self):
-        hq = fixture_hamiltonian("h2o_1.0000")
-        n_orb = hq.n_qubits // 2
-        uc = build_clifford(n_orb)
-        table = SectorHamiltonian(hq, uc)
+    def test_h2o_all_pairs_match_term_by_term(self):
+        assert_matches_every_pair(fixture_hamiltonian("h2o_1.0000"))
+
+    def test_random_operators_match_dict_table(self):
         rng = np.random.default_rng(2024)
-        pairs = rng.integers(0, 2**n_orb, size=(200, 2))
-        for v, w in pairs:
-            ref = oracles.term_by_term_effective_op(hq, int(v), int(w), uc, DROP_TOL)
-            assert_same_operator(table.op(int(v), int(w)), ref)
+        for n_orb in (1, 2, 3, 4):
+            # small registers, so buckets repeat keys; exact zeros are dropped
+            hq = random_sum(rng, 2 * n_orb, min(40, 4 ** (2 * n_orb) // 2), real=False)
+            hq = hq + hq.scaled(-1.0).simplify(0.5)
+            assert_matches_every_pair(hq)
+
+    def test_left_factor_table_is_the_reference_values(self):
+        # entry [odd, k]: |x & z| = k and |z & ket| = odd
+        want = [
+            [oracles.left_factor_element(x, x | 8, x ^ (8 * odd), 8 * odd) for x in (0, 1, 3, 7)]
+            for odd in (0, 1)
+        ]
+        assert np.array_equal(bits(taper._LEFT_FACTORS), bits(np.array(want)))
 
     def test_effective_hamiltonian_is_one_pair_table(self):
         hq = fixture_hamiltonian("h2_1.5000")
         uc = build_clifford(2)
         bra, ket = SeniorityConfig((1, 1)), SeniorityConfig((0, 0))
         eff = effective_hamiltonian(hq, bra, ket, uc)
-        assert_same_operator(eff, SectorHamiltonian(hq, uc).op(bra.bits, ket.bits))
+        assert isinstance(eff, PauliSum) and eff.n_qubits == 2
+        assert_same_operator(SectorHamiltonian(hq, uc).op(bra.bits, ket.bits), eff)
 
     def test_zero_pattern(self):
         """A pair is empty when no conjugated term has X part bra XOR ket."""
@@ -243,8 +271,9 @@ class TestSectorHamiltonian:
         rng = np.random.default_rng(7)
         for x in absent:
             v = int(rng.integers(0, 2**n_orb))
-            assert table.op(v, v ^ x).n_terms == 0
-        assert table.op(0, 0).n_terms > 0
+            op = table.op(v, v ^ x)
+            assert not op and op.keys.shape == (0, 2) and op.coeffs.shape == (0,)
+        assert len(table.op(0, 0)) > 0
 
     def test_conjugates_each_term_once(self):
         hq = fixture_hamiltonian("h2o_1.0000")
@@ -267,6 +296,10 @@ class TestSectorHamiltonian:
     def test_odd_register_rejected(self):
         with pytest.raises(TaperError, match="2\\*n_orb"):
             SectorHamiltonian(PauliSum.from_label("Z0 Z2", 1.0, 3))
+
+    def test_register_beyond_64_bit_words_rejected(self):
+        with pytest.raises(TaperError, match="at most 64 qubits"):
+            SectorHamiltonian(PauliSum.from_label("Z0 Z65", 1.0, 66))
 
     @pytest.mark.parametrize("bra, ket", [(4, 0), (0, 4), (-1, 0), (0, 17)])
     def test_config_bits_out_of_range(self, bra, ket):

@@ -57,8 +57,12 @@ def test_unexecuted_lists_what_a_run_did_not_reach(tmp_path, monkeypatch):
 
         assert toy.f(False) == 2
 
+    sources = tool.read_sources(str(tmp_path))
+    assert sources == {str(path): SOURCE}
     hits = tool.traced_run(run, str(tmp_path))
-    assert tool.unexecuted(str(path), hits) == [
+    # an edit after the sources were read does not move the report
+    path.write_text("\n\n" + SOURCE)
+    assert tool.unexecuted(str(path), sources[str(path)], hits) == [
         (9, "return 1"),
         (15, 'raise RuntimeError("never")'),
         (20, "return 3"),

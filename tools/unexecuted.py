@@ -82,10 +82,20 @@ def traced_run(run, prefix: str) -> set:
     return {(os.path.abspath(name), line) for name, line in hits}
 
 
-def unexecuted(path: str, hits: set) -> list:
-    """(line, source line) of each statement of `path` with no own line hit."""
-    with open(path) as fh:
-        source = fh.read()
+def read_sources(directory: str) -> dict:
+    """{path: source} of every ``.py`` file of `directory`, in name order."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            path = os.path.join(directory, name)
+            with open(path) as fh:
+                out[path] = fh.read()
+    return out
+
+
+def unexecuted(path: str, source: str, hits: set) -> list:
+    """(line, source line) of each statement of `source`, the text of
+    `path` that ran, with no own line hit."""
     lines = source.splitlines()
     seen = {line for name, line in hits if name == path}
     return [
@@ -100,17 +110,18 @@ def main(argv) -> int:
 
     args = argv or ["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")]
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    # read before the run, so a file edited while the suite runs is
+    # reported on the text whose lines the events refer to
+    sources = read_sources(PACKAGE)
     status = []
     hits = traced_run(lambda: status.append(pytest.main(args)), PACKAGE + os.sep)
     if status[0] not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
         return int(status[0])
     total = 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            path = os.path.join(PACKAGE, name)
-            for line, text in unexecuted(path, hits):
-                print(f"{os.path.relpath(path, ROOT)}:{line}: {text}")
-                total += 1
+    for path, source in sources.items():
+        for line, text in unexecuted(path, source, hits):
+            print(f"{os.path.relpath(path, ROOT)}:{line}: {text}")
+            total += 1
     print(f"{total} statements no test executed")
     return 0
 
