@@ -101,6 +101,8 @@ class RunConfig:
             _check_value(f, getattr(self, f.name))
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
+        if self.mode == "sampled" and not self.taper:
+            raise ValueError("sampled mode needs the tapered representation")
         object.__setattr__(self, "fcidump_paths", tuple(self.fcidump_paths))
         labels = tuple(self.labels) or tuple(
             os.path.splitext(os.path.basename(p))[0] for p in self.fcidump_paths

@@ -4,7 +4,8 @@ A basis state is a spin-adapted configuration state function (CSF) followed
 by an ordered product of electron-pair rotations.  CSFs are built with
 exact sparse determinant algebra (a map from occupation bitstrings to
 amplitudes) so their Jordan-Wigner images, and therefore all phases, are
-reproduced exactly; the tapered image is read off bitwise.
+reproduced exactly; the tapered image is each determinant's image under
+the tapering Clifford (``taper.build_clifford``).
 
 Selection proceeds in three steps: create all CSFs reachable with active
 window excitations, trim against the ground eigenvector of that CSF-only
@@ -26,7 +27,7 @@ import numpy as np
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
 from senqse.pauli import PauliArrays, PauliSum
 from senqse.simulator import StateVector, apply_pauli_sum
-from senqse.taper import SectorHamiltonian
+from senqse.taper import SectorHamiltonian, build_clifford
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -376,34 +377,24 @@ def full_state(b: BasisState, n_orb: int, n_elec: int) -> StateVector:
     return StateVector(amps, 2 * n_orb)
 
 
-def _taper_determinants(dets: dict, n_orb: int):
-    """Bitwise taper of a fixed-config determinant dictionary.
-
-    Returns (config bits, dense n_orb-qubit amplitudes); qubit i of the
-    tapered register carries the down-spin occupation of orbital i.
-    """
-    amps = np.zeros(2**n_orb, dtype=complex)
-    v_bits = None
-    for occ, amp in dets.items():
-        v = c = 0
-        for i in range(n_orb):
-            up = (occ >> (2 * i)) & 1
-            dn = (occ >> (2 * i + 1)) & 1
-            v |= (up ^ dn) << i
-            c |= dn << i
-        if v_bits is None:
-            v_bits = v
-        elif v != v_bits:
-            raise BasisError("determinants span several seniority configs")
-        amps[c] += amp
-    return v_bits, amps
-
-
 def make_csf_tapered(spec: CsfSpec, n_orb: int, n_elec: int) -> StateVector:
-    """Tapered n_orb-qubit image of the CSF (doubly occupied orbitals at |1>)."""
-    dets = csf_determinants(spec, n_orb, n_elec)
-    v_bits, amps = _taper_determinants(dets, n_orb)
-    if v_bits != config_bits(spec, n_orb):
+    """Tapered n_orb-qubit image of the CSF (doubly occupied orbitals at |1>).
+
+    The tapering Clifford (CNOTs and a permutation) sends each determinant
+    |occ> to |x>, x the X word of its conjugated X^occ, with no sign: the
+    low n_orb bits of x are the config and the high bits the remainder index.
+    """
+    uc = build_clifford(n_orb)
+    mask = (1 << n_orb) - 1
+    amps = np.zeros(2**n_orb, dtype=complex)
+    configs = set()
+    for occ, amp in csf_determinants(spec, n_orb, n_elec).items():
+        x = uc.conjugate_words(occ, 0)[0]
+        configs.add(x & mask)
+        amps[x >> n_orb] += amp
+    if len(configs) > 1:
+        raise BasisError("determinants span several seniority configs")
+    if configs != {config_bits(spec, n_orb)}:
         raise BasisError("tapered config disagrees with the CSF specification")
     return StateVector(amps, n_orb)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,35 +28,6 @@ PRODUCT_TOL = 1e-10
 
 class TaperError(ValueError):
     """Violated seniority-structure contract."""
-
-
-@dataclass(frozen=True)
-class SeniorityConfig:
-    """Orbital seniorities: v[i] = 1 iff orbital i holds an unpaired electron.
-
-    The state-level checks (``taper_check``, ``untaper_state``) use this
-    type; the element path carries a config as its bit mask alone
-    (``csfbasis.config_bits``, ``SectorHamiltonian.op``).  ``bits`` packs
-    v into an integer (bit i is v[i]) once, on construction; equality and
-    hashing depend on v alone.
-    """
-
-    v: tuple
-    bits: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.v):
-            raise TaperError(f"seniority entries must be 0/1, got {self.v}")
-        object.__setattr__(self, "v", tuple(int(b) for b in self.v))
-        object.__setattr__(self, "bits", sum(b << i for i, b in enumerate(self.v)))
-
-    @classmethod
-    def from_bits(cls, bits: int, n_orb: int) -> "SeniorityConfig":
-        return cls(tuple((bits >> i) & 1 for i in range(n_orb)))
-
-    @property
-    def n_orb(self) -> int:
-        return len(self.v)
 
 
 def seniority_symmetries(n_orb: int) -> list[PauliProduct]:
@@ -110,19 +80,17 @@ class SectorHamiltonian:
     conjugated, weighted term into a ``PauliSum`` and simplifying it.
     """
 
-    def __init__(self, hq: PauliSum, uc: CliffordMap | None = None):
+    def __init__(self, hq: PauliSum):
         if hq.n_qubits % 2 or hq.n_qubits > 64:
             raise TaperError(
                 f"operator on {hq.n_qubits} qubits is not a 2*n_orb register "
                 "of at most 64 qubits"
             )
         n_orb = hq.n_qubits // 2
-        if uc is None:
-            uc = build_clifford(n_orb)
         self.n_orb = n_orb
         mask = (1 << n_orb) - 1
         keys, coeffs = _term_arrays(hq.items())
-        x, z, sign = uc.conjugate_words(keys[:, 0], keys[:, 1])
+        x, z, sign = build_clifford(n_orb).conjugate_words(keys[:, 0], keys[:, 1])
         # a stable sort in Python: NumPy's stable argsort of uint64 would
         # fault in about 128 KB of library code that nothing else runs
         order = sorted(range(len(x)), key=(x & mask).tolist().__getitem__)
@@ -162,60 +130,49 @@ class SectorHamiltonian:
         return self._ops[key]
 
 
-def effective_hamiltonian(
-    hq: PauliSum,
-    bra: SeniorityConfig,
-    ket: SeniorityConfig,
-    uc: CliffordMap,
-) -> PauliSum:
+def effective_hamiltonian(hq: PauliSum, bra_bits: int, ket_bits: int) -> PauliSum:
     """Project a 2*n_orb-qubit operator onto one (bra, ket) seniority pair.
 
     A one-pair ``SectorHamiltonian``: terms are conjugated by the tapering
     Clifford, weighted by the bra-ket factor of their left part and
-    accumulated on their right part; right-part collisions merge.  Returns
-    the n_orb-qubit effective operator.
+    accumulated on their right part; right-part collisions merge.  The
+    configs are bit masks (bit i set iff orbital i is singly occupied).
+    Returns the n_orb-qubit effective operator.
     """
-    if bra.n_orb != ket.n_orb:
-        raise TaperError("config length mismatch")
-    if hq.n_qubits != 2 * bra.n_orb:
-        raise TaperError(
-            f"operator on {hq.n_qubits} qubits does not match n_orb={bra.n_orb}"
-        )
-    return PauliSum(bra.n_orb, SectorHamiltonian(hq, uc).op(bra.bits, ket.bits).items())
+    table = SectorHamiltonian(hq)
+    return PauliSum(table.n_orb, table.op(bra_bits, ket_bits).items())
 
 
-def taper_check(full_state: StateVector, uc: CliffordMap):
-    """Split U_c|phi> into (seniority config, n_orb-qubit remainder state).
+def taper_check(full_state: StateVector) -> tuple[int, StateVector]:
+    """Split U_c|phi> into (config bit mask, n_orb-qubit remainder state).
 
     Raises TaperError when the rotated state is not an exact product of a
     computational seniority register and a remainder factor.
     """
-    if full_state.n_qubits != uc.n_qubits or full_state.n_qubits % 2 != 0:
+    if full_state.n_qubits % 2 != 0:
         raise TaperError("state must live on the full 2*n_orb register")
     n_orb = full_state.n_qubits // 2
-    rotated = apply_clifford(full_state, uc)
+    rotated = apply_clifford(full_state, build_clifford(n_orb))
     # index = (remainder bits << n_orb) | seniority bits
     table = rotated.amplitudes.reshape(2**n_orb, 2**n_orb)
     col_norms = np.linalg.norm(table, axis=0)
-    v_index = int(np.argmax(col_norms))
-    residual = np.sqrt(max(np.sum(col_norms**2) - col_norms[v_index] ** 2, 0.0))
+    bits = int(np.argmax(col_norms))
+    residual = np.sqrt(max(np.sum(col_norms**2) - col_norms[bits] ** 2, 0.0))
     if residual > PRODUCT_TOL:
         raise TaperError(
             f"not a seniority eigenstate: cross-sector weight {residual:.3e}"
         )
-    config = SeniorityConfig.from_bits(v_index, n_orb)
-    column = table[:, v_index]
+    column = table[:, bits]
     column = column / np.linalg.norm(column)
-    return config, StateVector(column, n_orb)
+    return bits, StateVector(column, n_orb)
 
 
-def untaper_state(config: SeniorityConfig, state: StateVector, uc: CliffordMap):
+def untaper_state(bits: int, remainder: StateVector) -> StateVector:
     """Inverse of taper_check: rebuild the full 2*n_orb-qubit state."""
-    n_orb = config.n_orb
-    if state.n_qubits != n_orb:
-        raise TaperError("remainder state must act on n_orb qubits")
+    n_orb = remainder.n_qubits
+    if not 0 <= bits < 1 << n_orb:
+        raise TaperError(f"config bits {bits} outside n_orb={n_orb}")
     full = np.zeros(2 ** (2 * n_orb), dtype=complex)
-    base = config.bits
-    idx = (np.arange(2**n_orb) << n_orb) | base
-    full[idx] = state.amplitudes
-    return apply_clifford(StateVector(full, 2 * n_orb), uc.inverse())
+    idx = (np.arange(2**n_orb) << n_orb) | bits
+    full[idx] = remainder.amplitudes
+    return apply_clifford(StateVector(full, 2 * n_orb), build_clifford(n_orb).inverse())

@@ -7,7 +7,8 @@ loops that the package's fast paths replace, kept as references that must
 agree with them exactly: ``DictSectorTable`` (``taper.SectorHamiltonian``,
 with ``per_gate_conjugate`` for ``CliffordMap.conjugate_words`` and
 ``left_factor_element`` for its table of bra-ket factors),
-``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
+``bitwise_taper`` (``csfbasis.make_csf_tapered``'s reading of the
+tapering Clifford), ``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
 pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_mul`` (``PauliSum.__mul__``),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
@@ -174,6 +175,8 @@ def dense_orbital_rotation_unitary(t, n_orb):
 
 def random_pauli_sum_pairs(rng, n_qubits, n_terms, real=True):
     """Random [(label, coeff), ...] with distinct products."""
+    if n_terms > 4**n_qubits:
+        raise ValueError(f"{n_qubits} qubits have only {4**n_qubits} distinct products")
     seen = set()
     pairs = []
     while len(pairs) < n_terms:
@@ -214,6 +217,30 @@ def per_gate_conjugate(cmap, p):
             x = sum(1 << perm[q] for q in range(cmap.n_qubits) if x >> q & 1)
             z = sum(1 << perm[q] for q in range(cmap.n_qubits) if z >> q & 1)
     return PauliProduct(cmap.n_qubits, x, z, ph % 4)
+
+
+def config_mask(v):
+    """Bit mask of a 0/1 sequence: bit i is v[i]."""
+    return sum(int(b) << i for i, b in enumerate(v))
+
+
+def bitwise_taper(dets, n_orb):
+    """Bitwise taper of a determinant dictionary (``csfbasis.make_csf_tapered``'s
+    reference): orbital i's seniority is up XOR down and tapered qubit i
+    carries its down-spin occupation.  Returns (set of config masks, dense
+    n_orb-qubit amplitudes)."""
+    amps = np.zeros(2**n_orb, dtype=complex)
+    configs = set()
+    for occ, amp in dets.items():
+        v = c = 0
+        for i in range(n_orb):
+            up = (occ >> (2 * i)) & 1
+            dn = (occ >> (2 * i + 1)) & 1
+            v |= (up ^ dn) << i
+            c |= dn << i
+        configs.add(v)
+        amps[c] += amp
+    return configs, amps
 
 
 def left_factor_element(x_left, z_left, bra_bits, ket_bits):

@@ -146,6 +146,13 @@ class TestConfig:
         assert "sampled mode needs shots >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_main_rejects_sampled_run_without_taper(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [H2_PATHS[0], "--no-taper", "--mode", "sampled", "--shots", "1000"]
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+        assert "sampled mode needs the tapered representation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_main_rejects_labels_that_do_not_match_paths(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(f"fcidump_paths = {', '.join(H2_PATHS[:2])}\nlabels = only\n")

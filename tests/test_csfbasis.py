@@ -45,9 +45,10 @@ from senqse.fermion import (
 )
 from senqse.simulator import StateVector, apply_pauli_sum, expectation
 from senqse.solver import SubspaceEngine
-from senqse.taper import build_clifford, taper_check
+from senqse.taper import taper_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
+TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
 
 
 def h2o_vo_basis_at_random_angles(seed):
@@ -202,6 +203,27 @@ class TestCsfConstruction:
         st = make_csf_tapered(spec, 2, 2)
         assert st.amplitudes[0b10] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("stem, kwargs", [("h2_0.7414", {}), ("h2o_1.0000", TUNED)])
+    def test_tapered_csfs_match_bitwise_taper(self, stem, kwargs):
+        # every created CSF and every pair-moved candidate extension_pairs
+        # can reach from it, against the bitwise reference
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        n_orb, n_elec = ints.n_orb, ints.n_elec
+        specs = create_csfs(default_selection_params(ints, **kwargs), n_orb, n_elec)
+        moved = [
+            spec.moved(i, a)
+            for spec in specs
+            for i in paired_occupied(spec, n_orb, n_elec)
+            for a in empty_orbitals(spec, n_orb, n_elec)
+        ]
+        assert moved
+        for spec in specs + moved:
+            dets = csf_determinants(spec, n_orb, n_elec)
+            configs, want = oracles.bitwise_taper(dets, n_orb)
+            assert configs == {config_bits(spec, n_orb)}
+            got = make_csf_tapered(spec, n_orb, n_elec).amplitudes
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestPairRotation:
     def test_zero_theta_identity(self):
@@ -239,9 +261,8 @@ class TestPairRotation:
         b = BasisState(
             CsfSpec(CsfKind.SINGLE_SINGLET, (0, 2)), ((3, 1, 0.37),), "x"
         )
-        uc = build_clifford(n_orb)
-        cfg, _ = taper_check(full_state(b, n_orb, n_elec), uc)
-        assert cfg.bits == config_bits(b.csf, n_orb)
+        bits, _ = taper_check(full_state(b, n_orb, n_elec))
+        assert bits == config_bits(b.csf, n_orb)
 
     def test_full_and_tapered_agree(self):
         # the dictionary-level rotation must match the tapered-register one
@@ -249,8 +270,7 @@ class TestPairRotation:
         b = BasisState(
             CsfSpec(CsfKind.SINGLE_SINGLET, (0, 2)), ((3, 1, 0.41),), "x"
         )
-        uc = build_clifford(n_orb)
-        _, inner = taper_check(full_state(b, n_orb, n_elec), uc)
+        _, inner = taper_check(full_state(b, n_orb, n_elec))
         direct = tapered_state(b, n_orb, n_elec)
         assert np.allclose(inner.amplitudes, direct.amplitudes, atol=1e-12)
 

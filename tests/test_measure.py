@@ -23,7 +23,7 @@ from senqse.simulator import (
     expectation,
     rng_for,
 )
-from senqse.taper import SeniorityConfig, build_clifford, effective_hamiltonian
+from senqse.taper import effective_hamiltonian
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -97,9 +97,7 @@ class TestBuildSwapOperator:
 def h2_setup():
     ints = load_fcidump(FIXTURES / "h2_0.7414.fcidump")
     hq = jordan_wigner(ints)
-    uc = build_clifford(2)
-    cfg = SeniorityConfig((0, 0))
-    x = effective_hamiltonian(hq, cfg, cfg, uc)
+    x = effective_hamiltonian(hq, 0b00, 0b00)
     a = make_csf_tapered(CsfSpec(CsfKind.HF), 2, 2)
     b = make_csf_tapered(CsfSpec(CsfKind.HF).moved(0, 1), 2, 2)
     return x, a, b

@@ -284,6 +284,15 @@ class TestPauliSum:
             assert got.n_qubits == n
             assert list(got.items()) == list(ref.items())
 
+    def test_random_pairs_refuse_more_products_than_exist(self):
+        # one qubit has 4 distinct products; the helper fails before drawing
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="only 4 distinct products"):
+            oracles.random_pauli_sum_pairs(rng, 1, 5)
+        assert rng.bit_generator.state == state
+        assert len(oracles.random_pauli_sum_pairs(rng, 1, 4)) == 4
+
     def test_product_rejects_out_of_range_bits(self):
         good = PauliSum.from_label("Z0", 1.0, 2)
         for key in ((4, 0), (0, 4), (-1, 0)):

@@ -257,7 +257,7 @@ class TestApplyPauliSum:
     def test_h2o_sampled_config_pairs(self):
         hq = jordan_wigner(load_fcidump(FIXTURES / "h2o_1.0000.fcidump"))
         n_orb = hq.n_qubits // 2
-        table = SectorHamiltonian(hq, build_clifford(n_orb))
+        table = SectorHamiltonian(hq)
         rng = np.random.default_rng(89)
         for v, w in rng.integers(0, 2**n_orb, size=(200, 2)):
             amps = random_state(rng, n_orb).amplitudes

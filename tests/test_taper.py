@@ -6,11 +6,10 @@ import pytest
 import oracles
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse import taper
-from senqse.pauli import PauliProduct, PauliSum
+from senqse.pauli import CliffordMap, PauliProduct, PauliSum
 from senqse.simulator import StateVector, apply_clifford
 from senqse.taper import (
     SectorHamiltonian,
-    SeniorityConfig,
     TaperError,
     build_clifford,
     effective_hamiltonian,
@@ -22,12 +21,11 @@ from senqse.taper import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def random_sector_state(rng, config, uc):
-    """Random seniority eigenstate with the given config, via the inverse Clifford."""
-    n = config.n_orb
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    inner = StateVector.from_amplitudes(amps, n, normalize=True)
-    return untaper_state(config, inner, uc), inner
+def random_sector_state(rng, bits, n_orb):
+    """Random seniority eigenstate with config mask bits, via the inverse Clifford."""
+    amps = rng.normal(size=2**n_orb) + 1j * rng.normal(size=2**n_orb)
+    inner = StateVector.from_amplitudes(amps, n_orb, normalize=True)
+    return untaper_state(bits, inner), inner
 
 
 def random_sum(rng, n_qubits, terms, real=True):
@@ -85,68 +83,42 @@ class TestBuildClifford:
         assert idx >> n_orb == 0b011  # doubly occupied orbitals 0 and 1
 
 
-class TestSeniorityConfig:
-    def test_bits_and_identity_follow_v(self):
-        cfg = SeniorityConfig((1, 0, 1, 1))
-        assert cfg.bits == 0b1101
-        assert SeniorityConfig.from_bits(0b1101, 4) == cfg
-        a, b = SeniorityConfig((0, 1)), SeniorityConfig((0, 1))
-        assert a == b and hash(a) == hash(b)
-        assert a != SeniorityConfig((1, 0))
-        # a longer register with the same unpaired orbitals is another config
-        longer = SeniorityConfig((0, 1, 0))
-        assert longer.bits == a.bits and longer != a
-        assert repr(a) == "SeniorityConfig(v=(0, 1))"
-
-
 class TestEffectiveHamiltonian:
     def test_identity_term_diagonal(self):
-        n_orb = 2
-        uc = build_clifford(n_orb)
         hq = PauliSum(4, {(0, 0): 0.7})
-        cfg = SeniorityConfig((0, 0))
-        eff = effective_hamiltonian(hq, cfg, cfg, uc)
+        eff = effective_hamiltonian(hq, 0b00, 0b00)
         assert eff.n_terms == 1
         assert eff.identity_coefficient() == pytest.approx(0.7)
 
     def test_diagonal_term_between_configs_vanishes(self):
-        n_orb = 2
-        uc = build_clifford(n_orb)
         hq = PauliSum.from_label("Z0 Z2", 0.5, 4) + PauliSum(4, {(0, 0): 1.2})
-        bra = SeniorityConfig((1, 1))
-        ket = SeniorityConfig((0, 0))
-        eff = effective_hamiltonian(hq, bra, ket, uc)
+        eff = effective_hamiltonian(hq, 0b11, 0b00)
         assert eff.n_terms == 0
 
     def test_term_count_monotone(self):
         rng = np.random.default_rng(61)
         n_orb = 3
-        uc = build_clifford(n_orb)
         hq = random_sum(rng, 2 * n_orb, 25)
         for _ in range(10):
-            bra = SeniorityConfig(tuple(rng.integers(0, 2, size=n_orb)))
-            ket = SeniorityConfig(tuple(rng.integers(0, 2, size=n_orb)))
-            eff = effective_hamiltonian(hq, bra, ket, uc)
+            bra = oracles.config_mask(rng.integers(0, 2, size=n_orb))
+            ket = oracles.config_mask(rng.integers(0, 2, size=n_orb))
+            eff = effective_hamiltonian(hq, bra, ket)
             assert eff.n_terms <= hq.n_terms
 
     def test_diagonal_hermitian(self):
         rng = np.random.default_rng(67)
         n_orb = 3
-        uc = build_clifford(n_orb)
         hq = random_sum(rng, 2 * n_orb, 30)
-        cfg = SeniorityConfig((1, 0, 1))
-        eff = effective_hamiltonian(hq, cfg, cfg, uc)
+        eff = effective_hamiltonian(hq, 0b101, 0b101)
         assert eff.max_imag() < 1e-12
 
     def test_offdiagonal_adjoint_pair(self):
         rng = np.random.default_rng(71)
         n_orb = 3
-        uc = build_clifford(n_orb)
         hq = random_sum(rng, 2 * n_orb, 30)
-        bra = SeniorityConfig((1, 1, 0))
-        ket = SeniorityConfig((0, 1, 1))
-        fwd = effective_hamiltonian(hq, bra, ket, uc)
-        rev = effective_hamiltonian(hq, ket, bra, uc)
+        bra, ket = 0b011, 0b110
+        fwd = effective_hamiltonian(hq, bra, ket)
+        rev = effective_hamiltonian(hq, ket, bra)
         # X_mu_nu must equal the adjoint of X_nu_mu (products are Hermitian)
         diff_terms = dict(fwd.items())
         for key, c in rev.items():
@@ -156,22 +128,21 @@ class TestEffectiveHamiltonian:
     @pytest.mark.parametrize("n_orb", [2, 3, 4])
     def test_matrix_element_preservation(self, n_orb):
         rng = np.random.default_rng(100 + n_orb)
-        uc = build_clifford(n_orb)
         for _ in range(12):
             hq = random_sum(rng, 2 * n_orb, 20)
-            bra_cfg = SeniorityConfig(tuple(rng.integers(0, 2, size=n_orb)))
-            ket_cfg = SeniorityConfig(tuple(rng.integers(0, 2, size=n_orb)))
-            full_a, inner_a = random_sector_state(rng, bra_cfg, uc)
-            full_b, inner_b = random_sector_state(rng, ket_cfg, uc)
+            bra = oracles.config_mask(rng.integers(0, 2, size=n_orb))
+            ket = oracles.config_mask(rng.integers(0, 2, size=n_orb))
+            full_a, inner_a = random_sector_state(rng, bra, n_orb)
+            full_b, inner_b = random_sector_state(rng, ket, n_orb)
             # sanity: the full states really are seniority eigenstates
             for i, s in enumerate(seniority_symmetries(n_orb)):
                 sm = oracles.product_matrix(s)
                 val = np.vdot(full_a.amplitudes, sm @ full_a.amplitudes).real
-                assert val == pytest.approx(1 - 2 * bra_cfg.v[i], abs=1e-10)
+                assert val == pytest.approx(1 - 2 * (bra >> i & 1), abs=1e-10)
             ref = np.vdot(
                 full_a.amplitudes, oracles.sum_matrix(hq) @ full_b.amplitudes
             )
-            eff = effective_hamiltonian(hq, bra_cfg, ket_cfg, uc)
+            eff = effective_hamiltonian(hq, bra, ket)
             got = np.vdot(
                 inner_a.amplitudes, oracles.sum_matrix(eff) @ inner_b.amplitudes
             )
@@ -180,18 +151,6 @@ class TestEffectiveHamiltonian:
 
 def fixture_hamiltonian(stem):
     return jordan_wigner(load_fcidump(str(FIXTURES / f"{stem}.fcidump")))
-
-
-class CountingClifford:
-    """Wraps a CliffordMap and counts the terms it conjugates."""
-
-    def __init__(self, uc):
-        self.uc = uc
-        self.conjugations = 0
-
-    def conjugate_words(self, x, z):
-        self.conjugations += len(x)
-        return self.uc.conjugate_words(x, z)
 
 
 def bits(a):
@@ -220,7 +179,7 @@ def assert_matches_every_pair(hq):
     uc = build_clifford(n_orb)
     pairs = [(v, w) for v in range(2**n_orb) for w in range(2**n_orb)]
     ref = oracles.DictSectorTable(hq, uc)
-    assert_matches_dict_table(SectorHamiltonian(hq, uc), ref, pairs)
+    assert_matches_dict_table(SectorHamiltonian(hq), ref, pairs)
 
 
 class TestSectorHamiltonian:
@@ -249,11 +208,9 @@ class TestSectorHamiltonian:
 
     def test_effective_hamiltonian_is_one_pair_table(self):
         hq = fixture_hamiltonian("h2_1.5000")
-        uc = build_clifford(2)
-        bra, ket = SeniorityConfig((1, 1)), SeniorityConfig((0, 0))
-        eff = effective_hamiltonian(hq, bra, ket, uc)
+        eff = effective_hamiltonian(hq, 0b11, 0b00)
         assert isinstance(eff, PauliSum) and eff.n_qubits == 2
-        assert_same_operator(SectorHamiltonian(hq, uc).op(bra.bits, ket.bits), eff)
+        assert_same_operator(SectorHamiltonian(hq).op(0b11, 0b00), eff)
 
     def test_zero_pattern(self):
         """A pair is empty when no conjugated term has X part bra XOR ket."""
@@ -267,7 +224,7 @@ class TestSectorHamiltonian:
         }
         absent = [x for x in range(2**n_orb) if x not in x_parts]
         assert absent and 0 in x_parts
-        table = SectorHamiltonian(hq, uc)
+        table = SectorHamiltonian(hq)
         rng = np.random.default_rng(7)
         for x in absent:
             v = int(rng.integers(0, 2**n_orb))
@@ -275,18 +232,25 @@ class TestSectorHamiltonian:
             assert not op and op.keys.shape == (0, 2) and op.coeffs.shape == (0,)
         assert len(table.op(0, 0)) > 0
 
-    def test_conjugates_each_term_once(self):
+    def test_conjugates_each_term_once(self, monkeypatch):
         hq = fixture_hamiltonian("h2o_1.0000")
         n_orb = hq.n_qubits // 2
-        counter = CountingClifford(build_clifford(n_orb))
-        table = SectorHamiltonian(hq, counter)
-        assert counter.conjugations == hq.n_terms
+        conjugated = []
+        conjugate_words = CliffordMap.conjugate_words
+
+        def counting(uc, x, z):
+            conjugated.append(len(x))
+            return conjugate_words(uc, x, z)
+
+        monkeypatch.setattr(CliffordMap, "conjugate_words", counting)
+        table = SectorHamiltonian(hq)
+        assert sum(conjugated) == hq.n_terms
         rng = np.random.default_rng(11)
         for v, w in rng.integers(0, 2**n_orb, size=(300, 2)):
             table.op(int(v), int(w))
         for v in range(2**n_orb):
             table.op(v, v)
-        assert counter.conjugations == hq.n_terms
+        assert sum(conjugated) == hq.n_terms
 
     def test_memoised_per_pair(self):
         table = SectorHamiltonian(fixture_hamiltonian("h2_0.7414"))
@@ -312,29 +276,37 @@ class TestTaperCheck:
     def test_hf_determinant(self):
         n_orb, n_elec = 3, 4
         occ_bits = sum(1 << q for q in range(n_elec))
-        uc = build_clifford(n_orb)
-        cfg, inner = taper_check(StateVector.computational(occ_bits, 2 * n_orb), uc)
-        assert cfg.v == (0, 0, 0)
+        bits, inner = taper_check(StateVector.computational(occ_bits, 2 * n_orb))
+        assert bits == 0b000
         assert np.argmax(np.abs(inner.amplitudes)) == 0b011
 
     def test_roundtrip(self):
         rng = np.random.default_rng(73)
-        n_orb = 3
-        uc = build_clifford(n_orb)
-        cfg = SeniorityConfig((0, 1, 1))
-        full, inner = random_sector_state(rng, cfg, uc)
-        cfg2, inner2 = taper_check(full, uc)
-        assert cfg2 == cfg
-        assert np.allclose(inner2.amplitudes, inner.amplitudes, atol=1e-12)
+        for n_orb in (1, 2, 3, 4, 5):
+            for bits in range(2**n_orb):
+                full, inner = random_sector_state(rng, bits, n_orb)
+                assert full.n_qubits == 2 * n_orb
+                got_bits, got = taper_check(full)
+                assert got_bits == bits and type(got_bits) is int
+                assert np.allclose(got.amplitudes, inner.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("bits", [-1, 8, 9])
+    def test_untaper_bits_out_of_range(self, bits):
+        inner = StateVector.computational(0, 3)
+        with pytest.raises(TaperError, match="outside n_orb=3"):
+            untaper_state(bits, inner)
+
+    def test_odd_register_rejected(self):
+        with pytest.raises(TaperError, match="2\\*n_orb register"):
+            taper_check(StateVector.computational(0, 3))
 
     def test_mixed_configs_rejected(self):
         rng = np.random.default_rng(79)
         n_orb = 2
-        uc = build_clifford(n_orb)
-        full_a, _ = random_sector_state(rng, SeniorityConfig((0, 0)), uc)
-        full_b, _ = random_sector_state(rng, SeniorityConfig((1, 1)), uc)
+        full_a, _ = random_sector_state(rng, 0b00, n_orb)
+        full_b, _ = random_sector_state(rng, 0b11, n_orb)
         mixed = StateVector.from_amplitudes(
             full_a.amplitudes + full_b.amplitudes, 2 * n_orb, normalize=True
         )
         with pytest.raises(TaperError, match="not a seniority eigenstate"):
-            taper_check(mixed, uc)
+            taper_check(mixed)
