@@ -269,6 +269,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         record["relaxation"] = relaxation
     if problem.shots is not None:
         record["shots_total"] = int(sum(sum(v) for v in problem.shots.values()))
+        record["floor_shots"] = problem.floor_shots
 
     # circuit resources over every distinct state pair
     costs = [

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -358,8 +359,9 @@ class FragmentSampler:
     branch B_s per joint outcome s (bit i set when g_i reads -1), with
     probability |B_s|^2 and fragment value sum_j c_j eta_j (-1)^|s & S_j|.
     ``values`` and ``probs`` hold the outcomes of probability above 1e-15
-    in increasing s; each draw samples outcome counts from them, so
-    repeated sampling of the same (state, fragment) pair is cheap.
+    in increasing s.  A draw samples the counts of the distinct values
+    (``distinct_values``, computed once per sampler), so repeated sampling
+    of the same (state, fragment) pair is cheap.
 
     The branches live on the orbit of the state's support under XOR with
     the generators' X bit-words, the only indices a generator can move
@@ -401,10 +403,50 @@ class FragmentSampler:
                 samplers.append(sampler)
         return samplers
 
+    @cached_property
+    def _distinct(self):
+        return distinct_values(self.probs, self.values)
+
     def sample(self, shots: int, rng: np.random.Generator) -> float:
-        """Sample mean of `shots` independent joint outcomes."""
+        """Sample mean of `shots` independent joint outcomes.
+
+        One multinomial call draws the counts of the fragment's distinct
+        values, the row that ``draw_table`` lays out for this sampler.
+        """
         if shots < 1:
             raise SimulatorError("shots must be >= 1")
-        counts = rng.multinomial(shots, self.probs)
-        return float(counts @ self.values) / shots
+        probs, values = self._distinct
+        counts = rng.multinomial(shots, probs)
+        return float(counts @ values) / shots
+
+
+def distinct_values(probs, values):
+    """(probs, values) of the distinct values of an outcome distribution,
+    the most likely first.
+
+    Each value's probability is its outcomes' probabilities summed in
+    outcome order (``np.bincount``); equal probabilities keep increasing
+    value (a stable sort).  Merging the categories of a multinomial gives
+    the multinomial of the merged probabilities, so a sample mean drawn
+    from these entries has the distribution of one drawn from the
+    outcomes, up to the rounding of the sums, and NumPy's draw, one
+    binomial per entry until the shots run out, ends sooner.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    merged = np.bincount(inverse, weights=probs)
+    order = np.argsort(-merged, kind="stable")
+    return merged[order], distinct[order]
+
+
+def draw_table(samplers):
+    """(probs, values): one row per sampler, in order, holding its
+    ``distinct_values`` and zeros beyond them."""
+    rows = [distinct_values(s.probs, s.values) for s in samplers]
+    width = max((len(p) for p, _ in rows), default=1)
+    probs = np.zeros((len(rows), width))
+    values = np.zeros((len(rows), width))
+    for r, (p, v) in enumerate(rows):
+        probs[r, : len(p)] = p
+        values[r, : len(v)] = v
+    return probs, values
 

@@ -47,6 +47,7 @@ from senqse.simulator import (
     _x_groups,
     apply_pauli_sum,
     dense_matrix,
+    draw_table,
     prepare_swap_state,
     rng_for,
 )
@@ -67,8 +68,9 @@ class SubspaceProblem:
     In sampled mode ``first_order_mse`` and ``second_order_bias`` are the
     error the shot table predicts for the ground energy (see MatrixSampler),
     ``elements_at_floor`` counts the sampled elements its error floor
-    binds, and ``exact_c0`` is the ground vector of the exact matrix
-    (``c0`` belongs to the drawn one).
+    binds, ``floor_shots`` is the shots its floors need (more than the
+    budget when they were scaled to fit), and ``exact_c0`` is the ground
+    vector of the exact matrix (``c0`` belongs to the drawn one).
     """
 
     hmat: np.ndarray
@@ -81,6 +83,7 @@ class SubspaceProblem:
     first_order_mse: float | None = None
     second_order_bias: float | None = None
     elements_at_floor: int | None = None
+    floor_shots: int | None = None
     exact_c0: np.ndarray | None = None
 
 
@@ -360,27 +363,30 @@ class MatrixSampler:
 
     Holds the exact classical elements, the per-element fragment samplers,
     and an integer shot table.  On construction it lays the samplers out
-    as one padded table, a row per fragment (plan order, then fragment
-    index) holding that fragment's outcome probabilities and values, zero
-    beyond its own outcomes.  ``draw(seed)`` takes one stream,
-    ``rng_for(seed)``, draws every row's outcome counts from it in one
-    multinomial call, and sums each row's sample mean into its element;
-    a draw is a function of the seed and the table alone.  On
-    construction it also records the error its own table predicts for the
-    ground energy, from the per-element variances sum_alpha sigma_alpha^2
-    / m_alpha: ``first_order_mse`` (the linear part, the quantity
-    ``predicted_mse`` gives at the optimal fragment split) and
-    ``second_order_bias`` (the mean shift, never positive); and
-    ``elements_at_floor``, the number of sampled elements whose shots sit
-    at or below the error floor of ``make_matrix_sampler`` (the elements
-    whose shots the floor, not the error split, decides).  ``spectrum``
-    is the exact matrix's ``np.linalg.eigh``.
+    as one padded table (``simulator.draw_table``), a row per fragment
+    (plan order, then fragment index) holding that fragment's distinct
+    values and their probabilities, the most likely first, zero beyond
+    them.  ``draw(seed)`` takes one stream, ``rng_for(seed)``, draws every
+    row's value counts from it in one multinomial call, and sums each
+    row's sample mean into its element; a draw is a function of the seed
+    and the table alone.  On construction it also records the error its
+    own table predicts for the ground energy, from the per-element
+    variances sum_alpha sigma_alpha^2 / m_alpha: ``first_order_mse`` (the
+    linear part, the quantity ``predicted_mse`` gives at the optimal
+    fragment split) and ``second_order_bias`` (the mean shift, never
+    positive); and ``elements_at_floor``, the number of sampled elements
+    whose shots sit at or below the error floor of ``make_matrix_sampler``
+    (the elements whose shots the floor, not the error split, decides).
+    ``spectrum`` is the exact matrix's ``np.linalg.eigh``; ``floor_shots``
+    is the sum of the floors ``make_matrix_sampler`` set, which may exceed
+    the budget (None on a sampler built from a given table).
     """
 
     exact: np.ndarray
     plan: dict
     shots: dict
     spectrum: tuple = field(repr=False, compare=False)
+    floor_shots: int | None = None
     first_order_mse: float = field(init=False)
     second_order_bias: float = field(init=False)
     elements_at_floor: int = field(init=False)
@@ -403,12 +409,7 @@ class MatrixSampler:
             for e, (key, (samplers, _)) in enumerate(self.plan.items())
             for sampler, m in zip(samplers, self.shots[key])
         ]
-        width = max((len(s.probs) for _, s, _ in rows), default=1)
-        self._probs = np.zeros((len(rows), width))
-        self._values = np.zeros((len(rows), width))
-        for r, (_, sampler, _) in enumerate(rows):
-            self._probs[r, : len(sampler.probs)] = sampler.probs
-            self._values[r, : len(sampler.values)] = sampler.values
+        self._probs, self._values = draw_table([s for _, s, _ in rows])
         self._row_shots = np.array([m for _, _, m in rows], dtype=np.int64)
         self._row_element = np.array([e for e, _, _ in rows], dtype=np.int64)
         keys = np.array(list(self.plan), dtype=np.int64).reshape(-1, 2)
@@ -571,14 +572,20 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     for i in np.argsort(elem - m, kind="stable")[: max(short, 0)]:
         elem[i] += 1
     shots.update({k: _integer_split(int(e), plan[k][1]) for k, e in zip(keys, elem)})
-    sampler = MatrixSampler(exact=exact, plan=plan, shots=shots, spectrum=spectrum)
+    sampler = MatrixSampler(
+        exact=exact,
+        plan=plan,
+        shots=shots,
+        spectrum=spectrum,
+        floor_shots=int(floor.sum()),
+    )
     if scaled:
         log.warning(
             "shot budget %d is below the %d shots the error floors need; "
             "floors scaled to fit, so the bias bound is not enforced: "
             "|B|/sqrt(F) = %.3f against BIAS_KAPPA = %g",
             total_shots,
-            int(floor.sum()),
+            sampler.floor_shots,
             abs(sampler.second_order_bias) / np.sqrt(sampler.first_order_mse),
             BIAS_KAPPA,
         )
@@ -650,6 +657,7 @@ def build_subspace(
             first_order_mse=sampler.first_order_mse,
             second_order_bias=sampler.second_order_bias,
             elements_at_floor=sampler.elements_at_floor,
+            floor_shots=sampler.floor_shots,
             exact_c0=np.asarray(ground_state(sampler.exact)[1]),
         )
     else:

@@ -326,10 +326,14 @@ class TestRun:
         basis = parse_basis((out / f"{rec['label']}.basis.txt").read_text())
         engine = SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec)
         sampler = make_matrix_sampler(engine, cfg.shots)
-        # one state: no gap, so no error floor
+        # one state: no gap, so no error floor beyond one shot per fragment
         assert rec["elements_at_floor"] == sampler.elements_at_floor == 0
+        fragments = sum(len(sigs) for _, sigs in sampler.plan.values() if sum(sigs) > 0)
+        assert rec["floor_shots"] == sampler.floor_shots == fragments > 0
+        assert rec["shots_total"] == cfg.shots
         exact = run(replace(cfg, mode="exact", out_dir=str(tmp_path / "exact")))
         assert "elements_at_floor" not in exact["geometries"][0]
+        assert "floor_shots" not in exact["geometries"][0]
 
     def test_sampled_cost_report_from_one_plan(self, tmp_path, monkeypatch):
         # the cost report reuses the sampled build's plan and exact skeleton

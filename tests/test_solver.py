@@ -29,6 +29,7 @@ from senqse.fermion import (
 )
 from senqse.measure import allocate_and_score, predicted_mse
 from senqse.pauli import PauliSum
+from senqse.simulator import distinct_values, draw_table
 from senqse.solver import (
     BIAS_KAPPA,
     FLOOR_KAPPA,
@@ -634,6 +635,7 @@ class TestShotTable:
         (record,) = [r for r in caplog.records if "floors scaled" in r.getMessage()]
         message = record.getMessage()
         assert "below the 24875 shots" in message
+        assert sampler.floor_shots == 24875
         assert f"|B|/sqrt(F) = {ratio:.3f} against BIAS_KAPPA = {BIAS_KAPPA:g}" in message
 
 
@@ -655,7 +657,7 @@ class TestMatrixDraws:
 
             def multinomial(self, n, pvals):
                 counts = self.rng.multinomial(n, pvals)
-                drawn.append(counts)
+                drawn.append((counts, pvals))
                 return counts
 
         def counted(*key):
@@ -669,28 +671,54 @@ class TestMatrixDraws:
         assert not np.array_equal(h2o_sampler.draw(18), h)
         assert len(streams) == 3
 
-        # one row per fragment, in plan order and then fragment order
-        counts = drawn[0]
+        # one row per fragment, in plan order and then fragment order, each
+        # holding that fragment's distinct values and zeros beyond them
+        counts, pvals = drawn[0]
         rows = [
             (key, s, m)
             for key, (samplers, _) in h2o_sampler.plan.items()
             for s, m in zip(samplers, h2o_sampler.shots[key])
         ]
+        merged = [distinct_values(s.probs, s.values) for _, s, _ in rows]
+        assert counts.shape == pvals.shape
         assert counts.shape[0] == len(rows) == 1030
-        assert counts.shape[1] == max(len(s.values) for _, s, _ in rows)
+        assert counts.shape[1] == max(len(v) for _, v in merged)
         expected = {}
-        for row, (key, s, m) in zip(counts, rows):
-            width = len(s.values)
+        for row, p, (key, _, m), (probs, values) in zip(counts, pvals, rows, merged):
+            width = len(values)
+            assert np.array_equal(p[:width], probs)
+            assert not p[width:].any()
             assert row.sum() == m
             assert not row[width:].any()
-            expected[key] = expected.get(key, 0.0) + row[:width] @ s.values / m
-        assert any(len(s.values) < counts.shape[1] for _, s, _ in rows)
+            expected[key] = expected.get(key, 0.0) + row[:width] @ values / m
+        assert any(len(v) < counts.shape[1] for _, v in merged)
         for (mu, nu), value in expected.items():
             assert h[mu, nu] == h[nu, mu] == pytest.approx(value, abs=1e-12)
         sampled = np.zeros(h.shape, dtype=bool)
         for mu, nu in expected:
             sampled[mu, nu] = sampled[nu, mu] = True
         assert np.array_equal(h[~sampled], h2o_sampler.exact[~sampled])
+
+    def test_rows_hold_distinct_values(self, h2o_sampler):
+        samplers = [s for samplers, _ in h2o_sampler.plan.values() for s in samplers]
+        probs, values = draw_table(samplers)
+        assert len(probs) == len(samplers)
+        for p_row, v_row, s in zip(probs, values, samplers):
+            width = len(np.unique(s.values))
+            p, v = p_row[:width], v_row[:width]
+            assert not p_row[width:].any() and not v_row[width:].any()
+            assert sorted(v.tolist()) == sorted(set(s.values.tolist()))
+            assert np.all(np.diff(p) <= 0.0)
+            for value, prob in zip(v, p):
+                summed = 0.0
+                for outcome_p, outcome_v in zip(s.probs, s.values):
+                    if outcome_v == value:
+                        summed += outcome_p
+                assert prob == summed
+            mean = p @ v
+            assert mean == pytest.approx(s.mean, abs=1e-12)
+            var = s.probs @ (s.values - s.mean) ** 2
+            assert p @ (v - mean) ** 2 == pytest.approx(var, abs=1e-12)
 
     def test_one_eigensolve_per_sampler(self, h2o, h2o_hq, h2o_sampler, monkeypatch):
         # the table and the sampler's predicted error share one eigh of the
