@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -360,8 +359,8 @@ class FragmentSampler:
     probability |B_s|^2 and fragment value sum_j c_j eta_j (-1)^|s & S_j|.
     ``values`` and ``probs`` hold the outcomes of probability above 1e-15
     in increasing s.  A draw samples the counts of the distinct values
-    (``distinct_values``, computed once per sampler), so repeated sampling
-    of the same (state, fragment) pair is cheap.
+    (``distinct_values``), so repeated sampling of the same (state,
+    fragment) pair is cheap.
 
     The branches live on the orbit of the state's support under XOR with
     the generators' X bit-words, the only indices a generator can move
@@ -403,10 +402,6 @@ class FragmentSampler:
                 samplers.append(sampler)
         return samplers
 
-    @cached_property
-    def _distinct(self):
-        return distinct_values(self.probs, self.values)
-
     def sample(self, shots: int, rng: np.random.Generator) -> float:
         """Sample mean of `shots` independent joint outcomes.
 
@@ -415,7 +410,7 @@ class FragmentSampler:
         """
         if shots < 1:
             raise SimulatorError("shots must be >= 1")
-        probs, values = self._distinct
+        probs, values = distinct_values(self.probs, self.values)
         counts = rng.multinomial(shots, probs)
         return float(counts @ values) / shots
 

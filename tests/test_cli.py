@@ -99,7 +99,7 @@ class TestConfig:
 
     def test_config_file_blank_and_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("\n# a comment line\nmethod = pt\n   \n\nshots = 7\n")
+        path.write_text("\n# a comment line\nmethod = pt\n   \n\t\n\nshots = 7\n \n")
         assert parse_config_file(str(path)) == {"method": "pt", "shots": 7}
 
     def test_unknown_key_rejected(self, tmp_path):

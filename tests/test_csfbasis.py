@@ -612,7 +612,7 @@ class TestSerialization:
     def test_blank_lines_skipped(self, h2o, h2o_hq):
         basis = select_basis_pt(h2o, h2o_hq, default_selection_params(h2o))[:3]
         records = serialize_basis(basis).splitlines()
-        assert parse_basis("\n" + "\n  \n".join(records) + "\n\n") == basis
+        assert parse_basis("\n" + "\n  \n \t\n".join(records) + "\n\n") == basis
 
     def test_roundtrip_preserves_theta_exactly(self):
         b = BasisState(

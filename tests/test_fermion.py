@@ -119,7 +119,7 @@ class TestParse:
 
     def test_blank_record_lines_skipped(self):
         header, _, records = MINIMAL_H2.partition("&END")
-        ints = parse_fcidump(header + "&END\n\n" + records.replace("\n", "\n   \n"))
+        ints = parse_fcidump(header + "&END\n\n" + records.replace("\n", "\n   \n\t\n"))
         ref = parse_fcidump(MINIMAL_H2)
         assert np.array_equal(ints.h, ref.h) and np.array_equal(ints.g, ref.g)
         assert ints.e_core == ref.e_core
