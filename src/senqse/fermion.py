@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import PauliError, PauliProduct, PauliSum
+from senqse.pauli import PauliError, PauliSum
 
 log = logging.getLogger(__name__)
 
@@ -199,38 +199,6 @@ def write_fcidump(ints: FermionIntegrals, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def jw_ladder(mode: int, dagger: bool, n_modes: int) -> PauliSum:
-    """Jordan-Wigner image of a single ladder operator on `mode`.
-
-    a_p   = Z_0..Z_{p-1} (X_p + iY_p)/2
-    a_p^+ = Z_0..Z_{p-1} (X_p - iY_p)/2
-    """
-    zstring = (1 << mode) - 1
-    out = PauliSum(n_modes)
-    out.add_term(1 << mode, zstring, 0.5)
-    p = PauliProduct(n_modes, 1 << mode, zstring | (1 << mode))
-    sign = -1j if dagger else 1j
-    out.add_term(p.x_bits, p.z_bits, 0.5 * sign * p.phase)
-    return out
-
-
-def jw_operator(ops, n_modes: int, coeff: complex = 1.0) -> PauliSum:
-    """JW image of coeff * prod of ladder ops, leftmost first.
-
-    `ops` is a sequence of (mode, dagger) pairs in operator order, e.g.
-    [(p, True), (q, False)] for a_p^+ a_q.
-    """
-    out = PauliSum(n_modes, {(0, 0): coeff})
-    for mode, dagger in ops:
-        out = out * jw_ladder(mode, dagger, n_modes)
-    return out
-
-
-def spin_orbital(p: int, spin: int) -> int:
-    """Qubit index of spatial orbital p with spin 0 (up) or 1 (down)."""
-    return 2 * p + spin
-
-
 # integrals per block of jordan_wigner, each up to four spin-orbital
 # products; bounds its scratch memory
 BLOCK_INTEGRALS = 32
@@ -248,13 +216,14 @@ _TWO_BODY_SPINS = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 
 def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray):
     """JW strings of coeffs[b] * prod_k ladder(modes[b, k], daggers[k]) per row b.
 
-    Takes the ladder-by-ladder product of ``jw_operator`` on a whole block
-    at once: row b holds its strings in the order that product emits them,
-    lexicographic in the X/Y choice of each ladder with the first ladder
-    most significant.  A mode may appear twice, as a creator and as an
-    annihilator; two choices that then land on one string are merged into
-    the earlier one at the ladder where they meet, so every sum is taken
-    in the order the product takes it.
+    Takes the ladder-by-ladder product of ``jw_operator`` (in
+    ``tests/oracles.py``) on a whole block at once: row b holds its
+    strings in the order that product emits them, lexicographic in the X/Y
+    choice of each ladder with the first ladder most significant.  A mode
+    may appear twice, as a creator and as an annihilator; two choices that
+    then land on one string are merged into the earlier one at the ladder
+    where they meet, so every sum is taken in the order the product takes
+    it.
     Returns the x bits per row, and the z bits, coefficients and live mask
     per row and string; merged-away strings are dead.
     """
@@ -266,7 +235,7 @@ def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray):
     alive = np.ones((rows, 1), dtype=bool)
     for k, dagger in enumerate(daggers):
         bit = one << modes[:, k].astype(np.uint64)
-        # jw_ladder's two strings, 0.5 X and -0.5i Y (a+) or +0.5i Y (a),
+        # a ladder's two strings, 0.5 X and -0.5i Y (a+) or +0.5i Y (a),
         # each times the Z string below the mode
         z2 = np.stack([bit - one, (bit - one) | bit], axis=1)[:, None, :]
         x3 = x ^ bit
@@ -349,63 +318,9 @@ def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
     return out
 
 
-def number_operator(n_orb: int) -> PauliSum:
-    """Total electron number N = sum_q (1 - Z_q)/2 on 2*n_orb qubits."""
-    nq = 2 * n_orb
-    out = PauliSum(nq, {(0, 0): nq / 2})
-    for q in range(nq):
-        out.add_term(0, 1 << q, -0.5)
-    return out
-
-
-def sz_operator(n_orb: int) -> PauliSum:
-    """S_z = (N_up - N_down)/2 on 2*n_orb qubits."""
-    out = PauliSum(2 * n_orb)
-    for p in range(n_orb):
-        out.add_term(0, 1 << (2 * p), -0.25)
-        out.add_term(0, 1 << (2 * p + 1), 0.25)
-    return out
-
-
-def spin_squared_operator(n_orb: int) -> PauliSum:
-    """S^2 = S-S+ + Sz(Sz + 1) on 2*n_orb qubits."""
-    nq = 2 * n_orb
-    splus = PauliSum(nq)
-    for p in range(n_orb):
-        splus = splus + jw_operator(
-            [(spin_orbital(p, 0), True), (spin_orbital(p, 1), False)], nq
-        )
-    sminus = PauliSum(nq)
-    for p in range(n_orb):
-        sminus = sminus + jw_operator(
-            [(spin_orbital(p, 1), True), (spin_orbital(p, 0), False)], nq
-        )
-    sz = sz_operator(n_orb)
-    one = PauliSum(nq, {(0, 0): 1.0})
-    return (sminus * splus + sz * (sz + one)).simplify().chop_imag()
-
-
-def total_seniority_operator(n_orb: int) -> PauliSum:
-    """Number of unpaired electrons: sum_i (1 - Z_2i Z_2i+1)/2."""
-    out = PauliSum(2 * n_orb, {(0, 0): n_orb / 2})
-    for i in range(n_orb):
-        out.add_term(0, (1 << (2 * i)) | (1 << (2 * i + 1)), -0.5)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reference quantities and orbital rotations
 # ---------------------------------------------------------------------------
-
-
-def hf_energy(ints: FermionIntegrals) -> float:
-    """Closed-shell determinant energy from the stored integrals."""
-    occ = range(ints.n_occ)
-    e = ints.e_core + 2.0 * sum(ints.h[i, i] for i in occ)
-    for i in occ:
-        for j in occ:
-            e += 2.0 * ints.g[i, i, j, j] - ints.g[i, j, j, i]
-    return float(e)
 
 
 def orbital_energies(ints: FermionIntegrals) -> np.ndarray:

@@ -12,18 +12,18 @@ term-by-term loop over the whole register.
 Shot sampling of a commuting fragment reads its independent generators,
 as a measurement after a diagonalizing Clifford would: every term is a
 signed product of generators, so one joint outcome of the generators fixes
-the value of every term and of their weighted sum.  The outcome
-distribution comes from projecting the state onto each generator's +-1
-eigenspaces in turn, with no dense matrix and no eigensolve, and the
-sample mean is an unbiased estimator of the fragment expectation value.
-The branches are kept only on the orbit of the state's support under the
-generators' X flips, where all their nonzero amplitudes lie, so the
-distribution is bit-for-bit that of full-register branches.  The states
-that measure one fragment are branched as one stack on the orbit of their
-joint support: the elimination and the generator table are built once,
-each state's rows hold exact zeros off its own orbit, and each state's
-values and mean are taken from its own rows alone, so every state gets
-the bits it would get by itself.
+the value of every term and of their weighted sum, and the sample mean is
+an unbiased estimator of the fragment expectation value.  That Clifford is
+a Hadamard layer over the span of the generators' X words (Aaronson and
+Gottesman 2004), so the outcome distribution has a closed form with no
+dense matrix and no eigensolve: on each coset of that span that meets the
+state's support, one Walsh-Hadamard transform of the state's phased
+amplitudes weighs every outcome of the generators with X words, and the
+diagonal ones read one value on the whole coset.  The states that measure
+one fragment are transformed as one stack: the elimination and the product
+table are built once, each state's entries hold exact zeros off its own
+cosets, and each state's values and mean are taken from its own entries
+alone, so every state gets the bits it would get by itself.
 """
 
 from __future__ import annotations
@@ -292,59 +292,112 @@ def _generators(fragment: PauliSum):
     return gens, np.array(masks, dtype=np.int64), np.array(coeffs)
 
 
-def _branch_stack(states, gens, masks, coeffs) -> list:
-    """(probs, values, mean) of each state, from one branching pass.
+def _coset_basis(gens):
+    """The generators' group rewritten for the coset transform.
 
-    The branches of every state live on the orbit of the union of their
-    supports, each row tagged with the state it came from, and are split
-    on each generator together; one stable sort by (state, outcome) then
-    hands each state its own rows in increasing outcome.
+    Walked in order, each generator g_i is multiplied by the earlier h_j
+    whose X pivot (highest bit) it holds, so h_i = g_i prod_{j in R_i} h_j
+    has an X word independent of those before it, or none.  As the h
+    commute and square to one, g_i = h_i prod_{j in R_i} h_j, so bit i of
+    the outcome s is the XOR of the readings of the h_j, j in {i} + R_i,
+    and s = flips[t] ^ diag_outcomes[u] for the returned
+    (xs, products, flips, diagonal, diag_outcomes):
+
+    - xs: the X words of the r h with one, in order;
+    - products: (keys, coefficients) of their 2**r products
+      h^b = prod_{a in b} h_a, each +-sigma(x, z);
+    - flips[t]: the outcome when the a-th of them reads (-1)**t_a;
+    - diagonal: (z, 1 if the sign is -1) of each other h = +-Z^z;
+    - diag_outcomes[u]: the outcome when the c-th of those reads (-1)**u_c.
     """
-    index = np.arange(2 ** states[0].n_qubits, dtype=np.uint64)
+    rows, cols = [], []
+    for i, (x, z) in enumerate(gens):
+        sign = 1.0
+        cols.append(1 << i)
+        for j, (rx, rz, rsign) in enumerate(rows):
+            if rx and x >> (rx.bit_length() - 1) & 1:
+                # commuting Hermitian products: 0 or 2 quarter turns
+                sign *= -rsign if product_phase(x, z, rx, rz) else rsign
+                x, z = x ^ rx, z ^ rz
+                cols[j] ^= 1 << i
+        rows.append((x, z, sign))
+    table, flips, diagonal, diag_outcomes = [((0, 0), 1.0)], [0], [], [0]
+    for (x, z, sign), col in zip(rows, cols):
+        if x:
+            table += [
+                ((bx ^ x, bz ^ z), (-sign if product_phase(bx, bz, x, z) else sign) * c)
+                for (bx, bz), c in table
+            ]
+            flips += [s ^ col for s in flips]
+        else:
+            diagonal.append((z, int(sign < 0)))
+            diag_outcomes += [s ^ col for s in diag_outcomes]
+    xs = [x for x, _, _ in rows if x]
+    return xs, _term_arrays(table), np.array(flips), diagonal, np.array(diag_outcomes)
+
+
+def _coset_weights(states, xs, products):
+    """(reps, weights): the cosets of span(xs) that meet the states' joint
+    support, each named by its member with every X pivot bit clear, in
+    increasing order, and weights[state, t, coset], the weight of the h
+    with X words reading (-1)**t there: one Walsh-Hadamard transform of
+    <j0|h^b|psi> over b, squared, over 2**r."""
+    index = np.arange(len(states[0].amplitudes), dtype=np.uint64)
     inside = np.zeros(len(index), dtype=bool)
     for state in states:
         inside |= state.amplitudes != 0
-    for x, _ in gens:
+    pivots = np.uint64(0)
+    for x in xs:
         inside |= inside[index ^ np.uint64(x)]
-    orbit = index[inside]
-    pos = np.zeros(len(index), dtype=np.intp)
-    pos[orbit] = np.arange(len(orbit))
-    src, coef = _term_table(*_term_arrays([(g, 1.0) for g in gens]), orbit)
-    cols = pos[src]
-    branches = np.array([state.amplitudes[orbit] for state in states])
-    owner = np.arange(len(states))
-    outcomes = np.zeros(len(states), dtype=np.int64)
-    probs = np.ones(len(states))
-    for i in range(len(gens)):
-        # (B + gB) / 2 over (B - gB) / 2, with gB built in the lower half
-        # so that the split holds no other scratch array
-        rows = len(branches)
-        split = np.empty((2 * rows, len(orbit)), dtype=complex)
-        np.multiply(coef[i], branches[:, cols[i]], out=split[rows:])
-        np.add(branches, split[rows:], out=split[:rows])
-        np.subtract(branches, split[rows:], out=split[rows:])
-        branches = np.multiply(0.5, split, out=split)
-        outcomes = np.concatenate([outcomes, outcomes | 1 << i])
-        owner = np.concatenate([owner, owner])
-        probs = np.einsum("ij,ij->i", branches.conj(), branches).real
-        # a branch at or below the cut has no descendant above it
-        live = probs > 1e-15
-        branches, outcomes, owner, probs = (
-            branches[live],
-            outcomes[live],
-            owner[live],
-            probs[live],
-        )
-    order = np.lexsort((outcomes, owner))
-    outcomes, owner, probs = outcomes[order], owner[order], probs[order]
-    bounds = np.searchsorted(owner, np.arange(len(states) + 1))
+        pivots |= np.uint64(1 << (x.bit_length() - 1))
+    reps = index[inside & ((index & pivots) == 0)]
+    src, coef = _term_table(*products, reps)
+    amps = np.array([state.amplitudes[src] for state in states])
+    amps *= coef
+    for a in range(len(xs)):
+        # butterfly on bit a of b
+        pairs = amps.reshape(len(states), -1, 2, 2**a, len(reps))
+        low = pairs[:, :, 0] + pairs[:, :, 1]
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=pairs[:, :, 1])
+        pairs[:, :, 0] = low
+    weights = amps.real**2
+    weights += amps.imag**2
+    weights /= len(coef)
+    return reps, weights
+
+
+def _coset_stack(states, basis, masks, coeffs) -> list:
+    """(probs, values, mean) of each state, one transform per coset.
+
+    Each (coset, t) is mapped to its outcome s and each state's weights are
+    summed per s over the cosets in increasing order, so its entries off
+    its own cosets add +0 to every sum.
+    """
+    xs, products, flips, diagonal, diag_outcomes = basis
+    reps, weights = _coset_weights(states, xs, products)
+    # u: bit c set when the c-th diagonal h reads -1 on the coset
+    u = np.zeros(len(reps), dtype=np.int64)
+    for c, (z, flipped) in enumerate(diagonal):
+        reads = np.bitwise_count(reps & np.uint64(z)) & np.uint64(1)
+        u |= (reads.astype(np.int64) ^ flipped) << c
+    present = np.zeros(len(diag_outcomes), dtype=bool)
+    present[u] = True
+    seen = np.flatnonzero(present)
+    group = np.zeros(len(diag_outcomes), dtype=np.intp)
+    group[seen] = np.arange(len(seen))
+    index = (group[u] * len(flips) + np.arange(len(flips))[:, None]).ravel()
+    outcomes = (diag_outcomes[seen, None] ^ flips).ravel()
+    order = np.argsort(outcomes, kind="stable")
+    outcomes = outcomes[order]
     out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for state_weights in weights.reshape(len(states), -1):
+        row = np.bincount(index, state_weights, len(outcomes))[order]
+        live = row > 1e-15
         # one product per state: BLAS rounding depends on the operand shape
-        signs = np.bitwise_count(outcomes[lo:hi, None] & masks) & 1
+        signs = np.bitwise_count(outcomes[live, None] & masks) & 1
         values = (1.0 - 2.0 * signs) @ coeffs
-        state_probs = probs[lo:hi] / probs[lo:hi].sum()
-        out.append((state_probs, values, float(values @ state_probs)))
+        probs = row[live] / row[live].sum()
+        out.append((probs, values, float(values @ probs)))
     return out
 
 
@@ -354,32 +407,35 @@ class FragmentSampler:
     The fragment's terms are walked in order and each term independent of
     those before it (by GF(2) elimination on its symplectic bits) becomes
     a generator g_i; every term is then eta_j prod_{i in S_j} g_i with
-    eta_j = +-1.  Splitting the state on each generator in turn gives one
-    branch B_s per joint outcome s (bit i set when g_i reads -1), with
-    probability |B_s|^2 and fragment value sum_j c_j eta_j (-1)^|s & S_j|.
-    ``values`` and ``probs`` hold the outcomes of probability above 1e-15
-    in increasing s.  A draw samples the counts of the distinct values
-    (``distinct_values``), so repeated sampling of the same (state,
-    fragment) pair is cheap.
+    eta_j = +-1.  A joint outcome s (bit i set when g_i reads -1) has
+    probability <psi| prod_i (1 + (-1)^s_i g_i) / 2 |psi> and fragment
+    value sum_j c_j eta_j (-1)^|s & S_j|.  ``values`` and ``probs`` hold
+    the outcomes of probability above 1e-15 in increasing s.  A draw
+    samples the counts of the distinct values (the sampler's row of
+    ``draw_table``), so repeated sampling of the same (state, fragment)
+    pair is cheap.
 
-    The branches live on the orbit of the state's support under XOR with
-    the generators' X bit-words, the only indices a generator can move
-    amplitude to; a seniority-sector state reaches a small part of the
-    register.  Every branch amplitude outside the orbit is exactly zero, the
-    kept ones go through the same operations in the same order as on the
-    full register, and each probability is summed along its row in index
-    order, so leaving out the exact zeros changes no bit of the result.
+    The probabilities are the closed form of the measurement after a
+    diagonalizing Clifford, a Hadamard layer over the span of the X words.
+    A second elimination, on the X words alone, rewrites the group on r
+    generators h_a with independent X words and k - r diagonal ones
+    (``_coset_basis``).  The register splits into cosets j0 + span(x_h).
+    On each, the amplitudes <j0|h^b|psi> of the 2**r products h^b go
+    through one Walsh-Hadamard transform, whose entry t squared over 2**r
+    is the weight of the h_a reading (-1)^t_a there; every diagonal h reads
+    one value on the whole coset.  Each (coset, t) is mapped back to its s,
+    and the weights are summed per s over the cosets that meet the state's
+    support: O(orbit * r) work per state, with no dense matrix, no
+    eigensolve and no branch vectors.
 
     ``stack`` builds the samplers of one fragment on many states with one
-    elimination, and per chunk of states one orbit (of the union of their
-    supports), one generator table and one branching pass over all their
-    rows.  A state's rows hold exact zeros off its own orbit, so each of
-    them gets the bits it would get alone; its values and mean are then
-    taken from its own rows only, as on one state, because a matrix
-    product's rounding depends on the operand shape.  ``stack_chunks`` cuts
-    the states so that a chunk holds at most
-    BLOCK_AMPLITUDES // (2**generators * 2**n) of them, at least one, which
-    bounds the branch memory.
+    elimination and one product table, and per chunk of states
+    (``stack_chunks``: at most BLOCK_AMPLITUDES // 2**n states, at least
+    one) one transform over the cosets of the union of their supports.  A
+    state's entries off its own cosets are exact zeros, so each state gets
+    the bits it would get alone; its values and mean are then taken from
+    its own entries only, as on one state, because a matrix product's
+    rounding depends on the operand shape.
     """
 
     def __init__(self, state: StateVector, fragment: PauliSum):
@@ -394,9 +450,10 @@ class FragmentSampler:
         if fragment.max_imag() > 1e-10:
             raise SimulatorError("fragment must be Hermitian (real coefficients)")
         gens, masks, coeffs = _generators(fragment)
+        basis = _coset_basis(gens)
         samplers = []
-        for chunk in stack_chunks(states, 2 ** (len(gens) + fragment.n_qubits)):
-            for probs, values, mean in _branch_stack(chunk, gens, masks, coeffs):
+        for chunk in stack_chunks(states, 2**fragment.n_qubits):
+            for probs, values, mean in _coset_stack(chunk, basis, masks, coeffs):
                 sampler = cls.__new__(cls)
                 sampler.probs, sampler.values, sampler.mean = probs, values, mean
                 samplers.append(sampler)
@@ -410,38 +467,61 @@ class FragmentSampler:
         """
         if shots < 1:
             raise SimulatorError("shots must be >= 1")
-        probs, values = distinct_values(self.probs, self.values)
+        [probs], [values] = draw_table([self])
         counts = rng.multinomial(shots, probs)
         return float(counts @ values) / shots
 
 
-def distinct_values(probs, values):
-    """(probs, values) of the distinct values of an outcome distribution,
-    the most likely first.
+# samplers per block of draw_table's grouping pass; bounds its scratch memory
+DRAW_BLOCK = 64
 
-    Each value's probability is its outcomes' probabilities summed in
-    outcome order (``np.bincount``); equal probabilities keep increasing
-    value (a stable sort).  Merging the categories of a multinomial gives
-    the multinomial of the merged probabilities, so a sample mean drawn
-    from these entries has the distribution of one drawn from the
-    outcomes, up to the rounding of the sums, and NumPy's draw, one
-    binomial per entry until the shots run out, ends sooner.
+
+def _distinct_entries(samplers):
+    """(widths, probs, values): how many distinct values each sampler has,
+    and those values with their probabilities, in table order: by sampler,
+    then most likely first, then increasing value.
+
+    One stable lexsort by (row, value) keeps each (row, value) group's
+    outcomes in outcome order, one ``np.bincount`` sums them in that order,
+    and one lexsort by (row, -probability, value) orders the groups.
     """
-    distinct, inverse = np.unique(values, return_inverse=True)
-    merged = np.bincount(inverse, weights=probs)
-    order = np.argsort(-merged, kind="stable")
-    return merged[order], distinct[order]
+    lengths = [len(s.values) for s in samplers]
+    rows = np.repeat(np.arange(len(samplers)), lengths)
+    values = np.concatenate([s.values for s in samplers])
+    order = np.lexsort((values, rows))
+    rows, values = rows[order], values[order]
+    probs = np.concatenate([s.probs for s in samplers])[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (values[1:] != values[:-1])
+    # group g + 1 for the g-th (row, value) pair; bin 0 stays empty
+    probs = np.bincount(np.cumsum(first), probs)[1:]
+    rows, values = rows[first], values[first]
+    entries = np.lexsort((values, -probs, rows))
+    return np.bincount(rows, minlength=len(samplers)), probs[entries], values[entries]
 
 
 def draw_table(samplers):
-    """(probs, values): one row per sampler, in order, holding its
-    ``distinct_values`` and zeros beyond them."""
-    rows = [distinct_values(s.probs, s.values) for s in samplers]
-    width = max((len(p) for p, _ in rows), default=1)
-    probs = np.zeros((len(rows), width))
-    values = np.zeros((len(rows), width))
-    for r, (p, v) in enumerate(rows):
-        probs[r, : len(p)] = p
-        values[r, : len(v)] = v
-    return probs, values
+    """(probs, values): one row per sampler, in order, holding its distinct
+    values, the most likely first, and zeros beyond them.
 
+    Each value's probability is its outcomes' probabilities summed in
+    outcome order; equal probabilities keep increasing value.  Merging the
+    categories of a multinomial gives the multinomial of the merged
+    probabilities, so a sample mean drawn from a row has the distribution
+    of one drawn from the outcomes, up to the rounding of the sums, and
+    NumPy's draw, one binomial per entry until the shots run out, ends
+    sooner.  The rows are grouped DRAW_BLOCK samplers at a time
+    (``_distinct_entries``) and laid out row by row.
+    """
+    if not samplers:
+        return np.zeros((0, 1)), np.zeros((0, 1))
+    blocks = (
+        _distinct_entries(samplers[start : start + DRAW_BLOCK])
+        for start in range(0, len(samplers), DRAW_BLOCK)
+    )
+    widths, probs, values = map(np.concatenate, zip(*blocks))
+    filled = np.arange(widths.max()) < widths[:, None]
+    table_probs, table_values = np.zeros(filled.shape), np.zeros(filled.shape)
+    # a boolean mask fills in row-major order, the order of the entries
+    table_probs[filled], table_values[filled] = probs, values
+    return table_probs, table_values

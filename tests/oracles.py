@@ -4,8 +4,9 @@ Everything here is built directly from 2x2 matrices with numpy.kron and
 never calls into the package's operator algebra, so it can serve as an
 independent reference for it.  The exceptions are the direct term-by-term
 loops that the package's fast paths replace, kept as references that must
-agree with them exactly: ``DictSectorTable`` (``taper.SectorHamiltonian``,
-with ``per_gate_conjugate`` for ``CliffordMap.conjugate_words`` and
+agree with them exactly unless a tolerance is named: ``DictSectorTable``
+(``taper.SectorHamiltonian``, with ``per_gate_conjugate`` for
+``CliffordMap.conjugate_words`` and
 ``left_factor_element`` for its table of bra-ket factors),
 ``bitwise_taper`` (``csfbasis.make_csf_tapered``'s reading of the
 tapering Clifford), ``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
@@ -14,13 +15,19 @@ pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
 ``coo_csr_sector_matrix`` (``solver``'s dense sector assembly),
-``dense_branch_sampler`` (``simulator.FragmentSampler``),
-``per_element_plan`` (``SubspaceEngine.sampling_plan``, with its
+``dense_branch_sampler`` and ``per_state_sampler`` (the per-generator
+branching that ``simulator.FragmentSampler``'s coset transform replaced:
+the same outcomes and values, probabilities and means to 1e-14),
+``per_element_plan`` (``SubspaceEngine.sampling_plan``, with
 ``per_state_sampler`` and ``per_state_variance``),
+``distinct_values`` (one row of ``simulator.draw_table``),
 ``reference_sorted_insertion`` (``measure.sorted_insertion``, whose
 fragments ``reconstruct`` sums back to the source operator) and
 ``golden_section_line_search`` (``solver._periodic_line_search``, which
-need only match or beat it).  Qubit q
+need only match or beat it).  The operators that only tests use,
+``jw_ladder``, ``jw_operator``, ``spin_orbital``, ``number_operator``,
+``sz_operator``, ``spin_squared_operator``, ``total_seniority_operator``,
+and ``hf_energy``, are built with the package's ``PauliSum`` too.  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
@@ -413,6 +420,104 @@ def product_by_product_mul(a, b):
     return out
 
 
+def jw_ladder(mode: int, dagger: bool, n_modes: int):
+    """Jordan-Wigner image of a single ladder operator on `mode`.
+
+    a_p   = Z_0..Z_{p-1} (X_p + iY_p)/2
+    a_p^+ = Z_0..Z_{p-1} (X_p - iY_p)/2
+    """
+    from senqse.pauli import PauliProduct, PauliSum
+
+    zstring = (1 << mode) - 1
+    out = PauliSum(n_modes)
+    out.add_term(1 << mode, zstring, 0.5)
+    p = PauliProduct(n_modes, 1 << mode, zstring | (1 << mode))
+    sign = -1j if dagger else 1j
+    out.add_term(p.x_bits, p.z_bits, 0.5 * sign * p.phase)
+    return out
+
+
+def jw_operator(ops, n_modes: int, coeff: complex = 1.0):
+    """JW image of coeff * prod of ladder ops, leftmost first.
+
+    `ops` is a sequence of (mode, dagger) pairs in operator order, e.g.
+    [(p, True), (q, False)] for a_p^+ a_q.
+    """
+    from senqse.pauli import PauliSum
+
+    out = PauliSum(n_modes, {(0, 0): coeff})
+    for mode, dagger in ops:
+        out = out * jw_ladder(mode, dagger, n_modes)
+    return out
+
+
+def spin_orbital(p: int, spin: int) -> int:
+    """Qubit index of spatial orbital p with spin 0 (up) or 1 (down)."""
+    return 2 * p + spin
+
+
+def number_operator(n_orb: int):
+    """Total electron number N = sum_q (1 - Z_q)/2 on 2*n_orb qubits."""
+    from senqse.pauli import PauliSum
+
+    nq = 2 * n_orb
+    out = PauliSum(nq, {(0, 0): nq / 2})
+    for q in range(nq):
+        out.add_term(0, 1 << q, -0.5)
+    return out
+
+
+def sz_operator(n_orb: int):
+    """S_z = (N_up - N_down)/2 on 2*n_orb qubits."""
+    from senqse.pauli import PauliSum
+
+    out = PauliSum(2 * n_orb)
+    for p in range(n_orb):
+        out.add_term(0, 1 << (2 * p), -0.25)
+        out.add_term(0, 1 << (2 * p + 1), 0.25)
+    return out
+
+
+def spin_squared_operator(n_orb: int):
+    """S^2 = S-S+ + Sz(Sz + 1) on 2*n_orb qubits."""
+    from senqse.pauli import PauliSum
+
+    nq = 2 * n_orb
+    splus = PauliSum(nq)
+    for p in range(n_orb):
+        splus = splus + jw_operator(
+            [(spin_orbital(p, 0), True), (spin_orbital(p, 1), False)], nq
+        )
+    sminus = PauliSum(nq)
+    for p in range(n_orb):
+        sminus = sminus + jw_operator(
+            [(spin_orbital(p, 1), True), (spin_orbital(p, 0), False)], nq
+        )
+    sz = sz_operator(n_orb)
+    one = PauliSum(nq, {(0, 0): 1.0})
+    return (sminus * splus + sz * (sz + one)).simplify().chop_imag()
+
+
+def total_seniority_operator(n_orb: int):
+    """Number of unpaired electrons: sum_i (1 - Z_2i Z_2i+1)/2."""
+    from senqse.pauli import PauliSum
+
+    out = PauliSum(2 * n_orb, {(0, 0): n_orb / 2})
+    for i in range(n_orb):
+        out.add_term(0, (1 << (2 * i)) | (1 << (2 * i + 1)), -0.5)
+    return out
+
+
+def hf_energy(ints) -> float:
+    """Closed-shell determinant energy from the stored integrals."""
+    occ = range(ints.n_occ)
+    e = ints.e_core + 2.0 * sum(ints.h[i, i] for i in occ)
+    for i in occ:
+        for j in occ:
+            e += 2.0 * ints.g[i, i, j, j] - ints.g[i, j, j, i]
+    return float(e)
+
+
 def product_by_product_jordan_wigner(ints, tol):
     """Qubit Hamiltonian summed term by term from ladder-operator products.
 
@@ -420,7 +525,6 @@ def product_by_product_jordan_wigner(ints, tol):
     ``fermion.jordan_wigner``, with every product taken by
     ``product_by_product_mul`` and every term added by ``PauliSum.__add__``.
     """
-    from senqse.fermion import jw_ladder
     from senqse.pauli import PauliSum
 
     nq = 2 * ints.n_orb
@@ -537,12 +641,11 @@ def dense_branch_sampler(state, fragment):
 def per_state_sampler(state, fragment):
     """A fragment's outcome distribution on one state, branched on its orbit.
 
-    The single-state pass that ``FragmentSampler.stack`` runs on many
-    states at once: elimination and eta phases as ``dense_branch_sampler``,
-    branches kept on the orbit of this state's support under the
-    generators' X flips.  Returns values, probs and mean, and the outcomes
-    (bit i set when generator i reads -1) with the eliminated masks and
-    coefficients that give the values.
+    Elimination and eta phases as ``dense_branch_sampler``, branches kept
+    on the orbit of this state's support under the generators' X flips.
+    Returns values, probs and mean, and the outcomes (bit i set when
+    generator i reads -1) with the eliminated masks and coefficients that
+    give the values.
     """
     from types import SimpleNamespace
 
@@ -595,6 +698,18 @@ def per_state_sampler(state, fragment):
         masks=masks,
         coeffs=coeffs,
     )
+
+
+def distinct_values(probs, values):
+    """(probs, values) of the distinct values of one outcome distribution,
+    the most likely first: ``np.unique``, each value's probability summed
+    in outcome order by ``np.bincount``, then a stable sort by decreasing
+    probability.  The row-by-row rule that ``simulator.draw_table`` applies
+    to all rows at once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    merged = np.bincount(inverse, weights=probs)
+    order = np.argsort(-merged, kind="stable")
+    return merged[order], distinct[order]
 
 
 def per_state_variance(state, fragment):

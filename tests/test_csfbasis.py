@@ -39,9 +39,6 @@ from senqse.csfbasis import (
 from senqse.fermion import (
     jordan_wigner,
     load_fcidump,
-    number_operator,
-    spin_squared_operator,
-    total_seniority_operator,
 )
 from senqse.simulator import StateVector, apply_pauli_sum, expectation
 from senqse.solver import SubspaceEngine
@@ -104,9 +101,11 @@ class TestCsfConstruction:
     def test_single_singlet_symmetries(self):
         b = BasisState(CsfSpec(CsfKind.SINGLE_SINGLET, (0, 1)), (), "t")
         st = full_state(b, 2, 2)
-        assert expectation(st, spin_squared_operator(2)).real == pytest.approx(0.0, abs=1e-10)
-        assert expectation(st, number_operator(2)).real == pytest.approx(2.0)
-        assert expectation(st, total_seniority_operator(2)).real == pytest.approx(2.0)
+        s2 = expectation(st, oracles.spin_squared_operator(2)).real
+        assert s2 == pytest.approx(0.0, abs=1e-10)
+        assert expectation(st, oracles.number_operator(2)).real == pytest.approx(2.0)
+        seniority = expectation(st, oracles.total_seniority_operator(2)).real
+        assert seniority == pytest.approx(2.0)
 
     def test_triplet_pair_dense_oracle(self):
         # independent dense construction of the 4-open-shell singlet on 8 modes
@@ -127,7 +126,7 @@ class TestCsfConstruction:
             n_elec,
         )
         assert np.allclose(got.amplitudes, ref, atol=1e-12)
-        s2 = oracles.sum_matrix(spin_squared_operator(n_orb))
+        s2 = oracles.sum_matrix(oracles.spin_squared_operator(n_orb))
         assert np.vdot(ref, s2 @ ref).real == pytest.approx(0.0, abs=1e-10)
 
     def test_triplet_orthogonal_to_double(self):
@@ -150,8 +149,8 @@ class TestCsfConstruction:
         # HF + 6 singles + 3*1*2 four-open-shell + 3 same-source +
         # 6 same-target + 6 pair-moved references
         assert len(specs) == 28
-        s2 = spin_squared_operator(h2o.n_orb)
-        nop = number_operator(h2o.n_orb)
+        s2 = oracles.spin_squared_operator(h2o.n_orb)
+        nop = oracles.number_operator(h2o.n_orb)
         for spec in specs:
             st = full_state(BasisState(spec, (), "x"), h2o.n_orb, h2o.n_elec)
             assert abs(expectation(st, s2)) < 1e-10
@@ -167,8 +166,8 @@ class TestCsfConstruction:
 
     def test_degenerate_doubles_are_singlets(self):
         n_orb, n_elec = 4, 4
-        s2 = spin_squared_operator(n_orb)
-        nop = number_operator(n_orb)
+        s2 = oracles.spin_squared_operator(n_orb)
+        nop = oracles.number_operator(n_orb)
         for idx, open_shell in [((0, 0, 2, 3), (2, 3)), ((0, 1, 2, 2), (0, 1))]:
             spec = CsfSpec(CsfKind.DOUBLE_SINGLET, idx)
             assert spec.omega == 2

@@ -16,7 +16,12 @@ from senqse.csfbasis import (
     select_basis_vo,
 )
 from senqse.fermion import jordan_wigner, load_fcidump
-from senqse.measure import fragment_variance, fragment_variances, sorted_insertion
+from senqse.measure import (
+    build_swap_operator,
+    fragment_variance,
+    fragment_variances,
+    sorted_insertion,
+)
 from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
     BLOCK_AMPLITUDES,
@@ -25,7 +30,6 @@ from senqse.simulator import (
     StateVector,
     apply_pauli_sum,
     dense_matrix,
-    distinct_values,
     expectation,
     matrix_element_exact,
     prepare_swap_state,
@@ -186,7 +190,7 @@ class TestSampling:
         st = random_state(rng, 2, real=True)
         frag = PauliSum.from_label("Z0", 0.5, 2) + PauliSum.from_label("Z1", 0.5, 2)
         sampler = FragmentSampler(st, frag)
-        probs, values = distinct_values(sampler.probs, sampler.values)
+        probs, values = oracles.distinct_values(sampler.probs, sampler.values)
         assert len(sampler.values) == 4 and sorted(values) == [-1.0, 0.0, 1.0]
         assert np.all(np.diff(probs) <= 0.0)
         counts = rng_for(9, 0).multinomial(40, probs)
@@ -595,14 +599,149 @@ class TestFragmentDistribution:
             FragmentSampler(StateVector.computational(0, 2), frag)
 
 
+def random_stabilizer_words(rng, n, m):
+    """m independent commuting Pauli words (x, z) on n qubits: Z_0 .. Z_m-1
+    carried through 8n random H, S and CNOT gates acting on their bits."""
+    x, z = [0] * m, [1 << q for q in range(m)]
+    for _ in range(8 * n):
+        gate = rng.integers(3)
+        c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
+        for i in range(m):
+            if gate == 0:  # H on c swaps its X and Z bits
+                flip = ((x[i] ^ z[i]) >> c & 1) << c
+                x[i], z[i] = x[i] ^ flip, z[i] ^ flip
+            elif gate == 1:  # S on c: X -> Y
+                z[i] ^= x[i] & 1 << c
+            else:  # CNOT c -> t: X_c -> X_c X_t, Z_t -> Z_c Z_t
+                x[i] ^= (x[i] >> c & 1) << t
+                z[i] ^= (z[i] >> t & 1) << c
+    return list(zip(x, z))
+
+
+def group_fragment(rng, n, words, n_terms):
+    """Random real coefficients on the words and on n_terms random products
+    of them (the identity among them), one commuting fragment."""
+    frag = PauliSum(n)
+    for x, z in words:
+        frag.add_term(x, z, rng.normal())
+    for _ in range(n_terms):
+        mask = int(rng.integers(2 ** len(words)))
+        x = z = 0
+        for i, (wx, wz) in enumerate(words):
+            if mask >> i & 1:
+                x, z = x ^ wx, z ^ wz
+        frag.add_term(x, z, rng.normal())
+    return frag
+
+
+def sparse_state(rng, n, size):
+    """A random state on `size` random indices of the register."""
+    amps = np.zeros(2**n, dtype=complex)
+    support = rng.choice(2**n, size=size, replace=False)
+    amps[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return StateVector.from_amplitudes(amps, n, normalize=True)
+
+
+def split_ranks(fragment):
+    """(k, r): the fragment's generators, and those with independent X words."""
+    gens, _, _ = simulator._generators(fragment)
+    xs, _, _, _, _ = simulator._coset_basis(gens)
+    return len(gens), len(xs)
+
+
+class TestCosetTransform:
+    """The coset transform against dense eigh, across its split ranks."""
+
+    def test_pure_z_generators(self):
+        rng = np.random.default_rng(211)
+        for n in range(2, 6):
+            words = [(0, int(rng.integers(1, 2**n))) for _ in range(n)]
+            frag = group_fragment(rng, n, words, 3)
+            assert split_ranks(frag)[1] == 0
+            for state in (random_state(rng, n), sparse_state(rng, n, 3)):
+                assert_moments_exact(state, frag, assert_matches_eigh(state, frag))
+
+    def test_full_rank_generators(self):
+        # graph-state stabilizers X_q Z^N(q): every X word independent
+        rng = np.random.default_rng(223)
+        for n in range(2, 6):
+            upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+            adjacency = upper + upper.T
+            words = [
+                (1 << q, int(sum(int(b) << p for p, b in enumerate(adjacency[q]))))
+                for q in range(n)
+            ]
+            frag = group_fragment(rng, n, words, 4)
+            assert split_ranks(frag) == (n, n)
+            for state in (random_state(rng, n), sparse_state(rng, n, 2)):
+                assert_moments_exact(state, frag, assert_matches_eigh(state, frag))
+
+    def test_identity_only_fragment(self):
+        rng = np.random.default_rng(227)
+        for n in range(1, 5):
+            frag = PauliSum(n, {(0, 0): 0.25 * n})
+            assert split_ranks(frag) == (0, 0)
+            for state in (random_state(rng, n), sparse_state(rng, n, 1)):
+                sampler = assert_matches_eigh(state, frag)
+                assert sampler.values.tolist() == [0.25 * n]
+                assert sampler.probs.tolist() == [1.0]
+
+    def test_random_stabilizer_fragments(self):
+        rng = np.random.default_rng(229)
+        ranks = set()
+        for n in range(2, 6):
+            for _ in range(12):
+                words = random_stabilizer_words(rng, n, int(rng.integers(1, n + 1)))
+                frag = group_fragment(rng, n, words, int(rng.integers(0, 6)))
+                ranks.add(split_ranks(frag))
+                states = [random_state(rng, n), sparse_state(rng, n, 1 + n // 2)]
+                for state in states:
+                    assert_moments_exact(state, frag, assert_matches_eigh(state, frag))
+                for state, got in zip(states, FragmentSampler.stack(states, frag)):
+                    assert_same_sampler(got, FragmentSampler(state, frag))
+        # mixed splits: some X words independent, some products diagonal
+        assert any(0 < r < k for k, r in ranks)
+
+    def test_swap_test_fragments_on_eight_qubits(self):
+        rng = np.random.default_rng(233)
+        op = PauliSum(7)
+        for label, c in oracles.random_pauli_sum_pairs(rng, 7, 24):
+            # swap-test structure: each coefficient real or imaginary
+            c = c * (1j) ** rng.integers(2)
+            op.add_product(PauliProduct.from_label(label, 7), c)
+        frags = sorted_insertion(build_swap_operator(op).op)
+        assert len(frags) > 1
+        state = prepare_swap_state(random_state(rng, 7), sparse_state(rng, 7, 9))
+        for frag in frags:
+            assert_moments_exact(state, frag, assert_matches_eigh(state, frag))
+
+
+# how far the coset transform's probabilities and means may read from the
+# branching references, which sum the same terms in another order
+BRANCH_TOL = 1e-14
+
+
+def assert_same_sampler(got, want):
+    """The same outcome table and mean, bit for bit."""
+    assert np.array_equal(got.probs, want.probs)
+    assert np.array_equal(got.values, want.values)
+    assert got.mean == want.mean
+
+
+def assert_matches_branches(sampler, ref):
+    """The outcomes and values of a branching reference, bit for bit, and
+    its probabilities and mean to BRANCH_TOL."""
+    assert np.array_equal(sampler.values, ref.values)
+    assert np.max(np.abs(sampler.probs - ref.probs)) < BRANCH_TOL
+    assert abs(sampler.mean - ref.mean) < BRANCH_TOL
+
+
 def assert_same_as_dense_branches(state, fragment):
-    """The support-orbit sampler equals the full-register branch loop bit for bit."""
+    """The coset-transform sampler matches the full-register branch loop."""
     sampler = FragmentSampler(state, fragment)
     ref = oracles.dense_branch_sampler(state, fragment)
-    assert np.array_equal(sampler.probs, ref.probs)
-    assert np.array_equal(sampler.values, ref.values)
-    assert sampler.mean == ref.mean
-    assert outcome_variance(sampler) == ref.variance
+    assert_matches_branches(sampler, ref)
+    assert abs(outcome_variance(sampler) - ref.variance) < BRANCH_TOL
 
 
 def element_operators(pairs):
@@ -644,16 +783,15 @@ class TestSupportOrbit:
             assert got == oracles.reference_sorted_insertion(op)
 
 
-def assert_same_plan(plan, reference):
-    """Same elements, fragments, outcome tables, means and sigmas, bit for bit."""
+def assert_same_plan(plan, reference, same_sampler=assert_same_sampler):
+    """Same elements, fragments and sigmas, bit for bit, and samplers equal
+    by `same_sampler` (by default outcome tables and means bit for bit)."""
     assert list(plan) == list(reference)
     for key, (samplers, sigmas) in plan.items():
         ref_samplers, ref_sigmas = reference[key]
         assert len(samplers) == len(ref_samplers)
         for got, want in zip(samplers, ref_samplers):
-            assert np.array_equal(got.probs, want.probs)
-            assert np.array_equal(got.values, want.values)
-            assert got.mean == want.mean
+            same_sampler(got, want)
         assert np.array_equal(sigmas, ref_sigmas)
 
 
@@ -688,11 +826,13 @@ class TestGroupedPlan:
         # constant-shifted same-config elements included
         assert len(shifted_elements(h2o_engine)) > 0
         assert len(h2o_reference) == 143
-        assert_same_plan(h2o_engine.sampling_plan(), h2o_reference)
+        plan = h2o_engine.sampling_plan()
+        assert_same_plan(plan, h2o_reference, assert_matches_branches)
 
     def test_h2_plans_match_per_element_reference(self, h2_vo_engines):
         for engine in h2_vo_engines:
-            assert_same_plan(engine.sampling_plan(), oracles.per_element_plan(engine))
+            reference = oracles.per_element_plan(engine)
+            assert_same_plan(engine.sampling_plan(), reference, assert_matches_branches)
 
     def test_sigma_only_path_matches_reference(
         self, h2o_engine, h2o_reference, h2_vo_engines
@@ -759,10 +899,8 @@ class TestFragmentStack:
     def test_stack_matches_single_states(self, h2o_fragments):
         for frag, states in distinct_fragments(h2o_fragments).values():
             for state, got in zip(states, FragmentSampler.stack(states, frag)):
-                want = oracles.per_state_sampler(state, frag)
-                assert np.array_equal(got.probs, want.probs)
-                assert np.array_equal(got.values, want.values)
-                assert got.mean == want.mean
+                assert_same_sampler(got, FragmentSampler(state, frag))
+                assert_matches_branches(got, oracles.per_state_sampler(state, frag))
             variances = fragment_variances(states, frag)
             assert variances == [oracles.per_state_variance(s, frag) for s in states]
 

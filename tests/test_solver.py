@@ -1,5 +1,6 @@
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +22,12 @@ from senqse.csfbasis import (
     config_bits,
 )
 from senqse.fermion import (
-    hf_energy,
     jordan_wigner,
-    jw_operator,
     load_fcidump,
-    number_operator,
 )
 from senqse.measure import allocate_and_score, predicted_mse
 from senqse.pauli import PauliSum
-from senqse.simulator import distinct_values, draw_table
+from senqse.simulator import DRAW_BLOCK, draw_table
 from senqse.solver import (
     BIAS_KAPPA,
     FLOOR_KAPPA,
@@ -219,17 +217,17 @@ class TestFciOracle:
     @pytest.mark.parametrize("cutoff", [solver._DENSE_CUTOFF, 0])
     def test_asymmetric_sector_rejected(self, cutoff, monkeypatch):
         # a_0^+ a_2 - a_2^+ a_0 on the up spin: real, antisymmetric in the sector
-        hop = jw_operator([(0, True), (2, False)], 4) - jw_operator(
+        hop = oracles.jw_operator([(0, True), (2, False)], 4) - oracles.jw_operator(
             [(2, True), (0, False)], 4
         )
         monkeypatch.setattr(solver, "_DENSE_CUTOFF", cutoff)
         with pytest.raises(SolverError, match="asymmetry"):
-            fci_oracle(number_operator(2) + hop.simplify(), 2, 0.0)
+            fci_oracle(oracles.number_operator(2) + hop.simplify(), 2, 0.0)
 
     @pytest.mark.parametrize("cutoff", [solver._DENSE_CUTOFF, 0])
     def test_imaginary_sector_rejected(self, cutoff, monkeypatch):
         # X0 Y2 moves the up electron between orbitals 0 and 1 with phase i
-        hq = number_operator(2) + PauliSum.from_label("X0 Y2", 0.5, 4)
+        hq = oracles.number_operator(2) + PauliSum.from_label("X0 Y2", 0.5, 4)
         monkeypatch.setattr(solver, "_DENSE_CUTOFF", cutoff)
         with pytest.raises(SolverError, match="imaginary"):
             fci_oracle(hq, 2, 0.0)
@@ -243,7 +241,7 @@ class TestFciOracle:
         for p in range(n_orb):
             for q in range(n_orb):
                 for s in (0, 1):
-                    hq = hq + jw_operator(
+                    hq = hq + oracles.jw_operator(
                         [(2 * p + s, True), (2 * q + s, False)], 2 * n_orb, h[p, q]
                     )
         hq = hq.simplify().chop_imag()
@@ -257,7 +255,8 @@ class TestFciOracle:
         from senqse.simulator import StateVector, expectation
 
         st = StateVector(full, 4)
-        assert expectation(st, number_operator(2)).real == pytest.approx(2.0, abs=1e-10)
+        n_elec = expectation(st, oracles.number_operator(2)).real
+        assert n_elec == pytest.approx(2.0, abs=1e-10)
 
     def test_empty_sector_rejected(self, h2_hq):
         with pytest.raises(SolverError):
@@ -271,7 +270,7 @@ class TestBuildSubspace:
         basis = [BasisState(CsfSpec(CsfKind.HF), (), "hf")]
         problem = build_subspace(basis, h2_hq, h2.n_elec)
         assert problem.hmat.shape == (1, 1)
-        assert problem.e_min == pytest.approx(hf_energy(h2), abs=1e-10)
+        assert problem.e_min == pytest.approx(oracles.hf_energy(h2), abs=1e-10)
 
     def test_configs_are_the_kernels(self, h2o, h2o_hq, h2o_vo_selected):
         kernel = csfbasis.CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
@@ -679,7 +678,7 @@ class TestMatrixDraws:
             for key, (samplers, _) in h2o_sampler.plan.items()
             for s, m in zip(samplers, h2o_sampler.shots[key])
         ]
-        merged = [distinct_values(s.probs, s.values) for _, s, _ in rows]
+        merged = [oracles.distinct_values(s.probs, s.values) for _, s, _ in rows]
         assert counts.shape == pvals.shape
         assert counts.shape[0] == len(rows) == 1030
         assert counts.shape[1] == max(len(v) for _, v in merged)
@@ -719,6 +718,27 @@ class TestMatrixDraws:
             assert mean == pytest.approx(s.mean, abs=1e-12)
             var = s.probs @ (s.values - s.mean) ** 2
             assert p @ (v - mean) ** 2 == pytest.approx(var, abs=1e-12)
+
+    def test_table_matches_per_row_reference(self, h2o_sampler):
+        # grouped DRAW_BLOCK rows at a time, the table has the bytes of the
+        # per-row rule; the 1030 rows span several blocks
+        samplers = [s for samplers, _ in h2o_sampler.plan.values() for s in samplers]
+        assert len(samplers) > 2 * DRAW_BLOCK
+        # equal probabilities keep increasing value; a lone row; no rows
+        ties = types.SimpleNamespace(
+            probs=np.array([0.25, 0.25, 0.125, 0.125, 0.25]),
+            values=np.array([3.0, -1.0, 2.0, -1.0, 2.0]),
+        )
+        for group in (samplers, [ties, *samplers[:3]], [ties], []):
+            rows = [oracles.distinct_values(s.probs, s.values) for s in group]
+            width = max((len(p) for p, _ in rows), default=1)
+            want = np.zeros((2, len(rows), width))
+            for r, (p, v) in enumerate(rows):
+                want[:, r, : len(p)] = p, v
+            probs, values = draw_table(group)
+            assert probs.tobytes() == want[0].tobytes()
+            assert values.tobytes() == want[1].tobytes()
+        assert draw_table([ties])[1].tolist() == [[-1.0, 2.0, 3.0]]
 
     def test_one_eigensolve_per_sampler(self, h2o, h2o_hq, h2o_sampler, monkeypatch):
         # the table and the sampler's predicted error share one eigh of the
@@ -839,13 +859,13 @@ class TestVoOptimize:
         opt_basis, problem, history = vo_optimize(basis, h2_hq, 2)
         assert any(th != 0.0 for b in opt_basis for _, _, th in b.rotations)
         # the flat symmetric start is strictly improved upon
-        assert problem.e_min < hf_energy(h2) - 1e-4
+        assert problem.e_min < oracles.hf_energy(h2) - 1e-4
 
     def test_rotation_free_basis_passthrough(self, h2_hq, h2):
         basis = [BasisState(CsfSpec(CsfKind.HF), (), "hf")]
         opt_basis, problem, history = vo_optimize(basis, h2_hq, 2)
         assert opt_basis == tuple(basis)
-        assert problem.e_min == pytest.approx(hf_energy(h2), abs=1e-10)
+        assert problem.e_min == pytest.approx(oracles.hf_energy(h2), abs=1e-10)
 
     @pytest.mark.parametrize("group_size, k", [(9, 3), (1, 1)])
     def test_closed_form_matches_rebuild(
