@@ -472,10 +472,6 @@ class FragmentSampler:
         return float(counts @ values) / shots
 
 
-# samplers per block of draw_table's grouping pass; bounds its scratch memory
-DRAW_BLOCK = 64
-
-
 def _distinct_entries(samplers):
     """(widths, probs, values): how many distinct values each sampler has,
     and those values with their probabilities, in table order: by sampler,
@@ -510,16 +506,12 @@ def draw_table(samplers):
     probabilities, so a sample mean drawn from a row has the distribution
     of one drawn from the outcomes, up to the rounding of the sums, and
     NumPy's draw, one binomial per entry until the shots run out, ends
-    sooner.  The rows are grouped DRAW_BLOCK samplers at a time
-    (``_distinct_entries``) and laid out row by row.
+    sooner.  The rows are grouped in one pass (``_distinct_entries``) and
+    laid out row by row.
     """
     if not samplers:
         return np.zeros((0, 1)), np.zeros((0, 1))
-    blocks = (
-        _distinct_entries(samplers[start : start + DRAW_BLOCK])
-        for start in range(0, len(samplers), DRAW_BLOCK)
-    )
-    widths, probs, values = map(np.concatenate, zip(*blocks))
+    widths, probs, values = _distinct_entries(samplers)
     filled = np.arange(widths.max()) < widths[:, None]
     table_probs, table_values = np.zeros(filled.shape), np.zeros(filled.shape)
     # a boolean mask fills in row-major order, the order of the entries

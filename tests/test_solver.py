@@ -27,7 +27,7 @@ from senqse.fermion import (
 )
 from senqse.measure import allocate_and_score, predicted_mse
 from senqse.pauli import PauliSum
-from senqse.simulator import DRAW_BLOCK, draw_table
+from senqse.simulator import draw_table
 from senqse.solver import (
     BIAS_KAPPA,
     FLOOR_KAPPA,
@@ -720,10 +720,9 @@ class TestMatrixDraws:
             assert p @ (v - mean) ** 2 == pytest.approx(var, abs=1e-12)
 
     def test_table_matches_per_row_reference(self, h2o_sampler):
-        # grouped DRAW_BLOCK rows at a time, the table has the bytes of the
-        # per-row rule; the 1030 rows span several blocks
+        # grouped in one pass, the table has the bytes of the per-row rule
         samplers = [s for samplers, _ in h2o_sampler.plan.values() for s in samplers]
-        assert len(samplers) > 2 * DRAW_BLOCK
+        assert len(samplers) == 1030
         # equal probabilities keep increasing value; a lone row; no rows
         ties = types.SimpleNamespace(
             probs=np.array([0.25, 0.25, 0.125, 0.125, 0.25]),

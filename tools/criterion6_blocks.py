@@ -6,10 +6,13 @@ of 400 seeded draws of the 200 000-shot matrix sampler (seeds 0-399) with
 the first-order prediction, on the acceptance suite's H2O 1.0 A VO basis,
 and fails when |emp/pred - 1| reaches 0.15.  One block is one sample of a
 noisy statistic, so a change that moves the draws cannot be judged on it
-alone.  This script builds the same basis and sampler and prints
-emp/pred - 1 for the 20 consecutive blocks of seeds 0-399, 400-799, ...,
-7600-7999 (the first is the test's), then the mean over the blocks and how
-many reach 0.15 in magnitude.  NumPy runs on one BLAS thread.
+alone.  This script builds the same basis and sampler, with the suite's
+own selection settings and fixture (imported from the test module), and
+prints emp/pred - 1 for the 20 consecutive blocks of seeds 0-399,
+400-799, ..., 7600-7999 (the first is the test's), then the mean over the
+blocks and how many reach 0.15 in magnitude.  The shot budget, block
+length and bound are the test's literals; ``tests/test_criterion6_blocks.py``
+checks that they still are.  NumPy runs on one BLAS thread.
 
 Run from anywhere:  python3 tools/criterion6_blocks.py
 (about 5 s on a 2-core host)
@@ -22,6 +25,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import numpy as np  # noqa: E402
 
@@ -34,10 +38,9 @@ from senqse.solver import (  # noqa: E402
     make_matrix_sampler,
     vo_optimize,
 )
+from test_acceptance import FIXTURES, TUNED  # noqa: E402
 
-# the H2O selection settings, shot budget, block length and bound of the
-# acceptance suite's criterion 6
-TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
+# criterion 6's shot budget, block length and bound
 TOTAL_SHOTS = 200_000
 BLOCK = 400
 BOUND = 0.15
@@ -45,7 +48,7 @@ BLOCKS = 20
 
 
 def main() -> int:
-    ints = load_fcidump(os.path.join(ROOT, "tests", "fixtures", "h2o_1.0000.fcidump"))
+    ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
     hq = jordan_wigner(ints)
     basis = select_basis_vo(ints, hq, default_selection_params(ints, **TUNED))
     basis, _, _ = vo_optimize(basis, hq, ints.n_elec)
