@@ -40,15 +40,11 @@ from senqse.csfbasis import (
     select_basis_vo,
     serialize_basis,
 )
+from senqse.fci import fci_oracle
 from senqse.fermion import jordan_wigner, load_fcidump, rotate_orbitals
 from senqse.measure import allocate_and_score
 from senqse.resources import estimate_pair
-from senqse.solver import (
-    build_subspace,
-    fci_oracle,
-    relax_orbitals,
-    vo_optimize,
-)
+from senqse.solver import build_subspace, relax_orbitals, vo_optimize
 
 log = logging.getLogger(__name__)
 
@@ -271,11 +267,16 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         record["shots_total"] = int(sum(sum(v) for v in problem.shots.values()))
         record["floor_shots"] = problem.floor_shots
 
-    # circuit resources over every distinct state pair
-    costs = [
-        estimate_pair(a, b, ints.n_orb, ints.n_elec)
-        for a, b in itertools.combinations(basis, 2)
-    ] or [estimate_pair(basis[0], basis[0], ints.n_orb, ints.n_elec)]
+    # circuit resources over every distinct state pair, estimated once per
+    # distinct (kind, omega, rotation count) of bra and ket
+    shapes = [(b.csf.kind, b.csf.omega, len(b.rotations)) for b in basis]
+    pairs = list(itertools.combinations(range(len(basis)), 2)) or [(0, 0)]
+    keys = [(shapes[i], shapes[j]) for i, j in pairs]
+    estimates = {
+        key: estimate_pair(basis[i], basis[j], ints.n_orb, ints.n_elec)
+        for key, (i, j) in dict(zip(keys, pairs)).items()
+    }
+    costs = [estimates[key] for key in keys]
     record["cnots_avg"] = float(np.mean([c.cnots for c in costs]))
     record["cnots_max"] = int(max(c.cnots for c in costs))
     record["depth_avg"] = float(np.mean([c.depth for c in costs]))

@@ -482,12 +482,15 @@ def _distinct_entries(samplers):
     and one lexsort by (row, -probability, value) orders the groups.
     """
     lengths = [len(s.values) for s in samplers]
-    rows = np.repeat(np.arange(len(samplers)), lengths)
+    # int32 rows, one gather at a time: this scratch sets shot-study's peak
+    rows = np.repeat(np.arange(len(samplers), dtype=np.int32), lengths)
     values = np.concatenate([s.values for s in samplers])
     order = np.lexsort((values, rows))
-    rows, values = rows[order], values[order]
+    rows = rows[order]
+    values = values[order]
     probs = np.concatenate([s.probs for s in samplers])[order]
-    first = np.ones(len(order), dtype=bool)
+    del order
+    first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (values[1:] != values[:-1])
     # group g + 1 for the g-th (row, value) pair; bin 0 stays empty
     probs = np.bincount(np.cumsum(first), probs)[1:]

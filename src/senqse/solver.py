@@ -1,4 +1,4 @@
-"""Subspace assembly, eigensolving, amplitude optimization, and the FCI oracle.
+"""Subspace assembly, eigensolving, amplitude optimization and orbital relaxation.
 
 The subspace matrix is Hermitian with an identity overlap (the basis is
 orthonormal by construction), so the classical step is a plain symmetric
@@ -28,6 +28,7 @@ from senqse.csfbasis import (
     rotate_pair_inplace,
     rotation_group_key,
 )
+from senqse.fci import fci_oracle  # noqa: F401 - perfbench reaches solver.fci_oracle
 from senqse.fermion import (
     FermionIntegrals,
     jordan_wigner,
@@ -43,8 +44,6 @@ from senqse.measure import (
 from senqse.pauli import PauliArrays, PauliSum
 from senqse.simulator import (
     StateVector,
-    _term_table,
-    _x_groups,
     apply_pauli_sum,
     dense_matrix,
     draw_table,
@@ -55,6 +54,10 @@ from senqse.simulator import (
 log = logging.getLogger(__name__)
 
 HERMITICITY_TOL = 1e-10
+
+# largest register (orbitals) on which SubspaceEngine.apply_xop applies
+# memoised dense effective operators; above it only Pauli sums fit
+_DENSE_XOP_ORBITALS = 8
 
 
 class SolverError(RuntimeError):
@@ -85,16 +88,6 @@ class SubspaceProblem:
     elements_at_floor: int | None = None
     floor_shots: int | None = None
     exact_c0: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class FciResult:
-    """Sector-restricted exact ground energy used as the accuracy reference."""
-
-    energy: float
-    sector: tuple
-    vector: np.ndarray | None = field(default=None, compare=False, repr=False)
-    determinants: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def ground_state(hmat: np.ndarray):
@@ -1062,114 +1055,3 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
     if not res.success:
         log.warning("orbital relaxation stopped early: %s", res.message)
     return occ_virt_rotation(ints, best["x"]), float(best["e"]), history
-
-
-# ---------------------------------------------------------------------------
-# Exact-diagonalization oracle
-# ---------------------------------------------------------------------------
-
-
-# largest sector (determinants) that fci_oracle diagonalises densely
-_DENSE_CUTOFF = 2048
-# largest register (orbitals) on which SubspaceEngine.apply_xop applies
-# memoised dense effective operators; above it only Pauli sums fit
-_DENSE_XOP_ORBITALS = 8
-
-
-def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
-    ups = list(itertools.combinations(range(n_orb), n_up))
-    dns = list(itertools.combinations(range(n_orb), n_dn))
-    dets = []
-    for up in ups:
-        up_bits = sum(1 << (2 * p) for p in up)
-        for dn in dns:
-            dets.append(up_bits | sum(1 << (2 * p + 1) for p in dn))
-    return np.array(sorted(dets), dtype=np.uint64)
-
-
-def _sector_blocks(hq: PauliSum, dets: np.ndarray):
-    """(rows, cols, values) of hq on the sorted determinants, one X string each.
-
-    Entry (row, col) is reached only by terms with x = row ^ col, so each
-    block's entries are distinct from every other block's, and each entry
-    sums its terms in ``hq.items()`` order.  x is its own inverse, so a
-    block also holds the transpose of each of its entries, and is checked
-    against that mirror before it is yielded.
-    """
-    dim = len(dets)
-    for x, (keys, coeffs) in _x_groups(hq).items():
-        targets = dets ^ np.uint64(x)
-        pos = np.searchsorted(dets, targets)
-        ok = pos < dim
-        ok[ok] &= dets[pos[ok]] == targets[ok]
-        if not np.any(ok):
-            continue
-        rows, cols, bras = pos[ok], np.flatnonzero(ok), targets[ok]
-        vals = np.zeros(len(cols))
-        # chunks of terms with at most dim entries (one term at least): the
-        # scratch is no larger than one term's row can be; rows add in order
-        step = max(1, dim // len(cols))
-        for start in range(0, len(keys), step):
-            _, coef = _term_table(
-                keys[start : start + step], coeffs[start : start + step], bras
-            )
-            if np.max(np.abs(coef.imag)) > 1e-9:
-                raise SolverError("sector matrix has imaginary entries")
-            for term in coef.real:
-                vals += term
-        asym = np.max(np.abs(vals - vals[np.searchsorted(cols, rows)]))
-        if asym > 1e-9:
-            raise SolverError(f"sector matrix asymmetry {asym:.2e}")
-        yield rows, cols, vals
-
-
-def _dense_sector_matrix(hq: PauliSum, dets: np.ndarray) -> np.ndarray:
-    """hq on the sector as a dense array, assigned one X-string block at a time."""
-    mat = np.zeros((len(dets), len(dets)))
-    for rows, cols, vals in _sector_blocks(hq, dets):
-        mat[rows, cols] = vals
-    return mat
-
-
-def _lanczos_ground_state(hq: PauliSum, dets: np.ndarray) -> tuple:
-    """Lowest eigenpair of hq on the sector by SciPy's sparse Lanczos."""
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    rows, cols, vals = map(np.concatenate, zip(*_sector_blocks(hq, dets)))
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(dets), len(dets)))
-    return scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
-
-
-def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
-    """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector.
-
-    The sector basis is enumerated directly from occupation bitstrings and
-    the matrix assembled one X string at a time, densely with NumPy alone up to
-    _DENSE_CUTOFF determinants; above it a sparse matrix goes to SciPy's
-    Lanczos, which is imported only there.
-    """
-    if hq.n_qubits % 2 or hq.n_qubits > 24:
-        raise SolverError("oracle supports even registers up to 24 qubits")
-    n_orb = hq.n_qubits // 2
-    n_up = n_elec / 2 + sz
-    n_dn = n_elec / 2 - sz
-    if n_up != int(n_up) or n_dn != int(n_dn):
-        raise SolverError(f"no ({n_elec}, {sz}) sector exists")
-    n_up, n_dn = int(n_up), int(n_dn)
-    if not (0 <= n_up <= n_orb and 0 <= n_dn <= n_orb):
-        raise SolverError(f"sector ({n_elec}, {sz}) is empty")
-    dets = _sector_determinants(n_orb, n_up, n_dn)
-    if len(dets) == 0:
-        raise SolverError(f"sector ({n_elec}, {sz}) is empty")
-    if len(dets) <= _DENSE_CUTOFF:
-        w, v = np.linalg.eigh(_dense_sector_matrix(hq, dets))
-    else:
-        w, v = _lanczos_ground_state(hq, dets)
-    # a copy, so the result does not keep eigh's whole eigenvector matrix alive
-    return FciResult(
-        energy=float(w[0]),
-        sector=(n_elec, sz),
-        vector=v[:, 0].copy(),
-        determinants=dets,
-    )

@@ -14,7 +14,8 @@ pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_mul`` (``PauliSum.__mul__``),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
-``coo_csr_sector_matrix`` (``solver``'s dense sector assembly),
+``coo_csr_sector_matrix`` (``fci``'s dense sector assembly),
+``whole_sector_energy`` (``fci.fci_oracle``'s spin-flip blocks, to 1e-10 Ha),
 ``dense_branch_sampler`` and ``per_state_sampler`` (the per-generator
 branching that ``simulator.FragmentSampler``'s coset transform replaced:
 the same outcomes and values, probabilities and means to 1e-14),
@@ -405,6 +406,40 @@ def one_add_at_sector_matrix(hq, dets):
     rows, cols, vals = sector_triples(hq, dets)
     np.add.at(mat, (rows, cols), vals)
     return mat
+
+
+def spin_flip(dets):
+    """Index of each sorted determinant's spin flip, and the flip's sign.
+
+    The flip swaps the up (2p) and down (2p + 1) spin orbital of every
+    orbital p; the sign is the parity of the permutation that sorts the
+    flipped occupied spin orbitals, counted by inversions.
+    """
+    index = {int(d): i for i, d in enumerate(dets)}
+    flip, sign = [], []
+    for d in map(int, dets):
+        occ = [q ^ 1 for q in range(d.bit_length()) if d >> q & 1]
+        inversions = sum(a > b for i, a in enumerate(occ) for b in occ[i + 1 :])
+        flip.append(index[sum(1 << q for q in occ)])
+        sign.append(-1.0 if inversions % 2 else 1.0)
+    return np.array(flip), np.array(sign)
+
+
+def whole_sector_energy(hq, n_up, n_dn):
+    """Lowest eigenvalue of hq on its (n_up, n_dn) determinants by ``eigh`` of
+    the whole dense sector matrix: the path that ``fci.fci_oracle``'s
+    spin-flip blocks and ``eigvalsh`` replaced.  The determinants are every
+    register index with n_up even and n_dn odd bits set, in index order."""
+    even = sum(1 << q for q in range(0, hq.n_qubits, 2))
+    dets = np.array(
+        [
+            b
+            for b in range(1 << hq.n_qubits)
+            if (b & even).bit_count() == n_up and (b & ~even).bit_count() == n_dn
+        ],
+        dtype=np.uint64,
+    )
+    return float(np.linalg.eigh(one_add_at_sector_matrix(hq, dets))[0][0])
 
 
 def product_by_product_mul(a, b):

@@ -21,6 +21,7 @@ from senqse.csfbasis import (
     select_basis_pt,
     select_basis_vo,
 )
+from senqse.fci import fci_oracle
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse.measure import (
     build_swap_operator,
@@ -35,7 +36,6 @@ from senqse.simulator import FragmentSampler, StateVector, rng_for
 from senqse.solver import (
     SubspaceEngine,
     build_subspace,
-    fci_oracle,
     ground_state,
     make_matrix_sampler,
     vo_optimize,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import shutil
@@ -18,7 +19,7 @@ from senqse.cli import (
     parse_config_file,
     run,
 )
-from senqse import cli, csfbasis, measure, simulator, solver, taper
+from senqse import cli, csfbasis, measure, resources, simulator, solver, taper
 from senqse.csfbasis import CsfElementEngine, parse_basis
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse.measure import allocate_and_score
@@ -485,6 +486,30 @@ def record_tables(monkeypatch) -> list:
 
     monkeypatch.setattr(taper.SectorHamiltonian, "__init__", recording)
     return built
+
+
+class TestResources:
+    def test_pair_estimates_match_all_pairs(self, tmp_path, monkeypatch):
+        # one estimate per distinct (kind, omega, rotation count) of bra and
+        # ket; the means and maxima are the all-pairs ones, bit for bit
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return resources.estimate_pair(*args)
+
+        monkeypatch.setattr(cli, "estimate_pair", counted)
+        rec = run_one_geometry(H2O_PATH, tmp_path, method="pt", **TUNED)
+        basis = parse_basis(rec["basis_text"])
+        costs = [
+            resources.estimate_pair(a, b, rec["n_orbitals"], rec["n_electrons"])
+            for a, b in itertools.combinations(basis, 2)
+        ]
+        assert len(costs) == 435 and 0 < calls[0] < len(costs)
+        assert rec["cnots_avg"] == float(np.mean([c.cnots for c in costs]))
+        assert rec["cnots_max"] == int(max(c.cnots for c in costs))
+        assert rec["depth_avg"] == float(np.mean([c.depth for c in costs]))
+        assert rec["depth_max"] == int(max(c.depth for c in costs))
 
 
 class TestElementKernel:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from senqse import csfbasis, solver
+from senqse import csfbasis, fci, solver
 from senqse.csfbasis import (
     BasisError,
     BasisState,
@@ -21,6 +21,7 @@ from senqse.csfbasis import (
     select_basis_vo,
     config_bits,
 )
+from senqse.fci import FciError, fci_oracle
 from senqse.fermion import (
     jordan_wigner,
     load_fcidump,
@@ -37,7 +38,6 @@ from senqse.solver import (
     _SlotModel,
     _integer_split,
     build_subspace,
-    fci_oracle,
     ground_state,
     make_matrix_sampler,
     relax_orbitals,
@@ -46,6 +46,9 @@ from senqse.solver import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REFERENCE = json.loads((FIXTURES / "reference.json").read_text())
+FIXTURE_STEMS = [
+    "h2_0.7414", "h2_1.0000", "h2_1.5000", "h2o_1.0000", "h2o_2.1000", "h2o_3.0000"
+]
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +110,6 @@ class TestFciOracle:
     def test_h2o_against_independent_determinant_fci(self, h2o_hq, h2o):
         res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
         assert res.energy == pytest.approx(REFERENCE["h2o_1.0000"]["e_fci"], abs=1e-7)
-        # an own array, not a view keeping eigh's 441 x 441 eigenvectors alive
-        assert res.vector.shape == (441,) and res.vector.base is None
 
     @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2o_3.0000"])
     def test_lanczos_branch_matches_dense(self, stem, monkeypatch):
@@ -124,11 +125,10 @@ class TestFciOracle:
             calls.append(args[0].shape)
             return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_DENSE_CUTOFF", 0)
+        monkeypatch.setattr(fci, "_DENSE_CUTOFF", 0)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
         res = fci_oracle(hq, ints.n_elec, 0.0)
         assert calls == [(441, 441)]
-        assert res.vector.shape == (441,) and res.vector.base is None
         assert res.energy == pytest.approx(dense, abs=1e-9)
         assert res.energy == pytest.approx(REFERENCE[stem]["e_fci"], abs=1e-7)
 
@@ -137,8 +137,8 @@ class TestFciOracle:
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         n = ints.n_elec // 2
-        dets = solver._sector_determinants(ints.n_orb, n, n)
-        dense = solver._dense_sector_matrix(hq, dets)
+        dets = fci._sector_determinants(ints.n_orb, n, n)
+        dense = fci._dense_sector_matrix(hq, dets)
         ref = oracles.coo_csr_sector_matrix(hq, dets).toarray()
         assert dense.shape == ref.shape == (len(dets), len(dets))
         assert np.max(np.abs(dense - ref)) <= 1e-12
@@ -154,8 +154,8 @@ class TestFciOracle:
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         n = ints.n_elec // 2
-        dets = solver._sector_determinants(ints.n_orb, n, n)
-        dense = solver._dense_sector_matrix(hq, dets)
+        dets = fci._sector_determinants(ints.n_orb, n, n)
+        dense = fci._dense_sector_matrix(hq, dets)
         assert np.array_equal(dense, oracles.one_add_at_sector_matrix(hq, dets))
 
     def test_blocks_hold_each_entry_once(self, monkeypatch):
@@ -165,8 +165,8 @@ class TestFciOracle:
 
         ints = load_fcidump(FIXTURES / "h2o_3.0000.fcidump")
         hq = jordan_wigner(ints)
-        dets = solver._sector_determinants(ints.n_orb, 5, 5)
-        blocks = list(solver._sector_blocks(hq, dets))
+        dets = fci._sector_determinants(ints.n_orb, 5, 5)
+        blocks = list(fci._sector_blocks(hq, dets))
         rows = np.concatenate([r for r, _, _ in blocks])
         cols = np.concatenate([c for _, c, _ in blocks])
         pairs = rows * len(dets) + cols
@@ -181,7 +181,7 @@ class TestFciOracle:
             nnz.append(args[0].nnz)
             return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_DENSE_CUTOFF", 0)
+        monkeypatch.setattr(fci, "_DENSE_CUTOFF", 0)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
         fci_oracle(hq, ints.n_elec, 0.0)
         assert nnz == [len(pairs)]
@@ -190,11 +190,11 @@ class TestFciOracle:
         # blocks are assigned into the matrix, with no dim x dim temporary
         import tracemalloc
 
-        dets = solver._sector_determinants(h2o.n_orb, 5, 5)
-        solver._dense_sector_matrix(h2o_hq, dets)
+        dets = fci._sector_determinants(h2o.n_orb, 5, 5)
+        fci._dense_sector_matrix(h2o_hq, dets)
         tracemalloc.start()
         try:
-            solver._dense_sector_matrix(h2o_hq, dets)
+            fci._dense_sector_matrix(h2o_hq, dets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -205,31 +205,32 @@ class TestFciOracle:
         # from every term's entries held at once (10.7 MB on this sector)
         import tracemalloc
 
+        dim = len(fci._sector_determinants(h2o.n_orb, 5, 5))
         fci_oracle(h2o_hq, h2o.n_elec, 0.0)
         tracemalloc.start()
         try:
-            res = fci_oracle(h2o_hq, h2o.n_elec, 0.0)
+            fci_oracle(h2o_hq, h2o.n_elec, 0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * len(res.determinants) ** 2 * 8
+        assert peak < 3 * dim**2 * 8
 
-    @pytest.mark.parametrize("cutoff", [solver._DENSE_CUTOFF, 0])
+    @pytest.mark.parametrize("cutoff", [fci._DENSE_CUTOFF, 0])
     def test_asymmetric_sector_rejected(self, cutoff, monkeypatch):
         # a_0^+ a_2 - a_2^+ a_0 on the up spin: real, antisymmetric in the sector
         hop = oracles.jw_operator([(0, True), (2, False)], 4) - oracles.jw_operator(
             [(2, True), (0, False)], 4
         )
-        monkeypatch.setattr(solver, "_DENSE_CUTOFF", cutoff)
-        with pytest.raises(SolverError, match="asymmetry"):
+        monkeypatch.setattr(fci, "_DENSE_CUTOFF", cutoff)
+        with pytest.raises(FciError, match="asymmetry"):
             fci_oracle(oracles.number_operator(2) + hop.simplify(), 2, 0.0)
 
-    @pytest.mark.parametrize("cutoff", [solver._DENSE_CUTOFF, 0])
+    @pytest.mark.parametrize("cutoff", [fci._DENSE_CUTOFF, 0])
     def test_imaginary_sector_rejected(self, cutoff, monkeypatch):
         # X0 Y2 moves the up electron between orbitals 0 and 1 with phase i
         hq = oracles.number_operator(2) + PauliSum.from_label("X0 Y2", 0.5, 4)
-        monkeypatch.setattr(solver, "_DENSE_CUTOFF", cutoff)
-        with pytest.raises(SolverError, match="imaginary"):
+        monkeypatch.setattr(fci, "_DENSE_CUTOFF", cutoff)
+        with pytest.raises(FciError, match="imaginary"):
             fci_oracle(hq, 2, 0.0)
 
     def test_one_electron_sector_matches_one_body_block(self):
@@ -248,20 +249,53 @@ class TestFciOracle:
         res = fci_oracle(hq, 1, 0.5)
         assert res.energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
 
-    def test_sector_particle_number(self, h2_hq, h2):
-        res = fci_oracle(h2_hq, 2, 0.0)
-        full = np.zeros(2**4, dtype=complex)
-        full[res.determinants.astype(int)] = res.vector
-        from senqse.simulator import StateVector, expectation
+    def test_sector_particle_number(self):
+        # n_up electrons on the even (up-spin) bits, n_dn on the odd ones
+        for n_orb, n_up, n_dn in [(2, 1, 1), (3, 2, 1), (3, 0, 2), (7, 5, 5)]:
+            dets = fci._sector_determinants(n_orb, n_up, n_dn).tolist()
+            up = sum(1 << (2 * p) for p in range(n_orb))
+            assert len(set(dets)) == math.comb(n_orb, n_up) * math.comb(n_orb, n_dn)
+            assert all((d & up).bit_count() == n_up for d in dets)
+            assert all((d & (up << 1)).bit_count() == n_dn for d in dets)
+            assert all(d.bit_count() == n_up + n_dn for d in dets)
 
-        st = StateVector(full, 4)
-        n_elec = expectation(st, oracles.number_operator(2)).real
-        assert n_elec == pytest.approx(2.0, abs=1e-10)
+    @pytest.mark.parametrize("stem", FIXTURE_STEMS)
+    def test_spin_flip_blocks_split_the_sector(self, stem):
+        # P from each determinant's own reordering parity, not the package's
+        # doubly-occupied count; the blocks' spectra are the whole matrix's
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        n = ints.n_elec // 2
+        dets = fci._sector_determinants(ints.n_orb, n, n)
+        mat = fci._dense_sector_matrix(jordan_wigner(ints), dets)
+        flip, sign = oracles.spin_flip(dets)
+        php = sign[:, None] * sign * mat[np.ix_(flip, flip)]
+        assert np.max(np.abs(php - mat)) <= 1e-12
+        blocks = list(fci._spin_flip_blocks(mat, dets))
+        spectra = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        assert np.max(np.abs(spectra - np.linalg.eigvalsh(mat))) <= 1e-10
+        if stem.startswith("h2o"):
+            assert sorted(len(b) for b in blocks) == [210, 231]
+
+    @pytest.mark.parametrize("stem", FIXTURE_STEMS)
+    def test_matches_whole_sector_eigh(self, stem):
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        ref = oracles.whole_sector_energy(hq, ints.n_elec // 2, ints.n_elec // 2)
+        assert fci_oracle(hq, ints.n_elec, 0.0).energy == pytest.approx(ref, abs=1e-10)
+
+    def test_spin_flip_breaking_sector_rejected(self):
+        # a_0^+ a_2 + a_2^+ a_0 hops the up spin alone: real and symmetric,
+        # so it passes the imaginary and asymmetry checks, but breaks the flip
+        hop = oracles.jw_operator([(0, True), (2, False)], 4) + oracles.jw_operator(
+            [(2, True), (0, False)], 4
+        )
+        with pytest.raises(FciError, match="spin-flip symmetry"):
+            fci_oracle(oracles.number_operator(2) + hop.simplify(), 2, 0.0)
 
     def test_empty_sector_rejected(self, h2_hq):
-        with pytest.raises(SolverError):
+        with pytest.raises(FciError):
             fci_oracle(h2_hq, 2, 3.0)
-        with pytest.raises(SolverError):
+        with pytest.raises(FciError):
             fci_oracle(h2_hq, 12, 0.0)
 
 
