@@ -728,13 +728,19 @@ class _TrigFamily:
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
+        self._flat = coeffs.reshape(5, -1)
+
+    def _combine(self, b: np.ndarray) -> np.ndarray:
+        # the reshapes and product of np.tensordot(b, coeffs, axes=1)
+        out = b.reshape(-1, 5) @ self._flat
+        return out.reshape(b.shape[:-1] + self.coeffs.shape[1:])
 
     def __call__(self, th):
         # [()] makes a scalar family's value at one angle a NumPy scalar
-        return np.tensordot(_fourier_basis(th)[0], self.coeffs, axes=1)[()]
+        return self._combine(_fourier_basis(th)[0])[()]
 
     def derivatives(self, th) -> np.ndarray:
-        return np.tensordot(_fourier_basis(th, 2), self.coeffs, axes=1)
+        return self._combine(_fourier_basis(th, 2))
 
 
 class _BranchSum:
@@ -825,12 +831,17 @@ class _SlotModel:
     ``_PRODUCTS`` turns G into Fourier coefficients in b(theta), which give
     the sum of the members' diagonal elements (``diagonal_sum``, a scalar
     ``_TrigFamily``) and the group's rows (``matrix_fn``) with their
-    derivatives in closed form.
+    derivatives in closed form.  ``products`` maps each other config to
+    its states' products in ``matrix_fn``; it outlives the model, and its
+    owner drops a config's entry when a state of that config moves.
     """
 
-    def __init__(self, engine: SubspaceEngine, members, k: int, prefix: np.ndarray):
+    def __init__(
+        self, engine: SubspaceEngine, members, k: int, prefix: np.ndarray, products: dict
+    ):
         self.engine = engine
         self.members = list(members)
+        self.products = products
         rotations = engine.basis[self.members[0]].rotations
         u = pair_rotation_terms(prefix, *rotations[k][:2])
         for r, s, th in rotations[k + 1 :]:
@@ -847,7 +858,8 @@ class _SlotModel:
 
         Against a state nu outside the group element (i, nu) is f . R[i, :,
         nu], with R[i, a, nu] = <U[i, a]| X_c,c_nu |psi_nu>: one product per
-        other config.  The rest of h does not move with the angle.
+        other config, kept in ``products``.  The rest of h does not move with
+        the angle.
         """
         engine, members = self.engine, self.members
         inside = set(members)
@@ -857,8 +869,10 @@ class _SlotModel:
             by_cfg.setdefault(engine.config(nu), []).append(col)
         r = np.zeros((len(self._u), len(others)), dtype=complex)
         for bits, cols in by_cfg.items():
-            psi = np.array([engine.state(others[c]).amplitudes for c in cols])
-            r[:, cols] = self._u.conj() @ engine.apply_xop(self._bits, bits, psi).T
+            if bits not in self.products:
+                psi = np.array([engine.state(others[c]).amplitudes for c in cols])
+                self.products[bits] = engine.apply_xop(self._bits, bits, psi)
+            r[:, cols] = self._u.conj() @ self.products[bits].T
         r = r.reshape(len(members), 3, len(others)).real
         coeffs = np.zeros((5,) + h.shape)
         coeffs[0] = h
@@ -920,12 +934,19 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int, kernel=None):
         e, c0 = ground_state(hmat)
         return tuple(engine.basis), SubspaceProblem(hmat, tuple(engine.basis), e, c0), [e]
 
+    # per group, X(c, c') applied to the stack of config c''s other states
+    # (see _SlotModel.matrix_fn); they stay valid until a state of c' moves
+    products = {key: {} for key in groups}
+
     def set_theta(bits, k, th):
         for mu in groups[bits]:
             b = engine.basis[mu]
             thetas = [rot[2] for rot in b.rotations]
             thetas[k] = th
             engine.replace_basis_state(mu, b.with_thetas(thetas))
+        cfg = engine.config(groups[bits][0])
+        for kept in products.values():
+            kept.pop(cfg, None)
 
     def get_theta(bits, k):
         return engine.basis[groups[bits][0]].rotations[k][2]
@@ -948,7 +969,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int, kernel=None):
         for r, s, th in want[len(done) :]:
             rotate_pair_inplace(amps, r, s, th)
         prefixes[bits] = (want, amps)
-        return _SlotModel(engine, members, k, amps)
+        return _SlotModel(engine, members, k, amps, products[bits])
 
     # Stage 1: settle each rotation group on its own diagonal energy.  The
     # joint objective (lowest eigenvalue) is blind to amplitudes of states

@@ -23,7 +23,8 @@ the same outcomes and values, probabilities and means to 1e-14),
 ``per_state_sampler`` and ``per_state_variance``),
 ``distinct_values`` (one row of ``simulator.draw_table``),
 ``reference_sorted_insertion`` (``measure.sorted_insertion``, whose
-fragments ``reconstruct`` sums back to the source operator) and
+fragments ``reconstruct`` sums back to the source operator),
+``tensordot_trig_family`` (``solver._TrigFamily``'s product) and
 ``golden_section_line_search`` (``solver._periodic_line_search``, which
 need only match or beat it).  The operators that only tests use,
 ``jw_ladder``, ``jw_operator``, ``spin_orbital``, ``number_operator``,
@@ -824,6 +825,11 @@ def reference_sorted_insertion(op):
             fragments.append([((xb, zb), c)])
             members.append([p])
     return fragments
+
+
+def tensordot_trig_family(fourier, coeffs):
+    """sum_q fourier[..., q] coeffs[q], by np.tensordot."""
+    return np.tensordot(fourier, coeffs, axes=1)
 
 
 def golden_section_line_search(f, th0, e0, xtol=1e-10):

@@ -878,7 +878,7 @@ def slot_models(ints, hq, selected, group_size, k, monkeypatch):
     for engine, limit in zip(engines, limits):
         # apply_xop runs only while the model and its rows are built
         monkeypatch.setattr(solver, "_DENSE_XOP_ORBITALS", limit)
-        model = _SlotModel(engine, members, k, fresh_prefix(engine, members, k))
+        model = _SlotModel(engine, members, k, fresh_prefix(engine, members, k), {})
         rebuild = rebuilder(engine)
         models.append((model, model.matrix_fn(rebuild(th0)), rebuild))
         assert bool(engine._xmats) == (engine.n_orb <= limit)
@@ -967,6 +967,84 @@ class TestVoOptimize:
         assert linked > 1
         assert not engine._xmats
 
+    def test_kept_products_follow_the_moved_groups(
+        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
+    ):
+        # the rows of group A (9 states) from its kept products, at random
+        # angles and again after group B (one state, another config) moves
+        # and its config's product is dropped: each time the exact matrix.
+        # The second build applies only A's own operator and B's; without
+        # the drop B's columns would be stale.
+        rng = np.random.default_rng(21)
+        engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec)
+        groups = {}
+        for mu, b in enumerate(engine.basis):
+            if b.rotations:
+                key = rotation_group_key(b.csf, engine.n_orb)
+                groups.setdefault(key, []).append(mu)
+
+        def move(members):
+            n_rot = len(engine.basis[members[0]].rotations)
+            thetas = rng.uniform(-np.pi, np.pi, n_rot)
+            for mu in members:
+                engine.replace_basis_state(mu, engine.basis[mu].with_thetas(thetas))
+
+        for members in groups.values():
+            move(members)
+        a = next(m for m in groups.values() if len(m) == 9)
+        b = next(
+            m
+            for m in groups.values()
+            if len(m) == 1 and engine.config(m[0]) != engine.config(a[0])
+        )
+        applied = []
+        apply_xop = SubspaceEngine.apply_xop
+
+        def recorded(self, bra_bits, ket_bits, vecs):
+            applied.append(ket_bits)
+            return apply_xop(self, bra_bits, ket_bits, vecs)
+
+        monkeypatch.setattr(SubspaceEngine, "apply_xop", recorded)
+        products = {}
+        others = {engine.config(nu) for nu in range(engine.size) if nu not in a}
+        for step in range(2):
+            if step:
+                kept = dict(products)
+                move(b)
+                products.pop(engine.config(b[0]))
+            exact = engine.exact_matrix()
+            stale = exact.copy()
+            stale[a, :] = stale[:, a] = np.nan
+            del applied[:]
+            model = _SlotModel(engine, a, 3, fresh_prefix(engine, a, 3), products)
+            th0 = engine.basis[a[0]].rotations[3][2]
+            assert np.max(np.abs(model.matrix_fn(stale)(th0) - exact)) < 1e-12
+            if step:
+                assert applied == [engine.config(a[0]), engine.config(b[0])]
+                model = _SlotModel(engine, a, 3, fresh_prefix(engine, a, 3), kept)
+                assert np.max(np.abs(model.matrix_fn(stale)(th0) - exact)) > 1e-6
+            else:
+                assert applied[0] == engine.config(a[0])
+                assert sorted(applied[1:]) == sorted(others) == sorted(products)
+
+    def test_vo_optimize_operator_applications(
+        self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
+    ):
+        # every apply_xop of one vo_optimize on the frozen H2O 1.0 A
+        # selection: 780 when every line search applied the operators to
+        # every other state, 260 with the products kept until a group moves
+        calls = [0]
+        apply_xop = SubspaceEngine.apply_xop
+
+        def counted(self, *args):
+            calls[0] += 1
+            return apply_xop(self, *args)
+
+        monkeypatch.setattr(SubspaceEngine, "apply_xop", counted)
+        _, problem, history = vo_optimize(h2o_vo_selected, h2o_hq, h2o.n_elec)
+        assert 0 < calls[0] <= 300
+        assert history[-1] == pytest.approx(problem.e_min, abs=1e-10)
+
     def test_line_search_is_closed_form(self, h2o, h2o_hq, h2o_vo_selected, monkeypatch):
         # one rotation group only, so every line search moves all its rows:
         # no element evaluation and no rotation inside any line search, no
@@ -1017,10 +1095,10 @@ class TestVoOptimize:
         line_search = solver._periodic_line_search
 
         class Checked(_SlotModel):
-            def __init__(self, engine, members, k, prefix):
+            def __init__(self, engine, members, k, prefix, products):
                 assert np.array_equal(prefix, fresh_prefix(engine, members, k))
                 steps.append(k)
-                super().__init__(engine, members, k, prefix)
+                super().__init__(engine, members, k, prefix, products)
 
         def checked_search(f, th0, e0, **kwargs):
             start_gaps.append(abs(f(th0) - e0))
@@ -1286,6 +1364,23 @@ class TestPeriodicLineSearch:
             assert e <= e_min
             assert e == pytest.approx(e_min, abs=1e-12)
             assert abs(th - th_min) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 6, 6)])
+    def test_trig_family_matches_tensordot(self, shape):
+        # a scalar and a matrix family, at one angle and at stacked ones:
+        # values and derivatives hold the bytes of np.tensordot's
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(size=shape)
+        f = solver._TrigFamily(coeffs)
+        for th in (0.3, rng.uniform(-np.pi, np.pi, 8)):
+            value = oracles.tensordot_trig_family(solver._fourier_basis(th)[0], coeffs)
+            got = f(th)
+            assert np.shape(got) == np.shape(th) + shape[1:]
+            assert type(got) is type(value[()])
+            assert np.asarray(got).tobytes() == value.tobytes()
+            stack = oracles.tensordot_trig_family(solver._fourier_basis(th, 2), coeffs)
+            got = f.derivatives(th)
+            assert got.shape == stack.shape and got.tobytes() == stack.tobytes()
 
     def test_start_at_minimum_of_diagonal_sum(self):
         # the stage-1 objective, a scalar family: its minimum is e0 again
