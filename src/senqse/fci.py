@@ -128,7 +128,11 @@ def _lanczos_ground_energy(hq: PauliSum, dets: np.ndarray) -> float:
 
     rows, cols, vals = map(np.concatenate, zip(*_sector_blocks(hq, dets)))
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(dets), len(dets)))
-    w = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", return_eigenvectors=False)
+    # a fixed start vector: ARPACK's own is random, so the bits would vary
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(dets))
+    w = scipy.sparse.linalg.eigsh(
+        mat, k=1, which="SA", v0=v0, return_eigenvectors=False
+    )
     return float(w[0])
 
 

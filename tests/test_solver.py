@@ -132,6 +132,15 @@ class TestFciOracle:
         assert res.energy == pytest.approx(dense, abs=1e-9)
         assert res.energy == pytest.approx(REFERENCE[stem]["e_fci"], abs=1e-7)
 
+    def test_lanczos_branch_is_deterministic(self, h2o_hq, h2o, monkeypatch):
+        # ARPACK starts from a fixed vector, not a random one, so repeated
+        # calls return the same bits
+        dense = fci_oracle(h2o_hq, h2o.n_elec, 0.0).energy
+        monkeypatch.setattr(fci, "_DENSE_CUTOFF", 0)
+        first, second = (fci_oracle(h2o_hq, h2o.n_elec, 0.0).energy for _ in range(2))
+        assert first == second
+        assert first == pytest.approx(dense, abs=1e-9)
+
     @pytest.mark.parametrize("stem", ["h2_0.7414", "h2o_1.0000"])
     def test_dense_assembly_matches_coo_csr(self, stem):
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
