@@ -441,11 +441,11 @@ def pair_rotation_terms(amps: np.ndarray, r: int, s: int) -> np.ndarray:
 
     Stacked on a new axis before the amplitude axis: u is amps with the
     (r, s) block zeroed, v the block alone and w the block swapped with the
-    sign ``rotate_pair_inplace`` gives it.
+    sign ``rotate_pair_inplace`` gives it.  The dtype is that of amps.
     """
     n = amps.shape[-1].bit_length() - 1
     i_idx, j_idx = _rotation_indices(n, r, s)
-    out = np.zeros(amps.shape[:-1] + (3, amps.shape[-1]), dtype=complex)
+    out = np.zeros(amps.shape[:-1] + (3, amps.shape[-1]), dtype=amps.dtype)
     out[..., 0, :] = amps
     out[..., 0, i_idx] = out[..., 0, j_idx] = 0.0
     out[..., 1, i_idx], out[..., 1, j_idx] = amps[..., i_idx], amps[..., j_idx]

@@ -103,6 +103,12 @@ def ground_state(hmat: np.ndarray):
     return float(vals[0]), np.real_if_close(c0, tol=1e6)
 
 
+def _real_part(a: np.ndarray) -> np.ndarray:
+    if np.max(np.abs(a.imag), initial=0.0) > HERMITICITY_TOL:
+        raise SolverError("effective operator is not real")
+    return np.ascontiguousarray(a.real)
+
+
 class SubspaceEngine:
     """Shared machinery for exact and sampled subspace matrix construction.
 
@@ -198,15 +204,19 @@ class SubspaceEngine:
         return rotation_free or not self.xop(mu, nu)
 
     def apply_xop(self, bra_bits: int, ket_bits: int, vecs: np.ndarray) -> np.ndarray:
-        """The config pair's effective operator applied to each row of vecs."""
+        """The config pair's effective operator applied to each real row of vecs.
+
+        The operator is real; an imaginary part above ``HERMITICITY_TOL``
+        (in the dense matrix, or in the Pauli-sum product) is a SolverError.
+        """
         op = self.kernel.xop(bra_bits, ket_bits)
         if not op:
             return np.zeros_like(vecs)
         if self.n_orb <= _DENSE_XOP_ORBITALS:
             if (bra_bits, ket_bits) not in self._xmats:
-                self._xmats[bra_bits, ket_bits] = dense_matrix(op)
+                self._xmats[bra_bits, ket_bits] = _real_part(dense_matrix(op))
             return vecs @ self._xmats[bra_bits, ket_bits].T
-        return apply_pauli_sum(vecs, self.n_orb, op)
+        return _real_part(apply_pauli_sum(vecs, self.n_orb, op))
 
     def element_exact(self, mu: int, nu: int) -> float:
         bra_bits = self._configs[mu]
@@ -831,13 +841,19 @@ class _SlotModel:
     ``_PRODUCTS`` turns G into Fourier coefficients in b(theta), which give
     the sum of the members' diagonal elements (``diagonal_sum``, a scalar
     ``_TrigFamily``) and the group's rows (``matrix_fn``) with their
-    derivatives in closed form.  ``products`` maps each other config to
+    derivatives in closed form.  CSFs and pair rotations are real, so all
+    of it is real arithmetic.  ``products`` maps each other config to
     its states' products in ``matrix_fn``; it outlives the model, and its
     owner drops a config's entry when a state of that config moves.
     """
 
     def __init__(
-        self, engine: SubspaceEngine, members, k: int, prefix: np.ndarray, products: dict
+        self,
+        engine: SubspaceEngine,
+        members,
+        k: int,
+        prefix: np.ndarray,
+        products: dict,
     ):
         self.engine = engine
         self.members = list(members)
@@ -849,8 +865,8 @@ class _SlotModel:
         self._u = u.reshape(-1, u.shape[-1])
         self._bits = engine.config(self.members[0])
         m = len(self.members)
-        g = self._u.conj() @ engine.apply_xop(self._bits, self._bits, self._u).T
-        self._block = np.einsum("abq,iajb->qij", _PRODUCTS, g.reshape(m, 3, m, 3).real)
+        g = self._u @ engine.apply_xop(self._bits, self._bits, self._u).T
+        self._block = np.einsum("abq,iajb->qij", _PRODUCTS, g.reshape(m, 3, m, 3))
         self.diagonal_sum = _TrigFamily(np.einsum("qii->q", self._block))
 
     def matrix_fn(self, h: np.ndarray) -> _TrigFamily:
@@ -867,13 +883,13 @@ class _SlotModel:
         by_cfg: dict = {}
         for col, nu in enumerate(others):
             by_cfg.setdefault(engine.config(nu), []).append(col)
-        r = np.zeros((len(self._u), len(others)), dtype=complex)
+        r = np.zeros((len(self._u), len(others)))
         for bits, cols in by_cfg.items():
             if bits not in self.products:
-                psi = np.array([engine.state(others[c]).amplitudes for c in cols])
+                psi = np.array([engine.state(others[c]).amplitudes.real for c in cols])
                 self.products[bits] = engine.apply_xop(self._bits, bits, psi)
-            r[:, cols] = self._u.conj() @ self.products[bits].T
-        r = r.reshape(len(members), 3, len(others)).real
+            r[:, cols] = self._u @ self.products[bits].T
+        r = r.reshape(len(members), 3, len(others))
         coeffs = np.zeros((5,) + h.shape)
         coeffs[0] = h
         coeffs[np.ix_(range(5), members, members)] = 0.5 * (
@@ -965,7 +981,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int, kernel=None):
         done, amps = prefixes.get(bits, ((), None))
         if amps is None or want[: len(done)] != done:
             done = ()
-            amps = np.array([engine.csf_state(mu).amplitudes for mu in members])
+            amps = np.array([engine.csf_state(mu).amplitudes.real for mu in members])
         for r, s, th in want[len(done) :]:
             rotate_pair_inplace(amps, r, s, th)
         prefixes[bits] = (want, amps)

@@ -838,8 +838,8 @@ class TestMatrixDraws:
 
 
 def fresh_prefix(engine, members, k):
-    """The members after their rotations[:k], rebuilt from their CSFs."""
-    amps = np.array([engine.csf_state(mu).amplitudes for mu in members])
+    """The members after their rotations[:k], rebuilt from their (real) CSFs."""
+    amps = np.array([engine.csf_state(mu).amplitudes.real for mu in members])
     for r, s, th in engine.basis[members[0]].rotations[:k]:
         csfbasis.rotate_pair_inplace(amps, r, s, th)
     return amps
@@ -956,7 +956,8 @@ class TestVoOptimize:
     ):
         # with Pauli-sum operators (limit 0) apply_xop applies each config
         # pair's operator to the whole stack in one call; every row holds
-        # the bits of that operator applied to the row alone
+        # the bits of that operator applied to the row alone, whose
+        # imaginary part is zero
         _, [(model, _, _), _] = slot_models(
             h2o, h2o_hq, h2o_vo_selected, 9, 3, monkeypatch
         )
@@ -969,8 +970,11 @@ class TestVoOptimize:
             assert got.shape == model._u.shape
             if op:
                 linked += 1
-                rows = [solver.apply_pauli_sum(v, engine.n_orb, op) for v in model._u]
-                assert got.tobytes() == np.array(rows).tobytes()
+                rows = np.array(
+                    [solver.apply_pauli_sum(v, engine.n_orb, op) for v in model._u]
+                )
+                assert not rows.imag.any()
+                assert got.tobytes() == rows.real.copy().tobytes()
             else:
                 assert not got.any()
         assert linked > 1
@@ -1053,6 +1057,23 @@ class TestVoOptimize:
         _, problem, history = vo_optimize(h2o_vo_selected, h2o_hq, h2o.n_elec)
         assert 0 < calls[0] <= 300
         assert history[-1] == pytest.approx(problem.e_min, abs=1e-10)
+
+    @pytest.mark.parametrize("limit", [0, solver._DENSE_XOP_ORBITALS])
+    def test_non_real_operator_rejected(
+        self, h2o, h2o_hq, h2o_vo_selected, limit, monkeypatch
+    ):
+        # an imaginary part in the dense matrix (limit 8) or in the
+        # Pauli-sum product (limit 0) is refused, not dropped
+        engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec)
+        bits = engine.config(0)
+        vecs = np.array([engine.state(0).amplitudes.real])
+        monkeypatch.setattr(solver, "_DENSE_XOP_ORBITALS", limit)
+        for name in ("dense_matrix", "apply_pauli_sum"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *args, fn=fn: fn(*args) + 1e-9j)
+        with pytest.raises(SolverError, match="effective operator is not real"):
+            engine.apply_xop(bits, bits, vecs)
+        assert not engine._xmats
 
     def test_line_search_is_closed_form(self, h2o, h2o_hq, h2o_vo_selected, monkeypatch):
         # one rotation group only, so every line search moves all its rows:
