@@ -121,9 +121,11 @@ class SubspaceEngine:
     element against a rotated ket is the kernel's ``apply`` of the
     operator to that ket.  Each state's config, a bit mask, is read from
     the kernel once: replacing a state's rotation amplitudes never changes
-    it, and only invalidates that state's vector.  ``apply_xop`` uses a
-    memoised dense matrix instead when the register has at most
-    ``_DENSE_XOP_ORBITALS`` orbitals.  The untapered ablation is
+    it, and only invalidates that state's vector.  ``apply_xop``, the
+    amplitude optimiser's product of a config pair's operator with real
+    rows, uses a memoised float64 matrix when the register has at most
+    ``_DENSE_XOP_ORBITALS`` orbitals and the Pauli sum above; it refuses an
+    operator that is not real.  The untapered ablation is
     ``_full_register_matrix``, outside the engine.
     """
 
