@@ -311,20 +311,17 @@ class TestPairRotation:
             with pytest.raises(BasisError, match="bad rotation qubits"):
                 rotate_pair_inplace(amps, r, s, 0.1)
 
-    @pytest.mark.parametrize("imag", [1.0, 0.0])
-    def test_rotation_terms_rebuild_the_rotation(self, imag):
+    def test_rotation_terms_rebuild_the_rotation(self):
         # (u, v, w) split of one rotation: u + cos 2t v + sin 2t w is the
-        # rotated state, bit for bit, at any angle; real amplitudes give
-        # real terms
+        # rotated state, bit for bit, at any angle; complex amplitudes give
+        # complex terms and real ones real terms
         rng = np.random.default_rng(11)
-        amps = rng.normal(size=(2, 16)) + imag * 1j * rng.normal(size=(2, 16))
-        if not imag:
-            amps = amps.real
-        for r, s in [(0, 3), (2, 1)]:
-            terms = pair_rotation_terms(amps, r, s)
-            assert terms.shape == (2, 3, 16) and terms.dtype == amps.dtype
+        amps = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        for r, s, stack in [(0, 3, amps), (2, 1, amps), (0, 3, amps.real.copy())]:
+            terms = pair_rotation_terms(stack, r, s)
+            assert terms.shape == (2, 3, 16) and terms.dtype == stack.dtype
             for theta in rng.uniform(-np.pi, np.pi, 5):
-                rotated = amps.copy()
+                rotated = stack.copy()
                 rotate_pair_inplace(rotated, r, s, theta)
                 c, sn = math.cos(2.0 * theta), math.sin(2.0 * theta)
                 combined = terms[:, 0] + c * terms[:, 1] + sn * terms[:, 2]
