@@ -1,4 +1,4 @@
-"""Measurement layer: swap-test operators, grouping, variances, allocation.
+"""Measurement layer: swap-test operators, grouping, deviations, allocation.
 
 Off-diagonal matrix elements are estimated through a single-ancilla swap
 construction.  For real-amplitude register states, a term's bra-ket element
@@ -7,7 +7,8 @@ only one ancilla dressing (x or y) and the whole swap operator stays
 Hermitian with real coefficients.  The identity maps to x (x) 1, whose
 coefficient is free to shift because the swap state gives it zero mean;
 shifting it by minus the average of the two diagonal elements minimizes the
-estimator variance.
+estimator variance.  A fragment's deviation, in exact and sampled mode
+alike, is that of one outcome of its ``FragmentSampler``.
 """
 
 from __future__ import annotations
@@ -134,53 +135,41 @@ def sorted_insertion(op: PauliArrays | PauliSum) -> tuple:
     return tuple(PauliSum(n, dict(entries)) for entries in fragments)
 
 
-def fragment_variances(states, fragment: PauliSum) -> list:
-    """Exact <F^2> - <F>^2 of the fragment on each state; clamped at zero.
+def fragment_variance(state: StateVector, fragment: PauliSum) -> float:
+    """Exact variance ||(F - <F>) psi||^2 of the fragment on one state.
 
-    F is applied to each chunk of states (``stack_chunks``) by one
-    ``apply_pauli_sum``, whose in-order term sums give each state the bits
-    of its own call; the moments are then one ``vdot`` per state.
+    Both moments are divided by <psi|psi>, which a stored state meets only
+    to rounding: <F> is then the m that minimises ||(F - m) psi||, so that
+    rounding leaves no residual on an eigenstate.
     """
     if fragment.max_imag() > MIXED_COEFF_TOL:
         raise MeasureError("fragment must be Hermitian (real coefficients)")
-    out = []
-    for chunk in stack_chunks(states, 2**fragment.n_qubits):
-        stack = np.array([state.amplitudes for state in chunk])
-        f_psis = apply_pauli_sum(stack, fragment.n_qubits, fragment)
-        for state, f_psi in zip(chunk, f_psis):
-            mean = np.vdot(state.amplitudes, f_psi)
-            if abs(mean.imag) > 1e-9:
-                raise MeasureError(f"non-real fragment mean {mean}")
-            second = np.vdot(f_psi, f_psi).real
-            var = second - mean.real**2
-            if var < -1e-12:
-                raise MeasureError(f"variance underflow {var}")
-            out.append(max(var, 0.0))
-    return out
+    amps = state.amplitudes
+    f_psi = apply_pauli_sum(amps, fragment.n_qubits, fragment)
+    norm = np.vdot(amps, amps).real
+    mean = np.vdot(amps, f_psi) / norm
+    if abs(mean.imag) > 1e-9:
+        raise MeasureError(f"non-real fragment mean {mean}")
+    deviation = f_psi - mean.real * amps
+    return float(np.vdot(deviation, deviation).real / norm)
 
 
-def fragment_variance(state: StateVector, fragment: PauliSum) -> float:
-    """Exact <F^2> - <F>^2 by operator application; clamped at zero."""
-    return fragment_variances([state], fragment)[0]
-
-
-def measure_by_fragment(elements, build_samplers: bool):
-    """Fragment deviations, and samplers if asked, grouped by distinct fragment.
+def measure_by_fragment(elements) -> dict:
+    """Fragment samplers and deviations, grouped by distinct fragment.
 
     ``elements`` yields (element, prepare, fragments), ``prepare()`` giving
     the element's state.  Each distinct fragment (its terms in order) gets
-    stacked passes over the states that measure it, ``fragment_variances``
-    and ``FragmentSampler.stack``, each state getting the bits of its own
-    pass.  The states are prepared per chunk of ``stack_chunks`` and
-    dropped after it, so the pass holds one chunk of states at a time,
-    never the states of every element.  Returns ({element: sigmas},
-    {element: samplers} or None), in the order of ``elements`` and of
-    their fragments.
+    one ``FragmentSampler.stack`` pass per chunk of the states that measure
+    it, each state getting the bits of its own sampler, and each deviation
+    is the square root of that sampler's outcome variance.  The states are
+    prepared per chunk of ``stack_chunks`` and dropped after it, so the
+    pass holds one chunk of states at a time, never the states of every
+    element.  Returns {element: (samplers, sigmas)}, in the order of
+    ``elements`` and of their fragments.
     """
-    sigmas, samplers, groups = {}, {}, {}
+    plan, groups = {}, {}
     for element, prepare, frags in elements:
-        sigmas[element] = [None] * len(frags)
-        samplers[element] = [None] * len(frags)
+        plan[element] = ([None] * len(frags), [None] * len(frags))
         for f, frag in enumerate(frags):
             terms = (frag.n_qubits, tuple(frag.items()))
             groups.setdefault(terms, (frag, []))[1].append((element, f, prepare))
@@ -189,14 +178,11 @@ def measure_by_fragment(elements, build_samplers: bool):
         frag, slots = groups.pop(terms)
         for chunk in stack_chunks(slots, 2**frag.n_qubits):
             states = [prepare() for _, _, prepare in chunk]
-            variances = fragment_variances(states, frag)
-            built = [None] * len(chunk)
-            if build_samplers:
-                built = FragmentSampler.stack(states, frag)
-            for (element, f, _), var, sampler in zip(chunk, variances, built):
-                sigmas[element][f] = np.sqrt(var)
-                samplers[element][f] = sampler
-    return sigmas, samplers if build_samplers else None
+            built = FragmentSampler.stack(states, frag)
+            for (element, f, _), sampler in zip(chunk, built):
+                samplers, sigmas = plan[element]
+                samplers[f], sigmas[f] = sampler, np.sqrt(sampler.variance)
+    return plan
 
 
 @dataclass(frozen=True)

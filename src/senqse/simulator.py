@@ -22,8 +22,8 @@ amplitudes weighs every outcome of the generators with X words, and the
 diagonal ones read one value on the whole coset.  The states that measure
 one fragment are transformed as one stack: the elimination and the product
 table are built once, each state's entries hold exact zeros off its own
-cosets, and each state's values and mean are taken from its own entries
-alone, so every state gets the bits it would get by itself.
+cosets, and each state's values, mean and variance are taken from its own
+entries alone, so every state gets the bits it would get by itself.
 """
 
 from __future__ import annotations
@@ -367,11 +367,12 @@ def _coset_weights(states, xs, products):
 
 
 def _coset_stack(states, basis, masks, coeffs) -> list:
-    """(probs, values, mean) of each state, one transform per coset.
+    """(probs, values, mean, variance) of each state, one transform per coset.
 
     Each (coset, t) is mapped to its outcome s and each state's weights are
     summed per s over the cosets in increasing order, so its entries off
-    its own cosets add +0 to every sum.
+    its own cosets add +0 to every sum.  The variance sums p (v - mean)**2,
+    whose terms are never negative, so a one-outcome state reads 0.
     """
     xs, products, flips, diagonal, diag_outcomes = basis
     reps, weights = _coset_weights(states, xs, products)
@@ -397,7 +398,8 @@ def _coset_stack(states, basis, masks, coeffs) -> list:
         signs = np.bitwise_count(outcomes[live, None] & masks) & 1
         values = (1.0 - 2.0 * signs) @ coeffs
         probs = row[live] / row[live].sum()
-        out.append((probs, values, float(values @ probs)))
+        mean = float(values @ probs)
+        out.append((probs, values, mean, float((values - mean) ** 2 @ probs)))
     return out
 
 
@@ -410,7 +412,9 @@ class FragmentSampler:
     eta_j = +-1.  A joint outcome s (bit i set when g_i reads -1) has
     probability <psi| prod_i (1 + (-1)^s_i g_i) / 2 |psi> and fragment
     value sum_j c_j eta_j (-1)^|s & S_j|.  ``values`` and ``probs`` hold
-    the outcomes of probability above 1e-15 in increasing s.  A draw
+    the outcomes of probability above 1e-15 in increasing s, ``mean`` and
+    ``variance`` the mean and variance of one outcome, the fragment's
+    <F> and <F^2> - <F>^2 taken from the distribution.  A draw
     samples the counts of the distinct values (the sampler's row of
     ``draw_table``), so repeated sampling of the same (state, fragment)
     pair is cheap.
@@ -433,14 +437,15 @@ class FragmentSampler:
     (``stack_chunks``: at most BLOCK_AMPLITUDES // 2**n states, at least
     one) one transform over the cosets of the union of their supports.  A
     state's entries off its own cosets are exact zeros, so each state gets
-    the bits it would get alone; its values and mean are then taken from
-    its own entries only, as on one state, because a matrix product's
-    rounding depends on the operand shape.
+    the bits it would get alone; its values, mean and variance are then
+    taken from its own entries only, as on one state, because a matrix
+    product's rounding depends on the operand shape.
     """
 
     def __init__(self, state: StateVector, fragment: PauliSum):
         [sampler] = self.stack([state], fragment)
-        self.probs, self.values, self.mean = sampler.probs, sampler.values, sampler.mean
+        self.probs, self.values = sampler.probs, sampler.values
+        self.mean, self.variance = sampler.mean, sampler.variance
 
     @classmethod
     def stack(cls, states, fragment: PauliSum) -> list:
@@ -453,9 +458,9 @@ class FragmentSampler:
         basis = _coset_basis(gens)
         samplers = []
         for chunk in stack_chunks(states, 2**fragment.n_qubits):
-            for probs, values, mean in _coset_stack(chunk, basis, masks, coeffs):
+            for entries in _coset_stack(chunk, basis, masks, coeffs):
                 sampler = cls.__new__(cls)
-                sampler.probs, sampler.values, sampler.mean = probs, values, mean
+                sampler.probs, sampler.values, sampler.mean, sampler.variance = entries
                 samplers.append(sampler)
         return samplers
 

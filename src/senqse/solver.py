@@ -285,31 +285,20 @@ class SubspaceEngine:
                 fragment_sets[key] = sorted_insertion(op)
             yield (mu, nu), prepare, fragment_sets[key]
 
-    def _measure(self, build_samplers: bool):
-        """``measure.measure_by_fragment`` of every non-classical element."""
+    def sampling_plan(self):
+        """{element: (samplers, deviations)} of every non-classical element,
+        from ``measure.measure_by_fragment``."""
         pairs = itertools.combinations_with_replacement(range(self.size), 2)
         elements = [key for key in pairs if not self.is_classical(*key)]
-        return measure_by_fragment(self._measurables(elements), build_samplers)
+        return measure_by_fragment(self._measurables(elements))
 
-    def sampling_plan(self):
-        """Samplers and exact deviations for every non-classical element."""
-        sigmas, samplers = self._measure(build_samplers=True)
-        return {key: (samplers[key], sigs) for key, sigs in sigmas.items()}
-
-    def sigma_matrix(self, plan=None):
-        """Per-element optimal-allocation deviations and fragment splits.
-
-        They are read from ``plan`` when given; otherwise they come from
-        the fragments' exact variances, and no sampler is built.
-        """
-        if plan is None:
-            sigmas, _ = self._measure(build_samplers=False)
-        else:
-            sigmas = {key: sigs for key, (_, sigs) in plan.items()}
+    def sigma_matrix(self, plan):
+        """Per-element optimal-allocation deviations and fragment splits,
+        read from ``plan`` (``sampling_plan``)."""
         sigma = np.zeros((self.size, self.size))
-        for (mu, nu), sigs in sigmas.items():
+        for (mu, nu), (_, sigs) in plan.items():
             sigma[mu, nu] = sigma[nu, mu] = sum(sigs)
-        return sigma, {key: list(sigs) for key, sigs in sigmas.items()}
+        return sigma, {key: list(sigs) for key, (_, sigs) in plan.items()}
 
 
 # A sampled element keeps its standard error sigma_e / sqrt(m_e) within this
@@ -650,7 +639,7 @@ def build_subspace(
     if mode == "exact":
         hmat = engine.exact_matrix() if taper else _full_register_matrix(engine)
         if compute_sigma:
-            sigma, fragment_sigmas = engine.sigma_matrix()
+            sigma, fragment_sigmas = engine.sigma_matrix(engine.sampling_plan())
     elif mode == "sampled":
         if shots is None or seed is None:
             raise SolverError("sampled mode requires shots and seed")

@@ -18,9 +18,11 @@ pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``whole_sector_energy`` (``fci.fci_oracle``'s spin-flip blocks, to 1e-10 Ha),
 ``dense_branch_sampler`` and ``per_state_sampler`` (the per-generator
 branching that ``simulator.FragmentSampler``'s coset transform replaced:
-the same outcomes and values, probabilities and means to 1e-14),
+the same outcomes and values, probabilities, means and variances to
+1e-14),
 ``per_element_plan`` (``SubspaceEngine.sampling_plan``, with
-``per_state_sampler`` and ``per_state_variance``),
+``per_state_sampler``), ``per_state_variance`` (the moments a fragment's
+outcome distribution must reproduce, to 1e-10),
 ``distinct_values`` (one row of ``simulator.draw_table``),
 ``reference_sorted_insertion`` (``measure.sorted_insertion``, whose
 fragments ``reconstruct`` sums back to the source operator),
@@ -615,8 +617,7 @@ def dense_branch_sampler(state, fragment):
     ``PauliProduct.mul`` chain.  The state is split on each generator g in
     turn into (B + gB)/2 and (B - gB)/2 over all 2**n amplitudes, and
     branches of probability at or below 1e-15 are dropped.  Returns values,
-    probs and mean as ``FragmentSampler`` defines them, and the variance of
-    one draw.
+    probs, mean and variance as ``FragmentSampler`` defines them.
     """
     from types import SimpleNamespace
 
@@ -670,7 +671,7 @@ def dense_branch_sampler(state, fragment):
         values=values,
         probs=probs,
         mean=mean,
-        variance=float(probs @ values**2 - mean**2),
+        variance=float((values - mean) ** 2 @ probs),
     )
 
 
@@ -679,9 +680,9 @@ def per_state_sampler(state, fragment):
 
     Elimination and eta phases as ``dense_branch_sampler``, branches kept
     on the orbit of this state's support under the generators' X flips.
-    Returns values, probs and mean, and the outcomes (bit i set when
-    generator i reads -1) with the eliminated masks and coefficients that
-    give the values.
+    Returns values, probs, mean and variance, and the outcomes (bit i set
+    when generator i reads -1) with the eliminated masks and coefficients
+    that give the values.
     """
     from types import SimpleNamespace
 
@@ -726,10 +727,12 @@ def per_state_sampler(state, fragment):
     signs = np.bitwise_count(outcomes[:, None] & masks) & 1
     values = (1.0 - 2.0 * signs) @ coeffs
     probs = probs / probs.sum()
+    mean = float(values @ probs)
     return SimpleNamespace(
         values=values,
         probs=probs,
-        mean=float(values @ probs),
+        mean=mean,
+        variance=float((values - mean) ** 2 @ probs),
         outcomes=outcomes,
         masks=masks,
         coeffs=coeffs,
@@ -762,12 +765,13 @@ def per_element_plan(engine):
     Each non-classical element (mu <= nu, in order) builds its own
     operator, swap-test or diagonal, with a same-config constant shift
     reading ``element_exact`` afresh, sorts it into fragments, and measures
-    each fragment with one ``per_state_sampler`` and one
-    ``per_state_variance``.  Returns {element: (samplers, sigmas)}, the
-    layout of ``SubspaceEngine.sampling_plan``.
+    each fragment with one ``per_state_sampler``, its deviation the square
+    root of one ``FragmentSampler``'s outcome variance on that state alone.
+    Returns {element: (samplers, sigmas)}, the layout of
+    ``SubspaceEngine.sampling_plan``.
     """
     from senqse.measure import build_swap_operator, shift_constant, sorted_insertion
-    from senqse.simulator import prepare_swap_state
+    from senqse.simulator import FragmentSampler, prepare_swap_state
 
     plan = {}
     for mu in range(engine.size):
@@ -787,7 +791,7 @@ def per_element_plan(engine):
             frags = sorted_insertion(op)
             plan[mu, nu] = (
                 [per_state_sampler(state, f) for f in frags],
-                [np.sqrt(per_state_variance(state, f)) for f in frags],
+                [np.sqrt(FragmentSampler(state, f).variance) for f in frags],
             )
     return plan
 

@@ -284,6 +284,32 @@ def test_sampling_plan_leaves_unlinked_elements_exact(h2o_systems, h2o_vo):
     assert predicted_mse(sigma, c0, shots) > 0.0
 
 
+def test_zero_angle_basis_prices_one_outcome_fragments_at_zero(h2o_systems, h2o_vo):
+    # every angle at 0: fragment 0 of (1, 1) and (2, 2) has one outcome at
+    # about -74 Ha, which <F^2> - <F>^2 read as -1.8e-12 and refused
+    ints, hq, _ = h2o_systems["1.0000"]
+    basis, _ = h2o_vo["1.0000"]
+    basis = [b.with_thetas(np.zeros(len(b.rotations))) for b in basis]
+    engine = SubspaceEngine(basis, hq, ints.n_elec)
+    plan = engine.sampling_plan()
+    for key in [(1, 1), (2, 2)]:
+        samplers, sigmas = plan[key]
+        assert len(samplers[0].values) == 1 and sigmas[0] == 0.0
+    for key, (samplers, _) in plan.items():
+        state, frags = engine.element_measurables(*key)
+        for frag, sampler in zip(frags, samplers):
+            want = oracles.per_state_variance(state, frag)
+            assert abs(sampler.variance - want) <= 1e-10
+    args = (basis, hq, ints.n_elec)
+    exact = build_subspace(*args, compute_sigma=True, kernel=engine.kernel)
+    sampled = build_subspace(
+        *args, mode="sampled", shots=200_000, seed=0, kernel=engine.kernel
+    )
+    for problem in (exact, sampled):
+        assert problem.fragment_sigmas[1, 1][0] == 0.0
+        assert problem.fragment_sigmas[2, 2][0] == 0.0
+
+
 def test_criterion_7_grouping_correctness(h2o_systems, h2o_vo):
     ints, hq, _ = h2o_systems["1.0000"]
     basis, _ = h2o_vo["1.0000"]

