@@ -413,8 +413,8 @@ class FragmentSampler:
     probability <psi| prod_i (1 + (-1)^s_i g_i) / 2 |psi> and fragment
     value sum_j c_j eta_j (-1)^|s & S_j|.  ``values`` and ``probs`` hold
     the outcomes of probability above 1e-15 in increasing s, ``mean`` and
-    ``variance`` the mean and variance of one outcome, the fragment's
-    <F> and <F^2> - <F>^2 taken from the distribution.  A draw
+    ``variance`` the fragment's <F> and <(F - <F>)^2> read from that
+    distribution.  A draw
     samples the counts of the distinct values (the sampler's row of
     ``draw_table``), so repeated sampling of the same (state, fragment)
     pair is cheap.
