@@ -371,22 +371,26 @@ class MatrixSampler:
     positive); and ``elements_at_floor``, the number of sampled elements
     whose shots sit at or below the error floor of ``make_matrix_sampler``
     (the elements whose shots the floor, not the error split, decides).
-    ``spectrum`` is the exact matrix's ``np.linalg.eigh``; ``floor_shots``
-    is the sum of the floors ``make_matrix_sampler`` set, which may exceed
-    the budget (None on a sampler built from a given table).
+    Where its floors fit the budget, ``make_matrix_sampler``'s table holds
+    the bias within BIAS_KAPPA sqrt(first_order_mse) before integer
+    rounding.  ``coefficients`` is
+    ``_error_coefficients`` of the exact matrix over every planned element;
+    ``floor_shots`` is the sum of the floors ``make_matrix_sampler`` set,
+    which may exceed the budget (None on a sampler built from a given
+    table).
     """
 
     exact: np.ndarray
     plan: dict
     shots: dict
-    spectrum: tuple = field(repr=False, compare=False)
+    coefficients: tuple = field(repr=False, compare=False)
     floor_shots: int | None = None
     first_order_mse: float = field(init=False)
     second_order_bias: float = field(init=False)
     elements_at_floor: int = field(init=False)
 
     def __post_init__(self):
-        gap, weight, beta = _error_coefficients(self.spectrum, self.plan)
+        gap, weight, beta = self.coefficients
         mse = bias = 0.0
         at_floor = 0
         for key, (_, sigs) in self.plan.items():
@@ -456,51 +460,41 @@ def _water_fill(floor: np.ndarray, w: np.ndarray, budget: float) -> np.ndarray:
     return floor
 
 
-def _bisect(too_low, lo: float, hi: float) -> float:
-    """The crossing of a predicate that holds at lo and fails at hi."""
-    for _ in range(_BISECTION_STEPS):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if too_low(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _bias_weighted_table(floor, a, b, budget: float) -> np.ndarray:
-    """Minimum of F + B^2 over m >= floor, subject to B^2 <= BIAS_KAPPA^2 F.
+    """Minimum of F over m >= floor, subject to B^2 <= BIAS_KAPPA^2 F.
 
-    F = sum_e a_e / m_e and |B| = sum_e b_e / m_e.  Above their floors the
-    optimal tables hold shots in proportion to sqrt(a_e + t b_e) for one
-    scalar t (the water-fill m(t)): t = 2 |B(m(t))| minimises F + B^2, and
-    where that table's bias exceeds BIAS_KAPPA sqrt(F) the bound binds and
-    t grows until B^2 = BIAS_KAPPA^2 F, which moves shots to the elements
-    that shift E_0 at second order.  Both are roots in t, found by
-    bisection.
+    F = sum_e a_e / m_e and |B| = sum_e b_e / m_e.  The water-fill m(t),
+    shots in proportion to sqrt(a_e + t b_e) above the floors, minimises
+    F + t |B| at the budget, so F rises and |B| falls as t grows, and the
+    optimum is m(t) at the smallest t that meets the bound: m(0), the
+    first-order optimum, or the root of B^2 = BIAS_KAPPA^2 F, bracketed
+    from a positive t and bisected.  With no first-order weight no table
+    meets the bound and t stops at the cap, m proportional to sqrt(b_e).
     """
 
     def table(t):
         return _water_fill(floor, np.sqrt(a + t * b), budget)
 
-    def bias(m):
-        return np.sum(b / m)
+    def too_biased(m):
+        return np.sum(b / m) ** 2 > BIAS_KAPPA**2 * np.sum(a / m)
 
-    t = _bisect(lambda t: t < 2.0 * bias(table(t)), 0.0, 2.0 * bias(table(0.0)))
-
-    def too_biased(t):
-        m = table(t)
-        return bias(m) ** 2 > BIAS_KAPPA**2 * np.sum(a / m)
-
-    if too_biased(t):
-        hi = 2.0 * t
-        for _ in range(_BISECTION_STEPS):
-            if not too_biased(hi):
-                break
-            hi *= 2.0
-        t = _bisect(too_biased, t, hi)
-    return table(t)
+    m = table(0.0)
+    if not too_biased(m):
+        return m
+    lo, hi = 0.0, 2.0 * np.sum(b / m)
+    for _ in range(_BISECTION_STEPS):
+        if not too_biased(table(hi)):
+            break
+        lo, hi = hi, 2.0 * hi
+    for _ in range(_BISECTION_STEPS):
+        if hi - lo <= 1e-12 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if too_biased(table(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return table(hi)
 
 
 def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampler:
@@ -517,13 +511,16 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
        two, and one draw of such an element can push an excited
        combination below E_0, an error the first-order model omits.
     2. Split the rest.  The table minimises the first-order MSE F = sum_e
-       a_e / m_e plus the square of the second-order bias B = -sum_e b_e /
-       m_e over the tables that meet the floors and hold |B| within
-       BIAS_KAPPA sqrt(F), with a_e = weight_e sigma_e^2 and b_e = beta_e
-       sigma_e^2 from ``_error_coefficients`` (``_bias_weighted_table``).
-       The bound keeps the first-order model, which ``predicted_mse`` and
-       the cost report use, within BIAS_KAPPA^2 of the table's MSE; without
-       it the minimum of F + B^2 on H2O 1.0 A has B^2 = 0.13 F.
+       a_e / m_e, the error the sampler reports, over the tables that meet
+       the floors and hold the second-order bias B = -sum_e b_e / m_e
+       within BIAS_KAPPA sqrt(F), with a_e = weight_e sigma_e^2 and b_e =
+       beta_e sigma_e^2 from ``_error_coefficients``
+       (``_bias_weighted_table``).  The bound keeps the first-order model,
+       which ``predicted_mse`` and the cost report use, within
+       BIAS_KAPPA^2 of the MSE F + B^2; without it the table on H2O 1.0 A
+       at 200 000 shots has B^2 = 0.76 F.  It holds before integer
+       rounding: there |B| / sqrt(F) reads 0.25020 at 400 000 shots and
+       0.25058 at 50 000.
 
     The table spends the budget unless no element's error can use it.
     Fragments inside an element share its shots in proportion to their
@@ -545,8 +542,8 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     # sigma_e = 0: every draw is exact, one shot per fragment
     shots = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
     keys = [key for key, (_, sigs) in plan.items() if sum(sigs) > 0]
-    spectrum = np.linalg.eigh(exact)
-    gap, weight, beta = _error_coefficients(spectrum, keys)
+    coefficients = _error_coefficients(np.linalg.eigh(exact), plan)
+    gap, weight, beta = coefficients
     sig = np.array([sum(plan[k][1]) for k in keys])
     n_frag = np.array([len(plan[k][1]) for k in keys], dtype=float)
     a = np.array([weight[k] for k in keys]) * sig**2
@@ -570,7 +567,7 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
         exact=exact,
         plan=plan,
         shots=shots,
-        spectrum=spectrum,
+        coefficients=coefficients,
         floor_shots=int(floor.sum()),
     )
     if scaled:

@@ -551,7 +551,10 @@ def first_order_table(engine, plan, total_shots):
     for key, m in zip(live, _integer_split(total_shots, [shares[k] for k in live])):
         table[key] = _integer_split(max(m, len(plan[key][1])), plan[key][1])
     return MatrixSampler(
-        exact=exact, plan=plan, shots=table, spectrum=np.linalg.eigh(exact)
+        exact=exact,
+        plan=plan,
+        shots=table,
+        coefficients=solver._error_coefficients(np.linalg.eigh(exact), plan),
     )
 
 
@@ -635,16 +638,13 @@ class TestShotTable:
         assert max(table, key=table.get) == (0, 0)
 
     def test_bias_weighted_table(self, monkeypatch):
-        # one element with first-order weight only, one with bias only: the
-        # minimum of F + B^2 holds m_2 / m_1 = sqrt(2 |B|) and has B^2 =
-        # 0.15 F at 100 shots, so the bound moves shots until B^2 = kappa^2 F
+        # one element with first-order weight only, one with bias only: with
+        # no bound the table is the first-order split, whose B^2 = 99 F at
+        # 100 shots, so the bound moves shots until B^2 = kappa^2 F
         floor, a, b = np.ones(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
         monkeypatch.setattr(solver, "BIAS_KAPPA", np.inf)
         m = solver._bias_weighted_table(floor, a, b, 100.0)
-        f, bias = 1.0 / m[0], 1.0 / m[1]
-        assert m.sum() == pytest.approx(100.0, rel=1e-12)
-        assert m[1] / m[0] == pytest.approx(np.sqrt(2.0 * bias), rel=1e-9)
-        assert bias**2 > BIAS_KAPPA**2 * f
+        assert m.tolist() == [99.0, 1.0]
         monkeypatch.setattr(solver, "BIAS_KAPPA", BIAS_KAPPA)
         bound = solver._bias_weighted_table(floor, a, b, 100.0)
         assert bound.sum() == pytest.approx(100.0, rel=1e-12)
@@ -655,6 +655,15 @@ class TestShotTable:
         # no bias term: the first-order split, untouched by the bound
         plain = solver._bias_weighted_table(floor, np.array([1.0, 4.0]), np.zeros(2), 90.0)
         assert plain == pytest.approx([30.0, 60.0], rel=1e-12)
+        # a weak bias that the first-order split already holds within the
+        # bound: that split comes back exactly
+        weak = solver._bias_weighted_table(floor, np.ones(2), np.array([0.01, 0.0]), 100.0)
+        assert weak.tolist() == [50.0, 50.0]
+        # no first-order weight: no table meets the bound, and the budget
+        # goes to the bias terms, m proportional to sqrt(b)
+        only_bias = solver._bias_weighted_table(floor, np.zeros(2), np.array([1.0, 4.0]), 90.0)
+        assert only_bias.sum() == pytest.approx(90.0, rel=1e-12)
+        assert only_bias == pytest.approx([30.0, 60.0], rel=1e-12)
 
     def test_budget_below_floors(self, h2_hq, h2_theta, caplog):
         engine = SubspaceEngine(rotated_h2_basis(h2_theta), h2_hq, 2)
@@ -784,25 +793,34 @@ class TestMatrixDraws:
 
     def test_one_eigensolve_per_sampler(self, h2o, h2o_hq, h2o_sampler, monkeypatch):
         # the table and the sampler's predicted error share one eigh of the
-        # exact matrix, with the bits of a sampler given a fresh one
-        calls = []
-        eigh = np.linalg.eigh
+        # exact matrix and one coefficient pass over the plan, with the bits
+        # of a sampler given fresh ones
+        calls, passes = [], []
+        eigh, coefficients = np.linalg.eigh, solver._error_coefficients
 
         def counted(a):
             calls.append(a.shape)
             return eigh(a)
 
+        def counted_pass(spectrum, keys):
+            passes.append(len(keys))
+            return coefficients(spectrum, keys)
+
         basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
         engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
         monkeypatch.setattr(solver.np.linalg, "eigh", counted)
+        monkeypatch.setattr(solver, "_error_coefficients", counted_pass)
         sampler = make_matrix_sampler(engine, 200_000)
         assert calls == [(engine.size, engine.size)]
+        assert passes == [len(sampler.plan)]
         monkeypatch.undo()
         alone = MatrixSampler(
             exact=sampler.exact,
             plan=sampler.plan,
             shots=sampler.shots,
-            spectrum=np.linalg.eigh(sampler.exact),
+            coefficients=solver._error_coefficients(
+                np.linalg.eigh(sampler.exact), sampler.plan
+            ),
         )
         for name in ("first_order_mse", "second_order_bias", "elements_at_floor"):
             assert getattr(alone, name) == getattr(sampler, name) == getattr(h2o_sampler, name)
@@ -822,9 +840,9 @@ class TestMatrixDraws:
 
 
     def test_bias_held_to_first_order_error(self, h2o, h2o_hq, h2o_sampler, monkeypatch):
-        # the minimum of F + B^2 alone has |B| = 0.36 sqrt(F) on this basis;
+        # the first-order optimum alone has |B| = 0.87 sqrt(F) on this basis;
         # the table holds |B| at BIAS_KAPPA sqrt(F) (to integer rounding) at
-        # a larger F and F + B^2
+        # a larger F and a smaller F + B^2
         f, bias = h2o_sampler.first_order_mse, h2o_sampler.second_order_bias
         assert abs(bias) == pytest.approx(BIAS_KAPPA * np.sqrt(f), rel=1e-2)
         basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
@@ -834,7 +852,7 @@ class TestMatrixDraws:
         assert free.total_shots == h2o_sampler.total_shots
         assert abs(free.second_order_bias) > 0.35 * np.sqrt(free.first_order_mse)
         assert free.first_order_mse < f
-        assert free.first_order_mse + free.second_order_bias**2 < f + bias**2
+        assert free.first_order_mse + free.second_order_bias**2 > f + bias**2
 
 
 def fresh_prefix(engine, members, k):
