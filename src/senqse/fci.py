@@ -1,10 +1,12 @@
 """Sector-restricted FCI oracle: the exact energy the subspace is judged by.
 
-hq is assembled on the sector's determinants one X string at a time.  Up
-to _DENSE_CUTOFF determinants only eigenvalues are taken, by NumPy alone,
-and an Ms = 0 sector is solved as its even and odd spin-flip blocks (the
+hq is assembled on the sector's determinants by `_sector_blocks`, each
+entry summing its terms from +0 in ``hq`` order.  Up to _DENSE_CUTOFF
+determinants only eigenvalues are taken, by NumPy alone, and an Ms = 0
+sector is solved as its even and odd spin-flip blocks (the
 spin-combination basis of Olsen et al. 1988, J. Chem. Phys. 89, 2185);
 above it a sparse matrix goes to SciPy's Lanczos, imported only there.
+Each step holds about n_orb * dim scratch words for dim determinants.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from senqse.pauli import PauliSum
-from senqse.simulator import _term_table, _x_groups
+from senqse.simulator import _factors, _term_arrays
 
 # largest sector (determinants) that fci_oracle diagonalises densely
 _DENSE_CUTOFF = 2048
@@ -47,50 +49,68 @@ def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
 
 
 def _sector_blocks(hq: PauliSum, dets: np.ndarray):
-    """(rows, cols, values) of hq on the sorted determinants, one X string each.
+    """(rows, cols, values) of hq on the sorted determinants, n_orb X strings each.
 
-    Entry (row, col) is reached only by terms with x = row ^ col, so each
-    block's entries are distinct from every other block's, and each entry
-    sums its terms in ``hq.items()`` order.  x is its own inverse, so a
-    block also holds the transpose of each of its entries, and is checked
-    against that mirror before it is yielded.
+    Entry (row, col) is reached only by the terms with x = row ^ col.  The
+    terms are sorted stably by X string, and each chunk's X strings are
+    found in the sector by one searchsorted.  Its term-entry pairs are laid
+    out term-major and added by ``np.add.at``, n_orb * dim pairs at a time,
+    so each entry sums its terms from +0 in ``hq`` order.  A term adds the
+    real part of c i^|x & z| times the real sign (-1)^|z & col|; one that
+    reaches the sector with an imaginary part is refused.  x is its own
+    inverse, so a chunk also holds the transpose of each of its entries,
+    and is checked against that mirror before it is yielded.
     """
-    dim = len(dets)
-    for x, (keys, coeffs) in _x_groups(hq).items():
-        targets = dets ^ np.uint64(x)
-        pos = np.searchsorted(dets, targets)
-        ok = pos < dim
-        ok[ok] &= dets[pos[ok]] == targets[ok]
-        if not np.any(ok):
-            continue
-        rows, cols, bras = pos[ok], np.flatnonzero(ok), targets[ok]
-        vals = np.zeros(len(cols))
-        # chunks of terms with at most dim entries (one term at least): the
-        # scratch is no larger than one term's row can be; rows add in order
-        step = max(1, dim // len(cols))
-        for start in range(0, len(keys), step):
-            _, coef = _term_table(
-                keys[start : start + step], coeffs[start : start + step], bras
-            )
-            if np.max(np.abs(coef.imag)) > 1e-9:
-                raise FciError("sector matrix has imaginary entries")
-            for term in coef.real:
-                vals += term
-        asym = np.max(np.abs(vals - vals[np.searchsorted(cols, rows)]))
+    dim, step = len(dets), max(hq.n_qubits // 2, 1)
+    keys, coeffs = _term_arrays(hq.items())
+    order = np.argsort(keys[:, 0].view(np.int64), kind="stable")
+    x, z, factors = keys[order, 0], keys[order, 1], _factors(keys, coeffs)[order]
+    new = np.append(True, x[1:] != x[:-1])
+    xs, bounds = x[new], np.append(np.flatnonzero(new), len(x))
+    del keys, coeffs, order, x
+    for a in range(0, len(xs), step):
+        targets = dets ^ xs[a : a + step, None]
+        pos = np.minimum(np.searchsorted(dets, targets), dim - 1)
+        # entry k joins rows[k] and cols[k], of the chunk's X string flat[k] // dim
+        flat = np.flatnonzero(dets[pos] == targets)
+        rows, cols = pos.reshape(-1)[flat], flat % dim
+        del targets, pos
+        counts = np.bincount(flat // dim, minlength=len(xs[a : a + step]))
+        lo, hi = bounds[a], bounds[min(a + step, len(xs))]
+        term_group = np.cumsum(new[lo:hi]) - 1
+        pairs = counts[term_group]
+        if np.max(np.abs(factors[lo:hi].imag[pairs > 0]), initial=0.0) > 1e-9:
+            raise FciError("sector matrix has imaginary entries")
+        ends = np.cumsum(pairs)
+        # a term's pairs run over its X string's entries: entry = pair + shift
+        shift = (np.cumsum(counts) - counts)[term_group] - (ends - pairs)
+        weights, zs, kets = factors[lo:hi].real, z[lo:hi], dets[cols]
+        vals = np.zeros(len(flat))
+        cuts = np.flatnonzero(np.diff((ends - pairs) // (step * dim))) + 1
+        for t0, t1 in itertools.pairwise([0, *cuts, len(pairs)]):
+            n = pairs[t0:t1]
+            entry = np.arange(ends[t0] - n[0], ends[t1 - 1]) + np.repeat(shift[t0:t1], n)
+            odd = np.repeat(zs[t0:t1], n)
+            odd &= kets[entry]
+            terms = np.repeat(weights[t0:t1], n)
+            np.negative(terms, out=terms, where=np.bitwise_count(odd) & 1 == 1)
+            np.add.at(vals, entry, terms)
+        mirror = vals[np.searchsorted(flat, flat - cols + rows)]
+        asym = np.max(np.abs(vals - mirror), initial=0.0)
         if asym > 1e-9:
             raise FciError(f"sector matrix asymmetry {asym:.2e}")
         yield rows, cols, vals
 
 
 def _dense_sector_matrix(hq: PauliSum, dets: np.ndarray) -> np.ndarray:
-    """hq on the sector as a dense array, assigned one X-string block at a time."""
+    """hq on the sector as a dense array, assigned one chunk of entries at a time."""
     mat = np.zeros((len(dets), len(dets)))
     for rows, cols, vals in _sector_blocks(hq, dets):
         mat[rows, cols] = vals
     return mat
 
 
-def _spin_flip_blocks(mat: np.ndarray, dets: np.ndarray):
+def _spin_flip_blocks(mat: np.ndarray, dets: np.ndarray, step: int) -> list:
     """The even and odd spin-flip blocks of an Ms = 0 sector matrix.
 
     The flip P swaps bits 2p and 2p + 1 of each orbital p, with the sign
@@ -99,26 +119,29 @@ def _spin_flip_blocks(mat: np.ndarray, dets: np.ndarray):
     to the parity +-1 block, a closed shell f(i) = i its own parity s_i.
     A matrix with max |PHP - H| above 1e-9 is refused, never solved whole;
     else block entry (i, j) is 2 n_i n_j (H_ij + parity s_j H_i,f(j)).
+    Both take `step` rows of H at a time.
     """
     up, dn = dets & _UP_BITS, (dets >> np.uint64(1)) & _UP_BITS
     flip = np.searchsorted(dets, (up << np.uint64(1)) | dn)
     sign = 1.0 - 2.0 * (np.bitwise_count(up & dn) & np.uint64(1))
-    php = mat[np.ix_(flip, flip)]
-    php *= sign[:, None]
-    php *= sign
-    php -= mat
-    coupling = float(np.max(np.abs(php, out=php)))
-    del php
+    coupling = 0.0
+    for r in range(0, len(dets), step):
+        php = mat[flip[r : r + step]].take(flip, axis=1) * sign[r : r + step, None] * sign
+        coupling = max(coupling, float(np.max(np.abs(php - mat[r : r + step]))))
     if coupling > 1e-9:
         raise FciError(f"sector matrix breaks spin-flip symmetry by {coupling:.2e}")
-    idx = np.arange(len(dets))
+    idx, blocks = np.arange(len(dets)), []
     for parity in (1.0, -1.0):
         keep = (idx < flip) | ((idx == flip) & (sign == parity))
         own, other, t = idx[keep], flip[keep], parity * sign[keep]
-        block = mat[np.ix_(own, own)]
-        block += mat[np.ix_(own, other)] * t
         norm = np.where(own == other, 0.5, np.sqrt(0.5))
-        yield block * (2.0 * norm[:, None] * norm)
+        block = np.empty((len(own), len(own)))
+        for r in range(0, len(own), step):
+            h = mat[own[r : r + step]]
+            scale = 2.0 * norm[r : r + step, None] * norm
+            block[r : r + step] = (h.take(own, axis=1) + h.take(other, axis=1) * t) * scale
+        blocks.append(block)
+    return blocks
 
 
 def _lanczos_ground_energy(hq: PauliSum, dets: np.ndarray) -> float:
@@ -151,6 +174,7 @@ def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
     if len(dets) > _DENSE_CUTOFF:
         return FciResult(_lanczos_ground_energy(hq, dets), (n_elec, sz))
     mat = _dense_sector_matrix(hq, dets)
-    blocks = _spin_flip_blocks(mat, dets) if n_up == n_dn else [mat]
+    blocks = _spin_flip_blocks(mat, dets, max(n_orb, 1)) if n_up == n_dn else [mat]
+    del mat
     energy = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks if len(b))
     return FciResult(energy, (n_elec, sz))

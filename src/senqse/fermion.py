@@ -8,13 +8,14 @@ sit on qubits 2i and 2i+1.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import PauliError, PauliSum
+from senqse.pauli import DROP_TOL, PauliError, PauliSum
 
 log = logging.getLogger(__name__)
 
@@ -199,9 +200,10 @@ def write_fcidump(ints: FermionIntegrals, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-# integrals per block of jordan_wigner, each up to four spin-orbital
-# products; bounds its scratch memory
-BLOCK_INTEGRALS = 32
+# one-body strings and two-body rows per block of jordan_wigner (whole X
+# strings, so one large X string makes a larger block); bounds its
+# scratch, about 1.2 MB on H2O
+BLOCK_ROWS = 512
 
 # the 64-bit words that hold jordan_wigner's bit strings
 MAX_JW_QUBITS = 64
@@ -209,30 +211,29 @@ MAX_JW_QUBITS = 64
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 # spins of a+_ps a_qs for s = 0, 1, and of a+_ps a+_rt a_st a_qs for
 # (s, t) = (0, 0), (0, 1), (1, 0), (1, 1)
-_ONE_BODY_SPINS = np.array([[0, 0], [1, 1]])
-_TWO_BODY_SPINS = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
+_ONE_BODY_SPINS = np.array([[0, 0], [1, 1]], dtype=np.uint8)
+_TWO_BODY_SPINS = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]], np.uint8)
 
 
-def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray):
-    """JW strings of coeffs[b] * prod_k ladder(modes[b, k], daggers[k]) per row b.
+def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray, rows: np.ndarray):
+    """Live JW strings of coeffs[b] * prod_k ladder(modes[b, k], daggers[k]).
 
     Takes the ladder-by-ladder product of ``jw_operator`` (in
-    ``tests/oracles.py``) on a whole block at once: row b holds its
-    strings in the order that product emits them, lexicographic in the X/Y
-    choice of each ladder with the first ladder most significant.  A mode
-    may appear twice, as a creator and as an annihilator; two choices that
-    then land on one string are merged into the earlier one at the ladder
-    where they meet, so every sum is taken in the order the product takes
-    it.
-    Returns the x bits per row, and the z bits, coefficients and live mask
-    per row and string; merged-away strings are dead.
+    ``tests/oracles.py``) on a whole block at once: row b's strings come in
+    the order that product emits them, lexicographic in the X/Y choice of
+    each ladder with the first ladder most significant.  A mode may appear
+    twice, as a creator and as an annihilator; two choices that then land
+    on one string are merged into the earlier one at the ladder where they
+    meet, so every sum is taken in the order the product takes it.
+    Returns each live string's x and z bits, coefficient and position, the
+    j-th string of row b at rows[b] * 2**len(daggers) + j.
     """
     one = np.uint64(1)
-    rows = len(coeffs)
-    x = np.zeros(rows, dtype=np.uint64)
-    z = np.zeros((rows, 1), dtype=np.uint64)
+    n = len(coeffs)
+    x = np.zeros(n, dtype=np.uint64)
+    z = np.zeros((n, 1), dtype=np.uint64)
     c = coeffs.astype(complex)[:, None]
-    alive = np.ones((rows, 1), dtype=bool)
+    alive = np.ones((n, 1), dtype=bool)
     for k, dagger in enumerate(daggers):
         bit = one << modes[:, k].astype(np.uint64)
         # a ladder's two strings, 0.5 X and -0.5i Y (a+) or +0.5i Y (a),
@@ -248,8 +249,8 @@ def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray):
             + 2 * np.bitwise_count(z & bit[:, None])[:, :, None]
         )
         ladder = np.array([0.5, 0.5 * (-1j if dagger else 1j)])
-        c = (c[:, :, None] * ladder * _QUARTER_TURNS[g % 4]).reshape(rows, -1)
-        x, z = x3, z3.reshape(rows, -1)
+        c = (c[:, :, None] * ladder * _QUARTER_TURNS[g % 4]).reshape(n, 2 << k)
+        x, z = x3, z3.reshape(n, 2 << k)
         alive = np.repeat(alive, 2, axis=1)
         pos = np.arange(z.shape[1])
         for j in range(k):
@@ -261,22 +262,65 @@ def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray):
             partner = target ^ ((1 << (k - j)) | 1)
             c[:, target] = np.where(same, c[:, target] + c[:, partner], c[:, target])
             alive[:, partner] &= ~same
-    return x, z, c, alive
+    pos = rows[:, None] * len(pos) + pos
+    return np.broadcast_to(x[:, None], z.shape)[alive], z[alive], c[alive], pos[alive]
 
 
-def _add_ladder_products(terms: dict, modes, daggers, coeffs) -> None:
-    """Add each product of `_ladder_products` to the map `terms`, in row order."""
-    x, z, c, alive = _ladder_products(modes, daggers, coeffs)
-    xs = np.broadcast_to(x[:, None], z.shape)[alive].tolist()
-    # Python ints and complexes keep the keys and the sums off NumPy scalars
-    for key, cb in zip(zip(xs, z[alive].tolist()), c[alive].tolist()):
-        terms[key] = terms.get(key, 0.0) + cb
+def _key_sums(x, z, c, pos):
+    """First position, x and z words, and real and imaginary coefficient sums
+    of each distinct key (x, z) of the strings, whose equal keys come in
+    position order; each sum runs from +0 in that order (stable sorts, then
+    ``np.bincount``)."""
+    order = np.argsort(z.view(np.int64), kind="stable")
+    order = order[np.argsort(x.view(np.int64)[order], kind="stable")]
+    x, z = x[order], z[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    key = np.empty(len(x), dtype=np.intp)
+    key[order] = np.cumsum(first) - 1
+    sums = np.bincount(key, c.real), np.bincount(key, c.imag)
+    return pos[order[first]], x[first], z[first], *sums
 
 
-def _blocks(index):
-    """The index arrays of np.nonzero, `BLOCK_INTEGRALS` entries at a time."""
-    for start in range(0, len(index[0]), BLOCK_INTEGRALS):
-        yield tuple(i[start : start + BLOCK_INTEGRALS] for i in index)
+def _string_sums(ints: FermionIntegrals):
+    """`_key_sums` of the Pauli strings of `jordan_wigner`, a block of whole X
+    strings at a time, concatenated over the blocks.  A function of its own,
+    so that its arrays are freed before `jordan_wigner` builds the dict."""
+    p, q = np.nonzero(ints.h)
+    modes = 2 * np.stack([p, q], axis=-1).astype(np.uint8)[:, None] + _ONE_BODY_SPINS
+    n_one = 2 * len(p)
+    one = _ladder_products(
+        modes.reshape(-1, 2), (True, False), np.repeat(ints.h[p, q], 2), np.arange(n_one)
+    )
+    # e_core is the identity's first term, at position -1; the two-body
+    # rows' positions come after the one-body rows'
+    zero = np.zeros(1, dtype=np.uint64)
+    one = [np.concatenate(a) for a in zip((zero, zero, [complex(ints.e_core)], [-1]), one)]
+    p, q, r, s = np.nonzero(ints.g)
+    modes = 2 * np.stack([p, r, s, q], axis=-1).astype(np.uint8)[:, None] + _TWO_BODY_SPINS
+    # a+a+ or aa on the same spin-orbital vanishes
+    keep = (_TWO_BODY_SPINS[:, 0] != _TWO_BODY_SPINS[:, 1]) | ((p != r) & (q != s))[:, None]
+    modes, coeffs = modes[keep], np.repeat(0.5 * ints.g[p, q, r, s], 4).reshape(-1, 4)[keep]
+    xs = np.bitwise_xor.reduce(np.uint64(1) << modes, axis=1)
+    # blocks of whole X strings in sorted order, each closed at the first X
+    # string that starts BLOCK_ROWS or more strings and rows after it opened
+    n_strings = len(one[0])
+    x_all = np.concatenate([one[0], xs]).view(np.int64)
+    order = np.argsort(x_all, kind="stable")
+    bounds = [0]
+    for start in (np.flatnonzero(np.diff(x_all[order]) != 0) + 1).tolist():
+        if start - bounds[-1] >= BLOCK_ROWS:
+            bounds.append(start)
+    sums = []
+    for lo, hi in itertools.pairwise(bounds + [len(x_all)]):
+        index = order[lo:hi]
+        rows = index[index >= n_strings] - n_strings
+        two = _ladder_products(
+            modes[rows], (True, True, False, False), coeffs[rows], n_one + rows
+        )
+        mine = index[index < n_strings]
+        sums.append(_key_sums(*(np.concatenate([a[mine], t]) for a, t in zip(one, two))))
+    return [np.concatenate(a) for a in zip(*sums)]
 
 
 def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
@@ -285,37 +329,30 @@ def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
     H = e_core + sum_pq h_pq a+_ps a_qs
         + 1/2 sum_pqrs (pq|rs) a+_ps a+_rt a_st a_qs
 
-    Every spin-orbital term is written out in closed form, for a block of
-    `BLOCK_INTEGRALS` integrals at a time, and the terms are summed in
-    integral order, so the result equals the product of `jw_operator`
-    chains term for term and bit for bit.  Bit strings are 64-bit words:
-    registers wider than `MAX_JW_QUBITS` qubits raise `PauliError`.
+    Every spin-orbital term is written out in closed form, and each Pauli
+    string sums its terms from +0 in integral order: e_core, the one-body
+    terms, then the two-body terms, each in ``np.nonzero`` order.  Terms of
+    different X strings never meet, so they are summed by `_key_sums` in
+    blocks of whole X strings, of about `BLOCK_ROWS` rows.  Keys keep the
+    order of their first term, sums below DROP_TOL are dropped and smaller
+    imaginary parts cleared: the product of `jw_operator` chains, term for
+    term and bit for bit.  Bit strings are 64-bit words: registers wider
+    than `MAX_JW_QUBITS` qubits raise `PauliError`.
     """
-    n = ints.n_orb
-    nq = 2 * n
+    nq = 2 * ints.n_orb
     if nq > MAX_JW_QUBITS:
         raise PauliError(
             f"{nq} qubits exceed the {MAX_JW_QUBITS}-bit words of jordan_wigner"
         )
-    terms = {(0, 0): complex(ints.e_core)}
-    for p, q in _blocks(np.nonzero(ints.h)):
-        modes = 2 * np.stack([p, q], axis=-1)[:, None, :] + _ONE_BODY_SPINS
-        _add_ladder_products(
-            terms, modes.reshape(-1, 2), (True, False), np.repeat(ints.h[p, q], 2)
-        )
-    for p, q, r, s in _blocks(np.nonzero(ints.g)):
-        modes = 2 * np.stack([p, r, s, q], axis=-1)[:, None, :] + _TWO_BODY_SPINS
-        # a+a+ or aa on the same spin-orbital vanishes
-        same_spin = _TWO_BODY_SPINS[:, 0] == _TWO_BODY_SPINS[:, 1]
-        keep = ~same_spin | ((p != r) & (q != s))[:, None]
-        gv = np.repeat(0.5 * ints.g[p, q, r, s], 4).reshape(keep.shape)
-        _add_ladder_products(terms, modes[keep], (True, True, False, False), gv[keep])
-
-    out = PauliSum(nq, terms).simplify().chop_imag()
-    resid = out.max_imag()
+    first, x, z, re, im = _string_sums(ints)
+    kept = np.argsort(first, kind="stable")
+    kept = kept[np.hypot(re[kept], im[kept]) >= DROP_TOL]
+    im = np.where(np.abs(im[kept]) < DROP_TOL, 0.0, im[kept])
+    resid = np.max(np.abs(im), initial=0.0)
     if resid > 1e-9:
         raise ValueError(f"qubit Hamiltonian has imaginary residue {resid:.2e}")
-    return out
+    keys = zip(x[kept].tolist(), z[kept].tolist())
+    return PauliSum(nq, dict(zip(keys, map(complex, re[kept].tolist(), im.tolist()))))
 
 
 # ---------------------------------------------------------------------------

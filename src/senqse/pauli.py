@@ -369,13 +369,6 @@ class PauliSum:
             {k: c for k, c in self._terms.items() if abs(c) >= tol},
         )
 
-    def chop_imag(self, tol: float = DROP_TOL) -> "PauliSum":
-        """Discard imaginary coefficient parts smaller than tol."""
-        out = {}
-        for k, c in self._terms.items():
-            out[k] = complex(c.real, 0.0) if abs(c.imag) < tol else c
-        return PauliSum(self.n_qubits, out)
-
     def commutes_with(self, other: "PauliSum", tol: float = DROP_TOL) -> bool:
         """Exact algebraic check that [self, other] vanishes."""
         comm = self * other - other * self

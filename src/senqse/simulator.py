@@ -118,16 +118,6 @@ def _operator_arrays(op):
     return _term_arrays(op.items())
 
 
-def _x_groups(op) -> dict:
-    """{x: (keys, coefficients)} of the terms of ``op`` with X string x, each
-    group in term order and the X strings in order of first appearance."""
-    keys, coeffs = _operator_arrays(op)
-    groups = {}
-    for t, x in enumerate(keys[:, 0].tolist()):
-        groups.setdefault(x, []).append(t)
-    return {x: (keys[rows], coeffs[rows]) for x, rows in groups.items()}
-
-
 def _factors(keys, coeffs) -> np.ndarray:
     """c_t i^|x_t & z_t| of each term; a product by a unit, so every bit is
     that of Python's ``c * (1j) ** k``."""

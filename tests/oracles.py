@@ -31,7 +31,8 @@ fragments ``reconstruct`` sums back to the source operator),
 need only match or beat it).  The operators that only tests use,
 ``jw_ladder``, ``jw_operator``, ``spin_orbital``, ``number_operator``,
 ``sz_operator``, ``spin_squared_operator``, ``total_seniority_operator``,
-and ``hf_energy``, are built with the package's ``PauliSum`` too.  Qubit q
+``hf_energy`` and ``chop_imag``, are built with the package's ``PauliSum``
+too.  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
@@ -533,7 +534,7 @@ def spin_squared_operator(n_orb: int):
         )
     sz = sz_operator(n_orb)
     one = PauliSum(nq, {(0, 0): 1.0})
-    return (sminus * splus + sz * (sz + one)).simplify().chop_imag()
+    return chop_imag((sminus * splus + sz * (sz + one)).simplify())
 
 
 def total_seniority_operator(n_orb: int):
@@ -591,7 +592,16 @@ def product_by_product_jordan_wigner(ints, tol):
                     (2 * q + sig, False),
                 ]
                 total = total + operator(ops, gv)
-    return total.simplify(tol).chop_imag(tol)
+    return chop_imag(total.simplify(tol), tol)
+
+
+def chop_imag(op, tol=1e-12):
+    """op with imaginary coefficient parts below tol cleared, term by term:
+    the clean-up that ``fermion.jordan_wigner`` applies to its sums."""
+    from senqse.pauli import PauliSum
+
+    out = {k: complex(c.real, 0.0) if abs(c.imag) < tol else c for k, c in op.items()}
+    return PauliSum(op.n_qubits, out)
 
 
 def eigh_fragment_distribution(amplitudes, fragment):

@@ -266,8 +266,41 @@ class TestJordanWigner:
     def test_block_size_does_not_change_output(self, monkeypatch):
         fixtures = [load_fcidump(FIXTURES / f"{stem}.fcidump") for stem in FIXTURE_STEMS]
         blocked = [list(jordan_wigner(ints).items()) for ints in fixtures]
-        monkeypatch.setattr(fermion, "BLOCK_INTEGRALS", 1)
+        monkeypatch.setattr(fermion, "BLOCK_ROWS", 1)
         assert [list(jordan_wigner(ints).items()) for ints in fixtures] == blocked
+
+    @pytest.mark.parametrize(
+        "h_scale, g_scale",
+        [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)],
+        ids=["one-body", "e_core", "two-body"],
+    )
+    def test_missing_integral_kinds_match_oracle(self, h2o, h_scale, g_scale):
+        # no two-body rows leaves one block of one-body strings; no one-body
+        # terms leaves the identity's e_core alone before the two-body blocks
+        ints = FermionIntegrals(
+            n_orb=h2o.n_orb,
+            n_elec=h2o.n_elec,
+            e_core=h2o.e_core,
+            h=h_scale * h2o.h,
+            g=g_scale * h2o.g,
+        )
+        assert_matches_oracle(ints)
+
+    def test_traced_peak_below_every_string_held(self):
+        # strings are summed a block of whole X strings at a time: the 107 604
+        # strings of this register, each held as two words and a coefficient
+        # (32 bytes), would break this bound
+        import tracemalloc
+
+        ints = load_fcidump(FIXTURES / "h2o_3.0000.fcidump")
+        jordan_wigner(ints)
+        tracemalloc.start()
+        try:
+            jordan_wigner(ints)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 107_604
 
     def test_register_width_boundary(self):
         # the top spin-orbital of the widest register sets bit 63 of the words

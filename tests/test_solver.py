@@ -195,34 +195,58 @@ class TestFciOracle:
         fci_oracle(hq, ints.n_elec, 0.0)
         assert nnz == [len(pairs)]
 
-    def test_dense_assembly_peak_near_one_matrix(self, h2o_hq, h2o):
-        # blocks are assigned into the matrix, with no dim x dim temporary
+    @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2o_2.1000", "h2o_3.0000"])
+    def test_dense_assembly_peak_near_one_matrix(self, stem):
+        # entries are assigned into the matrix a chunk at a time, with no
+        # dim x dim temporary; 3.0 A has the most terms (2974)
         import tracemalloc
 
-        dets = fci._sector_determinants(h2o.n_orb, 5, 5)
-        fci._dense_sector_matrix(h2o_hq, dets)
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        dets = fci._sector_determinants(ints.n_orb, 5, 5)
+        fci._dense_sector_matrix(hq, dets)
         tracemalloc.start()
         try:
-            fci._dense_sector_matrix(h2o_hq, dets)
+            fci._dense_sector_matrix(hq, dets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * len(dets) ** 2 * 8
 
-    def test_traced_peak_near_the_dense_matrix(self, h2o_hq, h2o):
-        # the sector matrix is assembled one X-string block at a time, not
-        # from every term's entries held at once (10.7 MB on this sector)
+    @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2o_2.1000", "h2o_3.0000"])
+    def test_traced_peak_near_the_dense_matrix(self, stem):
+        # the sector matrix and its two spin-flip blocks (231 and 210 rows),
+        # no dim x dim copy for the flip check and no full-size gather for a
+        # block: about 1.59 dim^2 doubles
         import tracemalloc
 
-        dim = len(fci._sector_determinants(h2o.n_orb, 5, 5))
-        fci_oracle(h2o_hq, h2o.n_elec, 0.0)
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        dim = len(fci._sector_determinants(ints.n_orb, 5, 5))
+        fci_oracle(hq, ints.n_elec, 0.0)
         tracemalloc.start()
         try:
-            fci_oracle(h2o_hq, h2o.n_elec, 0.0)
+            fci_oracle(hq, ints.n_elec, 0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * dim**2 * 8
+        assert peak < 1.65 * dim**2 * 8
+
+    @pytest.mark.parametrize(
+        "stem, dense, lanczos",
+        [
+            ("h2o_1.0000", -75.01768869060182, -75.01768869060203),
+            ("h2o_2.1000", -74.75368662324239, -74.75368662324183),
+            ("h2o_3.0000", -74.73773974210843, -74.73773974210584),
+        ],
+    )
+    def test_energy_bits_in_both_branches(self, stem, dense, lanczos, monkeypatch):
+        # the bits of the per-X-string assembly that the chunked one replaced
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        assert fci_oracle(hq, ints.n_elec, 0.0).energy == dense
+        monkeypatch.setattr(fci, "_DENSE_CUTOFF", 0)
+        assert fci_oracle(hq, ints.n_elec, 0.0).energy == lanczos
 
     @pytest.mark.parametrize("cutoff", [fci._DENSE_CUTOFF, 0])
     def test_asymmetric_sector_rejected(self, cutoff, monkeypatch):
@@ -254,7 +278,7 @@ class TestFciOracle:
                     hq = hq + oracles.jw_operator(
                         [(2 * p + s, True), (2 * q + s, False)], 2 * n_orb, h[p, q]
                     )
-        hq = hq.simplify().chop_imag()
+        hq = oracles.chop_imag(hq.simplify())
         res = fci_oracle(hq, 1, 0.5)
         assert res.energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
 
@@ -279,7 +303,7 @@ class TestFciOracle:
         flip, sign = oracles.spin_flip(dets)
         php = sign[:, None] * sign * mat[np.ix_(flip, flip)]
         assert np.max(np.abs(php - mat)) <= 1e-12
-        blocks = list(fci._spin_flip_blocks(mat, dets))
+        blocks = list(fci._spin_flip_blocks(mat, dets, ints.n_orb))
         spectra = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
         assert np.max(np.abs(spectra - np.linalg.eigvalsh(mat))) <= 1e-10
         if stem.startswith("h2o"):
