@@ -282,10 +282,12 @@ def _key_sums(x, z, c, pos):
     return pos[order[first]], x[first], z[first], *sums
 
 
-def _string_sums(ints: FermionIntegrals):
-    """`_key_sums` of the Pauli strings of `jordan_wigner`, a block of whole X
-    strings at a time, concatenated over the blocks.  A function of its own,
-    so that its arrays are freed before `jordan_wigner` builds the dict."""
+def _terms(ints: FermionIntegrals) -> list:
+    """(first position, (x, z), coefficient) of each Pauli string of
+    `jordan_wigner` whose sum reaches DROP_TOL, imaginary parts below it
+    cleared, in order of first position.  Keys are summed by `_key_sums`, a
+    block of whole X strings at a time, and each block's kept terms leave
+    its arrays as Python objects, so that no array outlives its block."""
     p, q = np.nonzero(ints.h)
     modes = 2 * np.stack([p, q], axis=-1).astype(np.uint8)[:, None] + _ONE_BODY_SPINS
     n_one = 2 * len(p)
@@ -311,7 +313,7 @@ def _string_sums(ints: FermionIntegrals):
     for start in (np.flatnonzero(np.diff(x_all[order]) != 0) + 1).tolist():
         if start - bounds[-1] >= BLOCK_ROWS:
             bounds.append(start)
-    sums = []
+    terms = []
     for lo, hi in itertools.pairwise(bounds + [len(x_all)]):
         index = order[lo:hi]
         rows = index[index >= n_strings] - n_strings
@@ -319,8 +321,15 @@ def _string_sums(ints: FermionIntegrals):
             modes[rows], (True, True, False, False), coeffs[rows], n_one + rows
         )
         mine = index[index < n_strings]
-        sums.append(_key_sums(*(np.concatenate([a[mine], t]) for a, t in zip(one, two))))
-    return [np.concatenate(a) for a in zip(*sums)]
+        strings = (np.concatenate([a[mine], t]) for a, t in zip(one, two))
+        first, x, z, re, im = _key_sums(*strings)
+        kept = np.hypot(re, im) >= DROP_TOL
+        im = np.where(np.abs(im[kept]) < DROP_TOL, 0.0, im[kept])
+        keys = zip(x[kept].tolist(), z[kept].tolist())
+        values = map(complex, re[kept].tolist(), im.tolist())
+        terms += zip(first[kept].tolist(), keys, values)
+    terms.sort(key=lambda term: term[0])
+    return terms
 
 
 def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
@@ -344,15 +353,11 @@ def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
         raise PauliError(
             f"{nq} qubits exceed the {MAX_JW_QUBITS}-bit words of jordan_wigner"
         )
-    first, x, z, re, im = _string_sums(ints)
-    kept = np.argsort(first, kind="stable")
-    kept = kept[np.hypot(re[kept], im[kept]) >= DROP_TOL]
-    im = np.where(np.abs(im[kept]) < DROP_TOL, 0.0, im[kept])
-    resid = np.max(np.abs(im), initial=0.0)
+    terms = _terms(ints)
+    resid = max((abs(c.imag) for _, _, c in terms), default=0.0)
     if resid > 1e-9:
         raise ValueError(f"qubit Hamiltonian has imaginary residue {resid:.2e}")
-    keys = zip(x[kept].tolist(), z[kept].tolist())
-    return PauliSum(nq, dict(zip(keys, map(complex, re[kept].tolist(), im.tolist()))))
+    return PauliSum(nq, {key: c for _, key, c in terms})
 
 
 # ---------------------------------------------------------------------------
