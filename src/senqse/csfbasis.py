@@ -17,17 +17,19 @@ CSFs and fixes external rotation amplitudes perturbatively.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
 from senqse.pauli import PauliArrays, PauliSum
-from senqse.simulator import StateVector, apply_pauli_sum
-from senqse.taper import SectorHamiltonian, build_clifford
+from senqse.simulator import StateVector, apply_pauli_sum, real_block
+from senqse.taper import SectorHamiltonian, block_rows, build_clifford, symmetric_matrix
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -571,31 +573,22 @@ def default_selection_params(
     return SelectionParams(occ, virt, eps1=eps1, eps2=eps2, root_window=root_window)
 
 
-# largest imaginary part (Ha) a matrix element may carry
-IMAG_TOL = 1e-9
-
-
-def real_element(bra: np.ndarray, h_ket: np.ndarray) -> float:
-    """<bra|h_ket> for amplitudes of a real Hamiltonian's bra and H|ket>."""
-    val = np.vdot(bra, h_ket)
-    if abs(val.imag) > IMAG_TOL:
-        raise BasisError(f"matrix element has imaginary part {val.imag}")
-    return float(val.real)
-
-
 class CsfElementEngine:
     """The exact element kernel of one geometry's qubit Hamiltonian ``hq``.
 
     It holds the geometry's one sector table (``hq`` conjugated once,
     effective operators memoised per config pair), the tapered states and
-    config bit masks of rotation-free CSFs, and a memo of the products
-    H_eff(bra config, config of b)|b>, keyed by (bra config, b).  An
-    element against a CSF ket is the vdot of the bra with its product, so
-    selection, ``vo_optimize``, ``build_subspace`` and ``tapering_stats``
-    share every operator and every product.  A product is one 2^n_orb
-    vector per distinct linked pair; a pair that no term links is recorded
-    as None, a zero, with no state built.  ``apply`` is the unmemoised
-    product of any amplitudes, such as a rotated state's.
+    config bit masks of rotation-free CSFs, and the one rule for matrix
+    elements, ``block``: the real block <bras|H_eff(c_bra, c_ket)|kets> of
+    one config pair.  A bra or ket is a CSF, whose state is built here and
+    whose products are memoised per (bra config, CSF), or a call that
+    returns a state (a rotated one, say), whose products are not kept.
+    The rule applies the pair's operator once to the stack of the kets
+    that have no product yet and takes each entry from
+    ``simulator.real_block``; a pair that no term links is a zero block,
+    with no state built.  Selection, ``vo_optimize``, ``build_subspace``
+    and ``tapering_stats`` share every operator and every kept product.
+    ``element`` is the 1x1 block of two CSFs.
     """
 
     def __init__(self, hq: PauliSum, n_orb: int, n_elec: int):
@@ -623,35 +616,26 @@ class CsfElementEngine:
     def xop(self, bra_bits: int, ket_bits: int) -> PauliArrays:
         return self.sectors.op(bra_bits, ket_bits)
 
-    def apply(self, bra_bits: int, ket_bits: int, prepare) -> np.ndarray | None:
-        """H_eff(bra_bits, ket_bits) applied to the amplitudes ``prepare()``
-        returns; None, with ``prepare`` never called, when no term links
-        the two configs."""
-        op = self.sectors.op(bra_bits, ket_bits)
-        return apply_pauli_sum(prepare(), self.n_orb, op) if op else None
+    def _amplitudes(self, item) -> np.ndarray:
+        return (self.state(item) if isinstance(item, CsfSpec) else item()).amplitudes
 
-    def product(self, bra_bits: int, spec: CsfSpec) -> np.ndarray | None:
-        """``apply`` to the CSF ``spec``, memoised per (bra_bits, spec)."""
-        key = (bra_bits, spec)
-        if key not in self._products:
-            self._products[key] = self.apply(
-                bra_bits, self.bits(spec), lambda: self.state(spec).amplitudes
-            )
-        return self._products[key]
+    def block(self, bra_bits: int, ket_bits: int, bras, kets) -> np.ndarray:
+        """<bras|H_eff(bra_bits, ket_bits)|kets> (see the class docstring)."""
+        op = self.xop(bra_bits, ket_bits)
+        if not op:
+            return np.zeros((len(bras), len(kets)))  # no term links the configs
+        memo = self._products
+        new = [k for k in kets if (bra_bits, k) not in memo]
+        made = {}
+        if new:
+            stack = np.array([self._amplitudes(k) for k in new])
+            made = dict(zip(new, apply_pauli_sum(stack, self.n_orb, op)))
+            memo.update(((bra_bits, k), p) for k, p in made.items() if isinstance(k, CsfSpec))
+        products = [made[k] if k in made else memo[bra_bits, k] for k in kets]
+        return real_block([self._amplitudes(b) for b in bras], products)
 
-    def element(self, spec_a: CsfSpec, spec_b: CsfSpec) -> float:
-        h_ket = self.product(self.bits(spec_a), spec_b)
-        if h_ket is None:
-            return 0.0  # no term links the two configs
-        return real_element(self.state(spec_a).amplitudes, h_ket)
-
-    def matrix(self, specs) -> np.ndarray:
-        n = len(specs)
-        h = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                h[i, j] = h[j, i] = self.element(specs[i], specs[j])
-        return h
+    def element(self, a: CsfSpec, b: CsfSpec) -> float:
+        return float(self.block(self.bits(a), self.bits(b), [a], [b])[0, 0])
 
 
 def element_kernel(kernel, hq: PauliSum, n_orb: int, n_elec: int) -> CsfElementEngine:
@@ -670,31 +654,24 @@ def create_csfs(params: SelectionParams, n_orb: int, n_elec: int) -> list:
     virt = sorted(q for q in params.active_virt if q >= n_occ)
     if not occ or not virt:
         raise SelectionError("active window contains no occupied/virtual orbitals")
+    occ_pairs = list(itertools.combinations(occ, 2))
+    virt_pairs = list(itertools.combinations(virt, 2))
     specs = [CsfSpec(CsfKind.HF)]
-    for i in occ:
-        for a in virt:
-            specs.append(CsfSpec(CsfKind.SINGLE_SINGLET, (i, a)))
-    for ii, i in enumerate(occ):
-        for j in occ[ii + 1 :]:
-            for ai, a in enumerate(virt):
-                for b in virt[ai + 1 :]:
-                    specs.append(CsfSpec(CsfKind.DOUBLE_SINGLET, (i, j, a, b)))
-                    specs.append(CsfSpec(CsfKind.TRIPLET_PAIR_SINGLET, (i, j, a, b)))
+    for i, a in itertools.product(occ, virt):
+        specs.append(CsfSpec(CsfKind.SINGLE_SINGLET, (i, a)))
+    for ij, ab in itertools.product(occ_pairs, virt_pairs):
+        specs.append(CsfSpec(CsfKind.DOUBLE_SINGLET, ij + ab))
+        specs.append(CsfSpec(CsfKind.TRIPLET_PAIR_SINGLET, ij + ab))
     # degenerate-index doubles: open-shell pair on two virtuals (source
     # orbital emptied) or on two occupieds (target virtual filled)
-    for i in occ:
-        for ai, a in enumerate(virt):
-            for b in virt[ai + 1 :]:
-                specs.append(CsfSpec(CsfKind.DOUBLE_SINGLET, (i, i, a, b)))
-    for ii, i in enumerate(occ):
-        for j in occ[ii + 1 :]:
-            for a in virt:
-                specs.append(CsfSpec(CsfKind.DOUBLE_SINGLET, (i, j, a, a)))
+    for i, ab in itertools.product(occ, virt_pairs):
+        specs.append(CsfSpec(CsfKind.DOUBLE_SINGLET, (i, i) + ab))
+    for ij, a in itertools.product(occ_pairs, virt):
+        specs.append(CsfSpec(CsfKind.DOUBLE_SINGLET, ij + (a, a)))
     # fully degenerate member: a whole electron pair promoted, i.e. the
     # seniority-zero pair-moved reference
-    for i in occ:
-        for a in virt:
-            specs.append(CsfSpec(CsfKind.HF, (), ((i, a),)))
+    for i, a in itertools.product(occ, virt):
+        specs.append(CsfSpec(CsfKind.HF, (), ((i, a),)))
     return specs
 
 
@@ -706,7 +683,10 @@ def trim_csfs(engine: CsfElementEngine, specs: list, eps1: float, root_window: f
     contributors of every root within that energy of the lowest.  Returns
     the survivors and their block of the CSF matrix.
     """
-    h = engine.matrix(specs)
+    # handed over as calls, so no product is kept: of these kets only the
+    # survivors are read again, and ``extension_pairs`` keeps theirs
+    states = [partial(engine.state, s) for s in specs]
+    h = symmetric_matrix([engine.bits(s) for s in specs], states, engine.block)
     vals, vecs = np.linalg.eigh(h)
     weights0 = np.abs(vecs[:, 0]) ** 2
     keep = set()
@@ -717,8 +697,6 @@ def trim_csfs(engine: CsfElementEngine, specs: list, eps1: float, root_window: f
         keep.update(k for k in range(len(specs)) if w[k] > eps1)
     keep.add(int(np.argmax(weights0)))
     keep = sorted(keep)
-    if not keep:
-        raise SelectionError("trimming removed every CSF; lower eps1")
     return [specs[k] for k in keep], h[np.ix_(keep, keep)]
 
 
@@ -778,25 +756,31 @@ def extension_pairs(
     survivor_keys = {
         physical_csf_key(s, engine.n_orb, engine.n_elec) for s in survivors
     }
+    configs = [engine.bits(s) for s in survivors]
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = h_surv
     out = []
-    for mu, spec in enumerate(survivors):
-        pairs = []
+    for spec in survivors:
+        pairs, cands, found = [], [], []
         for i in sorted(paired_occupied(spec, engine.n_orb, engine.n_elec)):
             for a in sorted(empty_orbitals(spec, engine.n_orb, engine.n_elec)):
                 cand = spec.moved(i, a)
-                if physical_csf_key(cand, engine.n_orb, engine.n_elec) in survivor_keys:
-                    continue
-                border = np.zeros((n + 1, n + 1))
-                border[:n, :n] = h_surv
-                for nu in range(n):
-                    border[n, nu] = border[nu, n] = engine.element(cand, survivors[nu])
-                border[n, n] = engine.element(cand, cand)
+                if physical_csf_key(cand, engine.n_orb, engine.n_elec) not in survivor_keys:
+                    pairs.append((a, i))
+                    cands.append(cand)
+        if cands:
+            # a pair move keeps the config, so every candidate has spec's
+            bits = engine.bits(spec)
+            rows = block_rows(bits, cands, configs, survivors, engine.block)
+            own = engine.block(bits, bits, cands, cands)
+            for c, pair in enumerate(pairs):
+                border[n, :n] = border[:n, n] = rows[c]
+                border[n, n] = own[c, c]
                 drops = np.linalg.eigvalsh(border)[:k_track] - base_vals[:k_track]
                 de = float(drops.min())
                 if abs(de) > eps2:
-                    pairs.append(((a, i), de))
-        pairs.sort(key=lambda item: (-abs(item[1]), item[0]))
-        out.append(pairs)
+                    found.append((pair, de))
+        out.append(sorted(found, key=lambda item: (-abs(item[1]), item[0])))
     return out
 
 
@@ -825,6 +809,15 @@ def _ordered_rotations(pairs, thetas):
     return tuple((a, i, t) for ((a, i), _), t in zip(pairs, thetas))
 
 
+def _trimmed_and_extended(ints, hq, params, kernel):
+    """The trimmed CSFs and their extension pairs, the first two steps of
+    both selections."""
+    engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
+    specs = create_csfs(params, ints.n_orb, ints.n_elec)
+    survivors, h = trim_csfs(engine, specs, params.eps1, params.root_window)
+    return survivors, extension_pairs(engine, survivors, h, params.eps2, params.root_window)
+
+
 def select_basis_vo(
     ints: FermionIntegrals, hq: PauliSum, params: SelectionParams, kernel=None
 ) -> list:
@@ -833,10 +826,7 @@ def select_basis_vo(
     ``kernel`` is the geometry's element kernel (a ``CsfElementEngine`` of
     ``hq``); without one the selection builds its own.
     """
-    engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
-    specs = create_csfs(params, ints.n_orb, ints.n_elec)
-    survivors, h_surv = trim_csfs(engine, specs, params.eps1, params.root_window)
-    ext = extension_pairs(engine, survivors, h_surv, params.eps2, params.root_window)
+    survivors, ext = _trimmed_and_extended(ints, hq, params, kernel)
     plans = merge_config_pairs(survivors, ext, ints.n_orb)
     basis = []
     for mu, spec in enumerate(survivors):
@@ -854,25 +844,11 @@ def select_basis_pt(
     ``kernel`` is the geometry's element kernel (a ``CsfElementEngine`` of
     ``hq``); without one the selection builds its own.
     """
-    engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
-    specs = create_csfs(params, ints.n_orb, ints.n_elec)
-    survivors, h_surv = trim_csfs(engine, specs, params.eps1, params.root_window)
-    ext = extension_pairs(engine, survivors, h_surv, params.eps2, params.root_window)
-    active = params.active
-
-    def is_internal(pair):
-        a, i = pair
-        return a in active and i in active
-
-    n_occ = ints.n_occ
-
-    def has_amplitude(pair):
-        # perturbative angles exist only for canonical occupied -> virtual pairs
-        a, i = pair
-        return i < n_occ <= a
-
+    survivors, ext = _trimmed_and_extended(ints, hq, params, kernel)
+    active, n_occ = params.active, ints.n_occ
+    # perturbative angles exist only for canonical occupied -> virtual pairs
     external_ext = [
-        [(pair, de) for pair, de in pairs if not is_internal(pair) and has_amplitude(pair)]
+        [((a, i), de) for (a, i), de in pairs if not {a, i} <= active and i < n_occ <= a]
         for pairs in ext
     ]
     plans = merge_config_pairs(survivors, external_ext, ints.n_orb)
@@ -883,21 +859,17 @@ def select_basis_pt(
         rots = _ordered_rotations(external, thetas)
         basis.append(BasisState(spec, rots, label=f"s{mu}"))
         for (a, i), _ in pairs:
-            if is_internal((a, i)):
+            if {a, i} <= active:
                 basis.append(BasisState(spec.moved(i, a), rots, label=f"s{mu}x{a}.{i}"))
     return _deduplicate(basis, ints.n_orb, ints.n_elec)
 
 
 def _deduplicate(basis: list, n_orb: int, n_elec: int) -> list:
     """Drop states that coincide physically, whatever route produced them."""
-    seen = set()
-    out = []
+    first: dict = {}
     for b in basis:
-        key = physical_csf_key(b.csf, n_orb, n_elec)
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    return out
+        first.setdefault(physical_csf_key(b.csf, n_orb, n_elec), b)
+    return list(first.values())
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ class FciResult:
     """Sector-restricted exact ground energy used as the accuracy reference."""
 
     energy: float
-    sector: tuple
 
 
 def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
@@ -172,9 +171,9 @@ def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
         raise FciError(f"sector ({n_elec}, {sz}) is empty")
     dets = _sector_determinants(n_orb, n_up, n_dn)
     if len(dets) > _DENSE_CUTOFF:
-        return FciResult(_lanczos_ground_energy(hq, dets), (n_elec, sz))
+        return FciResult(_lanczos_ground_energy(hq, dets))
     mat = _dense_sector_matrix(hq, dets)
     blocks = _spin_flip_blocks(mat, dets, max(n_orb, 1)) if n_up == n_dn else [mat]
     del mat
     energy = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks if len(b))
-    return FciResult(energy, (n_elec, sz))
+    return FciResult(energy)

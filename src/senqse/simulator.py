@@ -43,6 +43,8 @@ from senqse.pauli import (
 )
 
 NORM_TOL = 1e-10
+# largest imaginary part (Ha) a matrix element may carry
+IMAG_TOL = 1e-9
 
 
 class SimulatorError(ValueError):
@@ -143,31 +145,40 @@ def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op) -> np.ndarray:
 
     ``op`` is a ``PauliSum`` or ``PauliArrays``, whose arrays are read as
     they are.  ``amps`` is one state or a stack of states along its leading
-    axis.  At each index k where some state is nonzero, every block of
+    axis; the terms' factors are formed once, and each state is applied on
+    its own.  At each index k where the state is nonzero, every block of
     terms forms coef * amp and adds it into k ^ x with ``np.add.at``, which
     applies repeated indices in order, so every output amplitude is summed
     from +0 in term order.  A left-out term would add a signed zero to a
     sum that is never -0, so the bits are those of the same sum over the
     whole register.  A block holds at most BLOCK_AMPLITUDES contributions
-    (one term at least).
+    (one term at least), so a stack needs the scratch of one state.
     """
     dim = 2**n_qubits
     if dim != amps.shape[-1]:
         raise SimulatorError("amplitude length mismatch")
-    stack = amps.reshape(-1, dim)
-    support = np.flatnonzero(stack.any(axis=0)).astype(np.uint64)
-    values = stack[:, support][:, None, :]
-    row_starts = (np.arange(len(stack), dtype=np.uint64) * np.uint64(dim))[:, None, None]
     keys, coeffs = _operator_arrays(op)
     factors = _factors(keys, coeffs)
     out = np.zeros(amps.shape, dtype=complex)
-    step = max(1, BLOCK_AMPLITUDES // max(1, values.size))
-    for start in range(0, len(keys), step):
-        block = keys[start : start + step]
-        coef = _coefficients(block, factors[start : start + step], support)
-        targets = row_starts + (support ^ block[:, :1])
-        np.add.at(out.reshape(-1), targets.ravel(), (coef * values).ravel())
+    for state, row in zip(amps.reshape(-1, dim), out.reshape(-1, dim)):
+        support = np.flatnonzero(state).astype(np.uint64)
+        values = state[support]
+        step = max(1, BLOCK_AMPLITUDES // max(1, len(support)))
+        for start in range(0, len(keys), step):
+            block = keys[start : start + step]
+            coef = _coefficients(block, factors[start : start + step], support)
+            np.add.at(row, (support ^ block[:, :1]).ravel(), (coef * values).ravel())
     return out
+
+
+def real_block(bras, products) -> np.ndarray:
+    """Entry (a, b) is ``np.vdot`` of bra row a with product row b, H|ket b>
+    for a real H; one check refuses an imaginary part above IMAG_TOL."""
+    vals = np.array([[np.vdot(bra, p) for p in products] for bra in bras])
+    imag = np.max(np.abs(vals.imag), initial=0.0)
+    if imag > IMAG_TOL:
+        raise SimulatorError(f"matrix element has imaginary part {imag}")
+    return vals.real
 
 
 def expectation(state: StateVector, op: PauliSum) -> complex:
@@ -505,7 +516,9 @@ def draw_table(samplers):
     of one drawn from the outcomes, up to the rounding of the sums, and
     NumPy's draw, one binomial per entry until the shots run out, ends
     sooner.  The rows are grouped in one pass (``_distinct_entries``) and
-    laid out row by row.
+    laid out row by row.  NumPy refuses a probability outside [0, 1], so a
+    sum that rounds above 1 is clamped to 1; a sum of probabilities is
+    never below 0.
     """
     if not samplers:
         return np.zeros((0, 1)), np.zeros((0, 1))
@@ -514,4 +527,5 @@ def draw_table(samplers):
     table_probs, table_values = np.zeros(filled.shape), np.zeros(filled.shape)
     # a boolean mask fills in row-major order, the order of the entries
     table_probs[filled], table_values[filled] = probs, values
+    np.minimum(table_probs, 1.0, out=table_probs)
     return table_probs, table_values

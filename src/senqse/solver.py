@@ -23,7 +23,6 @@ from senqse.csfbasis import (
     element_kernel,
     full_state,
     pair_rotation_terms,
-    real_element,
     rotate_chain,
     rotate_pair_inplace,
     rotation_group_key,
@@ -48,8 +47,10 @@ from senqse.simulator import (
     dense_matrix,
     draw_table,
     prepare_swap_state,
+    real_block,
     rng_for,
 )
+from senqse.taper import index_groups, symmetric_matrix
 
 log = logging.getLogger(__name__)
 
@@ -116,12 +117,14 @@ class SubspaceEngine:
     geometry's element kernel (``csfbasis.CsfElementEngine`` of ``hq``,
     built here when none is given): its sector table gives the effective
     operator of each seniority-config pair, its CSF states start every
-    basis state, and an element against a rotation-free ket is the
-    kernel's memoised product H_eff|ket> taken against the bra.  An
-    element against a rotated ket is the kernel's ``apply`` of the
-    operator to that ket.  Each state's config, a bit mask, is read from
-    the kernel once: replacing a state's rotation amplitudes never changes
-    it, and only invalidates that state's vector.  ``apply_xop``, the
+    basis state, and its ``block`` rule gives every exact element.
+    ``block`` hands it the bras and kets of one config pair, a
+    rotation-free state as its CSF, whose products the kernel memoises,
+    and a rotated one as a call to ``state``; ``exact_matrix`` takes one block
+    per config pair (``taper.symmetric_matrix``), and ``element_exact``
+    is the 1x1 block.  Each state's config, a bit mask, is read from the
+    kernel once: replacing a state's rotation amplitudes never changes it,
+    and only invalidates that state's vector.  ``apply_xop``, the
     amplitude optimiser's product of a config pair's operator with real
     rows, uses a memoised float64 matrix when the register has at most
     ``_DENSE_XOP_ORBITALS`` orbitals and the Pauli sum above; it refuses an
@@ -157,10 +160,7 @@ class SubspaceEngine:
 
     def _check_orthonormality(self):
         """Same-config states must be orthogonal for the identity overlap."""
-        by_cfg: dict[int, list] = {}
-        for mu, bits in enumerate(self._configs):
-            by_cfg.setdefault(bits, []).append(mu)
-        for members in by_cfg.values():
+        for members in index_groups(self._configs).values():
             for idx, mu in enumerate(members):
                 for nu in members[:idx]:
                     ov = abs(self.state(mu).overlap(self.state(nu)))
@@ -220,26 +220,17 @@ class SubspaceEngine:
             return vecs @ self._xmats[bra_bits, ket_bits].T
         return _real_part(apply_pauli_sum(vecs, self.n_orb, op))
 
+    def _item(self, mu: int):
+        """State mu as ``kernel.block`` takes it (see the class docstring)."""
+        return partial(self.state, mu) if self.basis[mu].rotations else self.basis[mu].csf
+
     def element_exact(self, mu: int, nu: int) -> float:
-        bra_bits = self._configs[mu]
-        if not self.basis[nu].rotations:
-            h_ket = self.kernel.product(bra_bits, self.basis[nu].csf)
-        else:
-            h_ket = self.kernel.apply(
-                bra_bits, self._configs[nu], lambda: self.state(nu).amplitudes
-            )
-        if h_ket is None:
-            return 0.0  # no term links the two configs
-        return real_element(self.state(mu).amplitudes, h_ket)
+        bra, ket = self._configs[mu], self._configs[nu]
+        return float(self.kernel.block(bra, ket, [self._item(mu)], [self._item(nu)])[0, 0])
 
     def exact_matrix(self) -> np.ndarray:
-        n = self.size
-        h = np.zeros((n, n))
-        for mu in range(n):
-            for nu in range(mu, n):
-                v = self.element_exact(mu, nu)
-                h[mu, nu] = h[nu, mu] = v
-        return h
+        items = [self._item(mu) for mu in range(self.size)]
+        return symmetric_matrix(self._configs, items, self.kernel.block)
 
     # -- sampling ----------------------------------------------------------
 
@@ -415,7 +406,10 @@ class MatrixSampler:
 
     def draw(self, seed: int) -> np.ndarray:
         h = self.exact.copy()
-        counts = rng_for(seed).multinomial(self._row_shots, self._probs)
+        try:
+            counts = rng_for(seed).multinomial(self._row_shots, self._probs)
+        except ValueError as exc:
+            raise SolverError(f"the draw table cannot be drawn: {exc}") from None
         means = np.einsum("rk,rk->r", counts, self._values) / self._row_shots
         vals = np.bincount(self._row_element, weights=means, minlength=len(self._mu))
         h[self._mu, self._nu] = vals
@@ -586,20 +580,17 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
 def _full_register_matrix(engine: SubspaceEngine) -> np.ndarray:
     """The engine's subspace matrix built on the full 2*n_orb-qubit register.
 
-    The reference for the tapered build (the ``--no-taper`` ablation): each
-    basis state is its dense Jordan-Wigner image, ``hq`` is applied once
-    per ket, and each element (mu <= nu) is that product against the bra.
+    The reference for the tapered build (the ``--no-taper`` ablation): the
+    block rule of ``CsfElementEngine.block`` on one block of every basis
+    state, each its dense Jordan-Wigner image, with ``hq`` applied once to
+    their stack and each element (mu <= nu) a product against the bra.
     """
-    n_qubits = 2 * engine.n_orb
-    states = [
-        full_state(b, engine.n_orb, engine.n_elec).amplitudes for b in engine.basis
-    ]
-    h = np.zeros((engine.size, engine.size))
-    for nu, ket in enumerate(states):
-        h_ket = apply_pauli_sum(ket, n_qubits, engine.hq)
-        for mu in range(nu + 1):
-            h[mu, nu] = h[nu, mu] = real_element(states[mu], h_ket)
-    return h
+    states = [full_state(b, engine.n_orb, engine.n_elec).amplitudes for b in engine.basis]
+
+    def block(bra_bits, ket_bits, bras, kets):
+        return real_block(bras, apply_pauli_sum(np.array(kets), 2 * engine.n_orb, engine.hq))
+
+    return symmetric_matrix([0] * engine.size, states, block)
 
 
 def build_subspace(
@@ -868,11 +859,8 @@ class _SlotModel:
         engine, members = self.engine, self.members
         inside = set(members)
         others = [nu for nu in range(engine.size) if nu not in inside]
-        by_cfg: dict = {}
-        for col, nu in enumerate(others):
-            by_cfg.setdefault(engine.config(nu), []).append(col)
         r = np.zeros((len(self._u), len(others)))
-        for bits, cols in by_cfg.items():
+        for bits, cols in index_groups([engine.config(nu) for nu in others]).items():
             if bits not in self.products:
                 psi = np.array([engine.state(others[c]).amplitudes.real for c in cols])
                 self.products[bits] = engine.apply_xop(self._bits, bits, psi)
@@ -916,10 +904,7 @@ def vo_optimize(basis, hq: PauliSum, n_elec: int, kernel=None):
     ``SubspaceEngine``).
     """
     engine = SubspaceEngine(basis, hq, n_elec, kernel=kernel)
-    groups: dict = {}
-    for mu in range(engine.size):
-        key = rotation_group_key(engine.basis[mu].csf, engine.n_orb)
-        groups.setdefault(key, []).append(mu)
+    groups = index_groups([rotation_group_key(b.csf, engine.n_orb) for b in engine.basis])
     for members in groups.values():
         pair_lists = {
             tuple((r, s) for r, s, _ in engine.basis[mu].rotations) for mu in members

@@ -176,3 +176,32 @@ def untaper_state(bits: int, remainder: StateVector) -> StateVector:
     idx = (np.arange(2**n_orb) << n_orb) | bits
     full[idx] = remainder.amplitudes
     return apply_clifford(StateVector(full, 2 * n_orb), build_clifford(n_orb).inverse())
+
+
+def index_groups(keys) -> dict:
+    """{key: the indices of ``keys`` that hold it}, in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def block_rows(bra_bits: int, bras, configs, kets, block) -> np.ndarray:
+    """<bras|H|kets> for bras of config ``bra_bits`` and kets of configs ``configs``,
+    one ``block(bra_bits, ket_bits, bras, kets)`` per ket config."""
+    out = np.zeros((len(bras), len(kets)))
+    for ket_bits, cols in index_groups(configs).items():
+        out[:, cols] = block(bra_bits, ket_bits, bras, [kets[j] for j in cols])
+    return out
+
+
+def symmetric_matrix(configs, states, block) -> np.ndarray:
+    """The real symmetric matrix of ``states``, of configs ``configs``: the
+    bras of each config take ``block_rows`` against the kets from their
+    first on, so entry (i, j), i <= j, is bra i against ket j."""
+    h = np.zeros((len(states), len(states)))
+    for bits, rows in index_groups(configs).items():
+        bras, lo = [states[i] for i in rows], rows[0]
+        h[rows, lo:] = block_rows(bits, bras, configs[lo:], states[lo:], block)
+    idx = np.arange(len(states))
+    return np.where(idx[:, None] <= idx, h, h.T)

@@ -21,7 +21,8 @@ branching that ``simulator.FragmentSampler``'s coset transform replaced:
 the same outcomes and values, probabilities, means and variances to
 1e-14),
 ``per_element_plan`` (``SubspaceEngine.sampling_plan``, with
-``per_state_sampler``), ``per_state_variance`` (the moments a fragment's
+``per_state_sampler``), ``vdot_element`` (``CsfElementEngine.block``, one
+element and one applied ket at a time), ``per_state_variance`` (the moments a fragment's
 outcome distribution must reproduce, to 1e-10),
 ``distinct_values`` (one row of ``simulator.draw_table``),
 ``reference_sorted_insertion`` (``measure.sorted_insertion``, whose
@@ -804,6 +805,18 @@ def per_element_plan(engine):
                 [np.sqrt(FragmentSampler(state, f).variance) for f in frags],
             )
     return plan
+
+
+def vdot_element(kernel, bra_bits, bra, ket_bits, ket) -> float:
+    """One exact element on its own: 0.0 when no term links the two
+    configs, else the real part of the vdot of the bra amplitudes with the
+    config pair's operator (``kernel.xop``) applied to the ket alone."""
+    from senqse.simulator import apply_pauli_sum
+
+    op = kernel.xop(bra_bits, ket_bits)
+    if not op:
+        return 0.0
+    return float(np.vdot(bra, apply_pauli_sum(ket, kernel.n_orb, op)).real)
 
 
 def reconstruct(fragments):

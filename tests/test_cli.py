@@ -582,7 +582,7 @@ class TestElementKernel:
 
         monkeypatch.setattr(cli, "jordan_wigner", recorded_jw)
         monkeypatch.setattr(cli, "relax_orbitals", marked)
-        for name in ("product", "xop"):
+        for name in ("block", "xop"):
             method = getattr(CsfElementEngine, name)
             monkeypatch.setattr(CsfElementEngine, name, reading(method))
         rec = run_one_geometry(H2_PATHS[0], tmp_path, method="vo", relax_orbitals=True)

@@ -427,30 +427,78 @@ class TestElementEngine:
         assert not engine._states
 
     @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2_0.7414"])
-    def test_memoised_elements_equal_direct_evaluation(self, stem):
-        # every ordered pair of created CSFs, in an order that reads many
-        # products back from the memo: the same bits as the vdot of the bra
-        # with the operator applied to the ket, zero for an empty operator
+    def test_memoised_elements_equal_direct_evaluation(self, stem, monkeypatch):
+        # every ordered pair of created CSFs, read as one block per ordered
+        # config pair, and on H2O every ordered pair of the optimized VO basis
+        # and its exact matrix: the same bits, sign of zero included, as the
+        # per-element reference, zero for an empty operator.  The memo holds
+        # one product per linked (bra config, CSF ket), and a second pass
+        # over the CSF blocks reads every product back from it
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         specs = create_csfs(default_selection_params(ints), ints.n_orb, ints.n_elec)
         engine = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
-        reference = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
-        reads = 0
-        for a in specs:
-            for b in specs:
-                op = reference.xop(reference.bits(a), reference.bits(b))
-                want = 0.0
-                if op:
-                    ket = reference.state(b).amplitudes
-                    bra = reference.state(a).amplitudes
-                    want = float(np.vdot(bra, apply_pauli_sum(ket, ints.n_orb, op)).real)
-                reads += (engine.bits(a), b) in engine._products
-                got = engine.element(a, b)
-                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert reads > 0
-        linked = [v for v in engine._products.values() if v is not None]
-        assert 0 < len(linked) < len(engine._products)
+        bits = [engine.bits(s) for s in specs]
+        amps = [engine.state(s).amplitudes for s in specs]
+        n = len(specs)
+        want = np.array(
+            [
+                [oracles.vdot_element(engine, bits[a], amps[a], bits[b], amps[b]) for b in range(n)]
+                for a in range(n)
+            ]
+        )
+        by_cfg = {}
+        for k, cfg in enumerate(bits):
+            by_cfg.setdefault(cfg, []).append(k)
+
+        def refuse(*args):
+            raise AssertionError("a memoised product was applied again")
+
+        for memo_only in (False, True):
+            with monkeypatch.context() as m:
+                if memo_only:
+                    m.setattr("senqse.csfbasis.apply_pauli_sum", refuse)
+                got = np.full((n, n), np.nan)
+                for rows in by_cfg.values():
+                    for cols in by_cfg.values():
+                        got[np.ix_(rows, cols)] = engine.block(
+                            bits[rows[0]],
+                            bits[cols[0]],
+                            [specs[a] for a in rows],
+                            [specs[b] for b in cols],
+                        )
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            linked = {
+                (bits[a], specs[b])
+                for a in range(n)
+                for b in range(n)
+                if engine.xop(bits[a], bits[b])
+            }
+            assert 0 < len(linked) < n * n and set(engine._products) == linked
+        if stem != "h2o_1.0000":
+            return
+        basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+        sub = SubspaceEngine(basis, hq, ints.n_elec, kernel=engine)
+        # rotated states, and rotation-free ones read from the memo
+        assert {bool(b.rotations) for b in basis} == {True, False}
+        vecs = [sub.state(mu).amplitudes for mu in range(sub.size)]
+        pairs = np.array(
+            [
+                [
+                    oracles.vdot_element(engine, sub.config(mu), vecs[mu], sub.config(nu), vecs[nu])
+                    for nu in range(sub.size)
+                ]
+                for mu in range(sub.size)
+            ]
+        )
+        got = np.array(
+            [[sub.element_exact(mu, nu) for nu in range(sub.size)] for mu in range(sub.size)]
+        )
+        assert np.array_equal(got.view(np.uint64), pairs.view(np.uint64))
+        # each entry mu <= nu, mirrored
+        idx = np.arange(sub.size)
+        upper = np.where(idx[:, None] <= idx, pairs, pairs.T)
+        assert np.array_equal(sub.exact_matrix().view(np.uint64), upper.view(np.uint64))
 
     def test_kernel_of_another_hamiltonian_is_refused(self, h2o, h2o_hq):
         kernel = CsfElementEngine(jordan_wigner(h2o), h2o.n_orb, h2o.n_elec)

@@ -9,6 +9,7 @@ import oracles
 from senqse import simulator, solver
 from senqse.csfbasis import (
     CsfElementEngine,
+    create_csfs,
     default_selection_params,
     full_state,
     parse_basis,
@@ -28,10 +29,11 @@ from senqse.simulator import (
     expectation,
     matrix_element_exact,
     prepare_swap_state,
+    real_block,
     rng_for,
 )
 from senqse.solver import SubspaceEngine, build_subspace, vo_optimize
-from senqse.taper import SectorHamiltonian, build_clifford
+from senqse.taper import SectorHamiltonian, build_clifford, symmetric_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -94,6 +96,14 @@ class TestMatrixElement:
         b = StateVector.computational(1, 2)
         op = PauliSum.from_label("Z0 Z1", 0.7, 2)
         assert matrix_element_exact(a, op, b) == pytest.approx(0.0)
+
+    def test_real_block_refuses_an_imaginary_entry(self):
+        # one entry of <bras|products> carries 2e-9 of imaginary part
+        bras = np.eye(2, dtype=complex)
+        products = np.array([[0.5, 0.0], [0.0, -0.25 + 2e-9j]])
+        assert real_block(bras, products[:1]).tolist() == [[0.5], [0.0]]
+        with pytest.raises(SimulatorError, match="imaginary part"):
+            real_block(bras, products)
 
     def test_swap_state_reproduces_element(self):
         # <a|op|b> = <Phi|(x + i y)/1 (x) op|Phi> with the ancilla on top
@@ -320,12 +330,16 @@ class TestApplyPauliSum:
 @pytest.fixture(scope="module")
 def h2o_pt_kernel():
     """The element kernel of the H2O 1.0 A PT selection at the acceptance
-    settings, holding every product the selection made."""
+    settings, holding every product the selection kept and those of the
+    created CSFs' matrix (trimming reads that matrix without keeping its
+    products)."""
     ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
     hq = jordan_wigner(ints)
     kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
     params = default_selection_params(ints, eps1=1e-5, eps2=1e-6, n_active_occ=5)
     basis = select_basis_pt(ints, hq, params, kernel=kernel)
+    specs = create_csfs(params, ints.n_orb, ints.n_elec)
+    symmetric_matrix([kernel.bits(s) for s in specs], specs, kernel.block)
     return kernel, basis
 
 
@@ -404,19 +418,21 @@ class TestSupportPass:
             assert_applies_like_oracle(stack, n, op)
 
     def test_full_register_images_cross_term_blocks(self, h2o_engine):
+        # a stack of sparse full-register images and one dense state: each
+        # state is applied on its own, so only the dense one's terms are
+        # split into blocks, and every row is the oracle's
         n = 2 * h2o_engine.n_orb
-        images = np.array(
-            [
-                full_state(b, h2o_engine.n_orb, h2o_engine.n_elec).amplitudes
-                for b in h2o_engine.basis[:3]
-            ]
-        )
-        support = np.count_nonzero(images.any(axis=0))
-        step = BLOCK_AMPLITUDES // (support * len(images))
+        images = [
+            full_state(b, h2o_engine.n_orb, h2o_engine.n_elec).amplitudes
+            for b in h2o_engine.basis[:3]
+        ]
+        stack = np.array(images + [random_state(np.random.default_rng(103), n).amplitudes])
+        steps = BLOCK_AMPLITUDES // np.count_nonzero(stack, axis=1)
         hq = h2o_engine.hq
-        assert 1 <= step < hq.n_terms and hq.n_terms % step != 0
+        assert min(steps[:-1]) >= hq.n_terms > steps[-1] >= 1
+        assert hq.n_terms % steps[-1] != 0
         assert_applies_like_oracle(images[0], n, hq)
-        assert_applies_like_oracle(images, n, hq)
+        assert_applies_like_oracle(stack, n, hq)
 
     def test_scatter_blocks_hold_at_most_block_amplitudes(self, h2o_engine, monkeypatch):
         sizes = []

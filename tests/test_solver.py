@@ -815,6 +815,32 @@ class TestMatrixDraws:
             assert values.tobytes() == want[1].tobytes()
         assert draw_table([ties])[1].tolist() == [[-1.0, 2.0, 3.0]]
 
+    def test_row_summed_above_one_is_clamped(self):
+        # one value whose outcome probabilities sum one ulp above 1, as in
+        # the draw table of the H6 chain's VO basis: the row reads 1 and is
+        # drawn; a row that clamping cannot mend is a SolverError
+        half = 0.5 + 2.0**-53
+        assert half + half == np.nextafter(1.0, 2.0)
+        above = types.SimpleNamespace(probs=np.array([half, half]), values=np.array([2.0, 2.0]))
+        probs, values = draw_table([above])
+        assert probs.tolist() == [[1.0]] and values.tolist() == [[2.0]]
+        broken = types.SimpleNamespace(
+            probs=np.array([0.6, 0.6, 0.1]), values=np.array([1.0, 2.0, 3.0])
+        )
+        for sampler, fails in ((above, False), (broken, True)):
+            plan = {(0, 0): ([sampler], [1.0])}
+            matrix = MatrixSampler(
+                exact=np.zeros((1, 1)),
+                plan=plan,
+                shots={(0, 0): [5]},
+                coefficients=solver._error_coefficients(np.linalg.eigh(np.zeros((1, 1))), plan),
+            )
+            if fails:
+                with pytest.raises(SolverError, match="cannot be drawn"):
+                    matrix.draw(0)
+            else:
+                assert matrix.draw(0).tolist() == [[2.0]]
+
     def test_one_eigensolve_per_sampler(self, h2o, h2o_hq, h2o_sampler, monkeypatch):
         # the table and the sampler's predicted error share one eigh of the
         # exact matrix and one coefficient pass over the plan, with the bits
@@ -1119,32 +1145,35 @@ class TestVoOptimize:
 
     def test_line_search_is_closed_form(self, h2o, h2o_hq, h2o_vo_selected, monkeypatch):
         # one rotation group only, so every line search moves all its rows:
-        # no element evaluation and no rotation inside any line search, no
-        # element evaluation between two searches but the stage-2 starting
-        # build, and in all two full builds (that one and the returned one)
+        # no element block and no rotation inside any line search, no block
+        # between two searches but the stage-2 starting build, and in all
+        # two full builds (that one and the returned one), each one block
+        # of the group's one config
         basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
-        n_pairs = len(basis) * (len(basis) + 1) // 2
-        calls, rotations, at_search = [0], [0], []
-        element_exact = SubspaceEngine.element_exact
+        assert len({config_bits(b.csf, h2o.n_orb) for b in basis}) == 1
+        n_entries = len(basis) * len(basis)
+        blocks, entries, rotations, at_search = [0], [0], [0], []
+        block = csfbasis.CsfElementEngine.block
         kernel = csfbasis.rotate_pair_inplace
         line_search = solver._periodic_line_search
 
-        def counted_element(self, mu, nu):
-            calls[0] += 1
-            return element_exact(self, mu, nu)
+        def counted_block(self, bra_bits, ket_bits, bras, kets):
+            blocks[0] += 1
+            entries[0] += len(bras) * len(kets)
+            return block(self, bra_bits, ket_bits, bras, kets)
 
         def counted_kernel(*args):
             rotations[0] += 1
             return kernel(*args)
 
         def counted_search(*args, **kwargs):
-            before = calls[0], rotations[0]
+            before = entries[0], rotations[0]
             out = line_search(*args, **kwargs)
-            assert (calls[0], rotations[0]) == before
+            assert (entries[0], rotations[0]) == before
             at_search.append(before[0])
             return out
 
-        monkeypatch.setattr(SubspaceEngine, "element_exact", counted_element)
+        monkeypatch.setattr(csfbasis.CsfElementEngine, "block", counted_block)
         monkeypatch.setattr(csfbasis, "rotate_pair_inplace", counted_kernel)
         monkeypatch.setattr(solver, "rotate_pair_inplace", counted_kernel)
         monkeypatch.setattr(solver, "_periodic_line_search", counted_search)
@@ -1153,8 +1182,8 @@ class TestVoOptimize:
         assert rotations[0] > 0
         gaps = np.diff(at_search)
         assert len(gaps) > 14
-        assert sorted(gaps[gaps != 0]) == [n_pairs]
-        assert calls[0] == 2 * n_pairs
+        assert sorted(gaps[gaps != 0]) == [n_entries]
+        assert blocks[0] == 2 and entries[0] == 2 * n_entries
 
     def test_cached_prefixes_match_fresh_chains(
         self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
@@ -1187,24 +1216,25 @@ class TestVoOptimize:
     def test_line_search_costs_five_row_refreshes(
         self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
     ):
-        # one rotation group only, so every line search moves all its rows
+        # one rotation group only, so every line search moves all its rows;
+        # the cost between two searches is counted in block entries
         basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
-        calls, at_search = [0], []
-        element_exact = SubspaceEngine.element_exact
+        entries, at_search = [0], []
+        block = csfbasis.CsfElementEngine.block
         line_search = solver._periodic_line_search
 
-        def counted_element(self, mu, nu):
-            calls[0] += 1
-            return element_exact(self, mu, nu)
+        def counted_block(self, bra_bits, ket_bits, bras, kets):
+            entries[0] += len(bras) * len(kets)
+            return block(self, bra_bits, ket_bits, bras, kets)
 
         def counted_search(*args, **kwargs):
-            before = calls[0]
+            before = entries[0]
             out = line_search(*args, **kwargs)
-            assert calls[0] == before  # the objective is closed form
+            assert entries[0] == before  # the objective is closed form
             at_search.append(before)
             return out
 
-        monkeypatch.setattr(SubspaceEngine, "element_exact", counted_element)
+        monkeypatch.setattr(csfbasis.CsfElementEngine, "block", counted_block)
         monkeypatch.setattr(solver, "_periodic_line_search", counted_search)
         _, _, history = vo_optimize(basis, h2o_hq, h2o.n_elec)
         assert all(b <= a for a, b in zip(history, history[1:]))
