@@ -229,7 +229,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
             "max_term_ratio": 1.0,
             "avg_norm_ratio": 1.0,
             "max_norm_ratio": 1.0,
-            "original_terms": _non_identity_terms(hq),
+            "original_terms": _measured_terms(hq)[0],
         }
     # the oracle's sector matrix is the geometry's largest allocation, so
     # the kernel and its memos go first
@@ -284,9 +284,15 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
     return record
 
 
-def _non_identity_terms(op) -> int:
-    """Terms of op other than the identity, the ones that cost measurements."""
-    return sum(1 for key, _ in op.items() if key != (0, 0))
+def _measured_terms(op) -> tuple:
+    """(count, 1-norm) of the terms of op other than the identity, the ones
+    that cost measurements.  The 1-norm is Python's ``sum`` of the
+    magnitudes (``np.hypot``, Python's ``abs`` bit for bit) in term order,
+    minus the identity's."""
+    identity = ~op.keys.any(axis=1)
+    mags = np.hypot(op.coeffs.real, op.coeffs.imag)
+    norm = sum(mags.tolist()) - sum(mags[identity].tolist(), 0.0)
+    return len(op) - int(identity.sum()), norm
 
 
 def tapering_stats(basis, hq, n_elec, kernel=None) -> dict:
@@ -295,23 +301,16 @@ def tapering_stats(basis, hq, n_elec, kernel=None) -> dict:
     Identity terms are excluded on both sides: they shift values without
     costing measurements.  The operators come from ``kernel``, the
     geometry's element kernel of ``hq`` (a new one when None), and the
-    ratios are taken once per distinct config pair.  A 1-norm is summed
-    as ``PauliSum.one_norm`` sums it: Python's ``sum`` of the magnitudes
-    in term order, minus that of the identity.
+    ratios are taken once per distinct config pair.
     """
     kernel = element_kernel(kernel, hq, hq.n_qubits // 2, n_elec)
     bits = [kernel.bits(b.csf) for b in basis]
-    n_full = _non_identity_terms(hq)
-    norm_full = hq.one_norm(include_identity=False)
+    n_full, norm_full = _measured_terms(hq)
     ratios, term_ratios, norm_ratios = {}, [], []
     for mu, nu in itertools.combinations_with_replacement(range(len(basis)), 2):
         pair = (bits[mu], bits[nu])
         if pair not in ratios:
-            op = kernel.xop(*pair)
-            identity = ~op.keys.any(axis=1)
-            mags = np.hypot(op.coeffs.real, op.coeffs.imag)  # Python's abs, bit for bit
-            norm = sum(mags.tolist()) - sum(mags[identity].tolist(), 0.0)
-            n_terms = len(op) - int(identity.sum())
+            n_terms, norm = _measured_terms(kernel.xop(*pair))
             ratios[pair] = (n_terms / n_full, norm / norm_full)
         term_ratios.append(ratios[pair][0])
         norm_ratios.append(ratios[pair][1])

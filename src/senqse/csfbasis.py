@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
-from senqse.pauli import PauliArrays, PauliSum
+from senqse.pauli import PauliArrays
 from senqse.simulator import StateVector, apply_pauli_sum, real_block
 from senqse.taper import SectorHamiltonian, block_rows, build_clifford, symmetric_matrix
 
@@ -591,7 +591,7 @@ class CsfElementEngine:
     ``element`` is the 1x1 block of two CSFs.
     """
 
-    def __init__(self, hq: PauliSum, n_orb: int, n_elec: int):
+    def __init__(self, hq: PauliArrays, n_orb: int, n_elec: int):
         if hq.n_qubits != 2 * n_orb:
             raise BasisError("Hamiltonian register does not match n_orb")
         self.hq = hq
@@ -638,7 +638,7 @@ class CsfElementEngine:
         return float(self.block(self.bits(a), self.bits(b), [a], [b])[0, 0])
 
 
-def element_kernel(kernel, hq: PauliSum, n_orb: int, n_elec: int) -> CsfElementEngine:
+def element_kernel(kernel, hq: PauliArrays, n_orb: int, n_elec: int) -> CsfElementEngine:
     """``kernel`` when it was built for this ``hq`` and n_elec; a new one for None."""
     if kernel is None:
         return CsfElementEngine(hq, n_orb, n_elec)
@@ -819,7 +819,7 @@ def _trimmed_and_extended(ints, hq, params, kernel):
 
 
 def select_basis_vo(
-    ints: FermionIntegrals, hq: PauliSum, params: SelectionParams, kernel=None
+    ints: FermionIntegrals, hq: PauliArrays, params: SelectionParams, kernel=None
 ) -> list:
     """VO basis: trimmed CSFs with zero-initialized rotation slots.
 
@@ -837,7 +837,7 @@ def select_basis_vo(
 
 
 def select_basis_pt(
-    ints: FermionIntegrals, hq: PauliSum, params: SelectionParams, kernel=None
+    ints: FermionIntegrals, hq: PauliArrays, params: SelectionParams, kernel=None
 ) -> list:
     """PT basis: internal pairs become new CSFs, external pairs carry MP2 angles.
 

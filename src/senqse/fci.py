@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import PauliSum
-from senqse.simulator import _factors, _term_arrays
+from senqse.pauli import PauliArrays
+from senqse.simulator import _factors
 
 # largest sector (determinants) that fci_oracle diagonalises densely
 _DENSE_CUTOFF = 2048
@@ -47,7 +47,7 @@ def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
     return np.array(sorted(dets), dtype=np.uint64)
 
 
-def _sector_blocks(hq: PauliSum, dets: np.ndarray):
+def _sector_blocks(hq: PauliArrays, dets: np.ndarray):
     """(rows, cols, values) of hq on the sorted determinants, n_orb X strings each.
 
     Entry (row, col) is reached only by the terms with x = row ^ col.  The
@@ -61,12 +61,12 @@ def _sector_blocks(hq: PauliSum, dets: np.ndarray):
     and is checked against that mirror before it is yielded.
     """
     dim, step = len(dets), max(hq.n_qubits // 2, 1)
-    keys, coeffs = _term_arrays(hq.items())
+    keys = hq.keys
     order = np.argsort(keys[:, 0].view(np.int64), kind="stable")
-    x, z, factors = keys[order, 0], keys[order, 1], _factors(keys, coeffs)[order]
+    x, z, factors = keys[order, 0], keys[order, 1], _factors(keys, hq.coeffs)[order]
     new = np.append(True, x[1:] != x[:-1])
     xs, bounds = x[new], np.append(np.flatnonzero(new), len(x))
-    del keys, coeffs, order, x
+    del order, x
     for a in range(0, len(xs), step):
         targets = dets ^ xs[a : a + step, None]
         pos = np.minimum(np.searchsorted(dets, targets), dim - 1)
@@ -101,7 +101,7 @@ def _sector_blocks(hq: PauliSum, dets: np.ndarray):
         yield rows, cols, vals
 
 
-def _dense_sector_matrix(hq: PauliSum, dets: np.ndarray) -> np.ndarray:
+def _dense_sector_matrix(hq: PauliArrays, dets: np.ndarray) -> np.ndarray:
     """hq on the sector as a dense array, assigned one chunk of entries at a time."""
     mat = np.zeros((len(dets), len(dets)))
     for rows, cols, vals in _sector_blocks(hq, dets):
@@ -143,7 +143,7 @@ def _spin_flip_blocks(mat: np.ndarray, dets: np.ndarray, step: int) -> list:
     return blocks
 
 
-def _lanczos_ground_energy(hq: PauliSum, dets: np.ndarray) -> float:
+def _lanczos_ground_energy(hq: PauliArrays, dets: np.ndarray) -> float:
     """Lowest eigenvalue of hq on the sector by SciPy's sparse Lanczos."""
     import scipy.sparse
     import scipy.sparse.linalg
@@ -158,7 +158,7 @@ def _lanczos_ground_energy(hq: PauliSum, dets: np.ndarray) -> float:
     return float(w[0])
 
 
-def fci_oracle(hq: PauliSum, n_elec: int, sz: float = 0.0) -> FciResult:
+def fci_oracle(hq: PauliArrays, n_elec: int, sz: float = 0.0) -> FciResult:
     """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector."""
     if hq.n_qubits % 2 or hq.n_qubits > 24:
         raise FciError("oracle supports even registers up to 24 qubits")

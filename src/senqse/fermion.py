@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, PauliError, PauliSum
+from senqse.pauli import DROP_TOL, PauliArrays, PauliError
 
 log = logging.getLogger(__name__)
 
@@ -98,16 +98,12 @@ def parse_fcidump(text: str) -> FermionIntegrals:
     Records with three trailing zeros (orbital energies) are ignored.
     """
     lines = text.splitlines()
-    header_end = None
-    header_parts = []
-    for ln, line in enumerate(lines):
-        header_parts.append(line)
+    for header_end, line in enumerate(lines):
         if "&END" in line.upper() or re.search(r"(^|\s)/\s*$", line):
-            header_end = ln
             break
-    if header_end is None:
+    else:
         raise FcidumpError("no &END (or /) terminating the FCIDUMP header")
-    header = " ".join(header_parts)
+    header = " ".join(lines[: header_end + 1])
     if "&FCI" not in header.upper():
         raise FcidumpError("missing &FCI in header")
 
@@ -117,9 +113,7 @@ def parse_fcidump(text: str) -> FermionIntegrals:
             raise FcidumpError(f"missing {name} in FCIDUMP header")
         return int(m.group(1))
 
-    n_orb = header_int("NORB")
-    n_elec = header_int("NELEC")
-    ms2 = header_int("MS2")
+    n_orb, n_elec, ms2 = map(header_int, ("NORB", "NELEC", "MS2"))
     if n_orb < 1:
         raise FcidumpError(f"bad NORB {n_orb}")
     if n_elec % 2 != 0 or ms2 != 0:
@@ -145,25 +139,23 @@ def parse_fcidump(text: str) -> FermionIntegrals:
         if not np.isfinite(val):
             raise FcidumpError(f"line {ln + 1}: non-finite value {parts[0]!r}")
         for idx in (i, j, k, l):
-            if idx < 0 or idx > n_orb:
+            if not 0 <= idx <= n_orb:
                 raise FcidumpError(f"line {ln + 1}: orbital index {idx} out of range")
         if i == j == k == l == 0:
             e_core = val
         elif k == 0 and l == 0:
             if i == 0 or j == 0:
-                if j == 0 and k == 0 and l == 0 and i != 0:
-                    continue  # orbital-energy record, unused
+                if j == 0:
+                    continue  # orbital-energy record (i 0 0 0), unused
                 raise FcidumpError(f"line {ln + 1}: bad one-electron indices")
-            h[i - 1, j - 1] = val
-            h[j - 1, i - 1] = val
+            h[i - 1, j - 1] = h[j - 1, i - 1] = val
         elif 0 in (i, j, k, l):
             raise FcidumpError(f"line {ln + 1}: bad two-electron indices")
         else:
             p, q, r, s = i - 1, j - 1, k - 1, l - 1
             for a, b in ((p, q), (q, p)):
                 for c, d in ((r, s), (s, r)):
-                    g[a, b, c, d] = val
-                    g[c, d, a, b] = val
+                    g[a, b, c, d] = g[c, d, a, b] = val
     return FermionIntegrals(n_orb=n_orb, n_elec=n_elec, e_core=e_core, h=h, g=g)
 
 
@@ -283,7 +275,7 @@ def _key_sums(x, z, c, pos):
 
 
 def _terms(ints: FermionIntegrals) -> list:
-    """(first position, (x, z), coefficient) of each Pauli string of
+    """(first position, x, z, coefficient) of each Pauli string of
     `jordan_wigner` whose sum reaches DROP_TOL, imaginary parts below it
     cleared, in order of first position.  Keys are summed by `_key_sums`, a
     block of whole X strings at a time, and each block's kept terms leave
@@ -325,14 +317,13 @@ def _terms(ints: FermionIntegrals) -> list:
         first, x, z, re, im = _key_sums(*strings)
         kept = np.hypot(re, im) >= DROP_TOL
         im = np.where(np.abs(im[kept]) < DROP_TOL, 0.0, im[kept])
-        keys = zip(x[kept].tolist(), z[kept].tolist())
         values = map(complex, re[kept].tolist(), im.tolist())
-        terms += zip(first[kept].tolist(), keys, values)
-    terms.sort(key=lambda term: term[0])
-    return terms
+        terms += zip(first[kept].tolist(), x[kept].tolist(), z[kept].tolist(), values)
+    # positions are distinct, so no two terms compare further
+    return sorted(terms)
 
 
-def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
+def jordan_wigner(ints: FermionIntegrals) -> PauliArrays:
     """Qubit image of the electronic Hamiltonian on 2*n_orb qubits.
 
     H = e_core + sum_pq h_pq a+_ps a_qs
@@ -346,7 +337,8 @@ def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
     order of their first term, sums below DROP_TOL are dropped and smaller
     imaginary parts cleared: the product of `jw_operator` chains, term for
     term and bit for bit.  Bit strings are 64-bit words: registers wider
-    than `MAX_JW_QUBITS` qubits raise `PauliError`.
+    than `MAX_JW_QUBITS` qubits raise `PauliError`, and a Hamiltonian with
+    no term but the identity, which nothing can measure, `FcidumpError`.
     """
     nq = 2 * ints.n_orb
     if nq > MAX_JW_QUBITS:
@@ -354,10 +346,13 @@ def jordan_wigner(ints: FermionIntegrals) -> PauliSum:
             f"{nq} qubits exceed the {MAX_JW_QUBITS}-bit words of jordan_wigner"
         )
     terms = _terms(ints)
-    resid = max((abs(c.imag) for _, _, c in terms), default=0.0)
+    if not any(x | z for _, x, z, _ in terms):
+        raise FcidumpError("qubit Hamiltonian has no term but the identity")
+    _, x, z, coeffs = zip(*terms)
+    resid = max(abs(c.imag) for c in coeffs)
     if resid > 1e-9:
         raise ValueError(f"qubit Hamiltonian has imaginary residue {resid:.2e}")
-    return PauliSum(nq, {key: c for _, key, c in terms})
+    return PauliArrays(nq, np.array([x, z], dtype=np.uint64).T, np.array(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, PauliArrays, PauliSum
-from senqse.simulator import FragmentSampler, StateVector, apply_pauli_sum, stack_chunks
+from senqse.pauli import DROP_TOL, PauliArrays
+from senqse.simulator import (
+    FragmentSampler,
+    StateVector,
+    apply_pauli_sum,
+    check_hermitian,
+    stack_chunks,
+)
 
 MIXED_COEFF_TOL = 1e-10
-_WORD = (1 << 64) - 1
 
 
 class MeasureError(ValueError):
@@ -36,7 +41,7 @@ class SwapTestOperator:
     coefficient of x (x) identity, the only term free to shift.
     """
 
-    op: PauliSum
+    op: PauliArrays
     c_x: float
     shifted: bool = False
 
@@ -45,31 +50,39 @@ class SwapTestOperator:
         return self.op.n_qubits - 1
 
 
-def build_swap_operator(op: PauliArrays | PauliSum) -> SwapTestOperator:
+def _kept(n_qubits: int, keys, coeffs) -> PauliArrays:
+    """The terms whose |coefficient| (``np.hypot``, Python's ``abs``) reaches
+    DROP_TOL, in order."""
+    kept = np.hypot(coeffs.real, coeffs.imag) >= DROP_TOL
+    return PauliArrays(n_qubits, keys[kept], coeffs[kept])
+
+
+def build_swap_operator(op: PauliArrays) -> SwapTestOperator:
     """Dress each term of the effective operator ``op`` with its ancilla Pauli.
 
     Even-Y terms keep their real coefficient on x (x) P; odd-Y terms carry
     minus their imaginary coefficient on y (x) P, the sign that makes the
-    swap-state expectation reproduce the bra-ket element.
+    swap-state expectation reproduce the bra-ket element.  A coefficient
+    whose imaginary part is at most MIXED_COEFF_TOL max(1, |c|) counts as
+    real, else one whose real part is that small as imaginary.
     """
-    n = op.n_qubits
-    anc = 1 << n
-    out = PauliSum(n + 1)
-    c_x = 0.0
-    for (xb, zb), c in op.items():
-        scale = max(1.0, abs(c))
-        if abs(c.imag) <= MIXED_COEFF_TOL * scale:
-            out.add_term(xb | anc, zb, c.real)  # x (x) P
-            if xb == 0 and zb == 0:
-                c_x = c.real
-        elif abs(c.real) <= MIXED_COEFF_TOL * scale:
-            out.add_term(xb | anc, zb | anc, -c.imag)  # y (x) P
-        else:
-            raise MeasureError(
-                f"coefficient {c} is neither real nor imaginary; "
-                "operator does not have swap-test structure"
-            )
-    return SwapTestOperator(op=out.simplify(DROP_TOL), c_x=c_x, shifted=False)
+    c = op.coeffs
+    mags = np.hypot(c.real, c.imag)
+    tol = MIXED_COEFF_TOL * np.where(mags > 1.0, mags, 1.0)
+    real = np.abs(c.imag) <= tol
+    mixed = ~real & (np.abs(c.real) > tol)
+    if mixed.any():
+        raise MeasureError(
+            f"coefficient {c[mixed][0]} is neither real nor imaginary; "
+            "operator does not have swap-test structure"
+        )
+    anc = np.uint64(1 << op.n_qubits)
+    keys = op.keys.copy()
+    keys[:, 0] |= anc
+    keys[~real, 1] |= anc
+    c_x = c.real[real & ~op.keys.any(axis=1)].tolist() or [0.0]
+    coeffs = np.where(real, c.real, -c.imag).astype(complex)
+    return SwapTestOperator(op=_kept(op.n_qubits + 1, keys, coeffs), c_x=c_x[0])
 
 
 def shift_constant(s: SwapTestOperator, h_mm: float, h_nn: float) -> SwapTestOperator:
@@ -77,73 +90,61 @@ def shift_constant(s: SwapTestOperator, h_mm: float, h_nn: float) -> SwapTestOpe
 
     Valid only when the bra and ket share a seniority configuration (their
     tapered states are then orthogonal and x (x) 1 has zero mean), which the
-    caller enforces.
+    caller enforces.  The x (x) 1 term, appended when absent, takes the
+    change, and terms below DROP_TOL are dropped.
     """
-    n_anc = s.ancilla
     new_cx = s.c_x - 0.5 * (h_mm + h_nn)
-    op = s.op.copy()
-    op.add_term(1 << n_anc, 0, new_cx - s.c_x)
-    return SwapTestOperator(op=op.simplify(DROP_TOL), c_x=new_cx, shifted=True)
+    # x (x) 1 appended with +0, so the change adds to its first row
+    x_one = np.array([[1 << s.ancilla, 0]], dtype=np.uint64)
+    keys = np.concatenate([s.op.keys, x_one])
+    coeffs = np.append(s.op.coeffs, 0.0)
+    coeffs[(keys == x_one).all(axis=1).argmax()] += new_cx - s.c_x
+    return SwapTestOperator(op=_kept(s.op.n_qubits, keys, coeffs), c_x=new_cx, shifted=True)
 
 
-def _anticommutation(keys: list, n_qubits: int) -> np.ndarray:
-    """T x T boolean matrix: entry (i, j) set when terms i and j anticommute.
-
-    The symplectic form <x_i, z_j> + <z_i, x_j> mod 2 of the (x, z) keys,
-    as popcount parities over 64-bit words of the bit strings.
-    """
-    words = max(1, -(-n_qubits // 64))
-    bits = np.array(
-        [[(b >> (64 * w)) & _WORD for w in range(words)] for key in keys for b in key],
-        dtype=np.uint64,
-    ).reshape(len(keys), 2, words)
-    x, z = bits[:, 0], bits[:, 1]
-    parity = np.zeros((len(keys), len(keys)), dtype=np.uint8)
-    for w in range(words):
-        parity ^= np.bitwise_count(x[:, None, w] & z[None, :, w])
-        parity ^= np.bitwise_count(z[:, None, w] & x[None, :, w])
-    return (parity & 1).astype(bool)
-
-
-def sorted_insertion(op: PauliArrays | PauliSum) -> tuple:
+def sorted_insertion(op: PauliArrays) -> tuple:
     """Greedy fully-commuting grouping in decreasing coefficient magnitude.
 
     Each term joins the first existing fragment it commutes with term-wise;
     otherwise it opens a new fragment.  Ties in magnitude break on the
-    symplectic key so the grouping is deterministic everywhere.  Each
-    fragment keeps a conflict mask, bit t set when term t anticommutes with
-    one of its members, so a term joins the first fragment whose mask has
-    its bit clear.  Returns the fragments as a tuple of ``PauliSum``s; each
-    term of ``op`` lies in exactly one of them.
+    symplectic key so the grouping is deterministic everywhere (Python's
+    sort: NumPy's of uint64 would fault in code nothing else runs).  The
+    anticommutation matrix is the popcount parity of the symplectic form
+    <x_i, z_j> + <z_i, x_j> over the one 64-bit word of each string, and
+    each fragment keeps a conflict mask, bit t set when term t
+    anticommutes with one of its members, so a term joins the first
+    fragment whose mask has its bit clear.  Returns the fragments as a
+    tuple of ``PauliArrays``; each term of ``op`` lies in exactly one of
+    them, in sorted order.
     """
-    n = op.n_qubits
-    ordered = sorted(op.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-    anti = _anticommutation([key for key, _ in ordered], n)
-    rows = np.packbits(anti, axis=1, bitorder="little")
+    mags, keys = np.hypot(op.coeffs.real, op.coeffs.imag).tolist(), op.keys.tolist()
+    order = sorted(range(len(keys)), key=lambda t: (-mags[t], keys[t]))
+    x, z = op.keys[order].T
+    parity = np.bitwise_count(x[:, None] & z) ^ np.bitwise_count(z[:, None] & x)
+    rows = np.packbits((parity & 1).astype(bool), axis=1, bitorder="little")
     fragments: list[list] = []
     conflicts: list[int] = []
-    for t, entry in enumerate(ordered):
+    for t, term in enumerate(order):
         row = int.from_bytes(rows[t].tobytes(), "little")
         for f, mask in enumerate(conflicts):
             if not mask >> t & 1:
-                fragments[f].append(entry)
+                fragments[f].append(term)
                 conflicts[f] = mask | row
                 break
         else:
-            fragments.append([entry])
+            fragments.append([term])
             conflicts.append(row)
-    return tuple(PauliSum(n, dict(entries)) for entries in fragments)
+    return tuple(PauliArrays(op.n_qubits, op.keys[f], op.coeffs[f]) for f in fragments)
 
 
-def fragment_variance(state: StateVector, fragment: PauliSum) -> float:
+def fragment_variance(state: StateVector, fragment: PauliArrays) -> float:
     """Exact variance ||(F - <F>) psi||^2 of the fragment on one state.
 
     Both moments are divided by <psi|psi>, which a stored state meets only
     to rounding: <F> is then the m that minimises ||(F - m) psi||, so that
     rounding leaves no residual on an eigenstate.
     """
-    if fragment.max_imag() > MIXED_COEFF_TOL:
-        raise MeasureError("fragment must be Hermitian (real coefficients)")
+    check_hermitian(fragment, MeasureError)
     amps = state.amplitudes
     f_psi = apply_pauli_sum(amps, fragment.n_qubits, fragment)
     norm = np.vdot(amps, amps).real

@@ -227,11 +227,8 @@ class CliffordMap:
             if g[0] == "cnot":
                 inv.append(g)
             else:
-                p = g[1]
-                q = [0] * len(p)
-                for old, new in enumerate(p):
-                    q[new] = old
-                inv.append(("perm", tuple(q)))
+                # a permutation's inverse is its argsort
+                inv.append(("perm", tuple(sorted(range(self.n_qubits), key=g[1].__getitem__))))
         return CliffordMap(self.n_qubits, tuple(inv))
 
 
@@ -394,12 +391,12 @@ class PauliSum:
 
 
 class PauliArrays:
-    """A Pauli sum held as arrays, the form of an effective operator.
+    """A Pauli sum held as arrays, the one operator form of the program:
+    the qubit Hamiltonian, effective and swap-test operators, fragments.
 
     ``keys`` is a (terms, 2) uint64 array of distinct (x, z) words and
-    ``coeffs`` a complex array, in term order.  It reads like a
-    ``PauliSum`` where code only reads one: ``n_qubits``, ``len`` (the
-    term count, so an empty sum is falsy) and ``items``.
+    ``coeffs`` a complex array, in term order.  ``len`` is the term count,
+    so an empty sum is falsy.
     """
 
     __slots__ = ("n_qubits", "keys", "coeffs")
@@ -409,6 +406,8 @@ class PauliArrays:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+    n_terms = property(__len__)
 
     def items(self) -> list:
         """((x_bits, z_bits), coefficient) pairs as Python ints and complex."""

@@ -33,18 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import (
-    CliffordMap,
-    PauliArrays,
-    PauliProduct,
-    PauliSum,
-    anticommute,
-    product_phase,
-)
+from senqse.pauli import CliffordMap, PauliArrays, PauliProduct, anticommute, product_phase
 
 NORM_TOL = 1e-10
 # largest imaginary part (Ha) a matrix element may carry
 IMAG_TOL = 1e-9
+# largest imaginary part a Hermitian fragment's coefficient may carry
+FRAGMENT_IMAG_TOL = 1e-10
 
 
 class SimulatorError(ValueError):
@@ -113,13 +108,6 @@ def _term_arrays(items):
     return keys, coeffs
 
 
-def _operator_arrays(op):
-    """(keys, coefficients) of a ``PauliSum`` or ``PauliArrays``, in term order."""
-    if isinstance(op, PauliArrays):
-        return op.keys, op.coeffs
-    return _term_arrays(op.items())
-
-
 def _factors(keys, coeffs) -> np.ndarray:
     """c_t i^|x_t & z_t| of each term; a product by a unit, so every bit is
     that of Python's ``c * (1j) ** k``."""
@@ -140,11 +128,10 @@ def _term_table(keys, coeffs, index: np.ndarray):
     return src, _coefficients(keys, _factors(keys, coeffs), src)
 
 
-def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op) -> np.ndarray:
+def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliArrays) -> np.ndarray:
     """op |amps>, formed from the nonzero amplitudes only.
 
-    ``op`` is a ``PauliSum`` or ``PauliArrays``, whose arrays are read as
-    they are.  ``amps`` is one state or a stack of states along its leading
+    ``amps`` is one state or a stack of states along its leading
     axis; the terms' factors are formed once, and each state is applied on
     its own.  At each index k where the state is nonzero, every block of
     terms forms coef * amp and adds it into k ^ x with ``np.add.at``, which
@@ -157,15 +144,14 @@ def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op) -> np.ndarray:
     dim = 2**n_qubits
     if dim != amps.shape[-1]:
         raise SimulatorError("amplitude length mismatch")
-    keys, coeffs = _operator_arrays(op)
-    factors = _factors(keys, coeffs)
+    factors = _factors(op.keys, op.coeffs)
     out = np.zeros(amps.shape, dtype=complex)
     for state, row in zip(amps.reshape(-1, dim), out.reshape(-1, dim)):
         support = np.flatnonzero(state).astype(np.uint64)
         values = state[support]
         step = max(1, BLOCK_AMPLITUDES // max(1, len(support)))
-        for start in range(0, len(keys), step):
-            block = keys[start : start + step]
+        for start in range(0, len(op), step):
+            block = op.keys[start : start + step]
             coef = _coefficients(block, factors[start : start + step], support)
             np.add.at(row, (support ^ block[:, :1]).ravel(), (coef * values).ravel())
     return out
@@ -181,12 +167,12 @@ def real_block(bras, products) -> np.ndarray:
     return vals.real
 
 
-def expectation(state: StateVector, op: PauliSum) -> complex:
+def expectation(state: StateVector, op: PauliArrays) -> complex:
     """Exact <psi|op|psi>; real to 1e-12 when op is Hermitian."""
     return matrix_element_exact(state, op, state)
 
 
-def matrix_element_exact(bra: StateVector, op: PauliSum, ket: StateVector) -> complex:
+def matrix_element_exact(bra: StateVector, op: PauliArrays, ket: StateVector) -> complex:
     if not (bra.n_qubits == ket.n_qubits == op.n_qubits):
         raise SimulatorError("qubit count mismatch in matrix element")
     return complex(
@@ -217,13 +203,12 @@ def apply_clifford(state: StateVector, cmap: CliffordMap) -> StateVector:
     return StateVector(amps, state.n_qubits)
 
 
-def dense_matrix(op) -> np.ndarray:
-    """Dense matrix of a PauliSum or PauliArrays, accumulated term by term
-    in order."""
+def dense_matrix(op: PauliArrays) -> np.ndarray:
+    """Dense matrix of op, accumulated term by term in order."""
     dim = 2**op.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     rows = np.arange(dim)
-    src, coef = _term_table(*_operator_arrays(op), np.arange(dim, dtype=np.uint64))
+    src, coef = _term_table(op.keys, op.coeffs, np.arange(dim, dtype=np.uint64))
     for cols, values in zip(src, coef):
         out[rows, cols] += values
     return out
@@ -255,7 +240,7 @@ def _product_sign(gens: list, mask: int) -> float:
     return -1.0 if quarter % 4 else 1.0
 
 
-def _generators(fragment: PauliSum):
+def _generators(fragment: PauliArrays):
     """GF(2) elimination of a commuting fragment's terms, walked in order.
 
     Returns (gens, masks, coeffs): each term independent of those before it
@@ -404,6 +389,13 @@ def _coset_stack(states, basis, masks, coeffs) -> list:
     return out
 
 
+def check_hermitian(fragment: PauliArrays, error: type):
+    """Raise ``error`` unless every coefficient of the fragment is real to
+    FRAGMENT_IMAG_TOL."""
+    if np.max(np.abs(fragment.coeffs.imag), initial=0.0) > FRAGMENT_IMAG_TOL:
+        raise error("fragment must be Hermitian (real coefficients)")
+
+
 class FragmentSampler:
     """Exact finite-shot sampler for one internally commuting fragment.
 
@@ -443,18 +435,17 @@ class FragmentSampler:
     product's rounding depends on the operand shape.
     """
 
-    def __init__(self, state: StateVector, fragment: PauliSum):
+    def __init__(self, state: StateVector, fragment: PauliArrays):
         [sampler] = self.stack([state], fragment)
         self.probs, self.values = sampler.probs, sampler.values
         self.mean, self.variance = sampler.mean, sampler.variance
 
     @classmethod
-    def stack(cls, states, fragment: PauliSum) -> list:
+    def stack(cls, states, fragment: PauliArrays) -> list:
         """One sampler of `fragment` per state, in order, from stacked passes."""
         if any(state.n_qubits != fragment.n_qubits for state in states):
             raise SimulatorError("fragment qubit count mismatch")
-        if fragment.max_imag() > 1e-10:
-            raise SimulatorError("fragment must be Hermitian (real coefficients)")
+        check_hermitian(fragment, SimulatorError)
         gens, masks, coeffs = _generators(fragment)
         basis = _coset_basis(gens)
         samplers = []

@@ -40,7 +40,7 @@ from senqse.measure import (
     shift_constant,
     sorted_insertion,
 )
-from senqse.pauli import PauliArrays, PauliSum
+from senqse.pauli import PauliArrays
 from senqse.simulator import (
     StateVector,
     apply_pauli_sum,
@@ -135,7 +135,7 @@ class SubspaceEngine:
     def __init__(
         self,
         basis,
-        hq: PauliSum,
+        hq: PauliArrays,
         n_elec: int,
         constant_shift: bool = True,
         kernel=None,
@@ -595,7 +595,7 @@ def _full_register_matrix(engine: SubspaceEngine) -> np.ndarray:
 
 def build_subspace(
     basis,
-    hq: PauliSum,
+    hq: PauliArrays,
     n_elec: int,
     mode: str = "exact",
     shots: int | None = None,
@@ -876,7 +876,7 @@ class _SlotModel:
         return _TrigFamily(coeffs)
 
 
-def vo_optimize(basis, hq: PauliSum, n_elec: int, kernel=None):
+def vo_optimize(basis, hq: PauliArrays, n_elec: int, kernel=None):
     """Minimize the subspace ground energy over all rotation amplitudes.
 
     Amplitudes are shared across states with the same seniority config

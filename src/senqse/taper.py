@@ -20,8 +20,8 @@ import operator
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, CliffordMap, PauliArrays, PauliProduct, PauliSum
-from senqse.simulator import StateVector, _term_arrays, apply_clifford
+from senqse.pauli import DROP_TOL, CliffordMap, PauliArrays, PauliProduct
+from senqse.simulator import StateVector, apply_clifford
 
 PRODUCT_TOL = 1e-10
 
@@ -80,7 +80,7 @@ class SectorHamiltonian:
     conjugated, weighted term into a ``PauliSum`` and simplifying it.
     """
 
-    def __init__(self, hq: PauliSum):
+    def __init__(self, hq: PauliArrays):
         if hq.n_qubits % 2 or hq.n_qubits > 64:
             raise TaperError(
                 f"operator on {hq.n_qubits} qubits is not a 2*n_orb register "
@@ -89,14 +89,13 @@ class SectorHamiltonian:
         n_orb = hq.n_qubits // 2
         self.n_orb = n_orb
         mask = (1 << n_orb) - 1
-        keys, coeffs = _term_arrays(hq.items())
-        x, z, sign = build_clifford(n_orb).conjugate_words(keys[:, 0], keys[:, 1])
+        x, z, sign = build_clifford(n_orb).conjugate_words(hq.keys[:, 0], hq.keys[:, 1])
         # a stable sort in Python: NumPy's stable argsort of uint64 would
         # fault in about 128 KB of library code that nothing else runs
         order = sorted(range(len(x)), key=(x & mask).tolist().__getitem__)
         x, z = x[order], z[order]
         self._z_left = z & mask
-        self._coeffs = (coeffs * np.where(sign, -1 + 0j, 1 + 0j))[order]
+        self._coeffs = (hq.coeffs * np.where(sign, -1 + 0j, 1 + 0j))[order]
         self._quarter = np.bitwise_count(x & self._z_left) & np.uint64(3)
         self._buckets: dict[int, tuple] = {}
         key_index, distinct = [], []
@@ -130,7 +129,7 @@ class SectorHamiltonian:
         return self._ops[key]
 
 
-def effective_hamiltonian(hq: PauliSum, bra_bits: int, ket_bits: int) -> PauliSum:
+def effective_hamiltonian(hq: PauliArrays, bra_bits: int, ket_bits: int) -> PauliArrays:
     """Project a 2*n_orb-qubit operator onto one (bra, ket) seniority pair.
 
     A one-pair ``SectorHamiltonian``: terms are conjugated by the tapering
@@ -139,8 +138,7 @@ def effective_hamiltonian(hq: PauliSum, bra_bits: int, ket_bits: int) -> PauliSu
     configs are bit masks (bit i set iff orbital i is singly occupied).
     Returns the n_orb-qubit effective operator.
     """
-    table = SectorHamiltonian(hq)
-    return PauliSum(table.n_orb, table.op(bra_bits, ket_bits).items())
+    return SectorHamiltonian(hq).op(bra_bits, ket_bits)
 
 
 def taper_check(full_state: StateVector) -> tuple[int, StateVector]:

@@ -27,13 +27,16 @@ outcome distribution must reproduce, to 1e-10),
 ``distinct_values`` (one row of ``simulator.draw_table``),
 ``reference_sorted_insertion`` (``measure.sorted_insertion``, whose
 fragments ``reconstruct`` sums back to the source operator),
+``reference_build_swap_operator`` and ``reference_shift_constant`` (the
+dict walks that ``measure``'s array swap-test operators replaced),
 ``tensordot_trig_family`` (``solver._TrigFamily``'s product) and
 ``golden_section_line_search`` (``solver._periodic_line_search``, which
 need only match or beat it).  The operators that only tests use,
 ``jw_ladder``, ``jw_operator``, ``spin_orbital``, ``number_operator``,
 ``sz_operator``, ``spin_squared_operator``, ``total_seniority_operator``,
 ``hf_energy`` and ``chop_imag``, are built with the package's ``PauliSum``
-too.  Qubit q
+too; ``as_arrays`` hands one to the program, whose operators are
+``PauliArrays``, and ``as_sum`` reads one of those back.  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
@@ -49,6 +52,21 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 MAT = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1| = annihilation
+
+
+def as_arrays(op):
+    """A ``PauliSum`` as the program's ``PauliArrays``, terms in order."""
+    from senqse.pauli import PauliArrays
+    from senqse.simulator import _term_arrays
+
+    return PauliArrays(op.n_qubits, *_term_arrays(op.items()))
+
+
+def as_sum(op):
+    """A ``PauliArrays`` as a ``PauliSum``, terms in order."""
+    from senqse.pauli import PauliSum
+
+    return PauliSum(op.n_qubits, dict(op.items()))
 
 
 def kron_chain(single_qubit_mats):
@@ -83,11 +101,13 @@ def product_matrix(p):
 
 
 def sum_matrix(s):
-    """Dense matrix of a package PauliSum, term by term."""
+    """Dense matrix of a package PauliSum or PauliArrays, term by term."""
+    from senqse.pauli import PauliProduct
+
     dim = 2**s.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
-    for p, c in s:
-        out += c * product_matrix(p)
+    for (x, z), c in s.items():
+        out += c * product_matrix(PauliProduct(s.n_qubits, x, z))
     return out
 
 
@@ -825,7 +845,7 @@ def reconstruct(fragments):
 
     total = PauliSum(fragments[0].n_qubits)
     for frag in fragments:
-        total = total + frag
+        total = total + as_sum(frag)
     return total
 
 
@@ -852,6 +872,42 @@ def reference_sorted_insertion(op):
             fragments.append([((xb, zb), c)])
             members.append([p])
     return fragments
+
+
+def reference_build_swap_operator(op):
+    """``measure.build_swap_operator`` as one ``PauliSum.add_term`` per
+    term of ``op`` and a ``simplify``: x (x) P with the real part, or
+    y (x) P with minus the imaginary part."""
+    from senqse.measure import MIXED_COEFF_TOL, MeasureError, SwapTestOperator
+    from senqse.pauli import DROP_TOL, PauliSum
+
+    n = op.n_qubits
+    anc = 1 << n
+    out = PauliSum(n + 1)
+    c_x = 0.0
+    for (xb, zb), c in op.items():
+        scale = max(1.0, abs(c))
+        if abs(c.imag) <= MIXED_COEFF_TOL * scale:
+            out.add_term(xb | anc, zb, c.real)
+            if xb == 0 and zb == 0:
+                c_x = c.real
+        elif abs(c.real) <= MIXED_COEFF_TOL * scale:
+            out.add_term(xb | anc, zb | anc, -c.imag)
+        else:
+            raise MeasureError(f"coefficient {c} is neither real nor imaginary")
+    return SwapTestOperator(op=out.simplify(DROP_TOL), c_x=c_x)
+
+
+def reference_shift_constant(s, h_mm, h_nn):
+    """``measure.shift_constant`` on a ``PauliSum`` swap operator: a copy,
+    one ``add_term`` on x (x) 1 and a ``simplify``."""
+    from senqse.measure import SwapTestOperator
+    from senqse.pauli import DROP_TOL
+
+    new_cx = s.c_x - 0.5 * (h_mm + h_nn)
+    op = s.op.copy()
+    op.add_term(1 << s.ancilla, 0, new_cx - s.c_x)
+    return SwapTestOperator(op=op.simplify(DROP_TOL), c_x=new_cx, shifted=True)
 
 
 def tensordot_trig_family(fourier, coeffs):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import as_arrays, as_sum
 from senqse.cli import tapering_stats
 from senqse.csfbasis import (
     default_selection_params,
@@ -149,7 +150,7 @@ def test_criterion_4_matrix_element_preservation():
             full_a = untaper_state(bra, inner[0])
             full_b = untaper_state(ket, inner[1])
             ref = np.vdot(full_a.amplitudes, oracles.sum_matrix(hq) @ full_b.amplitudes)
-            eff = effective_hamiltonian(hq, bra, ket)
+            eff = effective_hamiltonian(as_arrays(hq), bra, ket)
             got = np.vdot(
                 inner[0].amplitudes, oracles.sum_matrix(eff) @ inner[1].amplitudes
             )
@@ -220,9 +221,9 @@ def test_criterion_5_estimator_statistics(h2o_systems):
     var_min = fragment_variance(state, shifted.op)
     anc = 1 << shifted.ancilla
     for delta in (0.1, -0.1, 0.01, -0.01):
-        probe = shifted.op.copy()
+        probe = as_sum(shifted.op)
         probe.add_term(anc, 0, delta)
-        assert fragment_variance(state, probe) > var_min
+        assert fragment_variance(state, as_arrays(probe)) > var_min
     announce(
         5,
         f"element ({mu},{nu}): MSE {emp_mse:.3e} vs prediction {pred:.3e} "

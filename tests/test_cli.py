@@ -426,6 +426,23 @@ class TestRun:
         assert len(report["geometries"]) == 1
         assert len(report["failures"]) == 1
 
+    @pytest.mark.parametrize("taper", [True, False])
+    @pytest.mark.parametrize("e_core", [0.0, -0.5], ids=["all-zero", "e_core-only"])
+    def test_hamiltonian_of_the_identity_alone_is_refused(self, tmp_path, e_core, taper):
+        # zero integrals leave no term, e_core alone only the identity:
+        # nothing to measure, refused by name before the tapering ratios
+        # divide by zero and before the FCI oracle indexes an empty sum
+        records = [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 1, 0, 0), (2, 2, 0, 0)]
+        lines = [f"0.0 {i} {j} {k} {l}" for i, j, k, l in records] + [f"{e_core} 0 0 0 0"]
+        path = tmp_path / "flat.fcidump"
+        path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n" + "\n".join(lines) + "\n")
+        cfg = RunConfig(
+            fcidump_paths=(str(path),), method="pt", taper=taper, out_dir=str(tmp_path / "out")
+        )
+        report = run(cfg)
+        error = "qubit Hamiltonian has no term but the identity"
+        assert report["failures"] == [{"label": "flat", "error": error}]
+
     def test_main_exit_codes(self, tmp_path):
         assert main([H2_PATHS[0], "--out", str(tmp_path / "ok")]) == 0
         assert main([str(tmp_path / "none.fcidump"), "--out", str(tmp_path / "bad")]) == 1

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from oracles import as_arrays
 from senqse.csfbasis import (
     BasisError,
     BasisState,
@@ -101,10 +102,10 @@ class TestCsfConstruction:
     def test_single_singlet_symmetries(self):
         b = BasisState(CsfSpec(CsfKind.SINGLE_SINGLET, (0, 1)), (), "t")
         st = full_state(b, 2, 2)
-        s2 = expectation(st, oracles.spin_squared_operator(2)).real
+        s2 = expectation(st, as_arrays(oracles.spin_squared_operator(2))).real
         assert s2 == pytest.approx(0.0, abs=1e-10)
-        assert expectation(st, oracles.number_operator(2)).real == pytest.approx(2.0)
-        seniority = expectation(st, oracles.total_seniority_operator(2)).real
+        assert expectation(st, as_arrays(oracles.number_operator(2))).real == pytest.approx(2.0)
+        seniority = expectation(st, as_arrays(oracles.total_seniority_operator(2))).real
         assert seniority == pytest.approx(2.0)
 
     def test_triplet_pair_dense_oracle(self):
@@ -149,8 +150,8 @@ class TestCsfConstruction:
         # HF + 6 singles + 3*1*2 four-open-shell + 3 same-source +
         # 6 same-target + 6 pair-moved references
         assert len(specs) == 28
-        s2 = oracles.spin_squared_operator(h2o.n_orb)
-        nop = oracles.number_operator(h2o.n_orb)
+        s2 = as_arrays(oracles.spin_squared_operator(h2o.n_orb))
+        nop = as_arrays(oracles.number_operator(h2o.n_orb))
         for spec in specs:
             st = full_state(BasisState(spec, (), "x"), h2o.n_orb, h2o.n_elec)
             assert abs(expectation(st, s2)) < 1e-10
@@ -166,8 +167,8 @@ class TestCsfConstruction:
 
     def test_degenerate_doubles_are_singlets(self):
         n_orb, n_elec = 4, 4
-        s2 = oracles.spin_squared_operator(n_orb)
-        nop = oracles.number_operator(n_orb)
+        s2 = as_arrays(oracles.spin_squared_operator(n_orb))
+        nop = as_arrays(oracles.number_operator(n_orb))
         for idx, open_shell in [((0, 0, 2, 3), (2, 3)), ((0, 1, 2, 2), (0, 1))]:
             spec = CsfSpec(CsfKind.DOUBLE_SINGLET, idx)
             assert spec.omega == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import as_sum
 from senqse import fermion
 from senqse.fermion import (
     FcidumpError,
@@ -228,16 +229,16 @@ class TestJordanWigner:
         assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_symmetries_exact(self, h2):
-        hq = jordan_wigner(h2)
+        hq = as_sum(jordan_wigner(h2))
         assert hq.commutes_with(oracles.number_operator(h2.n_orb))
         assert hq.commutes_with(oracles.sz_operator(h2.n_orb))
 
     def test_hermitian(self, h2o):
-        hq = jordan_wigner(h2o)
+        hq = as_sum(jordan_wigner(h2o))
         assert hq.max_imag() < 1e-12
 
     def test_h2o_symmetries(self, h2o):
-        hq = jordan_wigner(h2o)
+        hq = as_sum(jordan_wigner(h2o))
         assert hq.commutes_with(oracles.number_operator(h2o.n_orb))
         assert hq.commutes_with(oracles.sz_operator(h2o.n_orb))
 
@@ -276,7 +277,8 @@ class TestJordanWigner:
     )
     def test_missing_integral_kinds_match_oracle(self, h2o, h_scale, g_scale):
         # no two-body rows leaves one block of one-body strings; no one-body
-        # terms leaves the identity's e_core alone before the two-body blocks
+        # terms leaves the identity's e_core alone before the two-body blocks;
+        # neither leaves the identity alone, which jordan_wigner refuses
         ints = FermionIntegrals(
             n_orb=h2o.n_orb,
             n_elec=h2o.n_elec,
@@ -284,7 +286,11 @@ class TestJordanWigner:
             h=h_scale * h2o.h,
             g=g_scale * h2o.g,
         )
-        assert_matches_oracle(ints)
+        if h_scale or g_scale:
+            assert_matches_oracle(ints)
+        else:
+            with pytest.raises(FcidumpError, match="no term but the identity"):
+                jordan_wigner(ints)
 
     def test_traced_peak_below_every_string_held(self):
         # strings are summed a block of whole X strings at a time: the 107 604

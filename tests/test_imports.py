@@ -1,10 +1,12 @@
-"""Start-up guards: what importing the package costs.
+"""Start-up guards: what importing the package costs, and what it runs.
 
 The package and its exact paths load NumPy only: SciPy is imported by the
 Lanczos oracle (sectors above the dense cutoff) and by orbital relaxation
-alone.  The check runs in a fresh interpreter, since pytest and other test
-modules import SciPy themselves.  No source file reaches the token count
-at which CPython's parser grows its token array.
+alone.  The program path holds its operators as ``PauliArrays`` and never
+builds a ``PauliSum``, the tests' reference algebra.  Both checks run in a
+fresh interpreter, since pytest and other test modules import SciPy and
+build ``PauliSum``s themselves.  No source file reaches the token count at
+which CPython's parser grows its token array.
 """
 
 import os
@@ -41,18 +43,57 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_exact_h2_paths_load_no_scipy():
+# cli.run on one H2 geometry four ways, with PauliSum.__init__ raising:
+# each run's record count and failures
+NO_PAULI_SUM = textwrap.dedent(
+    """
+    import sys, tempfile
+
+    from senqse import cli
+    from senqse.pauli import PauliSum
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("the program built a PauliSum")
+
+    PauliSum.__init__ = refuse
+    # one rotated VO state, so the sampled elements build swap operators
+    runs = [
+        dict(method="pt"),
+        dict(method="vo", eps1=0.5),
+        dict(method="vo", eps1=0.5, mode="sampled", seed=5),
+        dict(method="vo", eps1=0.5, taper=False),
+    ]
+    for kwargs in runs:
+        with tempfile.TemporaryDirectory() as out:
+            report = cli.run(cli.RunConfig((sys.argv[1],), out_dir=out, **kwargs))
+        print(len(report["geometries"]), report["failures"])
+    """
+)
+
+
+def run_fresh(script: str, fixture: str) -> str:
+    """stdout of ``script`` in a fresh interpreter on the package source,
+    given the path of the fixture ``fixture``."""
     src = str(Path(senqse.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(FIXTURES / "h2_0.7414.fcidump")],
+        [sys.executable, "-c", script, str(FIXTURES / fixture)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_exact_h2_paths_load_no_scipy():
+    assert run_fresh(SCRIPT, "h2_0.7414.fcidump") == "[]"
+
+
+def test_program_path_builds_no_pauli_sum():
+    # PT exact, VO exact, VO sampled and the --no-taper ablation
+    assert run_fresh(NO_PAULI_SUM, "h2_1.5000.fcidump").splitlines() == ["1 []"] * 4
 
 
 # CPython's parser doubles its token array when a file reaches this many

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import as_arrays, as_sum
 from senqse import simulator, solver
 from senqse.csfbasis import (
     CsfElementEngine,
@@ -54,17 +55,17 @@ def random_sum(rng, n, terms, real=True):
     s = PauliSum(n)
     for label, c in oracles.random_pauli_sum_pairs(rng, n, terms, real=real):
         s.add_product(PauliProduct.from_label(label, n), c)
-    return s
+    return as_arrays(s)
 
 
 class TestExpectation:
     def test_zero_state_z(self):
         st = StateVector.computational(0, 1)
-        assert expectation(st, PauliSum.from_label("Z0", 1.0, 1)) == pytest.approx(1.0)
+        assert expectation(st, as_arrays(PauliSum.from_label("Z0", 1.0, 1))) == pytest.approx(1.0)
 
     def test_plus_state_x(self):
         st = StateVector.from_amplitudes([1, 1], 1, normalize=True)
-        assert expectation(st, PauliSum.from_label("X0", 1.0, 1)) == pytest.approx(1.0)
+        assert expectation(st, as_arrays(PauliSum.from_label("X0", 1.0, 1))) == pytest.approx(1.0)
 
     def test_random_against_dense(self):
         rng = np.random.default_rng(17)
@@ -82,19 +83,19 @@ class TestExpectation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(SimulatorError):
-            expectation(StateVector.computational(0, 2), PauliSum(3))
+            expectation(StateVector.computational(0, 2), as_arrays(PauliSum(3)))
 
 
 class TestMatrixElement:
     def test_identity_diagonal(self):
         st = StateVector.computational(3, 2)
-        one = PauliSum(2, {(0, 0): 1.0})
+        one = as_arrays(PauliSum(2, {(0, 0): 1.0}))
         assert matrix_element_exact(st, one, st) == pytest.approx(1.0)
 
     def test_orthogonal_diagonal_op(self):
         a = StateVector.computational(0, 2)
         b = StateVector.computational(1, 2)
-        op = PauliSum.from_label("Z0 Z1", 0.7, 2)
+        op = as_arrays(PauliSum.from_label("Z0 Z1", 0.7, 2))
         assert matrix_element_exact(a, op, b) == pytest.approx(0.0)
 
     def test_real_block_refuses_an_imaginary_entry(self):
@@ -118,7 +119,7 @@ class TestMatrixElement:
                 ext.add_term(x | (1 << n), z, c)  # x (x) P
                 p = PauliProduct(n + 1, x | (1 << n), z | (1 << n))
                 ext.add_term(p.x_bits, p.z_bits, 1j * c * p.phase)  # i y (x) P
-            got = expectation(phi, ext)
+            got = expectation(phi, as_arrays(ext))
             ref = matrix_element_exact(a, op, b)
             assert got == pytest.approx(ref, abs=1e-12)
 
@@ -136,7 +137,7 @@ class TestSwapState:
         a = StateVector.computational(0, 2)
         b = StateVector.computational(2, 2)
         phi = prepare_swap_state(a, b)
-        x_anc = PauliSum.from_label("X2", 1.0, 3)
+        x_anc = as_arrays(PauliSum.from_label("X2", 1.0, 3))
         assert expectation(phi, x_anc) == pytest.approx(0.0, abs=1e-14)
 
     def test_ancilla_x_gives_real_overlap(self):
@@ -144,7 +145,7 @@ class TestSwapState:
         for _ in range(10):
             a, b = random_state(rng, 2), random_state(rng, 2)
             phi = prepare_swap_state(a, b)
-            x_anc = PauliSum.from_label("X2", 1.0, 3)
+            x_anc = as_arrays(PauliSum.from_label("X2", 1.0, 3))
             assert expectation(phi, x_anc).real == pytest.approx(
                 a.overlap(b).real, abs=1e-12
             )
@@ -159,13 +160,13 @@ class TestSwapState:
 class TestSampling:
     def test_identity_fragment_exact(self):
         st = StateVector.computational(0, 2)
-        frag = PauliSum(2, {(0, 0): 0.375})
+        frag = as_arrays(PauliSum(2, {(0, 0): 0.375}))
         est = FragmentSampler(st, frag).sample(7, rng_for(1, 0))
         assert est == pytest.approx(0.375)
 
     def test_eigenstate_deterministic(self):
         st = StateVector.computational(0, 1)
-        frag = PauliSum.from_label("Z0", 1.0, 1)
+        frag = as_arrays(PauliSum.from_label("Z0", 1.0, 1))
         sampler = FragmentSampler(st, frag)
         assert sampler.sample(50, rng_for(3, 0)) == pytest.approx(1.0)
         assert outcome_variance(sampler) == pytest.approx(0.0, abs=1e-14)
@@ -173,15 +174,15 @@ class TestSampling:
 
     def test_binomial_bound(self):
         st = StateVector.from_amplitudes([1, 1], 1, normalize=True)
-        frag = PauliSum.from_label("Z0", 1.0, 1)
+        frag = as_arrays(PauliSum.from_label("Z0", 1.0, 1))
         est = FragmentSampler(st, frag).sample(10**4, rng_for(5, 0))
         assert abs(est) < 4.0 / np.sqrt(10**4)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(41)
         st = random_state(rng, 3, real=True)
-        frag = PauliSum.from_label("Z0 Z2", 0.4, 3) + PauliSum.from_label(
-            "Z1", -0.3, 3
+        frag = as_arrays(
+            PauliSum.from_label("Z0 Z2", 0.4, 3) + PauliSum.from_label("Z1", -0.3, 3)
         )
         sampler = FragmentSampler(st, frag)
         r1 = sampler.sample(100, rng_for(11, 2, 5, 0))
@@ -194,7 +195,7 @@ class TestSampling:
         # 0.5 Z0 + 0.5 Z1 reads 0 on two of its four joint outcomes
         rng = np.random.default_rng(53)
         st = random_state(rng, 2, real=True)
-        frag = PauliSum.from_label("Z0", 0.5, 2) + PauliSum.from_label("Z1", 0.5, 2)
+        frag = as_arrays(PauliSum.from_label("Z0", 0.5, 2) + PauliSum.from_label("Z1", 0.5, 2))
         sampler = FragmentSampler(st, frag)
         probs, values = oracles.distinct_values(sampler.probs, sampler.values)
         assert len(sampler.values) == 4 and sorted(values) == [-1.0, 0.0, 1.0]
@@ -204,15 +205,15 @@ class TestSampling:
 
     def test_noncommuting_fragment_rejected(self):
         st = StateVector.computational(0, 1)
-        frag = PauliSum.from_label("Z0", 1.0, 1) + PauliSum.from_label("X0", 1.0, 1)
+        frag = as_arrays(PauliSum.from_label("Z0", 1.0, 1) + PauliSum.from_label("X0", 1.0, 1))
         with pytest.raises(SimulatorError, match="commute"):
             FragmentSampler(st, frag).sample(10, rng_for(1, 0))
 
     def test_unbiasedness_many_seeds(self):
         rng = np.random.default_rng(43)
         st = random_state(rng, 2, real=True)
-        frag = PauliSum.from_label("Z0 Z1", 0.8, 2) + PauliSum.from_label(
-            "X0 X1", 0.5, 2
+        frag = as_arrays(
+            PauliSum.from_label("Z0 Z1", 0.8, 2) + PauliSum.from_label("X0 X1", 0.5, 2)
         )
         sampler = FragmentSampler(st, frag)
         shots = 64
@@ -226,7 +227,7 @@ class TestSampling:
     def test_single_shot_variance_matches(self):
         rng = np.random.default_rng(47)
         st = random_state(rng, 2, real=True)
-        frag = PauliSum.from_label("Z0", 0.6, 2) + PauliSum.from_label("Z0 Z1", 0.3, 2)
+        frag = as_arrays(PauliSum.from_label("Z0", 0.6, 2) + PauliSum.from_label("Z0 Z1", 0.3, 2))
         sampler = FragmentSampler(st, frag)
         outcomes = [sampler.sample(1, rng_for(13, k)) for k in range(4000)]
         emp_var = np.var(outcomes, ddof=1)
@@ -293,9 +294,9 @@ class TestApplyPauliSum:
         for state, frag in swaps:
             assert_applies_like_oracle(state.amplitudes, 8, frag)
             key = id(state)
-            whole[key] = (state, whole[key][1] + frag if key in whole else frag)
+            whole[key] = (state, whole[key][1] + as_sum(frag) if key in whole else as_sum(frag))
         for state, op in whole.values():
-            assert_applies_like_oracle(state.amplitudes, 8, op)
+            assert_applies_like_oracle(state.amplitudes, 8, as_arrays(op))
 
     def test_full_register_crosses_blocks(self):
         hq = jordan_wigner(load_fcidump(FIXTURES / "h2o_1.0000.fcidump"))
@@ -307,15 +308,15 @@ class TestApplyPauliSum:
 
     def test_empty_and_identity_only(self):
         amps = random_state(np.random.default_rng(101), 3).amplitudes
-        assert_applies_like_oracle(amps, 3, PauliSum(3))
-        assert not apply_pauli_sum(amps, 3, PauliSum(3)).any()
-        ident = PauliSum(3, {(0, 0): -0.625 + 0.25j})
+        assert_applies_like_oracle(amps, 3, as_arrays(PauliSum(3)))
+        assert not apply_pauli_sum(amps, 3, as_arrays(PauliSum(3))).any()
+        ident = as_arrays(PauliSum(3, {(0, 0): -0.625 + 0.25j}))
         assert_applies_like_oracle(amps, 3, ident)
         assert np.array_equal(apply_pauli_sum(amps, 3, ident), (-0.625 + 0.25j) * amps)
 
     def test_length_mismatch(self):
         with pytest.raises(SimulatorError):
-            apply_pauli_sum(np.ones(4, dtype=complex), 3, PauliSum(3))
+            apply_pauli_sum(np.ones(4, dtype=complex), 3, as_arrays(PauliSum(3)))
 
     def test_dense_matrix_columns_are_applied_basis_states(self):
         rng = np.random.default_rng(103)
@@ -561,7 +562,7 @@ class TestFragmentDistribution:
 
     def test_identity_only_fragment(self):
         state = random_state(np.random.default_rng(61), 2)
-        sampler = assert_matches_eigh(state, PauliSum(2, {(0, 0): -0.625}))
+        sampler = assert_matches_eigh(state, as_arrays(PauliSum(2, {(0, 0): -0.625})))
         assert sampler.values.tolist() == [-0.625]
         assert sampler.probs.tolist() == [1.0]
 
@@ -569,7 +570,7 @@ class TestFragmentDistribution:
         # Z0 Z1 is the product of the first two terms: two generators
         rng = np.random.default_rng(67)
         state = random_state(rng, 2)
-        frag = (
+        frag = as_arrays(
             PauliSum.from_label("Z0", 0.3, 2)
             + PauliSum.from_label("Z1", -0.2, 2)
             + PauliSum.from_label("Z0 Z1", 0.7, 2)
@@ -580,7 +581,7 @@ class TestFragmentDistribution:
 
     def test_negative_product_sign(self):
         # Y0 Y1 = -(X0 X1)(Z0 Z1); the Bell state reads +1, +1, -1 on them
-        frag = (
+        frag = as_arrays(
             PauliSum.from_label("X0 X1", 0.5, 2)
             + PauliSum.from_label("Z0 Z1", 0.25, 2)
             + PauliSum.from_label("Y0 Y1", 0.125, 2)
@@ -594,7 +595,7 @@ class TestFragmentDistribution:
 
     def test_eigenstate_drops_zero_probability_outcomes(self):
         # |1> (x) |+>: Z0 reads -1 and X1 reads +1 with certainty
-        frag = PauliSum.from_label("Z0", 0.75, 2) + PauliSum.from_label("X1", 0.5, 2)
+        frag = as_arrays(PauliSum.from_label("Z0", 0.75, 2) + PauliSum.from_label("X1", 0.5, 2))
         state = StateVector.from_amplitudes([0, 1, 0, 1], 2, normalize=True)
         sampler = assert_matches_eigh(state, frag)
         assert sampler.values == pytest.approx([-0.75 + 0.5], abs=1e-15)
@@ -604,7 +605,7 @@ class TestFragmentDistribution:
 
     def test_noncommuting_later_term_rejected(self):
         # X0 X1 commutes with Z0 Z1 but not with Z0
-        frag = (
+        frag = as_arrays(
             PauliSum.from_label("Z0 Z1", 1.0, 2)
             + PauliSum.from_label("Z0", 0.5, 2)
             + PauliSum.from_label("X0 X1", 0.25, 2)
@@ -645,7 +646,7 @@ def group_fragment(rng, n, words, n_terms):
             if mask >> i & 1:
                 x, z = x ^ wx, z ^ wz
         frag.add_term(x, z, rng.normal())
-    return frag
+    return as_arrays(frag)
 
 
 def sparse_state(rng, n, size):
@@ -693,7 +694,7 @@ class TestCosetTransform:
     def test_identity_only_fragment(self):
         rng = np.random.default_rng(227)
         for n in range(1, 5):
-            frag = PauliSum(n, {(0, 0): 0.25 * n})
+            frag = as_arrays(PauliSum(n, {(0, 0): 0.25 * n}))
             assert split_ranks(frag) == (0, 0)
             for state in (random_state(rng, n), sparse_state(rng, n, 1)):
                 sampler = assert_matches_eigh(state, frag)
@@ -723,7 +724,7 @@ class TestCosetTransform:
             # swap-test structure: each coefficient real or imaginary
             c = c * (1j) ** rng.integers(2)
             op.add_product(PauliProduct.from_label(label, 7), c)
-        frags = sorted_insertion(build_swap_operator(op).op)
+        frags = sorted_insertion(build_swap_operator(as_arrays(op)).op)
         assert len(frags) > 1
         state = prepare_swap_state(random_state(rng, 7), sparse_state(rng, 7, 9))
         for frag in frags:
@@ -796,10 +797,10 @@ class TestSupportOrbit:
         elements = element_operators(h2o_fragments) + element_operators(h2_vo_fragments)
         assert len(element_operators(h2o_fragments)) == 143
         for _, frags in elements:
-            op = frags[0]
+            op = as_sum(frags[0])
             for frag in frags[1:]:
-                op = op + frag
-            got = [list(f.items()) for f in sorted_insertion(op)]
+                op = op + as_sum(frag)
+            got = [list(f.items()) for f in sorted_insertion(as_arrays(op))]
             assert got == [list(f.items()) for f in frags]
             assert got == oracles.reference_sorted_insertion(op)
 
@@ -933,7 +934,7 @@ class TestFragmentStack:
     def test_disjoint_supports_keep_their_own_bits(self):
         # orbits {0001, 0010}, {1100, 1111} and {0100, 0111}: each index of
         # the union orbit holds amplitude of one state only
-        frag = (
+        frag = as_arrays(
             PauliSum.from_label("Z0 Z1", 0.5, 4)
             + PauliSum.from_label("X0 X1", -0.25, 4)
             + PauliSum.from_label("Z2", 0.75, 4)
@@ -959,7 +960,7 @@ class TestFragmentStack:
     def test_identity_only_fragment_on_a_stack(self):
         rng = np.random.default_rng(113)
         states = [random_state(rng, 3) for _ in range(4)]
-        frag = PauliSum(3, {(0, 0): 0.375})
+        frag = as_arrays(PauliSum(3, {(0, 0): 0.375}))
         for sampler in FragmentSampler.stack(states, frag):
             assert sampler.probs.tolist() == [1.0]
             assert sampler.values.tolist() == [0.375]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import as_arrays, as_sum
 from senqse import csfbasis, fci, solver
 from senqse.csfbasis import (
     BasisError,
@@ -256,7 +257,7 @@ class TestFciOracle:
         )
         monkeypatch.setattr(fci, "_DENSE_CUTOFF", cutoff)
         with pytest.raises(FciError, match="asymmetry"):
-            fci_oracle(oracles.number_operator(2) + hop.simplify(), 2, 0.0)
+            fci_oracle(as_arrays(oracles.number_operator(2) + hop.simplify()), 2, 0.0)
 
     @pytest.mark.parametrize("cutoff", [fci._DENSE_CUTOFF, 0])
     def test_imaginary_sector_rejected(self, cutoff, monkeypatch):
@@ -264,7 +265,7 @@ class TestFciOracle:
         hq = oracles.number_operator(2) + PauliSum.from_label("X0 Y2", 0.5, 4)
         monkeypatch.setattr(fci, "_DENSE_CUTOFF", cutoff)
         with pytest.raises(FciError, match="imaginary"):
-            fci_oracle(hq, 2, 0.0)
+            fci_oracle(as_arrays(hq), 2, 0.0)
 
     def test_one_electron_sector_matches_one_body_block(self):
         rng = np.random.default_rng(149)
@@ -279,7 +280,7 @@ class TestFciOracle:
                         [(2 * p + s, True), (2 * q + s, False)], 2 * n_orb, h[p, q]
                     )
         hq = oracles.chop_imag(hq.simplify())
-        res = fci_oracle(hq, 1, 0.5)
+        res = fci_oracle(as_arrays(hq), 1, 0.5)
         assert res.energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
 
     def test_sector_particle_number(self):
@@ -323,7 +324,7 @@ class TestFciOracle:
             [(2, True), (0, False)], 4
         )
         with pytest.raises(FciError, match="spin-flip symmetry"):
-            fci_oracle(oracles.number_operator(2) + hop.simplify(), 2, 0.0)
+            fci_oracle(as_arrays(oracles.number_operator(2) + hop.simplify()), 2, 0.0)
 
     def test_empty_sector_rejected(self, h2_hq):
         with pytest.raises(FciError):
@@ -645,9 +646,9 @@ class TestShotTable:
         basis = rotated_h2_basis(h2_theta, open_shell=True)
         exact = SubspaceEngine(basis, h2_hq, 2).exact_matrix()
         shift = 0.5 * (exact[2, 2] - np.linalg.eigvalsh(exact[:2, :2])[0])
-        hq = h2_hq.copy()
+        hq = as_sum(h2_hq)
         hq.add_term(0, 0b11, shift)
-        engine = SubspaceEngine(basis, hq, 2)
+        engine = SubspaceEngine(basis, as_arrays(hq), 2)
         sampler = make_matrix_sampler(engine, 20_000)
         vals = np.linalg.eigvalsh(sampler.exact)
         assert vals[1] - vals[0] < 1e-10

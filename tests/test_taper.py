@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import as_arrays, as_sum
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse import taper
-from senqse.pauli import CliffordMap, PauliProduct, PauliSum
+from senqse.pauli import CliffordMap, PauliArrays, PauliProduct, PauliSum
 from senqse.simulator import StateVector, apply_clifford
 from senqse.taper import (
     SectorHamiltonian,
@@ -86,13 +87,13 @@ class TestBuildClifford:
 class TestEffectiveHamiltonian:
     def test_identity_term_diagonal(self):
         hq = PauliSum(4, {(0, 0): 0.7})
-        eff = effective_hamiltonian(hq, 0b00, 0b00)
+        eff = as_sum(effective_hamiltonian(as_arrays(hq), 0b00, 0b00))
         assert eff.n_terms == 1
         assert eff.identity_coefficient() == pytest.approx(0.7)
 
     def test_diagonal_term_between_configs_vanishes(self):
         hq = PauliSum.from_label("Z0 Z2", 0.5, 4) + PauliSum(4, {(0, 0): 1.2})
-        eff = effective_hamiltonian(hq, 0b11, 0b00)
+        eff = effective_hamiltonian(as_arrays(hq), 0b11, 0b00)
         assert eff.n_terms == 0
 
     def test_term_count_monotone(self):
@@ -102,14 +103,14 @@ class TestEffectiveHamiltonian:
         for _ in range(10):
             bra = oracles.config_mask(rng.integers(0, 2, size=n_orb))
             ket = oracles.config_mask(rng.integers(0, 2, size=n_orb))
-            eff = effective_hamiltonian(hq, bra, ket)
+            eff = effective_hamiltonian(as_arrays(hq), bra, ket)
             assert eff.n_terms <= hq.n_terms
 
     def test_diagonal_hermitian(self):
         rng = np.random.default_rng(67)
         n_orb = 3
         hq = random_sum(rng, 2 * n_orb, 30)
-        eff = effective_hamiltonian(hq, 0b101, 0b101)
+        eff = as_sum(effective_hamiltonian(as_arrays(hq), 0b101, 0b101))
         assert eff.max_imag() < 1e-12
 
     def test_offdiagonal_adjoint_pair(self):
@@ -117,8 +118,8 @@ class TestEffectiveHamiltonian:
         n_orb = 3
         hq = random_sum(rng, 2 * n_orb, 30)
         bra, ket = 0b011, 0b110
-        fwd = effective_hamiltonian(hq, bra, ket)
-        rev = effective_hamiltonian(hq, ket, bra)
+        fwd = effective_hamiltonian(as_arrays(hq), bra, ket)
+        rev = effective_hamiltonian(as_arrays(hq), ket, bra)
         # X_mu_nu must equal the adjoint of X_nu_mu (products are Hermitian)
         diff_terms = dict(fwd.items())
         for key, c in rev.items():
@@ -142,7 +143,7 @@ class TestEffectiveHamiltonian:
             ref = np.vdot(
                 full_a.amplitudes, oracles.sum_matrix(hq) @ full_b.amplitudes
             )
-            eff = effective_hamiltonian(hq, bra, ket)
+            eff = effective_hamiltonian(as_arrays(hq), bra, ket)
             got = np.vdot(
                 inner_a.amplitudes, oracles.sum_matrix(eff) @ inner_b.amplitudes
             )
@@ -196,7 +197,7 @@ class TestSectorHamiltonian:
             # small registers, so buckets repeat keys; exact zeros are dropped
             hq = random_sum(rng, 2 * n_orb, min(40, 4 ** (2 * n_orb) // 2), real=False)
             hq = hq + hq.scaled(-1.0).simplify(0.5)
-            assert_matches_every_pair(hq)
+            assert_matches_every_pair(as_arrays(hq))
 
     def test_left_factor_table_is_the_reference_values(self):
         # entry [odd, k]: |x & z| = k and |z & ket| = odd
@@ -209,7 +210,7 @@ class TestSectorHamiltonian:
     def test_effective_hamiltonian_is_one_pair_table(self):
         hq = fixture_hamiltonian("h2_1.5000")
         eff = effective_hamiltonian(hq, 0b11, 0b00)
-        assert isinstance(eff, PauliSum) and eff.n_qubits == 2
+        assert isinstance(eff, PauliArrays) and eff.n_qubits == 2
         assert_same_operator(SectorHamiltonian(hq).op(0b11, 0b00), eff)
 
     def test_zero_pattern(self):
@@ -259,11 +260,11 @@ class TestSectorHamiltonian:
 
     def test_odd_register_rejected(self):
         with pytest.raises(TaperError, match="2\\*n_orb"):
-            SectorHamiltonian(PauliSum.from_label("Z0 Z2", 1.0, 3))
+            SectorHamiltonian(as_arrays(PauliSum.from_label("Z0 Z2", 1.0, 3)))
 
     def test_register_beyond_64_bit_words_rejected(self):
         with pytest.raises(TaperError, match="at most 64 qubits"):
-            SectorHamiltonian(PauliSum.from_label("Z0 Z65", 1.0, 66))
+            SectorHamiltonian(as_arrays(PauliSum.from_label("Z0 Z63", 1.0, 66)))
 
     @pytest.mark.parametrize("bra, ket", [(4, 0), (0, 4), (-1, 0), (0, 17)])
     def test_config_bits_out_of_range(self, bra, ket):
