@@ -1,10 +1,1 @@
 """Seniority-symmetric quantum subspace expansion emulator."""
-
-from senqse.pauli import CliffordMap, PauliProduct, PauliSum, parse_pauli_sum
-
-__all__ = [
-    "CliffordMap",
-    "PauliProduct",
-    "PauliSum",
-    "parse_pauli_sum",
-]

@@ -472,10 +472,6 @@ def apply_pair_rotation(state: StateVector, r: int, s: int, theta: float) -> Sta
     return rotate_chain(state, [(r, s, theta)])
 
 
-def tapered_state(b: BasisState, n_orb: int, n_elec: int) -> StateVector:
-    return rotate_chain(make_csf_tapered(b.csf, n_orb, n_elec), b.rotations)
-
-
 def paired_occupied(spec: CsfSpec, n_orb: int, n_elec: int) -> set:
     """Orbitals holding an electron pair in the CSF."""
     occ = set(range(n_elec // 2))

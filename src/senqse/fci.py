@@ -160,6 +160,8 @@ def _lanczos_ground_energy(hq: PauliArrays, dets: np.ndarray) -> float:
 
 def fci_oracle(hq: PauliArrays, n_elec: int, sz: float = 0.0) -> FciResult:
     """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector."""
+    if not hq:
+        raise FciError("operator has no terms")
     if hq.n_qubits % 2 or hq.n_qubits > 24:
         raise FciError("oracle supports even registers up to 24 qubits")
     n_orb = hq.n_qubits // 2

@@ -233,7 +233,7 @@ def _ladder_products(modes: np.ndarray, daggers, coeffs: np.ndarray, rows: np.nd
         z2 = np.stack([bit - one, (bit - one) | bit], axis=1)[:, None, :]
         x3 = x ^ bit
         z3 = z[:, :, None] ^ z2
-        # the phase exponent of PauliProduct.mul; uint8 wrap-around keeps it mod 4
+        # the quarter turns of pauli.product_phase; uint8 wrap-around keeps it mod 4
         g = (
             np.bitwise_count(x[:, None] & z)[:, :, None]
             + np.array([0, 1], dtype=np.uint8)

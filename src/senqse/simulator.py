@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senqse.pauli import CliffordMap, PauliArrays, PauliProduct, anticommute, product_phase
+from senqse.pauli import PauliArrays, anticommute, label, product_phase
 
 NORM_TOL = 1e-10
 # largest imaginary part (Ha) a matrix element may carry
@@ -64,19 +64,6 @@ class StateVector:
             raise SimulatorError(f"state norm {norm} deviates from 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def computational(cls, index: int, n_qubits: int) -> "StateVector":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps, n_qubits)
-
-    @classmethod
-    def from_amplitudes(cls, amps, n_qubits: int, normalize: bool = False):
-        amps = np.asarray(amps, dtype=complex)
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
-        return cls(amps, n_qubits)
 
     def overlap(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -167,40 +154,12 @@ def real_block(bras, products) -> np.ndarray:
     return vals.real
 
 
-def expectation(state: StateVector, op: PauliArrays) -> complex:
-    """Exact <psi|op|psi>; real to 1e-12 when op is Hermitian."""
-    return matrix_element_exact(state, op, state)
-
-
-def matrix_element_exact(bra: StateVector, op: PauliArrays, ket: StateVector) -> complex:
-    if not (bra.n_qubits == ket.n_qubits == op.n_qubits):
-        raise SimulatorError("qubit count mismatch in matrix element")
-    return complex(
-        np.vdot(bra.amplitudes, apply_pauli_sum(ket.amplitudes, ket.n_qubits, op))
-    )
-
-
 def prepare_swap_state(a: StateVector, b: StateVector) -> StateVector:
     """(|0>|a> + |1>|b>)/sqrt(2) with the ancilla on the top (highest) qubit."""
     if a.n_qubits != b.n_qubits:
         raise SimulatorError("swap-state inputs must share a qubit count")
     amps = np.concatenate([a.amplitudes, b.amplitudes]) / np.sqrt(2.0)
     return StateVector(amps, a.n_qubits + 1)
-
-
-def apply_clifford(state: StateVector, cmap: CliffordMap) -> StateVector:
-    """Apply a CNOT/permutation Clifford to a statevector (no phases arise).
-
-    Such a Clifford sends |k> to |f(k)>, where f acts on the index bits as
-    conjugation acts on X words, so ``conjugate_words`` gives every f(k).
-    """
-    if cmap.n_qubits != state.n_qubits:
-        raise SimulatorError("Clifford qubit count mismatch")
-    idx = np.arange(2**state.n_qubits, dtype=np.uint64)
-    targets, _, _ = cmap.conjugate_words(idx, np.zeros_like(idx))
-    amps = np.empty_like(state.amplitudes)
-    amps[targets] = state.amplitudes
-    return StateVector(amps, state.n_qubits)
 
 
 def dense_matrix(op: PauliArrays) -> np.ndarray:
@@ -265,8 +224,7 @@ def _generators(fragment: PauliArrays):
             for gx, gz in gens:
                 if anticommute(x, z, gx, gz):
                     raise SimulatorError(
-                        f"fragment terms {PauliProduct(n, gx, gz).label()} and "
-                        f"{PauliProduct(n, x, z).label()} do not commute"
+                        f"fragment terms {label(gx, gz)} and {label(x, z)} do not commute"
                     )
             rows.append((vec, vec.bit_length() - 1, mask | 1 << len(gens)))
             mask, eta = 1 << len(gens), 1.0

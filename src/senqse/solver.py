@@ -234,20 +234,13 @@ class SubspaceEngine:
 
     # -- sampling ----------------------------------------------------------
 
-    def element_measurables(self, mu: int, nu: int):
-        """(state, fragments) realizing the element as expectation values.
-
-        Diagonal elements measure the effective operator directly on the
-        basis state; off-diagonal elements measure the swap-test operator on
-        the two-state superposition, with the constant shifted by the exact
-        diagonal elements when both states share a seniority config.
-        """
-        [(_, prepare, frags)] = self._measurables([(mu, nu)])
-        return prepare(), frags
-
     def _measurables(self, elements):
-        """(element, prepare, fragments) of each element, ``prepare()``
-        giving the state of ``element_measurables``.
+        """(element, prepare, fragments) of each element, which measures
+        its fragments on the state ``prepare()``: a diagonal element's
+        effective operator on the basis state, an off-diagonal one's
+        swap-test operator on the two-state superposition, its constant
+        shifted by the exact diagonal elements when both states share a
+        seniority config.
 
         The swap-test operator is built once per config pair, each exact
         diagonal element the shift reads is taken once, and each distinct
@@ -415,10 +408,6 @@ class MatrixSampler:
         h[self._mu, self._nu] = vals
         h[self._nu, self._mu] = vals
         return h
-
-    @property
-    def total_shots(self) -> int:
-        return sum(sum(v) for v in self.shots.values())
 
 
 def _integer_split(total: int, weights) -> list:

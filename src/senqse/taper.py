@@ -20,24 +20,11 @@ import operator
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, CliffordMap, PauliArrays, PauliProduct
-from senqse.simulator import StateVector, apply_clifford
-
-PRODUCT_TOL = 1e-10
+from senqse.pauli import DROP_TOL, CliffordMap, PauliArrays
 
 
 class TaperError(ValueError):
     """Violated seniority-structure contract."""
-
-
-def seniority_symmetries(n_orb: int) -> list[PauliProduct]:
-    """[Z0 Z1, Z2 Z3, ...] on 2*n_orb qubits."""
-    if n_orb < 1:
-        raise TaperError("n_orb must be >= 1")
-    nq = 2 * n_orb
-    return [
-        PauliProduct(nq, 0, (1 << (2 * i)) | (1 << (2 * i + 1))) for i in range(n_orb)
-    ]
 
 
 def build_clifford(n_orb: int) -> CliffordMap:
@@ -77,7 +64,8 @@ class SectorHamiltonian:
     each key's terms from +0 in bucket order (``np.add.at``), drops sums
     below DROP_TOL (``hypot`` is Python's complex ``abs``) and memoises the
     ``PauliArrays`` per pair: bit for bit the terms of adding each
-    conjugated, weighted term into a ``PauliSum`` and simplifying it.
+    conjugated, weighted term into a dict by key and dropping the small
+    sums.
     """
 
     def __init__(self, hq: PauliArrays):
@@ -139,41 +127,6 @@ def effective_hamiltonian(hq: PauliArrays, bra_bits: int, ket_bits: int) -> Paul
     Returns the n_orb-qubit effective operator.
     """
     return SectorHamiltonian(hq).op(bra_bits, ket_bits)
-
-
-def taper_check(full_state: StateVector) -> tuple[int, StateVector]:
-    """Split U_c|phi> into (config bit mask, n_orb-qubit remainder state).
-
-    Raises TaperError when the rotated state is not an exact product of a
-    computational seniority register and a remainder factor.
-    """
-    if full_state.n_qubits % 2 != 0:
-        raise TaperError("state must live on the full 2*n_orb register")
-    n_orb = full_state.n_qubits // 2
-    rotated = apply_clifford(full_state, build_clifford(n_orb))
-    # index = (remainder bits << n_orb) | seniority bits
-    table = rotated.amplitudes.reshape(2**n_orb, 2**n_orb)
-    col_norms = np.linalg.norm(table, axis=0)
-    bits = int(np.argmax(col_norms))
-    residual = np.sqrt(max(np.sum(col_norms**2) - col_norms[bits] ** 2, 0.0))
-    if residual > PRODUCT_TOL:
-        raise TaperError(
-            f"not a seniority eigenstate: cross-sector weight {residual:.3e}"
-        )
-    column = table[:, bits]
-    column = column / np.linalg.norm(column)
-    return bits, StateVector(column, n_orb)
-
-
-def untaper_state(bits: int, remainder: StateVector) -> StateVector:
-    """Inverse of taper_check: rebuild the full 2*n_orb-qubit state."""
-    n_orb = remainder.n_qubits
-    if not 0 <= bits < 1 << n_orb:
-        raise TaperError(f"config bits {bits} outside n_orb={n_orb}")
-    full = np.zeros(2 ** (2 * n_orb), dtype=complex)
-    idx = (np.arange(2**n_orb) << n_orb) | bits
-    full[idx] = remainder.amplitudes
-    return apply_clifford(StateVector(full, 2 * n_orb), build_clifford(n_orb).inverse())
 
 
 def index_groups(keys) -> dict:

@@ -11,7 +11,6 @@ agree with them exactly unless a tolerance is named: ``DictSectorTable``
 ``bitwise_taper`` (``csfbasis.make_csf_tapered``'s reading of the
 tapering Clifford), ``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
 pass that ``simulator.apply_pauli_sum``'s support pass replaced),
-``product_by_product_mul`` (``PauliSum.__mul__``),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
 ``coo_csr_sector_matrix`` (``fci``'s dense sector assembly),
@@ -34,9 +33,9 @@ dict walks that ``measure``'s array swap-test operators replaced),
 need only match or beat it).  The operators that only tests use,
 ``jw_ladder``, ``jw_operator``, ``spin_orbital``, ``number_operator``,
 ``sz_operator``, ``spin_squared_operator``, ``total_seniority_operator``,
-``hf_energy`` and ``chop_imag``, are built with the package's ``PauliSum``
-too; ``as_arrays`` hands one to the program, whose operators are
-``PauliArrays``, and ``as_sum`` reads one of those back.  Qubit q
+``hf_energy`` and ``chop_imag``, are built with ``algebra.PauliSum``, the
+tests' exact dict algebra; ``as_arrays`` hands one to the program, whose
+operators are ``PauliArrays``, and ``as_sum`` reads one of those back.  Qubit q
 corresponds to bit q of the basis index (little endian), i.e. the kron
 chain runs from the highest qubit on the left down to qubit 0 on the right.
 """
@@ -44,6 +43,9 @@ chain runs from the highest qubit on the left down to qubit 0 on the right.
 import math
 
 import numpy as np
+
+from algebra import PauliProduct, PauliSum
+from senqse.pauli import DROP_TOL
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,8 +66,6 @@ def as_arrays(op):
 
 def as_sum(op):
     """A ``PauliArrays`` as a ``PauliSum``, terms in order."""
-    from senqse.pauli import PauliSum
-
     return PauliSum(op.n_qubits, dict(op.items()))
 
 
@@ -102,8 +102,6 @@ def product_matrix(p):
 
 def sum_matrix(s):
     """Dense matrix of a package PauliSum or PauliArrays, term by term."""
-    from senqse.pauli import PauliProduct
-
     dim = 2**s.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     for (x, z), c in s.items():
@@ -231,8 +229,6 @@ def random_pauli_sum_pairs(rng, n_qubits, n_terms, real=True):
 def per_gate_conjugate(cmap, p):
     """U p U^dagger by per-gate updates of one product's bits (the scalar
     rule that ``CliffordMap.conjugate_words`` applies to arrays of words)."""
-    from senqse.pauli import PauliProduct
-
     x, z, ph = p.x_bits, p.z_bits, p.phase_exp
     for g in cmap.gates:
         if g[0] == "cnot":
@@ -298,8 +294,6 @@ class DictSectorTable:
     ``PauliSum`` and simplifies it, memoised per pair."""
 
     def __init__(self, hq, uc):
-        from senqse.pauli import PauliProduct
-
         n_orb = hq.n_qubits // 2
         mask = (1 << n_orb) - 1
         self.n_orb = n_orb
@@ -312,8 +306,6 @@ class DictSectorTable:
         self._ops = {}
 
     def op(self, bra_bits, ket_bits):
-        from senqse.pauli import DROP_TOL, PauliSum
-
         key = (bra_bits, ket_bits)
         if key not in self._ops:
             x_left = bra_bits ^ ket_bits
@@ -467,27 +459,12 @@ def whole_sector_energy(hq, n_up, n_dn):
     return float(np.linalg.eigh(one_add_at_sector_matrix(hq, dets))[0][0])
 
 
-def product_by_product_mul(a, b):
-    """PauliSum product a * b, one PauliProduct.mul per pair of terms."""
-    from senqse.pauli import PauliProduct, PauliSum
-
-    out = PauliSum(a.n_qubits)
-    for (x1, z1), c1 in a.items():
-        p1 = PauliProduct(a.n_qubits, x1, z1)
-        for (x2, z2), c2 in b.items():
-            p3 = p1.mul(PauliProduct(a.n_qubits, x2, z2))
-            out.add_term(p3.x_bits, p3.z_bits, c1 * c2 * p3.phase)
-    return out
-
-
 def jw_ladder(mode: int, dagger: bool, n_modes: int):
     """Jordan-Wigner image of a single ladder operator on `mode`.
 
     a_p   = Z_0..Z_{p-1} (X_p + iY_p)/2
     a_p^+ = Z_0..Z_{p-1} (X_p - iY_p)/2
     """
-    from senqse.pauli import PauliProduct, PauliSum
-
     zstring = (1 << mode) - 1
     out = PauliSum(n_modes)
     out.add_term(1 << mode, zstring, 0.5)
@@ -503,8 +480,6 @@ def jw_operator(ops, n_modes: int, coeff: complex = 1.0):
     `ops` is a sequence of (mode, dagger) pairs in operator order, e.g.
     [(p, True), (q, False)] for a_p^+ a_q.
     """
-    from senqse.pauli import PauliSum
-
     out = PauliSum(n_modes, {(0, 0): coeff})
     for mode, dagger in ops:
         out = out * jw_ladder(mode, dagger, n_modes)
@@ -518,8 +493,6 @@ def spin_orbital(p: int, spin: int) -> int:
 
 def number_operator(n_orb: int):
     """Total electron number N = sum_q (1 - Z_q)/2 on 2*n_orb qubits."""
-    from senqse.pauli import PauliSum
-
     nq = 2 * n_orb
     out = PauliSum(nq, {(0, 0): nq / 2})
     for q in range(nq):
@@ -529,8 +502,6 @@ def number_operator(n_orb: int):
 
 def sz_operator(n_orb: int):
     """S_z = (N_up - N_down)/2 on 2*n_orb qubits."""
-    from senqse.pauli import PauliSum
-
     out = PauliSum(2 * n_orb)
     for p in range(n_orb):
         out.add_term(0, 1 << (2 * p), -0.25)
@@ -540,8 +511,6 @@ def sz_operator(n_orb: int):
 
 def spin_squared_operator(n_orb: int):
     """S^2 = S-S+ + Sz(Sz + 1) on 2*n_orb qubits."""
-    from senqse.pauli import PauliSum
-
     nq = 2 * n_orb
     splus = PauliSum(nq)
     for p in range(n_orb):
@@ -560,8 +529,6 @@ def spin_squared_operator(n_orb: int):
 
 def total_seniority_operator(n_orb: int):
     """Number of unpaired electrons: sum_i (1 - Z_2i Z_2i+1)/2."""
-    from senqse.pauli import PauliSum
-
     out = PauliSum(2 * n_orb, {(0, 0): n_orb / 2})
     for i in range(n_orb):
         out.add_term(0, (1 << (2 * i)) | (1 << (2 * i + 1)), -0.5)
@@ -583,16 +550,14 @@ def product_by_product_jordan_wigner(ints, tol):
 
     The same integral order and coefficient arithmetic as
     ``fermion.jordan_wigner``, with every product taken by
-    ``product_by_product_mul`` and every term added by ``PauliSum.__add__``.
+    ``PauliSum.__mul__`` and every term added by ``PauliSum.__add__``.
     """
-    from senqse.pauli import PauliSum
-
     nq = 2 * ints.n_orb
 
     def operator(ops, coeff):
         out = PauliSum(nq, {(0, 0): coeff})
         for mode, dagger in ops:
-            out = product_by_product_mul(out, jw_ladder(mode, dagger, nq))
+            out = out * jw_ladder(mode, dagger, nq)
         return out
 
     total = PauliSum(nq, {(0, 0): complex(ints.e_core)})
@@ -619,8 +584,6 @@ def product_by_product_jordan_wigner(ints, tol):
 def chop_imag(op, tol=1e-12):
     """op with imaginary coefficient parts below tol cleared, term by term:
     the clean-up that ``fermion.jordan_wigner`` applies to its sums."""
-    from senqse.pauli import PauliSum
-
     out = {k: complex(c.real, 0.0) if abs(c.imag) < tol else c for k, c in op.items()}
     return PauliSum(op.n_qubits, out)
 
@@ -651,8 +614,6 @@ def dense_branch_sampler(state, fragment):
     probs, mean and variance as ``FragmentSampler`` defines them.
     """
     from types import SimpleNamespace
-
-    from senqse.pauli import PauliProduct
 
     n = fragment.n_qubits
     gens, rows, masks, coeffs = [], [], [], []
@@ -841,8 +802,6 @@ def vdot_element(kernel, bra_bits, bra, ket_bits, ket) -> float:
 
 def reconstruct(fragments):
     """The sum of a nonempty fragment tuple, added fragment by fragment."""
-    from senqse.pauli import PauliSum
-
     total = PauliSum(fragments[0].n_qubits)
     for frag in fragments:
         total = total + as_sum(frag)
@@ -856,8 +815,6 @@ def reference_sorted_insertion(op):
     each joins the first fragment all of whose members it commutes with, or
     opens a new one.  Returns the fragments as lists of ((x, z), c).
     """
-    from senqse.pauli import PauliProduct
-
     n = op.n_qubits
     ordered = sorted(op.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
     fragments, members = [], []
@@ -879,7 +836,6 @@ def reference_build_swap_operator(op):
     term of ``op`` and a ``simplify``: x (x) P with the real part, or
     y (x) P with minus the imaginary part."""
     from senqse.measure import MIXED_COEFF_TOL, MeasureError, SwapTestOperator
-    from senqse.pauli import DROP_TOL, PauliSum
 
     n = op.n_qubits
     anc = 1 << n
@@ -902,7 +858,6 @@ def reference_shift_constant(s, h_mm, h_nn):
     """``measure.shift_constant`` on a ``PauliSum`` swap operator: a copy,
     one ``add_term`` on x (x) 1 and a ``simplify``."""
     from senqse.measure import SwapTestOperator
-    from senqse.pauli import DROP_TOL
 
     new_cx = s.c_x - 0.5 * (h_mm + h_nn)
     op = s.op.copy()

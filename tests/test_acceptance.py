@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from algebra import PauliProduct, PauliSum, StateVector, SubspaceEngine, untaper_state
 from oracles import as_arrays, as_sum
 from senqse.cli import tapering_stats
 from senqse.csfbasis import (
@@ -31,17 +32,15 @@ from senqse.measure import (
     shift_constant,
     sorted_insertion,
 )
-from senqse.pauli import PauliProduct, PauliSum
 from senqse.resources import controlled_prep_cost, estimate_pair
-from senqse.simulator import FragmentSampler, StateVector, rng_for
+from senqse.simulator import FragmentSampler, rng_for
 from senqse.solver import (
-    SubspaceEngine,
     build_subspace,
     ground_state,
     make_matrix_sampler,
     vo_optimize,
 )
-from senqse.taper import effective_hamiltonian, untaper_state
+from senqse.taper import effective_hamiltonian
 
 FIXTURES = Path(__file__).parent / "fixtures"
 H2O_BONDS = ("1.0000", "2.1000", "3.0000")

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from algebra import StateVector, expectation, taper_check, tapered_state
 from oracles import as_arrays
 from senqse.csfbasis import (
     BasisError,
@@ -33,7 +34,6 @@ from senqse.csfbasis import (
     select_basis_vo,
     config_bits,
     serialize_basis,
-    tapered_state,
     trim_csfs,
     CsfElementEngine,
 )
@@ -41,9 +41,8 @@ from senqse.fermion import (
     jordan_wigner,
     load_fcidump,
 )
-from senqse.simulator import StateVector, apply_pauli_sum, expectation
+from senqse.simulator import apply_pauli_sum
 from senqse.solver import SubspaceEngine
-from senqse.taper import taper_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)

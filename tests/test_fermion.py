@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from algebra import PauliProduct, PauliSum
 from oracles import as_sum
 from senqse import fermion
 from senqse.fermion import (
@@ -21,7 +22,7 @@ from senqse.fermion import (
     rotate_orbitals,
     write_fcidump,
 )
-from senqse.pauli import DROP_TOL, PauliError, PauliProduct, PauliSum
+from senqse.pauli import DROP_TOL, PauliError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_STEMS = (

@@ -1,14 +1,17 @@
-"""Start-up guards: what importing the package costs, and what it runs.
+"""Guards on what the package holds and what importing it costs.
 
 The package and its exact paths load NumPy only: SciPy is imported by the
 Lanczos oracle (sectors above the dense cutoff) and by orbital relaxation
-alone.  The program path holds its operators as ``PauliArrays`` and never
-builds a ``PauliSum``, the tests' reference algebra.  Both checks run in a
-fresh interpreter, since pytest and other test modules import SciPy and
-build ``PauliSum``s themselves.  No source file reaches the token count at
-which CPython's parser grows its token array.
+alone.  The check runs in a fresh interpreter, since pytest and other test
+modules import SciPy themselves.  Every definition in the package is
+reached by the program, the benchmark or the tools, so code that only the
+tests use lives in the tests (``algebra.py``), and no package module
+imports from them.  No source file reaches the token count at which
+CPython's parser grows its token array.
 """
 
+import ast
+import collections
 import os
 import subprocess
 import sys
@@ -19,6 +22,8 @@ from pathlib import Path
 import senqse
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PACKAGE = Path(senqse.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = textwrap.dedent(
     """
@@ -43,38 +48,10 @@ SCRIPT = textwrap.dedent(
 )
 
 
-# cli.run on one H2 geometry four ways, with PauliSum.__init__ raising:
-# each run's record count and failures
-NO_PAULI_SUM = textwrap.dedent(
-    """
-    import sys, tempfile
-
-    from senqse import cli
-    from senqse.pauli import PauliSum
-
-    def refuse(self, *args, **kwargs):
-        raise RuntimeError("the program built a PauliSum")
-
-    PauliSum.__init__ = refuse
-    # one rotated VO state, so the sampled elements build swap operators
-    runs = [
-        dict(method="pt"),
-        dict(method="vo", eps1=0.5),
-        dict(method="vo", eps1=0.5, mode="sampled", seed=5),
-        dict(method="vo", eps1=0.5, taper=False),
-    ]
-    for kwargs in runs:
-        with tempfile.TemporaryDirectory() as out:
-            report = cli.run(cli.RunConfig((sys.argv[1],), out_dir=out, **kwargs))
-        print(len(report["geometries"]), report["failures"])
-    """
-)
-
-
 def run_fresh(script: str, fixture: str) -> str:
     """stdout of ``script`` in a fresh interpreter on the package source,
     given the path of the fixture ``fixture``."""
-    src = str(Path(senqse.__file__).resolve().parent.parent)
+    src = str(PACKAGE.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -91,9 +68,63 @@ def test_exact_h2_paths_load_no_scipy():
     assert run_fresh(SCRIPT, "h2_0.7414.fcidump") == "[]"
 
 
-def test_program_path_builds_no_pauli_sum():
-    # PT exact, VO exact, VO sampled and the --no-taper ablation
-    assert run_fresh(NO_PAULI_SUM, "h2_1.5000.fcidump").splitlines() == ["1 []"] * 4
+def definitions(tree):
+    """(node, is_method) of each top-level function and class of a module
+    and of each non-dunder method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (sub.name[:2] == sub.name[-2:] == "__"):
+                    yield sub, True
+
+
+def occurrences(tree, found):
+    """Add to ``found[kind, name]`` the enclosing definitions of each read
+    of ``name`` in ``tree``: kind "name" for a name or an imported name,
+    "attr" for an attribute or a string constant (``getattr``'s form)."""
+    stack = [(tree, ())]
+    while stack:
+        node, inside = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside += (node,)
+        elif isinstance(node, ast.Name):
+            found["name", node.id].append(inside)
+        elif isinstance(node, ast.alias):
+            found["name", node.name.rpartition(".")[2]].append(inside)
+        elif isinstance(node, ast.Attribute):
+            found["attr", node.attr].append(inside)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found["attr", node.value].append(inside)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+
+
+def test_every_definition_is_reachable():
+    """Each function, class and non-dunder method of ``src/senqse`` is read
+    in ``src/`` outside its own body, or in ``perfbench/`` or ``tools/``
+    (a method as an attribute or by name in a string, as the benchmark's
+    tracer rebinds it), and no package module imports from the tests."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    found = collections.defaultdict(list)
+    for path in [*trees, *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").rglob("*.py")]:
+        occurrences(trees.get(path) or ast.parse(path.read_text()), found)
+    unreached = []
+    for path, tree in trees.items():
+        for node, is_method in definitions(tree):
+            reads = found["attr", node.name] + ([] if is_method else found["name", node.name])
+            if all(node in inside for inside in reads):
+                unreached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreached == []
+    test_modules = {"tests", *(p.stem for p in Path(__file__).parent.glob("*.py"))}
+    imports = [
+        alias.name if isinstance(node, ast.Import) else node.module or ""
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [name for name in imports if name.split(".")[0] in test_modules] == []
 
 
 # CPython's parser doubles its token array when a file reaches this many
@@ -111,9 +142,8 @@ def test_sources_stay_below_the_parser_token_doubling():
     although that workload never calls the code that was added.
     """
     skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
-    package = Path(senqse.__file__).resolve().parent
     counts = {}
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         with open(path, "rb") as fh:
             counts[path.name] = sum(
                 1 for tok in tokenize.tokenize(fh.readline) if tok.type not in skip

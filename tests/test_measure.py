@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
+from algebra import (
+    PauliProduct,
+    PauliSum,
+    StateVector,
+    SubspaceEngine,
+    expectation,
+    matrix_element_exact,
+)
 from oracles import as_arrays, as_sum
 from senqse.csfbasis import CsfKind, CsfSpec, make_csf_tapered, parse_basis
 from senqse.fermion import jordan_wigner, load_fcidump
@@ -17,15 +25,11 @@ from senqse.measure import (
     shift_constant,
     sorted_insertion,
 )
-from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
     FragmentSampler,
-    StateVector,
     prepare_swap_state,
-    expectation,
     rng_for,
 )
-from senqse.solver import SubspaceEngine
 from senqse.taper import effective_hamiltonian
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -118,8 +122,6 @@ class TestShiftConstant:
 
     def test_value_unchanged_for_orthogonal_factors(self, h2_setup):
         x, a, b = h2_setup
-        from senqse.simulator import matrix_element_exact
-
         h_mm = matrix_element_exact(a, x, a).real
         h_nn = matrix_element_exact(b, x, b).real
         phi = prepare_swap_state(a, b)
@@ -133,8 +135,6 @@ class TestShiftConstant:
 
     def test_variance_minimum_under_scan(self, h2_setup):
         x, a, b = h2_setup
-        from senqse.simulator import matrix_element_exact
-
         h_mm = matrix_element_exact(a, x, a).real
         h_nn = matrix_element_exact(b, x, b).real
         phi = prepare_swap_state(a, b)

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from senqse.pauli import (
-    CliffordMap,
-    PauliError,
-    PauliProduct,
-    PauliSum,
-    anticommute,
-    parse_pauli_sum,
-    product_phase,
-)
-
 import oracles
+from algebra import PauliProduct, PauliSum, conjugate, inverse
+from senqse.pauli import CliffordMap, PauliError, anticommute, product_phase
 
 
 def P(label, n):
@@ -22,6 +14,7 @@ class TestMul:
     def test_single_qubit_table(self):
         a = P("X0", 1) * P("Y0", 1)
         assert a.label() == "Z0" and a.phase == 1j
+        assert (a * a).label() == "I"
 
     def test_involution(self):
         zz = P("Z0 Z1", 2)
@@ -132,7 +125,7 @@ class TestSymplecticRules:
 class TestClifford:
     def test_cnot_on_zz(self):
         c = CliffordMap(2, (("cnot", 0, 1),))
-        out = c.conjugate(P("Z0 Z1", 2))
+        out = conjugate(c, P("Z0 Z1", 2))
         assert out.label() == "Z1" and out.phase == 1
         ref = (
             oracles.cnot_matrix(0, 1, 2)
@@ -143,12 +136,12 @@ class TestClifford:
 
     def test_cnot_on_x_control(self):
         c = CliffordMap(2, (("cnot", 0, 1),))
-        out = c.conjugate(P("X0", 2))
+        out = conjugate(c, P("X0", 2))
         assert out.label() == "X0 X1" and out.phase == 1
 
     def test_permutation_on_identity(self):
         c = CliffordMap(3, (("perm", (2, 0, 1)),))
-        out = c.conjugate(PauliProduct.identity(3))
+        out = conjugate(c, PauliProduct.identity(3))
         assert out.is_identity() and out.phase == 1
 
     def test_random_against_dense(self):
@@ -165,7 +158,7 @@ class TestClifford:
             cmap = CliffordMap(n, tuple(gates))
             u = oracles.clifford_matrix(cmap)
             p = PauliProduct(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
-            out = cmap.conjugate(p)
+            out = conjugate(cmap, p)
             ref = u @ oracles.product_matrix(p) @ u.conj().T
             assert np.allclose(oracles.product_matrix(out), ref, atol=1e-12)
 
@@ -179,7 +172,7 @@ class TestClifford:
                 int(rng.integers(0, 8)),
                 2 * int(rng.integers(0, 2)),
             )
-            assert cmap.conjugate(p).phase_exp % 2 == 0
+            assert conjugate(cmap, p).phase_exp % 2 == 0
 
     def test_commutation_preserved(self):
         rng = np.random.default_rng(23)
@@ -187,7 +180,7 @@ class TestClifford:
         for _ in range(100):
             a = PauliProduct(3, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
             b = PauliProduct(3, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-            assert a.commutes(b) == cmap.conjugate(a).commutes(cmap.conjugate(b))
+            assert a.commutes(b) == conjugate(cmap, a).commutes(conjugate(cmap, b))
 
     def test_words_match_per_gate_conjugation(self):
         # random gate lists on up to 64 qubits, every product's words and
@@ -212,18 +205,18 @@ class TestClifford:
                 ref = oracles.per_gate_conjugate(cmap, PauliProduct(n, xi, zi))
                 assert (want_x, want_z, 2 * int(s)) == (ref.x_bits, ref.z_bits, ref.phase_exp)
                 p = PauliProduct(n, xi, zi, 3)
-                assert cmap.conjugate(p) == oracles.per_gate_conjugate(cmap, p)
+                assert conjugate(cmap, p) == oracles.per_gate_conjugate(cmap, p)
 
     def test_scalar_conjugation_beyond_64_qubits(self):
         cmap = CliffordMap(130, (("cnot", 129, 3), ("perm", tuple(reversed(range(130))))))
         p = PauliProduct.from_label("Z3 X129 X70", 130)
-        out = cmap.conjugate(p)
+        out = conjugate(cmap, p)
         assert out == oracles.per_gate_conjugate(cmap, p) and out.phase_exp == 2
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(29)
         cmap = CliffordMap(4, (("cnot", 3, 1), ("perm", (1, 3, 0, 2)), ("cnot", 0, 2)))
-        inv = cmap.inverse()
+        inv = inverse(cmap)
         for _ in range(100):
             p = PauliProduct(
                 4,
@@ -231,22 +224,10 @@ class TestClifford:
                 int(rng.integers(0, 16)),
                 int(rng.integers(0, 4)),
             )
-            assert inv.conjugate(cmap.conjugate(p)) == p
+            assert conjugate(inv, conjugate(cmap, p)) == p
 
 
 class TestPauliSum:
-    def test_one_norm(self):
-        s = PauliSum.from_label("Z0", 0.5, 2) + PauliSum.from_label("X1", 0.25, 2)
-        assert s.one_norm() == pytest.approx(0.75)
-
-    def test_one_norm_empty(self):
-        assert PauliSum(3).one_norm() == 0.0
-
-    def test_one_norm_identity_flag(self):
-        s = PauliSum.from_label("I", 2.0, 1) + PauliSum.from_label("Z0", 0.5, 1)
-        assert s.one_norm() == pytest.approx(0.5)
-        assert s.one_norm(include_identity=True) == pytest.approx(2.5)
-
     def test_simplify_merges(self):
         s = PauliSum.from_label("Z0", 0.5, 1) + PauliSum.from_label("Z0", 0.5, 1)
         out = s.simplify(1e-12)
@@ -271,19 +252,6 @@ class TestPauliSum:
             ref = oracles.sum_matrix(a) @ oracles.sum_matrix(b)
             assert np.allclose(got, ref, atol=1e-10)
 
-    def test_product_matches_product_by_product_oracle(self):
-        rng = np.random.default_rng(41)
-        for trial in range(40):
-            n = int(rng.integers(1, 7))
-            a, b = PauliSum(n), PauliSum(n)
-            for s in (a, b):
-                k = int(rng.integers(0, min(4**n, 12) + 1))
-                for label, c in oracles.random_pauli_sum_pairs(rng, n, k, real=trial % 2 == 0):
-                    s.add_product(P(label, n), c)
-            got, ref = a * b, oracles.product_by_product_mul(a, b)
-            assert got.n_qubits == n
-            assert list(got.items()) == list(ref.items())
-
     def test_random_pairs_refuse_more_products_than_exist(self):
         # one qubit has 4 distinct products; the helper fails before drawing
         rng = np.random.default_rng(5)
@@ -304,31 +272,7 @@ class TestPauliSum:
         with pytest.raises(PauliError):
             PauliSum(-1, {(0, 0): 1.0}) * PauliSum(-1, {(0, 0): 1.0})
 
-    def test_text_roundtrip(self):
-        rng = np.random.default_rng(37)
-        s = PauliSum(4)
-        for label, c in oracles.random_pauli_sum_pairs(rng, 4, 6, real=False):
-            s.add_product(P(label, 4), c)
-        s.add_product(PauliProduct.identity(4), 0.25)
-        back = parse_pauli_sum(s.to_text(), n_qubits=4)
-        diff = s - back
-        assert all(c == 0 for _, c in diff.items())
-
-    def test_text_blank_lines_skipped(self):
-        back = parse_pauli_sum("\n0.25 * X0\n   \n-0.5 * Z1\n\n")
-        assert list(back.items()) == [((1, 0), 0.25), ((0, 2), -0.5)]
-
     def test_product_by_non_sum_is_a_type_error(self):
         with pytest.raises(TypeError):
             PauliSum.from_label("X0", 1.0, 1) * 2
 
-    def test_product_repr(self):
-        assert repr(P("X0 Z2", 3)) == "PauliProduct(X0 Z2 on 3)"
-        assert repr(PauliProduct(2, 2, 2, 3)) == "PauliProduct(-i*Y1 on 2)"
-
-    def test_text_format_example(self):
-        s = PauliSum.from_label("X0 Z3 Y5", -0.5, 6)
-        assert s.to_text() == "-0.5 * X0 Z3 Y5"
-        back = parse_pauli_sum("-0.5 * X0 Z3 Y5")
-        assert back.n_qubits == 6
-        assert back.coefficient(P("X0 Z3 Y5", 6)) == pytest.approx(-0.5)

@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
+from algebra import (
+    PauliProduct,
+    PauliSum,
+    StateVector,
+    SubspaceEngine,
+    expectation,
+    matrix_element_exact,
+)
 from oracles import as_arrays, as_sum
 from senqse import simulator, solver
 from senqse.csfbasis import (
@@ -19,21 +27,17 @@ from senqse.csfbasis import (
 )
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse.measure import build_swap_operator, fragment_variance, sorted_insertion
-from senqse.pauli import PauliProduct, PauliSum
 from senqse.simulator import (
     BLOCK_AMPLITUDES,
     FragmentSampler,
     SimulatorError,
-    StateVector,
     apply_pauli_sum,
     dense_matrix,
-    expectation,
-    matrix_element_exact,
     prepare_swap_state,
     real_block,
     rng_for,
 )
-from senqse.solver import SubspaceEngine, build_subspace, vo_optimize
+from senqse.solver import build_subspace, vo_optimize
 from senqse.taper import SectorHamiltonian, build_clifford, symmetric_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"

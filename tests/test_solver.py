@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from algebra import PauliSum, total_shots
 from oracles import as_arrays, as_sum
 from senqse import csfbasis, fci, solver
 from senqse.csfbasis import (
@@ -28,7 +29,7 @@ from senqse.fermion import (
     load_fcidump,
 )
 from senqse.measure import allocate_and_score, predicted_mse
-from senqse.pauli import PauliSum
+from senqse.pauli import PauliArrays
 from senqse.simulator import draw_table
 from senqse.solver import (
     BIAS_KAPPA,
@@ -332,6 +333,11 @@ class TestFciOracle:
         with pytest.raises(FciError):
             fci_oracle(h2_hq, 12, 0.0)
 
+    def test_term_less_operator_rejected(self):
+        empty = PauliArrays(4, np.zeros((0, 2), dtype=np.uint64), np.zeros(0, dtype=complex))
+        with pytest.raises(FciError, match="no terms"):
+            fci_oracle(empty, 2, 0.0)
+
 
 class TestBuildSubspace:
     def test_single_hf_state(self, h2_hq, h2):
@@ -600,7 +606,7 @@ class TestShotTable:
         engine = SubspaceEngine(rotated_h2_basis(h2_theta)[:1], h2_hq, 2)
         sampler = make_matrix_sampler(engine, 2000)
         assert list(sampler.shots) == [(0, 0)]
-        assert sampler.total_shots == 2000
+        assert total_shots(sampler) == 2000
         assert sampler.second_order_bias == 0.0
         sigs = sampler.plan[(0, 0)][1]
         expected = sum(s * s / m for s, m in zip(sigs, sampler.shots[(0, 0)]))
@@ -612,7 +618,7 @@ class TestShotTable:
         engine = SubspaceEngine(rotated_h2_basis(h2_theta, open_shell=True), h2_hq, 2)
         sampler = make_matrix_sampler(engine, 20_000)
         plan = sampler.plan
-        assert sampler.total_shots == 20_000
+        assert total_shots(sampler) == 20_000
         bound = FLOOR_KAPPA * floor_gap(sampler)
         assert all(se <= bound for se in standard_errors(sampler).values())
         assert sampler.second_order_bias < 0.0
@@ -652,7 +658,7 @@ class TestShotTable:
         sampler = make_matrix_sampler(engine, 20_000)
         vals = np.linalg.eigvalsh(sampler.exact)
         assert vals[1] - vals[0] < 1e-10
-        assert sampler.total_shots == 20_000
+        assert total_shots(sampler) == 20_000
         bound = FLOOR_KAPPA * (vals[2] - vals[0])
         assert all(se <= bound for se in standard_errors(sampler).values())
         assert np.isfinite(sampler.second_order_bias)
@@ -695,7 +701,7 @@ class TestShotTable:
         with caplog.at_level("WARNING", logger="senqse.solver"):
             sampler = make_matrix_sampler(engine, 10)
         assert any("floors scaled" in r.getMessage() for r in caplog.records)
-        assert sampler.total_shots == 10
+        assert total_shots(sampler) == 10
         assert all(m >= 1 for v in sampler.shots.values() for m in v)
         assert sampler.elements_at_floor == len(standard_errors(sampler)) == 3
 
@@ -900,7 +906,7 @@ class TestMatrixDraws:
         engine = SubspaceEngine(basis, h2o_hq, h2o.n_elec)
         monkeypatch.setattr(solver, "BIAS_KAPPA", np.inf)
         free = make_matrix_sampler(engine, 200_000)
-        assert free.total_shots == h2o_sampler.total_shots
+        assert total_shots(free) == total_shots(h2o_sampler)
         assert abs(free.second_order_bias) > 0.35 * np.sqrt(free.first_order_mse)
         assert free.first_order_mse < f
         assert free.first_order_mse + free.second_order_bias**2 > f + bias**2

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 import oracles
+from algebra import (
+    PauliProduct,
+    PauliSum,
+    StateVector,
+    apply_clifford,
+    conjugate,
+    seniority_symmetries,
+    taper_check,
+    untaper_state,
+)
 from oracles import as_arrays, as_sum
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse import taper
-from senqse.pauli import CliffordMap, PauliArrays, PauliProduct, PauliSum
-from senqse.simulator import StateVector, apply_clifford
+from senqse.pauli import CliffordMap, PauliArrays
 from senqse.taper import (
     SectorHamiltonian,
     TaperError,
     build_clifford,
     effective_hamiltonian,
-    seniority_symmetries,
-    taper_check,
-    untaper_state,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,7 +59,7 @@ class TestBuildClifford:
     def test_defining_property(self, n_orb):
         uc = build_clifford(n_orb)
         for i, s in enumerate(seniority_symmetries(n_orb)):
-            out = uc.conjugate(s)
+            out = conjugate(uc, s)
             assert out.label() == f"Z{i}" and out.phase == 1
 
     def test_single_orbital_dense(self):
@@ -67,9 +73,7 @@ class TestBuildClifford:
         uc = build_clifford(n_orb)
         low_mask = (1 << n_orb) - 1
         for i in range(n_orb):
-            out = uc.conjugate(
-                PauliProduct.single("Z", 2 * i + 1, 2 * n_orb)
-            )
+            out = conjugate(uc, PauliProduct.single("Z", 2 * i + 1, 2 * n_orb))
             assert out.x_bits == 0 and (out.z_bits & low_mask) == 0
 
     def test_hf_state_maps_to_zero_config(self):
@@ -220,7 +224,7 @@ class TestSectorHamiltonian:
         uc = build_clifford(n_orb)
         mask = (1 << n_orb) - 1
         x_parts = {
-            uc.conjugate(PauliProduct(2 * n_orb, x, z)).x_bits & mask
+            conjugate(uc, PauliProduct(2 * n_orb, x, z)).x_bits & mask
             for (x, z), _ in hq.items()
         }
         absent = [x for x in range(2**n_orb) if x not in x_parts]
