@@ -42,7 +42,6 @@ from senqse.csfbasis import (
 )
 from senqse.fci import fci_oracle
 from senqse.fermion import jordan_wigner, load_fcidump, rotate_orbitals
-from senqse.measure import allocate_and_score
 from senqse.resources import estimate_pair
 from senqse.solver import build_subspace, relax_orbitals, vo_optimize
 
@@ -204,38 +203,9 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         seed=config.seed if sampled else None,
         taper=config.taper,
         constant_shift=config.constant_shift,
-        compute_sigma=config.taper and not sampled,
+        compute_sigma=config.taper,
         kernel=kernel,
     )
-    if config.taper:
-        # sampling-cost accounting; the ground vector weighting it is the
-        # exact matrix's in both modes
-        c0 = problem.exact_c0 if sampled else problem.c0
-        report = allocate_and_score(
-            problem.sigma,
-            np.asarray(c0, dtype=float),
-            problem.fragment_sigmas,
-            system=label,
-            bond=bond,
-            method=config.method,
-        )
-        metric, cost_text = report.metric, report.to_text()
-        term_stats = tapering_stats(basis, hq, ints.n_elec, kernel=kernel)
-    else:
-        # the ablation has no sampling cost, and every operator is whole
-        metric = cost_text = None
-        term_stats = {
-            "avg_term_ratio": 1.0,
-            "max_term_ratio": 1.0,
-            "avg_norm_ratio": 1.0,
-            "max_norm_ratio": 1.0,
-            "original_terms": _measured_terms(hq)[0],
-        }
-    # the oracle's sector matrix is the geometry's largest allocation, so
-    # the kernel and its memos go first
-    del kernel
-    fci = fci_oracle(hq, ints.n_elec, 0.0)
-
     record = {
         "label": label,
         "bond": bond,
@@ -247,25 +217,38 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         "n_states": len(basis),
         "n_rotations_max": max((len(b.rotations) for b in basis), default=0),
         "e_min": problem.e_min,
-        "e_fci": fci.energy,
-        "error": problem.e_min - fci.energy,
         "hamiltonian_terms": hq.n_terms,
         "basis_text": serialize_basis(basis),
-        "cost_text": cost_text,
-        "metric": metric,
-        "term_stats": term_stats,
     }
-
-    if sampled:
-        record["first_order_mse"] = float(problem.first_order_mse)
-        record["second_order_bias"] = float(problem.second_order_bias)
-        record["elements_at_floor"] = problem.elements_at_floor
-
+    if config.taper:
+        record["metric"] = problem.cost.metric
+        record["cost_text"] = problem.cost.to_text(label, bond, config.method)
+        record["term_stats"] = tapering_stats(basis, hq, ints.n_elec, kernel=kernel)
+    else:
+        # the ablation has no sampling cost, and every operator is whole
+        record["metric"] = record["cost_text"] = None
+        record["term_stats"] = {
+            "avg_term_ratio": 1.0,
+            "max_term_ratio": 1.0,
+            "avg_norm_ratio": 1.0,
+            "max_norm_ratio": 1.0,
+            "original_terms": _measured_terms(hq)[0],
+        }
+    sampler = problem.sampler
+    if sampler is not None:
+        record["first_order_mse"] = float(sampler.first_order_mse)
+        record["second_order_bias"] = float(sampler.second_order_bias)
+        record["elements_at_floor"] = sampler.elements_at_floor
+        record["shots_total"] = int(sum(sum(v) for v in sampler.shots.values()))
+        record["floor_shots"] = sampler.floor_shots
     if relaxation:
         record["relaxation"] = relaxation
-    if problem.shots is not None:
-        record["shots_total"] = int(sum(sum(v) for v in problem.shots.values()))
-        record["floor_shots"] = problem.floor_shots
+    # the oracle's sector matrix is the geometry's largest allocation, so
+    # the kernel, the sampler and their memos go first
+    del kernel, problem, sampler
+    fci = fci_oracle(hq, ints.n_elec, 0.0)
+    record["e_fci"] = fci.energy
+    record["error"] = record["e_min"] - fci.energy
 
     # circuit resources over every distinct state pair, estimated once per
     # distinct (kind, omega, rotation count) of bra and ket

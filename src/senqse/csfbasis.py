@@ -625,7 +625,7 @@ class CsfElementEngine:
         made = {}
         if new:
             stack = np.array([self._amplitudes(k) for k in new])
-            made = dict(zip(new, apply_pauli_sum(stack, self.n_orb, op)))
+            made = dict(zip(new, apply_pauli_sum(stack, op)))
             memo.update(((bra_bits, k), p) for k, p in made.items() if isinstance(k, CsfSpec))
         products = [made[k] if k in made else memo[bra_bits, k] for k in kets]
         return real_block([self._amplitudes(b) for b in bras], products)

@@ -13,7 +13,7 @@ alike, is that of one outcome of its ``FragmentSampler``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def fragment_variance(state: StateVector, fragment: PauliArrays) -> float:
     """
     check_hermitian(fragment, MeasureError)
     amps = state.amplitudes
-    f_psi = apply_pauli_sum(amps, fragment.n_qubits, fragment)
+    f_psi = apply_pauli_sum(amps, fragment)
     norm = np.vdot(amps, amps).real
     mean = np.vdot(amps, f_psi) / norm
     if abs(mean.imag) > 1e-9:
@@ -197,24 +197,16 @@ class CostReport:
     """
 
     sigma: np.ndarray
-    c0: np.ndarray
     metric: float
     element_proportions: dict
-    fragment_proportions: dict = field(default_factory=dict)
-    system: str = ""
-    bond: float = float("nan")
-    method: str = ""
+    fragment_proportions: dict
 
-    @property
-    def basis_size(self) -> int:
-        return len(self.c0)
-
-    def to_text(self) -> str:
+    def to_text(self, system: str, bond: float, method: str) -> str:
         lines = [
-            f"system: {self.system}",
-            f"bond: {self.bond!r}",
-            f"method: {self.method}",
-            f"basis_size: {self.basis_size}",
+            f"system: {system}",
+            f"bond: {bond!r}",
+            f"method: {method}",
+            f"basis_size: {len(self.sigma)}",
             f"metric: {self.metric!r}",
             "elements:",
         ]
@@ -229,12 +221,7 @@ class CostReport:
 
 
 def allocate_and_score(
-    sigma: np.ndarray,
-    c0: np.ndarray,
-    fragment_sigmas: dict | None = None,
-    system: str = "",
-    bond: float = float("nan"),
-    method: str = "",
+    sigma: np.ndarray, c0: np.ndarray, fragment_sigmas: dict | None = None
 ) -> CostReport:
     """Optimal shot allocation and the squared-error x shots metric.
 
@@ -277,13 +264,9 @@ def allocate_and_score(
                 frag_props[key] = tuple(v / s for v in sigs)
     return CostReport(
         sigma=sigma,
-        c0=c0,
         metric=float(metric),
         element_proportions=props,
         fragment_proportions=frag_props,
-        system=system,
-        bond=bond,
-        method=method,
     )
 
 

@@ -115,20 +115,22 @@ def _term_table(keys, coeffs, index: np.ndarray):
     return src, _coefficients(keys, _factors(keys, coeffs), src)
 
 
-def apply_pauli_sum(amps: np.ndarray, n_qubits: int, op: PauliArrays) -> np.ndarray:
+def apply_pauli_sum(amps: np.ndarray, op: PauliArrays) -> np.ndarray:
     """op |amps>, formed from the nonzero amplitudes only.
 
-    ``amps`` is one state or a stack of states along its leading
-    axis; the terms' factors are formed once, and each state is applied on
-    its own.  At each index k where the state is nonzero, every block of
-    terms forms coef * amp and adds it into k ^ x with ``np.add.at``, which
-    applies repeated indices in order, so every output amplitude is summed
-    from +0 in term order.  A left-out term would add a signed zero to a
-    sum that is never -0, so the bits are those of the same sum over the
-    whole register.  A block holds at most BLOCK_AMPLITUDES contributions
-    (one term at least), so a stack needs the scratch of one state.
+    ``amps`` is one state or a stack of states along its leading axis, each
+    on the register of ``op`` (a last axis other than 2**op.n_qubits is a
+    SimulatorError); the terms' factors are formed once, and each state is
+    applied on its own.  At each index k where the state is nonzero, every
+    block of terms forms coef * amp and adds it into k ^ x with
+    ``np.add.at``, which applies repeated indices in order, so every output
+    amplitude is summed from +0 in term order.  A left-out term would add a
+    signed zero to a sum that is never -0, so the bits are those of the same
+    sum over the whole register.  A block holds at most BLOCK_AMPLITUDES
+    contributions (one term at least), so a stack needs the scratch of one
+    state.
     """
-    dim = 2**n_qubits
+    dim = 2**op.n_qubits
     if dim != amps.shape[-1]:
         raise SimulatorError("amplitude length mismatch")
     factors = _factors(op.keys, op.coeffs)

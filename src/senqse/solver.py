@@ -35,6 +35,8 @@ from senqse.fermion import (
     rotate_orbitals,
 )
 from senqse.measure import (
+    CostReport,
+    allocate_and_score,
     build_swap_operator,
     measure_by_fragment,
     shift_constant,
@@ -67,28 +69,19 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubspaceProblem:
-    """Subspace matrix with its ground eigenpair and sampling metadata.
+    """Subspace matrix with its ground eigenpair and what measuring it costs.
 
-    In sampled mode ``first_order_mse`` and ``second_order_bias`` are the
-    error the shot table predicts for the ground energy (see MatrixSampler),
-    ``elements_at_floor`` counts the sampled elements its error floor
-    binds, ``floor_shots`` is the shots its floors need (more than the
-    budget when they were scaled to fit), and ``exact_c0`` is the ground
-    vector of the exact matrix (``c0`` belongs to the drawn one).
+    ``sampler`` is the ``MatrixSampler`` a sampled build drew ``hmat`` from,
+    and ``cost`` the ``measure.CostReport`` of a tapered build that prices
+    its elements (see ``build_subspace``); each is None otherwise.
     """
 
     hmat: np.ndarray
     basis: tuple
     e_min: float
     c0: np.ndarray
-    sigma: np.ndarray | None = None
-    fragment_sigmas: dict | None = None
-    shots: dict | None = None
-    first_order_mse: float | None = None
-    second_order_bias: float | None = None
-    elements_at_floor: int | None = None
-    floor_shots: int | None = None
-    exact_c0: np.ndarray | None = None
+    sampler: MatrixSampler | None = None
+    cost: CostReport | None = None
 
 
 def ground_state(hmat: np.ndarray):
@@ -218,7 +211,7 @@ class SubspaceEngine:
             if (bra_bits, ket_bits) not in self._xmats:
                 self._xmats[bra_bits, ket_bits] = _real_part(dense_matrix(op))
             return vecs @ self._xmats[bra_bits, ket_bits].T
-        return _real_part(apply_pauli_sum(vecs, self.n_orb, op))
+        return _real_part(apply_pauli_sum(vecs, op))
 
     def _item(self, mu: int):
         """State mu as ``kernel.block`` takes it (see the class docstring)."""
@@ -358,7 +351,9 @@ class MatrixSampler:
     Where its floors fit the budget, ``make_matrix_sampler``'s table holds
     the bias within BIAS_KAPPA sqrt(first_order_mse) before integer
     rounding.  ``coefficients`` is
-    ``_error_coefficients`` of the exact matrix over every planned element;
+    ``_error_coefficients`` of the exact matrix over every planned element,
+    and ``exact_c0`` the exact matrix's ground vector from the same
+    eigendecomposition (its sign as ``np.linalg.eigh`` returns it);
     ``floor_shots`` is the sum of the floors ``make_matrix_sampler`` set,
     which may exceed the budget (None on a sampler built from a given
     table).
@@ -368,6 +363,7 @@ class MatrixSampler:
     plan: dict
     shots: dict
     coefficients: tuple = field(repr=False, compare=False)
+    exact_c0: np.ndarray = field(repr=False, compare=False)
     floor_shots: int | None = None
     first_order_mse: float = field(init=False)
     second_order_bias: float = field(init=False)
@@ -525,7 +521,8 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     # sigma_e = 0: every draw is exact, one shot per fragment
     shots = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
     keys = [key for key, (_, sigs) in plan.items() if sum(sigs) > 0]
-    coefficients = _error_coefficients(np.linalg.eigh(exact), plan)
+    spectrum = np.linalg.eigh(exact)
+    coefficients = _error_coefficients(spectrum, plan)
     gap, weight, beta = coefficients
     sig = np.array([sum(plan[k][1]) for k in keys])
     n_frag = np.array([len(plan[k][1]) for k in keys], dtype=float)
@@ -551,6 +548,7 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
         plan=plan,
         shots=shots,
         coefficients=coefficients,
+        exact_c0=spectrum[1][:, 0].copy(),  # not a view pinning every vector
         floor_shots=int(floor.sum()),
     )
     if scaled:
@@ -577,7 +575,7 @@ def _full_register_matrix(engine: SubspaceEngine) -> np.ndarray:
     states = [full_state(b, engine.n_orb, engine.n_elec).amplitudes for b in engine.basis]
 
     def block(bra_bits, ket_bits, bras, kets):
-        return real_block(bras, apply_pauli_sum(np.array(kets), 2 * engine.n_orb, engine.hq))
+        return real_block(bras, apply_pauli_sum(np.array(kets), engine.hq))
 
     return symmetric_matrix([0] * engine.size, states, block)
 
@@ -600,8 +598,12 @@ def build_subspace(
     ``mode="sampled"`` draws finite-shot estimates for the elements that
     involve rotations, with the total budget `shots` split optimally.
     ``kernel`` is the geometry's element kernel (see ``SubspaceEngine``).
-    ``taper=False`` is the ablation: the exact matrix is built on the full
-    register by ``_full_register_matrix``, with no sampling and no sigma.
+    A sampled build, and an exact one with ``compute_sigma``, price their
+    elements in ``cost``: ``allocate_and_score`` of the sampling plan's
+    deviations (the sampler's own plan in sampled mode) weighted by the
+    exact matrix's ground vector.  ``taper=False`` is the ablation: the
+    exact matrix is built on the full register by ``_full_register_matrix``,
+    with no sampling and no cost.
     """
     engine = SubspaceEngine(
         basis, hq, n_elec, constant_shift=constant_shift, kernel=kernel
@@ -611,38 +613,23 @@ def build_subspace(
             raise SolverError("sampling requires the tapered representation")
         if compute_sigma:
             raise SolverError("sigma accounting requires the tapered path")
-    sigma = fragment_sigmas = None
-    diagnostics = {}
+    sampler = cost = None
     if mode == "exact":
         hmat = engine.exact_matrix() if taper else _full_register_matrix(engine)
-        if compute_sigma:
-            sigma, fragment_sigmas = engine.sigma_matrix(engine.sampling_plan())
+        plan = engine.sampling_plan() if compute_sigma else None
     elif mode == "sampled":
         if shots is None or seed is None:
             raise SolverError("sampled mode requires shots and seed")
         sampler = make_matrix_sampler(engine, shots)
-        hmat = sampler.draw(seed)
-        sigma, fragment_sigmas = engine.sigma_matrix(sampler.plan)
-        diagnostics = dict(
-            shots=sampler.shots,
-            first_order_mse=sampler.first_order_mse,
-            second_order_bias=sampler.second_order_bias,
-            elements_at_floor=sampler.elements_at_floor,
-            floor_shots=sampler.floor_shots,
-            exact_c0=np.asarray(ground_state(sampler.exact)[1]),
-        )
+        hmat, plan = sampler.draw(seed), sampler.plan
     else:
         raise SolverError(f"unknown mode {mode!r}")
     e_min, c0 = ground_state(hmat)
-    return SubspaceProblem(
-        hmat=hmat,
-        basis=tuple(engine.basis),
-        e_min=e_min,
-        c0=np.asarray(c0),
-        sigma=sigma,
-        fragment_sigmas=fragment_sigmas,
-        **diagnostics,
-    )
+    if plan is not None:
+        sigma, fragment_sigmas = engine.sigma_matrix(plan)
+        exact_c0 = c0 if sampler is None else sampler.exact_c0
+        cost = allocate_and_score(sigma, exact_c0, fragment_sigmas)
+    return SubspaceProblem(hmat, tuple(engine.basis), e_min, np.asarray(c0), sampler, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +638,13 @@ def build_subspace(
 
 
 # vo_optimize: stage-2b energy tolerance (Ha) and sweep cap, the stage-2a
-# sweep cap, and the nudge given to an all-zero start
+# sweep cap, and the nudge given to an all-zero start; relax_orbitals:
+# Powell's iteration cap
 _TOL = 1e-7
 _MAX_SWEEPS = 60
 _BRANCH_SWEEPS = 20
 _INITIAL_PERTURBATION = 1e-2
+_RELAX_ITERATIONS = 40
 # _periodic_line_search: the step (rad) that ends a search, the cap on its
 # Newton/bisection steps, the relative energy change that counts as rounding
 # (below it the objective is flat, and a grid point that improves on the
@@ -1023,7 +1012,7 @@ def vo_optimize(basis, hq: PauliArrays, n_elec: int, kernel=None):
     return tuple(engine.basis), problem, history
 
 
-def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
+def relax_orbitals(basis, ints: FermionIntegrals):
     """Minimize the subspace energy over a common orbital rotation.
 
     The outer loop transforms the integrals by exp(t), rebuilds the qubit
@@ -1049,7 +1038,7 @@ def relax_orbitals(basis, ints: FermionIntegrals, maxiter: int = 40):
     x0 = np.zeros(n_amplitudes)
     objective(x0)  # the start is the first best point; the best only falls
     res = scipy.optimize.minimize(
-        objective, x0, method="Powell", options={"maxiter": maxiter, "xtol": 1e-6}
+        objective, x0, method="Powell", options={"maxiter": _RELAX_ITERATIONS, "xtol": 1e-6}
     )
     if not res.success:
         log.warning("orbital relaxation stopped early: %s", res.message)

@@ -227,7 +227,7 @@ def matrix_element_exact(bra, op, ket) -> complex:
     """<bra|op|ket> from ``simulator.apply_pauli_sum``."""
     if not (bra.n_qubits == ket.n_qubits == op.n_qubits):
         raise simulator.SimulatorError("qubit count mismatch in matrix element")
-    return complex(np.vdot(bra.amplitudes, apply_pauli_sum(ket.amplitudes, ket.n_qubits, op)))
+    return complex(np.vdot(bra.amplitudes, apply_pauli_sum(ket.amplitudes, op)))
 
 
 def expectation(state, op) -> complex:

@@ -797,7 +797,7 @@ def vdot_element(kernel, bra_bits, bra, ket_bits, ket) -> float:
     op = kernel.xop(bra_bits, ket_bits)
     if not op:
         return 0.0
-    return float(np.vdot(bra, apply_pauli_sum(ket, kernel.n_orb, op)).real)
+    return float(np.vdot(bra, apply_pauli_sum(ket, op)).real)
 
 
 def reconstruct(fragments):

@@ -306,8 +306,8 @@ def test_zero_angle_basis_prices_one_outcome_fragments_at_zero(h2o_systems, h2o_
         *args, mode="sampled", shots=200_000, seed=0, kernel=engine.kernel
     )
     for problem in (exact, sampled):
-        assert problem.fragment_sigmas[1, 1][0] == 0.0
-        assert problem.fragment_sigmas[2, 2][0] == 0.0
+        assert problem.cost.fragment_proportions[1, 1][0] == 0.0
+        assert problem.cost.fragment_proportions[2, 2][0] == 0.0
 
 
 def test_criterion_7_grouping_correctness(h2o_systems, h2o_vo):

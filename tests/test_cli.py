@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import re
@@ -23,7 +24,13 @@ from senqse import cli, csfbasis, measure, resources, simulator, solver, taper
 from senqse.csfbasis import CsfElementEngine, parse_basis
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse.measure import allocate_and_score
-from senqse.solver import SubspaceEngine, build_subspace, make_matrix_sampler
+from senqse.solver import (
+    MatrixSampler,
+    SubspaceEngine,
+    build_subspace,
+    ground_state,
+    make_matrix_sampler,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 H2_PATHS = [str(FIXTURES / f"h2_{r}.fcidump") for r in ("0.7414", "1.0000", "1.5000")]
@@ -359,20 +366,26 @@ class TestRun:
         rec = run(cfg)["geometries"][0]
         assert plans == [1]
         ints = load_fcidump(H2_PATHS[2])
+        hq = jordan_wigner(ints)
         basis = parse_basis((out / f"{rec['label']}.basis.txt").read_text())
-        exact = build_subspace(
-            basis, jordan_wigner(ints), ints.n_elec, mode="exact", compute_sigma=True
-        )
-        report = allocate_and_score(
-            exact.sigma,
-            np.asarray(exact.c0, dtype=float),
-            exact.fragment_sigmas,
-            system=rec["label"],
-            bond=rec["bond"],
-            method="vo",
-        )
+        report = build_subspace(basis, hq, ints.n_elec, compute_sigma=True).cost
         assert rec["metric"] == report.metric
-        assert (out / f"{rec['label']}.cost.txt").read_text() == report.to_text()
+        text = report.to_text(rec["label"], rec["bond"], "vo")
+        assert (out / f"{rec['label']}.cost.txt").read_text() == text
+        # the sampled build's report: its sampler's plan, weighted by the
+        # exact matrix's ground vector
+        problem = build_subspace(
+            basis, hq, ints.n_elec, mode="sampled", shots=cfg.shots, seed=cfg.seed
+        )
+        sampler = problem.sampler
+        sigma, fragment_sigmas = SubspaceEngine(basis, hq, ints.n_elec).sigma_matrix(
+            sampler.plan
+        )
+        want = allocate_and_score(sigma, ground_state(sampler.exact)[1], fragment_sigmas)
+        assert np.array_equal(problem.cost.sigma, want.sigma)
+        assert problem.cost.metric == want.metric
+        assert problem.cost.element_proportions == want.element_proportions
+        assert problem.cost.fragment_proportions == want.fragment_proportions
 
     def test_exact_mode_independent_of_seed(self, tmp_path):
         recs = []
@@ -627,3 +640,26 @@ class TestElementKernel:
         [(engine, (sigma, fragment_sigmas))] = results
         plan_sigma, plan_fragments = sigma_matrix(engine, engine.sampling_plan())
         assert np.array_equal(sigma, plan_sigma) and fragment_sigmas == plan_fragments
+
+    def test_oracle_runs_with_no_kernel_or_sampler_alive(self, tmp_path, monkeypatch):
+        # the oracle's sector matrix is the geometry's largest allocation, so
+        # the driver lets the element kernel and the sampler go before it
+        def held():
+            gc.collect()
+            kinds = (CsfElementEngine, MatrixSampler)
+            return {id(o): type(o) for o in gc.get_objects() if isinstance(o, kinds)}
+
+        before, alive = held(), []
+        fci_oracle = cli.fci_oracle
+
+        def watched(*args):
+            alive.append([kind for key, kind in held().items() if key not in before])
+            return fci_oracle(*args)
+
+        monkeypatch.setattr(cli, "fci_oracle", watched)
+        for mode in ("sampled", "exact"):
+            rec = run_one_geometry(
+                H2_PATHS[2], tmp_path, method="vo", mode=mode, shots=2000, seed=5, eps1=0.5
+            )
+            assert rec["metric"] > 0.0
+        assert alive == [[], []]

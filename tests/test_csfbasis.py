@@ -417,9 +417,7 @@ class TestElementEngine:
             old = np.vdot(
                 reference.state(specs[a]).amplitudes,
                 apply_pauli_sum(
-                    reference.state(specs[b]).amplitudes,
-                    h2o.n_orb,
-                    reference.xop(bits[a], bits[b]),
+                    reference.state(specs[b]).amplitudes, reference.xop(bits[a], bits[b])
                 ),
             ).real
             assert got == old and math.copysign(1.0, got) == math.copysign(1.0, old)

@@ -407,10 +407,7 @@ class TestAllocateAndScore:
             np.array([[1.0, 0.5], [0.5, 2.0]]),
             np.array([0.8, 0.6]),
             fragment_sigmas={(0, 1): [0.3, 0.2]},
-            system="test",
-            bond=1.0,
-            method="vo",
         )
-        text = report.to_text()
-        assert "system: test" in text
+        text = report.to_text("test", 1.0, "vo")
+        assert "system: test" in text and "basis_size: 2" in text
         assert "(0,1)" in text and "fragments=" in text

@@ -26,7 +26,12 @@ from senqse.csfbasis import (
     select_basis_vo,
 )
 from senqse.fermion import jordan_wigner, load_fcidump
-from senqse.measure import build_swap_operator, fragment_variance, sorted_insertion
+from senqse.measure import (
+    allocate_and_score,
+    build_swap_operator,
+    fragment_variance,
+    sorted_insertion,
+)
 from senqse.simulator import (
     BLOCK_AMPLITUDES,
     FragmentSampler,
@@ -255,7 +260,7 @@ def assert_applies_like_oracle(amps, n_qubits, op):
     """apply_pauli_sum equals bit for bit, signed zeros included, the dense
     gather pass it replaced on the whole of ``amps`` (one state or a stack)
     and the term-by-term loop on each state."""
-    got = apply_pauli_sum(amps, n_qubits, op)
+    got = apply_pauli_sum(amps, op)
     assert got.shape == amps.shape
     assert np.array_equal(bits(got), bits(oracles.dense_gather_apply(amps, n_qubits, op)))
     dim = 2**n_qubits
@@ -313,14 +318,18 @@ class TestApplyPauliSum:
     def test_empty_and_identity_only(self):
         amps = random_state(np.random.default_rng(101), 3).amplitudes
         assert_applies_like_oracle(amps, 3, as_arrays(PauliSum(3)))
-        assert not apply_pauli_sum(amps, 3, as_arrays(PauliSum(3))).any()
+        assert not apply_pauli_sum(amps, as_arrays(PauliSum(3))).any()
         ident = as_arrays(PauliSum(3, {(0, 0): -0.625 + 0.25j}))
         assert_applies_like_oracle(amps, 3, ident)
-        assert np.array_equal(apply_pauli_sum(amps, 3, ident), (-0.625 + 0.25j) * amps)
+        assert np.array_equal(apply_pauli_sum(amps, ident), (-0.625 + 0.25j) * amps)
 
     def test_length_mismatch(self):
-        with pytest.raises(SimulatorError):
-            apply_pauli_sum(np.ones(4, dtype=complex), 3, as_arrays(PauliSum(3)))
+        # the register is the operator's: on a 2-qubit state a 3-qubit Z2
+        # would read as the identity, and X2 would index past the state
+        for label in ("", "Z2", "X2"):
+            op = PauliSum.from_label(label, 1.0, 3) if label else PauliSum(3)
+            with pytest.raises(SimulatorError):
+                apply_pauli_sum(np.ones(4, dtype=complex), as_arrays(op))
 
     def test_dense_matrix_columns_are_applied_basis_states(self):
         rng = np.random.default_rng(103)
@@ -329,7 +338,7 @@ class TestApplyPauliSum:
         for j in range(16):
             ket = np.zeros(16, dtype=complex)
             ket[j] = 1.0
-            assert np.array_equal(mat[:, j], apply_pauli_sum(ket, 4, op))
+            assert np.array_equal(mat[:, j], apply_pauli_sum(ket, op))
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +369,7 @@ class TestSupportPass:
             assert np.count_nonzero(amps) < len(amps)
             op = kernel.xop(bra_bits, kernel.bits(spec))
             assert_applies_like_oracle(amps, kernel.n_orb, op)
-            assert np.array_equal(bits(product), bits(apply_pauli_sum(amps, kernel.n_orb, op)))
+            assert np.array_equal(bits(product), bits(apply_pauli_sum(amps, op)))
 
     def test_kernel_operators_match_dict_table(self, h2o_pt_kernel, h2o_engine):
         # every effective operator the PT selection and the VO basis memoise
@@ -407,7 +416,7 @@ class TestSupportPass:
         op = random_sum(rng, 5, 30, real=False)
         amps = np.zeros(32, dtype=complex)
         assert_applies_like_oracle(amps, 5, op)
-        assert not np.any(bits(apply_pauli_sum(amps, 5, op)))  # every entry +0
+        assert not np.any(bits(apply_pauli_sum(amps, op)))  # every entry +0
         amps[[1, 6, 9, 20]] = [complex(-0.0, 0.0), complex(0.0, -0.0), -0.0, 0.5]
         amps[[3, 11]] = [complex(-0.0, 0.75), complex(-0.25, -0.0)]
         assert_applies_like_oracle(amps, 5, op)
@@ -456,19 +465,18 @@ class TestSupportPass:
                 return getattr(np, name)
 
         monkeypatch.setattr(simulator, "np", CountingNumpy())
-        n = 2 * h2o_engine.n_orb
         images = np.array(
             [
                 full_state(b, h2o_engine.n_orb, h2o_engine.n_elec).amplitudes
                 for b in h2o_engine.basis
             ]
         )
-        apply_pauli_sum(images, n, h2o_engine.hq)
+        apply_pauli_sum(images, h2o_engine.hq)
         assert len(sizes) > 1 and max(sizes) <= BLOCK_AMPLITUDES
         # a block holds one term at least, whatever the bound
         sizes.clear()
         monkeypatch.setattr(simulator, "BLOCK_AMPLITUDES", 1)
-        apply_pauli_sum(images[0], n, h2o_engine.hq)
+        apply_pauli_sum(images[0], h2o_engine.hq)
         assert sizes == [np.count_nonzero(images[0])] * h2o_engine.hq.n_terms
 
 
@@ -538,7 +546,7 @@ def assert_matches_eigh(state, fragment):
 
 def assert_moments_exact(state, fragment, sampler):
     amps = state.amplitudes
-    mean = np.vdot(amps, apply_pauli_sum(amps, state.n_qubits, fragment)).real
+    mean = np.vdot(amps, apply_pauli_sum(amps, fragment)).real
     assert sampler.mean == pytest.approx(mean, abs=1e-10)
     var = oracles.per_state_variance(state, fragment)
     assert sampler.variance == pytest.approx(var, abs=1e-10)
@@ -875,8 +883,10 @@ class TestGroupedPlan:
                 kernel=engine.kernel,
             )
             want_sigma, want_fragments = engine.sigma_matrix(reference)
-            assert np.array_equal(problem.sigma, want_sigma)
-            assert problem.fragment_sigmas == want_fragments
+            want = allocate_and_score(want_sigma, problem.c0, want_fragments)
+            assert np.array_equal(problem.cost.sigma, want_sigma)
+            assert problem.cost.fragment_proportions == want.fragment_proportions
+            assert problem.cost.metric == want.metric
 
     def test_shift_reads_each_diagonal_once(self, h2o_engine, monkeypatch):
         calls = []

@@ -386,7 +386,7 @@ class TestBuildSubspace:
         for mu, nu in pairs:
             bra, ket = reference.state(mu).amplitudes, reference.state(nu).amplitudes
             op = reference.xop(mu, nu)
-            old[mu, nu] = np.vdot(bra, solver.apply_pauli_sum(ket, h2o.n_orb, op)).real
+            old[mu, nu] = np.vdot(bra, solver.apply_pauli_sum(ket, op)).real
 
         def refuse(*args):
             raise AssertionError("an empty operator was applied")
@@ -428,14 +428,10 @@ class TestBuildSubspace:
         same = np.array([[a == b for b in configs] for a in configs])
         np.fill_diagonal(same, False)
         assert np.count_nonzero(np.triu(same)) == 39
-        assert np.array_equal(on.sigma[~same], off.sigma[~same])
-        assert np.all(off.sigma[same] >= on.sigma[same])
-        metrics = [
-            allocate_and_score(p.sigma, p.c0.astype(float), p.fragment_sigmas).metric
-            for p in (on, off)
-        ]
-        assert metrics[0] == pytest.approx(12.83, rel=1e-3)
-        assert metrics[1] == pytest.approx(23681, rel=1e-4)
+        assert np.array_equal(on.cost.sigma[~same], off.cost.sigma[~same])
+        assert np.all(off.cost.sigma[same] >= on.cost.sigma[same])
+        assert on.cost.metric == pytest.approx(12.83, rel=1e-3)
+        assert off.cost.metric == pytest.approx(23681, rel=1e-4)
 
     def test_variational_bound_and_nesting(self, h2_hq, h2):
         fci = fci_oracle(h2_hq, 2, 0.0).energy
@@ -508,9 +504,9 @@ class TestBuildSubspace:
         sampled = build_subspace(
             basis, h2_hq, 2, mode="sampled", shots=200_000, seed=3
         )
-        assert sampled.shots is not None
+        assert sampled.sampler is not None
         assert sampled.e_min == pytest.approx(exact_problem.e_min, abs=5e-3)
-        assert sampled.sigma is not None and sampled.sigma.max() > 0
+        assert sampled.cost is not None and sampled.cost.sigma.max() > 0
 
     def test_sampled_requires_args(self, h2_hq):
         basis = [BasisState(CsfSpec(CsfKind.HF), (), "hf")]
@@ -581,11 +577,13 @@ def first_order_table(engine, plan, total_shots):
     table = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
     for key, m in zip(live, _integer_split(total_shots, [shares[k] for k in live])):
         table[key] = _integer_split(max(m, len(plan[key][1])), plan[key][1])
+    spectrum = np.linalg.eigh(exact)
     return MatrixSampler(
         exact=exact,
         plan=plan,
         shots=table,
-        coefficients=solver._error_coefficients(np.linalg.eigh(exact), plan),
+        coefficients=solver._error_coefficients(spectrum, plan),
+        exact_c0=spectrum[1][:, 0],
     )
 
 
@@ -841,6 +839,7 @@ class TestMatrixDraws:
                 plan=plan,
                 shots={(0, 0): [5]},
                 coefficients=solver._error_coefficients(np.linalg.eigh(np.zeros((1, 1))), plan),
+                exact_c0=np.ones(1),
             )
             if fails:
                 with pytest.raises(SolverError, match="cannot be drawn"):
@@ -878,9 +877,33 @@ class TestMatrixDraws:
             coefficients=solver._error_coefficients(
                 np.linalg.eigh(sampler.exact), sampler.plan
             ),
+            exact_c0=sampler.exact_c0,
         )
         for name in ("first_order_mse", "second_order_bias", "elements_at_floor"):
             assert getattr(alone, name) == getattr(sampler, name) == getattr(h2o_sampler, name)
+
+    def test_sampled_build_eigensolves_exact_matrix_once(self, h2o, h2o_hq, monkeypatch):
+        # the shot table and the cost report's ground vector share the
+        # sampler's eigh of the exact matrix; the other eigh is the draw's
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(np.array(a))
+            return eigh(a)
+
+        basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
+        monkeypatch.setattr(solver.np.linalg, "eigh", counted)
+        problem = build_subspace(
+            basis, h2o_hq, h2o.n_elec, mode="sampled", shots=200_000, seed=0
+        )
+        monkeypatch.undo()
+        sampler = problem.sampler
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], sampler.exact)
+        assert np.array_equal(calls[1], problem.hmat)
+        c0 = ground_state(sampler.exact)[1]
+        assert np.array_equal(np.abs(sampler.exact_c0), np.abs(c0))
 
     def test_error_matches_prediction(self, h2o_sampler):
         # first-order MSE plus squared bias, and the bias itself, within 4 SE
@@ -1046,7 +1069,7 @@ class TestVoOptimize:
             if op:
                 linked += 1
                 rows = np.array(
-                    [solver.apply_pauli_sum(v, engine.n_orb, op) for v in model._u]
+                    [solver.apply_pauli_sum(v, op) for v in model._u]
                 )
                 assert not rows.imag.any()
                 assert got.tobytes() == rows.real.copy().tobytes()
@@ -1527,12 +1550,12 @@ class TestRelaxOrbitals:
     def test_h2_already_exact(self, h2, h2_hq):
         basis = select_basis_vo(h2, h2_hq, default_selection_params(h2))
         basis, problem, _ = vo_optimize(basis, h2_hq, 2)
-        rot, e_relaxed, _ = relax_orbitals(basis, h2, maxiter=3)
+        rot, e_relaxed, _ = relax_orbitals(basis, h2)
         assert e_relaxed == pytest.approx(problem.e_min, abs=1e-7)
         assert e_relaxed <= problem.e_min + 1e-10
 
     def test_relaxation_never_raises_energy(self, h2, h2_hq):
         basis = [BasisState(CsfSpec(CsfKind.HF), (), "hf")]
         e_fixed = build_subspace(basis, h2_hq, 2).e_min
-        rot, e_relaxed, history = relax_orbitals(basis, h2, maxiter=5)
+        rot, e_relaxed, history = relax_orbitals(basis, h2)
         assert e_relaxed <= e_fixed + 1e-12
