@@ -898,8 +898,9 @@ _ROTS_RE = re.compile(f"(?:{_ROT_RE.pattern})*")
 def parse_basis(text: str) -> list:
     """Basis states from ``serialize_basis`` records, one per line.
 
-    Any record that does not parse in full, or names an invalid state,
-    raises BasisError quoting the record.
+    Any record that does not parse in full, names an invalid state or
+    holds an angle theta whose 2*theta is not finite raises BasisError
+    quoting the record.
     """
     basis = []
     for raw in text.splitlines():
@@ -919,6 +920,8 @@ def parse_basis(text: str) -> list:
                 (int(r), int(s), float(th))
                 for r, s, th in _ROT_RE.findall(m.group("rot"))
             )
+            if not all(math.isfinite(2.0 * th) for _, _, th in rots):
+                raise ValueError("rotation angle 2*theta is not finite")
             spec = CsfSpec(CsfKind(m.group("kind")), indices, moves)
             basis.append(BasisState(spec, rots, m.group("label")))
         except ValueError as exc:

@@ -116,6 +116,8 @@ def parse_fcidump(text: str) -> FermionIntegrals:
     n_orb, n_elec, ms2 = map(header_int, ("NORB", "NELEC", "MS2"))
     if n_orb < 1:
         raise FcidumpError(f"bad NORB {n_orb}")
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise FcidumpError(f"NELEC={n_elec} outside 0..2*NORB with NORB={n_orb}")
     if n_elec % 2 != 0 or ms2 != 0:
         raise FcidumpError(
             f"only closed-shell singlet inputs supported (NELEC={n_elec}, MS2={ms2})"

@@ -43,7 +43,6 @@ class SwapTestOperator:
 
     op: PauliArrays
     c_x: float
-    shifted: bool = False
 
     @property
     def ancilla(self) -> int:
@@ -99,7 +98,7 @@ def shift_constant(s: SwapTestOperator, h_mm: float, h_nn: float) -> SwapTestOpe
     keys = np.concatenate([s.op.keys, x_one])
     coeffs = np.append(s.op.coeffs, 0.0)
     coeffs[(keys == x_one).all(axis=1).argmax()] += new_cx - s.c_x
-    return SwapTestOperator(op=_kept(s.op.n_qubits, keys, coeffs), c_x=new_cx, shifted=True)
+    return SwapTestOperator(op=_kept(s.op.n_qubits, keys, coeffs), c_x=new_cx)
 
 
 def sorted_insertion(op: PauliArrays) -> tuple:
@@ -220,9 +219,7 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def allocate_and_score(
-    sigma: np.ndarray, c0: np.ndarray, fragment_sigmas: dict | None = None
-) -> CostReport:
+def allocate_and_score(sigma: np.ndarray, c0: np.ndarray, fragment_sigmas: dict) -> CostReport:
     """Optimal shot allocation and the squared-error x shots metric.
 
     Minimizing the first-order mean-square energy error at a fixed total
@@ -257,11 +254,10 @@ def allocate_and_score(
     props = {key: (w / total if total > 0 else 0.0) for key, w in weights.items()}
 
     frag_props = {}
-    if fragment_sigmas:
-        for key, sigs in fragment_sigmas.items():
-            s = sum(sigs)
-            if s > 0:
-                frag_props[key] = tuple(v / s for v in sigs)
+    for key, sigs in fragment_sigmas.items():
+        s = sum(sigs)
+        if s > 0:
+            frag_props[key] = tuple(v / s for v in sigs)
     return CostReport(
         sigma=sigma,
         metric=float(metric),

@@ -29,17 +29,18 @@ CSWAP_DEPTH_PER_ORBITAL = 12
 
 @dataclass(frozen=True)
 class ResourceEstimate:
-    cnots: int
-    depth: int
     breakdown: dict  # component -> (cnots, depth)
 
-    def __post_init__(self):
-        totals = tuple(map(sum, zip(*self.breakdown.values())))
-        if totals != (self.cnots, self.depth):
-            raise ValueError("totals do not match the component breakdown")
+    @property
+    def cnots(self) -> int:
+        return sum(c for c, _ in self.breakdown.values())
+
+    @property
+    def depth(self) -> int:
+        return sum(d for _, d in self.breakdown.values())
 
 
-def controlled_prep_cost(kind: CsfKind, n_elec: int, omega: int | None = None) -> tuple:
+def controlled_prep_cost(kind: CsfKind, n_elec: int, omega: int) -> tuple:
     if n_elec % 2:
         raise ValueError("electron count must be even")
     base = n_elec // 2
@@ -65,6 +66,4 @@ def estimate_pair(
             CSWAP_DEPTH_PER_ORBITAL * n_orb,
         ),
     }
-    cnots = sum(c for c, _ in breakdown.values())
-    depth = sum(d for _, d in breakdown.values())
-    return ResourceEstimate(cnots=cnots, depth=depth, breakdown=breakdown)
+    return ResourceEstimate(breakdown)

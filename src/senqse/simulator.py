@@ -60,7 +60,7 @@ class StateVector:
                 f"amplitude length {amps.shape} does not match {self.n_qubits} qubits"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a nan norm fails too
             raise SimulatorError(f"state norm {norm} deviates from 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -77,7 +77,6 @@ class SubspaceProblem:
     """
 
     hmat: np.ndarray
-    basis: tuple
     e_min: float
     c0: np.ndarray
     sampler: MatrixSampler | None = None
@@ -87,8 +86,8 @@ class SubspaceProblem:
 def ground_state(hmat: np.ndarray):
     """Lowest eigenpair; the largest eigenvector entry is made real positive."""
     hmat = np.asarray(hmat)
-    if np.max(np.abs(hmat - hmat.conj().T), initial=0.0) > HERMITICITY_TOL:
-        raise SolverError("subspace matrix is not Hermitian")
+    if not np.max(np.abs(hmat - hmat.conj().T), initial=0.0) <= HERMITICITY_TOL:
+        raise SolverError("subspace matrix is not Hermitian (or not finite)")
     vals, vecs = np.linalg.eigh(hmat)
     c0 = vecs[:, 0]
     k = int(np.argmax(np.abs(c0)))
@@ -227,23 +226,22 @@ class SubspaceEngine:
 
     # -- sampling ----------------------------------------------------------
 
-    def _measurables(self, elements):
+    def _measurables(self, elements, exact):
         """(element, prepare, fragments) of each element, which measures
         its fragments on the state ``prepare()``: a diagonal element's
         effective operator on the basis state, an off-diagonal one's
         swap-test operator on the two-state superposition, its constant
-        shifted by the exact diagonal elements when both states share a
-        seniority config.
+        shifted by the diagonal of ``exact`` (``exact_matrix``) when both
+        states share a seniority config.
 
-        The swap-test operator is built once per config pair, each exact
-        diagonal element the shift reads is taken once, and each distinct
-        operator is sorted once (a diagonal element's operator is fixed by
-        its config, a swap-test one by its config pair and constant), so
-        the elements that share an operator share its fragments.  A
-        swap-test state is prepared on each call, so that the elements'
-        states are not all held at once.
+        The swap-test operator is built once per config pair and each
+        distinct operator is sorted once (a diagonal element's operator is
+        fixed by its config, a swap-test one by its config pair and
+        constant), so the elements that share an operator share its
+        fragments.  A swap-test state is prepared on each call, so that
+        the elements' states are not all held at once.
         """
-        swaps, diagonal, fragment_sets = {}, {}, {}
+        swaps, fragment_sets = {}, {}
         for mu, nu in elements:
             bra, ket = self._configs[mu], self._configs[nu]
             prepare, op, key = partial(self.state, mu), self.xop(mu, nu), bra
@@ -252,22 +250,20 @@ class SubspaceEngine:
                     swaps[bra, ket] = build_swap_operator(op)
                 swap = swaps[bra, ket]
                 if self.constant_shift and bra == ket:
-                    for k in (mu, nu):
-                        if k not in diagonal:
-                            diagonal[k] = self.element_exact(k, k)
-                    swap = shift_constant(swap, diagonal[mu], diagonal[nu])
+                    swap = shift_constant(swap, exact[mu, mu], exact[nu, nu])
                 prepare = partial(prepare_swap_state, self.state(mu), self.state(nu))
                 op, key = swap.op, (bra, ket, swap.c_x)
             if key not in fragment_sets:
                 fragment_sets[key] = sorted_insertion(op)
             yield (mu, nu), prepare, fragment_sets[key]
 
-    def sampling_plan(self):
+    def sampling_plan(self, exact: np.ndarray):
         """{element: (samplers, deviations)} of every non-classical element,
-        from ``measure.measure_by_fragment``."""
+        from ``measure.measure_by_fragment``; ``exact`` is the engine's
+        ``exact_matrix``, whose diagonal the constant shift reads."""
         pairs = itertools.combinations_with_replacement(range(self.size), 2)
         elements = [key for key in pairs if not self.is_classical(*key)]
-        return measure_by_fragment(self._measurables(elements))
+        return measure_by_fragment(self._measurables(elements, exact))
 
     def sigma_matrix(self, plan):
         """Per-element optimal-allocation deviations and fragment splits,
@@ -516,8 +512,8 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     """
     if total_shots < 1:
         raise SolverError("sampled mode needs shots >= 1")
-    plan = engine.sampling_plan()
     exact = engine.exact_matrix()
+    plan = engine.sampling_plan(exact)
     # sigma_e = 0: every draw is exact, one shot per fragment
     shots = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
     keys = [key for key, (_, sigs) in plan.items() if sum(sigs) > 0]
@@ -616,7 +612,7 @@ def build_subspace(
     sampler = cost = None
     if mode == "exact":
         hmat = engine.exact_matrix() if taper else _full_register_matrix(engine)
-        plan = engine.sampling_plan() if compute_sigma else None
+        plan = engine.sampling_plan(hmat) if compute_sigma else None
     elif mode == "sampled":
         if shots is None or seed is None:
             raise SolverError("sampled mode requires shots and seed")
@@ -629,7 +625,7 @@ def build_subspace(
         sigma, fragment_sigmas = engine.sigma_matrix(plan)
         exact_c0 = c0 if sampler is None else sampler.exact_c0
         cost = allocate_and_score(sigma, exact_c0, fragment_sigmas)
-    return SubspaceProblem(hmat, tuple(engine.basis), e_min, np.asarray(c0), sampler, cost)
+    return SubspaceProblem(hmat, e_min, np.asarray(c0), sampler, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -876,10 +872,12 @@ def vo_optimize(basis, hq: PauliArrays, n_elec: int, kernel=None):
     first nudged by a fixed perturbation so symmetric stationary points
     cannot pin the search.  Returns (optimized basis, SubspaceProblem,
     energy history); the history is non-increasing, and the returned
-    problem is an exact rebuild of the final basis.  A stage that reaches
-    its sweep cap away from tolerance logs a warning and keeps the angles
-    it has.  ``kernel`` is the geometry's element kernel (see
-    ``SubspaceEngine``).
+    problem is the ground state of the matrix the sweeps keep, which
+    agrees with an exact rebuild of the final basis to rounding (a few
+    1e-14 Ha on H2O).  A rotation-free basis has no slot to move, so each
+    stage ends after its first sweep.  A stage that reaches its sweep cap
+    away from tolerance logs a warning and keeps the angles it has.
+    ``kernel`` is the geometry's element kernel (see ``SubspaceEngine``).
     """
     engine = SubspaceEngine(basis, hq, n_elec, kernel=kernel)
     groups = index_groups([rotation_group_key(b.csf, engine.n_orb) for b in engine.basis])
@@ -896,10 +894,6 @@ def vo_optimize(basis, hq: PauliArrays, n_elec: int, kernel=None):
         for bits, members in groups.items()
         for k in range(len(engine.basis[members[0]].rotations))
     ]
-    if not slots:
-        hmat = engine.exact_matrix()
-        e, c0 = ground_state(hmat)
-        return tuple(engine.basis), SubspaceProblem(hmat, tuple(engine.basis), e, c0), [e]
 
     # per group, X(c, c') applied to the stack of config c''s other states
     # (see _SlotModel.matrix_fn); they stay valid until a state of c' moves
@@ -1006,10 +1000,8 @@ def vo_optimize(basis, hq: PauliArrays, n_elec: int, kernel=None):
             history[-2] - history[-1],
         )
 
-    hmat = engine.exact_matrix()
-    e_min, c0 = ground_state(hmat)
-    problem = SubspaceProblem(hmat, tuple(engine.basis), e_min, c0)
-    return tuple(engine.basis), problem, history
+    e_min, c0 = ground_state(h)
+    return tuple(engine.basis), SubspaceProblem(h, e_min, c0), history
 
 
 def relax_orbitals(basis, ints: FermionIntegrals):

@@ -295,7 +295,7 @@ class SubspaceEngine(solver.SubspaceEngine):
         """(state, fragments) realizing the element as expectation values:
         the effective operator on the basis state for a diagonal element,
         the swap-test operator on the two-state superposition otherwise."""
-        [(_, prepare, frags)] = self._measurables([(mu, nu)])
+        [(_, prepare, frags)] = self._measurables([(mu, nu)], self.exact_matrix())
         return prepare(), frags
 
 

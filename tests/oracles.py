@@ -862,7 +862,7 @@ def reference_shift_constant(s, h_mm, h_nn):
     new_cx = s.c_x - 0.5 * (h_mm + h_nn)
     op = s.op.copy()
     op.add_term(1 << s.ancilla, 0, new_cx - s.c_x)
-    return SwapTestOperator(op=op.simplify(DROP_TOL), c_x=new_cx, shifted=True)
+    return SwapTestOperator(op=op.simplify(DROP_TOL), c_x=new_cx)
 
 
 def tensordot_trig_family(fourier, coeffs):

@@ -104,6 +104,21 @@ def test_criterion_1_exactness_floor():
     announce(1, f"H2 one-rotation errors {max(errors):.2e} Ha < 1e-8, < 1 s each")
 
 
+def test_vo_energy_matches_a_rebuild(h2o_systems, h2o_vo):
+    # vo_optimize returns the ground state of the matrix its sweeps keep;
+    # a rebuild of its returned basis agrees to rounding
+    cases = [(*h2o_vo[bond], *h2o_systems[bond][:2]) for bond in H2O_BONDS]
+    for bond in ("0.7414", "1.0000", "1.5000"):
+        ints = load_fcidump(FIXTURES / f"h2_{bond}.fcidump")
+        hq = jordan_wigner(ints)
+        basis = select_basis_vo(ints, hq, default_selection_params(ints, eps1=0.5))
+        assert len(basis) == 1 and len(basis[0].rotations) == 1
+        cases.append((*vo_optimize(basis, hq, ints.n_elec)[:2], ints, hq))
+    for basis, problem, ints, hq in cases:
+        rebuilt = build_subspace(basis, hq, ints.n_elec).e_min
+        assert abs(problem.e_min - rebuilt) <= 1e-12
+
+
 def test_criterion_2_chemical_accuracy(h2o_systems, h2o_vo, h2o_pt):
     rows = []
     for bond in H2O_BONDS:
@@ -291,7 +306,7 @@ def test_zero_angle_basis_prices_one_outcome_fragments_at_zero(h2o_systems, h2o_
     basis, _ = h2o_vo["1.0000"]
     basis = [b.with_thetas(np.zeros(len(b.rotations))) for b in basis]
     engine = SubspaceEngine(basis, hq, ints.n_elec)
-    plan = engine.sampling_plan()
+    plan = engine.sampling_plan(engine.exact_matrix())
     for key in [(1, 1), (2, 2)]:
         samplers, sigmas = plan[key]
         assert len(samplers[0].values) == 1 and sigmas[0] == 0.0

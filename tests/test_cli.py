@@ -348,9 +348,9 @@ class TestRun:
         plans = []
         sampling_plan = SubspaceEngine.sampling_plan
 
-        def counted(self):
+        def counted(self, exact):
             plans.append(self.size)
-            return sampling_plan(self)
+            return sampling_plan(self, exact)
 
         monkeypatch.setattr(SubspaceEngine, "sampling_plan", counted)
         out = tmp_path / "sampled"
@@ -456,6 +456,18 @@ class TestRun:
         error = "qubit Hamiltonian has no term but the identity"
         assert report["failures"] == [{"label": "flat", "error": error}]
 
+    @pytest.mark.parametrize("nelec", [6, -2])
+    def test_electron_count_outside_register_is_named(self, tmp_path, nelec):
+        # refused at parse, not later as an empty active set
+        path = tmp_path / "bad.fcidump"
+        text = Path(H2_PATHS[2]).read_text()
+        path.write_text(text.replace("NELEC=2,", f"NELEC={nelec},"))
+        report = run(RunConfig(fcidump_paths=(str(path),), out_dir=str(tmp_path / "out")))
+        assert not report["geometries"]
+        [failure] = report["failures"]
+        assert failure["label"] == "bad"
+        assert f"NELEC={nelec} " in failure["error"] and "NORB=2" in failure["error"]
+
     def test_main_exit_codes(self, tmp_path):
         assert main([H2_PATHS[0], "--out", str(tmp_path / "ok")]) == 0
         assert main([str(tmp_path / "none.fcidump"), "--out", str(tmp_path / "bad")]) == 1
@@ -560,6 +572,30 @@ class TestElementKernel:
         assert 0 < calls[0] <= 381
         assert len(tables) == 1
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(method="pt"),
+            dict(method="vo"),
+            dict(method="vo", mode="sampled", shots=2000, seed=5),
+            dict(method="vo", relax_orbitals=True),
+        ],
+        ids=["pt", "vo", "vo-sampled", "vo-relaxed"],
+    )
+    def test_each_engine_builds_its_exact_matrix_once(self, tmp_path, monkeypatch, options):
+        # the constant shift and vo_optimize's returned problem read the
+        # matrix their engine already built
+        builds = {}
+        exact_matrix = SubspaceEngine.exact_matrix
+
+        def counted(self):
+            builds[self] = builds.get(self, 0) + 1
+            return exact_matrix(self)
+
+        monkeypatch.setattr(SubspaceEngine, "exact_matrix", counted)
+        run_one_geometry(H2_PATHS[2], tmp_path, eps1=0.5, **options)
+        assert builds and set(builds.values()) == {1}
+
     def test_vo_geometry_builds_one_table(self, tmp_path, monkeypatch):
         tables = record_tables(monkeypatch)
         run_one_geometry(H2O_PATH, tmp_path, method="vo", **TUNED)
@@ -638,7 +674,8 @@ class TestElementKernel:
         rec = run(cfg)["geometries"][0]
         assert rec["metric"] > 0.0
         [(engine, (sigma, fragment_sigmas))] = results
-        plan_sigma, plan_fragments = sigma_matrix(engine, engine.sampling_plan())
+        plan = engine.sampling_plan(engine.exact_matrix())
+        plan_sigma, plan_fragments = sigma_matrix(engine, plan)
         assert np.array_equal(sigma, plan_sigma) and fragment_sigmas == plan_fragments
 
     def test_oracle_runs_with_no_kernel_or_sampler_alive(self, tmp_path, monkeypatch):

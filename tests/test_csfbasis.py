@@ -688,6 +688,16 @@ class TestSerialization:
             parse_basis(f"{self.GOOD}\n{record}\n")
         assert record in str(info.value)
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_double_angle_is_a_basis_error(self, theta):
+        # a nan angle used to reach e_min = nan, and inf or 1e308 (2*theta
+        # overflows) a bare "math domain error" in the rotation
+        record = self.GOOD.replace("(5,3,0.1)", f"(5,3,{theta})")
+        assert record != self.GOOD
+        with pytest.raises(BasisError, match="not finite") as info:
+            parse_basis(f"{self.GOOD}\n{record}\n")
+        assert record in str(info.value)
+
     @pytest.mark.parametrize(
         "old, new, reason",
         [

@@ -141,6 +141,14 @@ class TestParse:
         with pytest.raises(FcidumpError):
             parse_fcidump("&FCI NORB=2,NELEC=3,MS2=1,\n&END\n0.0 0 0 0 0\n")
 
+    @pytest.mark.parametrize("nelec", [6, -2])
+    def test_electron_count_outside_register(self, nelec):
+        text = (FIXTURES / "h2_1.5000.fcidump").read_text()
+        bad = text.replace("NELEC=2,", f"NELEC={nelec},")
+        assert bad != text
+        with pytest.raises(FcidumpError, match=f"NELEC={nelec} .*NORB=2"):
+            parse_fcidump(bad)
+
     def test_index_out_of_range(self):
         bad = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n1.0 3 1 0 0\n"
         with pytest.raises(FcidumpError, match="line 3"):

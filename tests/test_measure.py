@@ -118,7 +118,6 @@ class TestShiftConstant:
         assert shifted.c_x == pytest.approx(s.c_x)
         diff = as_sum(shifted.op) - as_sum(s.op)
         assert all(abs(c) < 1e-14 for _, c in diff.items())
-        assert shifted.shifted
 
     def test_value_unchanged_for_orthogonal_factors(self, h2_setup):
         x, a, b = h2_setup
@@ -324,12 +323,12 @@ class TestFragmentVariance:
 
 class TestAllocateAndScore:
     def test_single_state_limit(self):
-        report = allocate_and_score(np.array([[2.0]]), np.array([1.0]))
+        report = allocate_and_score(np.array([[2.0]]), np.array([1.0]), {})
         assert report.metric == pytest.approx(4.0)
         assert report.element_proportions == {(0, 0): 1.0}
 
     def test_all_zero_sigma(self):
-        report = allocate_and_score(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]))
+        report = allocate_and_score(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]), {})
         assert report.metric == 0.0
         assert report.element_proportions == {}
 
@@ -340,7 +339,7 @@ class TestAllocateAndScore:
         sigma = 0.5 * (sigma + sigma.T)
         c0 = rng.normal(size=n)
         c0 /= np.linalg.norm(c0)
-        report = allocate_and_score(sigma, c0)
+        report = allocate_and_score(sigma, c0, {})
         expected = sum(c0[m] ** 2 * sigma[m, m] for m in range(n))
         expected += sum(
             2 * abs(c0[m] * c0[nu]) * sigma[m, nu]
@@ -353,14 +352,14 @@ class TestAllocateAndScore:
     def test_zero_sigma_elements_get_no_shots(self):
         sigma = np.array([[1.0, 0.0], [0.0, 2.0]])
         c0 = np.array([1.0, 0.0]) / 1.0
-        report = allocate_and_score(sigma, c0)
+        report = allocate_and_score(sigma, c0, {})
         assert (0, 1) not in report.element_proportions
         # sigma_11 > 0 but c0_1 = 0: element carries no first-order weight
         assert report.element_proportions.get((1, 1), 0.0) == 0.0
 
     def test_rejects_unnormalized(self):
         with pytest.raises(MeasureError, match="normalized"):
-            allocate_and_score(np.eye(2), np.array([1.0, 1.0]))
+            allocate_and_score(np.eye(2), np.array([1.0, 1.0]), {})
 
     def test_allocation_optimality_under_perturbation(self):
         rng = np.random.default_rng(127)
@@ -369,7 +368,7 @@ class TestAllocateAndScore:
         sigma = 0.5 * (sigma + sigma.T)
         c0 = rng.normal(size=n)
         c0 /= np.linalg.norm(c0)
-        report = allocate_and_score(sigma, c0)
+        report = allocate_and_score(sigma, c0, {})
         m_total = 1e6
         shots = {k: p * m_total for k, p in report.element_proportions.items()}
         best = predicted_mse(sigma, c0, shots)

@@ -1,7 +1,7 @@
 import pytest
 
 from senqse.csfbasis import BasisState, CsfKind, CsfSpec
-from senqse.resources import ResourceEstimate, controlled_prep_cost, estimate_pair
+from senqse.resources import controlled_prep_cost, estimate_pair
 
 
 def state(kind, indices=(), rotations=()):
@@ -48,7 +48,8 @@ class TestEstimatePair:
             CsfKind.TRIPLET_PAIR_SINGLET: (8 + base, 9 + base),
         }
         for kind, (c, d) in expected.items():
-            assert controlled_prep_cost(kind, n_elec) == (c, d)
+            omega = {CsfKind.HF: 0, CsfKind.SINGLE_SINGLET: 2}.get(kind, 4)
+            assert controlled_prep_cost(kind, n_elec, omega) == (c, d)
         est = estimate_pair(state(CsfKind.HF), state(CsfKind.HF), n_orb, n_elec)
         assert est.breakdown["cswap_network"] == (7 * n_orb, 12 * n_orb)
         assert est.cnots == 2 * base + 7 * n_orb
@@ -65,7 +66,3 @@ class TestEstimatePair:
                     )
                     assert est.cnots == n_elec + 7 * n_orb + 2 * r
                     assert est.depth == n_elec + 12 * n_orb + 5 * r
-
-    def test_breakdown_totals_enforced(self):
-        with pytest.raises(ValueError):
-            ResourceEstimate(cnots=1, depth=1, breakdown={"a": (2, 2)})

@@ -67,6 +67,13 @@ def random_sum(rng, n, terms, real=True):
     return as_arrays(s)
 
 
+class TestStateVector:
+    def test_nan_amplitude_refused(self):
+        # a nan norm compares False with the tolerance, so it must fail
+        with pytest.raises(SimulatorError, match="norm"):
+            simulator.StateVector(np.array([np.nan, 0.0]), 1)
+
+
 class TestExpectation:
     def test_zero_state_z(self):
         st = StateVector.computational(0, 1)
@@ -861,13 +868,13 @@ class TestGroupedPlan:
         # constant-shifted same-config elements included
         assert len(shifted_elements(h2o_engine)) > 0
         assert len(h2o_reference) == 143
-        plan = h2o_engine.sampling_plan()
+        plan = h2o_engine.sampling_plan(h2o_engine.exact_matrix())
         assert_same_plan(plan, h2o_reference, assert_matches_branches)
 
     def test_h2_plans_match_per_element_reference(self, h2_vo_engines):
         for engine in h2_vo_engines:
             reference = oracles.per_element_plan(engine)
-            assert_same_plan(engine.sampling_plan(), reference)
+            assert_same_plan(engine.sampling_plan(engine.exact_matrix()), reference)
 
     def test_exact_mode_sigmas_match_reference(
         self, h2o_engine, h2o_reference, h2_vo_engines
@@ -888,7 +895,11 @@ class TestGroupedPlan:
             assert problem.cost.fragment_proportions == want.fragment_proportions
             assert problem.cost.metric == want.metric
 
-    def test_shift_reads_each_diagonal_once(self, h2o_engine, monkeypatch):
+    def test_shift_reads_the_exact_diagonal(self, h2o_engine, h2o_reference, monkeypatch):
+        # the constant shift reads the given matrix's diagonal, which equals
+        # element_exact's (the reference's) bit for bit, and evaluates no
+        # element of its own
+        exact = h2o_engine.exact_matrix()
         calls = []
         element_exact = SubspaceEngine.element_exact
 
@@ -897,9 +908,10 @@ class TestGroupedPlan:
             return element_exact(self, mu, nu)
 
         monkeypatch.setattr(SubspaceEngine, "element_exact", counted)
-        h2o_engine.sampling_plan()
-        shifted = {k for key in shifted_elements(h2o_engine) for k in key}
-        assert sorted(calls) == sorted((k, k) for k in shifted)
+        plan = h2o_engine.sampling_plan(exact)
+        assert len(shifted_elements(h2o_engine)) > 0
+        assert calls == []
+        assert_same_plan(plan, h2o_reference, assert_matches_branches)
 
     def test_fragments_shared_across_elements(self, h2o_fragments):
         groups = distinct_fragments(h2o_fragments)
@@ -908,9 +920,10 @@ class TestGroupedPlan:
 
     def test_one_state_chunks(self, h2o_engine, monkeypatch):
         # every stack cut to one state per chunk, every apply to one term
-        plan = h2o_engine.sampling_plan()
+        exact = h2o_engine.exact_matrix()
+        plan = h2o_engine.sampling_plan(exact)
         monkeypatch.setattr(simulator, "BLOCK_AMPLITUDES", 1)
-        assert_same_plan(h2o_engine.sampling_plan(), plan)
+        assert_same_plan(h2o_engine.sampling_plan(exact), plan)
 
     def test_swap_states_held_one_chunk_at_a_time(self, h2o_engine, monkeypatch):
         # each chunk's swap states are prepared when it runs and dropped
@@ -933,7 +946,7 @@ class TestGroupedPlan:
 
         monkeypatch.setattr(solver, "prepare_swap_state", tracked_prepare)
         monkeypatch.setattr(FragmentSampler, "stack", staticmethod(tracked_stack))
-        h2o_engine.sampling_plan()
+        h2o_engine.sampling_plan(h2o_engine.exact_matrix())
         assert len(prepared) > chunk
         assert max(alive) == chunk
 

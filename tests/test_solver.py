@@ -102,6 +102,11 @@ class TestGroundState:
         with pytest.raises(SolverError):
             ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nan(self):
+        # a nan compares False with the tolerance, so it must fail the check
+        with pytest.raises(SolverError, match="not finite"):
+            ground_state(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 class TestFciOracle:
     def test_h2_reference(self, h2_hq, h2):
@@ -572,7 +577,7 @@ def first_order_table(engine, plan, total_shots):
     exact = engine.exact_matrix()
     _, c0 = ground_state(exact)
     sigma, _ = engine.sigma_matrix(plan)
-    shares = allocate_and_score(sigma, np.asarray(c0, dtype=float)).element_proportions
+    shares = allocate_and_score(sigma, np.asarray(c0, dtype=float), {}).element_proportions
     live = [key for key in plan if shares.get(key, 0.0) > 0.0]
     table = {key: [1] * len(sigs) for key, (_, sigs) in plan.items()}
     for key, m in zip(live, _integer_split(total_shots, [shares[k] for k in live])):
@@ -1177,8 +1182,8 @@ class TestVoOptimize:
         # one rotation group only, so every line search moves all its rows:
         # no element block and no rotation inside any line search, no block
         # between two searches but the stage-2 starting build, and in all
-        # two full builds (that one and the returned one), each one block
-        # of the group's one config
+        # that one full build, one block of the group's one config (the
+        # returned problem is the matrix the sweeps keep)
         basis = [b for b in h2o_vo_selected if len(b.rotations) == 14]
         assert len({config_bits(b.csf, h2o.n_orb) for b in basis}) == 1
         n_entries = len(basis) * len(basis)
@@ -1213,7 +1218,7 @@ class TestVoOptimize:
         gaps = np.diff(at_search)
         assert len(gaps) > 14
         assert sorted(gaps[gaps != 0]) == [n_entries]
-        assert blocks[0] == 2 and entries[0] == 2 * n_entries
+        assert blocks[0] == 1 and entries[0] == n_entries
 
     def test_cached_prefixes_match_fresh_chains(
         self, h2o, h2o_hq, h2o_vo_selected, monkeypatch
