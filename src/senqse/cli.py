@@ -44,6 +44,7 @@ from senqse.fci import fci_oracle
 from senqse.fermion import jordan_wigner, load_fcidump, rotate_orbitals
 from senqse.resources import estimate_pair
 from senqse.solver import build_subspace, relax_orbitals, vo_optimize
+from senqse.taper import index_groups
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +176,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
     """
     ints = load_fcidump(path)
     hq = jordan_wigner(ints)
-    kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+    kernel = CsfElementEngine(hq, ints.n_elec)
     params = default_selection_params(
         ints, **{name: getattr(config, name) for name in SETTING_DEFAULTS}
     )
@@ -190,7 +191,7 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
         rot, e_relaxed, _ = relax_orbitals(basis, ints)
         ints = rotate_orbitals(ints, rot)
         hq = jordan_wigner(ints)
-        kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+        kernel = CsfElementEngine(hq, ints.n_elec)
         relaxation = {"e_min": e_relaxed, "t_norm": float(np.linalg.norm(rot.t))}
 
     sampled = config.mode == "sampled"
@@ -250,21 +251,35 @@ def run_geometry(path: str, label: str, bond: float, config: RunConfig) -> dict:
     record["e_fci"] = fci.energy
     record["error"] = record["e_min"] - fci.energy
 
-    # circuit resources over every distinct state pair, estimated once per
-    # distinct (kind, omega, rotation count) of bra and ket
-    shapes = [(b.csf.kind, b.csf.omega, len(b.rotations)) for b in basis]
-    pairs = list(itertools.combinations(range(len(basis)), 2)) or [(0, 0)]
-    keys = [(shapes[i], shapes[j]) for i, j in pairs]
-    estimates = {
-        key: estimate_pair(basis[i], basis[j], ints.n_orb, ints.n_elec)
-        for key, (i, j) in dict(zip(keys, pairs)).items()
-    }
-    costs = [estimates[key] for key in keys]
-    record["cnots_avg"] = float(np.mean([c.cnots for c in costs]))
-    record["cnots_max"] = int(max(c.cnots for c in costs))
-    record["depth_avg"] = float(np.mean([c.depth for c in costs]))
-    record["depth_max"] = int(max(c.depth for c in costs))
+    record.update(resource_stats(basis, ints.n_orb, ints.n_elec))
     return record
+
+
+def resource_stats(basis, n_orb: int, n_elec: int) -> dict:
+    """Mean and largest CNOT count and depth of the swap-test circuits over
+    every distinct state pair, or the one pair (0, 0) of a one-state basis.
+
+    An estimate depends on the (kind, omega, rotation count) shapes of bra
+    and ket alone, symmetrically, so it is taken once per unordered shape
+    pair and weighted by the number of state pairs of those shapes.  The
+    counts are integers, so the weighted sums are exact, and one correctly
+    rounded division gives the double of ``np.mean`` over all pairs.
+    """
+    groups = index_groups([(b.csf.kind, b.csf.omega, len(b.rotations)) for b in basis])
+    sizes = [len(rows) for rows in groups.values()]
+    firsts = [basis[rows[0]] for rows in groups.values()]
+    weighted = []
+    for g, h in itertools.combinations_with_replacement(range(len(sizes)), 2):
+        pairs = sizes[g] * sizes[h] if g != h else sizes[g] * (sizes[g] - 1) // 2
+        if pairs or len(basis) == 1:
+            weighted.append((pairs or 1, estimate_pair(firsts[g], firsts[h], n_orb, n_elec)))
+    total = sum(w for w, _ in weighted)
+    return {
+        "cnots_avg": sum(w * c.cnots for w, c in weighted) / total,
+        "cnots_max": max(c.cnots for _, c in weighted),
+        "depth_avg": sum(w * c.depth for w, c in weighted) / total,
+        "depth_max": max(c.depth for _, c in weighted),
+    }
 
 
 def _measured_terms(op) -> tuple:
@@ -286,7 +301,7 @@ def tapering_stats(basis, hq, n_elec, kernel=None) -> dict:
     geometry's element kernel of ``hq`` (a new one when None), and the
     ratios are taken once per distinct config pair.
     """
-    kernel = element_kernel(kernel, hq, hq.n_qubits // 2, n_elec)
+    kernel = element_kernel(kernel, hq, n_elec)
     bits = [kernel.bits(b.csf) for b in basis]
     n_full, norm_full = _measured_terms(hq)
     ratios, term_ratios, norm_ratios = {}, [], []

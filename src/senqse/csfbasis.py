@@ -191,8 +191,6 @@ class BasisState:
                 )
 
     def with_thetas(self, thetas) -> "BasisState":
-        if len(thetas) != len(self.rotations):
-            raise BasisError("amplitude count mismatch")
         rots = tuple(
             (r, s, float(th)) for (r, s, _), th in zip(self.rotations, thetas)
         )
@@ -225,12 +223,6 @@ def config_bits(spec: CsfSpec, n_orb: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def hf_bits(n_orb: int, n_elec: int) -> int:
-    if n_elec % 2 or n_elec > 2 * n_orb:
-        raise BasisError(f"bad electron count {n_elec} for {n_orb} orbitals")
-    return (1 << n_elec) - 1  # interleaved: both spins of orbitals 0..n_occ-1
-
-
 def _ladder(dets: dict, mode: int, dagger: bool) -> dict:
     out = {}
     below = (1 << mode) - 1
@@ -258,25 +250,20 @@ def _merge(*weighted):
     return {k: v for k, v in out.items() if abs(v) > 1e-15}
 
 
+# spherical tensor components of the excitation i -> a, each a sum of
+# weight * a+_(a, spin) a_(i, spin') over (weight, spin, spin'), spin 0 up
+_SINGLET_00 = ((1 / SQRT2, 1, 1), (1 / SQRT2, 0, 0))
+_TRIPLET_10 = ((1 / SQRT2, 1, 1), (-1 / SQRT2, 0, 0))
+_TRIPLET_1P = ((1.0, 0, 1),)
+_TRIPLET_1M = ((1.0, 1, 0),)
+
+
 def _excitation(dets, i, a, component):
-    """Spherical tensor excitation images on a determinant dictionary."""
-    up_i, dn_i = 2 * i, 2 * i + 1
-    up_a, dn_a = 2 * a, 2 * a + 1
-    if component == "00":
-        return _merge(
-            (1 / SQRT2, _apply_ops(dets, [(dn_a, True), (dn_i, False)])),
-            (1 / SQRT2, _apply_ops(dets, [(up_a, True), (up_i, False)])),
-        )
-    if component == "10":
-        return _merge(
-            (1 / SQRT2, _apply_ops(dets, [(dn_a, True), (dn_i, False)])),
-            (-1 / SQRT2, _apply_ops(dets, [(up_a, True), (up_i, False)])),
-        )
-    if component == "1+":
-        return _apply_ops(dets, [(up_a, True), (dn_i, False)])
-    if component == "1-":
-        return _apply_ops(dets, [(dn_a, True), (up_i, False)])
-    raise BasisError(f"unknown excitation component {component}")
+    """The tensor component ``component`` of i -> a on a determinant dictionary."""
+    images = []
+    for w, sa, si in component:
+        images.append((w, _apply_ops(dets, [(2 * a + sa, True), (2 * i + si, False)])))
+    return _merge(*images)
 
 
 def _pair_excitation(dets, dst, src):
@@ -300,13 +287,14 @@ def csf_determinants(spec: CsfSpec, n_orb: int, n_elec: int) -> dict:
             raise BasisError(
                 f"{spec.kind.value}{spec.indices}: occupied/virtual split violated"
             )
-    dets = {hf_bits(n_orb, n_elec): 1.0}
+    # interleaved spins: HF fills both spin-orbitals of orbitals 0..n_occ-1
+    dets = {(1 << n_elec) - 1: 1.0}
     if spec.kind is CsfKind.SINGLE_SINGLET:
         i, a = spec.indices
-        dets = _excitation(dets, i, a, "00")
+        dets = _excitation(dets, i, a, _SINGLET_00)
     elif spec.kind is CsfKind.DOUBLE_SINGLET:
         i, j, a, b = spec.indices
-        dets = _excitation(_excitation(dets, i, a, "00"), j, b, "00")
+        dets = _excitation(_excitation(dets, i, a, _SINGLET_00), j, b, _SINGLET_00)
     elif spec.kind is CsfKind.TRIPLET_PAIR_SINGLET:
         # Singlet coupling of two triplet pair excitations.  With these
         # component definitions the Condon-Shortley tensor is T^{1,-1} =
@@ -314,9 +302,9 @@ def csf_determinants(spec: CsfSpec, n_orb: int, n_elec: int) -> dict:
         # variant is a spin-contaminated state, not a CSF.
         i, j, a, b = spec.indices
         dets = _merge(
-            (-1 / SQRT3, _excitation(_excitation(dets, i, a, "1-"), j, b, "1+")),
-            (-1 / SQRT3, _excitation(_excitation(dets, i, a, "10"), j, b, "10")),
-            (-1 / SQRT3, _excitation(_excitation(dets, i, a, "1+"), j, b, "1-")),
+            (-1 / SQRT3, _excitation(_excitation(dets, i, a, _TRIPLET_1M), j, b, _TRIPLET_1P)),
+            (-1 / SQRT3, _excitation(_excitation(dets, i, a, _TRIPLET_10), j, b, _TRIPLET_10)),
+            (-1 / SQRT3, _excitation(_excitation(dets, i, a, _TRIPLET_1P), j, b, _TRIPLET_1M)),
         )
     # pair relocations act on the finished CSF (descendants are pair
     # excitations of it), which matters when a move sources a structure-
@@ -326,8 +314,6 @@ def csf_determinants(spec: CsfSpec, n_orb: int, n_elec: int) -> dict:
         if not dets:
             raise BasisError(f"pair move {src}->{dst} annihilates the state")
     norm = math.sqrt(sum(a * a for a in dets.values()))
-    if norm < 1e-9:
-        raise BasisError(f"CSF {spec} vanishes; check its indices")
     # degenerate-index doubles come out at 1/sqrt(2); all others at 1
     return {k: v / norm for k, v in dets.items()}
 
@@ -387,17 +373,9 @@ def make_csf_tapered(spec: CsfSpec, n_orb: int, n_elec: int) -> StateVector:
     low n_orb bits of x are the config and the high bits the remainder index.
     """
     uc = build_clifford(n_orb)
-    mask = (1 << n_orb) - 1
     amps = np.zeros(2**n_orb, dtype=complex)
-    configs = set()
     for occ, amp in csf_determinants(spec, n_orb, n_elec).items():
-        x = uc.conjugate_words(occ, 0)[0]
-        configs.add(x & mask)
-        amps[x >> n_orb] += amp
-    if len(configs) > 1:
-        raise BasisError("determinants span several seniority configs")
-    if configs != {config_bits(spec, n_orb)}:
-        raise BasisError("tapered config disagrees with the CSF specification")
+        amps[uc.conjugate_words(occ, 0)[0] >> n_orb] += amp
     return StateVector(amps, n_orb)
 
 
@@ -542,8 +520,6 @@ class SelectionParams:
         object.__setattr__(self, "active_virt", frozenset(self.active_virt))
         if self.active_occ & self.active_virt:
             raise BasisError("active occupied/virtual sets overlap")
-        if not self.active_occ or not self.active_virt:
-            raise BasisError("active sets must be nonempty")
         for name in ("eps1", "eps2", "root_window"):
             check_setting(name, getattr(self, name))
 
@@ -587,13 +563,11 @@ class CsfElementEngine:
     ``element`` is the 1x1 block of two CSFs.
     """
 
-    def __init__(self, hq: PauliArrays, n_orb: int, n_elec: int):
-        if hq.n_qubits != 2 * n_orb:
-            raise BasisError("Hamiltonian register does not match n_orb")
+    def __init__(self, hq: PauliArrays, n_elec: int):
         self.hq = hq
-        self.n_orb = n_orb
-        self.n_elec = n_elec
         self.sectors = SectorHamiltonian(hq)
+        self.n_orb = self.sectors.n_orb
+        self.n_elec = n_elec
         self._states = {}
         self._bits = {}
         self._products = {}
@@ -634,22 +608,30 @@ class CsfElementEngine:
         return float(self.block(self.bits(a), self.bits(b), [a], [b])[0, 0])
 
 
-def element_kernel(kernel, hq: PauliArrays, n_orb: int, n_elec: int) -> CsfElementEngine:
+def element_kernel(kernel, hq: PauliArrays, n_elec: int) -> CsfElementEngine:
     """``kernel`` when it was built for this ``hq`` and n_elec; a new one for None."""
     if kernel is None:
-        return CsfElementEngine(hq, n_orb, n_elec)
+        return CsfElementEngine(hq, n_elec)
     if kernel.hq is not hq or kernel.n_elec != n_elec:
         raise BasisError("element kernel was built for another Hamiltonian")
     return kernel
 
 
 def create_csfs(params: SelectionParams, n_orb: int, n_elec: int) -> list:
-    """All CSF families reachable with active-window excitations."""
+    """All CSF families reachable with active-window excitations.
+
+    The first step of selection, and its one check of the window: one with
+    no occupied or no virtual orbital (an empty set, or an electron count
+    of 0 or 2 * n_orb) is a SelectionError naming NELEC and NORB.
+    """
     n_occ = n_elec // 2
     occ = sorted(q for q in params.active_occ if q < n_occ)
     virt = sorted(q for q in params.active_virt if q >= n_occ)
     if not occ or not virt:
-        raise SelectionError("active window contains no occupied/virtual orbitals")
+        raise SelectionError(
+            f"active window holds no {'occupied' if not occ else 'virtual'} orbital "
+            f"(NELEC={n_elec}, NORB={n_orb})"
+        )
     occ_pairs = list(itertools.combinations(occ, 2))
     virt_pairs = list(itertools.combinations(virt, 2))
     specs = [CsfSpec(CsfKind.HF)]
@@ -808,7 +790,7 @@ def _ordered_rotations(pairs, thetas):
 def _trimmed_and_extended(ints, hq, params, kernel):
     """The trimmed CSFs and their extension pairs, the first two steps of
     both selections."""
-    engine = element_kernel(kernel, hq, ints.n_orb, ints.n_elec)
+    engine = element_kernel(kernel, hq, ints.n_elec)
     specs = create_csfs(params, ints.n_orb, ints.n_elec)
     survivors, h = trim_csfs(engine, specs, params.eps1, params.root_window)
     return survivors, extension_pairs(engine, survivors, h, params.eps2, params.root_window)
@@ -874,7 +856,7 @@ def _deduplicate(basis: list, n_orb: int, n_elec: int) -> list:
 
 
 def serialize_basis(basis) -> str:
-    """Structured text records for reproducibility and warm restarts."""
+    """Structured text records for reproducibility; ``parse_basis`` reads them."""
     lines = []
     for b in basis:
         idx = ",".join(str(q) for q in b.csf.indices)

@@ -159,18 +159,20 @@ def _lanczos_ground_energy(hq: PauliArrays, dets: np.ndarray) -> float:
 
 
 def fci_oracle(hq: PauliArrays, n_elec: int, sz: float = 0.0) -> FciResult:
-    """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector."""
+    """Lowest eigenvalue of hq in the fixed (N, S_z) determinant sector.
+
+    Each spin must hold a whole number of electrons, 0 to n_orb: a
+    half-integer count is not in ``range``, so one check refuses both.
+    """
     if not hq:
         raise FciError("operator has no terms")
     if hq.n_qubits % 2 or hq.n_qubits > 24:
         raise FciError("oracle supports even registers up to 24 qubits")
     n_orb = hq.n_qubits // 2
     n_up, n_dn = n_elec / 2 + sz, n_elec / 2 - sz
-    if n_up != int(n_up) or n_dn != int(n_dn):
-        raise FciError(f"no ({n_elec}, {sz}) sector exists")
+    if n_up not in range(n_orb + 1) or n_dn not in range(n_orb + 1):
+        raise FciError(f"no ({n_elec}, {sz}) sector on {n_orb} orbitals")
     n_up, n_dn = int(n_up), int(n_dn)
-    if not (0 <= n_up <= n_orb and 0 <= n_dn <= n_orb):
-        raise FciError(f"sector ({n_elec}, {sz}) is empty")
     dets = _sector_determinants(n_orb, n_up, n_dn)
     if len(dets) > _DENSE_CUTOFF:
         return FciResult(_lanczos_ground_energy(hq, dets))

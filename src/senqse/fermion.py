@@ -28,9 +28,17 @@ class FcidumpError(ValueError):
     """Malformed FCIDUMP input."""
 
 
+class OrbitalError(ValueError):
+    """An orbital rotation or orbital index that does not fit the integrals."""
+
+
 @dataclass(frozen=True)
 class FermionIntegrals:
-    """One- and two-electron integrals for a closed-shell system (Hartree)."""
+    """One- and two-electron integrals for a closed-shell system (Hartree).
+
+    The electron count is checked here, for every input: it is even and
+    fits the 2*n_orb spin-orbitals.
+    """
 
     n_orb: int
     n_elec: int
@@ -41,6 +49,10 @@ class FermionIntegrals:
     def __post_init__(self):
         if self.n_elec % 2 != 0:
             raise FcidumpError(f"odd electron count {self.n_elec}")
+        if not 0 <= self.n_elec <= 2 * self.n_orb:
+            raise FcidumpError(
+                f"NELEC={self.n_elec} outside 0..2*NORB with NORB={self.n_orb}"
+            )
         if self.h.shape != (self.n_orb, self.n_orb):
             raise FcidumpError("one-electron integral shape mismatch")
         if self.g.shape != (self.n_orb,) * 4:
@@ -68,10 +80,9 @@ class OrbitalRotation:
     t: np.ndarray
 
     def __post_init__(self):
-        if self.t.ndim != 2 or self.t.shape[0] != self.t.shape[1]:
-            raise ValueError("rotation amplitudes must be square")
+        # a matrix that is not square is not equal to its negated transpose
         if not np.array_equal(self.t, -self.t.T):
-            raise ValueError("rotation amplitudes must be exactly antisymmetric")
+            raise OrbitalError("rotation amplitudes must be exactly antisymmetric")
 
     def matrix(self) -> np.ndarray:
         """Orthogonal matrix exp(t); orthogonality enforced to 1e-12."""
@@ -80,7 +91,7 @@ class OrbitalRotation:
         u = scipy.linalg.expm(self.t)
         err = np.max(np.abs(u.T @ u - np.eye(len(u))))
         if err > 1e-12:
-            raise ValueError(f"exp(t) deviates from orthogonality by {err:.2e}")
+            raise OrbitalError(f"exp(t) deviates from orthogonality by {err:.2e}")
         return u
 
 
@@ -116,12 +127,8 @@ def parse_fcidump(text: str) -> FermionIntegrals:
     n_orb, n_elec, ms2 = map(header_int, ("NORB", "NELEC", "MS2"))
     if n_orb < 1:
         raise FcidumpError(f"bad NORB {n_orb}")
-    if not 0 <= n_elec <= 2 * n_orb:
-        raise FcidumpError(f"NELEC={n_elec} outside 0..2*NORB with NORB={n_orb}")
-    if n_elec % 2 != 0 or ms2 != 0:
-        raise FcidumpError(
-            f"only closed-shell singlet inputs supported (NELEC={n_elec}, MS2={ms2})"
-        )
+    if ms2 != 0:
+        raise FcidumpError(f"only closed-shell singlet inputs supported (MS2={ms2})")
 
     h = np.zeros((n_orb, n_orb))
     g = np.zeros((n_orb,) * 4)
@@ -351,9 +358,6 @@ def jordan_wigner(ints: FermionIntegrals) -> PauliArrays:
     if not any(x | z for _, x, z, _ in terms):
         raise FcidumpError("qubit Hamiltonian has no term but the identity")
     _, x, z, coeffs = zip(*terms)
-    resid = max(abs(c.imag) for c in coeffs)
-    if resid > 1e-9:
-        raise ValueError(f"qubit Hamiltonian has imaginary residue {resid:.2e}")
     return PauliArrays(nq, np.array([x, z], dtype=np.uint64).T, np.array(coeffs))
 
 
@@ -377,9 +381,9 @@ def mp2_pair_amplitude(ints: FermionIntegrals, i: int, a: int) -> float:
     back to 0 with a logged warning so callers can proceed.
     """
     if not 0 <= i < ints.n_occ:
-        raise ValueError(f"orbital {i} is not occupied")
+        raise OrbitalError(f"orbital {i} is not occupied")
     if not ints.n_occ <= a < ints.n_orb:
-        raise ValueError(f"orbital {a} is not virtual")
+        raise OrbitalError(f"orbital {a} is not virtual")
     eps = orbital_energies(ints)
     denom = eps[i] - eps[a]
     if abs(denom) < 1e-8:
@@ -399,8 +403,6 @@ def rotate_orbitals(ints: FermionIntegrals, rot: OrbitalRotation) -> FermionInte
     h' = U^T h U and g' carries U on every index; the many-body spectrum is
     unchanged.
     """
-    if rot.t.shape != (ints.n_orb, ints.n_orb):
-        raise ValueError("rotation dimension does not match integrals")
     u = rot.matrix()
     h = u.T @ ints.h @ u
     g = np.einsum("ap,abcd->pbcd", u, ints.g, optimize=True)

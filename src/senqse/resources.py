@@ -41,8 +41,6 @@ class ResourceEstimate:
 
 
 def controlled_prep_cost(kind: CsfKind, n_elec: int, omega: int) -> tuple:
-    if n_elec % 2:
-        raise ValueError("electron count must be even")
     base = n_elec // 2
     # a degenerate-index double carries a single open-shell pair, so its
     # preparation circuit is the two-unpaired-electron one

@@ -38,8 +38,6 @@ from senqse.pauli import PauliArrays, anticommute, label, product_phase
 NORM_TOL = 1e-10
 # largest imaginary part (Ha) a matrix element may carry
 IMAG_TOL = 1e-9
-# largest imaginary part a Hermitian fragment's coefficient may carry
-FRAGMENT_IMAG_TOL = 1e-10
 
 
 class SimulatorError(ValueError):
@@ -48,17 +46,14 @@ class SimulatorError(ValueError):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state on n_qubits qubits."""
+    """Normalized pure state on n_qubits qubits: 2**n_qubits amplitudes,
+    as every constructor of the package builds them."""
 
     amplitudes: np.ndarray
     n_qubits: int
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_qubits,):
-            raise SimulatorError(
-                f"amplitude length {amps.shape} does not match {self.n_qubits} qubits"
-            )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # a nan norm fails too
             raise SimulatorError(f"state norm {norm} deviates from 1")
@@ -157,9 +152,8 @@ def real_block(bras, products) -> np.ndarray:
 
 
 def prepare_swap_state(a: StateVector, b: StateVector) -> StateVector:
-    """(|0>|a> + |1>|b>)/sqrt(2) with the ancilla on the top (highest) qubit."""
-    if a.n_qubits != b.n_qubits:
-        raise SimulatorError("swap-state inputs must share a qubit count")
+    """(|0>|a> + |1>|b>)/sqrt(2) with the ancilla on the top (highest) qubit;
+    a and b are two states of one engine, so of one register."""
     amps = np.concatenate([a.amplitudes, b.amplitudes]) / np.sqrt(2.0)
     return StateVector(amps, a.n_qubits + 1)
 
@@ -349,13 +343,6 @@ def _coset_stack(states, basis, masks, coeffs) -> list:
     return out
 
 
-def check_hermitian(fragment: PauliArrays, error: type):
-    """Raise ``error`` unless every coefficient of the fragment is real to
-    FRAGMENT_IMAG_TOL."""
-    if np.max(np.abs(fragment.coeffs.imag), initial=0.0) > FRAGMENT_IMAG_TOL:
-        raise error("fragment must be Hermitian (real coefficients)")
-
-
 class FragmentSampler:
     """Exact finite-shot sampler for one internally commuting fragment.
 
@@ -402,10 +389,12 @@ class FragmentSampler:
 
     @classmethod
     def stack(cls, states, fragment: PauliArrays) -> list:
-        """One sampler of `fragment` per state, in order, from stacked passes."""
-        if any(state.n_qubits != fragment.n_qubits for state in states):
-            raise SimulatorError("fragment qubit count mismatch")
-        check_hermitian(fragment, SimulatorError)
+        """One sampler of `fragment` per state, in order, from stacked passes.
+
+        The states are on the fragment's register (one engine builds both),
+        and the fragment is Hermitian: the real parts of its coefficients
+        are its terms' weights.
+        """
         gens, masks, coeffs = _generators(fragment)
         basis = _coset_basis(gens)
         samplers = []
@@ -422,8 +411,6 @@ class FragmentSampler:
         One multinomial call draws the counts of the fragment's distinct
         values, the row that ``draw_table`` lays out for this sampler.
         """
-        if shots < 1:
-            raise SimulatorError("shots must be >= 1")
         [probs], [values] = draw_table([self])
         counts = rng.multinomial(shots, probs)
         return float(counts @ values) / shots

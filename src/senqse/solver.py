@@ -134,17 +134,15 @@ class SubspaceEngine:
     ):
         if not basis:
             raise SolverError("basis must be nonempty")
-        if hq.n_qubits % 2:
-            raise SolverError("qubit Hamiltonian must live on 2*n_orb qubits")
         self.basis = list(basis)
         keys = {b.dedup_key() for b in basis}
         if len(keys) != len(basis):
             raise SolverError("basis contains duplicate states")
         self.hq = hq
-        self.n_orb = hq.n_qubits // 2
         self.n_elec = n_elec
         self.constant_shift = constant_shift
-        self.kernel = element_kernel(kernel, hq, self.n_orb, n_elec)
+        self.kernel = element_kernel(kernel, hq, n_elec)
+        self.n_orb = self.kernel.n_orb
         self._configs = [self.kernel.bits(b.csf) for b in self.basis]
         self._states = [None] * len(basis)
         self._xmats = {}
@@ -180,8 +178,7 @@ class SubspaceEngine:
         return self._states[mu]
 
     def replace_basis_state(self, mu: int, b: BasisState) -> None:
-        if b.csf != self.basis[mu].csf:
-            raise SolverError("replacement must keep the CSF (only amplitudes move)")
+        """State mu's rotation amplitudes moved: ``b`` keeps its CSF."""
         self.basis[mu] = b
         self._states[mu] = None
 
@@ -510,8 +507,6 @@ def make_matrix_sampler(engine: SubspaceEngine, total_shots: int) -> MatrixSampl
     bias bound is not enforced there.  The table's predicted error is
     recorded on the returned sampler.
     """
-    if total_shots < 1:
-        raise SolverError("sampled mode needs shots >= 1")
     exact = engine.exact_matrix()
     plan = engine.sampling_plan(exact)
     # sigma_e = 0: every draw is exact, one shot per fragment
@@ -590,9 +585,10 @@ def build_subspace(
 ) -> SubspaceProblem:
     """Assemble the subspace matrix and solve for its ground eigenpair.
 
-    ``mode="exact"`` evaluates every element exactly;
     ``mode="sampled"`` draws finite-shot estimates for the elements that
-    involve rotations, with the total budget `shots` split optimally.
+    involve rotations, with the total budget `shots` split optimally; any
+    other mode (``RunConfig`` admits only ``"exact"``) evaluates every
+    element exactly.
     ``kernel`` is the geometry's element kernel (see ``SubspaceEngine``).
     A sampled build, and an exact one with ``compute_sigma``, price their
     elements in ``cost``: ``allocate_and_score`` of the sampling plan's
@@ -610,16 +606,14 @@ def build_subspace(
         if compute_sigma:
             raise SolverError("sigma accounting requires the tapered path")
     sampler = cost = None
-    if mode == "exact":
-        hmat = engine.exact_matrix() if taper else _full_register_matrix(engine)
-        plan = engine.sampling_plan(hmat) if compute_sigma else None
-    elif mode == "sampled":
+    if mode == "sampled":
         if shots is None or seed is None:
             raise SolverError("sampled mode requires shots and seed")
         sampler = make_matrix_sampler(engine, shots)
         hmat, plan = sampler.draw(seed), sampler.plan
     else:
-        raise SolverError(f"unknown mode {mode!r}")
+        hmat = engine.exact_matrix() if taper else _full_register_matrix(engine)
+        plan = engine.sampling_plan(hmat) if compute_sigma else None
     e_min, c0 = ground_state(hmat)
     if plan is not None:
         sigma, fragment_sigmas = engine.sigma_matrix(plan)

@@ -33,8 +33,6 @@ def build_clifford(n_orb: int) -> CliffordMap:
     Conjugation maps S_i = Z_2i Z_2i+1 to Z_i with phase +1, and every
     Z_2i+1 to a Z supported on the last n_orb qubits.
     """
-    if n_orb < 1:
-        raise TaperError("n_orb must be >= 1")
     gates = [("cnot", 2 * i + 1, 2 * i) for i in range(n_orb)]
     perm = [0] * (2 * n_orb)
     for i in range(n_orb):

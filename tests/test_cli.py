@@ -2,7 +2,9 @@ import gc
 import itertools
 import json
 import re
+import runpy
 import shutil
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -468,6 +470,41 @@ class TestRun:
         assert failure["label"] == "bad"
         assert f"NELEC={nelec} " in failure["error"] and "NORB=2" in failure["error"]
 
+    @pytest.mark.parametrize("nelec, cause", [(0, "occupied"), (4, "virtual")])
+    def test_electron_count_without_a_window_is_named(self, tmp_path, nelec, cause):
+        # no occupied (NELEC=0) or no virtual (NELEC=2*NORB) orbital: refused
+        # with its cause at the first step of selection
+        path = tmp_path / "bad.fcidump"
+        text = Path(H2_PATHS[2]).read_text()
+        path.write_text(text.replace("NELEC=2,", f"NELEC={nelec},"))
+        for method in ("vo", "pt"):
+            cfg = RunConfig(fcidump_paths=(str(path),), method=method, out_dir=str(tmp_path))
+            report = run(cfg)
+            error = f"active window holds no {cause} orbital (NELEC={nelec}, NORB=2)"
+            assert report["failures"] == [{"label": "bad", "error": error}]
+            assert not report["geometries"]
+
+    def test_register_above_the_oracle_limit_is_named(self, tmp_path):
+        # 13 orbitals are 26 qubits: selection and the build run, the
+        # sector-restricted FCI oracle refuses
+        n_orb = 13
+        records = [f"{-1.0 + 0.1 * p} {p} {p} 0 0" for p in range(1, n_orb + 1)]
+        records += ["0.5 1 1 1 1", "0.4 2 2 2 2", "0.2 1 1 2 2", "0.1 1 2 1 2", "0.0 0 0 0 0"]
+        path = tmp_path / "wide.fcidump"
+        path.write_text(f"&FCI NORB={n_orb},NELEC=2,MS2=0,\n&END\n" + "\n".join(records) + "\n")
+        report = run(RunConfig(fcidump_paths=(str(path),), method="pt", out_dir=str(tmp_path)))
+        error = "oracle supports even registers up to 24 qubits"
+        assert report["failures"] == [{"label": "wide", "error": error}]
+
+    def test_module_run_as_a_script_exits_with_mains_status(self, monkeypatch, capsys):
+        # in process, so that the line tracer of tools/unexecuted.py sees it
+        monkeypatch.setattr(sys, "argv", ["senqse", H2_PATHS[0], "--workers", "0"])
+        with pytest.warns(RuntimeWarning, match="senqse.cli"):
+            with pytest.raises(SystemExit) as info:
+                runpy.run_module("senqse.cli", run_name="__main__")
+        assert info.value.code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
     def test_main_exit_codes(self, tmp_path):
         assert main([H2_PATHS[0], "--out", str(tmp_path / "ok")]) == 0
         assert main([str(tmp_path / "none.fcidump"), "--out", str(tmp_path / "bad")]) == 1
@@ -552,6 +589,31 @@ class TestResources:
         assert rec["cnots_max"] == int(max(c.cnots for c in costs))
         assert rec["depth_avg"] == float(np.mean([c.depth for c in costs]))
         assert rec["depth_max"] == int(max(c.depth for c in costs))
+
+
+    @pytest.mark.parametrize(
+        "basis_file",
+        ["h2o_1.0000.vo.basis.txt", "h2o_1.0000.vo-selected.basis.txt", None],
+    )
+    def test_stats_equal_all_pairs_means(self, basis_file):
+        # weighted per shape pair; the (0, 0) pair of a one-state basis kept
+        if basis_file is None:
+            ints = load_fcidump(H2O_PATH)
+            hq = jordan_wigner(ints)
+            basis = csfbasis.select_basis_pt(
+                ints, hq, csfbasis.default_selection_params(ints)
+            )
+        else:
+            basis = parse_basis((FIXTURES / basis_file).read_text())
+        for states in (basis, basis[:1], basis[:2]):
+            pairs = list(itertools.combinations(states, 2)) or [(states[0], states[0])]
+            costs = [resources.estimate_pair(a, b, 7, 10) for a, b in pairs]
+            assert cli.resource_stats(states, 7, 10) == {
+                "cnots_avg": float(np.mean([c.cnots for c in costs])),
+                "cnots_max": int(max(c.cnots for c in costs)),
+                "depth_avg": float(np.mean([c.depth for c in costs])),
+                "depth_max": int(max(c.depth for c in costs)),
+            }
 
 
 class TestElementKernel:

@@ -15,6 +15,7 @@ from senqse.csfbasis import (
     BasisState,
     CsfKind,
     CsfSpec,
+    SelectionError,
     SelectionParams,
     apply_pair_rotation,
     create_csfs,
@@ -395,7 +396,7 @@ class TestElementEngine:
         # config pairs that no term links: 0.0 with no state built and no
         # apply_pauli_sum call, equal (sign included) to the full evaluation
         specs = create_csfs(default_selection_params(h2o), h2o.n_orb, h2o.n_elec)
-        reference = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        reference = CsfElementEngine(h2o_hq, h2o.n_elec)
         bits = [config_bits(sp, h2o.n_orb) for sp in specs]
         pairs = [
             (a, b)
@@ -410,7 +411,7 @@ class TestElementEngine:
             calls[0] += 1
             return apply_pauli_sum(*args)
 
-        engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        engine = CsfElementEngine(h2o_hq, h2o.n_elec)
         monkeypatch.setattr("senqse.csfbasis.apply_pauli_sum", counted)
         for a, b in pairs[:200]:
             got = engine.element(specs[a], specs[b])
@@ -435,7 +436,7 @@ class TestElementEngine:
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         specs = create_csfs(default_selection_params(ints), ints.n_orb, ints.n_elec)
-        engine = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+        engine = CsfElementEngine(hq, ints.n_elec)
         bits = [engine.bits(s) for s in specs]
         amps = [engine.state(s).amplitudes for s in specs]
         n = len(specs)
@@ -499,7 +500,7 @@ class TestElementEngine:
         assert np.array_equal(sub.exact_matrix().view(np.uint64), upper.view(np.uint64))
 
     def test_kernel_of_another_hamiltonian_is_refused(self, h2o, h2o_hq):
-        kernel = CsfElementEngine(jordan_wigner(h2o), h2o.n_orb, h2o.n_elec)
+        kernel = CsfElementEngine(jordan_wigner(h2o), h2o.n_elec)
         params = default_selection_params(h2o)
         with pytest.raises(BasisError, match="another Hamiltonian"):
             select_basis_pt(h2o, h2o_hq, params, kernel=kernel)
@@ -522,7 +523,7 @@ class TestSelection:
 
     def test_eps1_one_keeps_dominant_only(self, h2, monkeypatch):
         hq = jordan_wigner(h2)
-        engine = CsfElementEngine(hq, 2, 2)
+        engine = CsfElementEngine(hq, 2)
         params = default_selection_params(h2, eps1=1.0)
         specs = create_csfs(params, 2, 2)
         survivors, _ = trim_csfs(engine, specs, params.eps1, 0.0)
@@ -558,7 +559,7 @@ class TestSelection:
 
     def test_extension_ordering_and_thresholds(self, h2o, h2o_hq):
         params = default_selection_params(h2o)
-        engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        engine = CsfElementEngine(h2o_hq, h2o.n_elec)
         specs = create_csfs(params, h2o.n_orb, h2o.n_elec)
         survivors, h_surv = trim_csfs(engine, specs, params.eps1, 0.0)
         ext = extension_pairs(engine, survivors, h_surv, params.eps2, 0.0)
@@ -572,7 +573,7 @@ class TestSelection:
     def test_vo_rotation_order_follows_extension(self, h2o, h2o_hq):
         params = default_selection_params(h2o)
         basis = select_basis_vo(h2o, h2o_hq, params)
-        engine = CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        engine = CsfElementEngine(h2o_hq, h2o.n_elec)
         specs = create_csfs(params, h2o.n_orb, h2o.n_elec)
         survivors, h_surv = trim_csfs(engine, specs, params.eps1, 0.0)
         ext = extension_pairs(engine, survivors, h_surv, params.eps2, 0.0)
@@ -622,6 +623,23 @@ class TestSelection:
             SelectionParams(frozenset({0}), frozenset({1}), eps1=0.0)
         with pytest.raises(BasisError):
             SelectionParams(frozenset({0}), frozenset({1}), eps2=-1.0)
+
+    @pytest.mark.parametrize(
+        "occ, virt, cause",
+        [
+            ((), (5, 6), "occupied"),
+            ((5,), (6,), "occupied"),
+            ((4,), (), "virtual"),
+            ((3,), (2,), "virtual"),
+        ],
+    )
+    def test_window_needs_an_occupied_and_a_virtual_orbital(self, occ, virt, cause):
+        # H2O: orbitals 0-4 occupied; a hand-built window is checked where
+        # selection starts, as an electron count with no window is
+        params = SelectionParams(frozenset(occ), frozenset(virt))
+        match = f"no {cause} orbital \\(NELEC=10, NORB=7\\)"
+        with pytest.raises(SelectionError, match=match):
+            create_csfs(params, 7, 10)
 
 
 class TestSeniorityConfigOp:

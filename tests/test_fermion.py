@@ -12,6 +12,7 @@ from senqse import fermion
 from senqse.fermion import (
     FcidumpError,
     FermionIntegrals,
+    OrbitalError,
     OrbitalRotation,
     jordan_wigner,
     load_fcidump,
@@ -184,6 +185,7 @@ class TestParse:
             ("NORB=2,NELEC=2,MS2=0,", "", "missing &FCI"),
             ("&FCI NORB=2,NELEC=2,", "", "missing MS2 in FCIDUMP header"),
             ("&FCI NORB=0,NELEC=0,MS2=0,", "", "bad NORB 0"),
+            ("&FCI NORB=2,NELEC=3,MS2=0,", "", "odd electron count 3"),
             ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0 1 1 0", "line 3: expected 'value i j k l'"),
             ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0q 1 1 0 0", "line 3: could not convert"),
             ("&FCI NORB=2,NELEC=2,MS2=0,", "1.0 1 one 0 0", "line 3: invalid literal"),
@@ -370,8 +372,16 @@ class TestRotateOrbitals:
         assert np.max(np.abs(u.T @ u - np.eye(2))) < 1e-12
 
     def test_antisymmetry_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OrbitalError, match="exactly antisymmetric"):
             OrbitalRotation(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(OrbitalError, match="exactly antisymmetric"):
+            OrbitalRotation(np.zeros((2, 3)))
+
+    def test_orthogonality_enforced(self):
+        # exp(t) of a rotation by 2000 rad loses orthogonality to rounding
+        rot = OrbitalRotation(np.array([[0.0, 1e3], [-1e3, 0.0]]))
+        with pytest.raises(OrbitalError, match="deviates from orthogonality"):
+            rot.matrix()
 
     def test_occ_virt_packing(self, h2o):
         rot = occ_virt_rotation(h2o, np.full((5, 2), 0.01))
@@ -436,5 +446,9 @@ class TestMp2Amplitude:
         assert "degenerate" in caplog.text
 
     def test_invalid_indices(self, h2):
-        with pytest.raises(ValueError):
+        with pytest.raises(OrbitalError, match="orbital 1 is not occupied"):
             mp2_pair_amplitude(h2, 1, 0)
+        with pytest.raises(OrbitalError, match="orbital 0 is not virtual"):
+            mp2_pair_amplitude(h2, 0, 0)
+        with pytest.raises(OrbitalError, match="orbital 2 is not virtual"):
+            mp2_pair_amplitude(h2, 0, 2)

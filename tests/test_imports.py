@@ -6,11 +6,13 @@ alone.  The check runs in a fresh interpreter, since pytest and other test
 modules import SciPy themselves.  Every definition in the package is
 reached by the program, the benchmark or the tools, so code that only the
 tests use lives in the tests (``algebra.py``), and no package module
-imports from them.  No source file reaches the token count at which
-CPython's parser grows its token array.
+imports from them.  Every refusal raises a named package error, not a
+builtin class.  No source file reaches the token count at which CPython's
+parser grows its token array.
 """
 
 import ast
+import builtins
 import collections
 import os
 import subprocess
@@ -125,6 +127,91 @@ def test_every_definition_is_reachable():
         for alias in node.names
     ]
     assert [name for name in imports if name.split(".")[0] in test_modules] == []
+
+
+def builtin_raises(tree):
+    """(enclosing function or None, line, class name) of each ``raise`` of a
+    builtin exception class in a module, but for one inside a ``try`` body
+    whose handler, in the same function, catches that class and raises."""
+    found = []
+
+    def visit(node, func, rewrapped):
+        if isinstance(node, ast.FunctionDef):
+            func, rewrapped = node.name, frozenset()
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, getattr(exc, "id", ""), None)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                if exc.id not in rewrapped:
+                    found.append((func, node.lineno, exc.id))
+        if isinstance(node, ast.Try):
+            caught = {
+                handler.type.id
+                for handler in node.handlers
+                if isinstance(handler.type, ast.Name)
+                and any(isinstance(sub, ast.Raise) for sub in ast.walk(handler))
+            }
+            for stmt in node.body:
+                visit(stmt, func, rewrapped | caught)
+            for part in (*node.handlers, *node.orelse, *node.finalbody):
+                visit(part, func, rewrapped)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, rewrapped)
+
+    visit(tree, None, frozenset())
+    return found
+
+
+def test_refusals_raise_named_errors():
+    """Every ``raise`` of ``src/senqse`` raises a package error class (each a
+    subclass of a builtin one, so callers that catch the builtin still do),
+    with two exceptions: the config checks of ``cli.py``, whose ValueError
+    ``main`` maps to exit status 2 (with the script guard's SystemExit), and
+    a raise that its own function's handler rewraps (``parse_basis``)."""
+    config_checks = {
+        ("cli.py", "_check_value", "ValueError"),
+        ("cli.py", "__post_init__", "ValueError"),
+        ("cli.py", "_parse_bool", "ValueError"),
+        ("cli.py", None, "SystemExit"),
+    }
+    bare = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func, line, name in builtin_raises(ast.parse(path.read_text()))
+        if (path.name, func, name) not in config_checks
+    ]
+    assert bare == []
+
+
+def test_builtin_raise_guard_reads_handlers_and_functions():
+    source = textwrap.dedent(
+        """
+        def rewrapped(text):
+            try:
+                raise ValueError(text)
+            except ValueError as exc:
+                raise KeyError(str(exc)) from None
+
+        def swallowed():
+            try:
+                raise TypeError("kept")
+            except TypeError:
+                pass
+            raise RuntimeError
+
+        class Named(ValueError):
+            pass
+
+        raise Named("named")
+        """
+    )
+    found = builtin_raises(ast.parse(source))
+    assert found == [
+        ("rewrapped", 6, "KeyError"),
+        ("swallowed", 10, "TypeError"),
+        ("swallowed", 13, "RuntimeError"),
+    ]
 
 
 # CPython's parser doubles its token array when a file reaches this many

@@ -356,7 +356,7 @@ def h2o_pt_kernel():
     products)."""
     ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
     hq = jordan_wigner(ints)
-    kernel = CsfElementEngine(hq, ints.n_orb, ints.n_elec)
+    kernel = CsfElementEngine(hq, ints.n_elec)
     params = default_selection_params(ints, eps1=1e-5, eps2=1e-6, n_active_occ=5)
     basis = select_basis_pt(ints, hq, params, kernel=kernel)
     specs = create_csfs(params, ints.n_orb, ints.n_elec)

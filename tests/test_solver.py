@@ -352,7 +352,7 @@ class TestBuildSubspace:
         assert problem.e_min == pytest.approx(oracles.hf_energy(h2), abs=1e-10)
 
     def test_configs_are_the_kernels(self, h2o, h2o_hq, h2o_vo_selected):
-        kernel = csfbasis.CsfElementEngine(h2o_hq, h2o.n_orb, h2o.n_elec)
+        kernel = csfbasis.CsfElementEngine(h2o_hq, h2o.n_elec)
         engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec, kernel=kernel)
         for mu, b in enumerate(engine.basis):
             assert engine.config(mu) == kernel.bits(b.csf)
@@ -1564,3 +1564,56 @@ class TestRelaxOrbitals:
         e_fixed = build_subspace(basis, h2_hq, 2).e_min
         rot, e_relaxed, history = relax_orbitals(basis, h2)
         assert e_relaxed <= e_fixed + 1e-12
+
+    def test_early_stop_is_logged(self, h2, monkeypatch, caplog):
+        # one Powell iteration stops short of its tolerance on H2's one amplitude
+        basis = [BasisState(CsfSpec(CsfKind.HF), (), "hf")]
+        monkeypatch.setattr(solver, "_RELAX_ITERATIONS", 1)
+        with caplog.at_level("WARNING", logger="senqse.solver"):
+            _, e_relaxed, history = relax_orbitals(basis, h2)
+        assert "orbital relaxation stopped early" in caplog.text
+        assert e_relaxed == history[-1]
+
+
+class TestBasisTextRefusals:
+    """Each refusal that a ``.basis.txt`` record reaches through the engines
+    that take a parsed basis, on H2 (two orbitals, orbital 0 occupied)."""
+
+    @pytest.mark.parametrize(
+        "text, error, match",
+        [
+            ("", SolverError, "basis must be nonempty"),
+            ("\n  \n", SolverError, "basis must be nonempty"),
+            (
+                "state a kind=HF idx=[] moves=[0->2] rot=\n",
+                BasisError,
+                "orbital 2 out of range for 2 orbitals",
+            ),
+            (
+                "state a kind=HF idx=[] moves=[1->0] rot=\n",
+                BasisError,
+                "pair move 1->0 annihilates the state",
+            ),
+            (
+                "state a kind=HF idx=[] moves=[] rot=(1,0,0.3)\n"
+                "state b kind=HF idx=[] moves=[0->1] rot=(1,0,0.5)\n",
+                SolverError,
+                "basis states 'a' and 'b' overlap",
+            ),
+        ],
+    )
+    def test_build_subspace(self, h2, h2_hq, text, error, match):
+        basis = parse_basis(text)
+        with pytest.raises(error, match=match):
+            build_subspace(basis, h2_hq, h2.n_elec)
+
+    def test_vo_optimize_needs_one_rotation_list_per_config(self, h2, h2_hq):
+        # orthogonal at theta = 0, so the engine takes them; the optimiser
+        # cannot keep them orthogonal with different rotations
+        basis = parse_basis(
+            "state a kind=HF idx=[] moves=[] rot=(1,0,0.0)\n"
+            "state b kind=HF idx=[] moves=[0->1] rot=\n"
+        )
+        assert build_subspace(basis, h2_hq, h2.n_elec).e_min < 0.0
+        with pytest.raises(SolverError, match="must share one rotation list"):
+            vo_optimize(basis, h2_hq, h2.n_elec)

@@ -17,8 +17,8 @@ status is 0 once pytest has run, whatever its outcome (the pytest summary
 says which tests failed), and pytest's own status if it could not run.
 
 Run from anywhere:  python3 tools/unexecuted.py [PYTEST ARGS]
-(the default arguments run the whole suite quietly; about 2 min on a 2-core
-host, against about 65 s untraced)
+(the default arguments run the whole suite quietly; about 85 s on a 2-core
+host, against about 45 s untraced)
 """
 
 import ast
