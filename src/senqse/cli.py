@@ -108,6 +108,9 @@ class RunConfig:
         for label in labels:
             if labels.count(label) > 1:
                 raise ValueError(f"duplicate geometry label {label!r}")
+            # a label names the output files inside out_dir
+            if label in ("", ".", "..") or "/" in label or os.sep in label:
+                raise ValueError(f"geometry label {label!r} is not a plain file name")
         object.__setattr__(self, "labels", labels)
 
 

@@ -5,7 +5,7 @@ by an ordered product of electron-pair rotations.  CSFs are built with
 exact sparse determinant algebra (a map from occupation bitstrings to
 amplitudes) so their Jordan-Wigner images, and therefore all phases, are
 reproduced exactly; the tapered image is each determinant's image under
-the tapering Clifford (``taper.build_clifford``).
+the tapering Clifford (``taper.taper_words``).
 
 Selection proceeds in three steps: create all CSFs reachable with active
 window excitations, trim against the ground eigenvector of that CSF-only
@@ -29,7 +29,7 @@ import numpy as np
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
 from senqse.pauli import PauliArrays
 from senqse.simulator import StateVector, apply_pauli_sum, real_block
-from senqse.taper import SectorHamiltonian, block_rows, build_clifford, symmetric_matrix
+from senqse.taper import SectorHamiltonian, block_rows, symmetric_matrix, taper_words
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -368,14 +368,13 @@ def full_state(b: BasisState, n_orb: int, n_elec: int) -> StateVector:
 def make_csf_tapered(spec: CsfSpec, n_orb: int, n_elec: int) -> StateVector:
     """Tapered n_orb-qubit image of the CSF (doubly occupied orbitals at |1>).
 
-    The tapering Clifford (CNOTs and a permutation) sends each determinant
-    |occ> to |x>, x the X word of its conjugated X^occ, with no sign: the
-    low n_orb bits of x are the config and the high bits the remainder index.
+    The tapering Clifford sends each determinant |occ> to |x>, x the X word
+    of ``taper_words`` on X^occ, with no sign: the low n_orb bits of x are
+    the config and the high bits the remainder index.
     """
-    uc = build_clifford(n_orb)
     amps = np.zeros(2**n_orb, dtype=complex)
     for occ, amp in csf_determinants(spec, n_orb, n_elec).items():
-        amps[uc.conjugate_words(occ, 0)[0] >> n_orb] += amp
+        amps[taper_words(occ, 0, n_orb)[0] >> n_orb] += amp
     return StateVector(amps, n_orb)
 
 

@@ -8,13 +8,12 @@ means Y, and qubit q is bit q of the basis-state index (little endian)::
 
 with sigma(0,0)=I, sigma(1,0)=X, sigma(0,1)=Z, sigma(1,1)=Y.  The rules on
 one pair of products take Python integers, so they hold on any width;
-``PauliArrays`` holds a whole sum as arrays of 64-bit words, and
-``CliffordMap.conjugate_words`` conjugates such arrays.
+``PauliArrays`` holds a whole sum as arrays of 64-bit words.  The one
+Clifford the program applies, the tapering map, is ``taper.taper_words``,
+which acts on such words directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 DROP_TOL = 1e-12
 
@@ -54,49 +53,6 @@ def label(x: int, z: int) -> str:
         if support >> q & 1
     ]
     return " ".join(letters) or "I"
-
-
-@dataclass(frozen=True)
-class CliffordMap:
-    """A Clifford unitary built from CNOTs and qubit permutations.
-
-    ``gates`` entries are ``("cnot", control, target)`` or
-    ``("perm", p)`` where ``p[q]`` is the new position of qubit q.  Gates
-    act on states in list order; ``conjugate_words`` returns U P U^dagger
-    for Python ints or whole arrays of (x, z) words.
-    """
-
-    n_qubits: int
-    gates: tuple = field(default_factory=tuple)
-
-    def conjugate_words(self, x, z):
-        """U sigma(x, z) U^dagger = (-1)^s sigma(x', z'), as (x', z', s).
-
-        ``x`` and ``z`` are Python ints or arrays of integer words (such as
-        uint64), one phase-free product per word; s is 0 or 1 per word.  A
-        CNOT(c -> t) copies the X bit of c onto t and the Z bit of t onto
-        c, and flips the sign where x_c z_t (x_t XOR z_c XOR 1) is set; a
-        permutation moves bit q to bit p[q] (Dehaene and De Moor 2003, PRA
-        68, 042318; Aaronson and Gottesman 2004, PRA 70, 052328).
-        """
-        sign = x & 0  # a zero of the words' type
-        for g in self.gates:
-            if g[0] == "cnot":
-                _, c, t = g
-                xc, zt = (x >> c) & 1, (z >> t) & 1
-                sign = sign ^ (xc & zt & ((x >> t) ^ (z >> c) ^ 1))
-                x, z = x ^ (xc << t), z ^ (zt << c)
-            else:
-                x, z = _permute_words(x, g[1]), _permute_words(z, g[1])
-        return x, z, sign
-
-
-def _permute_words(words, perm):
-    """Bit q of each word moved to bit perm[q]."""
-    out = words & 0
-    for q, new_q in enumerate(perm):
-        out = out | ((words >> q) & 1) << new_q
-    return out
 
 
 class PauliArrays:

@@ -20,26 +20,56 @@ import operator
 
 import numpy as np
 
-from senqse.pauli import DROP_TOL, CliffordMap, PauliArrays
+from senqse.pauli import DROP_TOL, PauliArrays
 
 
 class TaperError(ValueError):
     """Violated seniority-structure contract."""
 
 
-def build_clifford(n_orb: int) -> CliffordMap:
-    """CNOT(2i+1 -> 2i) per orbital, then even qubits shuffled to the front.
+_EVEN = 0x5555555555555555
+# (shift, mask) steps that move bit 2i of a 64-bit word with clear odd bits to bit i
+_GATHER = (
+    (1, 0x3333333333333333),
+    (2, 0x0F0F0F0F0F0F0F0F),
+    (4, 0x00FF00FF00FF00FF),
+    (8, 0x0000FFFF0000FFFF),
+    (16, 0x00000000FFFFFFFF),
+)
 
-    Conjugation maps S_i = Z_2i Z_2i+1 to Z_i with phase +1, and every
-    Z_2i+1 to a Z supported on the last n_orb qubits.
+
+def _gather_even(w):
+    """The even bits of w packed into its low half: bit 2i moves to bit i."""
+    w = w & _EVEN
+    for shift, mask in _GATHER:
+        w = (w | w >> shift) & mask
+    return w
+
+
+def taper_words(x, z, n_orb: int):
+    """The tapering Clifford U on sigma(x, z): U sigma U^dagger = (-1)^s sigma(x', z').
+
+    U is CNOT(2i+1 -> 2i) on each orbital, then the shuffle that moves
+    qubit 2i to i and qubit 2i+1 to n_orb + i, so S_i = Z_2i Z_2i+1 goes
+    to Z_i with phase +1 and Z_2i+1 to a Z in the high half (Bravyi et al.
+    2017, arXiv:1701.08213).  The CNOTs copy the odd X bits onto the even
+    ones and the even Z bits onto the odd ones; s is the parity of
+    x_c z_t (x_t XOR z_c XOR 1) over the pairs (Aaronson and Gottesman
+    2004, PRA 70, 052328).  ``x`` and ``z`` are Python ints or uint64
+    arrays of words on 2*n_orb <= 64 qubits; returns (x', z', s), s 0 or
+    1 per word.
     """
-    gates = [("cnot", 2 * i + 1, 2 * i) for i in range(n_orb)]
-    perm = [0] * (2 * n_orb)
-    for i in range(n_orb):
-        perm[2 * i] = i
-        perm[2 * i + 1] = n_orb + i
-    gates.append(("perm", tuple(perm)))
-    return CliffordMap(2 * n_orb, tuple(gates))
+    # each pair's sign bit at its even position, then their parity in bit 0
+    flips = (x >> 1) & z & (x ^ (z >> 1) ^ _EVEN) & _EVEN
+    for shift in (32, 16, 8, 4, 2):
+        flips = flips ^ flips >> shift
+    x = x ^ (x >> 1) & _EVEN
+    z = z ^ (z << 1) & (_EVEN << 1)
+    return (
+        _gather_even(x) | _gather_even(x >> 1) << n_orb,
+        _gather_even(z) | _gather_even(z >> 1) << n_orb,
+        flips & 1,
+    )
 
 
 # <v| sigma(x, z) |w> for x = v XOR w is i^|x & z| (-1)^|z & w|, entry
@@ -53,7 +83,7 @@ class SectorHamiltonian:
     After tapering, a term reaches the (bra, ket) seniority pair only when
     the X part x_left of its seniority register equals bra XOR ket (the
     symmetry-induced zero pattern).  The words of ``hq`` are conjugated in
-    one ``conjugate_words`` call and sorted stably by x_left, so a bucket
+    one ``taper_words`` call and sorted stably by x_left, so a bucket
     is a slice, in ``hq`` order, of whole-table arrays: z_left, c times the
     conjugation sign, |x_left & z_left| mod 4, and the index of the term's
     remainder key (x_right, z_right) among its bucket's distinct keys, kept
@@ -75,7 +105,7 @@ class SectorHamiltonian:
         n_orb = hq.n_qubits // 2
         self.n_orb = n_orb
         mask = (1 << n_orb) - 1
-        x, z, sign = build_clifford(n_orb).conjugate_words(hq.keys[:, 0], hq.keys[:, 1])
+        x, z, sign = taper_words(hq.keys[:, 0], hq.keys[:, 1], n_orb)
         # a stable sort in Python: NumPy's stable argsort of uint64 would
         # fault in about 128 KB of library code that nothing else runs
         order = sorted(range(len(x)), key=(x & mask).tolist().__getitem__)

@@ -3,8 +3,10 @@
 The program holds every operator as ``senqse.pauli.PauliArrays``.  The
 tests build their operators and references with the exact forms here: a
 ``PauliProduct`` with a quarter-turn phase, a ``PauliSum`` dict of
-phase-free products, the conjugation of one product by a ``CliffordMap``
-and the inverse of such a map.  The products' phases, commutation and
+phase-free products, a ``CliffordMap`` of CNOTs and permutations, the
+conjugation of one product by such a map and its inverse.  The tapering
+Clifford as a circuit, ``tapering_clifford``, is the reference that
+``taper.taper_words``'s closed form must equal bit for bit.  The products' phases, commutation and
 labels are the package's own rules (``pauli.product_phase``,
 ``pauli.anticommute``, ``pauli.label``), so the tests that check this
 algebra against dense matrices check those rules too.
@@ -17,15 +19,15 @@ element's measured state and fragments.  ``StateVector`` and
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from senqse import simulator, solver
 from senqse.csfbasis import make_csf_tapered, rotate_chain
-from senqse.pauli import CliffordMap, PauliError, anticommute, label, product_phase
+from senqse.pauli import PauliError, anticommute, label, product_phase
 from senqse.simulator import apply_pauli_sum
-from senqse.taper import TaperError, build_clifford
+from senqse.taper import TaperError
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -107,6 +109,61 @@ class PauliProduct:
 
     def label(self) -> str:
         return label(self.x_bits, self.z_bits)
+
+
+@dataclass(frozen=True)
+class CliffordMap:
+    """A Clifford unitary built from CNOTs and qubit permutations.
+
+    ``gates`` entries are ``("cnot", control, target)`` or
+    ``("perm", p)`` where ``p[q]`` is the new position of qubit q.  Gates
+    act on states in list order; ``conjugate_words`` returns U P U^dagger
+    for Python ints or whole arrays of (x, z) words.
+    """
+
+    n_qubits: int
+    gates: tuple = field(default_factory=tuple)
+
+    def conjugate_words(self, x, z):
+        """U sigma(x, z) U^dagger = (-1)^s sigma(x', z'), as (x', z', s).
+
+        ``x`` and ``z`` are Python ints or arrays of integer words (such as
+        uint64), one phase-free product per word; s is 0 or 1 per word.  A
+        CNOT(c -> t) copies the X bit of c onto t and the Z bit of t onto
+        c, and flips the sign where x_c z_t (x_t XOR z_c XOR 1) is set; a
+        permutation moves bit q to bit p[q] (Dehaene and De Moor 2003, PRA
+        68, 042318; Aaronson and Gottesman 2004, PRA 70, 052328).
+        """
+        sign = x & 0  # a zero of the words' type
+        for g in self.gates:
+            if g[0] == "cnot":
+                _, c, t = g
+                xc, zt = (x >> c) & 1, (z >> t) & 1
+                sign = sign ^ (xc & zt & ((x >> t) ^ (z >> c) ^ 1))
+                x, z = x ^ (xc << t), z ^ (zt << c)
+            else:
+                x, z = _permute_words(x, g[1]), _permute_words(z, g[1])
+        return x, z, sign
+
+
+def _permute_words(words, perm):
+    """Bit q of each word moved to bit perm[q]."""
+    out = words & 0
+    for q, new_q in enumerate(perm):
+        out = out | ((words >> q) & 1) << new_q
+    return out
+
+
+def tapering_clifford(n_orb: int) -> CliffordMap:
+    """The tapering Clifford as a circuit: CNOT(2i+1 -> 2i) per orbital,
+    then even qubits shuffled to the front (``taper.taper_words``'s map)."""
+    gates = [("cnot", 2 * i + 1, 2 * i) for i in range(n_orb)]
+    perm = [0] * (2 * n_orb)
+    for i in range(n_orb):
+        perm[2 * i] = i
+        perm[2 * i + 1] = n_orb + i
+    gates.append(("perm", tuple(perm)))
+    return CliffordMap(2 * n_orb, tuple(gates))
 
 
 def conjugate(cmap: CliffordMap, p: PauliProduct) -> PauliProduct:
@@ -261,7 +318,7 @@ def taper_check(full_state) -> tuple[int, StateVector]:
     if full_state.n_qubits % 2 != 0:
         raise TaperError("state must live on the full 2*n_orb register")
     n_orb = full_state.n_qubits // 2
-    rotated = apply_clifford(full_state, build_clifford(n_orb))
+    rotated = apply_clifford(full_state, tapering_clifford(n_orb))
     # index = (remainder bits << n_orb) | seniority bits
     table = rotated.amplitudes.reshape(2**n_orb, 2**n_orb)
     col_norms = np.linalg.norm(table, axis=0)
@@ -280,7 +337,7 @@ def untaper_state(bits: int, remainder) -> StateVector:
         raise TaperError(f"config bits {bits} outside n_orb={n_orb}")
     full = np.zeros(2 ** (2 * n_orb), dtype=complex)
     full[(np.arange(2**n_orb) << n_orb) | bits] = remainder.amplitudes
-    return apply_clifford(StateVector(full, 2 * n_orb), inverse(build_clifford(n_orb)))
+    return apply_clifford(StateVector(full, 2 * n_orb), inverse(tapering_clifford(n_orb)))
 
 
 def tapered_state(b, n_orb: int, n_elec: int) -> simulator.StateVector:

@@ -5,11 +5,12 @@ never calls into the package's operator algebra, so it can serve as an
 independent reference for it.  The exceptions are the direct term-by-term
 loops that the package's fast paths replace, kept as references that must
 agree with them exactly unless a tolerance is named: ``DictSectorTable``
-(``taper.SectorHamiltonian``, with ``per_gate_conjugate`` for
-``CliffordMap.conjugate_words`` and
+(``taper.SectorHamiltonian``, with ``per_gate_conjugate`` on the circuit
+``algebra.tapering_clifford`` for ``taper.taper_words``, the one statement
+of the tapered layout, and
 ``left_factor_element`` for its table of bra-ket factors),
-``bitwise_taper`` (``csfbasis.make_csf_tapered``'s reading of the
-tapering Clifford), ``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
+``bitwise_taper`` (``csfbasis.make_csf_tapered``'s reading of
+``taper.taper_words``), ``term_by_term_apply`` and ``dense_gather_apply`` (the whole-register
 pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
@@ -140,7 +141,8 @@ def permutation_matrix(perm, n_qubits):
 
 
 def clifford_matrix(cmap):
-    """Dense unitary of a package CliffordMap (gates act in list order)."""
+    """Dense unitary of an ``algebra.CliffordMap`` (gates act in list order),
+    such as ``algebra.tapering_clifford``, the circuit of ``taper.taper_words``."""
     dim = 2**cmap.n_qubits
     out = np.eye(dim, dtype=complex)
     for g in cmap.gates:
@@ -228,7 +230,9 @@ def random_pauli_sum_pairs(rng, n_qubits, n_terms, real=True):
 
 def per_gate_conjugate(cmap, p):
     """U p U^dagger by per-gate updates of one product's bits (the scalar
-    rule that ``CliffordMap.conjugate_words`` applies to arrays of words)."""
+    rule that ``algebra.CliffordMap.conjugate_words`` applies to arrays of
+    words, and that ``taper.taper_words`` states in closed form for the
+    tapering circuit)."""
     x, z, ph = p.x_bits, p.z_bits, p.phase_exp
     for g in cmap.gates:
         if g[0] == "cnot":

@@ -171,6 +171,22 @@ class TestConfig:
         assert "labels must match fcidump_paths" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["sub/h2", "../x", "", ".", ".."])
+    def test_label_that_is_not_a_file_name_rejected(self, label):
+        with pytest.raises(ValueError, match=f"geometry label {re.escape(repr(label))} is not"):
+            RunConfig(fcidump_paths=(H2_PATHS[0],), labels=(label,))
+
+    @pytest.mark.parametrize("label", ["sub/h2", "../x", ".."])
+    def test_main_rejects_label_that_is_not_a_file_name(self, tmp_path, capsys, label):
+        # refused before any geometry runs, so nothing is written in or
+        # beside the output directory
+        path = tmp_path / "run.cfg"
+        path.write_text(f"fcidump_paths = {H2_PATHS[0]}\nlabels = {label}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert f"geometry label {label!r} is not a plain file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_main_rejects_zero_workers(self, tmp_path, capsys):
         argv = [H2_PATHS[0], "--workers", "0", "--out", str(tmp_path / "out")]
         assert main(argv) == 2

@@ -50,11 +50,12 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def run_fresh(script: str, fixture: str) -> str:
+def run_fresh(script: str, fixture: str, **env) -> str:
     """stdout of ``script`` in a fresh interpreter on the package source,
-    given the path of the fixture ``fixture``."""
+    given the path of the fixture ``fixture``, with ``env`` added to the
+    environment."""
     src = str(PACKAGE.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", script, str(FIXTURES / fixture)],

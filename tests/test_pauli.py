@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from algebra import PauliProduct, PauliSum, conjugate, inverse
-from senqse.pauli import CliffordMap, PauliError, anticommute, product_phase
+from algebra import CliffordMap, PauliProduct, PauliSum, conjugate, inverse
+from senqse.pauli import PauliError, anticommute, product_phase
 
 
 def P(label, n):

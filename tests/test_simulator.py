@@ -13,6 +13,7 @@ from algebra import (
     SubspaceEngine,
     expectation,
     matrix_element_exact,
+    tapering_clifford,
 )
 from oracles import as_arrays, as_sum
 from senqse import simulator, solver
@@ -43,7 +44,7 @@ from senqse.simulator import (
     rng_for,
 )
 from senqse.solver import build_subspace, vo_optimize
-from senqse.taper import SectorHamiltonian, build_clifford, symmetric_matrix
+from senqse.taper import SectorHamiltonian, symmetric_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -382,7 +383,7 @@ class TestSupportPass:
         # every effective operator the PT selection and the VO basis memoise
         h2o_engine.exact_matrix()
         for kernel in (h2o_pt_kernel[0], h2o_engine.kernel):
-            ref = oracles.DictSectorTable(kernel.hq, build_clifford(kernel.n_orb))
+            ref = oracles.DictSectorTable(kernel.hq, tapering_clifford(kernel.n_orb))
             assert len(kernel.sectors._ops) > 20
             for (v, w), op in kernel.sectors._ops.items():
                 want = ref.op(v, w)

@@ -9,20 +9,20 @@ from algebra import (
     PauliSum,
     StateVector,
     apply_clifford,
-    conjugate,
     seniority_symmetries,
     taper_check,
+    tapering_clifford,
     untaper_state,
 )
 from oracles import as_arrays, as_sum
 from senqse.fermion import jordan_wigner, load_fcidump
 from senqse import taper
-from senqse.pauli import CliffordMap, PauliArrays
+from senqse.pauli import PauliArrays
 from senqse.taper import (
     SectorHamiltonian,
     TaperError,
-    build_clifford,
     effective_hamiltonian,
+    taper_words,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -54,38 +54,80 @@ class TestSymmetries:
             assert sq.is_identity() and sq.phase == 1
 
 
+def tapered(p):
+    """``taper_words`` on one product, as a PauliProduct with its sign."""
+    x, z, sign = taper_words(p.x_bits, p.z_bits, p.n_qubits // 2)
+    return PauliProduct(p.n_qubits, x, z, p.phase_exp + 2 * sign)
+
+
 class TestBuildClifford:
-    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5])
+    """The tapering Clifford as ``taper_words`` applies it, and its circuit."""
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5, 32])
     def test_defining_property(self, n_orb):
-        uc = build_clifford(n_orb)
         for i, s in enumerate(seniority_symmetries(n_orb)):
-            out = conjugate(uc, s)
+            out = tapered(s)
             assert out.label() == f"Z{i}" and out.phase == 1
 
     def test_single_orbital_dense(self):
-        uc = build_clifford(1)
-        u = oracles.clifford_matrix(uc)
+        u = oracles.clifford_matrix(tapering_clifford(1))
         zz = oracles.pauli_matrix("Z0 Z1", 2)
         assert np.allclose(u @ zz @ u.conj().T, oracles.pauli_matrix("Z0", 2))
+        assert tapered(PauliProduct.from_label("Z0 Z1", 2)).label() == "Z0"
 
     def test_odd_z_lands_on_state_register(self):
-        n_orb = 3
-        uc = build_clifford(n_orb)
-        low_mask = (1 << n_orb) - 1
-        for i in range(n_orb):
-            out = conjugate(uc, PauliProduct.single("Z", 2 * i + 1, 2 * n_orb))
-            assert out.x_bits == 0 and (out.z_bits & low_mask) == 0
+        for n_orb in (3, 32):
+            low_mask = (1 << n_orb) - 1
+            for i in range(n_orb):
+                out = tapered(PauliProduct.single("Z", 2 * i + 1, 2 * n_orb))
+                assert out.x_bits == 0 and (out.z_bits & low_mask) == 0
+                assert out.label() == f"Z{n_orb + i}" and out.phase == 1
 
     def test_hf_state_maps_to_zero_config(self):
         n_orb, n_elec = 3, 4
         occ_bits = sum(1 << q for q in range(n_elec))
-        uc = build_clifford(n_orb)
+        x, _, _ = taper_words(occ_bits, 0, n_orb)
+        assert x & ((1 << n_orb) - 1) == 0  # seniority register all zero
+        assert x >> n_orb == 0b011  # doubly occupied orbitals 0 and 1
         rotated = apply_clifford(
-            StateVector.computational(occ_bits, 2 * n_orb), uc
+            StateVector.computational(occ_bits, 2 * n_orb), tapering_clifford(n_orb)
         )
-        idx = int(np.argmax(np.abs(rotated.amplitudes)))
-        assert idx & ((1 << n_orb) - 1) == 0  # seniority register all zero
-        assert idx >> n_orb == 0b011  # doubly occupied orbitals 0 and 1
+        assert int(np.argmax(np.abs(rotated.amplitudes))) == x
+
+    def test_tapered_determinant_is_the_bitwise_taper(self):
+        n_orb = 3
+        for occ in range(2 ** (2 * n_orb)):
+            x, z, sign = taper_words(occ, 0, n_orb)
+            [config], amps = oracles.bitwise_taper({occ: 1.0}, n_orb)
+            assert x & ((1 << n_orb) - 1) == config and z == sign == 0
+            assert amps[x >> n_orb] == 1.0
+
+    def test_equals_the_circuit_on_arrays(self):
+        # every register up to 64 qubits, signs included; the words of
+        # n_orb = 32 set bit 63, and the edge words are always present
+        rng = np.random.default_rng(41)
+        for n_orb in range(1, 33):
+            mask = (1 << 2 * n_orb) - 1
+            edges = [0, mask, mask & taper._EVEN, mask & taper._EVEN << 1, 1 << 2 * n_orb - 1]
+            x, z = rng.integers(0, 2**64, size=(2, 3000), dtype=np.uint64) & np.uint64(mask)
+            x[:5], z[:5] = edges, edges[::-1]
+            got = taper_words(x, z, n_orb)
+            want = tapering_clifford(n_orb).conjugate_words(x, z)
+            assert [w.dtype for w in got] == [np.dtype(np.uint64)] * 3
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert got[2].any() and not got[2].all()
+        assert (x >> np.uint64(63)).any()
+
+    def test_equals_the_circuit_on_ints(self):
+        rng = np.random.default_rng(43)
+        for n_orb in range(1, 33):
+            uc = tapering_clifford(n_orb)
+            words = rng.integers(0, 2**64, size=(300, 2), dtype=np.uint64)
+            for x, z in (words >> np.uint64(64 - 2 * n_orb)).tolist():
+                got = taper_words(x, z, n_orb)
+                assert got == uc.conjugate_words(x, z)
+                assert [type(w) for w in got] == [int] * 3
 
 
 class TestEffectiveHamiltonian:
@@ -181,9 +223,8 @@ def assert_matches_dict_table(table, ref, pairs):
 def assert_matches_every_pair(hq):
     """Every (bra, ket) config pair of hq's table against the dict table."""
     n_orb = hq.n_qubits // 2
-    uc = build_clifford(n_orb)
     pairs = [(v, w) for v in range(2**n_orb) for w in range(2**n_orb)]
-    ref = oracles.DictSectorTable(hq, uc)
+    ref = oracles.DictSectorTable(hq, tapering_clifford(n_orb))
     assert_matches_dict_table(SectorHamiltonian(hq), ref, pairs)
 
 
@@ -221,12 +262,8 @@ class TestSectorHamiltonian:
         """A pair is empty when no conjugated term has X part bra XOR ket."""
         hq = fixture_hamiltonian("h2o_1.0000")
         n_orb = hq.n_qubits // 2
-        uc = build_clifford(n_orb)
         mask = (1 << n_orb) - 1
-        x_parts = {
-            conjugate(uc, PauliProduct(2 * n_orb, x, z)).x_bits & mask
-            for (x, z), _ in hq.items()
-        }
+        x_parts = {taper_words(x, z, n_orb)[0] & mask for (x, z), _ in hq.items()}
         absent = [x for x in range(2**n_orb) if x not in x_parts]
         assert absent and 0 in x_parts
         table = SectorHamiltonian(hq)
@@ -241,13 +278,12 @@ class TestSectorHamiltonian:
         hq = fixture_hamiltonian("h2o_1.0000")
         n_orb = hq.n_qubits // 2
         conjugated = []
-        conjugate_words = CliffordMap.conjugate_words
 
-        def counting(uc, x, z):
+        def counting(x, z, n_orb):
             conjugated.append(len(x))
-            return conjugate_words(uc, x, z)
+            return taper_words(x, z, n_orb)
 
-        monkeypatch.setattr(CliffordMap, "conjugate_words", counting)
+        monkeypatch.setattr(taper, "taper_words", counting)
         table = SectorHamiltonian(hq)
         assert sum(conjugated) == hq.n_terms
         rng = np.random.default_rng(11)
