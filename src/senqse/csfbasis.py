@@ -22,14 +22,19 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from senqse.fermion import FermionIntegrals, mp2_pair_amplitude
 from senqse.pauli import PauliArrays
-from senqse.simulator import StateVector, apply_pauli_sum, real_block
-from senqse.taper import SectorHamiltonian, block_rows, symmetric_matrix, taper_words
+from senqse.simulator import StateVector
+from senqse.taper import (
+    SectorHamiltonian,
+    SupportOperator,
+    real_support,
+    tapered_operator,
+    taper_words,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -191,10 +196,24 @@ class BasisState:
                 )
 
     def with_thetas(self, thetas) -> "BasisState":
-        rots = tuple(
-            (r, s, float(th)) for (r, s, _), th in zip(self.rotations, thetas)
-        )
-        return BasisState(self.csf, rots, self.label)
+        """The state with new rotation angles, one per rotation, in order.
+
+        A list of another length, or an angle whose 2*theta is not finite,
+        is a BasisError (``parse_basis``'s rule); the pairs were checked
+        when the state was built, so they are not checked again.
+        """
+        thetas = [float(th) for th in thetas]
+        if len(thetas) != len(self.rotations):
+            raise BasisError(
+                f"{len(thetas)} angles for {len(self.rotations)} rotations"
+            )
+        if not all(math.isfinite(2.0 * th) for th in thetas):
+            raise BasisError("rotation angle 2*theta is not finite")
+        state = object.__new__(BasisState)
+        rots = tuple((r, s, th) for (r, s, _), th in zip(self.rotations, thetas))
+        for name, value in (("csf", self.csf), ("rotations", rots), ("label", self.label)):
+            object.__setattr__(state, name, value)
+        return state
 
     def dedup_key(self):
         return (
@@ -547,19 +566,20 @@ def default_selection_params(
 class CsfElementEngine:
     """The exact element kernel of one geometry's qubit Hamiltonian ``hq``.
 
-    It holds the geometry's one sector table (``hq`` conjugated once,
-    effective operators memoised per config pair), the tapered states and
-    config bit masks of rotation-free CSFs, and the one rule for matrix
-    elements, ``block``: the real block <bras|H_eff(c_bra, c_ket)|kets> of
-    one config pair.  A bra or ket is a CSF, whose state is built here and
-    whose products are memoised per (bra config, CSF), or a call that
-    returns a state (a rotated one, say), whose products are not kept.
-    The rule applies the pair's operator once to the stack of the kets
-    that have no product yet and takes each entry from
-    ``simulator.real_block``; a pair that no term links is a zero block,
-    with no state built.  Selection, ``vo_optimize``, ``build_subspace``
-    and ``tapering_stats`` share every operator and every kept product.
-    ``element`` is the 1x1 block of two CSFs.
+    It holds the geometry's sector table (``hq`` conjugated once by the
+    tapering Clifford into H', effective operators memoised per config
+    pair, for sampling and the slot models), the tapered states and
+    config bit masks of rotation-free CSFs, and the one rule for exact
+    matrix elements, ``matrix``: <bras|H'|kets> of tapered states given
+    as (config bits, amplitudes) pairs (``csf`` gives a CSF's).  A state
+    of config c is |c> (x) |psi> on the whole tapered register, so the
+    rule reads each state's nonzero amplitudes at the indices c | k <<
+    n_orb and takes every entry from one pass of H' over the states'
+    joint support (``taper.SupportOperator``); H' links two configs
+    only through the terms whose seniority-register X word is their XOR.
+    Selection, ``vo_optimize``, ``build_subspace`` and ``tapering_stats``
+    share the table and the CSF states.  ``element`` is the 1x1 matrix of
+    two CSFs.
     """
 
     def __init__(self, hq: PauliArrays, n_elec: int):
@@ -567,9 +587,9 @@ class CsfElementEngine:
         self.sectors = SectorHamiltonian(hq)
         self.n_orb = self.sectors.n_orb
         self.n_elec = n_elec
+        self._support = SupportOperator(tapered_operator(hq))
         self._states = {}
         self._bits = {}
-        self._products = {}
 
     def state(self, spec: CsfSpec) -> StateVector:
         if spec not in self._states:
@@ -582,29 +602,24 @@ class CsfElementEngine:
             self._bits[spec] = config_bits(spec, self.n_orb)
         return self._bits[spec]
 
+    def csf(self, spec: CsfSpec) -> tuple:
+        """The CSF as ``matrix`` takes it: (config bits, tapered amplitudes)."""
+        return self.bits(spec), self.state(spec).amplitudes
+
     def xop(self, bra_bits: int, ket_bits: int) -> PauliArrays:
         return self.sectors.op(bra_bits, ket_bits)
 
-    def _amplitudes(self, item) -> np.ndarray:
-        return (self.state(item) if isinstance(item, CsfSpec) else item()).amplitudes
+    def matrix(self, bras, kets=None) -> np.ndarray:
+        """<bras|H'|kets> (see the class docstring); with kets None, the
+        symmetric matrix of bras (``SupportOperator.matrix``)."""
 
-    def block(self, bra_bits: int, ket_bits: int, bras, kets) -> np.ndarray:
-        """<bras|H_eff(bra_bits, ket_bits)|kets> (see the class docstring)."""
-        op = self.xop(bra_bits, ket_bits)
-        if not op:
-            return np.zeros((len(bras), len(kets)))  # no term links the configs
-        memo = self._products
-        new = [k for k in kets if (bra_bits, k) not in memo]
-        made = {}
-        if new:
-            stack = np.array([self._amplitudes(k) for k in new])
-            made = dict(zip(new, apply_pauli_sum(stack, op)))
-            memo.update(((bra_bits, k), p) for k, p in made.items() if isinstance(k, CsfSpec))
-        products = [made[k] if k in made else memo[bra_bits, k] for k in kets]
-        return real_block([self._amplitudes(b) for b in bras], products)
+        def support(states):
+            return [real_support(amps, bits, self.n_orb) for bits, amps in states]
+
+        return self._support.matrix(support(bras), None if kets is None else support(kets))
 
     def element(self, a: CsfSpec, b: CsfSpec) -> float:
-        return float(self.block(self.bits(a), self.bits(b), [a], [b])[0, 0])
+        return float(self.matrix([self.csf(a)], [self.csf(b)])[0, 0])
 
 
 def element_kernel(kernel, hq: PauliArrays, n_elec: int) -> CsfElementEngine:
@@ -660,10 +675,7 @@ def trim_csfs(engine: CsfElementEngine, specs: list, eps1: float, root_window: f
     contributors of every root within that energy of the lowest.  Returns
     the survivors and their block of the CSF matrix.
     """
-    # handed over as calls, so no product is kept: of these kets only the
-    # survivors are read again, and ``extension_pairs`` keeps theirs
-    states = [partial(engine.state, s) for s in specs]
-    h = symmetric_matrix([engine.bits(s) for s in specs], states, engine.block)
+    h = engine.matrix([engine.csf(s) for s in specs])
     vals, vecs = np.linalg.eigh(h)
     weights0 = np.abs(vecs[:, 0]) ** 2
     keep = set()
@@ -733,32 +745,28 @@ def extension_pairs(
     survivor_keys = {
         physical_csf_key(s, engine.n_orb, engine.n_elec) for s in survivors
     }
-    configs = [engine.bits(s) for s in survivors]
-    border = np.zeros((n + 1, n + 1))
-    border[:n, :n] = h_surv
-    out = []
-    for spec in survivors:
-        pairs, cands, found = [], [], []
+    owners, pairs, cands = [], [], []
+    for mu, spec in enumerate(survivors):
         for i in sorted(paired_occupied(spec, engine.n_orb, engine.n_elec)):
             for a in sorted(empty_orbitals(spec, engine.n_orb, engine.n_elec)):
                 cand = spec.moved(i, a)
                 if physical_csf_key(cand, engine.n_orb, engine.n_elec) not in survivor_keys:
+                    owners.append(mu)
                     pairs.append((a, i))
-                    cands.append(cand)
-        if cands:
-            # a pair move keeps the config, so every candidate has spec's
-            bits = engine.bits(spec)
-            rows = block_rows(bits, cands, configs, survivors, engine.block)
-            own = engine.block(bits, bits, cands, cands)
-            for c, pair in enumerate(pairs):
-                border[n, :n] = border[:n, n] = rows[c]
-                border[n, n] = own[c, c]
-                drops = np.linalg.eigvalsh(border)[:k_track] - base_vals[:k_track]
-                de = float(drops.min())
-                if abs(de) > eps2:
-                    found.append((pair, de))
-        out.append(sorted(found, key=lambda item: (-abs(item[1]), item[0])))
-    return out
+                    cands.append(engine.csf(cand))
+    found = [[] for _ in survivors]
+    if cands:
+        # each candidate bordering the survivors' matrix, one stacked eigensolve
+        rows = engine.matrix(cands, cands + [engine.csf(s) for s in survivors])
+        border = np.zeros((len(cands), n + 1, n + 1))
+        border[:, :n, :n] = h_surv
+        border[:, n, :n] = border[:, :n, n] = rows[:, len(cands) :]
+        border[:, n, n] = np.diagonal(rows)
+        drops = np.linalg.eigvalsh(border)[:, :k_track] - base_vals[:k_track]
+        for mu, pair, de in zip(owners, pairs, drops.min(axis=1).tolist()):
+            if abs(de) > eps2:
+                found[mu].append((pair, de))
+    return [sorted(f, key=lambda item: (-abs(item[1]), item[0])) for f in found]
 
 
 def merge_config_pairs(survivors, ext, n_orb: int) -> dict:

@@ -141,16 +141,6 @@ def apply_pauli_sum(amps: np.ndarray, op: PauliArrays) -> np.ndarray:
     return out
 
 
-def real_block(bras, products) -> np.ndarray:
-    """Entry (a, b) is ``np.vdot`` of bra row a with product row b, H|ket b>
-    for a real H; one check refuses an imaginary part above IMAG_TOL."""
-    vals = np.array([[np.vdot(bra, p) for p in products] for bra in bras])
-    imag = np.max(np.abs(vals.imag), initial=0.0)
-    if imag > IMAG_TOL:
-        raise SimulatorError(f"matrix element has imaginary part {imag}")
-    return vals.real
-
-
 def prepare_swap_state(a: StateVector, b: StateVector) -> StateVector:
     """(|0>|a> + |1>|b>)/sqrt(2) with the ancilla on the top (highest) qubit;
     a and b are two states of one engine, so of one register."""

@@ -49,10 +49,9 @@ from senqse.simulator import (
     dense_matrix,
     draw_table,
     prepare_swap_state,
-    real_block,
     rng_for,
 )
-from senqse.taper import index_groups, symmetric_matrix
+from senqse.taper import SupportOperator, index_groups, real_support
 
 log = logging.getLogger(__name__)
 
@@ -109,19 +108,17 @@ class SubspaceEngine:
     geometry's element kernel (``csfbasis.CsfElementEngine`` of ``hq``,
     built here when none is given): its sector table gives the effective
     operator of each seniority-config pair, its CSF states start every
-    basis state, and its ``block`` rule gives every exact element.
-    ``block`` hands it the bras and kets of one config pair, a
-    rotation-free state as its CSF, whose products the kernel memoises,
-    and a rotated one as a call to ``state``; ``exact_matrix`` takes one block
-    per config pair (``taper.symmetric_matrix``), and ``element_exact``
-    is the 1x1 block.  Each state's config, a bit mask, is read from the
-    kernel once: replacing a state's rotation amplitudes never changes it,
-    and only invalidates that state's vector.  ``apply_xop``, the
-    amplitude optimiser's product of a config pair's operator with real
-    rows, uses a memoised float64 matrix when the register has at most
-    ``_DENSE_XOP_ORBITALS`` orbitals and the Pauli sum above; it refuses an
-    operator that is not real.  The untapered ablation is
-    ``_full_register_matrix``, outside the engine.
+    basis state, and its ``matrix`` rule gives every exact element.
+    ``exact_matrix`` hands it every basis state once, as (config bits,
+    amplitudes), for one pass of H' over their joint support, and
+    ``element_exact`` is the 1x1 call.  Each state's config, a bit mask,
+    is read from the kernel once: replacing a state's rotation amplitudes
+    never changes it, and only invalidates that state's vector.
+    ``apply_xop``, the amplitude optimiser's product of a config pair's
+    operator with real rows, uses a memoised float64 matrix when the
+    register has at most ``_DENSE_XOP_ORBITALS`` orbitals and the Pauli
+    sum above; it refuses an operator that is not real.  The untapered
+    ablation is ``_full_register_matrix``, outside the engine.
     """
 
     def __init__(
@@ -209,17 +206,15 @@ class SubspaceEngine:
             return vecs @ self._xmats[bra_bits, ket_bits].T
         return _real_part(apply_pauli_sum(vecs, op))
 
-    def _item(self, mu: int):
-        """State mu as ``kernel.block`` takes it (see the class docstring)."""
-        return partial(self.state, mu) if self.basis[mu].rotations else self.basis[mu].csf
+    def _tapered(self, mu: int) -> tuple:
+        """State mu as ``kernel.matrix`` takes it: (config bits, amplitudes)."""
+        return self._configs[mu], self.state(mu).amplitudes
 
     def element_exact(self, mu: int, nu: int) -> float:
-        bra, ket = self._configs[mu], self._configs[nu]
-        return float(self.kernel.block(bra, ket, [self._item(mu)], [self._item(nu)])[0, 0])
+        return float(self.kernel.matrix([self._tapered(mu)], [self._tapered(nu)])[0, 0])
 
     def exact_matrix(self) -> np.ndarray:
-        items = [self._item(mu) for mu in range(self.size)]
-        return symmetric_matrix(self._configs, items, self.kernel.block)
+        return self.kernel.matrix([self._tapered(mu) for mu in range(self.size)])
 
     # -- sampling ----------------------------------------------------------
 
@@ -559,16 +554,11 @@ def _full_register_matrix(engine: SubspaceEngine) -> np.ndarray:
     """The engine's subspace matrix built on the full 2*n_orb-qubit register.
 
     The reference for the tapered build (the ``--no-taper`` ablation): the
-    block rule of ``CsfElementEngine.block`` on one block of every basis
-    state, each its dense Jordan-Wigner image, with ``hq`` applied once to
-    their stack and each element (mu <= nu) a product against the bra.
+    rule of ``CsfElementEngine.matrix`` with ``hq`` itself in place of the
+    tapered H', on each basis state's dense Jordan-Wigner image.
     """
     states = [full_state(b, engine.n_orb, engine.n_elec).amplitudes for b in engine.basis]
-
-    def block(bra_bits, ket_bits, bras, kets):
-        return real_block(bras, apply_pauli_sum(np.array(kets), engine.hq))
-
-    return symmetric_matrix([0] * engine.size, states, block)
+    return SupportOperator(engine.hq).matrix([real_support(amps) for amps in states])
 
 
 def build_subspace(

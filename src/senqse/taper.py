@@ -6,7 +6,9 @@ tapering Clifford maps S_i to Z_i, after which any seniority eigenstate
 factors as |v> (x) |phi> with the orbital seniorities v stored on the first
 n_orb qubits and an n_orb-qubit remainder state.  Matrix elements of a
 2*n_orb-qubit operator between seniority eigenstates then reduce to matrix
-elements of an n_orb-qubit effective operator, built here by bit logic.
+elements of an n_orb-qubit effective operator, built here by bit logic;
+exact matrices of many such states come from one pass of the tapered
+operator over their joint support (``SupportOperator``).
 
 Register layout after tapering: qubit i (low half) holds v_i, qubit
 n_orb + i (high half) holds the down-spin occupation of orbital i, so a
@@ -21,6 +23,7 @@ import operator
 import numpy as np
 
 from senqse.pauli import DROP_TOL, PauliArrays
+from senqse.simulator import IMAG_TOL, SimulatorError, _factors
 
 
 class TaperError(ValueError):
@@ -72,9 +75,146 @@ def taper_words(x, z, n_orb: int):
     )
 
 
+def real_support(amps: np.ndarray, bits: int = 0, shift: int = 0):
+    """(indices, values) of a real state's nonzero amplitudes: amplitude k
+    sits at register index bits | k << shift (uint64), its value a float.
+    An amplitude with an imaginary part is a SimulatorError."""
+    support = np.flatnonzero(amps)
+    values = amps[support]
+    if np.any(values.imag):
+        raise SimulatorError("state has an imaginary amplitude")
+    return support.astype(np.uint64) << np.uint64(shift) | np.uint64(bits), values.real
+
+
+# entries per array of a SupportOperator pass: its scratch stays in the
+# heap's free lists, far below the 256 KiB at which NumPy's temporary
+# elision walks the C stack (and loads the unwinder)
+_PAIR_BITS = 11
+_PAIRS = 1 << _PAIR_BITS
+
+
+class SupportOperator:
+    """A real Pauli sum assembled on the joint support of sparse real states.
+
+    The terms are sorted stably by X string, so each X string's terms are
+    a run in ``op`` order with one real factor Re(c i^|x & z|) each; a run
+    whose factors' imaginary parts sum in magnitude above IMAG_TOL is
+    refused where it links two support indices.  ``matrix`` takes states
+    as ``real_support`` pairs, sorts the union U of their indices and finds
+    the entries (i, j) of U that each X string links, U[i] = U[j] ^ x, in
+    chunks of X strings, through a two-level table (the low half of an
+    index, then the high half), so no search runs.  An entry sums its
+    run's signed factors (-1)^|z & U[j]| from +0 in ``op`` order
+    (``np.bincount``), and x is its own inverse, so the dense op on U is
+    symmetric bit for bit.  The matrix is S_bra op_U S_ket^T, S the states'
+    values on U (Knowles and Handy 1984, Chem. Phys. Lett. 111, 315, build
+    the CI matrix from the determinants the states hold in the same way).
+    Every array of a pass holds at most about ``_PAIRS`` entries.
+    """
+
+    def __init__(self, op: PauliArrays):
+        self.half = op.n_qubits // 2
+        x = op.keys[:, 0]
+        order = np.argsort(x.view(np.int64), kind="stable")
+        x, factors = x[order], _factors(op.keys, op.coeffs)[order]
+        self._z, self._f = op.keys[order, 1], np.ascontiguousarray(factors.real)
+        new = np.append(True, x[1:] != x[:-1])
+        first = np.flatnonzero(new)
+        self._starts, self._counts = first, np.diff(np.append(first, len(x)))
+        # each run's summed |imaginary part|, at least its largest one
+        self._imag = np.bincount(np.cumsum(new) - 1, np.abs(factors.imag), len(first))
+        self._x_low = x[first] & np.uint64((1 << self.half) - 1)
+        self._x_high = x[first] >> np.uint64(self.half)
+
+    def _on_support(self, support: np.ndarray) -> np.ndarray:
+        """The operator on the sorted indices ``support``, as a dense array."""
+        m, half = len(support), np.uint64(self.half)
+        low, high = support & np.uint64((1 << self.half) - 1), support >> half
+        lows = sorted(set(low.tolist()))
+        low_index = np.full(1 << self.half, -1)
+        low_index[lows] = np.arange(len(lows))
+        slot = np.full((len(lows), 1 << self.half), -1)
+        slot[low_index[low], high] = np.arange(m)
+        out, step = np.zeros((m, m)), max(1, _PAIRS // m)
+        for a in range(0, len(self._starts), step):
+            group = low_index[low ^ self._x_low[a : a + step, None]]
+            run, col = np.nonzero(group >= 0)
+            row = slot[group[run, col], high[col] ^ self._x_high[a + run]]
+            linked = row >= 0
+            run, col, row = run[linked] + a, col[linked], row[linked]
+            imag = np.max(self._imag[run], initial=0.0)
+            if imag > IMAG_TOL:
+                raise SimulatorError(f"terms with imaginary part {imag} reach the support")
+            counts = self._counts[run]
+            ends = np.cumsum(counts)
+            # a shift, not //: some workloads run no integer division at all
+            cuts = np.flatnonzero(np.diff(ends >> _PAIR_BITS)) + 1
+            for e0, e1 in itertools.pairwise([0, *cuts.tolist(), len(run)]):
+                n = counts[e0:e1]
+                # pair p of entry k reads term starts[run[k]] + p - (its first pair)
+                term = np.repeat(self._starts[run[e0:e1]] - ends[e0:e1] + n, n)
+                term += np.arange(ends[e0] - n[0], ends[e1 - 1])
+                entry = np.repeat(np.arange(e0, e1), n)
+                odd = self._z[term]
+                odd &= support[col[entry]]
+                terms = self._f[term]
+                np.negative(terms, out=terms, where=np.bitwise_count(odd) & 1 == 1)
+                out[row[e0:e1], col[e0:e1]] = np.bincount(entry - e0, terms, minlength=e1 - e0)
+        return out
+
+    def matrix(self, bras, kets=None) -> np.ndarray:
+        """<bras|op|kets> of ``real_support`` states; with kets None, the
+        symmetric matrix of bras, entry (i, j), i <= j, mirrored.
+
+        Both products with S are sums from +0 in the order of the states'
+        nonzeros (``np.bincount``): op_U S_ket^T first, then S_bra times
+        it.  No BLAS product runs, so the bits do not depend on the thread
+        count.
+        """
+        states = list(bras) if kets is None else [*bras, *kets]
+        index = np.concatenate([index for index, _ in states])
+        order = np.argsort(index.view(np.int64), kind="stable")
+        new = np.append(True, index[order][1:] != index[order][:-1])
+        # the column of U that each nonzero of each state sits in
+        cols = np.empty(len(index), dtype=np.intp)
+        cols[order] = np.cumsum(new) - 1
+        split = sum(len(index) for index, _ in bras)
+
+        def times(left, group, cols):
+            """left (rows x U) times the states' S^T, by summing columns,
+            ``_PAIRS`` products at a time."""
+            owner = np.repeat(np.arange(len(group)), [len(index) for index, _ in group])
+            values = np.concatenate([values for _, values in group])
+            out = np.empty((len(left), len(group)))
+            step = max(1, _PAIRS // len(cols))
+            for r in range(0, len(left), step):
+                terms = left[r : r + step, cols]
+                terms *= values
+                sums = np.arange(len(terms))[:, None] * len(group) + owner
+                out[r : r + step] = np.bincount(
+                    sums.ravel(), terms.ravel(), minlength=out[r : r + step].size
+                ).reshape(len(terms), len(group))
+            return out
+
+        h_u = self._on_support(index[order][new])
+        if kets is None:
+            h = times(times(h_u, bras, cols).T, bras, cols).T
+            idx = np.arange(len(bras))
+            return np.where(idx[:, None] <= idx, h, h.T)
+        h_kets = times(h_u, kets, cols[split:])
+        return times(h_kets.T, bras, cols[:split]).T
+
+
 # <v| sigma(x, z) |w> for x = v XOR w is i^|x & z| (-1)^|z & w|, entry
 # [|z & w| mod 2, |x & z| mod 4]: Python's (1j) ** k and its negation
 _LEFT_FACTORS = np.array([[(1j) ** k for k in range(4)], [-((1j) ** k) for k in range(4)]])
+
+
+def tapered_operator(hq: PauliArrays) -> PauliArrays:
+    """H' = U hq U^dagger on the whole tapered register, terms in hq order."""
+    x, z, sign = taper_words(hq.keys[:, 0], hq.keys[:, 1], hq.n_qubits // 2)
+    coeffs = hq.coeffs * np.where(sign, -1 + 0j, 1 + 0j)
+    return PauliArrays(hq.n_qubits, np.stack((x, z), axis=1), coeffs)
 
 
 class SectorHamiltonian:
@@ -105,13 +245,14 @@ class SectorHamiltonian:
         n_orb = hq.n_qubits // 2
         self.n_orb = n_orb
         mask = (1 << n_orb) - 1
-        x, z, sign = taper_words(hq.keys[:, 0], hq.keys[:, 1], n_orb)
+        tapered = tapered_operator(hq)
+        x, z, coeffs = tapered.keys[:, 0], tapered.keys[:, 1], tapered.coeffs
         # a stable sort in Python: NumPy's stable argsort of uint64 would
         # fault in about 128 KB of library code that nothing else runs
         order = sorted(range(len(x)), key=(x & mask).tolist().__getitem__)
         x, z = x[order], z[order]
         self._z_left = z & mask
-        self._coeffs = (hq.coeffs * np.where(sign, -1 + 0j, 1 + 0j))[order]
+        self._coeffs = coeffs[order]
         self._quarter = np.bitwise_count(x & self._z_left) & np.uint64(3)
         self._buckets: dict[int, tuple] = {}
         key_index, distinct = [], []
@@ -163,24 +304,3 @@ def index_groups(keys) -> dict:
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return groups
-
-
-def block_rows(bra_bits: int, bras, configs, kets, block) -> np.ndarray:
-    """<bras|H|kets> for bras of config ``bra_bits`` and kets of configs ``configs``,
-    one ``block(bra_bits, ket_bits, bras, kets)`` per ket config."""
-    out = np.zeros((len(bras), len(kets)))
-    for ket_bits, cols in index_groups(configs).items():
-        out[:, cols] = block(bra_bits, ket_bits, bras, [kets[j] for j in cols])
-    return out
-
-
-def symmetric_matrix(configs, states, block) -> np.ndarray:
-    """The real symmetric matrix of ``states``, of configs ``configs``: the
-    bras of each config take ``block_rows`` against the kets from their
-    first on, so entry (i, j), i <= j, is bra i against ket j."""
-    h = np.zeros((len(states), len(states)))
-    for bits, rows in index_groups(configs).items():
-        bras, lo = [states[i] for i in rows], rows[0]
-        h[rows, lo:] = block_rows(bits, bras, configs[lo:], states[lo:], block)
-    idx = np.arange(len(states))
-    return np.where(idx[:, None] <= idx, h, h.T)

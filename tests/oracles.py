@@ -15,14 +15,16 @@ pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
 ``coo_csr_sector_matrix`` (``fci``'s dense sector assembly),
+``support_matrix`` (``CsfElementEngine.matrix`` and the ``--no-taper``
+ablation, to 1e-12),
 ``whole_sector_energy`` (``fci.fci_oracle``'s spin-flip blocks, to 1e-10 Ha),
 ``dense_branch_sampler`` and ``per_state_sampler`` (the per-generator
 branching that ``simulator.FragmentSampler``'s coset transform replaced:
 the same outcomes and values, probabilities, means and variances to
 1e-14),
 ``per_element_plan`` (``SubspaceEngine.sampling_plan``, with
-``per_state_sampler``), ``vdot_element`` (``CsfElementEngine.block``, one
-element and one applied ket at a time), ``per_state_variance`` (the moments a fragment's
+``per_state_sampler``), ``vdot_element`` (``CsfElementEngine.matrix``, one
+element and one applied ket at a time, to 1e-12), ``per_state_variance`` (the moments a fragment's
 outcome distribution must reproduce, to 1e-10),
 ``distinct_values`` (one row of ``simulator.draw_table``),
 ``reference_sorted_insertion`` (``measure.sorted_insertion``, whose
@@ -406,6 +408,15 @@ def sector_triples(hq, dets):
         cols.append(np.flatnonzero(ok))
         vals.append(c * (1j) ** ((x & z).bit_count() % 4) * signs)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals).real
+
+
+def support_matrix(hq, images):
+    """<a|hq|b> of the real full-register images (rows of ``images``), with
+    hq assembled term by term (``one_add_at_sector_matrix``) on the
+    determinants where some image is nonzero."""
+    dets = np.flatnonzero(np.any(images != 0, axis=0))
+    h = one_add_at_sector_matrix(hq, dets.astype(np.uint64))
+    return images[:, dets] @ h @ images[:, dets].T
 
 
 def coo_csr_sector_matrix(hq, dets):

@@ -633,21 +633,29 @@ class TestResources:
 
 
 class TestElementKernel:
-    def test_pt_geometry_applies_each_product_once(self, tmp_path, monkeypatch):
-        # H2O 1.0 A PT: 318 distinct (bra config, ket CSF) products in
-        # selection and 63 more in the build, all from one sector table
-        calls = [0]
+    def test_pt_geometry_applies_no_product(self, tmp_path, monkeypatch):
+        # H2O 1.0 A PT: trimming, the extension step and the build each
+        # take their exact matrix from one pass over the states' joint
+        # support, all from one sector table, and no operator is applied
+        calls, passes = [0], [0]
         apply_pauli_sum = simulator.apply_pauli_sum
+        on_support = taper.SupportOperator._on_support
 
         def counted(*args):
             calls[0] += 1
             return apply_pauli_sum(*args)
 
-        for module in (csfbasis, solver, measure):
+        def counted_pass(self, support):
+            passes[0] += 1
+            return on_support(self, support)
+
+        for module in (simulator, solver, measure):
             monkeypatch.setattr(module, "apply_pauli_sum", counted)
+        monkeypatch.setattr(taper.SupportOperator, "_on_support", counted_pass)
         tables = record_tables(monkeypatch)
         run_one_geometry(H2O_PATH, tmp_path, method="pt", **TUNED)
-        assert 0 < calls[0] <= 381
+        assert calls[0] == 0
+        assert passes[0] == 3
         assert len(tables) == 1
 
     @pytest.mark.parametrize(
@@ -726,7 +734,7 @@ class TestElementKernel:
 
         monkeypatch.setattr(cli, "jordan_wigner", recorded_jw)
         monkeypatch.setattr(cli, "relax_orbitals", marked)
-        for name in ("block", "xop"):
+        for name in ("matrix", "xop"):
             method = getattr(CsfElementEngine, name)
             monkeypatch.setattr(CsfElementEngine, name, reading(method))
         rec = run_one_geometry(H2_PATHS[0], tmp_path, method="vo", relax_orbitals=True)

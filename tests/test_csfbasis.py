@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from senqse.fermion import (
     load_fcidump,
 )
 from senqse.simulator import apply_pauli_sum
-from senqse.solver import SubspaceEngine
+from senqse.solver import SubspaceEngine, _full_register_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TUNED = dict(eps1=1e-5, eps2=1e-6, n_active_occ=5)
@@ -393,8 +394,8 @@ class TestOrthonormality:
 
 class TestElementEngine:
     def test_empty_sector_operator_is_an_early_zero(self, h2o, h2o_hq, monkeypatch):
-        # config pairs that no term links: 0.0 with no state built and no
-        # apply_pauli_sum call, equal (sign included) to the full evaluation
+        # config pairs that no term links: +0.0 with no operator applied,
+        # equal (sign included) to the per-element evaluation
         specs = create_csfs(default_selection_params(h2o), h2o.n_orb, h2o.n_elec)
         reference = CsfElementEngine(h2o_hq, h2o.n_elec)
         bits = [config_bits(sp, h2o.n_orb) for sp in specs]
@@ -405,99 +406,94 @@ class TestElementEngine:
             if not reference.xop(bits[a], bits[b])
         ]
         assert len(pairs) > 100
-        calls = [0]
-
-        def counted(*args):
-            calls[0] += 1
-            return apply_pauli_sum(*args)
-
-        engine = CsfElementEngine(h2o_hq, h2o.n_elec)
-        monkeypatch.setattr("senqse.csfbasis.apply_pauli_sum", counted)
-        for a, b in pairs[:200]:
-            got = engine.element(specs[a], specs[b])
-            old = np.vdot(
+        old = {
+            (a, b): np.vdot(
                 reference.state(specs[a]).amplitudes,
                 apply_pauli_sum(
                     reference.state(specs[b]).amplitudes, reference.xop(bits[a], bits[b])
                 ),
             ).real
-            assert got == old and math.copysign(1.0, got) == math.copysign(1.0, old)
-        assert calls[0] == 0
-        assert not engine._states
+            for a, b in pairs[:200]
+        }
+
+        def refuse(*args):
+            raise AssertionError("an operator was applied")
+
+        monkeypatch.setattr("senqse.simulator.apply_pauli_sum", refuse)
+        engine = CsfElementEngine(h2o_hq, h2o.n_elec)
+        for (a, b), want in old.items():
+            got = engine.element(specs[a], specs[b])
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert not engine.sectors._ops
 
     @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2_0.7414"])
-    def test_memoised_elements_equal_direct_evaluation(self, stem, monkeypatch):
-        # every ordered pair of created CSFs, read as one block per ordered
-        # config pair, and on H2O every ordered pair of the optimized VO basis
-        # and its exact matrix: the same bits, sign of zero included, as the
-        # per-element reference, zero for an empty operator.  The memo holds
-        # one product per linked (bra config, CSF ket), and a second pass
-        # over the CSF blocks reads every product back from it
+    def test_matrix_equals_direct_evaluation(self, stem):
+        # every ordered pair of created CSFs, as one call, and on H2O every
+        # ordered pair of the optimized VO basis and its exact matrix: the
+        # per-element reference to 1e-12, an exact zero where no term
+        # links the configs, and the symmetric form its upper triangle
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         specs = create_csfs(default_selection_params(ints), ints.n_orb, ints.n_elec)
         engine = CsfElementEngine(hq, ints.n_elec)
-        bits = [engine.bits(s) for s in specs]
-        amps = [engine.state(s).amplitudes for s in specs]
-        n = len(specs)
+        states = [engine.csf(s) for s in specs]
         want = np.array(
-            [
-                [oracles.vdot_element(engine, bits[a], amps[a], bits[b], amps[b]) for b in range(n)]
-                for a in range(n)
-            ]
+            [[oracles.vdot_element(engine, *bra, *ket) for ket in states] for bra in states]
         )
-        by_cfg = {}
-        for k, cfg in enumerate(bits):
-            by_cfg.setdefault(cfg, []).append(k)
-
-        def refuse(*args):
-            raise AssertionError("a memoised product was applied again")
-
-        for memo_only in (False, True):
-            with monkeypatch.context() as m:
-                if memo_only:
-                    m.setattr("senqse.csfbasis.apply_pauli_sum", refuse)
-                got = np.full((n, n), np.nan)
-                for rows in by_cfg.values():
-                    for cols in by_cfg.values():
-                        got[np.ix_(rows, cols)] = engine.block(
-                            bits[rows[0]],
-                            bits[cols[0]],
-                            [specs[a] for a in rows],
-                            [specs[b] for b in cols],
-                        )
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            linked = {
-                (bits[a], specs[b])
-                for a in range(n)
-                for b in range(n)
-                if engine.xop(bits[a], bits[b])
-            }
-            assert 0 < len(linked) < n * n and set(engine._products) == linked
+        got = engine.matrix(states, states)
+        assert np.max(np.abs(got - want)) < 1e-12
+        unlinked = np.array([[not engine.xop(bra[0], ket[0]) for ket in states] for bra in states])
+        assert 0 < np.sum(unlinked) < want.size and not np.any(got[unlinked])
+        upper = np.triu(got) + np.triu(got, 1).T
+        assert np.array_equal(engine.matrix(states), upper)
         if stem != "h2o_1.0000":
             return
         basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())
         sub = SubspaceEngine(basis, hq, ints.n_elec, kernel=engine)
-        # rotated states, and rotation-free ones read from the memo
         assert {bool(b.rotations) for b in basis} == {True, False}
-        vecs = [sub.state(mu).amplitudes for mu in range(sub.size)]
-        pairs = np.array(
-            [
-                [
-                    oracles.vdot_element(engine, sub.config(mu), vecs[mu], sub.config(nu), vecs[nu])
-                    for nu in range(sub.size)
-                ]
-                for mu in range(sub.size)
-            ]
-        )
-        got = np.array(
+        vecs = [(sub.config(mu), sub.state(mu).amplitudes) for mu in range(sub.size)]
+        pairs = np.array([[oracles.vdot_element(engine, *bra, *ket) for ket in vecs] for bra in vecs])
+        elements = np.array(
             [[sub.element_exact(mu, nu) for nu in range(sub.size)] for mu in range(sub.size)]
         )
-        assert np.array_equal(got.view(np.uint64), pairs.view(np.uint64))
-        # each entry mu <= nu, mirrored
-        idx = np.arange(sub.size)
-        upper = np.where(idx[:, None] <= idx, pairs, pairs.T)
-        assert np.array_equal(sub.exact_matrix().view(np.uint64), upper.view(np.uint64))
+        assert np.max(np.abs(elements - pairs)) < 1e-12
+        assert np.max(np.abs(sub.exact_matrix() - pairs)) < 1e-12
+
+    @pytest.mark.parametrize("stem", ["h2_0.7414", "h2o_1.0000", "h2o_2.1000", "h2o_3.0000"])
+    def test_matrix_matches_the_full_register_reference(self, stem):
+        # the created CSFs, the PT basis and, at 1.0 A, both VO fixture
+        # bases, tapered and through the --no-taper ablation, against hq
+        # assembled term by term on the states' determinants
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        params = default_selection_params(ints, eps1=1e-5, eps2=1e-6, n_active_occ=5)
+        engine = CsfElementEngine(hq, ints.n_elec)
+        specs = create_csfs(params, ints.n_orb, ints.n_elec)
+        bases = [[BasisState(s) for s in specs], select_basis_pt(ints, hq, params, kernel=engine)]
+        if stem == "h2o_1.0000":
+            for name in ("vo", "vo-selected"):
+                text = (FIXTURES / f"h2o_1.0000.{name}.basis.txt").read_text()
+                bases.append(parse_basis(text))
+        for basis in bases:
+            images = [full_state(b, ints.n_orb, ints.n_elec).amplitudes.real for b in basis]
+            want = oracles.support_matrix(hq, np.array(images))
+            sub = SubspaceEngine(basis, hq, ints.n_elec, kernel=engine)
+            assert np.max(np.abs(sub.exact_matrix() - want)) < 1e-12
+            assert np.max(np.abs(_full_register_matrix(sub) - want)) < 1e-12
+
+    def test_one_matrix_call_stays_small(self, h2o, h2o_hq):
+        # the created CSFs of the acceptance window, one symmetric call
+        params = default_selection_params(h2o, eps1=1e-5, eps2=1e-6, n_active_occ=5)
+        engine = CsfElementEngine(h2o_hq, h2o.n_elec)
+        states = [engine.csf(s) for s in create_csfs(params, h2o.n_orb, h2o.n_elec)]
+        assert len(states) == 66
+        tracemalloc.start()
+        try:
+            engine.matrix(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_kernel_of_another_hamiltonian_is_refused(self, h2o, h2o_hq):
         kernel = CsfElementEngine(jordan_wigner(h2o), h2o.n_elec)
@@ -511,6 +507,32 @@ class TestElementEngine:
 
 
 class TestSelection:
+    def test_extension_shifts_equal_one_eigensolve_per_candidate(self, h2o, h2o_hq, monkeypatch):
+        # the stacked eigensolve gives every dE the bits of solving each
+        # candidate's bordered matrix on its own
+        params = default_selection_params(h2o, eps1=1e-5, eps2=1e-6, n_active_occ=5)
+        engine = CsfElementEngine(h2o_hq, h2o.n_elec)
+        specs = create_csfs(params, h2o.n_orb, h2o.n_elec)
+        survivors, h = trim_csfs(engine, specs, params.eps1, params.root_window)
+        stacked = extension_pairs(engine, survivors, h, params.eps2, params.root_window)
+        eigvalsh = np.linalg.eigvalsh
+        stacks = []
+
+        def one_by_one(a):
+            stacks.append(len(a))
+            return np.array([eigvalsh(m) for m in a]) if a.ndim == 3 else eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", one_by_one)
+        looped = extension_pairs(engine, survivors, h, params.eps2, params.root_window)
+        assert max(stacks) > 50
+        assert sum(map(len, stacked)) > 20
+        assert repr(stacked) == repr(looped)
+        rng = np.random.default_rng(11)
+        for n in range(2, 50):
+            a = rng.normal(size=(7, n, n))
+            a += a.transpose(0, 2, 1)
+            assert np.array_equal(eigvalsh(a), np.array([eigvalsh(m) for m in a]))
+
     def test_h2_creation_csfs(self, h2):
         params = default_selection_params(h2)
         specs = create_csfs(params, 2, 2)
@@ -715,6 +737,20 @@ class TestSerialization:
         with pytest.raises(BasisError, match="not finite") as info:
             parse_basis(f"{self.GOOD}\n{record}\n")
         assert record in str(info.value)
+
+    def test_with_thetas_refuses_bad_angle_lists(self):
+        # zip used to cut a short list (one rotation of three kept) and a
+        # nan angle passed; a good list keeps the pairs and the label
+        b = BasisState(CsfSpec(CsfKind.HF), ((5, 3, 0.1), (6, 4, 0.2), (5, 2, 0.3)), "s0")
+        for thetas in ([0.5], [0.5, 0.6, 0.7, 0.8], []):
+            with pytest.raises(BasisError, match="angles for 3 rotations"):
+                b.with_thetas(thetas)
+        for bad in (math.nan, math.inf, 1e308):
+            with pytest.raises(BasisError, match="not finite"):
+                b.with_thetas([0.5, bad, 0.7])
+        moved = b.with_thetas(np.array([0.5, 0.6, 0.7]))
+        assert moved == BasisState(b.csf, ((5, 3, 0.5), (6, 4, 0.6), (5, 2, 0.7)), "s0")
+        assert all(type(th) is float for _, _, th in moved.rotations)
 
     @pytest.mark.parametrize(
         "old, new, reason",

@@ -40,11 +40,10 @@ from senqse.simulator import (
     apply_pauli_sum,
     dense_matrix,
     prepare_swap_state,
-    real_block,
     rng_for,
 )
 from senqse.solver import build_subspace, vo_optimize
-from senqse.taper import SectorHamiltonian, symmetric_matrix
+from senqse.taper import SectorHamiltonian, SupportOperator, real_support
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,13 +114,16 @@ class TestMatrixElement:
         op = as_arrays(PauliSum.from_label("Z0 Z1", 0.7, 2))
         assert matrix_element_exact(a, op, b) == pytest.approx(0.0)
 
-    def test_real_block_refuses_an_imaginary_entry(self):
-        # one entry of <bras|products> carries 2e-9 of imaginary part
-        bras = np.eye(2, dtype=complex)
-        products = np.array([[0.5, 0.0], [0.0, -0.25 + 2e-9j]])
-        assert real_block(bras, products[:1]).tolist() == [[0.5], [0.0]]
+    def test_support_operator_refuses_imaginary_amplitudes_and_terms(self):
+        # 0.5 Z0 + 2e-9 i X0 X1 (factor 2e-9 i) + 0.25 X1 on two qubits: the
+        # imaginary term is refused only where it links two support indices
+        op = as_arrays(PauliSum(2, {(0, 1): 0.5, (3, 0): 2e-9j, (2, 0): 0.25}))
+        states = [real_support(np.array([1.0, 0, 0, 0])), real_support(np.array([0, 0, 1.0, 0]))]
+        assert SupportOperator(op).matrix(states).tolist() == [[0.5, 0.25], [0.25, 0.5]]
         with pytest.raises(SimulatorError, match="imaginary part"):
-            real_block(bras, products)
+            SupportOperator(op).matrix([real_support(np.array([0, 1.0, 1.0, 0]) / np.sqrt(2))])
+        with pytest.raises(SimulatorError, match="imaginary amplitude"):
+            real_support(np.array([0.6, 0.8j, 0, 0]))
 
     def test_swap_state_reproduces_element(self):
         # <a|op|b> = <Phi|(x + i y)/1 (x) op|Phi> with the ancilla on top
@@ -352,36 +354,36 @@ class TestApplyPauliSum:
 @pytest.fixture(scope="module")
 def h2o_pt_kernel():
     """The element kernel of the H2O 1.0 A PT selection at the acceptance
-    settings, holding every product the selection kept and those of the
-    created CSFs' matrix (trimming reads that matrix without keeping its
-    products)."""
+    settings, its PT basis, and every (bra config, CSF ket) pair of the
+    created CSFs that some term links, with the pair's operator built."""
     ints = load_fcidump(FIXTURES / "h2o_1.0000.fcidump")
     hq = jordan_wigner(ints)
     kernel = CsfElementEngine(hq, ints.n_elec)
     params = default_selection_params(ints, eps1=1e-5, eps2=1e-6, n_active_occ=5)
     basis = select_basis_pt(ints, hq, params, kernel=kernel)
     specs = create_csfs(params, ints.n_orb, ints.n_elec)
-    symmetric_matrix([kernel.bits(s) for s in specs], specs, kernel.block)
-    return kernel, basis
+    configs = {kernel.bits(s) for s in specs}
+    linked = [(c, s) for c in configs for s in specs if kernel.xop(c, kernel.bits(s))]
+    return kernel, basis, linked
 
 
 class TestSupportPass:
     """apply_pauli_sum from the nonzero amplitudes only, bit for bit."""
 
     def test_every_pt_kernel_product(self, h2o_pt_kernel):
-        kernel, _ = h2o_pt_kernel
-        products = [(key, p) for key, p in kernel._products.items() if p is not None]
-        assert len(products) > 200
-        for (bra_bits, spec), product in products:
+        # each linked (bra config, created CSF) pair's operator on the CSF
+        kernel, _, linked = h2o_pt_kernel
+        assert len(linked) > 200
+        for bra_bits, spec in linked:
             amps = kernel.state(spec).amplitudes
             assert np.count_nonzero(amps) < len(amps)
-            op = kernel.xop(bra_bits, kernel.bits(spec))
-            assert_applies_like_oracle(amps, kernel.n_orb, op)
-            assert np.array_equal(bits(product), bits(apply_pauli_sum(amps, op)))
+            assert_applies_like_oracle(amps, kernel.n_orb, kernel.xop(bra_bits, kernel.bits(spec)))
 
     def test_kernel_operators_match_dict_table(self, h2o_pt_kernel, h2o_engine):
-        # every effective operator the PT selection and the VO basis memoise
-        h2o_engine.exact_matrix()
+        # every effective operator the PT kernel and the VO basis memoise
+        for mu in range(h2o_engine.size):
+            for nu in range(h2o_engine.size):
+                h2o_engine.xop(mu, nu)
         for kernel in (h2o_pt_kernel[0], h2o_engine.kernel):
             ref = oracles.DictSectorTable(kernel.hq, tapering_clifford(kernel.n_orb))
             assert len(kernel.sectors._ops) > 20
@@ -402,7 +404,7 @@ class TestSupportPass:
                     assert_applies_like_oracle(ket, h2o_engine.n_orb, op)
 
     def test_stack_of_disjoint_supports(self, h2o_pt_kernel):
-        kernel, basis = h2o_pt_kernel
+        kernel, basis, _ = h2o_pt_kernel
         taken = np.zeros(2**kernel.n_orb, dtype=bool)
         specs = []
         for b in basis:
