@@ -30,9 +30,7 @@ from senqse.pauli import PauliArrays
 from senqse.simulator import StateVector
 from senqse.taper import (
     SectorHamiltonian,
-    SupportOperator,
     real_support,
-    tapered_operator,
     taper_words,
 )
 
@@ -579,7 +577,7 @@ class CsfElementEngine:
     only through the terms whose seniority-register X word is their XOR.
     Selection, ``vo_optimize``, ``build_subspace`` and ``tapering_stats``
     share the table and the CSF states.  ``element`` is the 1x1 matrix of
-    two CSFs.
+    two CSFs; ``border`` adds the bras' diagonal to one ``matrix`` call.
     """
 
     def __init__(self, hq: PauliArrays, n_elec: int):
@@ -587,7 +585,6 @@ class CsfElementEngine:
         self.sectors = SectorHamiltonian(hq)
         self.n_orb = self.sectors.n_orb
         self.n_elec = n_elec
-        self._support = SupportOperator(tapered_operator(hq))
         self._states = {}
         self._bits = {}
 
@@ -609,14 +606,21 @@ class CsfElementEngine:
     def xop(self, bra_bits: int, ket_bits: int) -> PauliArrays:
         return self.sectors.op(bra_bits, ket_bits)
 
+    def _real(self, states) -> list:
+        """``real_support`` of (config bits, amplitudes) states."""
+        return [real_support(amps, bits, self.n_orb) for bits, amps in states]
+
     def matrix(self, bras, kets=None) -> np.ndarray:
         """<bras|H'|kets> (see the class docstring); with kets None, the
         symmetric matrix of bras (``SupportOperator.matrix``)."""
+        return self.sectors.support.matrix(
+            self._real(bras), None if kets is None else self._real(kets)
+        )
 
-        def support(states):
-            return [real_support(amps, bits, self.n_orb) for bits, amps in states]
-
-        return self._support.matrix(support(bras), None if kets is None else support(kets))
+    def border(self, bras, kets) -> tuple:
+        """``matrix(bras, kets)`` and the bras' diagonal <b|H'|b>, from one
+        pass over their joint support (``SupportOperator.border``)."""
+        return self.sectors.support.border(self._real(bras), self._real(kets))
 
     def element(self, a: CsfSpec, b: CsfSpec) -> float:
         return float(self.matrix([self.csf(a)], [self.csf(b)])[0, 0])
@@ -757,11 +761,11 @@ def extension_pairs(
     found = [[] for _ in survivors]
     if cands:
         # each candidate bordering the survivors' matrix, one stacked eigensolve
-        rows = engine.matrix(cands, cands + [engine.csf(s) for s in survivors])
+        rows, diagonal = engine.border(cands, [engine.csf(s) for s in survivors])
         border = np.zeros((len(cands), n + 1, n + 1))
         border[:, :n, :n] = h_surv
-        border[:, n, :n] = border[:, :n, n] = rows[:, len(cands) :]
-        border[:, n, n] = np.diagonal(rows)
+        border[:, n, :n] = border[:, :n, n] = rows
+        border[:, n, n] = diagonal
         drops = np.linalg.eigvalsh(border)[:, :k_track] - base_vals[:k_track]
         for mu, pair, de in zip(owners, pairs, drops.min(axis=1).tolist()):
             if abs(de) > eps2:

@@ -109,7 +109,9 @@ class SupportOperator:
     symmetric bit for bit.  The matrix is S_bra op_U S_ket^T, S the states'
     values on U (Knowles and Handy 1984, Chem. Phys. Lett. 111, 315, build
     the CI matrix from the determinants the states hold in the same way).
-    Every array of a pass holds at most about ``_PAIRS`` entries.
+    A pass keeps the dense |U| x |U| op_U and the table, one row of
+    2^(n_qubits / 2) entries per distinct low half in U; each of its
+    scratch arrays holds at most about ``_PAIRS`` entries.
     """
 
     def __init__(self, op: PauliArrays):
@@ -142,6 +144,8 @@ class SupportOperator:
             row = slot[group[run, col], high[col] ^ self._x_high[a + run]]
             linked = row >= 0
             run, col, row = run[linked] + a, col[linked], row[linked]
+            if not len(run):
+                continue
             imag = np.max(self._imag[run], initial=0.0)
             if imag > IMAG_TOL:
                 raise SimulatorError(f"terms with imaginary part {imag} reach the support")
@@ -162,6 +166,16 @@ class SupportOperator:
                 out[row[e0:e1], col[e0:e1]] = np.bincount(entry - e0, terms, minlength=e1 - e0)
         return out
 
+    def _pass(self, states):
+        """op on the joint support U of ``states``, and the column of U
+        that each nonzero of each state sits in."""
+        index = np.concatenate([index for index, _ in states])
+        order = np.argsort(index.view(np.int64), kind="stable")
+        new = np.append(True, index[order][1:] != index[order][:-1])
+        cols = np.empty(len(index), dtype=np.intp)
+        cols[order] = np.cumsum(new) - 1
+        return self._on_support(index[order][new]), cols
+
     def matrix(self, bras, kets=None) -> np.ndarray:
         """<bras|op|kets> of ``real_support`` states; with kets None, the
         symmetric matrix of bras, entry (i, j), i <= j, mirrored.
@@ -171,38 +185,57 @@ class SupportOperator:
         it.  No BLAS product runs, so the bits do not depend on the thread
         count.
         """
-        states = list(bras) if kets is None else [*bras, *kets]
-        index = np.concatenate([index for index, _ in states])
-        order = np.argsort(index.view(np.int64), kind="stable")
-        new = np.append(True, index[order][1:] != index[order][:-1])
-        # the column of U that each nonzero of each state sits in
-        cols = np.empty(len(index), dtype=np.intp)
-        cols[order] = np.cumsum(new) - 1
-        split = sum(len(index) for index, _ in bras)
+        h_u, cols = self._pass(list(bras) if kets is None else [*bras, *kets])
+        return _sandwich(h_u, cols, bras, kets)
 
-        def times(left, group, cols):
-            """left (rows x U) times the states' S^T, by summing columns,
-            ``_PAIRS`` products at a time."""
-            owner = np.repeat(np.arange(len(group)), [len(index) for index, _ in group])
-            values = np.concatenate([values for _, values in group])
-            out = np.empty((len(left), len(group)))
-            step = max(1, _PAIRS // len(cols))
-            for r in range(0, len(left), step):
-                terms = left[r : r + step, cols]
-                terms *= values
-                sums = np.arange(len(terms))[:, None] * len(group) + owner
-                out[r : r + step] = np.bincount(
-                    sums.ravel(), terms.ravel(), minlength=out[r : r + step].size
-                ).reshape(len(terms), len(group))
-            return out
+    def border(self, bras, kets):
+        """``matrix(bras, kets)`` and the bras' diagonal <b|op|b>, from one
+        pass over the joint support.  Each diagonal entry reads only its
+        own state's block of op_U, summed in ``matrix``'s order, so it has
+        the bits of the diagonal of ``matrix(bras, bras)``."""
+        h_u, cols = self._pass([*bras, *kets])
+        lengths = np.array([len(index) for index, _ in bras])
+        owner = np.repeat(np.arange(len(bras)), lengths)
+        values = np.concatenate([values for _, values in bras])
+        # nonzero j of a bra pairs with each nonzero k of the same bra, k in order
+        n = lengths[owner]
+        ends = np.cumsum(n)
+        left = np.repeat(np.arange(len(values)), n)
+        right = np.repeat(np.cumsum(lengths)[owner] - ends, n)
+        right += np.arange(len(left))
+        terms = h_u[cols[left], cols[right]]
+        terms *= values[right]
+        inner = np.bincount(left, terms, minlength=len(values))
+        diagonal = np.bincount(owner, inner * values, minlength=len(bras))
+        return _sandwich(h_u, cols, bras, kets), diagonal
 
-        h_u = self._on_support(index[order][new])
-        if kets is None:
-            h = times(times(h_u, bras, cols).T, bras, cols).T
-            idx = np.arange(len(bras))
-            return np.where(idx[:, None] <= idx, h, h.T)
-        h_kets = times(h_u, kets, cols[split:])
-        return times(h_kets.T, bras, cols[:split]).T
+
+def _sandwich(h_u, cols, bras, kets):
+    """S_bra h_u S_ket^T, ``cols`` the column of U of each nonzero of the
+    bras and then the kets; with kets None, of the bras with themselves."""
+    if kets is None:
+        h = _times(_times(h_u, bras, cols).T, bras, cols).T
+        idx = np.arange(len(bras))
+        return np.where(idx[:, None] <= idx, h, h.T)
+    split = sum(len(index) for index, _ in bras)
+    return _times(_times(h_u, kets, cols[split:]).T, bras, cols[:split]).T
+
+
+def _times(left, group, cols):
+    """left (rows x U) times the states' S^T, by summing columns, ``_PAIRS``
+    products at a time; ``cols`` is the column of U of each nonzero."""
+    owner = np.repeat(np.arange(len(group)), [len(index) for index, _ in group])
+    values = np.concatenate([values for _, values in group])
+    out = np.empty((len(left), len(group)))
+    step = max(1, _PAIRS // len(cols))
+    for r in range(0, len(left), step):
+        terms = left[r : r + step, cols]
+        terms *= values
+        sums = np.arange(len(terms))[:, None] * len(group) + owner
+        out[r : r + step] = np.bincount(
+            sums.ravel(), terms.ravel(), minlength=out[r : r + step].size
+        ).reshape(len(terms), len(group))
+    return out
 
 
 # <v| sigma(x, z) |w> for x = v XOR w is i^|x & z| (-1)^|z & w|, entry
@@ -233,7 +266,8 @@ class SectorHamiltonian:
     below DROP_TOL (``hypot`` is Python's complex ``abs``) and memoises the
     ``PauliArrays`` per pair: bit for bit the terms of adding each
     conjugated, weighted term into a dict by key and dropping the small
-    sums.
+    sums.  ``support`` is the same conjugated operator as a
+    ``SupportOperator``, for exact matrices.
     """
 
     def __init__(self, hq: PauliArrays):
@@ -268,6 +302,7 @@ class SectorHamiltonian:
         self._key_index = np.array(key_index, dtype=np.intp)
         self._keys = np.array(distinct, dtype=np.uint64).reshape(-1, 2)
         self._ops: dict[tuple[int, int], PauliArrays] = {}
+        self.support = SupportOperator(tapered)
 
     def op(self, bra_bits: int, ket_bits: int) -> PauliArrays:
         """Effective operator of the (bra, ket) config pair, given as bit masks."""

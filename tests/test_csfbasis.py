@@ -446,6 +446,11 @@ class TestElementEngine:
         assert 0 < np.sum(unlinked) < want.size and not np.any(got[unlinked])
         upper = np.triu(got) + np.triu(got, 1).T
         assert np.array_equal(engine.matrix(states), upper)
+        # border: the same rows, and the diagonal's bits from a pass that
+        # never forms the bras' own block
+        rows, diagonal = engine.border(states, states[:3])
+        assert np.array_equal(rows, got[:, :3])
+        assert np.array_equal(diagonal, np.diagonal(got))
         if stem != "h2o_1.0000":
             return
         basis = parse_basis((FIXTURES / "h2o_1.0000.vo.basis.txt").read_text())

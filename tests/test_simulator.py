@@ -16,7 +16,7 @@ from algebra import (
     tapering_clifford,
 )
 from oracles import as_arrays, as_sum
-from senqse import simulator, solver
+from senqse import simulator, solver, taper
 from senqse.csfbasis import (
     CsfElementEngine,
     create_csfs,
@@ -33,6 +33,7 @@ from senqse.measure import (
     fragment_variance,
     sorted_insertion,
 )
+from senqse.pauli import PauliArrays
 from senqse.simulator import (
     BLOCK_AMPLITUDES,
     FragmentSampler,
@@ -124,6 +125,20 @@ class TestMatrixElement:
             SupportOperator(op).matrix([real_support(np.array([0, 1.0, 1.0, 0]) / np.sqrt(2))])
         with pytest.raises(SimulatorError, match="imaginary amplitude"):
             real_support(np.array([0.6, 0.8j, 0, 0]))
+
+    def test_support_operator_skips_a_chunk_that_links_nothing(self, monkeypatch):
+        # one support index: only x = 0 links it, so every later chunk of
+        # X strings is empty, at the default chunk size (2100 X strings on
+        # 12 qubits, one index) and at one X string per chunk
+        keys = np.stack([np.arange(2100, dtype=np.uint64), np.zeros(2100, np.uint64)], axis=1)
+        op = PauliArrays(12, keys, np.linspace(1.0, 2.0, 2100) + 0j)
+        hf = np.zeros(1 << 12)
+        hf[0] = 1.0
+        assert SupportOperator(op).matrix([real_support(hf)]).tolist() == [[1.0]]
+        monkeypatch.setattr(taper, "_PAIRS", 1)
+        z0_x0 = as_arrays(PauliSum(2, {(0, 1): 0.5, (1, 0): 0.25}))
+        state = [real_support(np.array([1.0, 0, 0, 0]))]
+        assert SupportOperator(z0_x0).matrix(state).tolist() == [[0.5]]
 
     def test_swap_state_reproduces_element(self):
         # <a|op|b> = <Phi|(x + i y)/1 (x) op|Phi> with the ancilla on top
