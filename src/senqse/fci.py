@@ -1,13 +1,13 @@
 """Sector-restricted FCI oracle: the exact energy the subspace is judged by.
 
-hq is assembled on the sector's determinants by `_sector_blocks`, each
-entry summing its terms from +0 in ``hq`` order.  Up to _DENSE_CUTOFF
-determinants only eigenvalues are taken, by NumPy alone, and an Ms = 0
-sector is solved as its even and odd spin-flip blocks (the
-spin-combination basis of Olsen et al. 1988, J. Chem. Phys. 89, 2185);
-above it a sparse matrix goes to SciPy's Lanczos, imported only there.
-Each step holds about n_orb * dim scratch words for dim determinants.
-"""
+hq is assembled on the sector's determinants by the package's one
+assembly of a Pauli sum on basis indices, ``taper.SupportOperator``'s
+``entries``, each entry summing its terms from +0 in ``hq`` order.  Up
+to _DENSE_CUTOFF determinants only eigenvalues are taken, by NumPy
+alone, and an Ms = 0 sector is solved as its even and odd spin-flip
+blocks (the spin-combination basis of Olsen et al. 1988, J. Chem. Phys.
+89, 2185); above it a sparse matrix of the same entries goes to SciPy's
+Lanczos, imported only there."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from senqse.pauli import PauliArrays
-from senqse.simulator import _factors
+from senqse.simulator import SimulatorError
+from senqse.taper import SupportOperator
 
 # largest sector (determinants) that fci_oracle diagonalises densely
 _DENSE_CUTOFF = 2048
@@ -47,66 +48,27 @@ def _sector_determinants(n_orb: int, n_up: int, n_dn: int) -> np.ndarray:
     return np.array(sorted(dets), dtype=np.uint64)
 
 
-def _sector_blocks(hq: PauliArrays, dets: np.ndarray):
-    """(rows, cols, values) of hq on the sorted determinants, n_orb X strings each.
+def _sector_entries(hq: PauliArrays, dets: np.ndarray):
+    """(rows, cols, values) of hq on the sorted determinants, a chunk at a time.
 
-    Entry (row, col) is reached only by the terms with x = row ^ col.  The
-    terms are sorted stably by X string, and each chunk's X strings are
-    found in the sector by one searchsorted.  Its term-entry pairs are laid
-    out term-major and added by ``np.add.at``, n_orb * dim pairs at a time,
-    so each entry sums its terms from +0 in ``hq`` order.  A term adds the
-    real part of c i^|x & z| times the real sign (-1)^|z & col|; one that
-    reaches the sector with an imaginary part is refused.  x is its own
-    inverse, so a chunk also holds the transpose of each of its entries,
-    and is checked against that mirror before it is yielded.
+    The chunks of ``SupportOperator.entries``: each entry sums its terms
+    from +0 in ``hq`` order, and a term with an imaginary factor that
+    reaches the sector is refused.  A chunk holds the mirror (j, i, x) of
+    each of its entries, ordered by (X string, column), so one
+    searchsorted finds it, and the chunk is checked against it before it
+    is yielded.
     """
-    dim, step = len(dets), max(hq.n_qubits // 2, 1)
-    keys = hq.keys
-    order = np.argsort(keys[:, 0].view(np.int64), kind="stable")
-    x, z, factors = keys[order, 0], keys[order, 1], _factors(keys, hq.coeffs)[order]
-    new = np.append(True, x[1:] != x[:-1])
-    xs, bounds = x[new], np.append(np.flatnonzero(new), len(x))
-    del order, x
-    for a in range(0, len(xs), step):
-        targets = dets ^ xs[a : a + step, None]
-        pos = np.minimum(np.searchsorted(dets, targets), dim - 1)
-        # entry k joins rows[k] and cols[k], of the chunk's X string flat[k] // dim
-        flat = np.flatnonzero(dets[pos] == targets)
-        rows, cols = pos.reshape(-1)[flat], flat % dim
-        del targets, pos
-        counts = np.bincount(flat // dim, minlength=len(xs[a : a + step]))
-        lo, hi = bounds[a], bounds[min(a + step, len(xs))]
-        term_group = np.cumsum(new[lo:hi]) - 1
-        pairs = counts[term_group]
-        if np.max(np.abs(factors[lo:hi].imag[pairs > 0]), initial=0.0) > 1e-9:
-            raise FciError("sector matrix has imaginary entries")
-        ends = np.cumsum(pairs)
-        # a term's pairs run over its X string's entries: entry = pair + shift
-        shift = (np.cumsum(counts) - counts)[term_group] - (ends - pairs)
-        weights, zs, kets = factors[lo:hi].real, z[lo:hi], dets[cols]
-        vals = np.zeros(len(flat))
-        cuts = np.flatnonzero(np.diff((ends - pairs) // (step * dim))) + 1
-        for t0, t1 in itertools.pairwise([0, *cuts, len(pairs)]):
-            n = pairs[t0:t1]
-            entry = np.arange(ends[t0] - n[0], ends[t1 - 1]) + np.repeat(shift[t0:t1], n)
-            odd = np.repeat(zs[t0:t1], n)
-            odd &= kets[entry]
-            terms = np.repeat(weights[t0:t1], n)
-            np.negative(terms, out=terms, where=np.bitwise_count(odd) & 1 == 1)
-            np.add.at(vals, entry, terms)
-        mirror = vals[np.searchsorted(flat, flat - cols + rows)]
-        asym = np.max(np.abs(vals - mirror), initial=0.0)
-        if asym > 1e-9:
-            raise FciError(f"sector matrix asymmetry {asym:.2e}")
-        yield rows, cols, vals
-
-
-def _dense_sector_matrix(hq: PauliArrays, dets: np.ndarray) -> np.ndarray:
-    """hq on the sector as a dense array, assigned one chunk of entries at a time."""
-    mat = np.zeros((len(dets), len(dets)))
-    for rows, cols, vals in _sector_blocks(hq, dets):
-        mat[rows, cols] = vals
-    return mat
+    try:
+        for rows, cols, vals in SupportOperator(hq).entries(dets):
+            key = (dets[rows] ^ dets[cols]).astype(np.int64) * len(dets) + cols
+            mirror = vals[np.searchsorted(key, key - cols + rows)]
+            asym = np.max(np.abs(vals - mirror), initial=0.0)
+            del key, mirror
+            if asym > 1e-9:
+                raise FciError(f"sector matrix asymmetry {asym:.2e}")
+            yield rows, cols, vals
+    except SimulatorError as err:
+        raise FciError("sector matrix has imaginary entries") from err
 
 
 def _spin_flip_blocks(mat: np.ndarray, dets: np.ndarray, step: int) -> list:
@@ -148,7 +110,7 @@ def _lanczos_ground_energy(hq: PauliArrays, dets: np.ndarray) -> float:
     import scipy.sparse
     import scipy.sparse.linalg
 
-    rows, cols, vals = map(np.concatenate, zip(*_sector_blocks(hq, dets)))
+    rows, cols, vals = map(np.concatenate, zip(*_sector_entries(hq, dets)))
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(dets), len(dets)))
     # a fixed start vector: ARPACK's own is random, so the bits would vary
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(dets))
@@ -176,7 +138,9 @@ def fci_oracle(hq: PauliArrays, n_elec: int, sz: float = 0.0) -> FciResult:
     dets = _sector_determinants(n_orb, n_up, n_dn)
     if len(dets) > _DENSE_CUTOFF:
         return FciResult(_lanczos_ground_energy(hq, dets))
-    mat = _dense_sector_matrix(hq, dets)
+    mat = np.zeros((len(dets), len(dets)))
+    for rows, cols, vals in _sector_entries(hq, dets):
+        mat[rows, cols] = vals
     blocks = _spin_flip_blocks(mat, dets, max(n_orb, 1)) if n_up == n_dn else [mat]
     del mat
     energy = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks if len(b))

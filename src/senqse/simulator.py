@@ -36,8 +36,6 @@ import numpy as np
 from senqse.pauli import PauliArrays, anticommute, label, product_phase
 
 NORM_TOL = 1e-10
-# largest imaginary part (Ha) a matrix element may carry
-IMAG_TOL = 1e-9
 
 
 class SimulatorError(ValueError):
@@ -146,17 +144,6 @@ def prepare_swap_state(a: StateVector, b: StateVector) -> StateVector:
     a and b are two states of one engine, so of one register."""
     amps = np.concatenate([a.amplitudes, b.amplitudes]) / np.sqrt(2.0)
     return StateVector(amps, a.n_qubits + 1)
-
-
-def dense_matrix(op: PauliArrays) -> np.ndarray:
-    """Dense matrix of op, accumulated term by term in order."""
-    dim = 2**op.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    src, coef = _term_table(op.keys, op.coeffs, np.arange(dim, dtype=np.uint64))
-    for cols, values in zip(src, coef):
-        out[rows, cols] += values
-    return out
 
 
 # ---------------------------------------------------------------------------

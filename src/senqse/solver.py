@@ -44,9 +44,9 @@ from senqse.measure import (
 )
 from senqse.pauli import PauliArrays
 from senqse.simulator import (
+    SimulatorError,
     StateVector,
     apply_pauli_sum,
-    dense_matrix,
     draw_table,
     prepare_swap_state,
     rng_for,
@@ -194,15 +194,21 @@ class SubspaceEngine:
     def apply_xop(self, bra_bits: int, ket_bits: int, vecs: np.ndarray) -> np.ndarray:
         """The config pair's effective operator applied to each real row of vecs.
 
-        The operator is real; an imaginary part above ``HERMITICITY_TOL``
-        (in the dense matrix, or in the Pauli-sum product) is a SolverError.
+        The operator is real: the dense matrix is the operator's
+        ``SupportOperator`` pass over all 2^n_orb indices, which refuses
+        imaginary terms, and an imaginary part above ``HERMITICITY_TOL``
+        in the Pauli-sum product is refused too, each as a SolverError.
         """
         op = self.kernel.xop(bra_bits, ket_bits)
         if not op:
             return np.zeros_like(vecs)
         if self.n_orb <= _DENSE_XOP_ORBITALS:
             if (bra_bits, ket_bits) not in self._xmats:
-                self._xmats[bra_bits, ket_bits] = _real_part(dense_matrix(op))
+                every = np.arange(1 << self.n_orb, dtype=np.uint64)
+                try:
+                    self._xmats[bra_bits, ket_bits] = SupportOperator(op).dense(every)
+                except SimulatorError as err:
+                    raise SolverError("effective operator is not real") from err
             return vecs @ self._xmats[bra_bits, ket_bits].T
         return _real_part(apply_pauli_sum(vecs, op))
 

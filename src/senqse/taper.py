@@ -8,7 +8,9 @@ n_orb qubits and an n_orb-qubit remainder state.  Matrix elements of a
 2*n_orb-qubit operator between seniority eigenstates then reduce to matrix
 elements of an n_orb-qubit effective operator, built here by bit logic;
 exact matrices of many such states come from one pass of the tapered
-operator over their joint support (``SupportOperator``).
+operator over their joint support (``SupportOperator``, which also builds
+the FCI oracle's sector matrix and the slot models' dense effective
+operators).
 
 Register layout after tapering: qubit i (low half) holds v_i, qubit
 n_orb + i (high half) holds the down-spin occupation of orbital i, so a
@@ -23,7 +25,7 @@ import operator
 import numpy as np
 
 from senqse.pauli import DROP_TOL, PauliArrays
-from senqse.simulator import IMAG_TOL, SimulatorError, _factors
+from senqse.simulator import SimulatorError, _factors
 
 
 class TaperError(ValueError):
@@ -86,36 +88,45 @@ def real_support(amps: np.ndarray, bits: int = 0, shift: int = 0):
     return support.astype(np.uint64) << np.uint64(shift) | np.uint64(bits), values.real
 
 
-# entries per array of a SupportOperator pass: its scratch stays in the
-# heap's free lists, far below the 256 KiB at which NumPy's temporary
-# elision walks the C stack (and loads the unwinder)
-_PAIR_BITS = 11
+# table lookups per chunk and term-entry pairs per block of a
+# SupportOperator pass: a few 32 KiB arrays alive at once, from the heap's
+# free lists, far below the 256 KiB at which NumPy's temporary elision
+# walks the C stack (and loads the unwinder)
+_PAIR_BITS = 12
 _PAIRS = 1 << _PAIR_BITS
+# largest summed |imaginary part| of one X string's terms that link two indices
+IMAG_TOL = 1e-10
 
 
 class SupportOperator:
-    """A real Pauli sum assembled on the joint support of sparse real states.
+    """A real Pauli sum on a sorted set of basis indices: the program's one
+    assembly of such a sum.
 
     The terms are sorted stably by X string, so each X string's terms are
-    a run in ``op`` order with one real factor Re(c i^|x & z|) each; a run
-    whose factors' imaginary parts sum in magnitude above IMAG_TOL is
-    refused where it links two support indices.  ``matrix`` takes states
-    as ``real_support`` pairs, sorts the union U of their indices and finds
-    the entries (i, j) of U that each X string links, U[i] = U[j] ^ x, in
-    chunks of X strings, through a two-level table (the low half of an
-    index, then the high half), so no search runs.  An entry sums its
-    run's signed factors (-1)^|z & U[j]| from +0 in ``op`` order
-    (``np.bincount``), and x is its own inverse, so the dense op on U is
-    symmetric bit for bit.  The matrix is S_bra op_U S_ket^T, S the states'
-    values on U (Knowles and Handy 1984, Chem. Phys. Lett. 111, 315, build
-    the CI matrix from the determinants the states hold in the same way).
-    A pass keeps the dense |U| x |U| op_U and the table, one row of
-    2^(n_qubits / 2) entries per distinct low half in U; each of its
-    scratch arrays holds at most about ``_PAIRS`` entries.
+    a run in ``op`` order with one real factor Re(c i^|x & z|) each.
+    ``entries`` finds the entries (i, j) of the sorted indices U that each
+    X string links, U[i] = U[j] ^ x, in chunks of X strings, through a
+    two-level table (the low n_qubits // 2 bits of an index, then the
+    rest, one more on an odd register), so no search runs.  An entry sums
+    its run's signed factors (-1)^|z & U[j]| from +0 in ``op`` order
+    (``np.bincount``); a run whose factors' imaginary parts sum in
+    magnitude above IMAG_TOL is refused where it links two indices of U.
+    x is its own inverse, so a chunk also holds each entry's mirror (j, i),
+    which sums the same terms; for a Hermitian op with the same signs (a
+    term with odd |x & z| has a factor of real part 0), so its matrix is
+    symmetric bit for bit, and a non-Hermitian op's need not be.
+    ``matrix`` takes states as ``real_support`` pairs and returns
+    S_bra op_U S_ket^T, op_U the ``dense`` op on the union U of their
+    indices and S the states' values on U (Knowles and Handy 1984, Chem.
+    Phys. Lett. 111, 315, build the CI matrix from the determinants the
+    states hold in the same way).  A pass keeps the table, one row of
+    int32 slots per distinct low half in U and an empty row; each of its
+    scratch arrays holds at most about ``_PAIRS`` entries (one X string's
+    on a larger U).
     """
 
     def __init__(self, op: PauliArrays):
-        self.half = op.n_qubits // 2
+        self.n_qubits, self.half = op.n_qubits, op.n_qubits // 2
         x = op.keys[:, 0]
         order = np.argsort(x.view(np.int64), kind="stable")
         x, factors = x[order], _factors(op.keys, op.coeffs)[order]
@@ -125,45 +136,73 @@ class SupportOperator:
         self._starts, self._counts = first, np.diff(np.append(first, len(x)))
         # each run's summed |imaginary part|, at least its largest one
         self._imag = np.bincount(np.cumsum(new) - 1, np.abs(factors.imag), len(first))
-        self._x_low = x[first] & np.uint64((1 << self.half) - 1)
-        self._x_high = x[first] >> np.uint64(self.half)
+        self._x_low = (x[first] & np.uint64((1 << self.half) - 1)).view(np.int64)
+        self._x_high = (x[first] >> np.uint64(self.half)).view(np.int64)
 
-    def _on_support(self, support: np.ndarray) -> np.ndarray:
-        """The operator on the sorted indices ``support``, as a dense array."""
-        m, half = len(support), np.uint64(self.half)
-        low, high = support & np.uint64((1 << self.half) - 1), support >> half
+    def entries(self, support: np.ndarray):
+        """(rows, cols, values) of the linked entries on the sorted indices
+        ``support``, one chunk of X strings at a time, by increasing X
+        string, then column: value k is <support[rows[k]]|op|support[cols[k]]>."""
+        high_bits = self.n_qubits - self.half
+        # int64 words like the table's offsets: NumPy has no int64 | uint64
+        low = support.view(np.int64) & (1 << self.half) - 1
+        high = support.view(np.int64) >> self.half
         lows = sorted(set(low.tolist()))
-        low_index = np.full(1 << self.half, -1)
-        low_index[lows] = np.arange(len(lows))
-        slot = np.full((len(lows), 1 << self.half), -1)
-        slot[low_index[low], high] = np.arange(m)
-        out, step = np.zeros((m, m)), max(1, _PAIRS // m)
+        # the table: row r << high_bits of a low half in U, the last row
+        # (every other low half) empty, then the high half's slot in U
+        base = np.full(1 << self.half, len(lows) << high_bits)
+        base[lows] = np.arange(len(lows)) << high_bits
+        slot = np.full((len(lows) + 1) << high_bits, -1, dtype=np.int32)
+        slot[base[low] | high] = np.arange(len(support))
+        step = max(1, _PAIRS // len(support))
         for a in range(0, len(self._starts), step):
-            group = low_index[low ^ self._x_low[a : a + step, None]]
-            run, col = np.nonzero(group >= 0)
-            row = slot[group[run, col], high[col] ^ self._x_high[a + run]]
+            index = base[low ^ self._x_low[a : a + step, None]]
+            index |= high ^ self._x_high[a : a + step, None]
+            row = slot[index]
+            del index
             linked = row >= 0
-            run, col, row = run[linked] + a, col[linked], row[linked]
-            if not len(run):
-                continue
-            imag = np.max(self._imag[run], initial=0.0)
-            if imag > IMAG_TOL:
-                raise SimulatorError(f"terms with imaginary part {imag} reach the support")
-            counts = self._counts[run]
-            ends = np.cumsum(counts)
-            # a shift, not //: some workloads run no integer division at all
-            cuts = np.flatnonzero(np.diff(ends >> _PAIR_BITS)) + 1
-            for e0, e1 in itertools.pairwise([0, *cuts.tolist(), len(run)]):
-                n = counts[e0:e1]
-                # pair p of entry k reads term starts[run[k]] + p - (its first pair)
-                term = np.repeat(self._starts[run[e0:e1]] - ends[e0:e1] + n, n)
-                term += np.arange(ends[e0] - n[0], ends[e1 - 1])
-                entry = np.repeat(np.arange(e0, e1), n)
-                odd = self._z[term]
-                odd &= support[col[entry]]
-                terms = self._f[term]
-                np.negative(terms, out=terms, where=np.bitwise_count(odd) & 1 == 1)
-                out[row[e0:e1], col[e0:e1]] = np.bincount(entry - e0, terms, minlength=e1 - e0)
+            run, col = np.nonzero(linked)
+            if len(run):
+                run += a
+                row = row[linked]
+                yield row, col, self._sums(run, support[col])
+
+    def _sums(self, run, kets):
+        """Entry k's value: the factors of X string run[k], signed at
+        index kets[k] and summed from +0 in ``op`` order, in blocks of
+        about ``_PAIRS`` term-entry pairs."""
+        imag = np.max(self._imag[run], initial=0.0)
+        if imag > IMAG_TOL:
+            raise SimulatorError(f"terms with imaginary part {imag} reach the support")
+        counts = self._counts[run]
+        ends = np.cumsum(counts)
+        values = np.empty(len(run))
+        # a shift, not //: some workloads run no integer division at all
+        cuts = np.flatnonzero(np.diff(ends >> _PAIR_BITS)) + 1
+        for e0, e1 in itertools.pairwise([0, *cuts.tolist(), len(run)]):
+            block = slice(e0, e1)
+            values[block] = self._block(run[block], kets[block], counts[block], ends[block])
+        return values
+
+    def _block(self, run, kets, counts, ends):
+        """``_sums`` of a block of entries with term counts ``counts`` and
+        running ends ``ends``; at most three arrays of pairs live at once."""
+        # pair p of entry k reads term starts[run[k]] + p - (its first pair)
+        term = np.repeat(self._starts[run] - ends + counts, counts)
+        term += np.arange(ends[0] - counts[0], ends[-1])
+        odd = np.repeat(kets, counts)
+        odd &= self._z[term]
+        terms = self._f[term]
+        del term
+        np.negative(terms, out=terms, where=np.bitwise_count(odd) & 1 == 1)
+        del odd
+        return np.bincount(np.repeat(np.arange(len(run)), counts), terms, minlength=len(run))
+
+    def dense(self, support: np.ndarray) -> np.ndarray:
+        """The operator on the sorted indices ``support``, as a dense array."""
+        out = np.zeros((len(support), len(support)))
+        for rows, cols, values in self.entries(support):
+            out[rows, cols] = values
         return out
 
     def _pass(self, states):
@@ -174,7 +213,7 @@ class SupportOperator:
         new = np.append(True, index[order][1:] != index[order][:-1])
         cols = np.empty(len(index), dtype=np.intp)
         cols[order] = np.cumsum(new) - 1
-        return self._on_support(index[order][new]), cols
+        return self.dense(index[order][new]), cols
 
     def matrix(self, bras, kets=None) -> np.ndarray:
         """<bras|op|kets> of ``real_support`` states; with kets None, the

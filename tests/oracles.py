@@ -15,6 +15,7 @@ pass that ``simulator.apply_pauli_sum``'s support pass replaced),
 ``product_by_product_jordan_wigner`` (``fermion.jordan_wigner``),
 ``copy_per_rotation`` (``csfbasis.rotate_pair_inplace``),
 ``coo_csr_sector_matrix`` (``fci``'s dense sector assembly),
+``dense_matrix`` (``SubspaceEngine.apply_xop``'s dense operators),
 ``support_matrix`` (``CsfElementEngine.matrix`` and the ``--no-taper``
 ablation, to 1e-12),
 ``whole_sector_energy`` (``fci.fci_oracle``'s spin-flip blocks, to 1e-10 Ha),
@@ -417,6 +418,21 @@ def support_matrix(hq, images):
     dets = np.flatnonzero(np.any(images != 0, axis=0))
     h = one_add_at_sector_matrix(hq, dets.astype(np.uint64))
     return images[:, dets] @ h @ images[:, dets].T
+
+
+def dense_matrix(op):
+    """Dense complex matrix of a PauliArrays on its whole register, each
+    term's entries added in term order: the matrix whose real part the
+    slot models' dense operators (``taper.SupportOperator.dense`` over
+    every index) equal bit for bit."""
+    dim = 2**op.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim, dtype=np.uint64)
+    for (x, z), c in op.items():
+        cols = rows ^ np.uint64(x)
+        signs = np.bitwise_count(cols & np.uint64(z)) & np.uint64(1)
+        out[rows, cols] += c * (1j) ** ((x & z).bit_count() % 4) * (1.0 - 2.0 * signs)
+    return out
 
 
 def coo_csr_sector_matrix(hq, dets):

@@ -639,7 +639,7 @@ class TestElementKernel:
         # support, all from one sector table, and no operator is applied
         calls, passes = [0], [0]
         apply_pauli_sum = simulator.apply_pauli_sum
-        on_support = taper.SupportOperator._on_support
+        dense = taper.SupportOperator.dense
 
         def counted(*args):
             calls[0] += 1
@@ -647,11 +647,11 @@ class TestElementKernel:
 
         def counted_pass(self, support):
             passes[0] += 1
-            return on_support(self, support)
+            return dense(self, support)
 
         for module in (simulator, solver, measure):
             monkeypatch.setattr(module, "apply_pauli_sum", counted)
-        monkeypatch.setattr(taper.SupportOperator, "_on_support", counted_pass)
+        monkeypatch.setattr(taper.SupportOperator, "dense", counted_pass)
         tables = record_tables(monkeypatch)
         run_one_geometry(H2O_PATH, tmp_path, method="pt", **TUNED)
         assert calls[0] == 0

@@ -39,7 +39,6 @@ from senqse.simulator import (
     FragmentSampler,
     SimulatorError,
     apply_pauli_sum,
-    dense_matrix,
     prepare_swap_state,
     rng_for,
 )
@@ -66,6 +65,14 @@ def random_sum(rng, n, terms, real=True):
     for label, c in oracles.random_pauli_sum_pairs(rng, n, terms, real=real):
         s.add_product(PauliProduct.from_label(label, n), c)
     return as_arrays(s)
+
+
+def real_matrix_sum(rng, n, terms):
+    """``random_sum`` with real coefficients, kept on its products with an
+    even count of Y factors, so its matrix is real and symmetric."""
+    op = random_sum(rng, n, terms)
+    even = np.bitwise_count(op.keys[:, 0] & op.keys[:, 1]) % 2 == 0
+    return PauliArrays(n, op.keys[even], op.coeffs[even])
 
 
 class TestStateVector:
@@ -123,6 +130,17 @@ class TestMatrixElement:
         assert SupportOperator(op).matrix(states).tolist() == [[0.5, 0.25], [0.25, 0.5]]
         with pytest.raises(SimulatorError, match="imaginary part"):
             SupportOperator(op).matrix([real_support(np.array([0, 1.0, 1.0, 0]) / np.sqrt(2))])
+        # the refusal reads each X string's summed |imaginary part| against
+        # 1e-10: 0.6e-10 i on each of X0 X1 and Y0 Y1 is refused, and
+        # 0.4e-10 i on each is not
+        ket = [real_support(np.array([1.0, 0, 0, 0])), real_support(np.array([0, 0, 0, 1.0]))]
+        for imag, refused in ((0.6e-10, True), (0.4e-10, False)):
+            op = as_arrays(PauliSum(2, {(3, 0): 0.5 + imag * 1j, (3, 3): 0.25 - imag * 1j}))
+            if refused:
+                with pytest.raises(SimulatorError, match="imaginary part"):
+                    SupportOperator(op).matrix(ket)
+            else:
+                SupportOperator(op).matrix(ket)
         with pytest.raises(SimulatorError, match="imaginary amplitude"):
             real_support(np.array([0.6, 0.8j, 0, 0]))
 
@@ -271,9 +289,20 @@ class TestSampling:
         assert abs(emp_var - var) < 3 * se + 0.05 * var
 
     def test_dense_matrix_matches_oracle(self):
+        # the pass on every index and on a random sorted half of them, on
+        # registers of 1 to 9 qubits: an index's high part has
+        # n_qubits - n_qubits // 2 bits, one more than its low part when
+        # the register is odd
         rng = np.random.default_rng(53)
-        op = random_sum(rng, 3, 6, real=False)
-        assert np.allclose(dense_matrix(op), oracles.sum_matrix(op), atol=1e-12)
+        for n_qubits in range(1, 10):
+            op = real_matrix_sum(rng, n_qubits, min(12, 4**n_qubits))
+            want = oracles.sum_matrix(op)
+            assert not want.imag.any()
+            every = np.arange(2**n_qubits, dtype=np.uint64)
+            some = np.sort(rng.choice(every, max(1, len(every) // 2), replace=False))
+            for support in (every, some):
+                got = SupportOperator(op).dense(support)
+                assert np.allclose(got, want.real[np.ix_(support, support)], atol=1e-12)
 
 
 def bits(amps):
@@ -357,13 +386,17 @@ class TestApplyPauliSum:
                 apply_pauli_sum(np.ones(4, dtype=complex), as_arrays(op))
 
     def test_dense_matrix_columns_are_applied_basis_states(self):
+        # column j of the pass's dense matrix is op|j>: both sum each
+        # entry's terms from +0 in term order
         rng = np.random.default_rng(103)
-        op = random_sum(rng, 4, 40, real=False)
-        mat = dense_matrix(op)
+        op = real_matrix_sum(rng, 4, 40)
+        mat = SupportOperator(op).dense(np.arange(16, dtype=np.uint64))
         for j in range(16):
             ket = np.zeros(16, dtype=complex)
             ket[j] = 1.0
-            assert np.array_equal(mat[:, j], apply_pauli_sum(ket, op))
+            applied = apply_pauli_sum(ket, op)
+            assert not applied.imag.any()
+            assert np.array_equal(mat[:, j], applied.real)
 
 
 @pytest.fixture(scope="module")

@@ -46,6 +46,7 @@ from senqse.solver import (
     relax_orbitals,
     vo_optimize,
 )
+from senqse.taper import SupportOperator
 from test_imports import run_fresh
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,6 +96,15 @@ def h2o_hq(h2o):
 def h2o_vo_selected():
     """The H2O 1.0 A VO selection at the acceptance settings, amplitudes zero."""
     return parse_basis((FIXTURES / "h2o_1.0000.vo-selected.basis.txt").read_text())
+
+
+def sector_matrix(hq, dets):
+    """The oracle's dense sector matrix: its checked entries
+    (``fci._sector_entries``) assigned one chunk at a time."""
+    mat = np.zeros((len(dets), len(dets)))
+    for rows, cols, vals in fci._sector_entries(hq, dets):
+        mat[rows, cols] = vals
+    return mat
 
 
 class TestGroundState:
@@ -172,7 +182,7 @@ class TestFciOracle:
         hq = jordan_wigner(ints)
         n = ints.n_elec // 2
         dets = fci._sector_determinants(ints.n_orb, n, n)
-        dense = fci._dense_sector_matrix(hq, dets)
+        dense = sector_matrix(hq, dets)
         ref = oracles.coo_csr_sector_matrix(hq, dets).toarray()
         assert dense.shape == ref.shape == (len(dets), len(dets))
         assert np.max(np.abs(dense - ref)) <= 1e-12
@@ -184,13 +194,35 @@ class TestFciOracle:
     def test_term_by_term_assembly_matches_one_add_at(self, stem):
         # only terms with x = row ^ col reach an entry, so summing each X
         # string's terms in term order sums each entry in the order one
-        # np.add.at over every term's concatenated entries does
+        # np.add.at over every term's concatenated entries does: the
+        # oracle's sector and the pass's dense matrix equal it bit for bit
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         n = ints.n_elec // 2
         dets = fci._sector_determinants(ints.n_orb, n, n)
-        dense = fci._dense_sector_matrix(hq, dets)
-        assert np.array_equal(dense, oracles.one_add_at_sector_matrix(hq, dets))
+        want = oracles.one_add_at_sector_matrix(hq, dets).tobytes()
+        assert sector_matrix(hq, dets).tobytes() == want
+        assert SupportOperator(hq).dense(dets).tobytes() == want
+
+    @pytest.mark.parametrize("stem", FIXTURE_STEMS)
+    def test_entries_in_the_order_of_the_reference_triples(self, stem):
+        # every term with X string x reaches the same entries, so the
+        # reference triples sorted stably by (x, column) list each entry's
+        # terms in hq order, entries by X string, then column: the pass's
+        # order, in which the Lanczos CSR receives them
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        hq = jordan_wigner(ints)
+        n = ints.n_elec // 2
+        dets = fci._sector_determinants(ints.n_orb, n, n)
+        rows, cols, vals = oracles.sector_triples(hq, dets)
+        order = np.lexsort((cols, (dets[rows] ^ dets[cols]).astype(np.int64)))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.append(True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))
+        sums = np.bincount(np.cumsum(first) - 1, vals)
+        got = [np.concatenate(a) for a in zip(*fci._sector_entries(hq, dets))]
+        assert np.array_equal(got[0], rows[first])
+        assert np.array_equal(got[1], cols[first])
+        assert got[2].tobytes() == sums.tobytes()
 
     def test_blocks_hold_each_entry_once(self, monkeypatch):
         # the blocks' (row, col) pairs are distinct and are exactly the
@@ -200,7 +232,7 @@ class TestFciOracle:
         ints = load_fcidump(FIXTURES / "h2o_3.0000.fcidump")
         hq = jordan_wigner(ints)
         dets = fci._sector_determinants(ints.n_orb, 5, 5)
-        blocks = list(fci._sector_blocks(hq, dets))
+        blocks = list(fci._sector_entries(hq, dets))
         rows = np.concatenate([r for r, _, _ in blocks])
         cols = np.concatenate([c for _, c, _ in blocks])
         pairs = rows * len(dets) + cols
@@ -229,10 +261,10 @@ class TestFciOracle:
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         hq = jordan_wigner(ints)
         dets = fci._sector_determinants(ints.n_orb, 5, 5)
-        fci._dense_sector_matrix(hq, dets)
+        sector_matrix(hq, dets)
         tracemalloc.start()
         try:
-            fci._dense_sector_matrix(hq, dets)
+            sector_matrix(hq, dets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -323,7 +355,7 @@ class TestFciOracle:
         ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
         n = ints.n_elec // 2
         dets = fci._sector_determinants(ints.n_orb, n, n)
-        mat = fci._dense_sector_matrix(jordan_wigner(ints), dets)
+        mat = sector_matrix(jordan_wigner(ints), dets)
         flip, sign = oracles.spin_flip(dets)
         php = sign[:, None] * sign * mat[np.ix_(flip, flip)]
         assert np.max(np.abs(php - mat)) <= 1e-12
@@ -414,7 +446,7 @@ class TestBuildSubspace:
             raise AssertionError("an empty operator was applied")
 
         monkeypatch.setattr(solver, "apply_pauli_sum", refuse)
-        monkeypatch.setattr(solver, "dense_matrix", refuse)
+        monkeypatch.setattr(solver, "SupportOperator", refuse)
         for (mu, nu), want in old.items():
             got = engine.element_exact(mu, nu)
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -1177,19 +1209,44 @@ class TestVoOptimize:
         assert 0 < calls[0] <= 300
         assert history[-1] == pytest.approx(problem.e_min, abs=1e-10)
 
+    @pytest.mark.parametrize("stem", ["h2o_1.0000", "h2o_2.1000", "h2o_3.0000"])
+    @pytest.mark.parametrize("name", ["h2o_1.0000.vo.basis.txt", "h2o_1.0000.vo-selected.basis.txt"])
+    def test_dense_operators_match_the_term_by_term_matrix(self, stem, name):
+        # each linked config pair's dense operator, one pass over all
+        # 2^n_orb indices, has the bits of the real part of the
+        # whole-register matrix summed term by term
+        ints = load_fcidump(FIXTURES / f"{stem}.fcidump")
+        basis = parse_basis((FIXTURES / name).read_text())
+        engine = SubspaceEngine(basis, jordan_wigner(ints), ints.n_elec)
+        configs = sorted({engine.config(mu) for mu in range(engine.size)})
+        row = np.zeros((1, 2**engine.n_orb))
+        linked = 0
+        for bra in configs:
+            for ket in configs:
+                op = engine.kernel.xop(bra, ket)
+                if op:
+                    linked += 1
+                    engine.apply_xop(bra, ket, row)
+                    want = np.ascontiguousarray(oracles.dense_matrix(op).real)
+                    assert engine._xmats[bra, ket].tobytes() == want.tobytes()
+        assert linked == {"h2o_1.0000": 36, "h2o_2.1000": 10, "h2o_3.0000": 36}[stem]
+
     @pytest.mark.parametrize("limit", [0, solver._DENSE_XOP_ORBITALS])
     def test_non_real_operator_rejected(
         self, h2o, h2o_hq, h2o_vo_selected, limit, monkeypatch
     ):
-        # an imaginary part in the dense matrix (limit 8) or in the
-        # Pauli-sum product (limit 0) is refused, not dropped
+        # 1e-9 i on the coefficient of a diagonal term, which links every
+        # index, is refused by the dense pass (limit 8) and in the
+        # Pauli-sum product (limit 0), not dropped
         engine = SubspaceEngine(h2o_vo_selected, h2o_hq, h2o.n_elec)
         bits = engine.config(0)
         vecs = np.array([engine.state(0).amplitudes.real])
+        op = engine.kernel.xop(bits, bits)
+        coeffs = op.coeffs.copy()
+        coeffs[np.flatnonzero(op.keys[:, 0] == 0)[0]] += 1e-9j
+        imaginary = PauliArrays(op.n_qubits, op.keys, coeffs)
+        monkeypatch.setattr(engine.kernel, "xop", lambda *args: imaginary)
         monkeypatch.setattr(solver, "_DENSE_XOP_ORBITALS", limit)
-        for name in ("dense_matrix", "apply_pauli_sum"):
-            fn = getattr(solver, name)
-            monkeypatch.setattr(solver, name, lambda *args, fn=fn: fn(*args) + 1e-9j)
         with pytest.raises(SolverError, match="effective operator is not real"):
             engine.apply_xop(bits, bits, vecs)
         assert not engine._xmats
